@@ -2,16 +2,20 @@
 per-class feature projectors and a learnable global token.
 
 Each kernel slice w (d_p x 3) maps a chirality matrix M to O = w @ M,
-which is normalized, QR-factorized, and read out as det(R). The sign of
-det(R) is anchored to the slice's own column space (see
-numerics.qr_det_oriented), so a reflection of the molecule flips every
-channel while rigid motions leave them unchanged.
+which is normalized and read out as det(R) of its thin QR, signed like
+det(M). That readout has a closed form, so no QR is run: a normalized
+slice is A = W_eff @ M / sigma, hence
+
+    out = det(M) * sqrt(det G) / sigma^3,   G = W_eff^T W_eff.
+
+A reflection of the molecule flips det(M) and so every channel, while
+rigid motions leave them unchanged.
 
 The normalization stage removes the per-column mean along d_p and divides
 by one pooled standard deviation for the whole slice. Per-column scales
 would break rotation invariance (a rotation mixes the three columns), and
 an additive shift would too, so `beta` is kept frozen at zero while the
-per-row gain `gamma` stays learnable.
+per-row gain `gamma` stays learnable. The closed form relies on beta = 0.
 """
 
 from __future__ import annotations
@@ -23,9 +27,7 @@ import numpy as np
 
 from .errors import DegeneracyError, NumericError
 from .geometry import AtomPartition, Molecule, UnitKind, chirality_matrix, reference_point
-from .numerics import det3_batch, gelu, gelu_grad, qr_det3_batch, qr_thin
-
-DET_GUARD = 1e-14  # below this Gram determinant the sign boundary is reached
+from .numerics import cofactor3_batch, det3_batch, gelu, gelu_grad, qr_thin
 
 
 class RankStrategy(Enum):
@@ -82,46 +84,52 @@ class EncodedMolecule:
     nonchiral_indices: tuple[int, ...]
 
 
-def effective_weight(bank: KernelBank, normalize: bool) -> np.ndarray:
-    """Left factor the normalized slices reduce to: gamma * centered(w)."""
-    if not normalize:
-        return bank.w
-    centered = bank.w - bank.w.mean(axis=1, keepdims=True)
-    return bank.gamma[None, :, None] * centered
+def _row_mean(x: np.ndarray) -> np.ndarray:
+    """Mean over the d_p axis of a (k, d_p, 3) stack, kept as (k, 1, 3).
+
+    Taken as a matmul with a constant row: at kernel-bank sizes numpy's
+    strided reduction over the middle axis costs several times more.
+    """
+    return np.full((1, x.shape[1]), 1.0 / x.shape[1]) @ x
 
 
 def kernel_fwd(bank: KernelBank, mc_batch, normalize: bool = True):
     """Determinant-kernel forward; returns (out (B, k), cache).
 
-    Normalization removes each column's mean along d_p and divides the
-    whole slice by one pooled std, so a normalized slice is still
-    (positive scalar) * W_eff @ M and det(W_eff^T A) orients the sign.
+    out[b, k] = det(M_b) * s_k / sigma_bk^3 with s_k = sqrt(max(det G_k, 0)),
+    G_k = W_eff^T W_eff, W_eff = gamma * C_k, C_k the slice centred along
+    d_p, and sigma_bk^2 = <C_k^T C_k, M_b M_b^T> / (3 d_p) + eps. Without
+    normalization W_eff = w and sigma = 1. A rank-deficient slice
+    (det G <= 0) reads out 0.
     """
     mc_batch = np.asarray(mc_batch, dtype=np.float64)
     if mc_batch.ndim != 3 or mc_batch.shape[1:] != (3, 3):
         raise NumericError(f"expected (B, 3, 3) chirality matrices, got {mc_batch.shape}")
     if not np.all(np.isfinite(mc_batch)):
         raise NumericError("chirality matrices contain non-finite values")
+    if normalize and np.any(bank.beta != 0.0):
+        raise NumericError("kernel shift beta must stay zero, the closed-form readout assumes it")
     n_batch = mc_batch.shape[0]
     k, d_p = bank.n_kernels, bank.d_p
     if n_batch == 0:
-        return np.zeros((0, k)), (bank, mc_batch, normalize, None, None, None, None)
-    o = np.einsum("kpc,bcd->bkpd", bank.w, mc_batch)
+        return np.zeros((0, k)), (bank, mc_batch, normalize, None)
+    det_m = det3_batch(mc_batch)
     if normalize:
-        centered = o - o.mean(axis=2, keepdims=True)
-        sigma = np.sqrt((centered * centered).mean(axis=(2, 3)) + bank.eps)  # (B, k)
-        a = (
-            bank.gamma[None, None, :, None] * centered / sigma[:, :, None, None]
-            + bank.beta[None, None, :, None]
-        )
+        centered = bank.w - _row_mean(bank.w)
+        w_eff = bank.gamma[None, :, None] * centered
+        cc = centered.transpose(0, 2, 1) @ centered  # (k, 3, 3)
+        mmt = mc_batch @ mc_batch.transpose(0, 2, 1)  # (B, 3, 3)
+        sigma2 = mmt.reshape(n_batch, 9) @ cc.reshape(k, 9).T / (3 * d_p) + bank.eps
     else:
-        centered = sigma = None
-        a = o
-    dets = qr_det3_batch(a.reshape(n_batch * k, d_p, 3)).reshape(n_batch, k)
-    w_eff = effective_weight(bank, normalize)
-    ref = det3_batch(np.einsum("kpc,bkpd->bkcd", w_eff, a))
-    out = np.where(dets * ref < 0.0, -dets, dets)
-    cache = (bank, mc_batch, normalize, out, a, centered, sigma)
+        centered = cc = mmt = None
+        w_eff = bank.w
+        sigma2 = np.ones((n_batch, k))
+    gram = w_eff.transpose(0, 2, 1) @ w_eff
+    s = np.sqrt(np.maximum(det3_batch(gram), 0.0))
+    inv_sigma3 = 1.0 / (sigma2 * np.sqrt(sigma2))
+    out = det_m[:, None] * s * inv_sigma3
+    cache = (bank, mc_batch, normalize, (out, det_m, w_eff, centered, cc, mmt, gram, s,
+                                         sigma2, inv_sigma3))
     return out, cache
 
 
@@ -132,33 +140,40 @@ def kernel_forward(bank: KernelBank, mc_batch, normalize: bool = True) -> np.nda
 def kernel_bwd(cache, d_out):
     """Backward of kernel_fwd; returns (d_w, d_gamma, d_mc).
 
-    det(R) equals sign * sqrt(det(A^T A)) with the sign locally constant,
-    so d det/dA = det(R) * A (A^T A)^{-1}; near the sign boundary
-    (det(A^T A) < 1e-14) the contribution is zeroed.
+    d out / d M = cof(M) s / sigma^3 - out / (d_p sigma^2) * C^T C M, which
+    is smooth through det(M) = 0. Parameter gradients flow through s, with
+    d s / d W_eff = W_eff adj(G) / s, and through sigma; only the k slice
+    Grams are adjugated. s is not differentiable at det G = 0, so a
+    rank-deficient slice raises DegeneracyError.
     """
-    bank, mc_batch, normalize, out, a, centered, sigma = cache
+    bank, mc_batch, normalize, saved = cache
     d_out = np.asarray(d_out, dtype=np.float64)
     d_gamma = np.zeros_like(bank.gamma)
-    if out is None or out.size == 0:
+    if saved is None:
         return np.zeros_like(bank.w), d_gamma, np.zeros_like(mc_batch)
-    gram = np.einsum("bkpc,bkpd->bkcd", a, a)
-    detg = det3_batch(gram)
-    alive = detg >= DET_GUARD
-    scale = np.where(alive, d_out * out, 0.0)
-    gram_safe = np.where(alive[:, :, None, None], gram, np.eye(3))
-    d_a = scale[:, :, None, None] * np.einsum("bkpc,bkcd->bkpd", a, np.linalg.inv(gram_safe))
+    out, det_m, w_eff, centered, cc, mmt, gram, s, sigma2, inv_sigma3 = saved
+    dead = np.flatnonzero(s <= 0.0)
+    if dead.size:
+        raise DegeneracyError(
+            f"kernel slice {int(dead[0])} is rank-deficient (det G <= 0), "
+            "its readout has no gradient"
+        )
+    n_batch, k = out.shape
+    d_s = (d_out * det_m[:, None] * inv_sigma3).sum(axis=0)  # (k,)
+    d_w_eff = (d_s / s)[:, None, None] * (w_eff @ cofactor3_batch(gram))
+    d_mc = cofactor3_batch(mc_batch) * ((d_out * inv_sigma3) @ s)[:, None, None]
     if normalize:
-        sig4 = sigma[:, :, None, None]
-        gm = bank.gamma[None, None, :, None]
-        d_gamma = ((d_a * centered) / sig4).sum(axis=(0, 1, 3))
-        inner = (d_a * gm * centered).sum(axis=(2, 3))
-        n_el = centered.shape[2] * 3
-        d_c = gm * d_a / sig4 - inner[:, :, None, None] * centered / (n_el * sig4**3)
-        d_o = d_c - d_c.mean(axis=2, keepdims=True)
+        # through sigma: d loss / d M = -sum_k coef C^T C M and
+        # d loss / d C = -C sum_b coef M M^T
+        coef = d_out * out / (bank.d_p * sigma2)  # (B, k)
+        d_mc -= (coef @ cc.reshape(k, 9)).reshape(n_batch, 3, 3) @ mc_batch
+        coef_mmt = (coef.T @ mmt.reshape(n_batch, 9)).reshape(k, 3, 3)
+        # summed over columns by matmul for the reason given in _row_mean
+        d_gamma = ((d_w_eff * centered) @ np.ones(3)).sum(axis=0)
+        d_c = bank.gamma[None, :, None] * d_w_eff - centered @ coef_mmt
+        d_w = d_c - _row_mean(d_c)
     else:
-        d_o = d_a
-    d_w = np.einsum("bkpd,bcd->kpc", d_o, mc_batch)
-    d_mc = np.einsum("kpc,bkpd->bcd", bank.w, d_o)
+        d_w = d_w_eff
     return d_w, d_gamma, d_mc
 
 

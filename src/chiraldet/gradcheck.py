@@ -8,6 +8,7 @@ the harness can prove the audit actually detects wrong gradients.
 
 from __future__ import annotations
 
+import zlib
 from dataclasses import dataclass
 
 import numpy as np
@@ -35,6 +36,8 @@ from .encoder import (
     regularization_loss,
 )
 from .model import (
+    _BIAS_FIELDS,
+    _LAYER_FIELDS,
     FROZEN_PARAMS,
     ModelConfig,
     batch_step_classify,
@@ -141,9 +144,6 @@ def _encoded_instance(rng, h=8):
     )
 
 
-_BIAS_FIELDS = ("e1", "e2", "mu", "sigma", "w_p")
-
-
 def _check_distance_bias(rng):
     params = init_distance_bias(rng, 4, 2)
     params.e1 += rng.normal(0, 0.3, params.e1.shape)
@@ -164,12 +164,6 @@ def _check_distance_bias(rng):
     _, cache = pair_bias_fwd(params, enc)
     grads = pair_bias_bwd(params, cache, weights)
     return np.concatenate([grads[n].ravel() for n in _BIAS_FIELDS]), numeric
-
-
-_LAYER_FIELDS = (
-    "wq", "wk_r", "wv_r", "wk_n", "wv_n", "wo", "ff_w1", "ff_b1", "ff_w2",
-    "ff_b2", "ln1_gamma", "ln1_beta", "ln2_gamma", "ln2_beta",
-)
 
 
 def _check_attention_layer(rng):
@@ -279,10 +273,12 @@ _CHECKS = {
 def run_gradcheck(config: ModelConfig = TINY_CONFIG, seed: int = 1, tol: float = 1e-4,
                   sabotage: str | None = None, blocks=BLOCKS) -> list[BlockReport]:
     """Run every block audit; `sabotage` corrupts matching blocks' analytic
-    gradients (negative control for the audit itself)."""
+    gradients (negative control for the audit itself). Each block draws
+    from its own generator, offset from `seed` by a stable hash of the
+    block name, so every process audits the same points."""
     reports = []
     for name in blocks:
-        rng = np.random.default_rng(seed + hash(name) % 1000)
+        rng = np.random.default_rng(seed + zlib.crc32(name.encode()) % 1000)
         if name == "model.full_loss":
             analytic, numeric = _check_full_loss(rng, config)
         else:

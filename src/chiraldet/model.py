@@ -52,7 +52,8 @@ from .geometry import Configuration, Molecule, mirror, partition_atoms
 LABEL_CLASSES = (Configuration.R, Configuration.S)
 CLASS_INDEX = {c: i for i, c in enumerate(LABEL_CLASSES)}
 
-# the kernel-stage shift must stay zero for exact rigid-motion invariance
+# the kernel-stage shift must stay zero for exact rigid-motion invariance and
+# for the closed-form kernel readout
 FROZEN_PARAMS = {"encoder.kernel.beta"}
 
 
@@ -73,8 +74,10 @@ class ModelConfig:
             raise ValueError("hidden width must be divisible by head count")
         if self.n_layers < 1:
             raise ValueError("need at least one attention layer")
-        if self.d_p < 3:
-            raise ValueError("projection dimension must be >= 3")
+        if self.d_p < 4:
+            # centring along d_p costs one rank: a d_p = 3 slice has det G = 0,
+            # so every kernel channel is 0 and the model is chirality-blind
+            raise ValueError(f"projection dimension d_p must be >= 4, got {self.d_p}")
         return self
 
 
@@ -574,7 +577,7 @@ def load_checkpoint(path):
         n_tensors = int(fields["tensors"])
         payload_bytes = int(fields["payload_bytes"])
         step = int(fields["step"])
-        config = _config_from_header(fields)
+        config = _config_from_header(fields).validate()
     except (KeyError, ValueError) as exc:
         raise CheckpointVersionError(f"bad header field: {exc}") from None
     expected_len = sep + 2 + payload_bytes + 32
@@ -614,6 +617,10 @@ def load_checkpoint(path):
         if tensors[name].shape != param.shape:
             raise CheckpointShapeError(
                 f"tensor {name} has shape {tensors[name].shape}, expected {param.shape}"
+            )
+        if name in FROZEN_PARAMS and np.any(tensors[name] != 0.0):
+            raise CheckpointShapeError(
+                f"tensor {name} is frozen at zero but holds non-zero values"
             )
         param[...] = tensors[name]
     adam = None

@@ -1,8 +1,9 @@
 """Dense linear algebra and differentiation utilities.
 
 Everything runs in 64-bit floats. The QR routine keeps the signed-diagonal
-convention (no sign normalization of R), because downstream determinant
-kernels rely on det(R) carrying orientation information.
+convention (no sign normalization of R). It serves kernel retraction,
+initialization and the check of the |det R| = |det M| sqrt(det W^T W)
+identity that the closed-form determinant kernel rests on.
 """
 
 from __future__ import annotations
@@ -61,54 +62,6 @@ def qr_thin(a) -> QrResult:
     return QrResult(q=q, r=np.triu(r[:n, :]))
 
 
-def qr_det_oriented(a, anchor) -> float:
-    """det(R) of the thin QR of `a`, sign-fixed against an orientation anchor.
-
-    Householder QR determines det(R) only up to the diag(+-1) gauge of the
-    thin factorization, and the raw signs are not a consistent function of
-    the input's orientation (LAPACK behaves the same way). For matrices of
-    the form a = W @ m the quantity det(anchor^T a) is exactly
-    sign-covariant with det(m) whenever anchor's columns span range(W):
-    with anchor = W it equals det(W^T W) det(m) > 0 * det(m). Aligning
-    det(R) with it makes the signed determinant a reliable orientation
-    readout. Pass anchor = W (or any basis of its column space).
-    """
-    res = qr_thin(a)
-    d = det3(res.r)
-    ref = det3(np.asarray(anchor).T @ np.asarray(a, dtype=np.float64))
-    if d * ref < 0.0:
-        d = -d
-    return d
-
-
-def qr_det3_batch(a) -> np.ndarray:
-    """det(R) of the thin Householder QR for a stack of (N, m, 3) matrices.
-
-    Same reflections and sign choices as qr_thin, vectorized over the
-    batch; only the R factor's diagonal is materialized.
-    """
-    r = np.array(a, dtype=np.float64)
-    if r.ndim != 3 or r.shape[2] != 3 or r.shape[1] < 3:
-        raise NumericError(f"expected (N, m>=3, 3) stack, got {r.shape}")
-    n = r.shape[0]
-    det = np.ones(n)
-    for j in range(3):
-        x = r[:, j:, j]
-        norm = np.linalg.norm(x, axis=1)
-        sign0 = np.where(x[:, 0] >= 0.0, 1.0, -1.0)
-        v = x.copy()
-        v[:, 0] += sign0 * norm
-        vnorm = np.linalg.norm(v, axis=1)
-        ok = vnorm > 0.0
-        v /= np.where(ok, vnorm, 1.0)[:, None]
-        v[~ok] = 0.0
-        sub = r[:, j:, j:]
-        proj = np.einsum("np,npq->nq", v, sub)
-        sub -= 2.0 * v[:, :, None] * proj[:, None, :]
-        det *= r[:, j, j]
-    return det
-
-
 def det3_batch(a) -> np.ndarray:
     """Cofactor determinant over a (..., 3, 3) stack."""
     a = np.asarray(a, dtype=np.float64)
@@ -117,6 +70,18 @@ def det3_batch(a) -> np.ndarray:
         - a[..., 0, 1] * (a[..., 1, 0] * a[..., 2, 2] - a[..., 1, 2] * a[..., 2, 0])
         + a[..., 0, 2] * (a[..., 1, 0] * a[..., 2, 1] - a[..., 1, 1] * a[..., 2, 0])
     )
+
+
+def cofactor3_batch(a) -> np.ndarray:
+    """Cofactor matrices over a (..., 3, 3) stack, i.e. d det(a) / d a.
+
+    The cofactor matrix is the transposed adjugate, so for a symmetric
+    stack it is the adjugate itself.
+    """
+    a = np.asarray(a, dtype=np.float64)
+    nxt, prv = [1, 2, 0], [2, 0, 1]
+    rows_n, rows_p = a[..., nxt, :], a[..., prv, :]
+    return rows_n[..., nxt] * rows_p[..., prv] - rows_n[..., prv] * rows_p[..., nxt]
 
 
 def det3(a) -> float:

@@ -1,6 +1,12 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+from checkpoint_edits import resign, set_first_beta, set_header
 from chiraldet.cli import main
 from chiraldet.data import (
     DEFAULT_SCHEME,
@@ -10,6 +16,8 @@ from chiraldet.data import (
 from chiraldet.geometry import ChiralUnit, Molecule, UnitKind, mirror
 from chiraldet.gradcheck import TINY_CONFIG
 from chiraldet.model import AdamState, init_model, save_checkpoint
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 def canonical_molecule():
@@ -240,6 +248,32 @@ class TestCliContract:
                      "--out", str(tmp_path / "r")]) == 2
 
 
+    def test_d_p_3_config_rejected(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg"
+        cfg.write_text("d_p=3\n")
+        ds = tmp_path / "ds"
+        main(["gen", "--task", "rs", "--count", "4", "--seed", "1", "--out", str(ds)])
+        assert main(["train", "--data", str(ds), "--config", str(cfg),
+                     "--out", str(tmp_path / "r")]) == 2
+        assert "d_p must be >= 4" in capsys.readouterr().err
+        assert not (tmp_path / "r" / "model.ckpt").exists()
+
+    @pytest.mark.parametrize(
+        ("edit", "message"),
+        [(set_header(b"d_p=4", b"d_p=3"), "d_p must be >= 4"),
+         (set_first_beta, "encoder.kernel.beta")],
+        ids=["d_p=3", "beta"],
+    )
+    def test_invalid_checkpoint_content_rejected(self, tmp_path, tiny_ckpt, capsys, edit,
+                                                 message):
+        resign(tiny_ckpt, edit)
+        ds = tmp_path / "ds"
+        main(["gen", "--task", "rs", "--count", "4", "--seed", "5", "--out", str(ds)])
+        capsys.readouterr()
+        assert main(["eval", "--ckpt", str(tiny_ckpt), "--data", str(ds)]) == 2
+        assert message in capsys.readouterr().err
+
+
 class TestGradcheckCmd:
     def test_pass_and_negative_control(self, capsys):
         assert main(["gradcheck", "--seed", "1"]) == 0
@@ -255,3 +289,17 @@ class TestGradcheckCmd:
         first = capsys.readouterr().out
         main(["gradcheck", "--seed", "2"])
         assert capsys.readouterr().out == first
+
+    def test_output_independent_of_hash_seed(self):
+        # block seeds must not depend on Python's per-process str hashing
+        env = {**os.environ, "PYTHONPATH": str(SRC)}
+        cmd = [sys.executable, "-m", "chiraldet.cli", "gradcheck", "--seed", "1"]
+        procs = [
+            subprocess.Popen(cmd, env={**env, "PYTHONHASHSEED": hs},
+                             stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True)
+            for hs in ("1", "2")
+        ]
+        outs = [p.communicate(timeout=600) for p in procs]
+        assert [p.returncode for p in procs] == [0, 0], [err for _, err in outs]
+        assert outs[0][0].count("PASS") == 7
+        assert outs[0][0] == outs[1][0]

@@ -44,6 +44,39 @@ def nonsingular_mc(rng, n=1, floor=0.3):
     return np.stack(out)
 
 
+def reference_readout(bank, m, normalize):
+    """The paper's definition, one slice at a time: det(R) of the thin QR of
+    the normalized slice, signed like det(M)."""
+    out = np.empty(bank.n_kernels)
+    for kk in range(bank.n_kernels):
+        o = bank.w[kk] @ m
+        if normalize:
+            centered = o - o.mean(axis=0)
+            o = bank.gamma[:, None] * centered / np.sqrt((centered * centered).mean() + bank.eps)
+        out[kk] = np.sign(det3(m)) * abs(det3(qr_thin(o).r))
+    return out
+
+
+def kernel_fd_check(bank, mc, weights, normalize=True):
+    """Analytic kernel_bwd against central differences over (w, gamma, M)."""
+    n_w, n_g = bank.w.size, bank.gamma.size
+
+    def f(theta):
+        b = KernelBank(
+            w=theta[:n_w].reshape(bank.w.shape),
+            gamma=theta[n_w : n_w + n_g],
+            beta=bank.beta,
+        )
+        mcs = theta[n_w + n_g :].reshape(mc.shape)
+        return float((weights * kernel_forward(b, mcs, normalize=normalize)).sum())
+
+    numeric = finite_diff_grad(f, np.concatenate([bank.w.ravel(), bank.gamma, mc.ravel()]))
+    _, cache = kernel_fwd(bank, mc, normalize=normalize)
+    d_w, d_gamma, d_mc = kernel_bwd(cache, weights)
+    analytic = np.concatenate([d_w.ravel(), d_gamma, d_mc.ravel()])
+    return compare_grads(analytic, numeric, tol=1e-5), d_mc
+
+
 class TestKernelForward:
     def test_orthonormal_identity_unit_magnitude(self):
         bank = orthonormal_identity_bank()
@@ -105,28 +138,59 @@ class TestKernelForward:
         with pytest.raises(NumericError):
             kernel_forward(bank, bad)
 
+    def test_nonzero_beta_rejected(self):
+        bank = orthonormal_identity_bank()
+        bank.beta[0] = 0.1
+        with pytest.raises(NumericError, match="beta"):
+            kernel_forward(bank, np.eye(3)[None])
+
+    @pytest.mark.parametrize("normalize", [True, False])
+    @pytest.mark.parametrize("d_p", [4, 8, 32])
+    def test_closed_form_matches_qr_reference(self, d_p, normalize):
+        rng = np.random.default_rng(40 + d_p)
+        bank = init_kernel_bank(rng, 6, d_p)
+        bank.gamma[:] = rng.uniform(0.5, 1.5, d_p)
+        mc = nonsingular_mc(rng, n=10, floor=1e-2)
+        out = kernel_forward(bank, mc, normalize=normalize)
+        for b in range(len(mc)):
+            ref = reference_readout(bank, mc[b], normalize)
+            assert np.max(np.abs(out[b] - ref) / np.abs(ref)) <= 1e-10
+
     def test_gradients_match_fd(self):
         rng = np.random.default_rng(7)
         bank = init_kernel_bank(rng, 2, 4)
         bank.gamma[:] = rng.uniform(0.8, 1.2, 4)
-        mc = nonsingular_mc(rng, n=2)
+        report, _ = kernel_fd_check(bank, nonsingular_mc(rng, n=2), rng.standard_normal((2, 2)))
+        assert report.passed
+
+    def test_gradients_match_fd_unnormalized(self):
+        rng = np.random.default_rng(8)
+        bank = KernelBank(w=rng.standard_normal((2, 4, 3)), gamma=np.ones(4), beta=np.zeros(4))
         weights = rng.standard_normal((2, 2))
+        report, _ = kernel_fd_check(bank, nonsingular_mc(rng, n=2), weights, normalize=False)
+        assert report.passed
 
-        def f(theta):
-            i = bank.w.size
-            b = KernelBank(
-                w=theta[:i].reshape(bank.w.shape),
-                gamma=theta[i : i + 4],
-                beta=bank.beta,
-            )
-            return float((weights * kernel_forward(b, theta[i + 4 :].reshape(2, 3, 3))).sum())
+    def test_gradients_smooth_through_singular_m(self):
+        # det M = 0 exactly: the readout is 0 but its gradient is not
+        rng = np.random.default_rng(9)
+        bank = init_kernel_bank(rng, 2, 4)
+        bank.gamma[:] = rng.uniform(0.8, 1.2, 4)
+        mc = nonsingular_mc(rng, n=2)
+        mc[0, 2] = mc[0, 1]
+        assert det3(mc[0]) == 0.0
+        report, d_mc = kernel_fd_check(bank, mc, rng.standard_normal((2, 2)))
+        assert report.passed
+        assert np.linalg.norm(d_mc[0]) > 1e-3
 
-        theta0 = np.concatenate([bank.w.ravel(), bank.gamma, mc.ravel()])
-        numeric = finite_diff_grad(f, theta0)
-        _, cache = kernel_fwd(bank, mc)
-        d_w, d_gamma, d_mc = kernel_bwd(cache, weights)
-        analytic = np.concatenate([d_w.ravel(), d_gamma, d_mc.ravel()])
-        assert compare_grads(analytic, numeric, tol=1e-5).passed
+    def test_rank_deficient_slice_reads_zero_and_has_no_gradient(self):
+        rng = np.random.default_rng(10)
+        bank = init_kernel_bank(rng, 3, 6)
+        bank.w[1, :, 2] = 0.0
+        mc = nonsingular_mc(rng, n=2)
+        out, cache = kernel_fwd(bank, mc)
+        assert np.all(out[:, 1] == 0.0) and np.all(out[:, [0, 2]] != 0.0)
+        with pytest.raises(DegeneracyError, match="slice 1"):
+            kernel_bwd(cache, np.ones_like(out))
 
 
 class TestRegularization:

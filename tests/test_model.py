@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from checkpoint_edits import resign, set_first_beta, set_header
 from chiraldet.data import SyntheticSpec, gen_rs, make_enantiomer
 from chiraldet.encoder import RankStrategy, regularization_loss
 from chiraldet.errors import (
@@ -117,6 +118,17 @@ class TestLosses:
         loss, d_hi, d_lo = loss_margin_rank(0.2, 0.9, 0.3)
         assert loss == 1.0
         assert (d_hi, d_lo) == (-1.0, 1.0)
+
+
+class TestConfig:
+    @pytest.mark.parametrize("d_p", [1, 3])
+    def test_d_p_below_4_rejected(self, d_p):
+        # centring along d_p leaves a d_p = 3 slice at rank <= 2
+        with pytest.raises(ValueError, match="d_p must be >= 4"):
+            ModelConfig(**{**TINY, "d_p": d_p}).validate()
+
+    def test_d_p_4_accepted(self):
+        ModelConfig(**TINY).validate()
 
 
 class TestSchedule:
@@ -270,3 +282,17 @@ class TestCheckpoint:
     def test_missing_file(self, tmp_path):
         with pytest.raises(FileNotFoundError):
             load_checkpoint(tmp_path / "nope.ckpt")
+
+    def test_d_p_3_header_rejected(self, tmp_path):
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(tiny_model(seed=21), path)
+        resign(path, set_header(b"d_p=4", b"d_p=3"))
+        with pytest.raises(CheckpointVersionError, match="d_p must be >= 4"):
+            load_checkpoint(path)
+
+    def test_nonzero_beta_rejected(self, tmp_path):
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(tiny_model(seed=22), path)
+        resign(path, set_first_beta)
+        with pytest.raises(CheckpointShapeError, match="encoder.kernel.beta"):
+            load_checkpoint(path)

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from chiraldet.errors import NumericError
 from chiraldet.numerics import (
+    cofactor3_batch,
     compare_grads,
     det3,
     finite_diff_grad,
@@ -17,7 +18,6 @@ from chiraldet.numerics import (
     layer_norm,
     layer_norm_rows,
     layer_norm_rows_backward,
-    qr_det_oriented,
     qr_thin,
 )
 
@@ -85,26 +85,10 @@ class TestQrThin:
                 expect = abs(det3(m)) * gram_sqrt_det(w)
                 assert abs(abs(dr) - expect) / expect < 1e-8
 
-    def test_sign_covariance_oriented(self):
-        # With W fixed, the oriented det(R of W M) flips sign exactly when
-        # det(M) does.
-        rng = np.random.default_rng(8)
-        for _ in range(1000):
-            w = rng.standard_normal((6, 3))
-            anchor = qr_thin(w).q
-            m1 = rng.standard_normal((3, 3))
-            m2 = rng.standard_normal((3, 3))
-            d1, d2 = det3(m1), det3(m2)
-            if min(abs(d1), abs(d2)) < 1e-2:
-                continue
-            r1 = qr_det_oriented(w @ m1, anchor)
-            r2 = qr_det_oriented(w @ m2, anchor)
-            assert (np.sign(r1) == np.sign(r2)) == (np.sign(d1) == np.sign(d2))
-
     def test_raw_qr_signs_are_not_covariant(self):
         # The raw Householder det(R) sign is NOT a function of sign(det M);
-        # this is why the oriented readout exists. Keep a canary so the
-        # distinction is never silently lost.
+        # this is why the kernel readout takes its sign from det(M). Keep a
+        # canary so the distinction is never silently lost.
         rng = np.random.default_rng(8)
         w = rng.standard_normal((6, 3))
         mismatches = 0
@@ -115,14 +99,6 @@ class TestQrThin:
             if det3(qr_thin(w @ m).r) * det3(m) > 0:
                 mismatches += 1
         assert mismatches > 0
-
-    def test_oriented_magnitude_unchanged(self):
-        rng = np.random.default_rng(12)
-        for _ in range(200):
-            w = rng.standard_normal((8, 3))
-            m = rng.standard_normal((3, 3))
-            a = w @ m
-            assert abs(qr_det_oriented(a, qr_thin(w).q)) == abs(det3(qr_thin(a).r))
 
     def test_rank2_w_kills_determinant(self):
         rng = np.random.default_rng(9)
@@ -155,6 +131,19 @@ class TestDet3:
     def test_bad_shape(self):
         with pytest.raises(NumericError):
             det3(np.eye(4))
+
+    def test_cofactor_is_det_times_inverse_transpose(self):
+        rng = np.random.default_rng(18)
+        a = rng.standard_normal((5, 3, 3))
+        expect = np.stack([det3(x) * np.linalg.inv(x).T for x in a])
+        assert np.allclose(cofactor3_batch(a), expect, atol=1e-12)
+
+    def test_cofactor_of_singular_matrix(self):
+        # rank 2: det is 0 but the cofactor matrix is not
+        a = np.array([[1.0, 2.0, 3.0], [4.0, 5.0, 6.0], [7.0, 8.0, 9.0]])
+        cof = cofactor3_batch(a)
+        assert cof.shape == (3, 3)
+        assert np.array_equal(cof[0], [-3.0, 6.0, -3.0])
 
 
 class TestGramSqrtDet:
