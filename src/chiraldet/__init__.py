@@ -29,11 +29,14 @@ from .data import (
     make_enantiomer,
     parse,
     read_manifest,
+    tile_molecules,
     toy_axial_molecule,
     write,
     write_dataset,
 )
 from .encoder import (
+    BatchMask,
+    EncodedBatch,
     EncodedMolecule,
     EncoderParams,
     KernelBank,
@@ -57,9 +60,11 @@ from .model import (
     ChiralModel,
     ModelConfig,
     TrainConfig,
+    backward_batch,
     embed,
     evaluate,
     forward,
+    forward_batch,
     init_model,
     load_checkpoint,
     loss_classify,

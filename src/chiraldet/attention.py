@@ -5,16 +5,20 @@ Attention logits carry an additive per-head pair bias seeded from a
 Gaussian distance kernel conditioned on the pair type (related vs
 non-chiral) and updated each layer with the pre-softmax logits, so the
 bias telescopes across the stack.
+
+The functions work on molecule batches padded to their largest member;
+a BatchMask marks the valid queries and keys.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
 from .errors import NumericError
-from .encoder import EncodedMolecule
+from .encoder import BatchMask, EncodedBatch
 from .numerics import (
     gaussian,
     gelu,
@@ -60,7 +64,7 @@ class LayerParams:
 
 @dataclass
 class PairBias:
-    p: np.ndarray  # (1 + n_units, n_keys, H), token row first
+    p: np.ndarray  # (B, Q, Kr + Kn, H), token row first
 
 
 def distance_bias(params: DistanceBiasParams, dist: float, pair_type: int) -> np.ndarray:
@@ -107,33 +111,30 @@ def _bias_bwd(params: DistanceBiasParams, cache, d_bias):
     return {"e1": d_e1, "e2": d_e2, "mu": d_mu, "sigma": d_sigma, "w_p": d_wp}
 
 
-def pair_bias_fwd(params: DistanceBiasParams, encoded: EncodedMolecule):
+def pair_bias_fwd(params: DistanceBiasParams, encoded: EncodedBatch):
     """Initial pair bias from chiral reference points to all key atoms.
 
     Keys are the related atoms (type 0) followed by the non-chiral atoms
-    (type 1); the token row starts at zero.
+    (type 1); the token row and every pad entry stay zero. The distance
+    bias runs once over the valid (unit, key) pairs of the whole batch.
     """
-    n_units = encoded.chiral_positions.shape[0]
-    key_pos = np.vstack([encoded.related_positions, encoded.nonchiral_positions])
-    n_keys = key_pos.shape[0]
-    n_heads = params.w_p.shape[1]
-    p = np.zeros((1 + n_units, n_keys, n_heads))
-    if n_units == 0 or n_keys == 0:
+    n_batch, n_q = encoded.mask.queries.shape
+    n_keys = encoded.mask.keys.shape[1]
+    p = np.zeros((n_batch, n_q, n_keys, params.w_p.shape[1]))
+    pairs = encoded.mask.queries[:, 1:, None] & encoded.mask.keys[:, None, :]
+    if not pairs.any():
         return PairBias(p=p), None
-    diff = encoded.chiral_positions[:, None, :] - key_pos[None, :, :]
-    dists = np.sqrt((diff * diff).sum(axis=2))
-    types = np.concatenate(
-        [
-            np.zeros(encoded.related_positions.shape[0], dtype=np.int64),
-            np.ones(encoded.nonchiral_positions.shape[0], dtype=np.int64),
-        ]
-    )
-    flat, cache = _bias_fwd(params, dists.ravel(), np.tile(types, n_units))
-    p[1:] = flat.reshape(n_units, n_keys, n_heads)
-    return PairBias(p=p), cache
+    b, u, k = np.nonzero(pairs)
+    diff = encoded.chiral_positions[b, u] - encoded.key_positions[b, k]
+    dists = np.sqrt((diff * diff).sum(axis=1))
+    types = (k >= encoded.h_r.shape[1]).astype(np.int64)
+    flat, cache = _bias_fwd(params, dists, types)
+    index = (b, 1 + u, k)
+    p[index] = flat
+    return PairBias(p=p), (cache, index)
 
 
-def init_pair_bias(params: DistanceBiasParams, encoded: EncodedMolecule) -> PairBias:
+def init_pair_bias(params: DistanceBiasParams, encoded: EncodedBatch) -> PairBias:
     return pair_bias_fwd(params, encoded)[0]
 
 
@@ -146,170 +147,154 @@ def pair_bias_bwd(params: DistanceBiasParams, cache, d_p):
             "sigma": np.zeros_like(params.sigma),
             "w_p": np.zeros_like(params.w_p),
         }
-    n_heads = params.w_p.shape[1]
-    return _bias_bwd(params, cache, d_p[1:].reshape(-1, n_heads))
+    bias_cache, index = cache
+    return _bias_bwd(params, bias_cache, d_p[index])
 
 
-def _split_heads(x, n_heads):
-    n, h = x.shape
-    return x.reshape(n, n_heads, h // n_heads)
+def _heads(x, n_heads):
+    """(B, n, h) rows as (B, H, n, h / H) per-head blocks, so that the
+    attention products are batched matmuls."""
+    n_batch, n, h = x.shape
+    return x.reshape(n_batch, n, n_heads, h // n_heads).transpose(0, 2, 1, 3)
 
 
-def attend_fwd(layer: LayerParams, h_c_in, h_r, h_n, bias_in: PairBias, layer_index: int = 0):
-    """One cross-attention layer; returns (h_c_out, bias_out, attn, cache).
+def _rows(x):
+    """(B, H, n, d) per-head blocks back to (B * n, H * d) rows."""
+    n_batch, n_heads, n, d = x.shape
+    return x.transpose(0, 2, 1, 3).reshape(n_batch * n, n_heads * d)
 
-    bias_out holds the pre-softmax logits (query-key term plus incoming
-    bias), which is what the next layer consumes. attn is (n_q, n_keys, H).
-    With no keys, only a token-only query set is legal and the layer
-    reduces to its feed-forward path.
+
+class LayerCache(NamedTuple):
+    """What attend_bwd needs of attend_fwd; ctx, u_ln, z1 and a1 hold one
+    row per (molecule, query) pair."""
+
+    h_c_in: np.ndarray
+    h_r: np.ndarray
+    h_n: np.ndarray
+    qh: np.ndarray  # (B, H, Q, d)
+    kh: np.ndarray  # (B, H, Kr + Kn, d)
+    vh: np.ndarray
+    attn: np.ndarray
+    ctx: np.ndarray
+    scale: float
+    ln1: tuple
+    u_ln: np.ndarray
+    z1: np.ndarray
+    a1: np.ndarray
+    ln2: tuple
+
+
+def attend_fwd(layer: LayerParams, h_c_in, h_r, h_n, bias_in: PairBias, mask: BatchMask,
+               layer_index: int = 0):
+    """One cross-attention layer over a padded batch; returns
+    (h_c_out, bias_out, attn, cache).
+
+    h_c_in is (B, Q, h), h_r (B, Kr, h), h_n (B, Kn, h). bias_out holds the
+    pre-softmax logits (query-key term plus incoming bias), which is what
+    the next layer consumes; pad keys are masked inside the softmax, not in
+    these logits. attn is (B, Q, Kr + Kn, H) and is exactly 0 on pad keys.
+    A row with no valid key gets zero attention, so it keeps u = h_c_in and
+    passes through the feed-forward path only. A molecule with chiral
+    queries but no keys is an error.
     """
-    n_q, h = h_c_in.shape
+    n_batch, n_q, h = h_c_in.shape
     n_heads = layer.n_heads
-    d_head = h // n_heads
-    n_keys = h_r.shape[0] + h_n.shape[0]
-    if n_keys == 0:
-        if n_q != 1:
-            raise NumericError("chiral queries present but the key set is empty")
-        u = h_c_in
-        attn = np.zeros((n_q, 0, n_heads))
-        logits = bias_in.p.copy()
-        u_ln, ln1_cache = layer_norm_rows(u, layer.ln1_gamma, layer.ln1_beta)
-        z1 = u_ln @ layer.ff_w1.T + layer.ff_b1
-        a1 = gelu(z1)
-        f = a1 @ layer.ff_w2.T + layer.ff_b2
-        out, ln2_cache = layer_norm_rows(u_ln + f, layer.ln2_gamma, layer.ln2_beta)
-        cache = ("ff_only", h_c_in, ln1_cache, u_ln, z1, a1, ln2_cache)
-        return out, PairBias(p=logits), attn, cache
-
-    q = h_c_in @ layer.wq.T
-    k_r = h_r @ layer.wk_r.T
-    v_r = h_r @ layer.wv_r.T
-    k_n = h_n @ layer.wk_n.T
-    v_n = h_n @ layer.wv_n.T
-    k = np.vstack([k_r, k_n])
-    v = np.vstack([v_r, v_n])
-    qh = _split_heads(q, n_heads)  # (n_q, H, d)
-    kh = _split_heads(k, n_heads)  # (n_k, H, d)
-    vh = _split_heads(v, n_heads)
-    scale = 1.0 / np.sqrt(d_head)
-    scores = np.einsum("qhd,khd->qkh", qh, kh) * scale
+    if (mask.queries[:, 1:].any(axis=1) & ~mask.keys.any(axis=1)).any():
+        raise NumericError("chiral queries present but the key set is empty")
+    qh = _heads(h_c_in @ layer.wq.T, n_heads)
+    kh = _heads(np.concatenate([h_r @ layer.wk_r.T, h_n @ layer.wk_n.T], axis=1), n_heads)
+    vh = _heads(np.concatenate([h_r @ layer.wv_r.T, h_n @ layer.wv_n.T], axis=1), n_heads)
+    scale = 1.0 / np.sqrt(h // n_heads)
+    scores = (qh @ kh.transpose(0, 1, 3, 2)).transpose(0, 2, 3, 1) * scale
     logits = scores + bias_in.p
-    if not np.all(np.isfinite(logits)):
+    if not np.isfinite(logits).all():
         raise NumericError(f"non-finite attention logits at layer {layer_index}")
-    shifted = logits - logits.max(axis=1, keepdims=True)
-    expd = np.exp(shifted)
-    attn = expd / expd.sum(axis=1, keepdims=True)  # (n_q, n_k, H)
-    ctx = np.einsum("qkh,khd->qhd", attn, vh).reshape(n_q, h)
-    att_out = ctx @ layer.wo.T
-    u = h_c_in + att_out
+    valid = mask.keys[:, None, :, None]
+    row_max = np.where(valid, logits, -np.inf).max(axis=2, keepdims=True, initial=-np.inf)
+    expd = np.exp(np.where(valid, logits - row_max, -np.inf))
+    # a row with a valid key sums to >= 1 (its maximum contributes exp(0)),
+    # so the floor only turns the 0/0 of a key-less row into 0
+    attn = expd / np.maximum(expd.sum(axis=2, keepdims=True), 1.0)
+    ctx = _rows(attn.transpose(0, 3, 1, 2) @ vh)
+    u = h_c_in.reshape(-1, h) + ctx @ layer.wo.T
     u_ln, ln1_cache = layer_norm_rows(u, layer.ln1_gamma, layer.ln1_beta)
     z1 = u_ln @ layer.ff_w1.T + layer.ff_b1
     a1 = gelu(z1)
     f = a1 @ layer.ff_w2.T + layer.ff_b2
     out, ln2_cache = layer_norm_rows(u_ln + f, layer.ln2_gamma, layer.ln2_beta)
-    cache = (
-        "full", h_c_in, h_r, h_n, qh, kh, vh, attn, ctx, scale,
-        ln1_cache, u_ln, z1, a1, ln2_cache,
-    )
-    return out, PairBias(p=logits), attn, cache
+    cache = LayerCache(h_c_in, h_r, h_n, qh, kh, vh, attn, ctx, scale,
+                       ln1_cache, u_ln, z1, a1, ln2_cache)
+    return out.reshape(n_batch, n_q, h), PairBias(p=logits), attn, cache
 
 
-def attend(layer: LayerParams, h_c_in, h_r, h_n, bias_in: PairBias):
-    out, bias_out, attn, _ = attend_fwd(layer, h_c_in, h_r, h_n, bias_in)
+def attend(layer: LayerParams, h_c_in, h_r, h_n, bias_in: PairBias, mask: BatchMask):
+    out, bias_out, attn, _ = attend_fwd(layer, h_c_in, h_r, h_n, bias_in, mask)
     return out, bias_out, attn
 
 
-def attend_bwd(layer: LayerParams, cache, d_out, d_bias_out):
+def attend_bwd(layer: LayerParams, cache: LayerCache, d_out, d_bias_out):
     """Backward of attend_fwd.
 
     d_bias_out is the gradient flowing into the emitted logits (from the
     next layer's bias input); the incoming bias gradient equals the total
-    logit gradient because the bias enters additively.
+    logit gradient because the bias enters additively. Each weight
+    gradient is one matmul over the rows of the whole batch.
     Returns (param_grads, d_h_c_in, d_h_r, d_h_n, d_bias_in).
     """
-    if cache[0] == "ff_only":
-        _, h_c_in, ln1_cache, u_ln, z1, a1, ln2_cache = cache
-        grads = {name: np.zeros_like(getattr(layer, name)) for name in (
-            "wq", "wk_r", "wv_r", "wk_n", "wv_n", "wo",
-            "ff_w1", "ff_b1", "ff_w2", "ff_b2",
-            "ln1_gamma", "ln1_beta", "ln2_gamma", "ln2_beta")}
-        d_v, d_g2, d_b2 = layer_norm_rows_backward(d_out, ln2_cache, layer.ln2_gamma)
-        grads["ln2_gamma"] = d_g2
-        grads["ln2_beta"] = d_b2
-        d_f = d_v
-        grads["ff_w2"] = d_f.T @ a1
-        grads["ff_b2"] = d_f.sum(axis=0)
-        d_z1 = (d_f @ layer.ff_w2) * gelu_grad(z1)
-        grads["ff_w1"] = d_z1.T @ u_ln
-        grads["ff_b1"] = d_z1.sum(axis=0)
-        d_u_ln = d_v + d_z1 @ layer.ff_w1
-        d_u, d_g1, d_b1 = layer_norm_rows_backward(d_u_ln, ln1_cache, layer.ln1_gamma)
-        grads["ln1_gamma"] = d_g1
-        grads["ln1_beta"] = d_b1
-        return grads, d_u, np.zeros((0, h_c_in.shape[1])), np.zeros((0, h_c_in.shape[1])), d_bias_out.copy()
-
-    (_, h_c_in, h_r, h_n, qh, kh, vh, attn, ctx, scale,
-     ln1_cache, u_ln, z1, a1, ln2_cache) = cache
-    n_q, h = h_c_in.shape
+    c = cache
+    n_batch, n_q, h = c.h_c_in.shape
+    n_r = c.h_r.shape[1]
     n_heads = layer.n_heads
-    n_r = h_r.shape[0]
 
     grads = {}
-    d_v, d_g2, d_b2 = layer_norm_rows_backward(d_out, ln2_cache, layer.ln2_gamma)
-    grads["ln2_gamma"] = d_g2
-    grads["ln2_beta"] = d_b2
-    d_f = d_v
-    grads["ff_w2"] = d_f.T @ a1
-    grads["ff_b2"] = d_f.sum(axis=0)
-    d_z1 = (d_f @ layer.ff_w2) * gelu_grad(z1)
-    grads["ff_w1"] = d_z1.T @ u_ln
+    d_v, grads["ln2_gamma"], grads["ln2_beta"] = layer_norm_rows_backward(
+        d_out.reshape(-1, h), c.ln2, layer.ln2_gamma
+    )
+    grads["ff_w2"] = d_v.T @ c.a1
+    grads["ff_b2"] = d_v.sum(axis=0)
+    d_z1 = (d_v @ layer.ff_w2) * gelu_grad(c.z1)
+    grads["ff_w1"] = d_z1.T @ c.u_ln
     grads["ff_b1"] = d_z1.sum(axis=0)
-    d_u_ln = d_v + d_z1 @ layer.ff_w1
-    d_u, d_g1, d_b1 = layer_norm_rows_backward(d_u_ln, ln1_cache, layer.ln1_gamma)
-    grads["ln1_gamma"] = d_g1
-    grads["ln1_beta"] = d_b1
+    d_u, grads["ln1_gamma"], grads["ln1_beta"] = layer_norm_rows_backward(
+        d_v + d_z1 @ layer.ff_w1, c.ln1, layer.ln1_gamma
+    )
 
-    d_h_c = d_u.copy()
-    d_att_out = d_u
-    grads["wo"] = d_att_out.T @ ctx
-    d_ctx = (d_att_out @ layer.wo).reshape(n_q, n_heads, h // n_heads)
-    d_attn = np.einsum("qhd,khd->qkh", d_ctx, vh)
-    d_vh = np.einsum("qkh,qhd->khd", attn, d_ctx)
-    # softmax backward per (query, head)
-    inner = (d_attn * attn).sum(axis=1, keepdims=True)
-    d_logits = attn * (d_attn - inner)
-    d_logits = d_logits + d_bias_out
-    d_bias_in = d_logits.copy()
-    d_qh = np.einsum("qkh,khd->qhd", d_logits, kh) * scale
-    d_kh = np.einsum("qkh,qhd->khd", d_logits, qh) * scale
-    d_q = d_qh.reshape(n_q, h)
-    d_k = d_kh.reshape(-1, h)
-    d_vflat = d_vh.reshape(-1, h)
-    grads["wq"] = d_q.T @ h_c_in
-    d_h_c += d_q @ layer.wq
-    grads["wk_r"] = d_k[:n_r].T @ h_r
-    grads["wv_r"] = d_vflat[:n_r].T @ h_r
-    grads["wk_n"] = d_k[n_r:].T @ h_n
-    grads["wv_n"] = d_vflat[n_r:].T @ h_n
-    d_h_r = d_k[:n_r] @ layer.wk_r + d_vflat[:n_r] @ layer.wv_r
-    d_h_n = d_k[n_r:] @ layer.wk_n + d_vflat[n_r:] @ layer.wv_n
-    return grads, d_h_c, d_h_r, d_h_n, d_bias_in
+    grads["wo"] = d_u.T @ c.ctx
+    d_ctx = _heads((d_u @ layer.wo).reshape(n_batch, n_q, h), n_heads)
+    d_attn = (d_ctx @ c.vh.transpose(0, 1, 3, 2)).transpose(0, 2, 3, 1)
+    d_vflat = _rows(c.attn.transpose(0, 3, 2, 1) @ d_ctx).reshape(n_batch, -1, h)
+    # softmax backward per (query, head); attn is 0 on pad keys, so is this
+    inner = (d_attn * c.attn).sum(axis=2, keepdims=True)
+    d_logits = c.attn * (d_attn - inner) + d_bias_out
+    d_q = _rows(d_logits.transpose(0, 3, 1, 2) @ c.kh) * c.scale
+    d_k = (_rows(d_logits.transpose(0, 3, 2, 1) @ c.qh) * c.scale).reshape(n_batch, -1, h)
+    h_r = c.h_r.reshape(-1, h)
+    h_n = c.h_n.reshape(-1, h)
+    d_kr, d_kn = d_k[:, :n_r].reshape(-1, h), d_k[:, n_r:].reshape(-1, h)
+    d_vr, d_vn = d_vflat[:, :n_r].reshape(-1, h), d_vflat[:, n_r:].reshape(-1, h)
+    grads["wq"] = d_q.T @ c.h_c_in.reshape(-1, h)
+    grads["wk_r"] = d_kr.T @ h_r
+    grads["wv_r"] = d_vr.T @ h_r
+    grads["wk_n"] = d_kn.T @ h_n
+    grads["wv_n"] = d_vn.T @ h_n
+    d_h_c = (d_u + d_q @ layer.wq).reshape(n_batch, n_q, h)
+    d_h_r = (d_kr @ layer.wk_r + d_vr @ layer.wv_r).reshape(c.h_r.shape)
+    d_h_n = (d_kn @ layer.wk_n + d_vn @ layer.wv_n).reshape(c.h_n.shape)
+    return grads, d_h_c, d_h_r, d_h_n, d_logits
 
 
-def pool(h_c_final) -> np.ndarray:
-    """Token row plus the mean of the chiral rows (token alone if none)."""
-    token = h_c_final[0]
-    if h_c_final.shape[0] == 1:
-        return token.copy()
-    return token + h_c_final[1:].mean(axis=0)
+def pool(h_c_final, query_mask) -> np.ndarray:
+    """Token row plus the mean of the valid chiral rows (token alone if
+    none), per molecule of a (B, Q, h) batch."""
+    chiral = query_mask[:, 1:, None]
+    n_units = np.maximum(chiral.sum(axis=1), 1)
+    return h_c_final[:, 0] + np.where(chiral, h_c_final[:, 1:], 0.0).sum(axis=1) / n_units
 
 
-def pool_bwd(d_pooled, n_rows: int) -> np.ndarray:
-    d = np.zeros((n_rows, d_pooled.shape[0]))
-    d[0] = d_pooled
-    if n_rows > 1:
-        d[1:] = d_pooled / (n_rows - 1)
-    return d
+def pool_bwd(d_pooled, query_mask) -> np.ndarray:
+    chiral = query_mask[:, 1:, None]
+    d_rows = np.where(chiral, (d_pooled / np.maximum(chiral.sum(axis=1), 1))[:, None, :], 0.0)
+    return np.concatenate([d_pooled[:, None, :], d_rows], axis=1)
 
 
 def init_distance_bias(rng, n_channels: int, n_heads: int) -> DistanceBiasParams:

@@ -261,6 +261,23 @@ SUBSTITUENT_POOL = [7, 8, 9, 15, 16, 17, 35]
 SPECTATOR_POOL = [1, 6]
 
 
+def tile_molecules(mols, spacing: float = 8.0) -> Molecule:
+    """One molecule holding the given ones, each shifted by its position in
+    the list times `spacing` along x; their chiral units are kept."""
+    offsets = np.cumsum([0] + [m.n_atoms for m in mols[:-1]])
+    return Molecule(
+        coords=np.vstack([m.coords + [i * spacing, 0.0, 0.0] for i, m in enumerate(mols)]),
+        atomic_numbers=np.concatenate([m.atomic_numbers for m in mols]),
+        features=np.vstack([m.features for m in mols]),
+        chiral_units=tuple(
+            ChiralUnit(kind=u.kind, center_atoms=tuple(int(o) + a for a in u.center_atoms),
+                       related=tuple(int(o) + a for a in u.related))
+            for m, o in zip(mols, offsets)
+            for u in m.chiral_units
+        ),
+    ).validate()
+
+
 @dataclass(frozen=True)
 class SyntheticSpec:
     count: int

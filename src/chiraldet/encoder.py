@@ -84,6 +84,62 @@ class EncodedMolecule:
     nonchiral_indices: tuple[int, ...]
 
 
+@dataclass
+class BatchMask:
+    """Valid entries of a padded molecule batch; pad entries are False."""
+
+    queries: np.ndarray  # (B, Q) bool, token row first
+    keys: np.ndarray  # (B, Kr + Kn) bool, related keys first
+
+    @classmethod
+    def of_counts(cls, n_units, n_related, n_nonchiral) -> "BatchMask":
+        """Masks of a batch whose molecule b has n_units[b] chiral units and
+        n_related[b] related and n_nonchiral[b] non-chiral keys, each block
+        holding its valid entries first."""
+        n_units, n_related, n_nonchiral = (
+            np.asarray(n)[:, None] for n in (n_units, n_related, n_nonchiral)
+        )
+        return cls(
+            queries=np.arange(1 + n_units.max()) < 1 + n_units,
+            keys=np.hstack([np.arange(n_related.max()) < n_related,
+                            np.arange(n_nonchiral.max()) < n_nonchiral]),
+        )
+
+
+@dataclass
+class EncodedBatch:
+    """Encoder output for a molecule batch, padded to its largest member.
+
+    Q is 1 + the largest unit count, Kr and Kn the largest related and
+    non-chiral atom counts. Pad rows are zero and masked out.
+    """
+
+    h_c: np.ndarray  # (B, Q, h), global token first
+    h_r: np.ndarray  # (B, Kr, h)
+    h_n: np.ndarray  # (B, Kn, h)
+    mask: BatchMask
+    chiral_positions: np.ndarray  # (B, Q - 1, 3) reference points
+    key_positions: np.ndarray  # (B, Kr + Kn, 3), related atoms first
+    related_indices: list[tuple[int, ...]]
+    nonchiral_indices: list[tuple[int, ...]]
+
+    def molecule(self, b: int) -> EncodedMolecule:
+        """Molecule b without its padding."""
+        n_units = int(self.mask.queries[b].sum()) - 1
+        n_r, n_n = len(self.related_indices[b]), len(self.nonchiral_indices[b])
+        k_r = self.h_r.shape[1]
+        return EncodedMolecule(
+            h_c=self.h_c[b, : 1 + n_units],
+            h_r=self.h_r[b, :n_r],
+            h_n=self.h_n[b, :n_n],
+            chiral_positions=self.chiral_positions[b, :n_units],
+            related_positions=self.key_positions[b, :n_r],
+            nonchiral_positions=self.key_positions[b, k_r : k_r + n_n],
+            related_indices=self.related_indices[b],
+            nonchiral_indices=self.nonchiral_indices[b],
+        )
+
+
 def _row_mean(x: np.ndarray) -> np.ndarray:
     """Mean over the d_p axis of a (k, d_p, 3) stack, kept as (k, 1, 3).
 
@@ -179,30 +235,21 @@ def kernel_bwd(cache, d_out):
 
 def regularization_loss(bank: KernelBank) -> float:
     """Sum over slices of ||w^T w - I_3||_F^2."""
-    total = 0.0
-    for kk in range(bank.n_kernels):
-        diff = bank.w[kk].T @ bank.w[kk] - np.eye(3)
-        total += float((diff * diff).sum())
-    return total
+    diff = bank.w.transpose(0, 2, 1) @ bank.w - np.eye(3)
+    return float((diff * diff).sum())
 
 
 def regularization_grad(bank: KernelBank) -> np.ndarray:
-    d_w = np.zeros_like(bank.w)
-    for kk in range(bank.n_kernels):
-        w = bank.w[kk]
-        d_w[kk] = 4.0 * w @ (w.T @ w - np.eye(3))
-    return d_w
+    return 4.0 * bank.w @ (bank.w.transpose(0, 2, 1) @ bank.w - np.eye(3))
 
 
 def retract_orthonormal(bank: KernelBank) -> KernelBank:
     """Replace every slice by the Q factor of its thin QR."""
-    new_w = np.empty_like(bank.w)
-    for kk in range(bank.n_kernels):
-        res = qr_thin(bank.w[kk])
-        if np.min(np.abs(np.diag(res.r))) < 1e-12:
-            raise DegeneracyError(f"kernel slice {kk} is rank-deficient, cannot retract")
-        new_w[kk] = res.q
-    return KernelBank(w=new_w, gamma=bank.gamma, beta=bank.beta, eps=bank.eps)
+    res = qr_thin(bank.w)
+    dead = np.flatnonzero(np.abs(np.diagonal(res.r, axis1=1, axis2=2)).min(axis=1) < 1e-12)
+    if dead.size:
+        raise DegeneracyError(f"kernel slice {int(dead[0])} is rank-deficient, cannot retract")
+    return KernelBank(w=res.q, gamma=bank.gamma, beta=bank.beta, eps=bank.eps)
 
 
 def mlp2_fwd(mlp: Mlp2, x):
@@ -240,59 +287,84 @@ def unit_feature_rows(mol: Molecule) -> np.ndarray:
     return np.stack(rows)
 
 
-def encode_fwd(params: EncoderParams, mol: Molecule, partition: AtomPartition):
-    n_units = len(mol.chiral_units)
+def encode_fwd(params: EncoderParams, mols, partitions):
+    """Encoder forward over a molecule batch; returns (EncodedBatch, cache).
+
+    Every stage runs once on rows stacked over the batch, one kernel_fwd
+    over all chirality matrices and one mlp2_fwd per projector, and the
+    rows are then scattered into arrays padded to the largest molecule.
+    """
     h = params.global_token.shape[0]
-    if n_units:
-        mc_batch = np.stack([chirality_matrix(u, mol.coords).m for u in mol.chiral_units])
-    else:
-        mc_batch = np.zeros((0, 3, 3))
+    units = [(mol, u) for mol in mols for u in mol.chiral_units]
+    related = [list(p.related) for p in partitions]
+    nonchiral = [list(p.nonchiral) for p in partitions]
+    mc_batch = np.array([chirality_matrix(u, mol.coords).m for mol, u in units]).reshape(-1, 3, 3)
     dets, k_cache = kernel_fwd(params.kernels, mc_batch)
-    feats_c = unit_feature_rows(mol)
-    proj_out, c_cache = mlp2_fwd(params.proj_c, feats_c)
-    h_c = np.vstack([params.global_token[None, :], dets + proj_out]) if n_units else params.global_token[None, :].copy()
-    h_r, r_cache = mlp2_fwd(params.proj_r, mol.features[list(partition.related)])
-    h_n, n_cache = mlp2_fwd(params.proj_n, mol.features[list(partition.nonchiral)])
-    h_r = h_r.reshape(len(partition.related), h)
-    h_n = h_n.reshape(len(partition.nonchiral), h)
-    encoded = EncodedMolecule(
+    proj_out, c_cache = mlp2_fwd(params.proj_c, np.vstack([unit_feature_rows(m) for m in mols]))
+    h_r_rows, r_cache = mlp2_fwd(
+        params.proj_r, np.vstack([m.features[i] for m, i in zip(mols, related)])
+    )
+    h_n_rows, n_cache = mlp2_fwd(
+        params.proj_n, np.vstack([m.features[i] for m, i in zip(mols, nonchiral)])
+    )
+
+    mask = BatchMask.of_counts([len(m.chiral_units) for m in mols],
+                               [len(i) for i in related], [len(i) for i in nonchiral])
+    n_batch, n_q = mask.queries.shape
+    k_r = max(len(i) for i in related)
+    k_n = mask.keys.shape[1] - k_r
+    # (molecule, slot) of every stacked row, in stacking order: they scatter
+    # the rows into the padded arrays, and encode_bwd gathers with them
+    (ub, us), (rb, rs), (nb, ns) = (
+        np.nonzero(m) for m in (mask.queries[:, 1:], mask.keys[:, :k_r], mask.keys[:, k_r:])
+    )
+    h_c = np.zeros((n_batch, n_q, h))
+    h_c[:, 0] = params.global_token
+    h_c[ub, 1 + us] = dets + proj_out
+    h_r = np.zeros((n_batch, k_r, h))
+    h_r[rb, rs] = h_r_rows
+    h_n = np.zeros((n_batch, k_n, h))
+    h_n[nb, ns] = h_n_rows
+    chiral_positions = np.zeros((n_batch, n_q - 1, 3))
+    chiral_positions[ub, us] = np.array(
+        [reference_point(u, mol.coords) for mol, u in units]
+    ).reshape(-1, 3)
+    key_positions = np.zeros((n_batch, k_r + k_n, 3))
+    key_positions[rb, rs] = np.vstack([m.coords[i] for m, i in zip(mols, related)])
+    key_positions[nb, k_r + ns] = np.vstack([m.coords[i] for m, i in zip(mols, nonchiral)])
+    encoded = EncodedBatch(
         h_c=h_c,
         h_r=h_r,
         h_n=h_n,
-        chiral_positions=(
-            np.stack([reference_point(u, mol.coords) for u in mol.chiral_units])
-            if n_units
-            else np.zeros((0, 3))
-        ),
-        related_positions=mol.coords[list(partition.related)].reshape(len(partition.related), 3),
-        nonchiral_positions=mol.coords[list(partition.nonchiral)].reshape(len(partition.nonchiral), 3),
-        related_indices=partition.related,
-        nonchiral_indices=partition.nonchiral,
+        mask=mask,
+        chiral_positions=chiral_positions,
+        key_positions=key_positions,
+        related_indices=[p.related for p in partitions],
+        nonchiral_indices=[p.nonchiral for p in partitions],
     )
-    return encoded, (k_cache, c_cache, r_cache, n_cache, n_units)
+    return encoded, (k_cache, c_cache, r_cache, n_cache, (ub, us), (rb, rs), (nb, ns))
 
 
 def encode(params: EncoderParams, mol: Molecule, partition: AtomPartition) -> EncodedMolecule:
-    return encode_fwd(params, mol, partition)[0]
+    return encode_fwd(params, [mol], [partition])[0].molecule(0)
 
 
 def encode_bwd(params: EncoderParams, cache, d_hc, d_hr, d_hn):
-    """Backward of encode_fwd.
+    """Backward of encode_fwd from padded gradients; pad rows are ignored.
 
     Returns (grads, d_mc): grads keyed by parameter group, d_mc the
-    gradient with respect to the stacked chirality matrices.
+    gradient with respect to the chirality matrices stacked over the batch.
     """
-    k_cache, c_cache, r_cache, n_cache, n_units = cache
-    d_token = d_hc[0].copy()
-    d_rows = d_hc[1:]
+    k_cache, c_cache, r_cache, n_cache, (ub, us), (rb, rs), (nb, ns) = cache
+    d_rows = d_hc[ub, 1 + us]
     d_w, d_gamma, d_mc = kernel_bwd(k_cache, d_rows)
     d_proj_c, _ = mlp2_bwd(params.proj_c, c_cache, d_rows)
-    d_proj_r, _ = mlp2_bwd(params.proj_r, r_cache, d_hr)
-    d_proj_n, _ = mlp2_bwd(params.proj_n, n_cache, d_hn)
+    d_proj_r, _ = mlp2_bwd(params.proj_r, r_cache, d_hr[rb, rs])
+    d_proj_n, _ = mlp2_bwd(params.proj_n, n_cache, d_hn[nb, ns])
     grads = {
         "kernel.w": d_w,
         "kernel.gamma": d_gamma,
-        "token": d_token,
+        "token": d_hc[:, 0].sum(axis=0),
         "proj_c": d_proj_c,
         "proj_r": d_proj_r,
         "proj_n": d_proj_n,
@@ -315,9 +387,7 @@ def init_mlp2(rng, d_in: int, d_hidden: int, d_out: int) -> Mlp2:
 
 def init_kernel_bank(rng, n_kernels: int, d_p: int) -> KernelBank:
     """Slices start as random orthonormal columns (reg loss 0, alpha 1)."""
-    w = np.empty((n_kernels, d_p, 3))
-    for kk in range(n_kernels):
-        w[kk] = qr_thin(rng.standard_normal((d_p, 3))).q
+    w = qr_thin(rng.standard_normal((n_kernels, d_p, 3))).q
     return KernelBank(w=w, gamma=np.ones(d_p), beta=np.zeros(d_p))
 
 

@@ -25,8 +25,10 @@ from .attention import (
     pair_bias_bwd,
     pair_bias_fwd,
 )
-from .data import SyntheticSpec, gen_rs
+from .data import SyntheticSpec, gen_rs, tile_molecules
 from .encoder import (
+    BatchMask,
+    EncodedBatch,
     KernelBank,
     init_kernel_bank,
     kernel_bwd,
@@ -40,6 +42,7 @@ from .model import (
     _LAYER_FIELDS,
     FROZEN_PARAMS,
     ModelConfig,
+    batch_loss_classify,
     batch_step_classify,
     dataset_to_pairs,
     init_model,
@@ -130,17 +133,18 @@ def _check_layer_norm(rng):
 
 
 def _encoded_instance(rng, h=8):
-    from .encoder import EncodedMolecule
-
-    return EncodedMolecule(
-        h_c=rng.standard_normal((3, h)),
-        h_r=rng.standard_normal((3, h)),
-        h_n=rng.standard_normal((2, h)),
-        chiral_positions=rng.uniform(-2, 2, (2, 3)),
-        related_positions=rng.uniform(-2, 2, (3, 3)),
-        nonchiral_positions=rng.uniform(-2, 2, (2, 3)),
-        related_indices=(0, 1, 2),
-        nonchiral_indices=(3, 4),
+    """Two molecules, (2 units, 3 related, 2 non-chiral keys) and (1, 2, 1),
+    so the second has a pad query and pad keys of both types."""
+    mask = BatchMask.of_counts([2, 1], [3, 2], [2, 1])
+    return EncodedBatch(
+        h_c=rng.standard_normal((2, 3, h)),
+        h_r=rng.standard_normal((2, 3, h)),
+        h_n=rng.standard_normal((2, 2, h)),
+        mask=mask,
+        chiral_positions=rng.uniform(-2, 2, (2, 2, 3)),
+        key_positions=rng.uniform(-2, 2, (2, 5, 3)),
+        related_indices=[(0, 1, 2), (0, 1)],
+        nonchiral_indices=[(3, 4), (2,)],
     )
 
 
@@ -149,7 +153,7 @@ def _check_distance_bias(rng):
     params.e1 += rng.normal(0, 0.3, params.e1.shape)
     params.sigma = rng.uniform(0.5, 1.5, 4)
     enc = _encoded_instance(rng)
-    weights = rng.standard_normal((3, 5, 2))
+    weights = rng.standard_normal((2, 3, 5, 2))
 
     def f(theta):
         parts, i = {}, 0
@@ -167,35 +171,36 @@ def _check_distance_bias(rng):
 
 
 def _check_attention_layer(rng):
+    """Padded 3-molecule input: a token plus one unit over 2 related keys
+    and 1 non-chiral key, a token-only molecule over 2 non-chiral keys (so
+    the first molecule has a pad key), and a token-only molecule without
+    keys, whose token row is key-less. Pad entries hold random values: they
+    reach the emitted logits, so their gradients are audited as well."""
     layer = init_layer(rng, 8, 2)
-    h_c = rng.standard_normal((2, 8))
-    h_r = rng.standard_normal((2, 8))
-    h_n = rng.standard_normal((1, 8))
-    p0 = rng.standard_normal((2, 3, 2))
-    w_out = rng.standard_normal((2, 8))
-    w_bias = rng.standard_normal((2, 3, 2))
+    mask = BatchMask.of_counts([1, 0, 0], [2, 0, 0], [1, 2, 0])
+    shapes = {"h_c": (3, 2, 8), "h_r": (3, 2, 8), "h_n": (3, 2, 8), "p": (3, 2, 4, 2)}
+    inputs = {name: rng.standard_normal(shape) for name, shape in shapes.items()}
+    w_out = rng.standard_normal((3, 2, 8))
+    w_bias = rng.standard_normal((3, 2, 4, 2))
 
     def f(theta):
         parts, i = {}, 0
-        for name in _LAYER_FIELDS:
-            arr = getattr(layer, name)
+        for name, arr in [(n, getattr(layer, n)) for n in _LAYER_FIELDS] + list(inputs.items()):
             parts[name] = theta[i : i + arr.size].reshape(arr.shape)
             i += arr.size
-        hc = theta[i : i + 16].reshape(2, 8)
-        hr = theta[i + 16 : i + 32].reshape(2, 8)
-        hn = theta[i + 32 : i + 40].reshape(1, 8)
-        pp = theta[i + 40 :].reshape(2, 3, 2)
         out, bias_out, _, _ = attend_fwd(
-            LayerParams(**parts, n_heads=2), hc, hr, hn, PairBias(p=pp)
+            LayerParams(**{n: parts[n] for n in _LAYER_FIELDS}, n_heads=2),
+            parts["h_c"], parts["h_r"], parts["h_n"], PairBias(p=parts["p"]), mask,
         )
         return float((w_out * out).sum() + (w_bias * bias_out.p).sum())
 
     theta0 = np.concatenate(
-        [getattr(layer, n).ravel() for n in _LAYER_FIELDS]
-        + [h_c.ravel(), h_r.ravel(), h_n.ravel(), p0.ravel()]
+        [getattr(layer, n).ravel() for n in _LAYER_FIELDS] + [a.ravel() for a in inputs.values()]
     )
     numeric = finite_diff_grad(f, theta0)
-    _, _, _, cache = attend_fwd(layer, h_c, h_r, h_n, PairBias(p=p0))
+    _, _, _, cache = attend_fwd(
+        layer, inputs["h_c"], inputs["h_r"], inputs["h_n"], PairBias(p=inputs["p"]), mask
+    )
     grads, d_hc, d_hr, d_hn, d_bias = attend_bwd(layer, cache, w_out, w_bias)
     analytic = np.concatenate(
         [grads[n].ravel() for n in _LAYER_FIELDS]
@@ -230,9 +235,14 @@ def _check_predictor(rng):
 
 
 def _check_full_loss(rng, config: ModelConfig):
+    """Loss of a padded batch: a one-unit gen_rs molecule and a two-unit
+    molecule tiled from two more, so the first has pad queries and pad
+    keys. The oracle runs forward only."""
     model = init_model(config)
-    batch = dataset_to_pairs(gen_rs(SyntheticSpec(count=1, seed=int(rng.integers(1 << 16)),
-                                                  spectator_range=(1, 2))))
+    (mol_a, label_a), (mol_b, label_b), (mol_c, _) = gen_rs(
+        SyntheticSpec(count=3, seed=int(rng.integers(1 << 16)), spectator_range=(1, 2))
+    )
+    batch = dataset_to_pairs([(mol_a, label_a), (tile_molecules([mol_b, mol_c]), label_b)])
     live = [(n, a) for n, a in named_parameters(model) if n not in FROZEN_PARAMS]
 
     def get_theta():
@@ -248,10 +258,9 @@ def _check_full_loss(rng, config: ModelConfig):
         saved = get_theta()
         set_theta(theta)
         try:
-            loss, _, _ = batch_step_classify(model, batch, reg_weight=0.1)
+            return batch_loss_classify(model, batch, reg_weight=0.1)
         finally:
             set_theta(saved)
-        return loss
 
     theta0 = get_theta()
     numeric = finite_diff_grad(f, theta0)

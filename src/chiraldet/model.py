@@ -8,7 +8,7 @@ from __future__ import annotations
 import hashlib
 import math
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -27,6 +27,8 @@ from .attention import (
     pool_bwd,
 )
 from .encoder import (
+    EncodedBatch,
+    EncodedMolecule,
     EncoderParams,
     Mlp2,
     RankStrategy,
@@ -151,123 +153,169 @@ def named_parameters(model: ChiralModel):
         yield f"head.{f}", getattr(model.head, f)
 
 
-def zero_grads(model: ChiralModel) -> dict[str, np.ndarray]:
-    return {name: np.zeros_like(arr) for name, arr in named_parameters(model)}
+@dataclass
+class BatchState:
+    """Everything forward_batch computed that backward or exports need.
+
+    Arrays are padded to the batch's largest molecule; `encoded.mask` marks
+    the valid entries.
+    """
+
+    logits: np.ndarray  # (B, n_classes)
+    pooled: np.ndarray  # (B, h)
+    encoded: EncodedBatch
+    attn: list  # per layer, (B, Q, Kr + Kn, H)
+    caches: dict
+
+    def molecule(self, b: int) -> "ForwardState":
+        """Molecule b's outputs without padding."""
+        n_q = int(self.encoded.mask.queries[b].sum())
+        keys = np.flatnonzero(self.encoded.mask.keys[b])
+        all_attn = [a[b, :n_q][:, keys] for a in self.attn]
+        return ForwardState(
+            logits=self.logits[b],
+            pooled=self.pooled[b],
+            encoded=self.encoded.molecule(b),
+            final_attn=all_attn[-1],
+            all_attn=all_attn,
+        )
 
 
 @dataclass
 class ForwardState:
-    """Everything forward computed that backward or exports need."""
+    """One molecule's forward outputs, unpadded; attention is (n_q, n_k, H)."""
 
     logits: np.ndarray
     pooled: np.ndarray
-    partition: object
-    encoded: object
-    caches: dict = field(default_factory=dict)
-    final_attn: np.ndarray | None = None
-    all_attn: list = field(default_factory=list)
+    encoded: EncodedMolecule
+    final_attn: np.ndarray
+    all_attn: list
 
 
-def forward_full(model: ChiralModel, mol: Molecule) -> ForwardState:
-    part = partition_atoms(mol)
-    encoded, enc_cache = encode_fwd(model.encoder, mol, part)
+def forward_batch(model: ChiralModel, mols) -> BatchState:
+    """Forward over a molecule batch padded to its largest member."""
+    if not mols:
+        raise ValueError("empty molecule batch")
+    encoded, enc_cache = encode_fwd(model.encoder, mols, [partition_atoms(m) for m in mols])
     bias, bias_cache = pair_bias_fwd(model.distance_bias, encoded)
     h_c = encoded.h_c
     layer_caches = []
     all_attn = []
-    attn = None
     for i, layer in enumerate(model.layers):
-        h_c, bias, attn, cache = attend_fwd(layer, h_c, encoded.h_r, encoded.h_n, bias, layer_index=i)
+        h_c, bias, attn, cache = attend_fwd(
+            layer, h_c, encoded.h_r, encoded.h_n, bias, encoded.mask, layer_index=i
+        )
         layer_caches.append(cache)
         all_attn.append(attn)
-    pooled = pool(h_c)
-    logits, head_cache = mlp2_fwd(model.head, pooled[None, :])
-    return ForwardState(
-        logits=logits[0],
+    pooled = pool(h_c, encoded.mask.queries)
+    logits, head_cache = mlp2_fwd(model.head, pooled)
+    return BatchState(
+        logits=logits,
         pooled=pooled,
-        partition=part,
         encoded=encoded,
+        attn=all_attn,
         caches={
             "encode": enc_cache,
             "bias": bias_cache,
             "layers": layer_caches,
             "head": head_cache,
-            "n_hc_rows": h_c.shape[0],
         },
-        final_attn=attn,
-        all_attn=all_attn,
     )
 
 
+def backward_batch(model: ChiralModel, state: BatchState, d_logits) -> dict[str, np.ndarray]:
+    """Parameter gradients of a batch from d loss / d logits (B, n_classes).
+
+    Each layer's cache is released once consumed, so a state can be
+    backpropagated only once.
+    """
+    grads = {}
+    d_head, d_pooled = mlp2_bwd(model.head, state.caches["head"], d_logits)
+    encoded = state.encoded
+    d_h_c = pool_bwd(d_pooled, encoded.mask.queries)
+    d_h_r = np.zeros_like(encoded.h_r)
+    d_h_n = np.zeros_like(encoded.h_n)
+    d_bias = np.zeros(state.attn[-1].shape)
+    layer_caches = state.caches["layers"]
+    for i in reversed(range(len(model.layers))):
+        lgrads, d_h_c, d_hr_i, d_hn_i, d_bias = attend_bwd(
+            model.layers[i], layer_caches[i], d_h_c, d_bias
+        )
+        layer_caches[i] = None
+        d_h_r += d_hr_i
+        d_h_n += d_hn_i
+        for f in _LAYER_FIELDS:
+            grads[f"layers.{i}.{f}"] = lgrads[f]
+    bgrads = pair_bias_bwd(model.distance_bias, state.caches["bias"], d_bias)
+    for f in _BIAS_FIELDS:
+        grads[f"bias.{f}"] = bgrads[f]
+    egrads, _ = encode_bwd(model.encoder, state.caches["encode"], d_h_c, d_h_r, d_h_n)
+    grads["encoder.kernel.w"] = egrads["kernel.w"]
+    grads["encoder.kernel.gamma"] = egrads["kernel.gamma"]
+    grads["encoder.kernel.beta"] = np.zeros_like(model.encoder.kernels.beta)
+    grads["encoder.token"] = egrads["token"]
+    for tag in ("proj_c", "proj_r", "proj_n"):
+        for f in _MLP_FIELDS:
+            grads[f"encoder.{tag}.{f}"] = egrads[tag][f]
+    for f in _MLP_FIELDS:
+        grads[f"head.{f}"] = d_head[f]
+    return grads
+
+
+def forward_full(model: ChiralModel, mol: Molecule) -> ForwardState:
+    """One molecule's outputs, as a batch of one (which has no padding)."""
+    return forward_batch(model, [mol]).molecule(0)
+
+
 def forward(model: ChiralModel, mol: Molecule) -> np.ndarray:
-    return forward_full(model, mol).logits
+    return forward_batch(model, [mol]).logits[0]
 
 
 def embed(model: ChiralModel, mol: Molecule) -> np.ndarray:
     """Pooled pre-predictor representation."""
-    return forward_full(model, mol).pooled
+    return forward_batch(model, [mol]).pooled[0]
 
 
-def backward_from_logits(model: ChiralModel, state: ForwardState, d_logits, grads):
-    """Accumulate parameter gradients for one molecule into `grads`."""
-    d_head, d_pooled = mlp2_bwd(model.head, state.caches["head"], d_logits[None, :])
-    for f in _MLP_FIELDS:
-        grads[f"head.{f}"] += d_head[f]
-    d_h_c = pool_bwd(d_pooled[0], state.caches["n_hc_rows"])
-    encoded = state.encoded
-    d_h_r = np.zeros_like(encoded.h_r)
-    d_h_n = np.zeros_like(encoded.h_n)
-    d_bias = np.zeros(_bias_shape(state))
-    for i in reversed(range(len(model.layers))):
-        layer = model.layers[i]
-        lgrads, d_h_c, d_hr_i, d_hn_i, d_bias = attend_bwd(
-            layer, state.caches["layers"][i], d_h_c, d_bias
-        )
-        d_h_r += d_hr_i
-        d_h_n += d_hn_i
-        for f in _LAYER_FIELDS:
-            grads[f"layers.{i}.{f}"] += lgrads[f]
-    bgrads = pair_bias_bwd(model.distance_bias, state.caches["bias"], d_bias)
-    for f in _BIAS_FIELDS:
-        grads[f"bias.{f}"] += bgrads[f]
-    egrads, _ = encode_bwd(model.encoder, state.caches["encode"], d_h_c, d_h_r, d_h_n)
-    grads["encoder.kernel.w"] += egrads["kernel.w"]
-    grads["encoder.kernel.gamma"] += egrads["kernel.gamma"]
-    grads["encoder.token"] += egrads["token"]
-    for tag in ("proj_c", "proj_r", "proj_n"):
-        for f in _MLP_FIELDS:
-            grads[f"encoder.{tag}.{f}"] += egrads[tag][f]
-
-
-def _bias_shape(state: ForwardState):
-    n_units = state.encoded.chiral_positions.shape[0]
-    n_keys = state.encoded.h_r.shape[0] + state.encoded.h_n.shape[0]
-    n_heads = state.final_attn.shape[2]
-    return (1 + n_units, n_keys, n_heads)
-
-
-def loss_classify(logits, label: int):
-    """Softmax cross-entropy; returns (loss, d_logits)."""
+def loss_classify(logits, label):
+    """Softmax cross-entropy over the last axis of (..., C) logits, summed
+    over any leading axes; returns (loss, d_logits)."""
     logits = np.asarray(logits, dtype=np.float64)
-    if not 0 <= label < logits.shape[0]:
+    label = np.asarray(label)
+    if np.any((label < 0) | (label >= logits.shape[-1])):
         raise ValueError(f"label {label} out of range")
-    shifted = logits - logits.max()
-    lse = math.log(np.exp(shifted).sum())
-    loss = lse - shifted[label]
-    probs = np.exp(shifted - lse)
-    d_logits = probs
-    d_logits[label] -= 1.0
-    return float(loss), d_logits
+    onehot = np.arange(logits.shape[-1]) == label[..., None]
+    shifted = logits - logits.max(axis=-1, keepdims=True)
+    lse = np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
+    loss = float((lse - shifted)[onehot].sum())
+    return loss, np.exp(shifted - lse) - onehot
 
 
-def loss_margin_rank(score_hi: float, score_lo: float, margin: float):
-    """max(0, margin - (score_hi - score_lo)); returns (loss, d_hi, d_lo)."""
+def loss_margin_rank(score_hi, score_lo, margin: float):
+    """Sum of max(0, margin - (score_hi - score_lo)) over paired scores;
+    returns (loss, d_hi, d_lo)."""
     if margin < 0:
         raise ValueError("margin must be non-negative")
-    gap = margin - (score_hi - score_lo)
-    if gap > 0:
-        return float(gap), -1.0, 1.0
-    return 0.0, 0.0, 0.0
+    gap = margin - (np.asarray(score_hi, dtype=np.float64) - np.asarray(score_lo, dtype=np.float64))
+    active = (gap > 0).astype(np.float64)
+    return float(np.maximum(gap, 0.0).sum()), -active, active
+
+
+def _classify_forward(model: ChiralModel, batch, reg_weight: float):
+    """(loss, labels, state, d_logits) of the mean cross-entropy over a batch
+    plus the rank penalty when enabled."""
+    mols, labels = zip(*batch)
+    labels = np.array(labels)
+    state = forward_batch(model, list(mols))
+    loss, d_logits = loss_classify(state.logits, labels)
+    loss /= len(batch)
+    if reg_weight > 0.0:
+        loss += reg_weight * regularization_loss(model.encoder.kernels)
+    return loss, labels, state, d_logits / len(batch)
+
+
+def batch_loss_classify(model: ChiralModel, batch, reg_weight: float) -> float:
+    """The loss of batch_step_classify, forward only."""
+    return _classify_forward(model, batch, reg_weight)[0]
 
 
 def batch_step_classify(model: ChiralModel, batch, reg_weight: float):
@@ -275,50 +323,33 @@ def batch_step_classify(model: ChiralModel, batch, reg_weight: float):
 
     Returns (loss, n_correct, grads).
     """
-    grads = zero_grads(model)
-    total = 0.0
-    correct = 0
-    for mol, label in batch:
-        state = forward_full(model, mol)
-        loss, d_logits = loss_classify(state.logits, label)
-        total += loss
-        if int(np.argmax(state.logits)) == label:
-            correct += 1
-        backward_from_logits(model, state, d_logits / len(batch), grads)
-    total /= len(batch)
+    loss, labels, state, d_logits = _classify_forward(model, batch, reg_weight)
+    correct = int((state.logits.argmax(axis=1) == labels).sum())
+    grads = backward_batch(model, state, d_logits)
     if reg_weight > 0.0:
-        total += reg_weight * regularization_loss(model.encoder.kernels)
         grads["encoder.kernel.w"] += reg_weight * regularization_grad(model.encoder.kernels)
-    return total, correct, grads
+    return loss, correct, grads
 
 
 def batch_step_rank(model: ChiralModel, pair_batch, cfg: TrainConfig):
     """Margin-ranking loss over co-batched (hi, lo) molecule pairs.
 
-    The score is the single output of a 1-dim head. Returns
-    (loss, n_correctly_ordered, grads).
+    The score is the single output of a 1-dim head; his and los run as one
+    batch. Returns (loss, n_correctly_ordered, grads).
     """
-    grads = zero_grads(model)
-    total = 0.0
-    correct = 0
     n = len(pair_batch)
-    for mol_hi, mol_lo in pair_batch:
-        st_hi = forward_full(model, mol_hi)
-        st_lo = forward_full(model, mol_lo)
-        s_hi, s_lo = float(st_hi.logits[0]), float(st_lo.logits[0])
-        loss, d_hi, d_lo = loss_margin_rank(s_hi, s_lo, cfg.margin)
-        total += cfg.margin_weight * loss
-        if s_hi > s_lo:
-            correct += 1
-        scale = cfg.margin_weight / n
-        if d_hi != 0.0:
-            backward_from_logits(model, st_hi, np.array([d_hi * scale]), grads)
-            backward_from_logits(model, st_lo, np.array([d_lo * scale]), grads)
-    total /= n
+    his, los = zip(*pair_batch)
+    state = forward_batch(model, list(his) + list(los))
+    s_hi, s_lo = state.logits[:n, 0], state.logits[n:, 0]
+    loss, d_hi, d_lo = loss_margin_rank(s_hi, s_lo, cfg.margin)
+    scale = cfg.margin_weight / n
+    d_logits = np.concatenate([d_hi, d_lo])[:, None] * scale
+    grads = backward_batch(model, state, d_logits)
+    total = cfg.margin_weight * loss / n
     if cfg.reg_weight > 0.0:
         total += cfg.reg_weight * regularization_loss(model.encoder.kernels)
         grads["encoder.kernel.w"] += cfg.reg_weight * regularization_grad(model.encoder.kernels)
-    return total, correct, grads
+    return total, int((s_hi > s_lo).sum()), grads
 
 
 # ---------------------------------------------------------------------------
@@ -396,14 +427,27 @@ def dataset_to_pairs(dataset):
     return out
 
 
+# molecules per forward_batch in evaluate and mirror_consistency. A batch
+# holds its forward caches until it is dropped, about 0.5 MB per multi-unit
+# molecule at the default config, so chunks of 8 keep that near 4 MB; they
+# ran within a few percent of the speed of larger chunks
+EVAL_CHUNK = 8
+
+
+def _predict(model: ChiralModel, mols) -> np.ndarray:
+    """Predicted class per molecule, in forward_batch chunks of EVAL_CHUNK."""
+    return np.concatenate([
+        forward_batch(model, mols[i : i + EVAL_CHUNK]).logits.argmax(axis=1)
+        for i in range(0, len(mols), EVAL_CHUNK)
+    ])
+
+
 def evaluate(model: ChiralModel, dataset) -> float:
     pairs = dataset_to_pairs(dataset)
     if not pairs:
         raise ValueError("empty evaluation set")
-    correct = sum(
-        1 for mol, label in pairs if int(np.argmax(forward(model, mol))) == label
-    )
-    return correct / len(pairs)
+    mols, labels = zip(*pairs)
+    return int((_predict(model, list(mols)) == labels).sum()) / len(pairs)
 
 
 def train(model: ChiralModel, dataset, cfg: TrainConfig, val_dataset=None,
@@ -449,6 +493,7 @@ def train(model: ChiralModel, dataset, cfg: TrainConfig, val_dataset=None,
                 if not math.isfinite(loss):
                     raise NumericError(f"training diverged at step {step}")
                 adam_step(model, grads, adam, lr_now)
+                del grads  # not held while the next batch's forward caches fill
                 if model.config.rank_strategy is RankStrategy.QR_RETRACTION:
                     model.encoder.kernels = retract_orthonormal(model.encoder.kernels)
                 epoch_loss += loss * len(batch)
@@ -481,18 +526,16 @@ def mirror_consistency(model: ChiralModel, dataset) -> tuple[float, float]:
     """(accuracy, fraction of correctly classified molecules whose mirror
     gets the opposite class)."""
     pairs = dataset_to_pairs(dataset)
-    correct = 0
-    flipped = 0
-    for mol, label in pairs:
-        pred = int(np.argmax(forward(model, mol)))
-        if pred != label:
-            continue
-        correct += 1
-        pred_m = int(np.argmax(forward(model, mirror(mol))))
-        if pred_m == 1 - pred:
-            flipped += 1
+    if not pairs:
+        return 0.0, 0.0
+    mols, labels = zip(*pairs)
+    pred = _predict(model, list(mols))
+    right = pred == labels
+    correct = int(right.sum())
     if correct == 0:
         return 0.0, 0.0
+    pred_m = _predict(model, [mirror(m) for m, ok in zip(mols, right) if ok])
+    flipped = int((pred_m == 1 - pred[right]).sum())
     return correct / len(pairs), flipped / correct
 
 

@@ -21,45 +21,43 @@ INV_SQRT_2PI = 1.0 / np.sqrt(2.0 * np.pi)
 
 @dataclass
 class QrResult:
-    q: np.ndarray  # (m, n), orthonormal columns
-    r: np.ndarray  # (n, n), upper triangular, diagonal may be negative
+    q: np.ndarray  # (..., m, n), orthonormal columns
+    r: np.ndarray  # (..., n, n), upper triangular, diagonal may be negative
 
 
 def qr_thin(a) -> QrResult:
-    """Householder thin QR of an m x n matrix with m >= n.
+    """Householder thin QR of an m x n matrix, or of a (..., m, n) stack,
+    with m >= n.
 
     A reflection is applied at every column step with the numerically
     stable sign choice, so generic input uses exactly n reflections and
     sign(det R) covaries with the orientation of the input columns. An
-    exactly zero working column is skipped and leaves a zero diagonal
-    entry (the rank-deficient path).
+    exactly zero working column is skipped (its reflector is zero, so the
+    step is the identity) and leaves a zero diagonal entry (the
+    rank-deficient path). Every matrix of a stack is reduced at once.
     """
     a = np.asarray(a, dtype=np.float64)
-    if a.ndim != 2:
-        raise NumericError(f"qr_thin expects a matrix, got shape {a.shape}")
-    m, n = a.shape
+    if a.ndim < 2:
+        raise NumericError(f"qr_thin expects a matrix or a stack, got shape {a.shape}")
+    m, n = a.shape[-2:]
     if m < n:
         raise NumericError(f"qr_thin needs at least as many rows as columns, got {m}x{n}")
     r = a.copy()
-    vs: list[np.ndarray | None] = []
+    vs = []
     for j in range(n):
-        x = r[j:, j].copy()
-        norm = np.linalg.norm(x)
-        if norm == 0.0:
-            vs.append(None)
-            continue
-        v = x
-        v[0] += norm if x[0] >= 0.0 else -norm
-        v /= np.linalg.norm(v)
+        v = r[..., j:, j].copy()  # (..., m - j)
+        norm = np.sqrt((v * v).sum(axis=-1))
+        v[..., 0] += np.where(v[..., 0] >= 0.0, norm, -norm)
+        v_norm = np.sqrt((v * v).sum(axis=-1, keepdims=True))
+        v = np.divide(v, v_norm, out=np.zeros_like(v), where=v_norm > 0.0)
         vs.append(v)
-        r[j:, j:] -= 2.0 * np.outer(v, v @ r[j:, j:])
-    q = np.zeros((m, n))
-    q[:n, :n] = np.eye(n)
+        r[..., j:, j:] -= 2.0 * v[..., :, None] * (v[..., None, :] @ r[..., j:, j:])
+    q = np.zeros(a.shape[:-2] + (m, n))
+    q[..., :n, :n] = np.eye(n)
     for j in range(n - 1, -1, -1):
         v = vs[j]
-        if v is not None:
-            q[j:, :] -= 2.0 * np.outer(v, v @ q[j:, :])
-    return QrResult(q=q, r=np.triu(r[:n, :]))
+        q[..., j:, :] -= 2.0 * v[..., :, None] * (v[..., None, :] @ q[..., j:, :])
+    return QrResult(q=q, r=np.triu(r[..., :n, :]))
 
 
 def det3_batch(a) -> np.ndarray:
@@ -126,10 +124,12 @@ def layer_norm(x, gamma, beta, eps=1e-5):
 def layer_norm_rows(x, gamma, beta, eps=1e-5):
     """Row-wise layer norm of a 2-D array; returns (out, cache) for backward."""
     x = np.asarray(x, dtype=np.float64)
-    mu = x.mean(axis=1, keepdims=True)
-    var = x.var(axis=1, keepdims=True)
-    inv = 1.0 / np.sqrt(var + eps)
-    xhat = (x - mu) * inv
+    d = x.shape[1]
+    # mean and population variance with the arithmetic of x.mean / x.var,
+    # bit for bit, without their per-call overhead
+    centered = x - x.sum(axis=1, keepdims=True) / d
+    inv = 1.0 / np.sqrt((centered * centered).sum(axis=1, keepdims=True) / d + eps)
+    xhat = centered * inv
     out = xhat * gamma + beta
     return out, (xhat, inv)
 

@@ -19,7 +19,14 @@ from chiraldet.attention import (
     pool_bwd,
 )
 from chiraldet.data import SyntheticSpec, gen_rs
-from chiraldet.encoder import EncodedMolecule, RankStrategy, encode, init_encoder
+from chiraldet.encoder import (
+    BatchMask,
+    EncodedBatch,
+    EncodedMolecule,
+    RankStrategy,
+    encode,
+    init_encoder,
+)
 from chiraldet.errors import NumericError
 from chiraldet.geometry import partition_atoms
 from chiraldet.numerics import compare_grads, finite_diff_grad
@@ -37,6 +44,37 @@ def make_encoded(n_units=2, n_r=3, n_n=2, h=8, seed=0):
         related_indices=tuple(range(n_r)),
         nonchiral_indices=tuple(range(n_r, n_r + n_n)),
     )
+
+
+def full_mask(n_q, n_keys):
+    """Mask of one molecule without padding."""
+    return BatchMask(queries=np.ones((1, n_q), bool), keys=np.ones((1, n_keys), bool))
+
+
+def encoded_batch_of_one(enc):
+    """An unpadded EncodedMolecule as a batch of one."""
+    return EncodedBatch(
+        h_c=enc.h_c[None],
+        h_r=enc.h_r[None],
+        h_n=enc.h_n[None],
+        mask=full_mask(enc.h_c.shape[0], enc.h_r.shape[0] + enc.h_n.shape[0]),
+        chiral_positions=enc.chiral_positions[None],
+        key_positions=np.vstack([enc.related_positions, enc.nonchiral_positions])[None],
+        related_indices=[enc.related_indices],
+        nonchiral_indices=[enc.nonchiral_indices],
+    )
+
+
+def batch_of_one(h_c, h_r, h_n, bias):
+    """Unpadded single-molecule attention inputs as a batch of one, mask last."""
+    mask = full_mask(h_c.shape[0], h_r.shape[0] + h_n.shape[0])
+    return h_c[None], h_r[None], h_n[None], PairBias(p=bias.p[None]), mask
+
+
+def first(outputs):
+    """Molecule 0 of attend or attend_fwd outputs; a cache passes through."""
+    out, bias_out, attn, *cache = outputs
+    return (out[0], PairBias(p=bias_out.p[0]), attn[0], *cache)
 
 
 class TestDistanceBias:
@@ -86,8 +124,8 @@ class TestDistanceBias:
         params = init_distance_bias(rng, g, n_heads)
         params.e1 += rng.normal(0, 0.3, params.e1.shape)
         params.sigma = rng.uniform(0.5, 1.5, g)
-        enc = make_encoded(seed=12)
-        weights = rng.standard_normal((3, 5, n_heads))
+        enc = encoded_batch_of_one(make_encoded(seed=12))
+        weights = rng.standard_normal((3, 5, n_heads))[None]
 
         sizes = {n: getattr(params, n).size for n in ("e1", "e2", "mu", "sigma", "w_p")}
 
@@ -116,16 +154,16 @@ class TestDistanceBias:
 
 class TestInitPairBias:
     def test_empty_keys_shape(self):
-        enc = make_encoded(n_units=1, n_r=0, n_n=0)
+        enc = encoded_batch_of_one(make_encoded(n_units=1, n_r=0, n_n=0))
         params = init_distance_bias(np.random.default_rng(1), 4, 2)
         bias = init_pair_bias(params, enc)
-        assert bias.p.shape == (2, 0, 2)
+        assert bias.p[0].shape == (2, 0, 2)
 
     def test_zero_distance_finite(self):
         enc = make_encoded(n_units=1, n_r=1, n_n=0, seed=3)
         enc.related_positions[0] = enc.chiral_positions[0]
         params = init_distance_bias(np.random.default_rng(2), 4, 2)
-        bias = init_pair_bias(params, enc)
+        bias = init_pair_bias(params, encoded_batch_of_one(enc))
         assert np.all(np.isfinite(bias.p))
 
     def test_entrywise_recomputation(self):
@@ -137,7 +175,7 @@ class TestInitPairBias:
         part = partition_atoms(mol)
         enc_params = init_encoder(rng, 52, 8, 4, RankStrategy.NONE)
         enc = encode(enc_params, mol, part)
-        bias = init_pair_bias(params, enc)
+        bias = PairBias(p=init_pair_bias(params, encoded_batch_of_one(enc)).p[0])
         assert np.array_equal(bias.p[0], np.zeros_like(bias.p[0]))
         key_pos = np.vstack([enc.related_positions, enc.nonchiral_positions])
         n_r = enc.related_positions.shape[0]
@@ -196,11 +234,11 @@ class TestAttend:
         h_r = rng.standard_normal((1, 8))
         h_n = np.zeros((0, 8))
         bias = PairBias(p=rng.standard_normal((2, 1, 2)))
-        _, _, attn = attend(layer, h_c, h_r, h_n, bias)
+        _, _, attn = first(attend(layer, *batch_of_one(h_c, h_r, h_n, bias)))
         assert np.all(attn == 1.0)
         # pre-residual attention output is exactly that key's value row
-        _, _, _, cache = attend_fwd(layer, h_c, h_r, h_n, bias)
-        ctx = cache[8]
+        _, _, _, cache = first(attend_fwd(layer, *batch_of_one(h_c, h_r, h_n, bias)))
+        ctx = cache.ctx
         value_row = (h_r @ layer.wv_r.T)[0]
         assert np.allclose(ctx, np.tile(value_row, (2, 1)), atol=1e-12)
 
@@ -212,7 +250,7 @@ class TestAttend:
         h_n = rng.standard_normal((2, 8))
         p = np.zeros((2, 5, 2))
         p[:, 3, :] = 1e6
-        _, _, attn = attend(layer, h_c, h_r, h_n, PairBias(p=p))
+        _, _, attn = first(attend(layer, *batch_of_one(h_c, h_r, h_n, PairBias(p=p))))
         assert np.all(attn[:, 3, :] > 1.0 - 1e-6)
 
     def test_matches_dense_oracle_seed43(self):
@@ -222,7 +260,7 @@ class TestAttend:
         h_r = rng.standard_normal((3, 8))
         h_n = rng.standard_normal((2, 8))
         bias = PairBias(p=rng.standard_normal((3, 5, 2)))
-        out, bias_out, attn = attend(layer, h_c, h_r, h_n, bias)
+        out, bias_out, attn = first(attend(layer, *batch_of_one(h_c, h_r, h_n, bias)))
         assert np.allclose(attn.sum(axis=1), 1.0, atol=1e-12)
         ref_out, ref_logits, ref_attn = dense_attention_oracle(layer, h_c, h_r, h_n, bias)
         assert np.allclose(out, ref_out, atol=1e-10)
@@ -239,7 +277,8 @@ class TestAttend:
         bias = PairBias(p=p0.copy())
         h_cs = [h_c]
         for layer in layers:
-            h_c_next, bias, _ = attend(layers[0] if layer is layers[0] else layer, h_cs[-1], h_r, h_n, bias)
+            h_c_next, bias, _ = first(attend(layers[0] if layer is layers[0] else layer,
+                                             *batch_of_one(h_cs[-1], h_r, h_n, bias)))
             h_cs.append(h_c_next)
         # unrolled recomputation of each layer's query-key term
         total = p0.copy()
@@ -260,28 +299,29 @@ class TestAttend:
         h_r = rng.standard_normal((4, 8))
         h_n = rng.standard_normal((3, 8))
         bias = PairBias(p=rng.standard_normal((3, 7, 2)))
-        out, _, _ = attend(layer, h_c, h_r, h_n, bias)
+        out, _, _ = first(attend(layer, *batch_of_one(h_c, h_r, h_n, bias)))
         perm_r = np.random.default_rng(1).permutation(4)
         perm_n = np.random.default_rng(2).permutation(3)
         bias_p = bias.p.copy()
         bias_p[:, :4] = bias_p[:, :4][:, perm_r]
         bias_p[:, 4:] = bias_p[:, 4:][:, perm_n]
-        out_p, _, _ = attend(layer, h_c, h_r[perm_r], h_n[perm_n], PairBias(p=bias_p))
+        out_p, _, _ = first(attend(layer, *batch_of_one(h_c, h_r[perm_r], h_n[perm_n],
+                                                        PairBias(p=bias_p))))
         assert np.max(np.abs(out - out_p)) < 1e-10
 
     def test_empty_keys_with_chiral_queries_rejected(self):
         rng = np.random.default_rng(10)
         layer = init_layer(rng, 8, 2)
         with pytest.raises(NumericError):
-            attend(layer, rng.standard_normal((2, 8)), np.zeros((0, 8)), np.zeros((0, 8)),
-                   PairBias(p=np.zeros((2, 0, 2))))
+            attend(layer, *batch_of_one(rng.standard_normal((2, 8)), np.zeros((0, 8)),
+                                        np.zeros((0, 8)), PairBias(p=np.zeros((2, 0, 2)))))
 
     def test_token_only_skips_attention(self):
         rng = np.random.default_rng(11)
         layer = init_layer(rng, 8, 2)
         h_c = rng.standard_normal((1, 8))
-        out, bias_out, attn = attend(layer, h_c, np.zeros((0, 8)), np.zeros((0, 8)),
-                                     PairBias(p=np.zeros((1, 0, 2))))
+        out, bias_out, attn = first(attend(layer, *batch_of_one(
+            h_c, np.zeros((0, 8)), np.zeros((0, 8)), PairBias(p=np.zeros((1, 0, 2))))))
         assert out.shape == (1, 8)
         assert attn.shape == (1, 0, 2)
 
@@ -290,8 +330,9 @@ class TestAttend:
         layer = init_layer(rng, 8, 2)
         bias = PairBias(p=np.full((2, 1, 2), np.inf))
         with pytest.raises(NumericError, match="layer 3"):
-            attend_fwd(layer, rng.standard_normal((2, 8)), rng.standard_normal((1, 8)),
-                       np.zeros((0, 8)), bias, layer_index=3)
+            attend_fwd(layer, *batch_of_one(rng.standard_normal((2, 8)),
+                                            rng.standard_normal((1, 8)), np.zeros((0, 8)), bias),
+                       layer_index=3)
 
     def test_gradients_match_fd(self):
         rng = np.random.default_rng(13)
@@ -322,8 +363,8 @@ class TestAttend:
         def f(theta):
             parts = rebuild(theta)
             lp = LayerParams(**{n: parts[n] for n in names}, n_heads=2)
-            out, bias_out, _ = attend(lp, parts["h_c"], parts["h_r"], parts["h_n"],
-                                      PairBias(p=parts["p"]))
+            out, bias_out, _ = first(attend(lp, *batch_of_one(
+                parts["h_c"], parts["h_r"], parts["h_n"], PairBias(p=parts["p"]))))
             return float((w_out * out).sum() + (w_bias * bias_out.p).sum())
 
         theta0 = np.concatenate(
@@ -331,8 +372,8 @@ class TestAttend:
             + [h_c.ravel(), h_r.ravel(), h_n.ravel(), p0.ravel()]
         )
         numeric = finite_diff_grad(f, theta0)
-        _, _, _, cache = attend_fwd(layer, h_c, h_r, h_n, PairBias(p=p0))
-        grads, d_hc, d_hr, d_hn, d_bias = attend_bwd(layer, cache, w_out, w_bias)
+        _, _, _, cache = attend_fwd(layer, *batch_of_one(h_c, h_r, h_n, PairBias(p=p0)))
+        grads, d_hc, d_hr, d_hn, d_bias = attend_bwd(layer, cache, w_out[None], w_bias[None])
         analytic = np.concatenate(
             [grads[n].ravel() for n in names]
             + [d_hc.ravel(), d_hr.ravel(), d_hn.ravel(), d_bias.ravel()]
@@ -340,33 +381,39 @@ class TestAttend:
         assert compare_grads(analytic, numeric, tol=1e-5).passed
 
 
+def pool_one(rows):
+    """pool of one unpadded molecule."""
+    return pool(rows[None], np.ones((1, rows.shape[0]), bool))[0]
+
+
 class TestPool:
     def test_token_plus_single_row(self):
         rng = np.random.default_rng(14)
         t, r = rng.standard_normal(8), rng.standard_normal(8)
-        assert np.allclose(pool(np.vstack([t, r])), t + r, atol=1e-14)
+        assert np.allclose(pool_one(np.vstack([t, r])), t + r, atol=1e-14)
 
     def test_mean_idempotent_on_duplicates(self):
         rng = np.random.default_rng(15)
         t, r = rng.standard_normal(8), rng.standard_normal(8)
-        assert np.allclose(pool(np.vstack([t, r, r])), t + r, atol=1e-14)
+        assert np.allclose(pool_one(np.vstack([t, r, r])), t + r, atol=1e-14)
 
     def test_arithmetic_oracle_seed47(self):
         rng = np.random.default_rng(47)
         rows = rng.standard_normal((4, 8))
         expect = rows[0] + rows[1:].mean(axis=0)
-        assert np.array_equal(pool(rows), expect)
+        assert np.array_equal(pool_one(rows), expect)
 
     def test_token_only(self):
         t = np.arange(8.0)
-        assert np.array_equal(pool(t[None]), t)
+        assert np.array_equal(pool_one(t[None]), t)
 
     def test_backward(self):
         rng = np.random.default_rng(16)
         rows = rng.standard_normal((4, 8))
         d = rng.standard_normal(8)
-        numeric = finite_diff_grad(lambda th: float(d @ pool(th.reshape(4, 8))), rows.ravel())
-        assert compare_grads(pool_bwd(d, 4).ravel(), numeric, tol=1e-6).passed
+        numeric = finite_diff_grad(lambda th: float(d @ pool_one(th.reshape(4, 8))), rows.ravel())
+        assert compare_grads(pool_bwd(d[None], np.ones((1, 4), bool)).ravel(), numeric,
+                             tol=1e-6).passed
 
 
 class TestExportRows:

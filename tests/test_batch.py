@@ -1,0 +1,124 @@
+"""The padded batch path: one forward/backward over molecules of mixed size
+must give each molecule exactly what a batch of one gives it."""
+
+import numpy as np
+import pytest
+
+from chiraldet.attention import PairBias, attend_fwd, init_layer
+from chiraldet.data import DEFAULT_SCHEME, SyntheticSpec, gen_axial, gen_rs, tile_molecules
+from chiraldet.encoder import BatchMask
+from chiraldet.errors import NumericError
+from chiraldet.geometry import ChiralUnit, Molecule, UnitKind
+from chiraldet.model import (
+    ModelConfig,
+    backward_batch,
+    forward_batch,
+    init_model,
+    loss_classify,
+)
+from chiraldet.numerics import layer_norm_rows
+
+TINY = dict(h=8, d_p=4, n_layers=2, n_heads=2, n_gkpt=8)
+
+
+def token_only_molecule():
+    zs = np.array([6, 6, 8])
+    coords = np.array([[0.0, 0.0, 0.0], [1.3, 0.0, 0.0], [0.0, 1.2, 0.3]])
+    return Molecule(coords=coords, atomic_numbers=zs, features=DEFAULT_SCHEME.featurize_all(zs)).validate()
+
+
+def keyless_chiral_molecule():
+    """Five atoms, each the centre of a unit whose related atoms are the
+    other four: every atom is chiral, so the key set is empty."""
+    rng = np.random.default_rng(3)
+    zs = np.array([6, 7, 8, 9, 15])
+    units = tuple(
+        ChiralUnit(kind=UnitKind.CENTER, center_atoms=(i,), related=tuple(j for j in range(5) if j != i))
+        for i in range(5)
+    )
+    return Molecule(coords=rng.uniform(-2, 2, (5, 3)), atomic_numbers=zs,
+                    features=DEFAULT_SCHEME.featurize_all(zs), chiral_units=units).validate()
+
+
+@pytest.fixture(scope="module")
+def mixed():
+    """Centres with 0-3 spectators, axes, 2/3/6-unit molecules and a
+    token-only molecule, with a label each."""
+    centres = [m for m, _ in gen_rs(SyntheticSpec(count=12, seed=61, spectator_range=(0, 3)))]
+    axes = [m for m, _ in gen_axial(4, seed=62)]
+    frags = centres[4:] + axes[2:]
+    mols = centres[:4] + axes[:2] + [
+        tile_molecules(frags[:2]),
+        tile_molecules(frags[2:5]),
+        tile_molecules(frags[4:10]),
+        token_only_molecule(),
+    ]
+    assert sorted({len(m.chiral_units) for m in mols}) == [0, 1, 2, 3, 6]
+    labels = np.arange(len(mols)) % 2
+    return mols, labels
+
+
+@pytest.mark.parametrize("config", [ModelConfig(**TINY, seed=4), ModelConfig(seed=5)])
+def test_batch_composition_invariance(mixed, config):
+    mols, labels = mixed
+    model = init_model(config)
+    state = forward_batch(model, mols)
+    for b, mol in enumerate(mols):
+        alone = forward_batch(model, [mol]).molecule(0)
+        inside = state.molecule(b)
+        assert np.max(np.abs(inside.logits - alone.logits)) <= 1e-12
+        assert np.max(np.abs(inside.pooled - alone.pooled)) <= 1e-12
+        for a_in, a_alone in zip(inside.all_attn, alone.all_attn):
+            assert a_in.shape == a_alone.shape
+            assert np.max(np.abs(a_in - a_alone), initial=0.0) <= 1e-12
+
+    _, d_logits = loss_classify(state.logits, labels)
+    grads = backward_batch(model, state, d_logits)
+    summed = {}
+    for b, mol in enumerate(mols):
+        one = backward_batch(model, forward_batch(model, [mol]), d_logits[b : b + 1])
+        for name, g in one.items():
+            summed[name] = summed.get(name, 0.0) + g
+    assert grads.keys() == summed.keys()
+    for name, g in grads.items():
+        scale = max(float(np.max(np.abs(summed[name]))), 1e-300)
+        assert np.max(np.abs(g - summed[name])) <= 1e-12 * scale, name
+
+
+def test_attention_masks_pad_keys(mixed):
+    mols, _ = mixed
+    state = forward_batch(init_model(ModelConfig(**TINY, seed=6)), mols)
+    keys = state.encoded.mask.keys
+    assert keys.any(axis=1).all()
+    for attn in state.attn:
+        pad = np.broadcast_to(~keys[:, None, :, None], attn.shape)
+        assert np.all(attn[pad] == 0.0)
+        assert np.max(np.abs(attn.sum(axis=2) - 1.0)) < 1e-12
+
+
+def test_keyless_row_keeps_its_input():
+    rng = np.random.default_rng(7)
+    layer = init_layer(rng, 8, 2)
+    # molecule 0: a token and one unit over 3 keys; molecule 1: token only, no keys
+    mask = BatchMask.of_counts([1, 0], [2, 0], [1, 0])
+    h_c = rng.standard_normal((2, 2, 8))
+    bias = PairBias(p=rng.standard_normal((2, 2, 3, 2)))
+    _, _, attn, cache = attend_fwd(layer, h_c, rng.standard_normal((2, 2, 8)),
+                                   rng.standard_normal((2, 1, 8)), bias, mask)
+    assert np.all(attn[1] == 0.0)
+    assert np.all(cache.ctx.reshape(2, 2, 8)[1] == 0.0)
+    # u = h_c_in, so the first layer norm sees the input row itself
+    expect, _ = layer_norm_rows(h_c[1], layer.ln1_gamma, layer.ln1_beta)
+    assert np.array_equal(cache.u_ln.reshape(2, 2, 8)[1], expect)
+
+
+def test_chiral_molecule_without_keys_in_batch_raises(mixed):
+    mols, _ = mixed
+    model = init_model(ModelConfig(**TINY, seed=8))
+    with pytest.raises(NumericError, match="key set is empty"):
+        forward_batch(model, [mols[0], keyless_chiral_molecule(), mols[-1]])
+
+
+def test_empty_batch_rejected():
+    with pytest.raises(ValueError):
+        forward_batch(init_model(ModelConfig(**TINY)), [])

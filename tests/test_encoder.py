@@ -339,7 +339,7 @@ class TestEncode:
         mol = sample_molecule(seed=13)
         part = partition_atoms(mol)
         rng = np.random.default_rng(9)
-        enc, cache = encode_fwd(params, mol, part)
+        enc, cache = encode_fwd(params, [mol], [part])
         w_c = rng.standard_normal(enc.h_c.shape)
         w_r = rng.standard_normal(enc.h_r.shape)
         w_n = rng.standard_normal(enc.h_n.shape)

@@ -14,11 +14,13 @@ from chiraldet.errors import (
     NumericError,
 )
 from chiraldet.geometry import random_rotation, transform
+from chiraldet.numerics import compare_grads, finite_diff_grad
 from chiraldet.model import (
     AdamState,
     ModelConfig,
     TrainConfig,
     attention_export_rows,
+    batch_step_rank,
     cosine_lr,
     embed,
     evaluate,
@@ -220,6 +222,37 @@ class TestTraining:
         train(model, None, cfg, rank_pairs=pairs)
         ordered = sum(1 for hi, lo in pairs if forward(model, hi)[0] > forward(model, lo)[0])
         assert ordered >= 15
+
+    def test_rank_step_gradient_matches_fd(self):
+        base = gen_rs(SyntheticSpec(count=6, seed=23))
+        pairs = [(mol, make_enantiomer(mol)) for mol, _ in base]
+        model = tiny_model(seed=1, n_classes=1)
+        gaps = np.array([forward(model, hi)[0] - forward(model, lo)[0] for hi, lo in pairs])
+        # a margin between the middle score gaps: half the pairs are inside
+        # the hinge, and every pair stays away from its kink
+        margin = float(np.sort(gaps)[2:4].mean())
+        assert np.min(np.abs(gaps - margin)) > 1e-4
+        cfg = TrainConfig(margin=margin)
+        head = ("w1", "b1", "w2", "b2")
+        live = [model.encoder.kernels.gamma] + [getattr(model.head, f) for f in head]
+
+        def f(theta):
+            saved = [a.copy() for a in live]
+            i = 0
+            for a in live:
+                a[...] = theta[i : i + a.size].reshape(a.shape)
+                i += a.size
+            try:
+                return batch_step_rank(model, pairs, cfg)[0]
+            finally:
+                for a, s in zip(live, saved):
+                    a[...] = s
+
+        numeric = finite_diff_grad(f, np.concatenate([a.ravel() for a in live]))
+        _, _, grads = batch_step_rank(model, pairs, cfg)
+        names = ["encoder.kernel.gamma"] + [f"head.{f}" for f in head]
+        analytic = np.concatenate([grads[n].ravel() for n in names])
+        assert compare_grads(analytic, numeric, tol=1e-5).passed
 
 
 class TestCheckpoint:

@@ -68,6 +68,19 @@ class TestQrThin:
             assert np.linalg.norm(res.q @ res.r - a) / np.linalg.norm(a) < 1e-10
             assert np.allclose(res.r, np.triu(res.r))
 
+    def test_stack_matches_each_matrix(self):
+        rng = np.random.default_rng(29)
+        a = rng.standard_normal((6, 8, 3))
+        a[2, :, 1] = 0.0  # a zero working column is skipped in the stack too
+        a[4, :, 2] = a[4, :, 0] - a[4, :, 1]
+        res = qr_thin(a)
+        for i in range(a.shape[0]):
+            one = qr_thin(a[i])
+            assert np.max(np.abs(res.q[i] - one.q)) < 1e-14
+            assert np.max(np.abs(res.r[i] - one.r)) < 1e-14
+        assert res.r[2, 1, 1] == 0.0
+        assert np.allclose(res.r, np.triu(res.r))
+
     def test_too_few_rows(self):
         with pytest.raises(NumericError):
             qr_thin(np.ones((2, 3)))
