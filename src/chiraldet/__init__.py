@@ -29,7 +29,6 @@ from .data import (
     make_enantiomer,
     parse,
     read_manifest,
-    tile_molecules,
     toy_axial_molecule,
     write,
     write_dataset,

@@ -261,12 +261,17 @@ SUBSTITUENT_POOL = [7, 8, 9, 15, 16, 17, 35]
 SPECTATOR_POOL = [1, 6]
 
 
-def tile_molecules(mols, spacing: float = 8.0) -> Molecule:
+# x offset between tiled fragments; far beyond bond lengths, so the atoms
+# of different fragments never overlap or fall within each other's units
+_TILE_SPACING = 8.0
+
+
+def tile_molecules(mols) -> Molecule:
     """One molecule holding the given ones, each shifted by its position in
-    the list times `spacing` along x; their chiral units are kept."""
+    the list times `_TILE_SPACING` along x; their chiral units are kept."""
     offsets = np.cumsum([0] + [m.n_atoms for m in mols[:-1]])
     return Molecule(
-        coords=np.vstack([m.coords + [i * spacing, 0.0, 0.0] for i, m in enumerate(mols)]),
+        coords=np.vstack([m.coords + [i * _TILE_SPACING, 0.0, 0.0] for i, m in enumerate(mols)]),
         atomic_numbers=np.concatenate([m.atomic_numbers for m in mols]),
         features=np.vstack([m.features for m in mols]),
         chiral_units=tuple(

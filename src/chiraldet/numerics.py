@@ -124,12 +124,10 @@ def layer_norm(x, gamma, beta, eps=1e-5):
 def layer_norm_rows(x, gamma, beta, eps=1e-5):
     """Row-wise layer norm of a 2-D array; returns (out, cache) for backward."""
     x = np.asarray(x, dtype=np.float64)
-    d = x.shape[1]
-    # mean and population variance with the arithmetic of x.mean / x.var,
-    # bit for bit, without their per-call overhead
-    centered = x - x.sum(axis=1, keepdims=True) / d
-    inv = 1.0 / np.sqrt((centered * centered).sum(axis=1, keepdims=True) / d + eps)
-    xhat = centered * inv
+    mu = x.mean(axis=1, keepdims=True)
+    var = x.var(axis=1, keepdims=True)
+    inv = 1.0 / np.sqrt(var + eps)
+    xhat = (x - mu) * inv
     out = xhat * gamma + beta
     return out, (xhat, inv)
 
