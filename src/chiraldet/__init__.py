@@ -36,22 +36,16 @@ from .data import (
 from .encoder import (
     BatchMask,
     EncodedBatch,
-    EncodedMolecule,
     EncoderParams,
     KernelBank,
     RankStrategy,
-    encode,
-    kernel_forward,
     regularization_loss,
     retract_orthonormal,
 )
 from .attention import (
     DistanceBiasParams,
     LayerParams,
-    PairBias,
-    attend,
     distance_bias,
-    init_pair_bias,
     pool,
 )
 from .model import (

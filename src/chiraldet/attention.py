@@ -62,11 +62,6 @@ class LayerParams:
     n_heads: int
 
 
-@dataclass
-class PairBias:
-    p: np.ndarray  # (B, Q, Kr + Kn, H), token row first
-
-
 def distance_bias(params: DistanceBiasParams, dist: float, pair_type: int) -> np.ndarray:
     """Bias vector (one entry per head) for a single distance/pair type."""
     if not 0 <= pair_type < N_PAIR_TYPES:
@@ -112,7 +107,8 @@ def _bias_bwd(params: DistanceBiasParams, cache, d_bias):
 
 
 def pair_bias_fwd(params: DistanceBiasParams, encoded: EncodedBatch):
-    """Initial pair bias from chiral reference points to all key atoms.
+    """Initial pair bias (B, Q, Kr + Kn, H) from chiral reference points to
+    all key atoms; returns (bias, cache).
 
     Keys are the related atoms (type 0) followed by the non-chiral atoms
     (type 1); the token row and every pad entry stay zero. The distance
@@ -123,7 +119,7 @@ def pair_bias_fwd(params: DistanceBiasParams, encoded: EncodedBatch):
     p = np.zeros((n_batch, n_q, n_keys, params.w_p.shape[1]))
     pairs = encoded.mask.queries[:, 1:, None] & encoded.mask.keys[:, None, :]
     if not pairs.any():
-        return PairBias(p=p), None
+        return p, None
     b, u, k = np.nonzero(pairs)
     diff = encoded.chiral_positions[b, u] - encoded.key_positions[b, k]
     dists = np.sqrt((diff * diff).sum(axis=1))
@@ -131,11 +127,7 @@ def pair_bias_fwd(params: DistanceBiasParams, encoded: EncodedBatch):
     flat, cache = _bias_fwd(params, dists, types)
     index = (b, 1 + u, k)
     p[index] = flat
-    return PairBias(p=p), (cache, index)
-
-
-def init_pair_bias(params: DistanceBiasParams, encoded: EncodedBatch) -> PairBias:
-    return pair_bias_fwd(params, encoded)[0]
+    return p, (cache, index)
 
 
 def pair_bias_bwd(params: DistanceBiasParams, cache, d_p):
@@ -184,12 +176,13 @@ class LayerCache(NamedTuple):
     ln2: tuple
 
 
-def attend_fwd(layer: LayerParams, h_c_in, h_r, h_n, bias_in: PairBias, mask: BatchMask,
+def attend_fwd(layer: LayerParams, h_c_in, h_r, h_n, bias_in, mask: BatchMask,
                layer_index: int = 0):
     """One cross-attention layer over a padded batch; returns
     (h_c_out, bias_out, attn, cache).
 
-    h_c_in is (B, Q, h), h_r (B, Kr, h), h_n (B, Kn, h). bias_out holds the
+    h_c_in is (B, Q, h), h_r (B, Kr, h), h_n (B, Kn, h), and bias_in and
+    bias_out are (B, Q, Kr + Kn, H) pair biases. bias_out holds the
     pre-softmax logits (query-key term plus incoming bias), which is what
     the next layer consumes; pad keys are masked inside the softmax, not in
     these logits. attn is (B, Q, Kr + Kn, H) and is exactly 0 on pad keys.
@@ -206,7 +199,7 @@ def attend_fwd(layer: LayerParams, h_c_in, h_r, h_n, bias_in: PairBias, mask: Ba
     vh = _heads(np.concatenate([h_r @ layer.wv_r.T, h_n @ layer.wv_n.T], axis=1), n_heads)
     scale = 1.0 / np.sqrt(h // n_heads)
     scores = (qh @ kh.transpose(0, 1, 3, 2)).transpose(0, 2, 3, 1) * scale
-    logits = scores + bias_in.p
+    logits = scores + bias_in
     if not np.isfinite(logits).all():
         raise NumericError(f"non-finite attention logits at layer {layer_index}")
     valid = mask.keys[:, None, :, None]
@@ -224,12 +217,7 @@ def attend_fwd(layer: LayerParams, h_c_in, h_r, h_n, bias_in: PairBias, mask: Ba
     out, ln2_cache = layer_norm_rows(u_ln + f, layer.ln2_gamma, layer.ln2_beta)
     cache = LayerCache(h_c_in, h_r, h_n, qh, kh, vh, attn, ctx, scale,
                        ln1_cache, u_ln, z1, a1, ln2_cache)
-    return out.reshape(n_batch, n_q, h), PairBias(p=logits), attn, cache
-
-
-def attend(layer: LayerParams, h_c_in, h_r, h_n, bias_in: PairBias, mask: BatchMask):
-    out, bias_out, attn, _ = attend_fwd(layer, h_c_in, h_r, h_n, bias_in, mask)
-    return out, bias_out, attn
+    return out.reshape(n_batch, n_q, h), logits, attn, cache
 
 
 def attend_bwd(layer: LayerParams, cache: LayerCache, d_out, d_bias_out):

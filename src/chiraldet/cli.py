@@ -15,7 +15,6 @@ from pathlib import Path
 import numpy as np
 
 from . import data as data_mod
-from .encoder import RankStrategy
 from .errors import CheckpointError, ChiralDetError, MoleculeParseError, NumericError
 from .geometry import (
     Configuration,
@@ -36,6 +35,7 @@ from .model import (
     init_model,
     load_checkpoint,
     mirror_consistency,
+    parse_config_value,
     save_checkpoint,
     train,
 )
@@ -47,6 +47,9 @@ EXIT_NUMERIC_ERROR = 3
 
 _MODEL_KEYS = {f.name for f in dataclass_fields(ModelConfig)}
 _TRAIN_KEYS = {f.name for f in dataclass_fields(TrainConfig)}
+# margin ranking is reachable only through train(rank_pairs=...), so no
+# command would read these keys
+_INERT_KEYS = {"margin", "margin_weight"}
 
 
 def read_config_file(path) -> dict:
@@ -61,6 +64,10 @@ def read_config_file(path) -> dict:
         key, val = (part.strip() for part in line.split("=", 1))
         if key not in _MODEL_KEYS | _TRAIN_KEYS:
             raise MoleculeParseError(f"unknown config key {key!r}", lineno)
+        if key in _INERT_KEYS:
+            raise MoleculeParseError(
+                f"config key {key!r} has no effect: no command trains margin ranking", lineno
+            )
         values[key] = val
     return values
 
@@ -70,10 +77,7 @@ def build_configs(values: dict, seed: int | None = None) -> tuple[ModelConfig, T
     train_cfg = TrainConfig()
     for key, val in values.items():
         if key in _MODEL_KEYS:
-            if key == "rank_strategy":
-                setattr(model_cfg, key, RankStrategy(val))
-            else:
-                setattr(model_cfg, key, int(val))
+            setattr(model_cfg, key, parse_config_value(key, val))
         else:
             current = getattr(train_cfg, key)
             setattr(train_cfg, key, type(current)(val))

@@ -16,7 +16,7 @@ omitted (ties broken by atom index); explicit priorities must be distinct.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -237,15 +237,7 @@ def write(mol: Molecule, path):
 
 def make_enantiomer(mol: Molecule) -> Molecule:
     """Mirror image with all annotations preserved; every product negates."""
-    out = mirror(mol)
-    return Molecule(
-        coords=out.coords,
-        atomic_numbers=out.atomic_numbers,
-        features=out.features,
-        chiral_units=out.chiral_units,
-        id=mol.id + "_ent" if mol.id else mol.id,
-        blade=out.blade,
-    )
+    return replace(mirror(mol), id=mol.id + "_ent" if mol.id else mol.id)
 
 
 # ---------------------------------------------------------------------------
@@ -357,14 +349,7 @@ def gen_rs(spec: SyntheticSpec, scheme: FeatureScheme = DEFAULT_SCHEME):
             ).validate()
             label = assign_configuration(product)
             if label is not target:
-                mol = make_enantiomer(mol)
-                mol = Molecule(
-                    coords=mol.coords,
-                    atomic_numbers=mol.atomic_numbers,
-                    features=mol.features,
-                    chiral_units=mol.chiral_units,
-                    id=f"rs{t:05d}",
-                )
+                mol = mirror(mol)
             dataset.append((mol, target))
             break
         else:
@@ -503,14 +488,7 @@ def gen_axial(count: int, seed: int = 0, spectator_range=(0, 2), min_abs_product
             ).validate()
             mol = transform(mol, pose, shift)
             if assign_configuration(chirality_product(chirality_matrix(unit, mol.coords))) is not target:
-                ent = make_enantiomer(mol)
-                mol = Molecule(
-                    coords=ent.coords,
-                    atomic_numbers=ent.atomic_numbers,
-                    features=ent.features,
-                    chiral_units=ent.chiral_units,
-                    id=f"ax{t:05d}",
-                )
+                mol = mirror(mol)
             dataset.append((mol, target))
             break
         else:
@@ -558,13 +536,6 @@ def read_manifest(manifest_path, scheme: FeatureScheme = DEFAULT_SCHEME):
             raise MoleculeParseError(f"unknown label {label!r}", lineno) from None
         mol = parse(base / rel, scheme=scheme)
         if mol.id != mol_id:
-            mol = Molecule(
-                coords=mol.coords,
-                atomic_numbers=mol.atomic_numbers,
-                features=mol.features,
-                chiral_units=mol.chiral_units,
-                id=mol_id,
-                blade=mol.blade,
-            )
+            mol = replace(mol, id=mol_id)
         dataset.append((mol, config))
     return dataset

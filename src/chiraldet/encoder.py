@@ -26,8 +26,11 @@ from enum import Enum
 import numpy as np
 
 from .errors import DegeneracyError, NumericError
-from .geometry import AtomPartition, Molecule, UnitKind, chirality_matrix, reference_point
+from .geometry import Molecule, UnitKind, chirality_matrix, reference_point
 from .numerics import cofactor3_batch, det3_batch, gelu, gelu_grad, qr_thin
+
+# added to the pooled variance sigma^2 of every normalized slice
+KERNEL_EPS = 1e-5
 
 
 class RankStrategy(Enum):
@@ -41,7 +44,6 @@ class KernelBank:
     w: np.ndarray  # (k, d_p, 3)
     gamma: np.ndarray  # (d_p,)
     beta: np.ndarray  # (d_p,), frozen at zero
-    eps: float = 1e-5
 
     @property
     def n_kernels(self) -> int:
@@ -69,19 +71,6 @@ class EncoderParams:
     proj_r: Mlp2
     proj_n: Mlp2
     global_token: np.ndarray  # (h,)
-    rank_strategy: RankStrategy = RankStrategy.QR_RETRACTION
-
-
-@dataclass
-class EncodedMolecule:
-    h_c: np.ndarray  # (1 + n_units, h), global token first
-    h_r: np.ndarray  # (|I_r|, h)
-    h_n: np.ndarray  # (|I_n|, h)
-    chiral_positions: np.ndarray  # (n_units, 3) reference points
-    related_positions: np.ndarray
-    nonchiral_positions: np.ndarray
-    related_indices: tuple[int, ...]
-    nonchiral_indices: tuple[int, ...]
 
 
 @dataclass
@@ -123,22 +112,6 @@ class EncodedBatch:
     related_indices: list[tuple[int, ...]]
     nonchiral_indices: list[tuple[int, ...]]
 
-    def molecule(self, b: int) -> EncodedMolecule:
-        """Molecule b without its padding."""
-        n_units = int(self.mask.queries[b].sum()) - 1
-        n_r, n_n = len(self.related_indices[b]), len(self.nonchiral_indices[b])
-        k_r = self.h_r.shape[1]
-        return EncodedMolecule(
-            h_c=self.h_c[b, : 1 + n_units],
-            h_r=self.h_r[b, :n_r],
-            h_n=self.h_n[b, :n_n],
-            chiral_positions=self.chiral_positions[b, :n_units],
-            related_positions=self.key_positions[b, :n_r],
-            nonchiral_positions=self.key_positions[b, k_r : k_r + n_n],
-            related_indices=self.related_indices[b],
-            nonchiral_indices=self.nonchiral_indices[b],
-        )
-
 
 def _row_mean(x: np.ndarray) -> np.ndarray:
     """Mean over the d_p axis of a (k, d_p, 3) stack, kept as (k, 1, 3).
@@ -149,48 +122,37 @@ def _row_mean(x: np.ndarray) -> np.ndarray:
     return np.full((1, x.shape[1]), 1.0 / x.shape[1]) @ x
 
 
-def kernel_fwd(bank: KernelBank, mc_batch, normalize: bool = True):
+def kernel_fwd(bank: KernelBank, mc_batch):
     """Determinant-kernel forward; returns (out (B, k), cache).
 
     out[b, k] = det(M_b) * s_k / sigma_bk^3 with s_k = sqrt(max(det G_k, 0)),
     G_k = W_eff^T W_eff, W_eff = gamma * C_k, C_k the slice centred along
-    d_p, and sigma_bk^2 = <C_k^T C_k, M_b M_b^T> / (3 d_p) + eps. Without
-    normalization W_eff = w and sigma = 1. A rank-deficient slice
-    (det G <= 0) reads out 0.
+    d_p, and sigma_bk^2 = <C_k^T C_k, M_b M_b^T> / (3 d_p) + KERNEL_EPS. A
+    rank-deficient slice (det G <= 0) reads out 0.
     """
     mc_batch = np.asarray(mc_batch, dtype=np.float64)
     if mc_batch.ndim != 3 or mc_batch.shape[1:] != (3, 3):
         raise NumericError(f"expected (B, 3, 3) chirality matrices, got {mc_batch.shape}")
     if not np.all(np.isfinite(mc_batch)):
         raise NumericError("chirality matrices contain non-finite values")
-    if normalize and np.any(bank.beta != 0.0):
+    if np.any(bank.beta != 0.0):
         raise NumericError("kernel shift beta must stay zero, the closed-form readout assumes it")
     n_batch = mc_batch.shape[0]
     k, d_p = bank.n_kernels, bank.d_p
     if n_batch == 0:
-        return np.zeros((0, k)), (bank, mc_batch, normalize, None)
+        return np.zeros((0, k)), (bank, mc_batch, None)
     det_m = det3_batch(mc_batch)
-    if normalize:
-        centered = bank.w - _row_mean(bank.w)
-        w_eff = bank.gamma[None, :, None] * centered
-        cc = centered.transpose(0, 2, 1) @ centered  # (k, 3, 3)
-        mmt = mc_batch @ mc_batch.transpose(0, 2, 1)  # (B, 3, 3)
-        sigma2 = mmt.reshape(n_batch, 9) @ cc.reshape(k, 9).T / (3 * d_p) + bank.eps
-    else:
-        centered = cc = mmt = None
-        w_eff = bank.w
-        sigma2 = np.ones((n_batch, k))
+    centered = bank.w - _row_mean(bank.w)
+    w_eff = bank.gamma[None, :, None] * centered
+    cc = centered.transpose(0, 2, 1) @ centered  # (k, 3, 3)
+    mmt = mc_batch @ mc_batch.transpose(0, 2, 1)  # (B, 3, 3)
+    sigma2 = mmt.reshape(n_batch, 9) @ cc.reshape(k, 9).T / (3 * d_p) + KERNEL_EPS
     gram = w_eff.transpose(0, 2, 1) @ w_eff
     s = np.sqrt(np.maximum(det3_batch(gram), 0.0))
     inv_sigma3 = 1.0 / (sigma2 * np.sqrt(sigma2))
     out = det_m[:, None] * s * inv_sigma3
-    cache = (bank, mc_batch, normalize, (out, det_m, w_eff, centered, cc, mmt, gram, s,
-                                         sigma2, inv_sigma3))
+    cache = (bank, mc_batch, (out, det_m, w_eff, centered, cc, mmt, gram, s, sigma2, inv_sigma3))
     return out, cache
-
-
-def kernel_forward(bank: KernelBank, mc_batch, normalize: bool = True) -> np.ndarray:
-    return kernel_fwd(bank, mc_batch, normalize)[0]
 
 
 def kernel_bwd(cache, d_out):
@@ -202,11 +164,10 @@ def kernel_bwd(cache, d_out):
     Grams are adjugated. s is not differentiable at det G = 0, so a
     rank-deficient slice raises DegeneracyError.
     """
-    bank, mc_batch, normalize, saved = cache
+    bank, mc_batch, saved = cache
     d_out = np.asarray(d_out, dtype=np.float64)
-    d_gamma = np.zeros_like(bank.gamma)
     if saved is None:
-        return np.zeros_like(bank.w), d_gamma, np.zeros_like(mc_batch)
+        return np.zeros_like(bank.w), np.zeros_like(bank.gamma), np.zeros_like(mc_batch)
     out, det_m, w_eff, centered, cc, mmt, gram, s, sigma2, inv_sigma3 = saved
     dead = np.flatnonzero(s <= 0.0)
     if dead.size:
@@ -218,18 +179,15 @@ def kernel_bwd(cache, d_out):
     d_s = (d_out * det_m[:, None] * inv_sigma3).sum(axis=0)  # (k,)
     d_w_eff = (d_s / s)[:, None, None] * (w_eff @ cofactor3_batch(gram))
     d_mc = cofactor3_batch(mc_batch) * ((d_out * inv_sigma3) @ s)[:, None, None]
-    if normalize:
-        # through sigma: d loss / d M = -sum_k coef C^T C M and
-        # d loss / d C = -C sum_b coef M M^T
-        coef = d_out * out / (bank.d_p * sigma2)  # (B, k)
-        d_mc -= (coef @ cc.reshape(k, 9)).reshape(n_batch, 3, 3) @ mc_batch
-        coef_mmt = (coef.T @ mmt.reshape(n_batch, 9)).reshape(k, 3, 3)
-        # summed over columns by matmul for the reason given in _row_mean
-        d_gamma = ((d_w_eff * centered) @ np.ones(3)).sum(axis=0)
-        d_c = bank.gamma[None, :, None] * d_w_eff - centered @ coef_mmt
-        d_w = d_c - _row_mean(d_c)
-    else:
-        d_w = d_w_eff
+    # through sigma: d loss / d M = -sum_k coef C^T C M and
+    # d loss / d C = -C sum_b coef M M^T
+    coef = d_out * out / (bank.d_p * sigma2)  # (B, k)
+    d_mc -= (coef @ cc.reshape(k, 9)).reshape(n_batch, 3, 3) @ mc_batch
+    coef_mmt = (coef.T @ mmt.reshape(n_batch, 9)).reshape(k, 3, 3)
+    # summed over columns by matmul for the reason given in _row_mean
+    d_gamma = ((d_w_eff * centered) @ np.ones(3)).sum(axis=0)
+    d_c = bank.gamma[None, :, None] * d_w_eff - centered @ coef_mmt
+    d_w = d_c - _row_mean(d_c)
     return d_w, d_gamma, d_mc
 
 
@@ -249,7 +207,7 @@ def retract_orthonormal(bank: KernelBank) -> KernelBank:
     dead = np.flatnonzero(np.abs(np.diagonal(res.r, axis1=1, axis2=2)).min(axis=1) < 1e-12)
     if dead.size:
         raise DegeneracyError(f"kernel slice {int(dead[0])} is rank-deficient, cannot retract")
-    return KernelBank(w=res.q, gamma=bank.gamma, beta=bank.beta, eps=bank.eps)
+    return KernelBank(w=res.q, gamma=bank.gamma, beta=bank.beta)
 
 
 def mlp2_fwd(mlp: Mlp2, x):
@@ -345,10 +303,6 @@ def encode_fwd(params: EncoderParams, mols, partitions):
     return encoded, (k_cache, c_cache, r_cache, n_cache, (ub, us), (rb, rs), (nb, ns))
 
 
-def encode(params: EncoderParams, mol: Molecule, partition: AtomPartition) -> EncodedMolecule:
-    return encode_fwd(params, [mol], [partition])[0].molecule(0)
-
-
 def encode_bwd(params: EncoderParams, cache, d_hc, d_hr, d_hn):
     """Backward of encode_fwd from padded gradients; pad rows are ignored.
 
@@ -391,12 +345,11 @@ def init_kernel_bank(rng, n_kernels: int, d_p: int) -> KernelBank:
     return KernelBank(w=w, gamma=np.ones(d_p), beta=np.zeros(d_p))
 
 
-def init_encoder(rng, d_f: int, h: int, d_p: int, rank_strategy: RankStrategy) -> EncoderParams:
+def init_encoder(rng, d_f: int, h: int, d_p: int) -> EncoderParams:
     return EncoderParams(
         kernels=init_kernel_bank(rng, h, d_p),
         proj_c=init_mlp2(rng, d_f, h, h),
         proj_r=init_mlp2(rng, d_f, h, h),
         proj_n=init_mlp2(rng, d_f, h, h),
         global_token=rng.normal(0.0, 0.02, size=h),
-        rank_strategy=rank_strategy,
     )

@@ -16,12 +16,10 @@ import numpy as np
 from .attention import (
     DistanceBiasParams,
     LayerParams,
-    PairBias,
     attend_bwd,
     attend_fwd,
     init_distance_bias,
     init_layer,
-    init_pair_bias,
     pair_bias_bwd,
     pair_bias_fwd,
 )
@@ -33,7 +31,6 @@ from .encoder import (
     init_kernel_bank,
     kernel_bwd,
     kernel_fwd,
-    kernel_forward,
     regularization_grad,
     regularization_loss,
 )
@@ -94,7 +91,7 @@ def _check_kernel(rng):
     def f(theta):
         i = bank.w.size
         b = KernelBank(w=theta[:i].reshape(bank.w.shape), gamma=theta[i : i + 4], beta=bank.beta)
-        return float((weights * kernel_forward(b, theta[i + 4 :].reshape(2, 3, 3))).sum())
+        return float((weights * kernel_fwd(b, theta[i + 4 :].reshape(2, 3, 3))[0]).sum())
 
     theta0 = np.concatenate([bank.w.ravel(), bank.gamma, mc.ravel()])
     numeric = finite_diff_grad(f, theta0)
@@ -161,7 +158,7 @@ def _check_distance_bias(rng):
             arr = getattr(params, name)
             parts[name] = theta[i : i + arr.size].reshape(arr.shape)
             i += arr.size
-        return float((weights * init_pair_bias(DistanceBiasParams(**parts), enc).p).sum())
+        return float((weights * pair_bias_fwd(DistanceBiasParams(**parts), enc)[0]).sum())
 
     theta0 = np.concatenate([getattr(params, n).ravel() for n in _BIAS_FIELDS])
     numeric = finite_diff_grad(f, theta0)
@@ -190,16 +187,16 @@ def _check_attention_layer(rng):
             i += arr.size
         out, bias_out, _, _ = attend_fwd(
             LayerParams(**{n: parts[n] for n in _LAYER_FIELDS}, n_heads=2),
-            parts["h_c"], parts["h_r"], parts["h_n"], PairBias(p=parts["p"]), mask,
+            parts["h_c"], parts["h_r"], parts["h_n"], parts["p"], mask,
         )
-        return float((w_out * out).sum() + (w_bias * bias_out.p).sum())
+        return float((w_out * out).sum() + (w_bias * bias_out).sum())
 
     theta0 = np.concatenate(
         [getattr(layer, n).ravel() for n in _LAYER_FIELDS] + [a.ravel() for a in inputs.values()]
     )
     numeric = finite_diff_grad(f, theta0)
     _, _, _, cache = attend_fwd(
-        layer, inputs["h_c"], inputs["h_r"], inputs["h_n"], PairBias(p=inputs["p"]), mask
+        layer, inputs["h_c"], inputs["h_r"], inputs["h_n"], inputs["p"], mask
     )
     grads, d_hc, d_hr, d_hn, d_bias = attend_bwd(layer, cache, w_out, w_bias)
     analytic = np.concatenate(

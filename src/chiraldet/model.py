@@ -9,6 +9,7 @@ import hashlib
 import math
 import struct
 from dataclasses import dataclass
+from dataclasses import fields as dataclass_fields
 from pathlib import Path
 
 import numpy as np
@@ -28,7 +29,6 @@ from .attention import (
 )
 from .encoder import (
     EncodedBatch,
-    EncodedMolecule,
     EncoderParams,
     Mlp2,
     RankStrategy,
@@ -113,7 +113,7 @@ class ChiralModel:
 def init_model(config: ModelConfig) -> ChiralModel:
     config.validate()
     rng = np.random.default_rng(config.seed)
-    encoder = init_encoder(rng, config.d_f, config.h, config.d_p, config.rank_strategy)
+    encoder = init_encoder(rng, config.d_f, config.h, config.d_p)
     if config.rank_strategy is RankStrategy.QR_RETRACTION:
         encoder.kernels = retract_orthonormal(encoder.kernels)
     return ChiralModel(
@@ -166,30 +166,6 @@ class BatchState:
     encoded: EncodedBatch
     attn: list  # per layer, (B, Q, Kr + Kn, H)
     caches: dict
-
-    def molecule(self, b: int) -> "ForwardState":
-        """Molecule b's outputs without padding."""
-        n_q = int(self.encoded.mask.queries[b].sum())
-        keys = np.flatnonzero(self.encoded.mask.keys[b])
-        all_attn = [a[b, :n_q][:, keys] for a in self.attn]
-        return ForwardState(
-            logits=self.logits[b],
-            pooled=self.pooled[b],
-            encoded=self.encoded.molecule(b),
-            final_attn=all_attn[-1],
-            all_attn=all_attn,
-        )
-
-
-@dataclass
-class ForwardState:
-    """One molecule's forward outputs, unpadded; attention is (n_q, n_k, H)."""
-
-    logits: np.ndarray
-    pooled: np.ndarray
-    encoded: EncodedMolecule
-    final_attn: np.ndarray
-    all_attn: list
 
 
 def forward_batch(model: ChiralModel, mols) -> BatchState:
@@ -260,11 +236,6 @@ def backward_batch(model: ChiralModel, state: BatchState, d_logits) -> dict[str,
     for f in _MLP_FIELDS:
         grads[f"head.{f}"] = d_head[f]
     return grads
-
-
-def forward_full(model: ChiralModel, mol: Molecule) -> ForwardState:
-    """One molecule's outputs, as a batch of one (which has no padding)."""
-    return forward_batch(model, [mol]).molecule(0)
 
 
 def forward(model: ChiralModel, mol: Molecule) -> np.ndarray:
@@ -547,32 +518,23 @@ CHECKPOINT_MAGIC = "chiraldet-checkpoint"
 CHECKPOINT_VERSION = 1
 
 
+def parse_config_value(name: str, text: str):
+    """A ModelConfig field from its key=value text form: rank_strategy is a
+    RankStrategy value, every other field an int."""
+    return RankStrategy(text) if name == "rank_strategy" else int(text)
+
+
 def _config_lines(config: ModelConfig) -> list[str]:
-    return [
-        f"h={config.h}",
-        f"d_p={config.d_p}",
-        f"n_layers={config.n_layers}",
-        f"n_heads={config.n_heads}",
-        f"n_gkpt={config.n_gkpt}",
-        f"d_f={config.d_f}",
-        f"rank_strategy={config.rank_strategy.value}",
-        f"n_classes={config.n_classes}",
-        f"seed={config.seed}",
-    ]
+    lines = []
+    for f in dataclass_fields(ModelConfig):
+        value = getattr(config, f.name)
+        lines.append(f"{f.name}={value.value if isinstance(value, RankStrategy) else value}")
+    return lines
 
 
-def _config_from_header(fields: dict[str, str]) -> ModelConfig:
-    return ModelConfig(
-        h=int(fields["h"]),
-        d_p=int(fields["d_p"]),
-        n_layers=int(fields["n_layers"]),
-        n_heads=int(fields["n_heads"]),
-        n_gkpt=int(fields["n_gkpt"]),
-        d_f=int(fields["d_f"]),
-        rank_strategy=RankStrategy(fields["rank_strategy"]),
-        n_classes=int(fields["n_classes"]),
-        seed=int(fields["seed"]),
-    )
+def _config_from_header(header: dict[str, str]) -> ModelConfig:
+    return ModelConfig(**{f.name: parse_config_value(f.name, header[f.name])
+                          for f in dataclass_fields(ModelConfig)})
 
 
 def _pack_tensor(name: str, arr: np.ndarray) -> bytes:
@@ -683,6 +645,8 @@ def attention_export_rows(model: ChiralModel, mol: Molecule):
     Returns (key_atom_indices, rows) with one row per chiral unit, key
     order matching the index list.
     """
-    state = forward_full(model, mol)
-    keys = tuple(state.encoded.related_indices) + tuple(state.encoded.nonchiral_indices)
-    return keys, head_averaged_rows(state.final_attn)
+    state = forward_batch(model, [mol])
+    encoded = state.encoded
+    keys = tuple(encoded.related_indices[0]) + tuple(encoded.nonchiral_indices[0])
+    # a batch of one has no padding, so its final attention is (n_q, n_k, H)
+    return keys, head_averaged_rows(state.attn[-1][0])

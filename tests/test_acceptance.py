@@ -38,7 +38,7 @@ from chiraldet.model import (
     embed,
     evaluate,
     forward,
-    forward_full,
+    forward_batch,
     init_model,
     load_checkpoint,
     save_checkpoint,
@@ -245,21 +245,22 @@ class TestA7AttentionSanity:
         worst_perm = 0.0
         worst_rigid = 0.0
         for mol, _ in test_set[:10]:
-            state = forward_full(model, mol)
-            for attn in state.all_attn:
-                if attn.shape[1]:
+            # a batch of one has no padding: attention is (1, n_q, n_k, H)
+            state = forward_batch(model, [mol])
+            for attn in state.attn:
+                if attn.shape[2]:
                     worst_rowsum = max(
-                        worst_rowsum, float(np.max(np.abs(attn.sum(axis=1) - 1.0)))
+                        worst_rowsum, float(np.max(np.abs(attn.sum(axis=2) - 1.0)))
                     )
             # permute atom order inside the molecule (relabels keys)
             perm = _relabel(mol, rng)
             worst_perm = max(
-                worst_perm, float(np.max(np.abs(embed(model, perm) - state.pooled)))
+                worst_perm, float(np.max(np.abs(embed(model, perm) - state.pooled[0])))
             )
             moved = transform(mol, random_rotation(rng), rng.uniform(-10, 10, 3))
             worst_rigid = max(
                 worst_rigid,
-                float(np.max(np.abs(forward(model, moved) - state.logits))),
+                float(np.max(np.abs(forward(model, moved) - state.logits[0]))),
             )
         ok = worst_rowsum < 1e-12 and worst_perm < 1e-10 and worst_rigid < 1e-9
         report(

@@ -4,46 +4,22 @@ import pytest
 from chiraldet.attention import (
     DistanceBiasParams,
     LayerParams,
-    PairBias,
-    attend,
     attend_bwd,
     attend_fwd,
     distance_bias,
     head_averaged_rows,
     init_distance_bias,
     init_layer,
-    init_pair_bias,
     pair_bias_bwd,
     pair_bias_fwd,
     pool,
     pool_bwd,
 )
 from chiraldet.data import SyntheticSpec, gen_rs
-from chiraldet.encoder import (
-    BatchMask,
-    EncodedBatch,
-    EncodedMolecule,
-    RankStrategy,
-    encode,
-    init_encoder,
-)
+from chiraldet.encoder import BatchMask, EncodedBatch, encode_fwd, init_encoder
 from chiraldet.errors import NumericError
 from chiraldet.geometry import partition_atoms
 from chiraldet.numerics import compare_grads, finite_diff_grad
-
-
-def make_encoded(n_units=2, n_r=3, n_n=2, h=8, seed=0):
-    rng = np.random.default_rng(seed)
-    return EncodedMolecule(
-        h_c=rng.standard_normal((1 + n_units, h)),
-        h_r=rng.standard_normal((n_r, h)),
-        h_n=rng.standard_normal((n_n, h)),
-        chiral_positions=rng.uniform(-2, 2, size=(n_units, 3)),
-        related_positions=rng.uniform(-2, 2, size=(n_r, 3)),
-        nonchiral_positions=rng.uniform(-2, 2, size=(n_n, 3)),
-        related_indices=tuple(range(n_r)),
-        nonchiral_indices=tuple(range(n_r, n_r + n_n)),
-    )
 
 
 def full_mask(n_q, n_keys):
@@ -51,30 +27,19 @@ def full_mask(n_q, n_keys):
     return BatchMask(queries=np.ones((1, n_q), bool), keys=np.ones((1, n_keys), bool))
 
 
-def encoded_batch_of_one(enc):
-    """An unpadded EncodedMolecule as a batch of one."""
+def random_encoded(n_units=2, n_r=3, n_n=2, h=8, seed=0):
+    """Random encoder output of one molecule, a batch of one without padding."""
+    rng = np.random.default_rng(seed)
     return EncodedBatch(
-        h_c=enc.h_c[None],
-        h_r=enc.h_r[None],
-        h_n=enc.h_n[None],
-        mask=full_mask(enc.h_c.shape[0], enc.h_r.shape[0] + enc.h_n.shape[0]),
-        chiral_positions=enc.chiral_positions[None],
-        key_positions=np.vstack([enc.related_positions, enc.nonchiral_positions])[None],
-        related_indices=[enc.related_indices],
-        nonchiral_indices=[enc.nonchiral_indices],
+        h_c=rng.standard_normal((1, 1 + n_units, h)),
+        h_r=rng.standard_normal((1, n_r, h)),
+        h_n=rng.standard_normal((1, n_n, h)),
+        mask=full_mask(1 + n_units, n_r + n_n),
+        chiral_positions=rng.uniform(-2, 2, size=(1, n_units, 3)),
+        key_positions=rng.uniform(-2, 2, size=(1, n_r + n_n, 3)),
+        related_indices=[tuple(range(n_r))],
+        nonchiral_indices=[tuple(range(n_r, n_r + n_n))],
     )
-
-
-def batch_of_one(h_c, h_r, h_n, bias):
-    """Unpadded single-molecule attention inputs as a batch of one, mask last."""
-    mask = full_mask(h_c.shape[0], h_r.shape[0] + h_n.shape[0])
-    return h_c[None], h_r[None], h_n[None], PairBias(p=bias.p[None]), mask
-
-
-def first(outputs):
-    """Molecule 0 of attend or attend_fwd outputs; a cache passes through."""
-    out, bias_out, attn, *cache = outputs
-    return (out[0], PairBias(p=bias_out.p[0]), attn[0], *cache)
 
 
 class TestDistanceBias:
@@ -124,7 +89,7 @@ class TestDistanceBias:
         params = init_distance_bias(rng, g, n_heads)
         params.e1 += rng.normal(0, 0.3, params.e1.shape)
         params.sigma = rng.uniform(0.5, 1.5, g)
-        enc = encoded_batch_of_one(make_encoded(seed=12))
+        enc = random_encoded(seed=12)
         weights = rng.standard_normal((3, 5, n_heads))[None]
 
         sizes = {n: getattr(params, n).size for n in ("e1", "e2", "mu", "sigma", "w_p")}
@@ -139,8 +104,8 @@ class TestDistanceBias:
             return DistanceBiasParams(**parts)
 
         def f(theta):
-            bias = init_pair_bias(rebuild(theta), enc)
-            return float((weights * bias.p).sum())
+            bias, _ = pair_bias_fwd(rebuild(theta), enc)
+            return float((weights * bias).sum())
 
         theta0 = np.concatenate(
             [getattr(params, n).ravel() for n in ("e1", "e2", "mu", "sigma", "w_p")]
@@ -154,17 +119,17 @@ class TestDistanceBias:
 
 class TestInitPairBias:
     def test_empty_keys_shape(self):
-        enc = encoded_batch_of_one(make_encoded(n_units=1, n_r=0, n_n=0))
+        enc = random_encoded(n_units=1, n_r=0, n_n=0)
         params = init_distance_bias(np.random.default_rng(1), 4, 2)
-        bias = init_pair_bias(params, enc)
-        assert bias.p[0].shape == (2, 0, 2)
+        bias, _ = pair_bias_fwd(params, enc)
+        assert bias.shape == (1, 2, 0, 2)
 
     def test_zero_distance_finite(self):
-        enc = make_encoded(n_units=1, n_r=1, n_n=0, seed=3)
-        enc.related_positions[0] = enc.chiral_positions[0]
+        enc = random_encoded(n_units=1, n_r=1, n_n=0, seed=3)
+        enc.key_positions[0, 0] = enc.chiral_positions[0, 0]
         params = init_distance_bias(np.random.default_rng(2), 4, 2)
-        bias = init_pair_bias(params, encoded_batch_of_one(enc))
-        assert np.all(np.isfinite(bias.p))
+        bias, _ = pair_bias_fwd(params, enc)
+        assert np.all(np.isfinite(bias))
 
     def test_entrywise_recomputation(self):
         rng = np.random.default_rng(4)
@@ -173,21 +138,22 @@ class TestInitPairBias:
         mols = gen_rs(SyntheticSpec(count=1, seed=8, spectator_range=(2, 2)))
         mol = mols[0][0]
         part = partition_atoms(mol)
-        enc_params = init_encoder(rng, 52, 8, 4, RankStrategy.NONE)
-        enc = encode(enc_params, mol, part)
-        bias = PairBias(p=init_pair_bias(params, encoded_batch_of_one(enc)).p[0])
-        assert np.array_equal(bias.p[0], np.zeros_like(bias.p[0]))
-        key_pos = np.vstack([enc.related_positions, enc.nonchiral_positions])
-        n_r = enc.related_positions.shape[0]
-        for u in range(enc.chiral_positions.shape[0]):
+        enc_params = init_encoder(rng, 52, 8, 4)
+        enc, _ = encode_fwd(enc_params, [mol], [part])
+        bias = pair_bias_fwd(params, enc)[0][0]
+        assert np.array_equal(bias[0], np.zeros_like(bias[0]))
+        key_pos = enc.key_positions[0]
+        n_r = enc.h_r.shape[1]
+        for u in range(enc.chiral_positions.shape[1]):
             for j in range(key_pos.shape[0]):
-                d = float(np.linalg.norm(enc.chiral_positions[u] - key_pos[j]))
+                d = float(np.linalg.norm(enc.chiral_positions[0, u] - key_pos[j]))
                 t = 0 if j < n_r else 1
-                assert np.allclose(bias.p[1 + u, j], distance_bias(params, d, t), atol=1e-12)
+                assert np.allclose(bias[1 + u, j], distance_bias(params, d, t), atol=1e-12)
 
 
 def dense_attention_oracle(layer, h_c, h_r, h_n, bias):
-    """Straight-line reimplementation with explicit loops."""
+    """Straight-line reimplementation with explicit loops, on one unpadded
+    molecule: h_c (n_q, h), h_r and h_n (n, h), bias (n_q, n_k, H)."""
     n_q, h = h_c.shape
     n_heads = layer.n_heads
     d = h // n_heads
@@ -202,7 +168,7 @@ def dense_attention_oracle(layer, h_c, h_r, h_n, bias):
         for a in range(n_heads):
             sl = slice(a * d, (a + 1) * d)
             logit = np.array(
-                [queries[q, sl] @ keys[j, sl] / np.sqrt(d) + bias.p[q, j, a] for j in range(n_k)]
+                [queries[q, sl] @ keys[j, sl] / np.sqrt(d) + bias[q, j, a] for j in range(n_k)]
             )
             logits_out[q, :, a] = logit
             e = np.exp(logit - logit.max())
@@ -230,119 +196,118 @@ class TestAttend:
     def test_single_key_weight_is_one(self):
         rng = np.random.default_rng(5)
         layer = init_layer(rng, 8, 2)
-        h_c = rng.standard_normal((2, 8))
-        h_r = rng.standard_normal((1, 8))
-        h_n = np.zeros((0, 8))
-        bias = PairBias(p=rng.standard_normal((2, 1, 2)))
-        _, _, attn = first(attend(layer, *batch_of_one(h_c, h_r, h_n, bias)))
+        h_c = rng.standard_normal((1, 2, 8))
+        h_r = rng.standard_normal((1, 1, 8))
+        h_n = np.zeros((1, 0, 8))
+        bias = rng.standard_normal((1, 2, 1, 2))
+        _, _, attn, cache = attend_fwd(layer, h_c, h_r, h_n, bias, full_mask(2, 1))
         assert np.all(attn == 1.0)
         # pre-residual attention output is exactly that key's value row
-        _, _, _, cache = first(attend_fwd(layer, *batch_of_one(h_c, h_r, h_n, bias)))
-        ctx = cache.ctx
-        value_row = (h_r @ layer.wv_r.T)[0]
-        assert np.allclose(ctx, np.tile(value_row, (2, 1)), atol=1e-12)
+        value_row = (h_r[0] @ layer.wv_r.T)[0]
+        assert np.allclose(cache.ctx, np.tile(value_row, (2, 1)), atol=1e-12)
 
     def test_huge_bias_saturates(self):
         rng = np.random.default_rng(6)
         layer = init_layer(rng, 8, 2)
-        h_c = rng.standard_normal((2, 8))
-        h_r = rng.standard_normal((3, 8))
-        h_n = rng.standard_normal((2, 8))
-        p = np.zeros((2, 5, 2))
-        p[:, 3, :] = 1e6
-        _, _, attn = first(attend(layer, *batch_of_one(h_c, h_r, h_n, PairBias(p=p))))
-        assert np.all(attn[:, 3, :] > 1.0 - 1e-6)
+        h_c = rng.standard_normal((1, 2, 8))
+        h_r = rng.standard_normal((1, 3, 8))
+        h_n = rng.standard_normal((1, 2, 8))
+        p = np.zeros((1, 2, 5, 2))
+        p[:, :, 3, :] = 1e6
+        _, _, attn, _ = attend_fwd(layer, h_c, h_r, h_n, p, full_mask(2, 5))
+        assert np.all(attn[:, :, 3, :] > 1.0 - 1e-6)
 
     def test_matches_dense_oracle_seed43(self):
         rng = np.random.default_rng(43)
         layer = init_layer(rng, 8, 2)
-        h_c = rng.standard_normal((3, 8))  # token + 2 chiral
-        h_r = rng.standard_normal((3, 8))
-        h_n = rng.standard_normal((2, 8))
-        bias = PairBias(p=rng.standard_normal((3, 5, 2)))
-        out, bias_out, attn = first(attend(layer, *batch_of_one(h_c, h_r, h_n, bias)))
-        assert np.allclose(attn.sum(axis=1), 1.0, atol=1e-12)
-        ref_out, ref_logits, ref_attn = dense_attention_oracle(layer, h_c, h_r, h_n, bias)
-        assert np.allclose(out, ref_out, atol=1e-10)
-        assert np.allclose(bias_out.p, ref_logits, atol=1e-10)
-        assert np.allclose(attn, ref_attn, atol=1e-10)
+        h_c = rng.standard_normal((1, 3, 8))  # token + 2 chiral
+        h_r = rng.standard_normal((1, 3, 8))
+        h_n = rng.standard_normal((1, 2, 8))
+        bias = rng.standard_normal((1, 3, 5, 2))
+        out, bias_out, attn, _ = attend_fwd(layer, h_c, h_r, h_n, bias, full_mask(3, 5))
+        assert np.allclose(attn.sum(axis=2), 1.0, atol=1e-12)
+        ref_out, ref_logits, ref_attn = dense_attention_oracle(
+            layer, h_c[0], h_r[0], h_n[0], bias[0]
+        )
+        assert np.allclose(out[0], ref_out, atol=1e-10)
+        assert np.allclose(bias_out[0], ref_logits, atol=1e-10)
+        assert np.allclose(attn[0], ref_attn, atol=1e-10)
 
     def test_bias_telescopes_over_two_layers(self):
         rng = np.random.default_rng(7)
         layers = [init_layer(rng, 8, 2) for _ in range(2)]
-        h_c = rng.standard_normal((2, 8))
-        h_r = rng.standard_normal((2, 8))
-        h_n = rng.standard_normal((1, 8))
-        p0 = rng.standard_normal((2, 3, 2))
-        bias = PairBias(p=p0.copy())
+        h_c = rng.standard_normal((1, 2, 8))
+        h_r = rng.standard_normal((1, 2, 8))
+        h_n = rng.standard_normal((1, 1, 8))
+        p0 = rng.standard_normal((1, 2, 3, 2))
+        bias = p0.copy()
         h_cs = [h_c]
         for layer in layers:
-            h_c_next, bias, _ = first(attend(layers[0] if layer is layers[0] else layer,
-                                             *batch_of_one(h_cs[-1], h_r, h_n, bias)))
+            h_c_next, bias, _, _ = attend_fwd(layer, h_cs[-1], h_r, h_n, bias, full_mask(2, 3))
             h_cs.append(h_c_next)
         # unrolled recomputation of each layer's query-key term
-        total = p0.copy()
-        keys0 = np.vstack([h_r @ layers[0].wk_r.T, h_n @ layers[0].wk_n.T])
-        keys1 = np.vstack([h_r @ layers[1].wk_r.T, h_n @ layers[1].wk_n.T])
+        total = p0[0].copy()
+        keys0 = np.vstack([h_r[0] @ layers[0].wk_r.T, h_n[0] @ layers[0].wk_n.T])
+        keys1 = np.vstack([h_r[0] @ layers[1].wk_r.T, h_n[0] @ layers[1].wk_n.T])
         for layer, keys, hc in ((layers[0], keys0, h_cs[0]), (layers[1], keys1, h_cs[1])):
-            q = hc @ layer.wq.T
+            q = hc[0] @ layer.wq.T
             d = 8 // layer.n_heads
             for a in range(layer.n_heads):
                 sl = slice(a * d, (a + 1) * d)
                 total[:, :, a] += q[:, sl] @ keys[:, sl].T / np.sqrt(d)
-        assert np.allclose(bias.p, total, atol=1e-10)
+        assert np.allclose(bias[0], total, atol=1e-10)
 
     def test_key_permutation_equivariance(self):
         rng = np.random.default_rng(9)
         layer = init_layer(rng, 8, 2)
-        h_c = rng.standard_normal((3, 8))
-        h_r = rng.standard_normal((4, 8))
-        h_n = rng.standard_normal((3, 8))
-        bias = PairBias(p=rng.standard_normal((3, 7, 2)))
-        out, _, _ = first(attend(layer, *batch_of_one(h_c, h_r, h_n, bias)))
+        h_c = rng.standard_normal((1, 3, 8))
+        h_r = rng.standard_normal((1, 4, 8))
+        h_n = rng.standard_normal((1, 3, 8))
+        bias = rng.standard_normal((1, 3, 7, 2))
+        mask = full_mask(3, 7)
+        out, _, _, _ = attend_fwd(layer, h_c, h_r, h_n, bias, mask)
         perm_r = np.random.default_rng(1).permutation(4)
         perm_n = np.random.default_rng(2).permutation(3)
-        bias_p = bias.p.copy()
-        bias_p[:, :4] = bias_p[:, :4][:, perm_r]
-        bias_p[:, 4:] = bias_p[:, 4:][:, perm_n]
-        out_p, _, _ = first(attend(layer, *batch_of_one(h_c, h_r[perm_r], h_n[perm_n],
-                                                        PairBias(p=bias_p))))
+        bias_p = bias.copy()
+        bias_p[:, :, :4] = bias_p[:, :, :4][:, :, perm_r]
+        bias_p[:, :, 4:] = bias_p[:, :, 4:][:, :, perm_n]
+        out_p, _, _, _ = attend_fwd(layer, h_c, h_r[:, perm_r], h_n[:, perm_n], bias_p, mask)
         assert np.max(np.abs(out - out_p)) < 1e-10
 
     def test_empty_keys_with_chiral_queries_rejected(self):
         rng = np.random.default_rng(10)
         layer = init_layer(rng, 8, 2)
         with pytest.raises(NumericError):
-            attend(layer, *batch_of_one(rng.standard_normal((2, 8)), np.zeros((0, 8)),
-                                        np.zeros((0, 8)), PairBias(p=np.zeros((2, 0, 2)))))
+            attend_fwd(layer, rng.standard_normal((1, 2, 8)), np.zeros((1, 0, 8)),
+                       np.zeros((1, 0, 8)), np.zeros((1, 2, 0, 2)), full_mask(2, 0))
 
     def test_token_only_skips_attention(self):
         rng = np.random.default_rng(11)
         layer = init_layer(rng, 8, 2)
-        h_c = rng.standard_normal((1, 8))
-        out, bias_out, attn = first(attend(layer, *batch_of_one(
-            h_c, np.zeros((0, 8)), np.zeros((0, 8)), PairBias(p=np.zeros((1, 0, 2))))))
-        assert out.shape == (1, 8)
-        assert attn.shape == (1, 0, 2)
+        h_c = rng.standard_normal((1, 1, 8))
+        out, _, attn, _ = attend_fwd(layer, h_c, np.zeros((1, 0, 8)), np.zeros((1, 0, 8)),
+                                     np.zeros((1, 1, 0, 2)), full_mask(1, 0))
+        assert out.shape == (1, 1, 8)
+        assert attn.shape == (1, 1, 0, 2)
 
     def test_nonfinite_logits_name_layer(self):
         rng = np.random.default_rng(12)
         layer = init_layer(rng, 8, 2)
-        bias = PairBias(p=np.full((2, 1, 2), np.inf))
+        bias = np.full((1, 2, 1, 2), np.inf)
         with pytest.raises(NumericError, match="layer 3"):
-            attend_fwd(layer, *batch_of_one(rng.standard_normal((2, 8)),
-                                            rng.standard_normal((1, 8)), np.zeros((0, 8)), bias),
-                       layer_index=3)
+            attend_fwd(layer, rng.standard_normal((1, 2, 8)), rng.standard_normal((1, 1, 8)),
+                       np.zeros((1, 0, 8)), bias, full_mask(2, 1), layer_index=3)
 
     def test_gradients_match_fd(self):
         rng = np.random.default_rng(13)
         layer = init_layer(rng, 8, 2)
-        h_c = rng.standard_normal((2, 8))
-        h_r = rng.standard_normal((2, 8))
-        h_n = rng.standard_normal((1, 8))
-        p0 = rng.standard_normal((2, 3, 2))
-        w_out = rng.standard_normal((2, 8))
-        w_bias = rng.standard_normal((2, 3, 2))
+        h_c = rng.standard_normal((1, 2, 8))
+        h_r = rng.standard_normal((1, 2, 8))
+        h_n = rng.standard_normal((1, 1, 8))
+        p0 = rng.standard_normal((1, 2, 3, 2))
+        w_out = rng.standard_normal((1, 2, 8))
+        w_bias = rng.standard_normal((1, 2, 3, 2))
+        mask = full_mask(2, 3)
 
         names = ["wq", "wk_r", "wv_r", "wk_n", "wv_n", "wo", "ff_w1", "ff_b1",
                  "ff_w2", "ff_b2", "ln1_gamma", "ln1_beta", "ln2_gamma", "ln2_beta"]
@@ -354,26 +319,25 @@ class TestAttend:
                 arr = getattr(layer, name)
                 parts[name] = theta[i : i + arr.size].reshape(arr.shape)
                 i += arr.size
-            for src, size, shape in (("h_c", 16, (2, 8)), ("h_r", 16, (2, 8)),
-                                     ("h_n", 8, (1, 8)), ("p", 12, (2, 3, 2))):
-                parts[src] = theta[i : i + size].reshape(shape)
-                i += size
+            for src, arr in (("h_c", h_c), ("h_r", h_r), ("h_n", h_n), ("p", p0)):
+                parts[src] = theta[i : i + arr.size].reshape(arr.shape)
+                i += arr.size
             return parts
 
         def f(theta):
             parts = rebuild(theta)
             lp = LayerParams(**{n: parts[n] for n in names}, n_heads=2)
-            out, bias_out, _ = first(attend(lp, *batch_of_one(
-                parts["h_c"], parts["h_r"], parts["h_n"], PairBias(p=parts["p"]))))
-            return float((w_out * out).sum() + (w_bias * bias_out.p).sum())
+            out, bias_out, _, _ = attend_fwd(lp, parts["h_c"], parts["h_r"], parts["h_n"],
+                                             parts["p"], mask)
+            return float((w_out * out).sum() + (w_bias * bias_out).sum())
 
         theta0 = np.concatenate(
             [getattr(layer, n).ravel() for n in names]
             + [h_c.ravel(), h_r.ravel(), h_n.ravel(), p0.ravel()]
         )
         numeric = finite_diff_grad(f, theta0)
-        _, _, _, cache = attend_fwd(layer, *batch_of_one(h_c, h_r, h_n, PairBias(p=p0)))
-        grads, d_hc, d_hr, d_hn, d_bias = attend_bwd(layer, cache, w_out[None], w_bias[None])
+        _, _, _, cache = attend_fwd(layer, h_c, h_r, h_n, p0, mask)
+        grads, d_hc, d_hr, d_hn, d_bias = attend_bwd(layer, cache, w_out, w_bias)
         analytic = np.concatenate(
             [grads[n].ravel() for n in names]
             + [d_hc.ravel(), d_hr.ravel(), d_hn.ravel(), d_bias.ravel()]
@@ -381,39 +345,38 @@ class TestAttend:
         assert compare_grads(analytic, numeric, tol=1e-5).passed
 
 
-def pool_one(rows):
-    """pool of one unpadded molecule."""
-    return pool(rows[None], np.ones((1, rows.shape[0]), bool))[0]
-
-
 class TestPool:
     def test_token_plus_single_row(self):
         rng = np.random.default_rng(14)
         t, r = rng.standard_normal(8), rng.standard_normal(8)
-        assert np.allclose(pool_one(np.vstack([t, r])), t + r, atol=1e-14)
+        pooled = pool(np.vstack([t, r])[None], np.ones((1, 2), bool))
+        assert np.allclose(pooled[0], t + r, atol=1e-14)
 
     def test_mean_idempotent_on_duplicates(self):
         rng = np.random.default_rng(15)
         t, r = rng.standard_normal(8), rng.standard_normal(8)
-        assert np.allclose(pool_one(np.vstack([t, r, r])), t + r, atol=1e-14)
+        pooled = pool(np.vstack([t, r, r])[None], np.ones((1, 3), bool))
+        assert np.allclose(pooled[0], t + r, atol=1e-14)
 
     def test_arithmetic_oracle_seed47(self):
         rng = np.random.default_rng(47)
-        rows = rng.standard_normal((4, 8))
-        expect = rows[0] + rows[1:].mean(axis=0)
-        assert np.array_equal(pool_one(rows), expect)
+        rows = rng.standard_normal((1, 4, 8))
+        expect = rows[0, 0] + rows[0, 1:].mean(axis=0)
+        assert np.array_equal(pool(rows, np.ones((1, 4), bool))[0], expect)
 
     def test_token_only(self):
         t = np.arange(8.0)
-        assert np.array_equal(pool_one(t[None]), t)
+        assert np.array_equal(pool(t[None, None], np.ones((1, 1), bool))[0], t)
 
     def test_backward(self):
         rng = np.random.default_rng(16)
-        rows = rng.standard_normal((4, 8))
-        d = rng.standard_normal(8)
-        numeric = finite_diff_grad(lambda th: float(d @ pool_one(th.reshape(4, 8))), rows.ravel())
-        assert compare_grads(pool_bwd(d[None], np.ones((1, 4), bool)).ravel(), numeric,
-                             tol=1e-6).passed
+        rows = rng.standard_normal((1, 4, 8))
+        d = rng.standard_normal((1, 8))
+        queries = np.ones((1, 4), bool)
+        numeric = finite_diff_grad(
+            lambda th: float((d * pool(th.reshape(rows.shape), queries)).sum()), rows.ravel()
+        )
+        assert compare_grads(pool_bwd(d, queries).ravel(), numeric, tol=1e-6).passed
 
 
 class TestExportRows:

@@ -4,7 +4,7 @@ must give each molecule exactly what a batch of one gives it."""
 import numpy as np
 import pytest
 
-from chiraldet.attention import PairBias, attend_fwd, init_layer
+from chiraldet.attention import attend_fwd, init_layer
 from chiraldet.data import DEFAULT_SCHEME, SyntheticSpec, gen_axial, gen_rs, tile_molecules
 from chiraldet.encoder import BatchMask
 from chiraldet.errors import NumericError
@@ -63,14 +63,18 @@ def test_batch_composition_invariance(mixed, config):
     mols, labels = mixed
     model = init_model(config)
     state = forward_batch(model, mols)
+    mask = state.encoded.mask
     for b, mol in enumerate(mols):
-        alone = forward_batch(model, [mol]).molecule(0)
-        inside = state.molecule(b)
-        assert np.max(np.abs(inside.logits - alone.logits)) <= 1e-12
-        assert np.max(np.abs(inside.pooled - alone.pooled)) <= 1e-12
-        for a_in, a_alone in zip(inside.all_attn, alone.all_attn):
-            assert a_in.shape == a_alone.shape
-            assert np.max(np.abs(a_in - a_alone), initial=0.0) <= 1e-12
+        # a batch of one has no padding; molecule b is unpadded by its mask
+        alone = forward_batch(model, [mol])
+        n_q = int(mask.queries[b].sum())
+        keys = np.flatnonzero(mask.keys[b])
+        assert np.max(np.abs(state.logits[b] - alone.logits[0])) <= 1e-12
+        assert np.max(np.abs(state.pooled[b] - alone.pooled[0])) <= 1e-12
+        for a_in, a_alone in zip(state.attn, alone.attn):
+            a_in = a_in[b, :n_q][:, keys]
+            assert a_in.shape == a_alone[0].shape
+            assert np.max(np.abs(a_in - a_alone[0]), initial=0.0) <= 1e-12
 
     _, d_logits = loss_classify(state.logits, labels)
     grads = backward_batch(model, state, d_logits)
@@ -102,7 +106,7 @@ def test_keyless_row_keeps_its_input():
     # molecule 0: a token and one unit over 3 keys; molecule 1: token only, no keys
     mask = BatchMask.of_counts([1, 0], [2, 0], [1, 0])
     h_c = rng.standard_normal((2, 2, 8))
-    bias = PairBias(p=rng.standard_normal((2, 2, 3, 2)))
+    bias = rng.standard_normal((2, 2, 3, 2))
     _, _, attn, cache = attend_fwd(layer, h_c, rng.standard_normal((2, 2, 8)),
                                    rng.standard_normal((2, 1, 8)), bias, mask)
     assert np.all(attn[1] == 0.0)

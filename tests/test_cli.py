@@ -247,6 +247,18 @@ class TestCliContract:
         assert main(["train", "--data", str(ds), "--config", str(cfg),
                      "--out", str(tmp_path / "r")]) == 2
 
+    @pytest.mark.parametrize("key", ["margin", "margin_weight"])
+    def test_inert_margin_key_rejected(self, tmp_path, capsys, key):
+        # no command trains margin ranking, so these keys would do nothing
+        cfg = tmp_path / "cfg"
+        cfg.write_text(f"{key}=0.5\n")
+        ds = tmp_path / "ds"
+        main(["gen", "--task", "rs", "--count", "4", "--seed", "1", "--out", str(ds)])
+        capsys.readouterr()
+        assert main(["train", "--data", str(ds), "--config", str(cfg),
+                     "--out", str(tmp_path / "r")]) == 2
+        assert f"config key {key!r}" in capsys.readouterr().err
+        assert not (tmp_path / "r" / "model.ckpt").exists()
 
     def test_d_p_3_config_rejected(self, tmp_path, capsys):
         cfg = tmp_path / "cfg"

@@ -3,15 +3,13 @@ import pytest
 
 from chiraldet.data import SyntheticSpec, gen_rs, make_enantiomer
 from chiraldet.encoder import (
+    KERNEL_EPS,
     KernelBank,
-    RankStrategy,
-    encode,
     encode_bwd,
     encode_fwd,
     init_encoder,
     init_kernel_bank,
     kernel_bwd,
-    kernel_forward,
     kernel_fwd,
     regularization_grad,
     regularization_loss,
@@ -44,20 +42,19 @@ def nonsingular_mc(rng, n=1, floor=0.3):
     return np.stack(out)
 
 
-def reference_readout(bank, m, normalize):
+def reference_readout(bank, m):
     """The paper's definition, one slice at a time: det(R) of the thin QR of
     the normalized slice, signed like det(M)."""
     out = np.empty(bank.n_kernels)
     for kk in range(bank.n_kernels):
         o = bank.w[kk] @ m
-        if normalize:
-            centered = o - o.mean(axis=0)
-            o = bank.gamma[:, None] * centered / np.sqrt((centered * centered).mean() + bank.eps)
+        centered = o - o.mean(axis=0)
+        o = bank.gamma[:, None] * centered / np.sqrt((centered * centered).mean() + KERNEL_EPS)
         out[kk] = np.sign(det3(m)) * abs(det3(qr_thin(o).r))
     return out
 
 
-def kernel_fd_check(bank, mc, weights, normalize=True):
+def kernel_fd_check(bank, mc, weights):
     """Analytic kernel_bwd against central differences over (w, gamma, M)."""
     n_w, n_g = bank.w.size, bank.gamma.size
 
@@ -68,30 +65,24 @@ def kernel_fd_check(bank, mc, weights, normalize=True):
             beta=bank.beta,
         )
         mcs = theta[n_w + n_g :].reshape(mc.shape)
-        return float((weights * kernel_forward(b, mcs, normalize=normalize)).sum())
+        return float((weights * kernel_fwd(b, mcs)[0]).sum())
 
     numeric = finite_diff_grad(f, np.concatenate([bank.w.ravel(), bank.gamma, mc.ravel()]))
-    _, cache = kernel_fwd(bank, mc, normalize=normalize)
+    _, cache = kernel_fwd(bank, mc)
     d_w, d_gamma, d_mc = kernel_bwd(cache, weights)
     analytic = np.concatenate([d_w.ravel(), d_gamma, d_mc.ravel()])
     return compare_grads(analytic, numeric, tol=1e-5), d_mc
 
 
 class TestKernelForward:
-    def test_orthonormal_identity_unit_magnitude(self):
-        bank = orthonormal_identity_bank()
-        out = kernel_forward(bank, np.eye(3)[None], normalize=False)
-        assert abs(abs(out[0, 0]) - 1.0) < 1e-12
-
     def test_reflection_flips_every_channel(self):
         rng = np.random.default_rng(1)
         bank = init_kernel_bank(rng, 4, 8)
         m = nonsingular_mc(rng)
         flip = np.diag([1.0, 1.0, -1.0]) @ m[0]
-        for normalize in (False, True):
-            a = kernel_forward(bank, m, normalize=normalize)
-            b = kernel_forward(bank, flip[None], normalize=normalize)
-            assert np.all(np.sign(a) == -np.sign(b))
+        a = kernel_fwd(bank, m)[0]
+        b = kernel_fwd(bank, flip[None])[0]
+        assert np.all(np.sign(a) == -np.sign(b))
 
     def test_mirror_negates_exactly_with_normalization(self):
         # coordinate mirror acts as a right diag(1,1,-1) on the matrix
@@ -99,61 +90,42 @@ class TestKernelForward:
         bank = init_kernel_bank(rng, 4, 8)
         bank.gamma[:] = rng.uniform(0.5, 1.5, 8)
         m = nonsingular_mc(rng, n=3)
-        a = kernel_forward(bank, m)
-        b = kernel_forward(bank, m @ np.diag([1.0, 1.0, -1.0]))
+        a = kernel_fwd(bank, m)[0]
+        b = kernel_fwd(bank, m @ np.diag([1.0, 1.0, -1.0]))[0]
         assert np.array_equal(b, -a)
-
-    def test_lemma2_identity_seed29(self):
-        rng = np.random.default_rng(29)
-        bank = KernelBank(
-            w=rng.standard_normal((4, 16, 3)), gamma=np.ones(16), beta=np.zeros(16)
-        )
-        m = nonsingular_mc(rng)
-        out = kernel_forward(bank, m, normalize=False)
-        for kk in range(4):
-            expect = gram_sqrt_det(bank.w[kk]) * det3(m[0])
-            assert abs(abs(out[0, kk]) - abs(expect)) / abs(expect) < 1e-8
-            # fixed W: the signed channel is +-alpha * det(M) with one
-            # consistent sign across inputs
-            m2 = nonsingular_mc(rng)
-            out2 = kernel_forward(bank, m2, normalize=False)
-            s1 = out[0, kk] / (gram_sqrt_det(bank.w[kk]) * det3(m[0]))
-            s2 = out2[0, kk] / (gram_sqrt_det(bank.w[kk]) * det3(m2[0]))
-            assert abs(s1 - s2) < 1e-8 and abs(abs(s1) - 1.0) < 1e-8
 
     def test_rotation_invariance(self):
         rng = np.random.default_rng(3)
         bank = init_kernel_bank(rng, 4, 8)
         bank.gamma[:] = rng.uniform(0.5, 1.5, 8)
         m = nonsingular_mc(rng, n=2)
-        base = kernel_forward(bank, m)
+        base = kernel_fwd(bank, m)[0]
         for _ in range(20):
             rot = random_rotation(rng)
-            out = kernel_forward(bank, m @ rot.T)
+            out = kernel_fwd(bank, m @ rot.T)[0]
             assert np.max(np.abs(out - base)) < 1e-9
 
     def test_nonfinite_rejected(self):
         bank = orthonormal_identity_bank()
         bad = np.full((1, 3, 3), np.nan)
         with pytest.raises(NumericError):
-            kernel_forward(bank, bad)
+            kernel_fwd(bank, bad)
 
     def test_nonzero_beta_rejected(self):
         bank = orthonormal_identity_bank()
         bank.beta[0] = 0.1
         with pytest.raises(NumericError, match="beta"):
-            kernel_forward(bank, np.eye(3)[None])
+            kernel_fwd(bank, np.eye(3)[None])
 
-    @pytest.mark.parametrize("normalize", [True, False])
     @pytest.mark.parametrize("d_p", [4, 8, 32])
-    def test_closed_form_matches_qr_reference(self, d_p, normalize):
+    def test_closed_form_matches_qr_reference(self, d_p):
         rng = np.random.default_rng(40 + d_p)
         bank = init_kernel_bank(rng, 6, d_p)
         bank.gamma[:] = rng.uniform(0.5, 1.5, d_p)
         mc = nonsingular_mc(rng, n=10, floor=1e-2)
-        out = kernel_forward(bank, mc, normalize=normalize)
+        out = kernel_fwd(bank, mc)[0]
         for b in range(len(mc)):
-            ref = reference_readout(bank, mc[b], normalize)
+            ref = reference_readout(bank, mc[b])
             assert np.max(np.abs(out[b] - ref) / np.abs(ref)) <= 1e-10
 
     def test_gradients_match_fd(self):
@@ -161,13 +133,6 @@ class TestKernelForward:
         bank = init_kernel_bank(rng, 2, 4)
         bank.gamma[:] = rng.uniform(0.8, 1.2, 4)
         report, _ = kernel_fd_check(bank, nonsingular_mc(rng, n=2), rng.standard_normal((2, 2)))
-        assert report.passed
-
-    def test_gradients_match_fd_unnormalized(self):
-        rng = np.random.default_rng(8)
-        bank = KernelBank(w=rng.standard_normal((2, 4, 3)), gamma=np.ones(4), beta=np.zeros(4))
-        weights = rng.standard_normal((2, 2))
-        report, _ = kernel_fd_check(bank, nonsingular_mc(rng, n=2), weights, normalize=False)
         assert report.passed
 
     def test_gradients_smooth_through_singular_m(self):
@@ -275,7 +240,7 @@ def sample_molecule(seed=0, count=1):
 
 
 def make_params(seed=0, h=8, d_p=4, d_f=52):
-    return init_encoder(np.random.default_rng(seed), d_f, h, d_p, RankStrategy.QR_RETRACTION)
+    return init_encoder(np.random.default_rng(seed), d_f, h, d_p)
 
 
 class TestEncode:
@@ -288,11 +253,11 @@ class TestEncode:
         mol = Molecule(
             coords=coords, atomic_numbers=zs, features=DEFAULT_SCHEME.featurize_all(zs)
         ).validate()
-        enc = encode(params, mol, partition_atoms(mol))
-        assert enc.h_c.shape == (1, 8)
-        assert np.array_equal(enc.h_c[0], params.global_token)
-        assert enc.h_r.shape == (0, 8)
-        assert enc.h_n.shape == (3, 8)
+        enc, _ = encode_fwd(params, [mol], [partition_atoms(mol)])
+        assert enc.h_c.shape == (1, 1, 8)
+        assert np.array_equal(enc.h_c[0, 0], params.global_token)
+        assert enc.h_r.shape == (1, 0, 8)
+        assert enc.h_n.shape == (1, 3, 8)
 
     def test_zeroed_projector_leaves_kernel_outputs(self):
         params = make_params(seed=1)
@@ -303,33 +268,33 @@ class TestEncode:
             mlp.b2[:] = 0.0
         mol = sample_molecule(seed=10)
         part = partition_atoms(mol)
-        enc = encode(params, mol, part)
+        enc, _ = encode_fwd(params, [mol], [part])
         mc = np.stack([chirality_matrix(u, mol.coords).m for u in mol.chiral_units])
-        dets = kernel_forward(params.kernels, mc)
-        assert np.array_equal(enc.h_c[1:], dets)
+        dets = kernel_fwd(params.kernels, mc)[0]
+        assert np.array_equal(enc.h_c[0, 1:], dets)
 
     def test_mirror_changes_only_kernel_contribution(self):
         params = make_params(seed=2)
         mol = sample_molecule(seed=11)
         part = partition_atoms(mol)
-        enc = encode(params, mol, part)
-        enc_m = encode(params, make_enantiomer(mol), part)
+        enc, _ = encode_fwd(params, [mol], [part])
+        enc_m, _ = encode_fwd(params, [make_enantiomer(mol)], [part])
         assert np.array_equal(enc.h_r, enc_m.h_r)
         assert np.array_equal(enc.h_n, enc_m.h_n)
-        assert np.array_equal(enc.h_c[0], enc_m.h_c[0])
+        assert np.array_equal(enc.h_c[0, 0], enc_m.h_c[0, 0])
         mc = np.stack([chirality_matrix(u, mol.coords).m for u in mol.chiral_units])
-        dets = kernel_forward(params.kernels, mc)
+        dets = kernel_fwd(params.kernels, mc)[0]
         # chiral rows differ exactly by the kernel sign flip
-        assert np.allclose(enc.h_c[1:] - dets, enc_m.h_c[1:] + dets, atol=1e-12)
+        assert np.allclose(enc.h_c[0, 1:] - dets, enc_m.h_c[0, 1:] + dets, atol=1e-12)
 
     def test_se3_invariance(self):
         params = make_params(seed=3)
         mol = sample_molecule(seed=12)
         part = partition_atoms(mol)
-        enc = encode(params, mol, part)
+        enc, _ = encode_fwd(params, [mol], [part])
         rng = np.random.default_rng(6)
         moved = transform(mol, random_rotation(rng), rng.uniform(-8, 8, 3))
-        enc2 = encode(params, moved, part)
+        enc2, _ = encode_fwd(params, [moved], [part])
         assert np.max(np.abs(enc2.h_c - enc.h_c)) < 1e-9
         assert np.array_equal(enc2.h_r, enc.h_r)
         assert np.array_equal(enc2.h_n, enc.h_n)
@@ -351,7 +316,7 @@ class TestEncode:
             saved = bank.w.copy()
             bank.w[:] = theta.reshape(bank.w.shape)
             try:
-                e = encode(params, mol, part)
+                e, _ = encode_fwd(params, [mol], [part])
             finally:
                 bank.w[:] = saved
             return float((w_c * e.h_c).sum() + (w_r * e.h_r).sum() + (w_n * e.h_n).sum())
@@ -366,7 +331,7 @@ class TestEncode:
                 features=mol.features,
                 chiral_units=mol.chiral_units,
             )
-            e = encode(params, moved, part)
+            e, _ = encode_fwd(params, [moved], [part])
             return float((w_c * e.h_c).sum() + (w_r * e.h_r).sum() + (w_n * e.h_n).sum())
 
         numeric_xyz = finite_diff_grad(f_coords, mol.coords.ravel())

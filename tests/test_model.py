@@ -316,6 +316,32 @@ class TestCheckpoint:
         with pytest.raises(FileNotFoundError):
             load_checkpoint(tmp_path / "nope.ckpt")
 
+    def test_default_config_header_pinned(self, tmp_path):
+        # checkpoint format v1: the header text of a default-config model
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(init_model(ModelConfig()), path)
+        raw = path.read_bytes()
+        assert raw[: raw.index(b"\n\n") + 2] == (
+            b"chiraldet-checkpoint v1\nh=64\nd_p=32\nn_layers=4\nn_heads=2\nn_gkpt=64\n"
+            b"d_f=52\nrank_strategy=qr_retraction\nn_classes=2\nseed=0\nstep=0\n"
+            b"tensors=81\npayload_bytes=2126723\n\n"
+        )
+        assert load_checkpoint(path)[0].config == ModelConfig()
+
+    @pytest.mark.parametrize(
+        ("old", "new"),
+        [(b"n_heads=2", b"n_heads=two"), (b"rank_strategy=none", b"rank_strategy=bogus"),
+         (b"seed=19", b"sead=19")],
+        ids=["int", "rank_strategy", "missing"],
+    )
+    def test_bad_config_header_field(self, tmp_path, old, new):
+        model = tiny_model(seed=19, rank_strategy=RankStrategy.NONE)
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(model, path)
+        resign(path, set_header(old, new))
+        with pytest.raises(CheckpointVersionError, match="bad header field"):
+            load_checkpoint(path)
+
     def test_d_p_3_header_rejected(self, tmp_path):
         path = tmp_path / "model.ckpt"
         save_checkpoint(tiny_model(seed=21), path)
