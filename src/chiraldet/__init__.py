@@ -38,7 +38,9 @@ from .encoder import (
     EncodedBatch,
     EncoderParams,
     KernelBank,
+    MoleculeBatch,
     RankStrategy,
+    prepare_batch,
     regularization_loss,
     retract_orthonormal,
 )

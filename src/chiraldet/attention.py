@@ -18,7 +18,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import NumericError
-from .encoder import BatchMask, EncodedBatch
+from .encoder import BatchMask, PairInputs
 from .numerics import (
     gaussian,
     gelu,
@@ -106,28 +106,21 @@ def _bias_bwd(params: DistanceBiasParams, cache, d_bias):
     return {"e1": d_e1, "e2": d_e2, "mu": d_mu, "sigma": d_sigma, "w_p": d_wp}
 
 
-def pair_bias_fwd(params: DistanceBiasParams, encoded: EncodedBatch):
+def pair_bias_fwd(params: DistanceBiasParams, pairs: PairInputs):
     """Initial pair bias (B, Q, Kr + Kn, H) from chiral reference points to
     all key atoms; returns (bias, cache).
 
     Keys are the related atoms (type 0) followed by the non-chiral atoms
     (type 1); the token row and every pad entry stay zero. The distance
-    bias runs once over the valid (unit, key) pairs of the whole batch.
+    bias runs once over the valid (unit, key) pairs of the whole batch,
+    whose distances come prepared in `pairs`.
     """
-    n_batch, n_q = encoded.mask.queries.shape
-    n_keys = encoded.mask.keys.shape[1]
-    p = np.zeros((n_batch, n_q, n_keys, params.w_p.shape[1]))
-    pairs = encoded.mask.queries[:, 1:, None] & encoded.mask.keys[:, None, :]
-    if not pairs.any():
+    p = np.zeros(pairs.shape + (params.w_p.shape[1],))
+    if not pairs.dists.size:
         return p, None
-    b, u, k = np.nonzero(pairs)
-    diff = encoded.chiral_positions[b, u] - encoded.key_positions[b, k]
-    dists = np.sqrt((diff * diff).sum(axis=1))
-    types = (k >= encoded.h_r.shape[1]).astype(np.int64)
-    flat, cache = _bias_fwd(params, dists, types)
-    index = (b, 1 + u, k)
-    p[index] = flat
-    return p, (cache, index)
+    flat, cache = _bias_fwd(params, pairs.dists, pairs.types)
+    p[pairs.index] = flat
+    return p, (cache, pairs.index)
 
 
 def pair_bias_bwd(params: DistanceBiasParams, cache, d_p):

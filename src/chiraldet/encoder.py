@@ -16,17 +16,30 @@ by one pooled standard deviation for the whole slice. Per-column scales
 would break rotation invariance (a rotation mixes the three columns), and
 an additive shift would too, so `beta` is kept frozen at zero while the
 per-row gain `gamma` stays learnable. The closed form relies on beta = 0.
+
+prepare_batch does the geometry of a molecule batch once (partitions,
+chirality matrices, projector inputs, pair distances); encode_fwd and the
+rest of the forward read that MoleculeBatch and do parameter arithmetic
+only.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from typing import NamedTuple
 
 import numpy as np
 
 from .errors import DegeneracyError, NumericError
-from .geometry import Molecule, UnitKind, chirality_matrix, reference_point
+from .geometry import (
+    AtomPartition,
+    Molecule,
+    UnitKind,
+    chirality_matrix,
+    partition_atoms,
+    reference_point,
+)
 from .numerics import cofactor3_batch, det3_batch, gelu, gelu_grad, qr_thin
 
 # added to the pooled variance sigma^2 of every normalized slice
@@ -95,9 +108,59 @@ class BatchMask:
         )
 
 
+class PairInputs(NamedTuple):
+    """Parameter-free inputs of the distance bias: one entry per valid
+    (unit, key) pair of a padded batch."""
+
+    shape: tuple[int, int, int]  # (B, Q, Kr + Kn) of the pair bias
+    index: tuple[np.ndarray, np.ndarray, np.ndarray]  # (molecule, query row, key)
+    dists: np.ndarray  # unit reference point to key atom
+    types: np.ndarray  # 0 for a related key, 1 for a non-chiral key
+
+
+def pair_inputs(mask: BatchMask, k_r: int, chiral_positions, key_positions) -> PairInputs:
+    """Distances and pair types of every valid (unit, key) pair.
+
+    chiral_positions is (B, Q - 1, 3), key_positions (B, Kr + Kn, 3) with
+    the k_r related keys first; pad entries are never read.
+    """
+    pairs = mask.queries[:, 1:, None] & mask.keys[:, None, :]
+    b, u, k = np.nonzero(pairs)
+    diff = chiral_positions[b, u] - key_positions[b, k]
+    return PairInputs(
+        shape=mask.queries.shape + mask.keys.shape[1:],
+        index=(b, 1 + u, k),
+        dists=np.sqrt((diff * diff).sum(axis=1)),
+        types=(k >= k_r).astype(np.int64),
+    )
+
+
+@dataclass
+class MoleculeBatch:
+    """Everything of a padded molecule batch that does not depend on the
+    parameters, built once by prepare_batch and read by every forward.
+
+    Unit, related and non-chiral rows are stacked over the batch in
+    molecule order; each *_slots pair of index arrays places those rows in
+    the padded arrays (unit slots count the token row).
+    """
+
+    partitions: list[AtomPartition]
+    mask: BatchMask
+    k_r: int  # width of the related-key block, Kr
+    chirality: np.ndarray  # (U, 3, 3) chirality matrices
+    unit_rows: np.ndarray  # (U, d_f) proj_c inputs
+    related_rows: np.ndarray  # (R, d_f) proj_r inputs
+    nonchiral_rows: np.ndarray  # (N, d_f) proj_n inputs
+    unit_slots: tuple[np.ndarray, np.ndarray]
+    related_slots: tuple[np.ndarray, np.ndarray]
+    nonchiral_slots: tuple[np.ndarray, np.ndarray]
+    pairs: PairInputs
+
+
 @dataclass
 class EncodedBatch:
-    """Encoder output for a molecule batch, padded to its largest member.
+    """Encoder output for a prepared batch, padded to its largest member.
 
     Q is 1 + the largest unit count, Kr and Kn the largest related and
     non-chiral atom counts. Pad rows are zero and masked out.
@@ -106,11 +169,7 @@ class EncodedBatch:
     h_c: np.ndarray  # (B, Q, h), global token first
     h_r: np.ndarray  # (B, Kr, h)
     h_n: np.ndarray  # (B, Kn, h)
-    mask: BatchMask
-    chiral_positions: np.ndarray  # (B, Q - 1, 3) reference points
-    key_positions: np.ndarray  # (B, Kr + Kn, 3), related atoms first
-    related_indices: list[tuple[int, ...]]
-    nonchiral_indices: list[tuple[int, ...]]
+    batch: MoleculeBatch
 
 
 def _row_mean(x: np.ndarray) -> np.ndarray:
@@ -245,62 +304,69 @@ def unit_feature_rows(mol: Molecule) -> np.ndarray:
     return np.stack(rows)
 
 
-def encode_fwd(params: EncoderParams, mols, partitions):
-    """Encoder forward over a molecule batch; returns (EncodedBatch, cache).
+def prepare_batch(mols) -> MoleculeBatch:
+    """Partitions, masks, chirality matrices, projector inputs and pair
+    distances of a molecule batch, padded to its largest member."""
+    if not mols:
+        raise ValueError("empty molecule batch")
+    partitions = [partition_atoms(m) for m in mols]
+    units = [(mol, u) for mol in mols for u in mol.chiral_units]
+    related = [list(p.related) for p in partitions]
+    nonchiral = [list(p.nonchiral) for p in partitions]
+    mask = BatchMask.of_counts([len(m.chiral_units) for m in mols],
+                               [len(i) for i in related], [len(i) for i in nonchiral])
+    n_batch, n_q = mask.queries.shape
+    k_r = max(len(i) for i in related)
+    # (molecule, slot) of every stacked row, in stacking order
+    (ub, us), (rb, rs), (nb, ns) = (
+        np.nonzero(m) for m in (mask.queries[:, 1:], mask.keys[:, :k_r], mask.keys[:, k_r:])
+    )
+    chiral_positions = np.zeros((n_batch, n_q - 1, 3))
+    chiral_positions[ub, us] = np.array(
+        [reference_point(u, mol.coords) for mol, u in units]
+    ).reshape(-1, 3)
+    key_positions = np.zeros((n_batch, mask.keys.shape[1], 3))
+    key_positions[rb, rs] = np.vstack([m.coords[i] for m, i in zip(mols, related)])
+    key_positions[nb, k_r + ns] = np.vstack([m.coords[i] for m, i in zip(mols, nonchiral)])
+    return MoleculeBatch(
+        partitions=partitions,
+        mask=mask,
+        k_r=k_r,
+        chirality=np.array(
+            [chirality_matrix(u, mol.coords).m for mol, u in units]
+        ).reshape(-1, 3, 3),
+        unit_rows=np.vstack([unit_feature_rows(m) for m in mols]),
+        related_rows=np.vstack([m.features[i] for m, i in zip(mols, related)]),
+        nonchiral_rows=np.vstack([m.features[i] for m, i in zip(mols, nonchiral)]),
+        unit_slots=(ub, 1 + us),
+        related_slots=(rb, rs),
+        nonchiral_slots=(nb, ns),
+        pairs=pair_inputs(mask, k_r, chiral_positions, key_positions),
+    )
+
+
+def encode_fwd(params: EncoderParams, batch: MoleculeBatch):
+    """Encoder forward over a prepared batch; returns (EncodedBatch, cache).
 
     Every stage runs once on rows stacked over the batch, one kernel_fwd
     over all chirality matrices and one mlp2_fwd per projector, and the
     rows are then scattered into arrays padded to the largest molecule.
     """
     h = params.global_token.shape[0]
-    units = [(mol, u) for mol in mols for u in mol.chiral_units]
-    related = [list(p.related) for p in partitions]
-    nonchiral = [list(p.nonchiral) for p in partitions]
-    mc_batch = np.array([chirality_matrix(u, mol.coords).m for mol, u in units]).reshape(-1, 3, 3)
-    dets, k_cache = kernel_fwd(params.kernels, mc_batch)
-    proj_out, c_cache = mlp2_fwd(params.proj_c, np.vstack([unit_feature_rows(m) for m in mols]))
-    h_r_rows, r_cache = mlp2_fwd(
-        params.proj_r, np.vstack([m.features[i] for m, i in zip(mols, related)])
-    )
-    h_n_rows, n_cache = mlp2_fwd(
-        params.proj_n, np.vstack([m.features[i] for m, i in zip(mols, nonchiral)])
-    )
-
-    mask = BatchMask.of_counts([len(m.chiral_units) for m in mols],
-                               [len(i) for i in related], [len(i) for i in nonchiral])
-    n_batch, n_q = mask.queries.shape
-    k_r = max(len(i) for i in related)
-    k_n = mask.keys.shape[1] - k_r
-    # (molecule, slot) of every stacked row, in stacking order: they scatter
-    # the rows into the padded arrays, and encode_bwd gathers with them
-    (ub, us), (rb, rs), (nb, ns) = (
-        np.nonzero(m) for m in (mask.queries[:, 1:], mask.keys[:, :k_r], mask.keys[:, k_r:])
-    )
+    dets, k_cache = kernel_fwd(params.kernels, batch.chirality)
+    proj_out, c_cache = mlp2_fwd(params.proj_c, batch.unit_rows)
+    h_r_rows, r_cache = mlp2_fwd(params.proj_r, batch.related_rows)
+    h_n_rows, n_cache = mlp2_fwd(params.proj_n, batch.nonchiral_rows)
+    n_batch, n_q = batch.mask.queries.shape
     h_c = np.zeros((n_batch, n_q, h))
     h_c[:, 0] = params.global_token
-    h_c[ub, 1 + us] = dets + proj_out
-    h_r = np.zeros((n_batch, k_r, h))
-    h_r[rb, rs] = h_r_rows
-    h_n = np.zeros((n_batch, k_n, h))
-    h_n[nb, ns] = h_n_rows
-    chiral_positions = np.zeros((n_batch, n_q - 1, 3))
-    chiral_positions[ub, us] = np.array(
-        [reference_point(u, mol.coords) for mol, u in units]
-    ).reshape(-1, 3)
-    key_positions = np.zeros((n_batch, k_r + k_n, 3))
-    key_positions[rb, rs] = np.vstack([m.coords[i] for m, i in zip(mols, related)])
-    key_positions[nb, k_r + ns] = np.vstack([m.coords[i] for m, i in zip(mols, nonchiral)])
-    encoded = EncodedBatch(
-        h_c=h_c,
-        h_r=h_r,
-        h_n=h_n,
-        mask=mask,
-        chiral_positions=chiral_positions,
-        key_positions=key_positions,
-        related_indices=[p.related for p in partitions],
-        nonchiral_indices=[p.nonchiral for p in partitions],
-    )
-    return encoded, (k_cache, c_cache, r_cache, n_cache, (ub, us), (rb, rs), (nb, ns))
+    h_c[batch.unit_slots] = dets + proj_out
+    h_r = np.zeros((n_batch, batch.k_r, h))
+    h_r[batch.related_slots] = h_r_rows
+    h_n = np.zeros((n_batch, batch.mask.keys.shape[1] - batch.k_r, h))
+    h_n[batch.nonchiral_slots] = h_n_rows
+    encoded = EncodedBatch(h_c=h_c, h_r=h_r, h_n=h_n, batch=batch)
+    return encoded, (k_cache, c_cache, r_cache, n_cache, batch)
 
 
 def encode_bwd(params: EncoderParams, cache, d_hc, d_hr, d_hn):
@@ -309,12 +375,12 @@ def encode_bwd(params: EncoderParams, cache, d_hc, d_hr, d_hn):
     Returns (grads, d_mc): grads keyed by parameter group, d_mc the
     gradient with respect to the chirality matrices stacked over the batch.
     """
-    k_cache, c_cache, r_cache, n_cache, (ub, us), (rb, rs), (nb, ns) = cache
-    d_rows = d_hc[ub, 1 + us]
+    k_cache, c_cache, r_cache, n_cache, batch = cache
+    d_rows = d_hc[batch.unit_slots]
     d_w, d_gamma, d_mc = kernel_bwd(k_cache, d_rows)
     d_proj_c, _ = mlp2_bwd(params.proj_c, c_cache, d_rows)
-    d_proj_r, _ = mlp2_bwd(params.proj_r, r_cache, d_hr[rb, rs])
-    d_proj_n, _ = mlp2_bwd(params.proj_n, n_cache, d_hn[nb, ns])
+    d_proj_r, _ = mlp2_bwd(params.proj_r, r_cache, d_hr[batch.related_slots])
+    d_proj_n, _ = mlp2_bwd(params.proj_n, n_cache, d_hn[batch.nonchiral_slots])
     grads = {
         "kernel.w": d_w,
         "kernel.gamma": d_gamma,

@@ -26,11 +26,12 @@ from .attention import (
 from .data import SyntheticSpec, gen_rs, tile_molecules
 from .encoder import (
     BatchMask,
-    EncodedBatch,
     KernelBank,
     init_kernel_bank,
     kernel_bwd,
     kernel_fwd,
+    pair_inputs,
+    prepare_batch,
     regularization_grad,
     regularization_loss,
 )
@@ -129,27 +130,20 @@ def _check_layer_norm(rng):
     return np.concatenate([d_x.ravel(), d_gamma, d_beta]), numeric
 
 
-def _encoded_instance(rng, h=8):
+def _pair_instance(rng):
     """Two molecules, (2 units, 3 related, 2 non-chiral keys) and (1, 2, 1),
     so the second has a pad query and pad keys of both types."""
     mask = BatchMask.of_counts([2, 1], [3, 2], [2, 1])
-    return EncodedBatch(
-        h_c=rng.standard_normal((2, 3, h)),
-        h_r=rng.standard_normal((2, 3, h)),
-        h_n=rng.standard_normal((2, 2, h)),
-        mask=mask,
-        chiral_positions=rng.uniform(-2, 2, (2, 2, 3)),
-        key_positions=rng.uniform(-2, 2, (2, 5, 3)),
-        related_indices=[(0, 1, 2), (0, 1)],
-        nonchiral_indices=[(3, 4), (2,)],
-    )
+    # draws that once filled encoder rows; kept so the audited points stay put
+    rng.standard_normal(2 * 3 * 8 + 2 * 3 * 8 + 2 * 2 * 8)
+    return pair_inputs(mask, 3, rng.uniform(-2, 2, (2, 2, 3)), rng.uniform(-2, 2, (2, 5, 3)))
 
 
 def _check_distance_bias(rng):
     params = init_distance_bias(rng, 4, 2)
     params.e1 += rng.normal(0, 0.3, params.e1.shape)
     params.sigma = rng.uniform(0.5, 1.5, 4)
-    enc = _encoded_instance(rng)
+    pairs = _pair_instance(rng)
     weights = rng.standard_normal((2, 3, 5, 2))
 
     def f(theta):
@@ -158,11 +152,11 @@ def _check_distance_bias(rng):
             arr = getattr(params, name)
             parts[name] = theta[i : i + arr.size].reshape(arr.shape)
             i += arr.size
-        return float((weights * pair_bias_fwd(DistanceBiasParams(**parts), enc)[0]).sum())
+        return float((weights * pair_bias_fwd(DistanceBiasParams(**parts), pairs)[0]).sum())
 
     theta0 = np.concatenate([getattr(params, n).ravel() for n in _BIAS_FIELDS])
     numeric = finite_diff_grad(f, theta0)
-    _, cache = pair_bias_fwd(params, enc)
+    _, cache = pair_bias_fwd(params, pairs)
     grads = pair_bias_bwd(params, cache, weights)
     return np.concatenate([grads[n].ravel() for n in _BIAS_FIELDS]), numeric
 
@@ -234,16 +228,17 @@ def _check_predictor(rng):
 def _check_full_loss(rng, config: ModelConfig):
     """Loss of a padded batch: a one-unit gen_rs molecule and a two-unit
     molecule tiled from two more, so the first has pad queries and pad
-    keys. The oracle runs forward only."""
+    keys. The oracle runs forward only, every evaluation on one prepared
+    batch with its point written into the live parameters."""
     model = init_model(config)
     (mol_a, label_a), (mol_b, label_b), (mol_c, _) = gen_rs(
         SyntheticSpec(count=3, seed=int(rng.integers(1 << 16)), spectator_range=(1, 2))
     )
-    batch = dataset_to_pairs([(mol_a, label_a), (tile_molecules([mol_b, mol_c]), label_b)])
+    mols, labels = zip(*dataset_to_pairs(
+        [(mol_a, label_a), (tile_molecules([mol_b, mol_c]), label_b)]
+    ))
+    batch = prepare_batch(mols)
     live = [(n, a) for n, a in named_parameters(model) if n not in FROZEN_PARAMS]
-
-    def get_theta():
-        return np.concatenate([a.ravel() for _, a in live])
 
     def set_theta(theta):
         i = 0
@@ -252,16 +247,15 @@ def _check_full_loss(rng, config: ModelConfig):
             i += a.size
 
     def f(theta):
-        saved = get_theta()
         set_theta(theta)
-        try:
-            return batch_loss_classify(model, batch, reg_weight=0.1)
-        finally:
-            set_theta(saved)
+        return batch_loss_classify(model, batch, labels, reg_weight=0.1)
 
-    theta0 = get_theta()
-    numeric = finite_diff_grad(f, theta0)
-    _, _, grads = batch_step_classify(model, batch, reg_weight=0.1)
+    theta0 = np.concatenate([a.ravel() for _, a in live])
+    try:
+        numeric = finite_diff_grad(f, theta0)
+    finally:
+        set_theta(theta0)
+    _, _, grads = batch_step_classify(model, batch, labels, reg_weight=0.1)
     analytic = np.concatenate([grads[n].ravel() for n, _ in live])
     return analytic, numeric
 

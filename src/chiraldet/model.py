@@ -31,6 +31,7 @@ from .encoder import (
     EncodedBatch,
     EncoderParams,
     Mlp2,
+    MoleculeBatch,
     RankStrategy,
     encode_bwd,
     encode_fwd,
@@ -38,6 +39,7 @@ from .encoder import (
     init_mlp2,
     mlp2_bwd,
     mlp2_fwd,
+    prepare_batch,
     regularization_grad,
     regularization_loss,
     retract_orthonormal,
@@ -49,7 +51,7 @@ from .errors import (
     CheckpointVersionError,
     NumericError,
 )
-from .geometry import Configuration, Molecule, mirror, partition_atoms
+from .geometry import Configuration, Molecule, mirror
 
 LABEL_CLASSES = (Configuration.R, Configuration.S)
 CLASS_INDEX = {c: i for i, c in enumerate(LABEL_CLASSES)}
@@ -72,6 +74,9 @@ class ModelConfig:
     seed: int = 0
 
     def validate(self):
+        for name in ("h", "n_heads", "n_gkpt", "n_classes"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
         if self.h % self.n_heads != 0:
             raise ValueError("hidden width must be divisible by head count")
         if self.n_layers < 1:
@@ -96,8 +101,13 @@ class TrainConfig:
     def validate(self):
         if self.lr <= 0 or self.epochs < 1:
             raise ValueError("lr must be positive and epochs >= 1")
+        if self.batch_size < 1:
+            raise ValueError(f"batch_size must be >= 1, got {self.batch_size}")
         if min(self.reg_weight, self.margin_weight, self.margin) < 0:
             raise ValueError("loss weights must be non-negative")
+        if not 0.0 <= self.min_lr_factor <= 1.0:
+            # a negative floor turns the end of the cosine schedule into ascent
+            raise ValueError(f"min_lr_factor must be in [0, 1], got {self.min_lr_factor}")
         return self
 
 
@@ -157,8 +167,8 @@ def named_parameters(model: ChiralModel):
 class BatchState:
     """Everything forward_batch computed that backward or exports need.
 
-    Arrays are padded to the batch's largest molecule; `encoded.mask` marks
-    the valid entries.
+    Arrays are padded to the batch's largest molecule; `encoded.batch.mask`
+    marks the valid entries.
     """
 
     logits: np.ndarray  # (B, n_classes)
@@ -168,22 +178,22 @@ class BatchState:
     caches: dict
 
 
-def forward_batch(model: ChiralModel, mols) -> BatchState:
-    """Forward over a molecule batch padded to its largest member."""
-    if not mols:
-        raise ValueError("empty molecule batch")
-    encoded, enc_cache = encode_fwd(model.encoder, mols, [partition_atoms(m) for m in mols])
-    bias, bias_cache = pair_bias_fwd(model.distance_bias, encoded)
+def forward_batch(model: ChiralModel, batch: MoleculeBatch) -> BatchState:
+    """Forward over a prepared batch; parameter arithmetic only, so one
+    batch serves any number of forwards under changing parameters."""
+    encoded, enc_cache = encode_fwd(model.encoder, batch)
+    bias, bias_cache = pair_bias_fwd(model.distance_bias, batch.pairs)
     h_c = encoded.h_c
+    mask = batch.mask
     layer_caches = []
     all_attn = []
     for i, layer in enumerate(model.layers):
         h_c, bias, attn, cache = attend_fwd(
-            layer, h_c, encoded.h_r, encoded.h_n, bias, encoded.mask, layer_index=i
+            layer, h_c, encoded.h_r, encoded.h_n, bias, mask, layer_index=i
         )
         layer_caches.append(cache)
         all_attn.append(attn)
-    pooled = pool(h_c, encoded.mask.queries)
+    pooled = pool(h_c, mask.queries)
     logits, head_cache = mlp2_fwd(model.head, pooled)
     return BatchState(
         logits=logits,
@@ -208,7 +218,7 @@ def backward_batch(model: ChiralModel, state: BatchState, d_logits) -> dict[str,
     grads = {}
     d_head, d_pooled = mlp2_bwd(model.head, state.caches["head"], d_logits)
     encoded = state.encoded
-    d_h_c = pool_bwd(d_pooled, encoded.mask.queries)
+    d_h_c = pool_bwd(d_pooled, encoded.batch.mask.queries)
     d_h_r = np.zeros_like(encoded.h_r)
     d_h_n = np.zeros_like(encoded.h_n)
     d_bias = np.zeros(state.attn[-1].shape)
@@ -239,12 +249,12 @@ def backward_batch(model: ChiralModel, state: BatchState, d_logits) -> dict[str,
 
 
 def forward(model: ChiralModel, mol: Molecule) -> np.ndarray:
-    return forward_batch(model, [mol]).logits[0]
+    return forward_batch(model, prepare_batch([mol])).logits[0]
 
 
 def embed(model: ChiralModel, mol: Molecule) -> np.ndarray:
     """Pooled pre-predictor representation."""
-    return forward_batch(model, [mol]).pooled[0]
+    return forward_batch(model, prepare_batch([mol])).pooled[0]
 
 
 def loss_classify(logits, label):
@@ -271,30 +281,31 @@ def loss_margin_rank(score_hi, score_lo, margin: float):
     return float(np.maximum(gap, 0.0).sum()), -active, active
 
 
-def _classify_forward(model: ChiralModel, batch, reg_weight: float):
-    """(loss, labels, state, d_logits) of the mean cross-entropy over a batch
-    plus the rank penalty when enabled."""
-    mols, labels = zip(*batch)
-    labels = np.array(labels)
-    state = forward_batch(model, list(mols))
+def _classify_forward(model: ChiralModel, batch: MoleculeBatch, labels, reg_weight: float):
+    """(loss, state, d_logits) of the mean cross-entropy over a batch plus
+    the rank penalty when enabled."""
+    state = forward_batch(model, batch)
     loss, d_logits = loss_classify(state.logits, labels)
-    loss /= len(batch)
+    loss /= len(labels)
     if reg_weight > 0.0:
         loss += reg_weight * regularization_loss(model.encoder.kernels)
-    return loss, labels, state, d_logits / len(batch)
+    return loss, state, d_logits / len(labels)
 
 
-def batch_loss_classify(model: ChiralModel, batch, reg_weight: float) -> float:
+def batch_loss_classify(model: ChiralModel, batch: MoleculeBatch, labels,
+                        reg_weight: float) -> float:
     """The loss of batch_step_classify, forward only."""
-    return _classify_forward(model, batch, reg_weight)[0]
+    return _classify_forward(model, batch, labels, reg_weight)[0]
 
 
-def batch_step_classify(model: ChiralModel, batch, reg_weight: float):
-    """Mean cross-entropy over a batch plus the rank penalty when enabled.
+def batch_step_classify(model: ChiralModel, batch: MoleculeBatch, labels, reg_weight: float):
+    """Mean cross-entropy over a prepared batch with one class index per
+    molecule, plus the rank penalty when enabled.
 
     Returns (loss, n_correct, grads).
     """
-    loss, labels, state, d_logits = _classify_forward(model, batch, reg_weight)
+    labels = np.asarray(labels)
+    loss, state, d_logits = _classify_forward(model, batch, labels, reg_weight)
     correct = int((state.logits.argmax(axis=1) == labels).sum())
     grads = backward_batch(model, state, d_logits)
     if reg_weight > 0.0:
@@ -310,7 +321,7 @@ def batch_step_rank(model: ChiralModel, pair_batch, cfg: TrainConfig):
     """
     n = len(pair_batch)
     his, los = zip(*pair_batch)
-    state = forward_batch(model, list(his) + list(los))
+    state = forward_batch(model, prepare_batch(his + los))
     s_hi, s_lo = state.logits[:n, 0], state.logits[n:, 0]
     loss, d_hi, d_lo = loss_margin_rank(s_hi, s_lo, cfg.margin)
     scale = cfg.margin_weight / n
@@ -408,7 +419,7 @@ EVAL_CHUNK = 8
 def _predict(model: ChiralModel, mols) -> np.ndarray:
     """Predicted class per molecule, in forward_batch chunks of EVAL_CHUNK."""
     return np.concatenate([
-        forward_batch(model, mols[i : i + EVAL_CHUNK]).logits.argmax(axis=1)
+        forward_batch(model, prepare_batch(mols[i : i + EVAL_CHUNK])).logits.argmax(axis=1)
         for i in range(0, len(mols), EVAL_CHUNK)
     ])
 
@@ -458,7 +469,10 @@ def train(model: ChiralModel, dataset, cfg: TrainConfig, val_dataset=None,
                 batch = [data[i] for i in order[b * cfg.batch_size : (b + 1) * cfg.batch_size]]
                 lr_now = cosine_lr(step, total_steps, cfg.lr, cfg.min_lr_factor)
                 if rank_pairs is None:
-                    loss, correct, grads = batch_step_classify(model, batch, cfg.reg_weight)
+                    mols, labels = zip(*batch)
+                    loss, correct, grads = batch_step_classify(
+                        model, prepare_batch(mols), labels, cfg.reg_weight
+                    )
                 else:
                     loss, correct, grads = batch_step_rank(model, batch, cfg)
                 if not math.isfinite(loss):
@@ -645,8 +659,8 @@ def attention_export_rows(model: ChiralModel, mol: Molecule):
     Returns (key_atom_indices, rows) with one row per chiral unit, key
     order matching the index list.
     """
-    state = forward_batch(model, [mol])
-    encoded = state.encoded
-    keys = tuple(encoded.related_indices[0]) + tuple(encoded.nonchiral_indices[0])
+    state = forward_batch(model, prepare_batch([mol]))
+    part = state.encoded.batch.partitions[0]
+    keys = part.related + part.nonchiral
     # a batch of one has no padding, so its final attention is (n_q, n_k, H)
     return keys, head_averaged_rows(state.attn[-1][0])

@@ -169,16 +169,24 @@ def gelu_grad(x):
 
 
 def finite_diff_grad(f, theta, h=1e-5):
-    """Central-difference gradient of a scalar function of a flat vector."""
+    """Central-difference gradient of a scalar function of a flat vector.
+
+    Every evaluation receives one working copy of theta with entry i moved
+    by +h or -h, and the entry is restored before the next coordinate, so
+    f must not keep its argument (or views of it) beyond the call. theta
+    itself is not modified.
+    """
     if h <= 0.0:
         raise NumericError("finite_diff_grad requires h > 0")
-    theta = np.asarray(theta, dtype=np.float64)
-    grad = np.zeros_like(theta)
-    for i in range(theta.size):
-        step = np.zeros_like(theta)
-        step[i] = h
-        hi = f(theta + step)
-        lo = f(theta - step)
+    work = np.array(theta, dtype=np.float64)
+    grad = np.zeros_like(work)
+    for i in range(work.size):
+        t = work[i]
+        work[i] = t + h
+        hi = f(work)
+        work[i] = t - h
+        lo = f(work)
+        work[i] = t
         if not (np.isfinite(hi) and np.isfinite(lo)):
             raise NumericError(f"non-finite evaluation at coordinate {i}")
         grad[i] = (hi - lo) / (2.0 * h)

@@ -18,7 +18,7 @@ from chiraldet.data import (
     gen_rs,
     toy_axial_molecule,
 )
-from chiraldet.encoder import RankStrategy
+from chiraldet.encoder import RankStrategy, prepare_batch
 from chiraldet.errors import CheckpointChecksumError
 from chiraldet.geometry import (
     ChiralUnit,
@@ -246,7 +246,7 @@ class TestA7AttentionSanity:
         worst_rigid = 0.0
         for mol, _ in test_set[:10]:
             # a batch of one has no padding: attention is (1, n_q, n_k, H)
-            state = forward_batch(model, [mol])
+            state = forward_batch(model, prepare_batch([mol]))
             for attn in state.attn:
                 if attn.shape[2]:
                     worst_rowsum = max(

@@ -16,9 +16,9 @@ from chiraldet.attention import (
     pool_bwd,
 )
 from chiraldet.data import SyntheticSpec, gen_rs
-from chiraldet.encoder import BatchMask, EncodedBatch, encode_fwd, init_encoder
+from chiraldet.encoder import BatchMask, pair_inputs, prepare_batch
 from chiraldet.errors import NumericError
-from chiraldet.geometry import partition_atoms
+from chiraldet.geometry import partition_atoms, reference_point
 from chiraldet.numerics import compare_grads, finite_diff_grad
 
 
@@ -27,19 +27,13 @@ def full_mask(n_q, n_keys):
     return BatchMask(queries=np.ones((1, n_q), bool), keys=np.ones((1, n_keys), bool))
 
 
-def random_encoded(n_units=2, n_r=3, n_n=2, h=8, seed=0):
-    """Random encoder output of one molecule, a batch of one without padding."""
+def random_pairs(n_units=2, n_r=3, n_n=2, seed=0):
+    """Pair inputs of one molecule with random unit and key positions, a
+    batch of one without padding."""
     rng = np.random.default_rng(seed)
-    return EncodedBatch(
-        h_c=rng.standard_normal((1, 1 + n_units, h)),
-        h_r=rng.standard_normal((1, n_r, h)),
-        h_n=rng.standard_normal((1, n_n, h)),
-        mask=full_mask(1 + n_units, n_r + n_n),
-        chiral_positions=rng.uniform(-2, 2, size=(1, n_units, 3)),
-        key_positions=rng.uniform(-2, 2, size=(1, n_r + n_n, 3)),
-        related_indices=[tuple(range(n_r))],
-        nonchiral_indices=[tuple(range(n_r, n_r + n_n))],
-    )
+    return pair_inputs(full_mask(1 + n_units, n_r + n_n), n_r,
+                       rng.uniform(-2, 2, size=(1, n_units, 3)),
+                       rng.uniform(-2, 2, size=(1, n_r + n_n, 3)))
 
 
 class TestDistanceBias:
@@ -89,7 +83,7 @@ class TestDistanceBias:
         params = init_distance_bias(rng, g, n_heads)
         params.e1 += rng.normal(0, 0.3, params.e1.shape)
         params.sigma = rng.uniform(0.5, 1.5, g)
-        enc = random_encoded(seed=12)
+        pairs = random_pairs(seed=12)
         weights = rng.standard_normal((3, 5, n_heads))[None]
 
         sizes = {n: getattr(params, n).size for n in ("e1", "e2", "mu", "sigma", "w_p")}
@@ -104,14 +98,14 @@ class TestDistanceBias:
             return DistanceBiasParams(**parts)
 
         def f(theta):
-            bias, _ = pair_bias_fwd(rebuild(theta), enc)
+            bias, _ = pair_bias_fwd(rebuild(theta), pairs)
             return float((weights * bias).sum())
 
         theta0 = np.concatenate(
             [getattr(params, n).ravel() for n in ("e1", "e2", "mu", "sigma", "w_p")]
         )
         numeric = finite_diff_grad(f, theta0)
-        _, cache = pair_bias_fwd(params, enc)
+        _, cache = pair_bias_fwd(params, pairs)
         grads = pair_bias_bwd(params, cache, weights)
         analytic = np.concatenate([grads[n].ravel() for n in ("e1", "e2", "mu", "sigma", "w_p")])
         assert compare_grads(analytic, numeric, tol=1e-5).passed
@@ -119,16 +113,16 @@ class TestDistanceBias:
 
 class TestInitPairBias:
     def test_empty_keys_shape(self):
-        enc = random_encoded(n_units=1, n_r=0, n_n=0)
+        pairs = random_pairs(n_units=1, n_r=0, n_n=0)
         params = init_distance_bias(np.random.default_rng(1), 4, 2)
-        bias, _ = pair_bias_fwd(params, enc)
+        bias, _ = pair_bias_fwd(params, pairs)
         assert bias.shape == (1, 2, 0, 2)
 
     def test_zero_distance_finite(self):
-        enc = random_encoded(n_units=1, n_r=1, n_n=0, seed=3)
-        enc.key_positions[0, 0] = enc.chiral_positions[0, 0]
+        position = np.random.default_rng(3).uniform(-2, 2, size=(1, 1, 3))
+        pairs = pair_inputs(full_mask(2, 1), 1, position, position)
         params = init_distance_bias(np.random.default_rng(2), 4, 2)
-        bias, _ = pair_bias_fwd(params, enc)
+        bias, _ = pair_bias_fwd(params, pairs)
         assert np.all(np.isfinite(bias))
 
     def test_entrywise_recomputation(self):
@@ -138,15 +132,13 @@ class TestInitPairBias:
         mols = gen_rs(SyntheticSpec(count=1, seed=8, spectator_range=(2, 2)))
         mol = mols[0][0]
         part = partition_atoms(mol)
-        enc_params = init_encoder(rng, 52, 8, 4)
-        enc, _ = encode_fwd(enc_params, [mol], [part])
-        bias = pair_bias_fwd(params, enc)[0][0]
+        bias = pair_bias_fwd(params, prepare_batch([mol]).pairs)[0][0]
         assert np.array_equal(bias[0], np.zeros_like(bias[0]))
-        key_pos = enc.key_positions[0]
-        n_r = enc.h_r.shape[1]
-        for u in range(enc.chiral_positions.shape[1]):
+        key_pos = mol.coords[list(part.related + part.nonchiral)]
+        n_r = len(part.related)
+        for u, unit in enumerate(mol.chiral_units):
             for j in range(key_pos.shape[0]):
-                d = float(np.linalg.norm(enc.chiral_positions[0, u] - key_pos[j]))
+                d = float(np.linalg.norm(reference_point(unit, mol.coords) - key_pos[j]))
                 t = 0 if j < n_r else 1
                 assert np.allclose(bias[1 + u, j], distance_bias(params, d, t), atol=1e-12)
 

@@ -6,11 +6,13 @@ import pytest
 
 from chiraldet.attention import attend_fwd, init_layer
 from chiraldet.data import DEFAULT_SCHEME, SyntheticSpec, gen_axial, gen_rs, tile_molecules
-from chiraldet.encoder import BatchMask
+from chiraldet.encoder import BatchMask, prepare_batch
 from chiraldet.errors import NumericError
 from chiraldet.geometry import ChiralUnit, Molecule, UnitKind
 from chiraldet.model import (
+    AdamState,
     ModelConfig,
+    adam_step,
     backward_batch,
     forward_batch,
     init_model,
@@ -62,11 +64,11 @@ def mixed():
 def test_batch_composition_invariance(mixed, config):
     mols, labels = mixed
     model = init_model(config)
-    state = forward_batch(model, mols)
-    mask = state.encoded.mask
+    state = forward_batch(model, prepare_batch(mols))
+    mask = state.encoded.batch.mask
     for b, mol in enumerate(mols):
         # a batch of one has no padding; molecule b is unpadded by its mask
-        alone = forward_batch(model, [mol])
+        alone = forward_batch(model, prepare_batch([mol]))
         n_q = int(mask.queries[b].sum())
         keys = np.flatnonzero(mask.keys[b])
         assert np.max(np.abs(state.logits[b] - alone.logits[0])) <= 1e-12
@@ -80,7 +82,8 @@ def test_batch_composition_invariance(mixed, config):
     grads = backward_batch(model, state, d_logits)
     summed = {}
     for b, mol in enumerate(mols):
-        one = backward_batch(model, forward_batch(model, [mol]), d_logits[b : b + 1])
+        one = backward_batch(model, forward_batch(model, prepare_batch([mol])),
+                             d_logits[b : b + 1])
         for name, g in one.items():
             summed[name] = summed.get(name, 0.0) + g
     assert grads.keys() == summed.keys()
@@ -91,8 +94,8 @@ def test_batch_composition_invariance(mixed, config):
 
 def test_attention_masks_pad_keys(mixed):
     mols, _ = mixed
-    state = forward_batch(init_model(ModelConfig(**TINY, seed=6)), mols)
-    keys = state.encoded.mask.keys
+    state = forward_batch(init_model(ModelConfig(**TINY, seed=6)), prepare_batch(mols))
+    keys = state.encoded.batch.mask.keys
     assert keys.any(axis=1).all()
     for attn in state.attn:
         pad = np.broadcast_to(~keys[:, None, :, None], attn.shape)
@@ -120,9 +123,25 @@ def test_chiral_molecule_without_keys_in_batch_raises(mixed):
     mols, _ = mixed
     model = init_model(ModelConfig(**TINY, seed=8))
     with pytest.raises(NumericError, match="key set is empty"):
-        forward_batch(model, [mols[0], keyless_chiral_molecule(), mols[-1]])
+        forward_batch(model, prepare_batch([mols[0], keyless_chiral_molecule(), mols[-1]]))
 
 
 def test_empty_batch_rejected():
     with pytest.raises(ValueError):
-        forward_batch(init_model(ModelConfig(**TINY)), [])
+        prepare_batch([])
+
+
+def test_prepared_batch_holds_nothing_of_the_parameters(mixed):
+    mols, labels = mixed
+    model = init_model(ModelConfig(**TINY, seed=9))
+    batch = prepare_batch(mols)
+    state = forward_batch(model, batch)
+    _, d_logits = loss_classify(state.logits, labels)
+    adam_step(model, backward_batch(model, state, d_logits), AdamState.for_model(model), 1e-2)
+    reused = forward_batch(model, batch)
+    fresh = forward_batch(model, prepare_batch(mols))
+    assert not np.array_equal(reused.logits, state.logits)
+    assert np.array_equal(reused.logits, fresh.logits)
+    assert np.array_equal(reused.pooled, fresh.pooled)
+    for a_reused, a_fresh in zip(reused.attn, fresh.attn):
+        assert np.array_equal(a_reused, a_fresh)

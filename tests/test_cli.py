@@ -271,10 +271,32 @@ class TestCliContract:
         assert not (tmp_path / "r" / "model.ckpt").exists()
 
     @pytest.mark.parametrize(
+        ("line", "message"),
+        [("h=0", "h must be >= 1"), ("n_heads=0", "n_heads must be >= 1"),
+         ("n_gkpt=0", "n_gkpt must be >= 1"), ("n_classes=0", "n_classes must be >= 1"),
+         ("batch_size=0", "batch_size must be >= 1"),
+         ("batch_size=-3", "batch_size must be >= 1"),
+         ("min_lr_factor=-0.1", "min_lr_factor must be in [0, 1]")],
+        ids=["h=0", "n_heads=0", "n_gkpt=0", "n_classes=0", "batch_size=0", "batch_size=-3",
+             "min_lr_factor=-0.1"],
+    )
+    def test_invalid_config_value_rejected(self, tmp_path, capsys, line, message):
+        cfg = tmp_path / "cfg"
+        cfg.write_text(line + "\n")
+        ds = tmp_path / "ds"
+        main(["gen", "--task", "rs", "--count", "4", "--seed", "1", "--out", str(ds)])
+        capsys.readouterr()
+        assert main(["train", "--data", str(ds), "--config", str(cfg),
+                     "--out", str(tmp_path / "r")]) == 2
+        assert message in capsys.readouterr().err
+        assert not (tmp_path / "r" / "model.ckpt").exists()
+
+    @pytest.mark.parametrize(
         ("edit", "message"),
         [(set_header(b"d_p=4", b"d_p=3"), "d_p must be >= 4"),
+         (set_header(b"n_heads=2", b"n_heads=0"), "n_heads must be >= 1"),
          (set_first_beta, "encoder.kernel.beta")],
-        ids=["d_p=3", "beta"],
+        ids=["d_p=3", "n_heads=0", "beta"],
     )
     def test_invalid_checkpoint_content_rejected(self, tmp_path, tiny_ckpt, capsys, edit,
                                                  message):

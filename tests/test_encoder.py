@@ -11,6 +11,7 @@ from chiraldet.encoder import (
     init_kernel_bank,
     kernel_bwd,
     kernel_fwd,
+    prepare_batch,
     regularization_grad,
     regularization_loss,
     retract_orthonormal,
@@ -20,7 +21,6 @@ from chiraldet.geometry import (
     Molecule,
     chirality_matrix,
     chirality_matrix_coord_grad,
-    partition_atoms,
     random_rotation,
     transform,
 )
@@ -253,7 +253,7 @@ class TestEncode:
         mol = Molecule(
             coords=coords, atomic_numbers=zs, features=DEFAULT_SCHEME.featurize_all(zs)
         ).validate()
-        enc, _ = encode_fwd(params, [mol], [partition_atoms(mol)])
+        enc, _ = encode_fwd(params, prepare_batch([mol]))
         assert enc.h_c.shape == (1, 1, 8)
         assert np.array_equal(enc.h_c[0, 0], params.global_token)
         assert enc.h_r.shape == (1, 0, 8)
@@ -267,8 +267,7 @@ class TestEncode:
             mlp.w2[:] = 0.0
             mlp.b2[:] = 0.0
         mol = sample_molecule(seed=10)
-        part = partition_atoms(mol)
-        enc, _ = encode_fwd(params, [mol], [part])
+        enc, _ = encode_fwd(params, prepare_batch([mol]))
         mc = np.stack([chirality_matrix(u, mol.coords).m for u in mol.chiral_units])
         dets = kernel_fwd(params.kernels, mc)[0]
         assert np.array_equal(enc.h_c[0, 1:], dets)
@@ -276,9 +275,8 @@ class TestEncode:
     def test_mirror_changes_only_kernel_contribution(self):
         params = make_params(seed=2)
         mol = sample_molecule(seed=11)
-        part = partition_atoms(mol)
-        enc, _ = encode_fwd(params, [mol], [part])
-        enc_m, _ = encode_fwd(params, [make_enantiomer(mol)], [part])
+        enc, _ = encode_fwd(params, prepare_batch([mol]))
+        enc_m, _ = encode_fwd(params, prepare_batch([make_enantiomer(mol)]))
         assert np.array_equal(enc.h_r, enc_m.h_r)
         assert np.array_equal(enc.h_n, enc_m.h_n)
         assert np.array_equal(enc.h_c[0, 0], enc_m.h_c[0, 0])
@@ -290,11 +288,10 @@ class TestEncode:
     def test_se3_invariance(self):
         params = make_params(seed=3)
         mol = sample_molecule(seed=12)
-        part = partition_atoms(mol)
-        enc, _ = encode_fwd(params, [mol], [part])
+        enc, _ = encode_fwd(params, prepare_batch([mol]))
         rng = np.random.default_rng(6)
         moved = transform(mol, random_rotation(rng), rng.uniform(-8, 8, 3))
-        enc2, _ = encode_fwd(params, [moved], [part])
+        enc2, _ = encode_fwd(params, prepare_batch([moved]))
         assert np.max(np.abs(enc2.h_c - enc.h_c)) < 1e-9
         assert np.array_equal(enc2.h_r, enc.h_r)
         assert np.array_equal(enc2.h_n, enc.h_n)
@@ -302,9 +299,8 @@ class TestEncode:
     def test_encode_gradients_including_coords(self):
         params = make_params(seed=4)
         mol = sample_molecule(seed=13)
-        part = partition_atoms(mol)
         rng = np.random.default_rng(9)
-        enc, cache = encode_fwd(params, [mol], [part])
+        enc, cache = encode_fwd(params, prepare_batch([mol]))
         w_c = rng.standard_normal(enc.h_c.shape)
         w_r = rng.standard_normal(enc.h_r.shape)
         w_n = rng.standard_normal(enc.h_n.shape)
@@ -316,7 +312,7 @@ class TestEncode:
             saved = bank.w.copy()
             bank.w[:] = theta.reshape(bank.w.shape)
             try:
-                e, _ = encode_fwd(params, [mol], [part])
+                e, _ = encode_fwd(params, prepare_batch([mol]))
             finally:
                 bank.w[:] = saved
             return float((w_c * e.h_c).sum() + (w_r * e.h_r).sum() + (w_n * e.h_n).sum())
@@ -331,7 +327,7 @@ class TestEncode:
                 features=mol.features,
                 chiral_units=mol.chiral_units,
             )
-            e, _ = encode_fwd(params, [moved], [part])
+            e, _ = encode_fwd(params, prepare_batch([moved]))
             return float((w_c * e.h_c).sum() + (w_r * e.h_r).sum() + (w_n * e.h_n).sum())
 
         numeric_xyz = finite_diff_grad(f_coords, mol.coords.ravel())

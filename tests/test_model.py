@@ -132,6 +132,26 @@ class TestConfig:
     def test_d_p_4_accepted(self):
         ModelConfig(**TINY).validate()
 
+    @pytest.mark.parametrize("field", ["h", "n_heads", "n_gkpt", "n_classes"])
+    @pytest.mark.parametrize("value", [0, -2])
+    def test_size_below_1_rejected(self, field, value):
+        with pytest.raises(ValueError, match=f"^{field} must be >= 1, got {value}$"):
+            ModelConfig(**{**TINY, field: value}).validate()
+
+    @pytest.mark.parametrize(
+        ("field", "value"),
+        [("batch_size", 0), ("batch_size", -3), ("min_lr_factor", -0.5),
+         ("min_lr_factor", 1.5), ("min_lr_factor", float("nan"))],
+    )
+    def test_bad_train_config_rejected_by_train(self, small_dataset, field, value):
+        model = tiny_model(seed=2)
+        with pytest.raises(ValueError, match=field):
+            train(model, small_dataset[:4], TrainConfig(epochs=1, **{field: value}))
+
+    @pytest.mark.parametrize("factor", [0.0, 1.0])
+    def test_min_lr_factor_bounds_accepted(self, factor):
+        TrainConfig(min_lr_factor=factor).validate()
+
 
 class TestSchedule:
     def test_floor_hit_exactly_at_final_step(self):
@@ -347,6 +367,20 @@ class TestCheckpoint:
         save_checkpoint(tiny_model(seed=21), path)
         resign(path, set_header(b"d_p=4", b"d_p=3"))
         with pytest.raises(CheckpointVersionError, match="d_p must be >= 4"):
+            load_checkpoint(path)
+
+    @pytest.mark.parametrize(
+        ("old", "new"),
+        [(b"h=8", b"h=0"), (b"n_heads=2", b"n_heads=0"), (b"n_gkpt=8", b"n_gkpt=0"),
+         (b"n_classes=2", b"n_classes=0")],
+        ids=["h", "n_heads", "n_gkpt", "n_classes"],
+    )
+    def test_zero_size_header_rejected(self, tmp_path, old, new):
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(tiny_model(seed=21), path)
+        resign(path, set_header(old, new))
+        field = old.split(b"=")[0].decode()
+        with pytest.raises(CheckpointVersionError, match=f"{field} must be >= 1"):
             load_checkpoint(path)
 
     def test_nonzero_beta_rejected(self, tmp_path):

@@ -278,3 +278,18 @@ class TestFiniteDiff:
     def test_nonfinite_reported(self):
         with pytest.raises(NumericError):
             finite_diff_grad(lambda t: float("nan"), np.ones(2))
+
+    def test_evaluation_points_and_theta_untouched(self):
+        theta = np.array([0.5, -1.25, 3.0])
+        kept = theta.copy()
+        seen = []
+        finite_diff_grad(lambda t: seen.append(t.copy()) or 0.0, theta, h=1e-3)
+        assert np.array_equal(theta, kept)
+        expect = []
+        for i in range(theta.size):
+            step = np.zeros_like(theta)
+            step[i] = 1e-3
+            expect += [theta + step, theta - step]
+        assert len(seen) == len(expect)
+        for got, want in zip(seen, expect):
+            assert np.array_equal(got, want)
