@@ -26,7 +26,6 @@ from .data import (
     gen_axial,
     gen_axial_torsion,
     gen_rs,
-    make_enantiomer,
     parse,
     read_manifest,
     toy_axial_molecule,
@@ -47,7 +46,6 @@ from .encoder import (
 from .attention import (
     DistanceBiasParams,
     LayerParams,
-    distance_bias,
     pool,
 )
 from .model import (

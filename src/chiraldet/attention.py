@@ -17,7 +17,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import NumericError
+from .errors import DegeneracyError, NumericError
 from .encoder import BatchMask, PairInputs
 from .numerics import (
     gaussian,
@@ -62,40 +62,19 @@ class LayerParams:
     n_heads: int
 
 
-def distance_bias(params: DistanceBiasParams, dist: float, pair_type: int) -> np.ndarray:
-    """Bias vector (one entry per head) for a single distance/pair type."""
-    if not 0 <= pair_type < N_PAIR_TYPES:
-        raise ValueError(f"pair_type must be in [0, {N_PAIR_TYPES}), got {pair_type}")
-    if dist < 0:
-        raise ValueError("distance must be non-negative")
-    x = params.e1[pair_type] * dist + params.e2[pair_type]
-    dens = gaussian(x, params.mu, np.maximum(params.sigma, SIGMA_FLOOR))
-    return dens @ params.w_p
-
-
 def _bias_fwd(params: DistanceBiasParams, dists, types):
     """Vectorized bias for flat (n,) distances/types; returns (bias, cache)."""
-    dists = np.asarray(dists, dtype=np.float64)
-    types = np.asarray(types, dtype=np.int64)
-    e1 = params.e1[types]
-    e2 = params.e2[types]
-    x = e1 * dists[:, None] + e2
-    sig = np.maximum(params.sigma, SIGMA_FLOOR)
-    dens = gaussian(x, params.mu, sig)
-    bias = dens @ params.w_p
-    return bias, (dists, types, x, sig, dens)
+    x = params.e1[types] * dists[:, None] + params.e2[types]
+    dens = gaussian(x, params.mu, params.sigma)
+    return dens @ params.w_p, (dists, types, x, dens)
 
 
-def _bias_bwd(params: DistanceBiasParams, cache, d_bias):
-    dists, types, x, sig, dens = cache
-    d_wp = dens.T @ d_bias
+def _bias_bwd(params: DistanceBiasParams, cache, d_bias) -> DistanceBiasParams:
+    dists, types, x, dens = cache
+    sig = params.sigma
     d_dens = d_bias @ params.w_p.T
     z = (x - params.mu) / sig
     d_x = d_dens * dens * (-z / sig)
-    d_mu = (d_dens * dens * (z / sig)).sum(axis=0)
-    d_sigma_eff = (d_dens * dens * ((z * z - 1.0) / sig)).sum(axis=0)
-    # clamp: no gradient where sigma was floored
-    d_sigma = np.where(params.sigma > SIGMA_FLOOR, d_sigma_eff, 0.0)
     d_e1 = np.zeros_like(params.e1)
     d_e2 = np.zeros_like(params.e2)
     for t in range(N_PAIR_TYPES):
@@ -103,7 +82,13 @@ def _bias_bwd(params: DistanceBiasParams, cache, d_bias):
         if mask.any():
             d_e1[t] = (d_x[mask] * dists[mask, None]).sum(axis=0)
             d_e2[t] = d_x[mask].sum(axis=0)
-    return {"e1": d_e1, "e2": d_e2, "mu": d_mu, "sigma": d_sigma, "w_p": d_wp}
+    return DistanceBiasParams(
+        e1=d_e1,
+        e2=d_e2,
+        mu=(d_dens * dens * (z / sig)).sum(axis=0),
+        sigma=(d_dens * dens * ((z * z - 1.0) / sig)).sum(axis=0),
+        w_p=dens.T @ d_bias,
+    )
 
 
 def pair_bias_fwd(params: DistanceBiasParams, pairs: PairInputs):
@@ -113,25 +98,23 @@ def pair_bias_fwd(params: DistanceBiasParams, pairs: PairInputs):
     Keys are the related atoms (type 0) followed by the non-chiral atoms
     (type 1); the token row and every pad entry stay zero. The distance
     bias runs once over the valid (unit, key) pairs of the whole batch,
-    whose distances come prepared in `pairs`.
+    whose distances come prepared in `pairs`. A bias.sigma entry at or
+    below SIGMA_FLOOR raises DegeneracyError: its density has no usable
+    gradient.
     """
+    low = np.flatnonzero(params.sigma <= SIGMA_FLOOR)
+    if low.size:
+        raise DegeneracyError(
+            f"bias.sigma[{int(low[0])}] = {params.sigma[low[0]]:.3e} is at or below "
+            f"SIGMA_FLOOR = {SIGMA_FLOOR:g}"
+        )
     p = np.zeros(pairs.shape + (params.w_p.shape[1],))
-    if not pairs.dists.size:
-        return p, None
     flat, cache = _bias_fwd(params, pairs.dists, pairs.types)
     p[pairs.index] = flat
     return p, (cache, pairs.index)
 
 
-def pair_bias_bwd(params: DistanceBiasParams, cache, d_p):
-    if cache is None:
-        return {
-            "e1": np.zeros_like(params.e1),
-            "e2": np.zeros_like(params.e2),
-            "mu": np.zeros_like(params.mu),
-            "sigma": np.zeros_like(params.sigma),
-            "w_p": np.zeros_like(params.w_p),
-        }
+def pair_bias_bwd(params: DistanceBiasParams, cache, d_p) -> DistanceBiasParams:
     bias_cache, index = cache
     return _bias_bwd(params, bias_cache, d_p[index])
 
@@ -220,27 +203,21 @@ def attend_bwd(layer: LayerParams, cache: LayerCache, d_out, d_bias_out):
     next layer's bias input); the incoming bias gradient equals the total
     logit gradient because the bias enters additively. Each weight
     gradient is one matmul over the rows of the whole batch.
-    Returns (param_grads, d_h_c_in, d_h_r, d_h_n, d_bias_in).
+    Returns (grads as LayerParams, d_h_c_in, d_h_r, d_h_n, d_bias_in).
     """
     c = cache
     n_batch, n_q, h = c.h_c_in.shape
     n_r = c.h_r.shape[1]
     n_heads = layer.n_heads
 
-    grads = {}
-    d_v, grads["ln2_gamma"], grads["ln2_beta"] = layer_norm_rows_backward(
+    d_v, d_ln2_gamma, d_ln2_beta = layer_norm_rows_backward(
         d_out.reshape(-1, h), c.ln2, layer.ln2_gamma
     )
-    grads["ff_w2"] = d_v.T @ c.a1
-    grads["ff_b2"] = d_v.sum(axis=0)
     d_z1 = (d_v @ layer.ff_w2) * gelu_grad(c.z1)
-    grads["ff_w1"] = d_z1.T @ c.u_ln
-    grads["ff_b1"] = d_z1.sum(axis=0)
-    d_u, grads["ln1_gamma"], grads["ln1_beta"] = layer_norm_rows_backward(
+    d_u, d_ln1_gamma, d_ln1_beta = layer_norm_rows_backward(
         d_v + d_z1 @ layer.ff_w1, c.ln1, layer.ln1_gamma
     )
 
-    grads["wo"] = d_u.T @ c.ctx
     d_ctx = _heads((d_u @ layer.wo).reshape(n_batch, n_q, h), n_heads)
     d_attn = (d_ctx @ c.vh.transpose(0, 1, 3, 2)).transpose(0, 2, 3, 1)
     d_vflat = _rows(c.attn.transpose(0, 3, 2, 1) @ d_ctx).reshape(n_batch, -1, h)
@@ -253,11 +230,23 @@ def attend_bwd(layer: LayerParams, cache: LayerCache, d_out, d_bias_out):
     h_n = c.h_n.reshape(-1, h)
     d_kr, d_kn = d_k[:, :n_r].reshape(-1, h), d_k[:, n_r:].reshape(-1, h)
     d_vr, d_vn = d_vflat[:, :n_r].reshape(-1, h), d_vflat[:, n_r:].reshape(-1, h)
-    grads["wq"] = d_q.T @ c.h_c_in.reshape(-1, h)
-    grads["wk_r"] = d_kr.T @ h_r
-    grads["wv_r"] = d_vr.T @ h_r
-    grads["wk_n"] = d_kn.T @ h_n
-    grads["wv_n"] = d_vn.T @ h_n
+    grads = LayerParams(
+        wq=d_q.T @ c.h_c_in.reshape(-1, h),
+        wk_r=d_kr.T @ h_r,
+        wv_r=d_vr.T @ h_r,
+        wk_n=d_kn.T @ h_n,
+        wv_n=d_vn.T @ h_n,
+        wo=d_u.T @ c.ctx,
+        ff_w1=d_z1.T @ c.u_ln,
+        ff_b1=d_z1.sum(axis=0),
+        ff_w2=d_v.T @ c.a1,
+        ff_b2=d_v.sum(axis=0),
+        ln1_gamma=d_ln1_gamma,
+        ln1_beta=d_ln1_beta,
+        ln2_gamma=d_ln2_gamma,
+        ln2_beta=d_ln2_beta,
+        n_heads=n_heads,
+    )
     d_h_c = (d_u + d_q @ layer.wq).reshape(n_batch, n_q, h)
     d_h_r = (d_kr @ layer.wk_r + d_vr @ layer.wv_r).reshape(c.h_r.shape)
     d_h_n = (d_kn @ layer.wk_n + d_vn @ layer.wv_n).reshape(c.h_n.shape)

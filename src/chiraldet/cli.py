@@ -217,6 +217,11 @@ def cmd_train(args) -> int:
         train_cfg.epochs = args.epochs
     if args.lr is not None:
         train_cfg.lr = args.lr
+    train_cfg.validate()
+    widths = {mol.features.shape[1] for mol, _ in dataset}
+    if widths != {model_cfg.d_f}:
+        raise ValueError(f"d_f={model_cfg.d_f} does not match the dataset's feature "
+                         f"width {', '.join(map(str, sorted(widths)))}")
     train_set, val_set, _ = _split_dataset(dataset, args.split)
     if not train_set:
         print("empty training split", file=sys.stderr)

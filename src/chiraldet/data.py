@@ -235,11 +235,6 @@ def write(mol: Molecule, path):
     path.write_text("\n".join(lines) + "\n")
 
 
-def make_enantiomer(mol: Molecule) -> Molecule:
-    """Mirror image with all annotations preserved; every product negates."""
-    return replace(mirror(mol), id=mol.id + "_ent" if mol.id else mol.id)
-
-
 # ---------------------------------------------------------------------------
 # Synthetic data
 # ---------------------------------------------------------------------------

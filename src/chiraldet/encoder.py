@@ -215,7 +215,8 @@ def kernel_fwd(bank: KernelBank, mc_batch):
 
 
 def kernel_bwd(cache, d_out):
-    """Backward of kernel_fwd; returns (d_w, d_gamma, d_mc).
+    """Backward of kernel_fwd; returns (grads as a KernelBank, d_mc). The
+    frozen beta's gradient is zero.
 
     d out / d M = cof(M) s / sigma^3 - out / (d_p sigma^2) * C^T C M, which
     is smooth through det(M) = 0. Parameter gradients flow through s, with
@@ -226,7 +227,8 @@ def kernel_bwd(cache, d_out):
     bank, mc_batch, saved = cache
     d_out = np.asarray(d_out, dtype=np.float64)
     if saved is None:
-        return np.zeros_like(bank.w), np.zeros_like(bank.gamma), np.zeros_like(mc_batch)
+        grads = KernelBank(*(np.zeros_like(a) for a in (bank.w, bank.gamma, bank.beta)))
+        return grads, np.zeros_like(mc_batch)
     out, det_m, w_eff, centered, cc, mmt, gram, s, sigma2, inv_sigma3 = saved
     dead = np.flatnonzero(s <= 0.0)
     if dead.size:
@@ -247,7 +249,7 @@ def kernel_bwd(cache, d_out):
     d_gamma = ((d_w_eff * centered) @ np.ones(3)).sum(axis=0)
     d_c = bank.gamma[None, :, None] * d_w_eff - centered @ coef_mmt
     d_w = d_c - _row_mean(d_c)
-    return d_w, d_gamma, d_mc
+    return KernelBank(w=d_w, gamma=d_gamma, beta=np.zeros_like(bank.beta)), d_mc
 
 
 def regularization_loss(bank: KernelBank) -> float:
@@ -286,7 +288,7 @@ def mlp2_bwd(mlp: Mlp2, cache, d_out):
     d_w1 = d_z1.T @ x
     d_b1 = d_z1.sum(axis=0)
     d_x = d_z1 @ mlp.w1
-    return {"w1": d_w1, "b1": d_b1, "w2": d_w2, "b2": d_b2}, d_x
+    return Mlp2(w1=d_w1, b1=d_b1, w2=d_w2, b2=d_b2), d_x
 
 
 def unit_feature_rows(mol: Molecule) -> np.ndarray:
@@ -369,27 +371,20 @@ def encode_fwd(params: EncoderParams, batch: MoleculeBatch):
     return encoded, (k_cache, c_cache, r_cache, n_cache, batch)
 
 
-def encode_bwd(params: EncoderParams, cache, d_hc, d_hr, d_hn):
+def encode_bwd(params: EncoderParams, cache, d_hc, d_hr, d_hn) -> EncoderParams:
     """Backward of encode_fwd from padded gradients; pad rows are ignored.
 
-    Returns (grads, d_mc): grads keyed by parameter group, d_mc the
-    gradient with respect to the chirality matrices stacked over the batch.
+    Returns the parameter gradients as an EncoderParams.
     """
     k_cache, c_cache, r_cache, n_cache, batch = cache
     d_rows = d_hc[batch.unit_slots]
-    d_w, d_gamma, d_mc = kernel_bwd(k_cache, d_rows)
-    d_proj_c, _ = mlp2_bwd(params.proj_c, c_cache, d_rows)
-    d_proj_r, _ = mlp2_bwd(params.proj_r, r_cache, d_hr[batch.related_slots])
-    d_proj_n, _ = mlp2_bwd(params.proj_n, n_cache, d_hn[batch.nonchiral_slots])
-    grads = {
-        "kernel.w": d_w,
-        "kernel.gamma": d_gamma,
-        "token": d_hc[:, 0].sum(axis=0),
-        "proj_c": d_proj_c,
-        "proj_r": d_proj_r,
-        "proj_n": d_proj_n,
-    }
-    return grads, d_mc
+    return EncoderParams(
+        kernels=kernel_bwd(k_cache, d_rows)[0],
+        proj_c=mlp2_bwd(params.proj_c, c_cache, d_rows)[0],
+        proj_r=mlp2_bwd(params.proj_r, r_cache, d_hr[batch.related_slots])[0],
+        proj_n=mlp2_bwd(params.proj_n, n_cache, d_hn[batch.nonchiral_slots])[0],
+        global_token=d_hc[:, 0].sum(axis=0),
+    )
 
 
 def init_mlp2(rng, d_in: int, d_hidden: int, d_out: int) -> Mlp2:

@@ -203,27 +203,6 @@ def unit_products(mol: Molecule) -> list[float]:
     return [chirality_product(chirality_matrix(u, mol.coords)) for u in mol.chiral_units]
 
 
-def chirality_matrix_coord_grad(unit: ChiralUnit, d_m, grad_coords):
-    """Accumulate d(scalar)/d(coords) given d(scalar)/d(chirality matrix).
-
-    The matrix rows are linear in coordinates, so the pullback just routes
-    each row gradient to the atoms that formed it.
-    """
-    d_m = np.asarray(d_m, dtype=np.float64)
-    r1, r2, r3, r4 = unit.related
-    grad_coords[r1] += d_m[0]
-    grad_coords[r2] += d_m[1]
-    grad_coords[r4] += d_m[2]
-    grad_coords[r3] -= d_m[2]
-    d_ref = -(d_m[0] + d_m[1])
-    if unit.kind is UnitKind.CENTER:
-        grad_coords[unit.center_atoms[0]] += d_ref
-    else:
-        a, b = unit.center_atoms
-        grad_coords[a] += 0.5 * d_ref
-        grad_coords[b] += 0.5 * d_ref
-
-
 def random_rotation(rng) -> np.ndarray:
     """Uniform-ish random element of SO(3) (QR of Gaussian, det fixed to +1)."""
     q, r = np.linalg.qr(rng.standard_normal((3, 3)))

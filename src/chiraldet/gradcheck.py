@@ -9,13 +9,11 @@ the harness can prove the audit actually detects wrong gradients.
 from __future__ import annotations
 
 import zlib
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .attention import (
-    DistanceBiasParams,
-    LayerParams,
     attend_bwd,
     attend_fwd,
     init_distance_bias,
@@ -28,21 +26,29 @@ from .encoder import (
     BatchMask,
     KernelBank,
     init_kernel_bank,
+    init_mlp2,
     kernel_bwd,
     kernel_fwd,
+    mlp2_bwd,
+    mlp2_fwd,
     pair_inputs,
     prepare_batch,
     regularization_grad,
     regularization_loss,
 )
+from .errors import NumericError
+from .geometry import mirror
 from .model import (
-    _BIAS_FIELDS,
-    _LAYER_FIELDS,
     FROZEN_PARAMS,
     ModelConfig,
+    TrainConfig,
+    _leaves,
     batch_loss_classify,
+    batch_loss_rank,
     batch_step_classify,
+    batch_step_rank,
     dataset_to_pairs,
+    forward_batch,
     init_model,
     named_parameters,
 )
@@ -64,6 +70,7 @@ BLOCKS = (
     "attention.layer",
     "model.predictor",
     "model.full_loss",
+    "model.rank_loss",
 )
 
 
@@ -72,6 +79,31 @@ class BlockReport:
     name: str
     max_rel_error: float
     passed: bool
+
+
+def _arrays(item) -> list:
+    """An array as itself, a parameter dataclass as its array fields."""
+    return [item] if isinstance(item, np.ndarray) else [a for _, a in _leaves(item)]
+
+
+def flatten(*items) -> np.ndarray:
+    """One flat vector of the arrays of every item, in order."""
+    return np.concatenate([a.ravel() for item in items for a in _arrays(item)])
+
+
+def unflatten(theta, *like) -> list:
+    """Inverse of flatten: consecutive views of theta shaped like the arrays
+    of `like`. A parameter dataclass comes back as a copy of the same type
+    whose array fields are views."""
+    out, i = [], 0
+    for item in like:
+        is_array = isinstance(item, np.ndarray)
+        views = {}
+        for name, a in [(None, item)] if is_array else _leaves(item):
+            views[name] = theta[i : i + a.size].reshape(a.shape)
+            i += a.size
+        out.append(views[None] if is_array else replace(item, **views))
+    return out
 
 
 def _nonsingular_mc(rng, n, floor=0.3):
@@ -90,24 +122,20 @@ def _check_kernel(rng):
     weights = rng.standard_normal((2, 2))
 
     def f(theta):
-        i = bank.w.size
-        b = KernelBank(w=theta[:i].reshape(bank.w.shape), gamma=theta[i : i + 4], beta=bank.beta)
-        return float((weights * kernel_fwd(b, theta[i + 4 :].reshape(2, 3, 3))[0]).sum())
+        w, gamma, m = unflatten(theta, bank.w, bank.gamma, mc)
+        return float((weights * kernel_fwd(replace(bank, w=w, gamma=gamma), m)[0]).sum())
 
-    theta0 = np.concatenate([bank.w.ravel(), bank.gamma, mc.ravel()])
-    numeric = finite_diff_grad(f, theta0)
+    numeric = finite_diff_grad(f, flatten(bank.w, bank.gamma, mc))
     _, cache = kernel_fwd(bank, mc)
-    d_w, d_gamma, d_mc = kernel_bwd(cache, weights)
-    return np.concatenate([d_w.ravel(), d_gamma, d_mc.ravel()]), numeric
+    grads, d_mc = kernel_bwd(cache, weights)
+    return flatten(grads.w, grads.gamma, d_mc), numeric
 
 
 def _check_reg_loss(rng):
     bank = KernelBank(w=rng.standard_normal((2, 4, 3)), gamma=np.ones(4), beta=np.zeros(4))
 
     def f(theta):
-        return regularization_loss(
-            KernelBank(w=theta.reshape(bank.w.shape), gamma=bank.gamma, beta=bank.beta)
-        )
+        return regularization_loss(replace(bank, w=theta.reshape(bank.w.shape)))
 
     numeric = finite_diff_grad(f, bank.w.ravel())
     return regularization_grad(bank).ravel(), numeric
@@ -120,14 +148,11 @@ def _check_layer_norm(rng):
     weights = rng.standard_normal((3, 8))
 
     def f(theta):
-        xs = theta[:24].reshape(3, 8)
-        out, _ = layer_norm_rows(xs, theta[24:32], theta[32:])
-        return float((weights * out).sum())
+        return float((weights * layer_norm_rows(*unflatten(theta, x, gamma, beta))[0]).sum())
 
-    numeric = finite_diff_grad(f, np.concatenate([x.ravel(), gamma, beta]))
+    numeric = finite_diff_grad(f, flatten(x, gamma, beta))
     _, cache = layer_norm_rows(x, gamma, beta)
-    d_x, d_gamma, d_beta = layer_norm_rows_backward(weights, cache, gamma)
-    return np.concatenate([d_x.ravel(), d_gamma, d_beta]), numeric
+    return flatten(*layer_norm_rows_backward(weights, cache, gamma)), numeric
 
 
 def _pair_instance(rng):
@@ -147,18 +172,12 @@ def _check_distance_bias(rng):
     weights = rng.standard_normal((2, 3, 5, 2))
 
     def f(theta):
-        parts, i = {}, 0
-        for name in _BIAS_FIELDS:
-            arr = getattr(params, name)
-            parts[name] = theta[i : i + arr.size].reshape(arr.shape)
-            i += arr.size
-        return float((weights * pair_bias_fwd(DistanceBiasParams(**parts), pairs)[0]).sum())
+        (p,) = unflatten(theta, params)
+        return float((weights * pair_bias_fwd(p, pairs)[0]).sum())
 
-    theta0 = np.concatenate([getattr(params, n).ravel() for n in _BIAS_FIELDS])
-    numeric = finite_diff_grad(f, theta0)
+    numeric = finite_diff_grad(f, flatten(params))
     _, cache = pair_bias_fwd(params, pairs)
-    grads = pair_bias_bwd(params, cache, weights)
-    return np.concatenate([grads[n].ravel() for n in _BIAS_FIELDS]), numeric
+    return flatten(pair_bias_bwd(params, cache, weights)), numeric
 
 
 def _check_attention_layer(rng):
@@ -169,60 +188,50 @@ def _check_attention_layer(rng):
     reach the emitted logits, so their gradients are audited as well."""
     layer = init_layer(rng, 8, 2)
     mask = BatchMask.of_counts([1, 0, 0], [2, 0, 0], [1, 2, 0])
-    shapes = {"h_c": (3, 2, 8), "h_r": (3, 2, 8), "h_n": (3, 2, 8), "p": (3, 2, 4, 2)}
-    inputs = {name: rng.standard_normal(shape) for name, shape in shapes.items()}
+    # h_c, h_r, h_n and the incoming bias
+    inputs = [rng.standard_normal(s) for s in ((3, 2, 8), (3, 2, 8), (3, 2, 8), (3, 2, 4, 2))]
     w_out = rng.standard_normal((3, 2, 8))
     w_bias = rng.standard_normal((3, 2, 4, 2))
 
     def f(theta):
-        parts, i = {}, 0
-        for name, arr in [(n, getattr(layer, n)) for n in _LAYER_FIELDS] + list(inputs.items()):
-            parts[name] = theta[i : i + arr.size].reshape(arr.shape)
-            i += arr.size
-        out, bias_out, _, _ = attend_fwd(
-            LayerParams(**{n: parts[n] for n in _LAYER_FIELDS}, n_heads=2),
-            parts["h_c"], parts["h_r"], parts["h_n"], parts["p"], mask,
-        )
+        out, bias_out, _, _ = attend_fwd(*unflatten(theta, layer, *inputs), mask)
         return float((w_out * out).sum() + (w_bias * bias_out).sum())
 
-    theta0 = np.concatenate(
-        [getattr(layer, n).ravel() for n in _LAYER_FIELDS] + [a.ravel() for a in inputs.values()]
-    )
-    numeric = finite_diff_grad(f, theta0)
-    _, _, _, cache = attend_fwd(
-        layer, inputs["h_c"], inputs["h_r"], inputs["h_n"], inputs["p"], mask
-    )
-    grads, d_hc, d_hr, d_hn, d_bias = attend_bwd(layer, cache, w_out, w_bias)
-    analytic = np.concatenate(
-        [grads[n].ravel() for n in _LAYER_FIELDS]
-        + [d_hc.ravel(), d_hr.ravel(), d_hn.ravel(), d_bias.ravel()]
-    )
-    return analytic, numeric
+    numeric = finite_diff_grad(f, flatten(layer, *inputs))
+    _, _, _, cache = attend_fwd(layer, *inputs, mask)
+    return flatten(*attend_bwd(layer, cache, w_out, w_bias)), numeric
 
 
 def _check_predictor(rng):
-    from .encoder import init_mlp2, mlp2_bwd, mlp2_fwd, Mlp2
-
     mlp = init_mlp2(rng, 8, 8, 2)
     x = rng.standard_normal((3, 8))
     weights = rng.standard_normal((3, 2))
-    names = ("w1", "b1", "w2", "b2")
 
     def f(theta):
-        parts, i = {}, 0
-        for name in names:
-            arr = getattr(mlp, name)
-            parts[name] = theta[i : i + arr.size].reshape(arr.shape)
-            i += arr.size
-        out, _ = mlp2_fwd(Mlp2(**parts), theta[i:].reshape(3, 8))
-        return float((weights * out).sum())
+        return float((weights * mlp2_fwd(*unflatten(theta, mlp, x))[0]).sum())
 
-    theta0 = np.concatenate([getattr(mlp, n).ravel() for n in names] + [x.ravel()])
-    numeric = finite_diff_grad(f, theta0)
-    out, cache = mlp2_fwd(mlp, x)
-    grads, d_x = mlp2_bwd(mlp, cache, weights)
-    analytic = np.concatenate([grads[n].ravel() for n in names] + [d_x.ravel()])
-    return analytic, numeric
+    numeric = finite_diff_grad(f, flatten(mlp, x))
+    _, cache = mlp2_fwd(mlp, x)
+    return flatten(*mlp2_bwd(mlp, cache, weights)), numeric
+
+
+def _oracle(f, live):
+    """Central differences of f() in the live parameter arrays: each
+    evaluation copies its point into them, and they are restored after."""
+    point = flatten(*live)
+    theta0 = point.copy()
+    views = unflatten(point, *live)
+
+    def at(theta):
+        point[...] = theta
+        for a, v in zip(live, views):
+            a[...] = v
+        return f()
+
+    try:
+        return finite_diff_grad(at, theta0)
+    finally:
+        at(theta0)
 
 
 def _check_full_loss(rng, config: ModelConfig):
@@ -238,26 +247,33 @@ def _check_full_loss(rng, config: ModelConfig):
         [(mol_a, label_a), (tile_molecules([mol_b, mol_c]), label_b)]
     ))
     batch = prepare_batch(mols)
-    live = [(n, a) for n, a in named_parameters(model) if n not in FROZEN_PARAMS]
-
-    def set_theta(theta):
-        i = 0
-        for _, a in live:
-            a[...] = theta[i : i + a.size].reshape(a.shape)
-            i += a.size
-
-    def f(theta):
-        set_theta(theta)
-        return batch_loss_classify(model, batch, labels, reg_weight=0.1)
-
-    theta0 = np.concatenate([a.ravel() for _, a in live])
-    try:
-        numeric = finite_diff_grad(f, theta0)
-    finally:
-        set_theta(theta0)
+    live = [a for n, a in named_parameters(model) if n not in FROZEN_PARAMS]
+    numeric = _oracle(lambda: batch_loss_classify(model, batch, labels, reg_weight=0.1), live)
     _, _, grads = batch_step_classify(model, batch, labels, reg_weight=0.1)
-    analytic = np.concatenate([grads[n].ravel() for n, _ in live])
-    return analytic, numeric
+    return flatten(*(a for n, a in named_parameters(grads) if n not in FROZEN_PARAMS)), numeric
+
+
+def _check_rank_loss(rng, config: ModelConfig):
+    """Margin-ranking loss of two enantiomer pairs under a 1-dim head, each
+    pair ordered so that its score gap is positive. Only the head and the
+    kernel gain are audited: the rest of the chain is the backward_batch
+    that model.full_loss audits. The margin is the mean gap, so one pair
+    is inside the hinge, and both must stay 1e-4 or more from its kink."""
+    model = init_model(replace(config, n_classes=1))
+    pairs = [(mol, mirror(mol)) for mol, _ in gen_rs(
+        SyntheticSpec(count=2, seed=int(rng.integers(1 << 16)), spectator_range=(1, 2))
+    )]
+    scores = forward_batch(model, prepare_batch([m for pair in pairs for m in pair])).logits
+    gaps = scores[0::2, 0] - scores[1::2, 0]
+    his, los = zip(*(pair if gap > 0 else pair[::-1] for pair, gap in zip(pairs, gaps)))
+    cfg = TrainConfig(margin=float(np.abs(gaps).mean()))
+    if np.min(np.abs(np.abs(gaps) - cfg.margin)) < 1e-4:
+        raise NumericError(f"score gaps {gaps} put a rank audit pair on the hinge kink")
+    batch = prepare_batch(his + los)
+    live = [model.encoder.kernels.gamma] + _arrays(model.head)
+    numeric = _oracle(lambda: batch_loss_rank(model, batch, cfg), live)
+    _, _, grads = batch_step_rank(model, batch, cfg)
+    return flatten(grads.encoder.kernels.gamma, grads.head), numeric
 
 
 _CHECKS = {
@@ -268,6 +284,7 @@ _CHECKS = {
     "attention.layer": _check_attention_layer,
     "model.predictor": _check_predictor,
 }
+_MODEL_CHECKS = {"model.full_loss": _check_full_loss, "model.rank_loss": _check_rank_loss}
 
 
 def run_gradcheck(config: ModelConfig = TINY_CONFIG, seed: int = 1, tol: float = 1e-4,
@@ -279,8 +296,8 @@ def run_gradcheck(config: ModelConfig = TINY_CONFIG, seed: int = 1, tol: float =
     reports = []
     for name in blocks:
         rng = np.random.default_rng(seed + zlib.crc32(name.encode()) % 1000)
-        if name == "model.full_loss":
-            analytic, numeric = _check_full_loss(rng, config)
+        if name in _MODEL_CHECKS:
+            analytic, numeric = _MODEL_CHECKS[name](rng, config)
         else:
             analytic, numeric = _CHECKS[name](rng)
         if sabotage and name.startswith(sabotage):

@@ -99,6 +99,10 @@ class TrainConfig:
     min_lr_factor: float = 0.1
 
     def validate(self):
+        for f in dataclass_fields(self):
+            value = getattr(self, f.name)
+            if isinstance(value, float) and not math.isfinite(value):
+                raise ValueError(f"{f.name} must be finite, got {value}")
         if self.lr <= 0 or self.epochs < 1:
             raise ValueError("lr must be positive and epochs >= 1")
         if self.batch_size < 1:
@@ -135,32 +139,29 @@ def init_model(config: ModelConfig) -> ChiralModel:
     )
 
 
-_MLP_FIELDS = ("w1", "b1", "w2", "b2")
-_LAYER_FIELDS = (
-    "wq", "wk_r", "wv_r", "wk_n", "wv_n", "wo",
-    "ff_w1", "ff_b1", "ff_w2", "ff_b2",
-    "ln1_gamma", "ln1_beta", "ln2_gamma", "ln2_beta",
-)
-_BIAS_FIELDS = ("e1", "e2", "mu", "sigma", "w_p")
+def _leaves(params):
+    """(field name, array) of every array field of a parameter dataclass,
+    in declaration order; a non-array field such as n_heads is skipped."""
+    return [(f.name, getattr(params, f.name)) for f in dataclass_fields(params)
+            if isinstance(getattr(params, f.name), np.ndarray)]
 
 
 def named_parameters(model: ChiralModel):
-    """Deterministically ordered (name, array) pairs over every tensor."""
-    yield "encoder.kernel.w", model.encoder.kernels.w
-    yield "encoder.kernel.gamma", model.encoder.kernels.gamma
-    yield "encoder.kernel.beta", model.encoder.kernels.beta
-    yield "encoder.token", model.encoder.global_token
-    for tag, mlp in (("proj_c", model.encoder.proj_c), ("proj_r", model.encoder.proj_r),
-                     ("proj_n", model.encoder.proj_n)):
-        for f in _MLP_FIELDS:
-            yield f"encoder.{tag}.{f}", getattr(mlp, f)
-    for f in _BIAS_FIELDS:
-        yield f"bias.{f}", getattr(model.distance_bias, f)
-    for i, layer in enumerate(model.layers):
-        for f in _LAYER_FIELDS:
-            yield f"layers.{i}.{f}", getattr(layer, f)
-    for f in _MLP_FIELDS:
-        yield f"head.{f}", getattr(model.head, f)
+    """Deterministically ordered (name, array) pairs over every tensor. On
+    the ChiralModel of gradients that backward_batch returns, each gradient
+    comes under its parameter's name."""
+    enc = model.encoder
+    groups = [("encoder.kernel", enc.kernels), ("encoder.token", enc.global_token)]
+    groups += [(f"encoder.{tag}", getattr(enc, tag)) for tag in ("proj_c", "proj_r", "proj_n")]
+    groups += [("bias", model.distance_bias)]
+    groups += [(f"layers.{i}", layer) for i, layer in enumerate(model.layers)]
+    groups += [("head", model.head)]
+    for prefix, params in groups:
+        if isinstance(params, np.ndarray):
+            yield prefix, params
+        else:
+            for name, arr in _leaves(params):
+                yield f"{prefix}.{name}", arr
 
 
 @dataclass
@@ -209,13 +210,13 @@ def forward_batch(model: ChiralModel, batch: MoleculeBatch) -> BatchState:
     )
 
 
-def backward_batch(model: ChiralModel, state: BatchState, d_logits) -> dict[str, np.ndarray]:
-    """Parameter gradients of a batch from d loss / d logits (B, n_classes).
+def backward_batch(model: ChiralModel, state: BatchState, d_logits) -> ChiralModel:
+    """Parameter gradients of a batch from d loss / d logits (B, n_classes),
+    as a ChiralModel of the same shapes.
 
     Each layer's cache is released once consumed, so a state can be
     backpropagated only once.
     """
-    grads = {}
     d_head, d_pooled = mlp2_bwd(model.head, state.caches["head"], d_logits)
     encoded = state.encoded
     d_h_c = pool_bwd(d_pooled, encoded.batch.mask.queries)
@@ -223,29 +224,21 @@ def backward_batch(model: ChiralModel, state: BatchState, d_logits) -> dict[str,
     d_h_n = np.zeros_like(encoded.h_n)
     d_bias = np.zeros(state.attn[-1].shape)
     layer_caches = state.caches["layers"]
+    d_layers = [None] * len(model.layers)
     for i in reversed(range(len(model.layers))):
-        lgrads, d_h_c, d_hr_i, d_hn_i, d_bias = attend_bwd(
+        d_layers[i], d_h_c, d_hr_i, d_hn_i, d_bias = attend_bwd(
             model.layers[i], layer_caches[i], d_h_c, d_bias
         )
         layer_caches[i] = None
         d_h_r += d_hr_i
         d_h_n += d_hn_i
-        for f in _LAYER_FIELDS:
-            grads[f"layers.{i}.{f}"] = lgrads[f]
-    bgrads = pair_bias_bwd(model.distance_bias, state.caches["bias"], d_bias)
-    for f in _BIAS_FIELDS:
-        grads[f"bias.{f}"] = bgrads[f]
-    egrads, _ = encode_bwd(model.encoder, state.caches["encode"], d_h_c, d_h_r, d_h_n)
-    grads["encoder.kernel.w"] = egrads["kernel.w"]
-    grads["encoder.kernel.gamma"] = egrads["kernel.gamma"]
-    grads["encoder.kernel.beta"] = np.zeros_like(model.encoder.kernels.beta)
-    grads["encoder.token"] = egrads["token"]
-    for tag in ("proj_c", "proj_r", "proj_n"):
-        for f in _MLP_FIELDS:
-            grads[f"encoder.{tag}.{f}"] = egrads[tag][f]
-    for f in _MLP_FIELDS:
-        grads[f"head.{f}"] = d_head[f]
-    return grads
+    return ChiralModel(
+        config=model.config,
+        distance_bias=pair_bias_bwd(model.distance_bias, state.caches["bias"], d_bias),
+        encoder=encode_bwd(model.encoder, state.caches["encode"], d_h_c, d_h_r, d_h_n),
+        layers=d_layers,
+        head=d_head,
+    )
 
 
 def forward(model: ChiralModel, mol: Molecule) -> np.ndarray:
@@ -309,29 +302,42 @@ def batch_step_classify(model: ChiralModel, batch: MoleculeBatch, labels, reg_we
     correct = int((state.logits.argmax(axis=1) == labels).sum())
     grads = backward_batch(model, state, d_logits)
     if reg_weight > 0.0:
-        grads["encoder.kernel.w"] += reg_weight * regularization_grad(model.encoder.kernels)
+        grads.encoder.kernels.w += reg_weight * regularization_grad(model.encoder.kernels)
     return loss, correct, grads
 
 
-def batch_step_rank(model: ChiralModel, pair_batch, cfg: TrainConfig):
-    """Margin-ranking loss over co-batched (hi, lo) molecule pairs.
-
-    The score is the single output of a 1-dim head; his and los run as one
-    batch. Returns (loss, n_correctly_ordered, grads).
-    """
-    n = len(pair_batch)
-    his, los = zip(*pair_batch)
-    state = forward_batch(model, prepare_batch(his + los))
-    s_hi, s_lo = state.logits[:n, 0], state.logits[n:, 0]
-    loss, d_hi, d_lo = loss_margin_rank(s_hi, s_lo, cfg.margin)
-    scale = cfg.margin_weight / n
-    d_logits = np.concatenate([d_hi, d_lo])[:, None] * scale
-    grads = backward_batch(model, state, d_logits)
+def _rank_forward(model: ChiralModel, batch: MoleculeBatch, cfg: TrainConfig):
+    """(loss, state, d_logits) of the weighted mean margin-ranking loss over
+    a prepared batch holding the his and then the los of its pairs, plus
+    the rank penalty when enabled. The score is the single output of a
+    1-dim head."""
+    state = forward_batch(model, batch)
+    n = len(state.logits) // 2
+    loss, d_hi, d_lo = loss_margin_rank(state.logits[:n, 0], state.logits[n:, 0], cfg.margin)
     total = cfg.margin_weight * loss / n
     if cfg.reg_weight > 0.0:
         total += cfg.reg_weight * regularization_loss(model.encoder.kernels)
-        grads["encoder.kernel.w"] += cfg.reg_weight * regularization_grad(model.encoder.kernels)
-    return total, int((s_hi > s_lo).sum()), grads
+    return total, state, np.concatenate([d_hi, d_lo])[:, None] * (cfg.margin_weight / n)
+
+
+def batch_loss_rank(model: ChiralModel, batch: MoleculeBatch, cfg: TrainConfig) -> float:
+    """The loss of batch_step_rank, forward only."""
+    return _rank_forward(model, batch, cfg)[0]
+
+
+def batch_step_rank(model: ChiralModel, batch: MoleculeBatch, cfg: TrainConfig):
+    """Margin-ranking loss over a prepared batch of (hi, lo) pairs, his
+    first: prepare_batch(his + los).
+
+    Returns (loss, n_correctly_ordered, grads).
+    """
+    loss, state, d_logits = _rank_forward(model, batch, cfg)
+    n = len(state.logits) // 2
+    ordered = int((state.logits[:n, 0] > state.logits[n:, 0]).sum())
+    grads = backward_batch(model, state, d_logits)
+    if cfg.reg_weight > 0.0:
+        grads.encoder.kernels.w += cfg.reg_weight * regularization_grad(model.encoder.kernels)
+    return loss, ordered, grads
 
 
 # ---------------------------------------------------------------------------
@@ -353,14 +359,13 @@ class AdamState:
         )
 
 
-def adam_step(model: ChiralModel, grads, state: AdamState, lr: float,
+def adam_step(model: ChiralModel, grads: ChiralModel, state: AdamState, lr: float,
               beta1=0.9, beta2=0.999, eps=1e-8):
     state.step += 1
     t = state.step
-    for name, param in named_parameters(model):
+    for (name, param), (_, g) in zip(named_parameters(model), named_parameters(grads)):
         if name in FROZEN_PARAMS:
             continue
-        g = grads[name]
         state.m[name] = beta1 * state.m[name] + (1.0 - beta1) * g
         state.v[name] = beta2 * state.v[name] + (1.0 - beta2) * g * g
         m_hat = state.m[name] / (1.0 - beta1**t)
@@ -474,7 +479,8 @@ def train(model: ChiralModel, dataset, cfg: TrainConfig, val_dataset=None,
                         model, prepare_batch(mols), labels, cfg.reg_weight
                     )
                 else:
-                    loss, correct, grads = batch_step_rank(model, batch, cfg)
+                    his, los = zip(*batch)
+                    loss, correct, grads = batch_step_rank(model, prepare_batch(his + los), cfg)
                 if not math.isfinite(loss):
                     raise NumericError(f"training diverged at step {step}")
                 adam_step(model, grads, adam, lr_now)

@@ -94,33 +94,6 @@ def det3(a) -> float:
     )
 
 
-def gram_sqrt_det(w) -> float:
-    """sqrt(det(w^T w)) for a d_p x 3 matrix; 0 for rank-deficient input.
-
-    Small negative determinants from round-off are clamped to zero; a
-    negative value beyond round-off scale is an internal error.
-    """
-    w = np.asarray(w, dtype=np.float64)
-    if w.ndim != 2 or w.shape[1] != 3:
-        raise NumericError(f"gram_sqrt_det expects a d_p x 3 matrix, got shape {w.shape}")
-    d = det3(w.T @ w)
-    if d < 0.0:
-        if d < -1e-14:
-            raise NumericError(f"Gram determinant {d} negative beyond round-off")
-        return 0.0
-    return float(np.sqrt(d))
-
-
-def layer_norm(x, gamma, beta, eps=1e-5):
-    """(x - mean) / sqrt(var + eps) * gamma + beta with population variance."""
-    x = np.asarray(x, dtype=np.float64)
-    if x.shape[-1] < 2:
-        raise NumericError("layer_norm needs at least 2 entries")
-    mu = x.mean()
-    var = x.var()
-    return (x - mu) / np.sqrt(var + eps) * gamma + beta
-
-
 def layer_norm_rows(x, gamma, beta, eps=1e-5):
     """Row-wise layer norm of a 2-D array; returns (out, cache) for backward."""
     x = np.asarray(x, dtype=np.float64)

@@ -16,10 +16,16 @@ def set_header(old: bytes, new: bytes):
     return lambda blob: blob.replace(b"\n" + old + b"\n", b"\n" + new + b"\n", 1)
 
 
-def set_first_beta(blob, value=0.25):
-    """Edit that overwrites the first float of encoder.kernel.beta."""
-    name = b"encoder.kernel.beta"
-    at = blob.index(struct.pack("<I", len(name)) + name) + 4 + len(name)
-    (ndim,) = struct.unpack_from("<I", blob, at)
-    data = at + 4 + 8 * ndim + 8
-    return blob[:data] + struct.pack("<d", value) + blob[data + 8 :]
+def set_first_value(name: bytes, value: float):
+    """Edit that overwrites the first float of the named tensor."""
+
+    def edit(blob):
+        at = blob.index(struct.pack("<I", len(name)) + name) + 4 + len(name)
+        (ndim,) = struct.unpack_from("<I", blob, at)
+        data = at + 4 + 8 * ndim + 8
+        return blob[:data] + struct.pack("<d", value) + blob[data + 8 :]
+
+    return edit
+
+
+set_first_beta = set_first_value(b"encoder.kernel.beta", 0.25)

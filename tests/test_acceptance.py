@@ -44,7 +44,8 @@ from chiraldet.model import (
     save_checkpoint,
     train,
 )
-from chiraldet.numerics import det3, gram_sqrt_det, qr_thin
+from chiraldet.numerics import det3, qr_thin
+from oracles import gram_sqrt_det
 
 
 def report(name, ok, detail):

@@ -2,11 +2,10 @@ import numpy as np
 import pytest
 
 from chiraldet.attention import (
+    SIGMA_FLOOR,
     DistanceBiasParams,
-    LayerParams,
     attend_bwd,
     attend_fwd,
-    distance_bias,
     head_averaged_rows,
     init_distance_bias,
     init_layer,
@@ -17,8 +16,9 @@ from chiraldet.attention import (
 )
 from chiraldet.data import SyntheticSpec, gen_rs
 from chiraldet.encoder import BatchMask, pair_inputs, prepare_batch
-from chiraldet.errors import NumericError
+from chiraldet.errors import DegeneracyError, NumericError
 from chiraldet.geometry import partition_atoms, reference_point
+from chiraldet.gradcheck import flatten, unflatten
 from chiraldet.numerics import compare_grads, finite_diff_grad
 
 
@@ -36,6 +36,27 @@ def random_pairs(n_units=2, n_r=3, n_n=2, seed=0):
                        rng.uniform(-2, 2, size=(1, n_r + n_n, 3)))
 
 
+def one_pair(dist, pair_type):
+    """Pair inputs of one unit and one key of the given type at distance
+    dist along x."""
+    return pair_inputs(full_mask(2, 1), 1 - pair_type, np.zeros((1, 1, 3)),
+                       np.array([[[dist, 0.0, 0.0]]]))
+
+
+def scalar_bias(params, dist, pair_type):
+    """Bias per head of one pair, straight from the three-step formula."""
+    x = params.e1[pair_type] * dist + params.e2[pair_type]
+    dens = np.exp(-0.5 * ((x - params.mu) / params.sigma) ** 2) / (
+        np.sqrt(2.0 * np.pi) * params.sigma
+    )
+    return dens @ params.w_p
+
+
+def bias_of_one_pair(params, dist, pair_type):
+    """pair_bias_fwd's bias of the single (unit, key) entry of one_pair."""
+    return pair_bias_fwd(params, one_pair(dist, pair_type))[0][0, 1, 0]
+
+
 class TestDistanceBias:
     def test_peak_on_every_head(self):
         g, n_heads = 6, 3
@@ -46,13 +67,13 @@ class TestDistanceBias:
             sigma=np.ones(g),
             w_p=np.full((g, n_heads), 1.0 / g),
         )
-        out = distance_bias(params, 1.23, 0)
+        out = bias_of_one_pair(params, 1.23, 0)
         assert np.allclose(out, 1.0 / np.sqrt(2.0 * np.pi), atol=1e-12)
 
     def test_zero_projection(self):
         params = init_distance_bias(np.random.default_rng(0), 4, 2)
         params.w_p[:] = 0.0
-        assert np.array_equal(distance_bias(params, 3.0, 1), np.zeros(2))
+        assert np.array_equal(bias_of_one_pair(params, 3.0, 1), np.zeros(2))
 
     def test_three_step_formula_seed41(self):
         rng = np.random.default_rng(41)
@@ -64,18 +85,21 @@ class TestDistanceBias:
             sigma=rng.uniform(0.5, 2.0, g),
             w_p=rng.standard_normal((g, n_heads)),
         )
-        dist, ptype = 2.37, 1
-        x = params.e1[ptype] * dist + params.e2[ptype]
-        dens = np.exp(-0.5 * ((x - params.mu) / params.sigma) ** 2) / (
-            np.sqrt(2.0 * np.pi) * params.sigma
-        )
-        expect = dens @ params.w_p
-        assert np.allclose(distance_bias(params, dist, ptype), expect, atol=1e-12)
+        expect = scalar_bias(params, 2.37, 1)
+        assert np.allclose(bias_of_one_pair(params, 2.37, 1), expect, atol=1e-12)
 
-    def test_bad_pair_type(self):
+    @pytest.mark.parametrize("low", [SIGMA_FLOOR, 0.0, -0.5])
+    def test_sigma_at_floor_rejected(self, low):
         params = init_distance_bias(np.random.default_rng(0), 4, 2)
-        with pytest.raises(ValueError):
-            distance_bias(params, 1.0, 2)
+        params.sigma[2] = low
+        with pytest.raises(DegeneracyError, match=r"bias\.sigma\[2\]"):
+            pair_bias_fwd(params, one_pair(1.0, 0))
+
+    def test_sigma_just_above_floor_accepted(self):
+        params = init_distance_bias(np.random.default_rng(0), 4, 2)
+        params.sigma[:] = 2.0 * SIGMA_FLOOR
+        params.mu[:] = 1.0
+        assert np.all(np.isfinite(bias_of_one_pair(params, 1.0, 0)))
 
     def test_gradients(self):
         rng = np.random.default_rng(11)
@@ -86,28 +110,13 @@ class TestDistanceBias:
         pairs = random_pairs(seed=12)
         weights = rng.standard_normal((3, 5, n_heads))[None]
 
-        sizes = {n: getattr(params, n).size for n in ("e1", "e2", "mu", "sigma", "w_p")}
-
-        def rebuild(theta):
-            parts = {}
-            i = 0
-            for name in ("e1", "e2", "mu", "sigma", "w_p"):
-                arr = getattr(params, name)
-                parts[name] = theta[i : i + arr.size].reshape(arr.shape)
-                i += arr.size
-            return DistanceBiasParams(**parts)
-
         def f(theta):
-            bias, _ = pair_bias_fwd(rebuild(theta), pairs)
+            bias, _ = pair_bias_fwd(*unflatten(theta, params), pairs)
             return float((weights * bias).sum())
 
-        theta0 = np.concatenate(
-            [getattr(params, n).ravel() for n in ("e1", "e2", "mu", "sigma", "w_p")]
-        )
-        numeric = finite_diff_grad(f, theta0)
+        numeric = finite_diff_grad(f, flatten(params))
         _, cache = pair_bias_fwd(params, pairs)
-        grads = pair_bias_bwd(params, cache, weights)
-        analytic = np.concatenate([grads[n].ravel() for n in ("e1", "e2", "mu", "sigma", "w_p")])
+        analytic = flatten(pair_bias_bwd(params, cache, weights))
         assert compare_grads(analytic, numeric, tol=1e-5).passed
 
 
@@ -140,7 +149,7 @@ class TestInitPairBias:
             for j in range(key_pos.shape[0]):
                 d = float(np.linalg.norm(reference_point(unit, mol.coords) - key_pos[j]))
                 t = 0 if j < n_r else 1
-                assert np.allclose(bias[1 + u, j], distance_bias(params, d, t), atol=1e-12)
+                assert np.allclose(bias[1 + u, j], scalar_bias(params, d, t), atol=1e-12)
 
 
 def dense_attention_oracle(layer, h_c, h_r, h_n, bias):
@@ -301,39 +310,15 @@ class TestAttend:
         w_bias = rng.standard_normal((1, 2, 3, 2))
         mask = full_mask(2, 3)
 
-        names = ["wq", "wk_r", "wv_r", "wk_n", "wv_n", "wo", "ff_w1", "ff_b1",
-                 "ff_w2", "ff_b2", "ln1_gamma", "ln1_beta", "ln2_gamma", "ln2_beta"]
-
-        def rebuild(theta):
-            parts = {}
-            i = 0
-            for name in names:
-                arr = getattr(layer, name)
-                parts[name] = theta[i : i + arr.size].reshape(arr.shape)
-                i += arr.size
-            for src, arr in (("h_c", h_c), ("h_r", h_r), ("h_n", h_n), ("p", p0)):
-                parts[src] = theta[i : i + arr.size].reshape(arr.shape)
-                i += arr.size
-            return parts
+        inputs = (h_c, h_r, h_n, p0)
 
         def f(theta):
-            parts = rebuild(theta)
-            lp = LayerParams(**{n: parts[n] for n in names}, n_heads=2)
-            out, bias_out, _, _ = attend_fwd(lp, parts["h_c"], parts["h_r"], parts["h_n"],
-                                             parts["p"], mask)
+            out, bias_out, _, _ = attend_fwd(*unflatten(theta, layer, *inputs), mask)
             return float((w_out * out).sum() + (w_bias * bias_out).sum())
 
-        theta0 = np.concatenate(
-            [getattr(layer, n).ravel() for n in names]
-            + [h_c.ravel(), h_r.ravel(), h_n.ravel(), p0.ravel()]
-        )
-        numeric = finite_diff_grad(f, theta0)
-        _, _, _, cache = attend_fwd(layer, h_c, h_r, h_n, p0, mask)
-        grads, d_hc, d_hr, d_hn, d_bias = attend_bwd(layer, cache, w_out, w_bias)
-        analytic = np.concatenate(
-            [grads[n].ravel() for n in names]
-            + [d_hc.ravel(), d_hr.ravel(), d_hn.ravel(), d_bias.ravel()]
-        )
+        numeric = finite_diff_grad(f, flatten(layer, *inputs))
+        _, _, _, cache = attend_fwd(layer, *inputs, mask)
+        analytic = flatten(*attend_bwd(layer, cache, w_out, w_bias))
         assert compare_grads(analytic, numeric, tol=1e-5).passed
 
 

@@ -17,6 +17,7 @@ from chiraldet.model import (
     forward_batch,
     init_model,
     loss_classify,
+    named_parameters,
 )
 from chiraldet.numerics import layer_norm_rows
 
@@ -79,17 +80,41 @@ def test_batch_composition_invariance(mixed, config):
             assert np.max(np.abs(a_in - a_alone[0]), initial=0.0) <= 1e-12
 
     _, d_logits = loss_classify(state.logits, labels)
-    grads = backward_batch(model, state, d_logits)
+    grads = dict(named_parameters(backward_batch(model, state, d_logits)))
     summed = {}
     for b, mol in enumerate(mols):
         one = backward_batch(model, forward_batch(model, prepare_batch([mol])),
                              d_logits[b : b + 1])
-        for name, g in one.items():
+        for name, g in named_parameters(one):
             summed[name] = summed.get(name, 0.0) + g
     assert grads.keys() == summed.keys()
     for name, g in grads.items():
         scale = max(float(np.max(np.abs(summed[name]))), 1e-300)
         assert np.max(np.abs(g - summed[name])) <= 1e-12 * scale, name
+
+
+def test_gradients_come_in_the_parameters_layout(mixed):
+    mols, labels = mixed
+    model = init_model(ModelConfig(**TINY, seed=10))
+    state = forward_batch(model, prepare_batch(mols))
+    grads = backward_batch(model, state, loss_classify(state.logits, labels)[1])
+    assert [(n, a.shape) for n, a in named_parameters(grads)] == [
+        (n, a.shape) for n, a in named_parameters(model)
+    ]
+
+
+def test_token_only_batch_gets_zero_bias_gradients():
+    # no (unit, key) pair, so the distance bias runs on an empty pair set
+    model = init_model(ModelConfig(**TINY, seed=11))
+    state = forward_batch(model, prepare_batch([token_only_molecule()] * 2))
+    assert state.encoded.batch.pairs.dists.size == 0
+    grads = backward_batch(model, state, loss_classify(state.logits, [0, 1])[1])
+    named = dict(named_parameters(grads))
+    for name, g in named.items():
+        if name.startswith("bias."):
+            assert np.array_equal(g, np.zeros_like(g)), name
+    # the token row still attends to the non-chiral keys
+    assert np.any(named["layers.0.wk_n"] != 0.0)
 
 
 def test_attention_masks_pad_keys(mixed):

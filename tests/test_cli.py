@@ -6,7 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from checkpoint_edits import resign, set_first_beta, set_header
+from checkpoint_edits import resign, set_first_beta, set_first_value, set_header
 from chiraldet.cli import main
 from chiraldet.data import (
     DEFAULT_SCHEME,
@@ -14,7 +14,7 @@ from chiraldet.data import (
     write,
 )
 from chiraldet.geometry import ChiralUnit, Molecule, UnitKind, mirror
-from chiraldet.gradcheck import TINY_CONFIG
+from chiraldet.gradcheck import BLOCKS, TINY_CONFIG
 from chiraldet.model import AdamState, init_model, save_checkpoint
 
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -276,9 +276,10 @@ class TestCliContract:
          ("n_gkpt=0", "n_gkpt must be >= 1"), ("n_classes=0", "n_classes must be >= 1"),
          ("batch_size=0", "batch_size must be >= 1"),
          ("batch_size=-3", "batch_size must be >= 1"),
-         ("min_lr_factor=-0.1", "min_lr_factor must be in [0, 1]")],
+         ("min_lr_factor=-0.1", "min_lr_factor must be in [0, 1]"),
+         ("lr=inf", "lr must be finite"), ("reg_weight=nan", "reg_weight must be finite")],
         ids=["h=0", "n_heads=0", "n_gkpt=0", "n_classes=0", "batch_size=0", "batch_size=-3",
-             "min_lr_factor=-0.1"],
+             "min_lr_factor=-0.1", "lr=inf", "reg_weight=nan"],
     )
     def test_invalid_config_value_rejected(self, tmp_path, capsys, line, message):
         cfg = tmp_path / "cfg"
@@ -291,12 +292,39 @@ class TestCliContract:
         assert message in capsys.readouterr().err
         assert not (tmp_path / "r" / "model.ckpt").exists()
 
+    @pytest.mark.parametrize(("flags", "name"),
+                             [(["--lr", "nan"], "lr"), (["--lr=-inf"], "lr"),
+                              (["--epochs", "0"], "epochs")],
+                             ids=["lr=nan", "lr=-inf", "epochs=0"])
+    def test_invalid_train_flag_rejected_before_output(self, tmp_path, capsys, flags, name):
+        ds = tmp_path / "ds"
+        main(["gen", "--task", "rs", "--count", "4", "--seed", "1", "--out", str(ds)])
+        capsys.readouterr()
+        assert main(["train", "--data", str(ds), "--config", "tiny",
+                     "--out", str(tmp_path / "r"), *flags]) == 2
+        assert name in capsys.readouterr().err
+        assert not (tmp_path / "r").exists()
+
+    def test_d_f_mismatch_rejected_before_output(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg"
+        cfg.write_text("d_f=10\n")
+        ds = tmp_path / "ds"
+        main(["gen", "--task", "rs", "--count", "4", "--seed", "1", "--out", str(ds)])
+        capsys.readouterr()
+        assert main(["train", "--data", str(ds), "--config", str(cfg),
+                     "--out", str(tmp_path / "r")]) == 2
+        err = capsys.readouterr().err
+        assert "d_f=10" in err and "width 52" in err
+        assert not (tmp_path / "r").exists()
+
     @pytest.mark.parametrize(
         ("edit", "message"),
         [(set_header(b"d_p=4", b"d_p=3"), "d_p must be >= 4"),
          (set_header(b"n_heads=2", b"n_heads=0"), "n_heads must be >= 1"),
-         (set_first_beta, "encoder.kernel.beta")],
-        ids=["d_p=3", "n_heads=0", "beta"],
+         (set_first_beta, "encoder.kernel.beta"),
+         # a degenerate distance bias: DegeneracyError is an input error, not a numeric one
+         (set_first_value(b"bias.sigma", 0.0), "bias.sigma[0]")],
+        ids=["d_p=3", "n_heads=0", "beta", "sigma=0"],
     )
     def test_invalid_checkpoint_content_rejected(self, tmp_path, tiny_ckpt, capsys, edit,
                                                  message):
@@ -312,7 +340,8 @@ class TestGradcheckCmd:
     def test_pass_and_negative_control(self, capsys):
         assert main(["gradcheck", "--seed", "1"]) == 0
         out = capsys.readouterr().out
-        assert out.count("PASS") == 7
+        assert out.count("PASS") == len(BLOCKS)
+        assert "PASS model.rank_loss" in out
         assert main(["gradcheck", "--seed", "1", "--sabotage", "encoder"]) == 1
         captured = capsys.readouterr()
         assert "FAIL encoder.kernel" in captured.out
@@ -335,5 +364,5 @@ class TestGradcheckCmd:
         ]
         outs = [p.communicate(timeout=600) for p in procs]
         assert [p.returncode for p in procs] == [0, 0], [err for _, err in outs]
-        assert outs[0][0].count("PASS") == 7
+        assert outs[0][0].count("PASS") == len(BLOCKS)
         assert outs[0][0] == outs[1][0]

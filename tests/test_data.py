@@ -10,7 +10,6 @@ from chiraldet.data import (
     gen_axial,
     gen_axial_torsion,
     gen_rs,
-    make_enantiomer,
     parse,
     read_manifest,
     toy_axial_molecule,
@@ -24,6 +23,7 @@ from chiraldet.geometry import (
     assign_configuration,
     chirality_matrix,
     chirality_product,
+    mirror,
     partition_atoms,
     unit_products,
 )
@@ -184,9 +184,9 @@ class TestGenRs:
 class TestEnantiomer:
     def test_involution_and_flip(self):
         mol, _ = gen_rs(SyntheticSpec(count=1, seed=3))[0]
-        ent = make_enantiomer(mol)
+        ent = mirror(mol)
         assert unit_products(ent)[0] == -unit_products(mol)[0]
-        back = make_enantiomer(ent)
+        back = mirror(ent)
         assert np.array_equal(back.coords, mol.coords)
         assert ent.chiral_units == mol.chiral_units
 

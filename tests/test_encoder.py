@@ -1,9 +1,12 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
-from chiraldet.data import SyntheticSpec, gen_rs, make_enantiomer
+from chiraldet.data import SyntheticSpec, gen_rs
 from chiraldet.encoder import (
     KERNEL_EPS,
+    EncoderParams,
     KernelBank,
     encode_bwd,
     encode_fwd,
@@ -20,11 +23,13 @@ from chiraldet.errors import DegeneracyError, NumericError
 from chiraldet.geometry import (
     Molecule,
     chirality_matrix,
-    chirality_matrix_coord_grad,
+    mirror,
     random_rotation,
     transform,
 )
-from chiraldet.numerics import compare_grads, det3, finite_diff_grad, gram_sqrt_det, qr_thin
+from chiraldet.gradcheck import flatten, unflatten
+from chiraldet.numerics import compare_grads, det3, finite_diff_grad, qr_thin
+from oracles import gram_sqrt_det
 
 
 def orthonormal_identity_bank(d_p=8):
@@ -56,21 +61,14 @@ def reference_readout(bank, m):
 
 def kernel_fd_check(bank, mc, weights):
     """Analytic kernel_bwd against central differences over (w, gamma, M)."""
-    n_w, n_g = bank.w.size, bank.gamma.size
-
     def f(theta):
-        b = KernelBank(
-            w=theta[:n_w].reshape(bank.w.shape),
-            gamma=theta[n_w : n_w + n_g],
-            beta=bank.beta,
-        )
-        mcs = theta[n_w + n_g :].reshape(mc.shape)
-        return float((weights * kernel_fwd(b, mcs)[0]).sum())
+        w, gamma, mcs = unflatten(theta, bank.w, bank.gamma, mc)
+        return float((weights * kernel_fwd(replace(bank, w=w, gamma=gamma), mcs)[0]).sum())
 
-    numeric = finite_diff_grad(f, np.concatenate([bank.w.ravel(), bank.gamma, mc.ravel()]))
+    numeric = finite_diff_grad(f, flatten(bank.w, bank.gamma, mc))
     _, cache = kernel_fwd(bank, mc)
-    d_w, d_gamma, d_mc = kernel_bwd(cache, weights)
-    analytic = np.concatenate([d_w.ravel(), d_gamma, d_mc.ravel()])
+    grads, d_mc = kernel_bwd(cache, weights)
+    analytic = flatten(grads.w, grads.gamma, d_mc)
     return compare_grads(analytic, numeric, tol=1e-5), d_mc
 
 
@@ -276,7 +274,7 @@ class TestEncode:
         params = make_params(seed=2)
         mol = sample_molecule(seed=11)
         enc, _ = encode_fwd(params, prepare_batch([mol]))
-        enc_m, _ = encode_fwd(params, prepare_batch([make_enantiomer(mol)]))
+        enc_m, _ = encode_fwd(params, prepare_batch([mirror(mol)]))
         assert np.array_equal(enc.h_r, enc_m.h_r)
         assert np.array_equal(enc.h_n, enc_m.h_n)
         assert np.array_equal(enc.h_c[0, 0], enc_m.h_c[0, 0])
@@ -296,42 +294,27 @@ class TestEncode:
         assert np.array_equal(enc2.h_r, enc.h_r)
         assert np.array_equal(enc2.h_n, enc.h_n)
 
-    def test_encode_gradients_including_coords(self):
+    def test_encode_gradients(self):
         params = make_params(seed=4)
-        mol = sample_molecule(seed=13)
+        batch = prepare_batch([sample_molecule(seed=13)])
         rng = np.random.default_rng(9)
-        enc, cache = encode_fwd(params, prepare_batch([mol]))
+        enc, cache = encode_fwd(params, batch)
         w_c = rng.standard_normal(enc.h_c.shape)
         w_r = rng.standard_normal(enc.h_r.shape)
         w_n = rng.standard_normal(enc.h_n.shape)
-        grads, d_mc = encode_bwd(params, cache, w_c, w_r, w_n)
+        grads = encode_bwd(params, cache, w_c, w_r, w_n)
+        assert np.array_equal(grads.kernels.beta, np.zeros_like(params.kernels.beta))
 
-        bank = params.kernels
+        def audited(p):
+            """Every encoder tensor but the frozen beta."""
+            return p.kernels.w, p.kernels.gamma, p.proj_c, p.proj_r, p.proj_n, p.global_token
 
-        def f_bank(theta):
-            saved = bank.w.copy()
-            bank.w[:] = theta.reshape(bank.w.shape)
-            try:
-                e, _ = encode_fwd(params, prepare_batch([mol]))
-            finally:
-                bank.w[:] = saved
+        def f(theta):
+            w, gamma, proj_c, proj_r, proj_n, token = unflatten(theta, *audited(params))
+            moved = EncoderParams(kernels=replace(params.kernels, w=w, gamma=gamma),
+                                  proj_c=proj_c, proj_r=proj_r, proj_n=proj_n, global_token=token)
+            e, _ = encode_fwd(moved, batch)
             return float((w_c * e.h_c).sum() + (w_r * e.h_r).sum() + (w_n * e.h_n).sum())
 
-        numeric = finite_diff_grad(f_bank, bank.w.ravel())
-        assert compare_grads(grads["kernel.w"].ravel(), numeric, tol=1e-5).passed
-
-        def f_coords(theta):
-            moved = Molecule(
-                coords=theta.reshape(mol.coords.shape),
-                atomic_numbers=mol.atomic_numbers,
-                features=mol.features,
-                chiral_units=mol.chiral_units,
-            )
-            e, _ = encode_fwd(params, prepare_batch([moved]))
-            return float((w_c * e.h_c).sum() + (w_r * e.h_r).sum() + (w_n * e.h_n).sum())
-
-        numeric_xyz = finite_diff_grad(f_coords, mol.coords.ravel())
-        grad_xyz = np.zeros_like(mol.coords)
-        for i, unit in enumerate(mol.chiral_units):
-            chirality_matrix_coord_grad(unit, d_mc[i], grad_xyz)
-        assert compare_grads(grad_xyz.ravel(), numeric_xyz, tol=1e-5).passed
+        numeric = finite_diff_grad(f, flatten(*audited(params)))
+        assert compare_grads(flatten(*audited(grads)), numeric, tol=1e-5).passed

@@ -13,7 +13,6 @@ from chiraldet.geometry import (
     UnitKind,
     assign_configuration,
     chirality_matrix,
-    chirality_matrix_coord_grad,
     chirality_product,
     mirror,
     order_substituents,
@@ -24,7 +23,6 @@ from chiraldet.geometry import (
     transform,
     unit_products,
 )
-from chiraldet.numerics import finite_diff_grad
 
 
 def make_molecule(coords, units=(), blade=None):
@@ -329,25 +327,3 @@ class TestOrderSubstituents:
     def test_duplicate_index_rejected(self):
         with pytest.raises(AnnotationError):
             order_substituents((1, 1, 2, 3), (1.0, 1.0, 2.0, 3.0))
-
-
-class TestCoordGrad:
-    @pytest.mark.parametrize("kind", [UnitKind.CENTER, UnitKind.AXIS])
-    def test_matches_finite_differences(self, kind):
-        rng = np.random.default_rng(31)
-        n = 7
-        if kind is UnitKind.CENTER:
-            unit = ChiralUnit(kind=kind, center_atoms=(0,), related=(1, 2, 3, 4))
-        else:
-            unit = ChiralUnit(kind=kind, center_atoms=(0, 5), related=(1, 2, 3, 4))
-        coords = rng.uniform(-2.0, 2.0, size=(n, 3))
-        weights = rng.standard_normal((3, 3))
-
-        def f(theta):
-            mc = chirality_matrix(unit, theta.reshape(n, 3))
-            return float((weights * mc.m).sum())
-
-        numeric = finite_diff_grad(f, coords.ravel())
-        grad = np.zeros((n, 3))
-        chirality_matrix_coord_grad(unit, weights, grad)
-        assert np.allclose(grad.ravel(), numeric, atol=1e-7)

@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from checkpoint_edits import resign, set_first_beta, set_header
-from chiraldet.data import SyntheticSpec, gen_rs, make_enantiomer
-from chiraldet.encoder import RankStrategy, regularization_loss
+from chiraldet.data import SyntheticSpec, gen_rs
+from chiraldet.encoder import RankStrategy, prepare_batch
 from chiraldet.errors import (
     CheckpointChecksumError,
     CheckpointShapeError,
@@ -13,7 +13,8 @@ from chiraldet.errors import (
     CheckpointVersionError,
     NumericError,
 )
-from chiraldet.geometry import random_rotation, transform
+from chiraldet.geometry import mirror, random_rotation, transform
+from chiraldet.gradcheck import flatten, unflatten
 from chiraldet.numerics import compare_grads, finite_diff_grad
 from chiraldet.model import (
     AdamState,
@@ -73,7 +74,7 @@ class TestForward:
     def test_embed_differs_for_mirror_pair(self, small_dataset):
         model = tiny_model(seed=0)
         mol = small_dataset[0][0]
-        d = np.linalg.norm(embed(model, mol) - embed(model, make_enantiomer(mol)))
+        d = np.linalg.norm(embed(model, mol) - embed(model, mirror(mol)))
         assert d > 1e-6
 
     def test_attention_export_rows(self, small_dataset):
@@ -147,6 +148,13 @@ class TestConfig:
         model = tiny_model(seed=2)
         with pytest.raises(ValueError, match=field):
             train(model, small_dataset[:4], TrainConfig(epochs=1, **{field: value}))
+
+    @pytest.mark.parametrize("field", ["lr", "reg_weight", "margin_weight", "margin",
+                                       "min_lr_factor"])
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+    def test_non_finite_float_rejected(self, field, value):
+        with pytest.raises(ValueError, match=f"^{field} must be finite, got {value}$"):
+            TrainConfig(**{field: value}).validate()
 
     @pytest.mark.parametrize("factor", [0.0, 1.0])
     def test_min_lr_factor_bounds_accepted(self, factor):
@@ -234,7 +242,7 @@ class TestTraining:
         base = gen_rs(SyntheticSpec(count=16, seed=14))
         pairs = []
         for mol, label in base:
-            ent = make_enantiomer(mol)
+            ent = mirror(mol)
             hi, lo = (mol, ent) if label.value == "R" else (ent, mol)
             pairs.append((hi, lo))
         model = tiny_model(seed=15, n_classes=1)
@@ -245,7 +253,8 @@ class TestTraining:
 
     def test_rank_step_gradient_matches_fd(self):
         base = gen_rs(SyntheticSpec(count=6, seed=23))
-        pairs = [(mol, make_enantiomer(mol)) for mol, _ in base]
+        pairs = [(mol, mirror(mol)) for mol, _ in base]
+        batch = prepare_batch([hi for hi, _ in pairs] + [lo for _, lo in pairs])
         model = tiny_model(seed=1, n_classes=1)
         gaps = np.array([forward(model, hi)[0] - forward(model, lo)[0] for hi, lo in pairs])
         # a margin between the middle score gaps: half the pairs are inside
@@ -253,25 +262,18 @@ class TestTraining:
         margin = float(np.sort(gaps)[2:4].mean())
         assert np.min(np.abs(gaps - margin)) > 1e-4
         cfg = TrainConfig(margin=margin)
-        head = ("w1", "b1", "w2", "b2")
-        live = [model.encoder.kernels.gamma] + [getattr(model.head, f) for f in head]
+        kept = (model.encoder.kernels.gamma, model.head)
 
         def f(theta):
-            saved = [a.copy() for a in live]
-            i = 0
-            for a in live:
-                a[...] = theta[i : i + a.size].reshape(a.shape)
-                i += a.size
+            model.encoder.kernels.gamma, model.head = unflatten(theta, *kept)
             try:
-                return batch_step_rank(model, pairs, cfg)[0]
+                return batch_step_rank(model, batch, cfg)[0]
             finally:
-                for a, s in zip(live, saved):
-                    a[...] = s
+                model.encoder.kernels.gamma, model.head = kept
 
-        numeric = finite_diff_grad(f, np.concatenate([a.ravel() for a in live]))
-        _, _, grads = batch_step_rank(model, pairs, cfg)
-        names = ["encoder.kernel.gamma"] + [f"head.{f}" for f in head]
-        analytic = np.concatenate([grads[n].ravel() for n in names])
+        numeric = finite_diff_grad(f, flatten(*kept))
+        _, _, grads = batch_step_rank(model, batch, cfg)
+        analytic = flatten(grads.encoder.kernels.gamma, grads.head)
         assert compare_grads(analytic, numeric, tol=1e-5).passed
 
 
