@@ -30,6 +30,7 @@ from .model import (
     ModelConfig,
     TrainConfig,
     attention_export_rows,
+    check_feature_width,
     embed,
     evaluate,
     init_model,
@@ -47,9 +48,6 @@ EXIT_NUMERIC_ERROR = 3
 
 _MODEL_KEYS = {f.name for f in dataclass_fields(ModelConfig)}
 _TRAIN_KEYS = {f.name for f in dataclass_fields(TrainConfig)}
-# margin ranking is reachable only through train(rank_pairs=...), so no
-# command would read these keys
-_INERT_KEYS = {"margin", "margin_weight"}
 
 
 def read_config_file(path) -> dict:
@@ -64,10 +62,6 @@ def read_config_file(path) -> dict:
         key, val = (part.strip() for part in line.split("=", 1))
         if key not in _MODEL_KEYS | _TRAIN_KEYS:
             raise MoleculeParseError(f"unknown config key {key!r}", lineno)
-        if key in _INERT_KEYS:
-            raise MoleculeParseError(
-                f"config key {key!r} has no effect: no command trains margin ranking", lineno
-            )
         values[key] = val
     return values
 
@@ -218,10 +212,7 @@ def cmd_train(args) -> int:
     if args.lr is not None:
         train_cfg.lr = args.lr
     train_cfg.validate()
-    widths = {mol.features.shape[1] for mol, _ in dataset}
-    if widths != {model_cfg.d_f}:
-        raise ValueError(f"d_f={model_cfg.d_f} does not match the dataset's feature "
-                         f"width {', '.join(map(str, sorted(widths)))}")
+    check_feature_width(model_cfg.d_f, dataset)
     train_set, val_set, _ = _split_dataset(dataset, args.split)
     if not train_set:
         print("empty training split", file=sys.stderr)

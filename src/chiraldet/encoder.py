@@ -198,8 +198,6 @@ def kernel_fwd(bank: KernelBank, mc_batch):
         raise NumericError("kernel shift beta must stay zero, the closed-form readout assumes it")
     n_batch = mc_batch.shape[0]
     k, d_p = bank.n_kernels, bank.d_p
-    if n_batch == 0:
-        return np.zeros((0, k)), (bank, mc_batch, None)
     det_m = det3_batch(mc_batch)
     centered = bank.w - _row_mean(bank.w)
     w_eff = bank.gamma[None, :, None] * centered
@@ -210,8 +208,7 @@ def kernel_fwd(bank: KernelBank, mc_batch):
     s = np.sqrt(np.maximum(det3_batch(gram), 0.0))
     inv_sigma3 = 1.0 / (sigma2 * np.sqrt(sigma2))
     out = det_m[:, None] * s * inv_sigma3
-    cache = (bank, mc_batch, (out, det_m, w_eff, centered, cc, mmt, gram, s, sigma2, inv_sigma3))
-    return out, cache
+    return out, (bank, mc_batch, out, det_m, w_eff, centered, cc, mmt, gram, s, sigma2, inv_sigma3)
 
 
 def kernel_bwd(cache, d_out):
@@ -224,12 +221,8 @@ def kernel_bwd(cache, d_out):
     Grams are adjugated. s is not differentiable at det G = 0, so a
     rank-deficient slice raises DegeneracyError.
     """
-    bank, mc_batch, saved = cache
+    bank, mc_batch, out, det_m, w_eff, centered, cc, mmt, gram, s, sigma2, inv_sigma3 = cache
     d_out = np.asarray(d_out, dtype=np.float64)
-    if saved is None:
-        grads = KernelBank(*(np.zeros_like(a) for a in (bank.w, bank.gamma, bank.beta)))
-        return grads, np.zeros_like(mc_batch)
-    out, det_m, w_eff, centered, cc, mmt, gram, s, sigma2, inv_sigma3 = saved
     dead = np.flatnonzero(s <= 0.0)
     if dead.size:
         raise DegeneracyError(

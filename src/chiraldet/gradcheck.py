@@ -41,16 +41,15 @@ from .geometry import mirror
 from .model import (
     FROZEN_PARAMS,
     ModelConfig,
-    TrainConfig,
     _leaves,
-    batch_loss_classify,
-    batch_loss_rank,
-    batch_step_classify,
-    batch_step_rank,
+    batch_loss,
+    batch_step,
+    classify_loss,
     dataset_to_pairs,
     forward_batch,
     init_model,
     named_parameters,
+    rank_loss,
 )
 from .numerics import (
     compare_grads,
@@ -61,18 +60,6 @@ from .numerics import (
 )
 
 TINY_CONFIG = ModelConfig(h=8, d_p=4, n_layers=2, n_heads=2, n_gkpt=8, seed=1)
-
-BLOCKS = (
-    "encoder.kernel",
-    "encoder.reg_loss",
-    "numerics.layer_norm",
-    "attention.distance_bias",
-    "attention.layer",
-    "model.predictor",
-    "model.full_loss",
-    "model.rank_loss",
-)
-
 
 @dataclass
 class BlockReport:
@@ -115,7 +102,7 @@ def _nonsingular_mc(rng, n, floor=0.3):
     return np.stack(out)
 
 
-def _check_kernel(rng):
+def _check_kernel(rng, config: ModelConfig):
     bank = init_kernel_bank(rng, 2, 4)
     bank.gamma[:] = rng.uniform(0.8, 1.2, 4)
     mc = _nonsingular_mc(rng, 2)
@@ -131,7 +118,7 @@ def _check_kernel(rng):
     return flatten(grads.w, grads.gamma, d_mc), numeric
 
 
-def _check_reg_loss(rng):
+def _check_reg_loss(rng, config: ModelConfig):
     bank = KernelBank(w=rng.standard_normal((2, 4, 3)), gamma=np.ones(4), beta=np.zeros(4))
 
     def f(theta):
@@ -141,7 +128,7 @@ def _check_reg_loss(rng):
     return regularization_grad(bank).ravel(), numeric
 
 
-def _check_layer_norm(rng):
+def _check_layer_norm(rng, config: ModelConfig):
     x = rng.standard_normal((3, 8))
     gamma = rng.uniform(0.5, 1.5, 8)
     beta = rng.standard_normal(8)
@@ -164,7 +151,7 @@ def _pair_instance(rng):
     return pair_inputs(mask, 3, rng.uniform(-2, 2, (2, 2, 3)), rng.uniform(-2, 2, (2, 5, 3)))
 
 
-def _check_distance_bias(rng):
+def _check_distance_bias(rng, config: ModelConfig):
     params = init_distance_bias(rng, 4, 2)
     params.e1 += rng.normal(0, 0.3, params.e1.shape)
     params.sigma = rng.uniform(0.5, 1.5, 4)
@@ -180,7 +167,7 @@ def _check_distance_bias(rng):
     return flatten(pair_bias_bwd(params, cache, weights)), numeric
 
 
-def _check_attention_layer(rng):
+def _check_attention_layer(rng, config: ModelConfig):
     """Padded 3-molecule input: a token plus one unit over 2 related keys
     and 1 non-chiral key, a token-only molecule over 2 non-chiral keys (so
     the first molecule has a pad key), and a token-only molecule without
@@ -202,7 +189,7 @@ def _check_attention_layer(rng):
     return flatten(*attend_bwd(layer, cache, w_out, w_bias)), numeric
 
 
-def _check_predictor(rng):
+def _check_predictor(rng, config: ModelConfig):
     mlp = init_mlp2(rng, 8, 8, 2)
     x = rng.standard_normal((3, 8))
     weights = rng.standard_normal((3, 2))
@@ -248,8 +235,9 @@ def _check_full_loss(rng, config: ModelConfig):
     ))
     batch = prepare_batch(mols)
     live = [a for n, a in named_parameters(model) if n not in FROZEN_PARAMS]
-    numeric = _oracle(lambda: batch_loss_classify(model, batch, labels, reg_weight=0.1), live)
-    _, _, grads = batch_step_classify(model, batch, labels, reg_weight=0.1)
+    objective = classify_loss(labels)
+    numeric = _oracle(lambda: batch_loss(model, batch, objective, reg_weight=0.1), live)
+    _, _, grads = batch_step(model, batch, objective, reg_weight=0.1)
     return flatten(*(a for n, a in named_parameters(grads) if n not in FROZEN_PARAMS)), numeric
 
 
@@ -266,13 +254,14 @@ def _check_rank_loss(rng, config: ModelConfig):
     scores = forward_batch(model, prepare_batch([m for pair in pairs for m in pair])).logits
     gaps = scores[0::2, 0] - scores[1::2, 0]
     his, los = zip(*(pair if gap > 0 else pair[::-1] for pair, gap in zip(pairs, gaps)))
-    cfg = TrainConfig(margin=float(np.abs(gaps).mean()))
-    if np.min(np.abs(np.abs(gaps) - cfg.margin)) < 1e-4:
+    margin = float(np.abs(gaps).mean())
+    if np.min(np.abs(np.abs(gaps) - margin)) < 1e-4:
         raise NumericError(f"score gaps {gaps} put a rank audit pair on the hinge kink")
     batch = prepare_batch(his + los)
     live = [model.encoder.kernels.gamma] + _arrays(model.head)
-    numeric = _oracle(lambda: batch_loss_rank(model, batch, cfg), live)
-    _, _, grads = batch_step_rank(model, batch, cfg)
+    objective = rank_loss(margin)
+    numeric = _oracle(lambda: batch_loss(model, batch, objective, reg_weight=0.0), live)
+    _, _, grads = batch_step(model, batch, objective, reg_weight=0.0)
     return flatten(grads.encoder.kernels.gamma, grads.head), numeric
 
 
@@ -283,8 +272,10 @@ _CHECKS = {
     "attention.distance_bias": _check_distance_bias,
     "attention.layer": _check_attention_layer,
     "model.predictor": _check_predictor,
+    "model.full_loss": _check_full_loss,
+    "model.rank_loss": _check_rank_loss,
 }
-_MODEL_CHECKS = {"model.full_loss": _check_full_loss, "model.rank_loss": _check_rank_loss}
+BLOCKS = tuple(_CHECKS)
 
 
 def run_gradcheck(config: ModelConfig = TINY_CONFIG, seed: int = 1, tol: float = 1e-4,
@@ -296,10 +287,7 @@ def run_gradcheck(config: ModelConfig = TINY_CONFIG, seed: int = 1, tol: float =
     reports = []
     for name in blocks:
         rng = np.random.default_rng(seed + zlib.crc32(name.encode()) % 1000)
-        if name in _MODEL_CHECKS:
-            analytic, numeric = _MODEL_CHECKS[name](rng, config)
-        else:
-            analytic, numeric = _CHECKS[name](rng)
+        analytic, numeric = _CHECKS[name](rng, config)
         if sabotage and name.startswith(sabotage):
             analytic = analytic * 1.02 + 0.01
         rep = compare_grads(analytic, numeric, tol=tol)

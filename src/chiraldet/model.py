@@ -94,8 +94,6 @@ class TrainConfig:
     epochs: int = 10
     batch_size: int = 32
     reg_weight: float = 0.0
-    margin_weight: float = 1.0
-    margin: float = 0.1
     min_lr_factor: float = 0.1
 
     def validate(self):
@@ -107,8 +105,8 @@ class TrainConfig:
             raise ValueError("lr must be positive and epochs >= 1")
         if self.batch_size < 1:
             raise ValueError(f"batch_size must be >= 1, got {self.batch_size}")
-        if min(self.reg_weight, self.margin_weight, self.margin) < 0:
-            raise ValueError("loss weights must be non-negative")
+        if self.reg_weight < 0:
+            raise ValueError(f"reg_weight must be non-negative, got {self.reg_weight}")
         if not 0.0 <= self.min_lr_factor <= 1.0:
             # a negative floor turns the end of the cosine schedule into ascent
             raise ValueError(f"min_lr_factor must be in [0, 1], got {self.min_lr_factor}")
@@ -274,70 +272,61 @@ def loss_margin_rank(score_hi, score_lo, margin: float):
     return float(np.maximum(gap, 0.0).sum()), -active, active
 
 
-def _classify_forward(model: ChiralModel, batch: MoleculeBatch, labels, reg_weight: float):
-    """(loss, state, d_logits) of the mean cross-entropy over a batch plus
-    the rank penalty when enabled."""
+def classify_loss(labels):
+    """The mean cross-entropy objective of a batch with one class index per
+    molecule: logits -> (loss, d_logits, n_correct)."""
+    labels = np.asarray(labels)
+
+    def objective(logits):
+        loss, d_logits = loss_classify(logits, labels)
+        n_correct = int((logits.argmax(axis=1) == labels).sum())
+        return loss / len(labels), d_logits / len(labels), n_correct
+
+    return objective
+
+
+def rank_loss(margin: float):
+    """The mean margin-ranking objective of a batch holding the his and then
+    the los of its pairs, prepare_batch(his + los), scored by the single
+    output of a 1-dim head: logits -> (loss, d_logits, n_correctly_ordered)."""
+    if not 0.0 <= margin < math.inf:
+        raise ValueError(f"margin must be finite and non-negative, got {margin}")
+
+    def objective(logits):
+        n = len(logits) // 2
+        hi, lo = logits[:n, 0], logits[n:, 0]
+        total, d_hi, d_lo = loss_margin_rank(hi, lo, margin)
+        return total / n, np.concatenate([d_hi, d_lo])[:, None] * (1.0 / n), int((hi > lo).sum())
+
+    return objective
+
+
+def _forward_loss(model: ChiralModel, batch: MoleculeBatch, objective, reg_weight: float):
+    """(loss, n_correct, state, d_logits) of an objective over a prepared
+    batch plus the rank penalty when enabled."""
     state = forward_batch(model, batch)
-    loss, d_logits = loss_classify(state.logits, labels)
-    loss /= len(labels)
+    loss, d_logits, n_correct = objective(state.logits)
     if reg_weight > 0.0:
         loss += reg_weight * regularization_loss(model.encoder.kernels)
-    return loss, state, d_logits / len(labels)
+    return loss, n_correct, state, d_logits
 
 
-def batch_loss_classify(model: ChiralModel, batch: MoleculeBatch, labels,
-                        reg_weight: float) -> float:
-    """The loss of batch_step_classify, forward only."""
-    return _classify_forward(model, batch, labels, reg_weight)[0]
+def batch_loss(model: ChiralModel, batch: MoleculeBatch, objective, reg_weight: float) -> float:
+    """The loss of batch_step, forward only."""
+    return _forward_loss(model, batch, objective, reg_weight)[0]
 
 
-def batch_step_classify(model: ChiralModel, batch: MoleculeBatch, labels, reg_weight: float):
-    """Mean cross-entropy over a prepared batch with one class index per
-    molecule, plus the rank penalty when enabled.
+def batch_step(model: ChiralModel, batch: MoleculeBatch, objective, reg_weight: float):
+    """An objective (classify_loss or rank_loss) over a prepared batch plus
+    the rank penalty when enabled.
 
     Returns (loss, n_correct, grads).
     """
-    labels = np.asarray(labels)
-    loss, state, d_logits = _classify_forward(model, batch, labels, reg_weight)
-    correct = int((state.logits.argmax(axis=1) == labels).sum())
+    loss, n_correct, state, d_logits = _forward_loss(model, batch, objective, reg_weight)
     grads = backward_batch(model, state, d_logits)
     if reg_weight > 0.0:
         grads.encoder.kernels.w += reg_weight * regularization_grad(model.encoder.kernels)
-    return loss, correct, grads
-
-
-def _rank_forward(model: ChiralModel, batch: MoleculeBatch, cfg: TrainConfig):
-    """(loss, state, d_logits) of the weighted mean margin-ranking loss over
-    a prepared batch holding the his and then the los of its pairs, plus
-    the rank penalty when enabled. The score is the single output of a
-    1-dim head."""
-    state = forward_batch(model, batch)
-    n = len(state.logits) // 2
-    loss, d_hi, d_lo = loss_margin_rank(state.logits[:n, 0], state.logits[n:, 0], cfg.margin)
-    total = cfg.margin_weight * loss / n
-    if cfg.reg_weight > 0.0:
-        total += cfg.reg_weight * regularization_loss(model.encoder.kernels)
-    return total, state, np.concatenate([d_hi, d_lo])[:, None] * (cfg.margin_weight / n)
-
-
-def batch_loss_rank(model: ChiralModel, batch: MoleculeBatch, cfg: TrainConfig) -> float:
-    """The loss of batch_step_rank, forward only."""
-    return _rank_forward(model, batch, cfg)[0]
-
-
-def batch_step_rank(model: ChiralModel, batch: MoleculeBatch, cfg: TrainConfig):
-    """Margin-ranking loss over a prepared batch of (hi, lo) pairs, his
-    first: prepare_batch(his + los).
-
-    Returns (loss, n_correctly_ordered, grads).
-    """
-    loss, state, d_logits = _rank_forward(model, batch, cfg)
-    n = len(state.logits) // 2
-    ordered = int((state.logits[:n, 0] > state.logits[n:, 0]).sum())
-    grads = backward_batch(model, state, d_logits)
-    if cfg.reg_weight > 0.0:
-        grads.encoder.kernels.w += cfg.reg_weight * regularization_grad(model.encoder.kernels)
-    return loss, ordered, grads
+    return loss, n_correct, grads
 
 
 # ---------------------------------------------------------------------------
@@ -437,25 +426,36 @@ def evaluate(model: ChiralModel, dataset) -> float:
     return int((_predict(model, list(mols)) == labels).sum()) / len(pairs)
 
 
+def check_feature_width(d_f: int, dataset):
+    """Raise a ValueError naming d_f unless every molecule of the dataset,
+    (Molecule, label) items or (hi, lo) pairs, has d_f features per atom."""
+    widths = {m.features.shape[1] for item in dataset for m in item if isinstance(m, Molecule)}
+    if widths - {d_f}:
+        raise ValueError(f"d_f={d_f} does not match the dataset's feature "
+                         f"width {', '.join(map(str, sorted(widths)))}")
+
+
 def train(model: ChiralModel, dataset, cfg: TrainConfig, val_dataset=None,
-          metrics_path=None, rank_pairs=None, adam: AdamState | None = None,
+          metrics_path=None, margin: float | None = None, adam: AdamState | None = None,
           log=None):
     """Deterministic training loop.
 
-    `dataset` is a sequence of (Molecule, label) for classification;
-    `rank_pairs` switches to margin-ranking over (hi, lo) molecule pairs.
-    Shuffling derives from config.seed, so identical seeds give identical
-    loss curves. Returns the list of per-epoch records.
+    `dataset` is a sequence of (Molecule, label) for classification; with
+    `margin` set it holds (hi, lo) molecule pairs, trained by margin ranking
+    under a 1-dim head. Shuffling derives from config.seed, so identical
+    seeds give identical loss curves. Returns the list of per-epoch records.
     """
     cfg.validate()
-    if rank_pairs is None:
+    if margin is None:
         data = dataset_to_pairs(dataset)
-        if not data:
-            raise ValueError("empty training set")
     else:
-        data = list(rank_pairs)
-        if not data:
-            raise ValueError("empty training set")
+        ranking = rank_loss(margin)
+        if val_dataset is not None:
+            raise ValueError("val_dataset holds labels, which margin ranking does not score")
+        data = list(dataset)
+    if not data:
+        raise ValueError("empty training set")
+    check_feature_width(model.config.d_f, data)
     rng = np.random.default_rng(model.config.seed + 0x5EED)
     n_batches = math.ceil(len(data) / cfg.batch_size)
     total_steps = cfg.epochs * n_batches
@@ -473,14 +473,13 @@ def train(model: ChiralModel, dataset, cfg: TrainConfig, val_dataset=None,
             for b in range(n_batches):
                 batch = [data[i] for i in order[b * cfg.batch_size : (b + 1) * cfg.batch_size]]
                 lr_now = cosine_lr(step, total_steps, cfg.lr, cfg.min_lr_factor)
-                if rank_pairs is None:
-                    mols, labels = zip(*batch)
-                    loss, correct, grads = batch_step_classify(
-                        model, prepare_batch(mols), labels, cfg.reg_weight
-                    )
+                firsts, seconds = zip(*batch)
+                if margin is None:
+                    mols, objective = firsts, classify_loss(seconds)
                 else:
-                    his, los = zip(*batch)
-                    loss, correct, grads = batch_step_rank(model, prepare_batch(his + los), cfg)
+                    mols, objective = firsts + seconds, ranking
+                loss, correct, grads = batch_step(model, prepare_batch(mols), objective,
+                                                  cfg.reg_weight)
                 if not math.isfinite(loss):
                     raise NumericError(f"training diverged at step {step}")
                 adam_step(model, grads, adam, lr_now)
@@ -491,7 +490,7 @@ def train(model: ChiralModel, dataset, cfg: TrainConfig, val_dataset=None,
                 epoch_correct += correct
                 step += 1
             val_acc = float("nan")
-            if val_dataset is not None and rank_pairs is None:
+            if val_dataset is not None:
                 val_acc = evaluate(model, val_dataset)
             record = EpochRecord(
                 epoch=epoch,

@@ -104,14 +104,15 @@ def test_gradients_come_in_the_parameters_layout(mixed):
 
 
 def test_token_only_batch_gets_zero_bias_gradients():
-    # no (unit, key) pair, so the distance bias runs on an empty pair set
+    # no unit and no (unit, key) pair, so the kernel runs on an empty
+    # chirality batch and the distance bias on an empty pair set
     model = init_model(ModelConfig(**TINY, seed=11))
     state = forward_batch(model, prepare_batch([token_only_molecule()] * 2))
     assert state.encoded.batch.pairs.dists.size == 0
     grads = backward_batch(model, state, loss_classify(state.logits, [0, 1])[1])
     named = dict(named_parameters(grads))
     for name, g in named.items():
-        if name.startswith("bias."):
+        if name.startswith(("bias.", "encoder.kernel.")):
             assert np.array_equal(g, np.zeros_like(g)), name
     # the token row still attends to the non-chiral keys
     assert np.any(named["layers.0.wk_n"] != 0.0)

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -21,7 +22,8 @@ from chiraldet.model import (
     ModelConfig,
     TrainConfig,
     attention_export_rows,
-    batch_step_rank,
+    batch_loss,
+    batch_step,
     cosine_lr,
     embed,
     evaluate,
@@ -32,6 +34,7 @@ from chiraldet.model import (
     loss_margin_rank,
     mirror_consistency,
     named_parameters,
+    rank_loss,
     save_checkpoint,
     train,
 )
@@ -122,6 +125,12 @@ class TestLosses:
         assert loss == 1.0
         assert (d_hi, d_lo) == (-1.0, 1.0)
 
+    @pytest.mark.parametrize("margin", [float("nan"), float("inf"), float("-inf"), -0.5])
+    def test_rank_loss_rejects_bad_margin(self, margin):
+        with pytest.raises(ValueError,
+                           match=f"^margin must be finite and non-negative, got {margin}$"):
+            rank_loss(margin)
+
 
 class TestConfig:
     @pytest.mark.parametrize("d_p", [1, 3])
@@ -149,8 +158,7 @@ class TestConfig:
         with pytest.raises(ValueError, match=field):
             train(model, small_dataset[:4], TrainConfig(epochs=1, **{field: value}))
 
-    @pytest.mark.parametrize("field", ["lr", "reg_weight", "margin_weight", "margin",
-                                       "min_lr_factor"])
+    @pytest.mark.parametrize("field", ["lr", "reg_weight", "min_lr_factor"])
     @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
     def test_non_finite_float_rejected(self, field, value):
         with pytest.raises(ValueError, match=f"^{field} must be finite, got {value}$"):
@@ -224,6 +232,22 @@ class TestTraining:
         with pytest.raises(NumericError, match="step 0"):
             train(model, small_dataset[:8], TrainConfig(lr=1e-3, epochs=1, batch_size=8))
 
+    def test_d_f_mismatch_rejected(self, small_dataset):
+        with pytest.raises(ValueError, match="^d_f=10 does not match .* feature width 52$"):
+            train(tiny_model(seed=2, d_f=10), small_dataset[:4], TrainConfig(epochs=1))
+        # the second member of a ranking pair is checked too
+        mol = small_dataset[0][0]
+        narrow = replace(mol, features=mol.features[:, :10])
+        with pytest.raises(ValueError, match="^d_f=52 does not match .* feature width 10, 52$"):
+            train(tiny_model(seed=2, n_classes=1), [(mol, narrow)], TrainConfig(epochs=1),
+                  margin=0.5)
+
+    def test_rank_training_rejects_val_dataset(self, small_dataset):
+        pairs = [(mol, mirror(mol)) for mol, _ in small_dataset[:2]]
+        with pytest.raises(ValueError, match="val_dataset"):
+            train(tiny_model(seed=2, n_classes=1), pairs, TrainConfig(epochs=1),
+                  val_dataset=small_dataset[2:4], margin=0.5)
+
     def test_metrics_stream(self, small_dataset, tmp_path):
         metrics = tmp_path / "metrics.log"
         model = tiny_model(seed=13)
@@ -246,8 +270,7 @@ class TestTraining:
             hi, lo = (mol, ent) if label.value == "R" else (ent, mol)
             pairs.append((hi, lo))
         model = tiny_model(seed=15, n_classes=1)
-        cfg = TrainConfig(lr=2e-3, epochs=8, batch_size=8, margin=0.5, margin_weight=1.0)
-        train(model, None, cfg, rank_pairs=pairs)
+        train(model, pairs, TrainConfig(lr=2e-3, epochs=8, batch_size=8), margin=0.5)
         ordered = sum(1 for hi, lo in pairs if forward(model, hi)[0] > forward(model, lo)[0])
         assert ordered >= 15
 
@@ -261,18 +284,18 @@ class TestTraining:
         # the hinge, and every pair stays away from its kink
         margin = float(np.sort(gaps)[2:4].mean())
         assert np.min(np.abs(gaps - margin)) > 1e-4
-        cfg = TrainConfig(margin=margin)
+        objective = rank_loss(margin)
         kept = (model.encoder.kernels.gamma, model.head)
 
         def f(theta):
             model.encoder.kernels.gamma, model.head = unflatten(theta, *kept)
             try:
-                return batch_step_rank(model, batch, cfg)[0]
+                return batch_loss(model, batch, objective, reg_weight=0.0)
             finally:
                 model.encoder.kernels.gamma, model.head = kept
 
         numeric = finite_diff_grad(f, flatten(*kept))
-        _, _, grads = batch_step_rank(model, batch, cfg)
+        _, _, grads = batch_step(model, batch, objective, reg_weight=0.0)
         analytic = flatten(grads.encoder.kernels.gamma, grads.head)
         assert compare_grads(analytic, numeric, tol=1e-5).passed
 
