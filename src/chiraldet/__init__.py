@@ -6,7 +6,6 @@ including every reverse-mode gradient."""
 from .geometry import (
     AtomPartition,
     ChiralUnit,
-    ChiralityMatrix,
     Configuration,
     Molecule,
     UnitKind,
@@ -21,8 +20,9 @@ from .geometry import (
     unit_products,
 )
 from .data import (
-    FeatureScheme,
+    FEATURE_WIDTH,
     SyntheticSpec,
+    featurize,
     gen_axial,
     gen_axial_torsion,
     gen_rs,

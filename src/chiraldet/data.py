@@ -53,40 +53,24 @@ ELEMENT_SLOTS = [
     27, 28, 29, 30, 33, 34, 35, 40, 47, 50, 53, 78,
 ]
 _SLOT_OF_Z = {z: i for i, z in enumerate(ELEMENT_SLOTS)}
+_N_ELEMENT = len(ELEMENT_SLOTS) + 1
+# one-hot blocks after the element block: degree, charge, hydrogens and
+# hybridization. Without a bond graph each stays in its zero class (its
+# first column), keeping the layout compatible with richer featurizers.
+_BLOCK_WIDTHS = (6, 5, 5, 4)
+_ZERO_CLASS_COLUMNS = _N_ELEMENT + np.cumsum((0,) + _BLOCK_WIDTHS[:-1])
+FEATURE_WIDTH = _N_ELEMENT + sum(_BLOCK_WIDTHS)  # 52
 
 
-@dataclass(frozen=True)
-class FeatureScheme:
-    """52-dim one-hot layout: element(32) + degree(6) + charge(5) + H(5) + hybridization(4).
-
-    Without a bond graph the non-element blocks stay in their zero class,
-    keeping the layout compatible with richer featurizers.
-    """
-
-    n_element: int = 32
-    n_degree: int = 6
-    n_charge: int = 5
-    n_hydrogens: int = 5
-    n_hybridization: int = 4
-
-    @property
-    def width(self) -> int:
-        return self.n_element + self.n_degree + self.n_charge + self.n_hydrogens + self.n_hybridization
-
-    def featurize(self, atomic_number: int) -> np.ndarray:
-        vec = np.zeros(self.width)
-        vec[_SLOT_OF_Z.get(int(atomic_number), self.n_element - 1)] = 1.0
-        offset = self.n_element
-        for block in (self.n_degree, self.n_charge, self.n_hydrogens, self.n_hybridization):
-            vec[offset] = 1.0  # zero class
-            offset += block
-        return vec
-
-    def featurize_all(self, atomic_numbers) -> np.ndarray:
-        return np.stack([self.featurize(z) for z in atomic_numbers])
-
-
-DEFAULT_SCHEME = FeatureScheme()
+def featurize(atomic_numbers) -> np.ndarray:
+    """(M, FEATURE_WIDTH) one-hot atom features: an element slot (the last
+    one for elements outside ELEMENT_SLOTS) plus the zero class of every
+    other block."""
+    slots = [_SLOT_OF_Z.get(int(z), _N_ELEMENT - 1) for z in atomic_numbers]
+    out = np.zeros((len(slots), FEATURE_WIDTH))
+    out[np.arange(len(slots)), slots] = 1.0
+    out[:, _ZERO_CLASS_COLUMNS] = 1.0
+    return out
 
 
 def _parse_chiral_line(tokens, lineno, n_atoms, atomic_numbers):
@@ -138,7 +122,7 @@ def _parse_chiral_line(tokens, lineno, n_atoms, atomic_numbers):
     return unit
 
 
-def parse(path, scheme: FeatureScheme = DEFAULT_SCHEME) -> Molecule:
+def parse(path) -> Molecule:
     """Parse an annotated XYZ file into a validated Molecule."""
     path = Path(path)
     lines = path.read_text().splitlines()
@@ -199,7 +183,7 @@ def parse(path, scheme: FeatureScheme = DEFAULT_SCHEME) -> Molecule:
     mol = Molecule(
         coords=coords,
         atomic_numbers=atomic_numbers,
-        features=scheme.featurize_all(atomic_numbers),
+        features=featurize(atomic_numbers),
         chiral_units=tuple(units),
         id=comment if comment else path.stem,
         blade=blade,
@@ -270,13 +254,19 @@ def tile_molecules(mols) -> Molecule:
     ).validate()
 
 
+# gen_rs substituent bond lengths are uniform in this range, then jittered
+# by Gaussian noise of this standard deviation per coordinate
+BOND_LENGTH_RANGE = (1.4, 1.8)
+SUBSTITUENT_NOISE = 0.1
+# closest distance of a spectator atom to any atom placed before it
+SPECTATOR_MIN_DIST = 2.0
+
+
 @dataclass(frozen=True)
 class SyntheticSpec:
     count: int
     spectator_range: tuple[int, int] = (0, 3)
-    bond_length_range: tuple[float, float] = (1.4, 1.8)
     min_abs_product: float = 0.5
-    noise: float = 0.1
     seed: int = 0
 
     def validate(self):
@@ -287,7 +277,7 @@ class SyntheticSpec:
         return self
 
 
-def _place_spectators(rng, occupied, n_spec, min_dist=2.0):
+def _place_spectators(rng, occupied, n_spec):
     placed = []
     for _ in range(n_spec):
         for _attempt in range(200):
@@ -295,7 +285,7 @@ def _place_spectators(rng, occupied, n_spec, min_dist=2.0):
             direction /= np.linalg.norm(direction)
             pos = direction * rng.uniform(2.5, 4.5)
             allpos = np.concatenate([occupied, placed]) if placed else occupied
-            if np.min(np.linalg.norm(allpos - pos, axis=1)) >= min_dist:
+            if np.min(np.linalg.norm(allpos - pos, axis=1)) >= SPECTATOR_MIN_DIST:
                 placed.append(pos)
                 break
         else:
@@ -303,7 +293,7 @@ def _place_spectators(rng, occupied, n_spec, min_dist=2.0):
     return placed
 
 
-def gen_rs(spec: SyntheticSpec, scheme: FeatureScheme = DEFAULT_SCHEME):
+def gen_rs(spec: SyntheticSpec):
     """Synthetic tetrahedral-center molecules with exact R/S labels.
 
     Sample t draws from seed + t, so generation parallelizes and any prefix
@@ -312,7 +302,7 @@ def gen_rs(spec: SyntheticSpec, scheme: FeatureScheme = DEFAULT_SCHEME):
     """
     spec.validate()
     dataset = []
-    lo, hi = spec.bond_length_range
+    lo, hi = BOND_LENGTH_RANGE
     for t in range(spec.count):
         rng = np.random.default_rng(spec.seed + t)
         target = Configuration.R if t % 2 == 0 else Configuration.S
@@ -320,7 +310,7 @@ def gen_rs(spec: SyntheticSpec, scheme: FeatureScheme = DEFAULT_SCHEME):
             lengths = rng.uniform(lo, hi, size=4)
             order = rng.permutation(4)
             subs = TETRA_DIRECTIONS[order] * lengths[:, None]
-            subs = subs + rng.normal(0.0, spec.noise, size=(4, 3))
+            subs = subs + rng.normal(0.0, SUBSTITUENT_NOISE, size=(4, 3))
             elements = rng.choice(SUBSTITUENT_POOL, size=4, replace=False)
             coords = [np.zeros(3)] + list(subs)
             zs = [6] + list(elements)
@@ -338,7 +328,7 @@ def gen_rs(spec: SyntheticSpec, scheme: FeatureScheme = DEFAULT_SCHEME):
             mol = Molecule(
                 coords=coords,
                 atomic_numbers=np.asarray(zs, dtype=np.int64),
-                features=scheme.featurize_all(zs),
+                features=featurize(zs),
                 chiral_units=(unit,),
                 id=f"rs{t:05d}",
             ).validate()
@@ -364,7 +354,7 @@ def _axial_coords(axis_len, radius, drop, torsion_deg):
     return np.stack([a0, a1, b1, c1, b2, c2])
 
 
-def toy_axial_molecule(torsion_deg: float = 90.0, scheme: FeatureScheme = DEFAULT_SCHEME) -> Molecule:
+def toy_axial_molecule(torsion_deg: float = 90.0) -> Molecule:
     """Six-atom axially chiral toy with the upper blade marked for rotation.
 
     Substituent elements are picked so the default atomic-number priorities
@@ -377,7 +367,7 @@ def toy_axial_molecule(torsion_deg: float = 90.0, scheme: FeatureScheme = DEFAUL
     return Molecule(
         coords=coords,
         atomic_numbers=zs,
-        features=scheme.featurize_all(zs),
+        features=featurize(zs),
         chiral_units=(unit,),
         id=f"axial_toy_{torsion_deg:g}",
         blade=(3, 5),
@@ -442,8 +432,7 @@ def gen_axial_torsion(base: Molecule, step_deg: float):
     return conformers
 
 
-def gen_axial(count: int, seed: int = 0, spectator_range=(0, 2), min_abs_product: float = 0.5,
-              scheme: FeatureScheme = DEFAULT_SCHEME):
+def gen_axial(count: int, seed: int = 0, spectator_range=(0, 2), min_abs_product: float = 0.5):
     """Randomized axial toys labeled by the sign of the chirality product.
 
     Geometry, torsion, and pose vary per sample; labels alternate and are
@@ -465,7 +454,7 @@ def gen_axial(count: int, seed: int = 0, spectator_range=(0, 2), min_abs_product
             n_spec = int(rng.integers(spectator_range[0], spectator_range[1] + 1))
             pts = list(coords)
             if n_spec:
-                pts.extend(_place_spectators(rng, coords, n_spec, min_dist=2.0))
+                pts.extend(_place_spectators(rng, coords, n_spec))
                 zs.extend(rng.choice(SPECTATOR_POOL, size=n_spec))
             coords = np.asarray(pts)
             unit = ChiralUnit(kind=UnitKind.AXIS, center_atoms=(0, 1), related=(2, 3, 4, 5))
@@ -477,7 +466,7 @@ def gen_axial(count: int, seed: int = 0, spectator_range=(0, 2), min_abs_product
             mol = Molecule(
                 coords=coords,
                 atomic_numbers=np.asarray(zs, dtype=np.int64),
-                features=scheme.featurize_all(zs),
+                features=featurize(zs),
                 chiral_units=(unit,),
                 id=f"ax{t:05d}",
             ).validate()
@@ -508,7 +497,7 @@ def write_dataset(dataset, out_dir):
     return out_dir / "manifest.tsv"
 
 
-def read_manifest(manifest_path, scheme: FeatureScheme = DEFAULT_SCHEME):
+def read_manifest(manifest_path):
     """Load (Molecule, Configuration) pairs listed in a manifest file."""
     manifest_path = Path(manifest_path)
     if manifest_path.is_dir():
@@ -529,7 +518,7 @@ def read_manifest(manifest_path, scheme: FeatureScheme = DEFAULT_SCHEME):
             config = Configuration(label)
         except ValueError:
             raise MoleculeParseError(f"unknown label {label!r}", lineno) from None
-        mol = parse(base / rel, scheme=scheme)
+        mol = parse(base / rel)
         if mol.id != mol_id:
             mol = replace(mol, id=mol_id)
         dataset.append((mol, config))

@@ -12,10 +12,10 @@ A reflection of the molecule flips det(M) and so every channel, while
 rigid motions leave them unchanged.
 
 The normalization stage removes the per-column mean along d_p and divides
-by one pooled standard deviation for the whole slice. Per-column scales
-would break rotation invariance (a rotation mixes the three columns), and
-an additive shift would too, so `beta` is kept frozen at zero while the
-per-row gain `gamma` stays learnable. The closed form relies on beta = 0.
+by one pooled standard deviation for the whole slice, then applies a
+learnable per-row gain `gamma`. It has no additive shift: a shift, like
+per-column scales, would break rotation invariance (a rotation mixes the
+three columns), and the closed form relies on its absence.
 
 prepare_batch does the geometry of a molecule batch once (partitions,
 chirality matrices, projector inputs, pair distances); encode_fwd and the
@@ -56,7 +56,6 @@ class RankStrategy(Enum):
 class KernelBank:
     w: np.ndarray  # (k, d_p, 3)
     gamma: np.ndarray  # (d_p,)
-    beta: np.ndarray  # (d_p,), frozen at zero
 
     @property
     def n_kernels(self) -> int:
@@ -194,8 +193,6 @@ def kernel_fwd(bank: KernelBank, mc_batch):
         raise NumericError(f"expected (B, 3, 3) chirality matrices, got {mc_batch.shape}")
     if not np.all(np.isfinite(mc_batch)):
         raise NumericError("chirality matrices contain non-finite values")
-    if np.any(bank.beta != 0.0):
-        raise NumericError("kernel shift beta must stay zero, the closed-form readout assumes it")
     n_batch = mc_batch.shape[0]
     k, d_p = bank.n_kernels, bank.d_p
     det_m = det3_batch(mc_batch)
@@ -212,8 +209,7 @@ def kernel_fwd(bank: KernelBank, mc_batch):
 
 
 def kernel_bwd(cache, d_out):
-    """Backward of kernel_fwd; returns (grads as a KernelBank, d_mc). The
-    frozen beta's gradient is zero.
+    """Backward of kernel_fwd; returns (grads as a KernelBank, d_mc).
 
     d out / d M = cof(M) s / sigma^3 - out / (d_p sigma^2) * C^T C M, which
     is smooth through det(M) = 0. Parameter gradients flow through s, with
@@ -242,7 +238,7 @@ def kernel_bwd(cache, d_out):
     d_gamma = ((d_w_eff * centered) @ np.ones(3)).sum(axis=0)
     d_c = bank.gamma[None, :, None] * d_w_eff - centered @ coef_mmt
     d_w = d_c - _row_mean(d_c)
-    return KernelBank(w=d_w, gamma=d_gamma, beta=np.zeros_like(bank.beta)), d_mc
+    return KernelBank(w=d_w, gamma=d_gamma), d_mc
 
 
 def regularization_loss(bank: KernelBank) -> float:
@@ -261,7 +257,7 @@ def retract_orthonormal(bank: KernelBank) -> KernelBank:
     dead = np.flatnonzero(np.abs(np.diagonal(res.r, axis1=1, axis2=2)).min(axis=1) < 1e-12)
     if dead.size:
         raise DegeneracyError(f"kernel slice {int(dead[0])} is rank-deficient, cannot retract")
-    return KernelBank(w=res.q, gamma=bank.gamma, beta=bank.beta)
+    return KernelBank(w=res.q, gamma=bank.gamma)
 
 
 def mlp2_fwd(mlp: Mlp2, x):
@@ -328,7 +324,7 @@ def prepare_batch(mols) -> MoleculeBatch:
         mask=mask,
         k_r=k_r,
         chirality=np.array(
-            [chirality_matrix(u, mol.coords).m for mol, u in units]
+            [chirality_matrix(u, mol.coords) for mol, u in units]
         ).reshape(-1, 3, 3),
         unit_rows=np.vstack([unit_feature_rows(m) for m in mols]),
         related_rows=np.vstack([m.features[i] for m, i in zip(mols, related)]),
@@ -396,7 +392,7 @@ def init_mlp2(rng, d_in: int, d_hidden: int, d_out: int) -> Mlp2:
 def init_kernel_bank(rng, n_kernels: int, d_p: int) -> KernelBank:
     """Slices start as random orthonormal columns (reg loss 0, alpha 1)."""
     w = qr_thin(rng.standard_normal((n_kernels, d_p, 3))).q
-    return KernelBank(w=w, gamma=np.ones(d_p), beta=np.zeros(d_p))
+    return KernelBank(w=w, gamma=np.ones(d_p))
 
 
 def init_encoder(rng, d_f: int, h: int, d_p: int) -> EncoderParams:

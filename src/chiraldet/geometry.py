@@ -98,13 +98,6 @@ class AtomPartition:
     nonchiral: tuple[int, ...]
 
 
-@dataclass(frozen=True)
-class ChiralityMatrix:
-    """Rows are (x_r1 - x_ref, x_r2 - x_ref, x_r4 - x_r3)."""
-
-    m: np.ndarray  # (3, 3)
-
-
 def partition_atoms(mol: Molecule) -> AtomPartition:
     """Split atom indices into chiral, chiral-related, and non-chiral sets.
 
@@ -138,17 +131,16 @@ def reference_point(unit: ChiralUnit, coords) -> np.ndarray:
     return 0.5 * (coords[a] + coords[b])
 
 
-def chirality_matrix(unit: ChiralUnit, coords) -> ChiralityMatrix:
+def chirality_matrix(unit: ChiralUnit, coords) -> np.ndarray:
+    """(3, 3) matrix with rows (x_r1 - x_ref, x_r2 - x_ref, x_r4 - x_r3)."""
     coords = np.asarray(coords, dtype=np.float64)
     ref = reference_point(unit, coords)
     r1, r2, r3, r4 = unit.related
-    m = np.stack([coords[r1] - ref, coords[r2] - ref, coords[r4] - coords[r3]])
-    return ChiralityMatrix(m=m)
+    return np.stack([coords[r1] - ref, coords[r2] - ref, coords[r4] - coords[r3]])
 
 
-def chirality_product(mc: ChiralityMatrix) -> float:
-    """Signed volume ((r1-ref) x (r2-ref)) . (r4-r3)."""
-    m = mc.m
+def chirality_product(m) -> float:
+    """Signed volume ((r1-ref) x (r2-ref)) . (r4-r3) of a chirality matrix."""
     return float(np.dot(np.cross(m[0], m[1]), m[2]))
 
 

@@ -39,7 +39,6 @@ from .encoder import (
 from .errors import NumericError
 from .geometry import mirror
 from .model import (
-    FROZEN_PARAMS,
     ModelConfig,
     _leaves,
     batch_loss,
@@ -119,7 +118,7 @@ def _check_kernel(rng, config: ModelConfig):
 
 
 def _check_reg_loss(rng, config: ModelConfig):
-    bank = KernelBank(w=rng.standard_normal((2, 4, 3)), gamma=np.ones(4), beta=np.zeros(4))
+    bank = KernelBank(w=rng.standard_normal((2, 4, 3)), gamma=np.ones(4))
 
     def f(theta):
         return regularization_loss(replace(bank, w=theta.reshape(bank.w.shape)))
@@ -234,11 +233,11 @@ def _check_full_loss(rng, config: ModelConfig):
         [(mol_a, label_a), (tile_molecules([mol_b, mol_c]), label_b)]
     ))
     batch = prepare_batch(mols)
-    live = [a for n, a in named_parameters(model) if n not in FROZEN_PARAMS]
+    live = [a for _, a in named_parameters(model)]
     objective = classify_loss(labels)
     numeric = _oracle(lambda: batch_loss(model, batch, objective, reg_weight=0.1), live)
     _, _, grads = batch_step(model, batch, objective, reg_weight=0.1)
-    return flatten(*(a for n, a in named_parameters(grads) if n not in FROZEN_PARAMS)), numeric
+    return flatten(*(a for _, a in named_parameters(grads))), numeric
 
 
 def _check_rank_loss(rng, config: ModelConfig):

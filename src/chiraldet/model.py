@@ -56,10 +56,6 @@ from .geometry import Configuration, Molecule, mirror
 LABEL_CLASSES = (Configuration.R, Configuration.S)
 CLASS_INDEX = {c: i for i, c in enumerate(LABEL_CLASSES)}
 
-# the kernel-stage shift must stay zero for exact rigid-motion invariance and
-# for the closed-form kernel readout
-FROZEN_PARAMS = {"encoder.kernel.beta"}
-
 
 @dataclass
 class ModelConfig:
@@ -293,6 +289,8 @@ def rank_loss(margin: float):
         raise ValueError(f"margin must be finite and non-negative, got {margin}")
 
     def objective(logits):
+        if logits.shape[1] != 1:
+            raise ValueError(f"margin ranking scores a 1-dim head, got n_classes={logits.shape[1]}")
         n = len(logits) // 2
         hi, lo = logits[:n, 0], logits[n:, 0]
         total, d_hi, d_lo = loss_margin_rank(hi, lo, margin)
@@ -353,8 +351,6 @@ def adam_step(model: ChiralModel, grads: ChiralModel, state: AdamState, lr: floa
     state.step += 1
     t = state.step
     for (name, param), (_, g) in zip(named_parameters(model), named_parameters(grads)):
-        if name in FROZEN_PARAMS:
-            continue
         state.m[name] = beta1 * state.m[name] + (1.0 - beta1) * g
         state.v[name] = beta2 * state.v[name] + (1.0 - beta2) * g * g
         m_hat = state.m[name] / (1.0 - beta1**t)
@@ -535,6 +531,10 @@ def mirror_consistency(model: ChiralModel, dataset) -> tuple[float, float]:
 
 CHECKPOINT_MAGIC = "chiraldet-checkpoint"
 CHECKPOINT_VERSION = 1
+# v1 stores a kernel shift of d_p zeros after the kernel gain. The model has
+# no shift, which rigid-motion invariance and the closed-form kernel readout
+# rely on, so a checkpoint whose shift is not all zero is rejected.
+_V1_KERNEL_SHIFT = "encoder.kernel.beta"
 
 
 def parse_config_value(name: str, text: str):
@@ -565,13 +565,22 @@ def _pack_tensor(name: str, arr: np.ndarray) -> bytes:
     return head + data
 
 
+def _v1_tensors(named):
+    """(name, array) pairs of a named_parameters walk in v1 file order: the
+    zero kernel shift goes right after encoder.kernel.gamma."""
+    for name, arr in named:
+        yield name, arr
+        if name == "encoder.kernel.gamma":
+            yield _V1_KERNEL_SHIFT, np.zeros_like(arr)
+
+
 def save_checkpoint(model: ChiralModel, path, adam: AdamState | None = None):
     """Versioned container: text header, length-prefixed little-endian
     float64 tensors, trailing sha256 checksum. Round-trips bit-exactly."""
-    tensors = list(named_parameters(model))
+    tensors = list(_v1_tensors(named_parameters(model)))
     if adam is not None:
-        tensors += [(f"adam.m.{n}", a) for n, a in adam.m.items()]
-        tensors += [(f"adam.v.{n}", a) for n, a in adam.v.items()]
+        tensors += [(f"adam.m.{n}", a) for n, a in _v1_tensors(adam.m.items())]
+        tensors += [(f"adam.v.{n}", a) for n, a in _v1_tensors(adam.v.items())]
     payload = b"".join(_pack_tensor(n, a) for n, a in tensors)
     header_lines = [f"{CHECKPOINT_MAGIC} v{CHECKPOINT_VERSION}"]
     header_lines += _config_lines(model.config)
@@ -635,16 +644,16 @@ def load_checkpoint(path):
         raise CheckpointTruncatedError(f"payload ended early: {exc}") from None
 
     model = init_model(config)
-    for name, param in named_parameters(model):
+    for name, param in _v1_tensors(named_parameters(model)):
         if name not in tensors:
             raise CheckpointShapeError(f"missing tensor {name}")
         if tensors[name].shape != param.shape:
             raise CheckpointShapeError(
                 f"tensor {name} has shape {tensors[name].shape}, expected {param.shape}"
             )
-        if name in FROZEN_PARAMS and np.any(tensors[name] != 0.0):
+        if name == _V1_KERNEL_SHIFT and np.any(tensors[name] != 0.0):
             raise CheckpointShapeError(
-                f"tensor {name} is frozen at zero but holds non-zero values"
+                f"tensor {name} must be zero, the model has no kernel shift"
             )
         param[...] = tensors[name]
     adam = None

@@ -1,8 +1,11 @@
 """Byte-level checkpoint edits for validation tests: change content, then
-re-sign it so only the loader's content checks can object."""
+re-sign it so only the loader's content checks can object. Also a reader of
+the tensor table, in file order."""
 
 import hashlib
 import struct
+
+import numpy as np
 
 
 def resign(path, edit):
@@ -29,3 +32,20 @@ def set_first_value(name: bytes, value: float):
 
 
 set_first_beta = set_first_value(b"encoder.kernel.beta", 0.25)
+
+
+def read_tensors(raw: bytes):
+    """(name, array) of every tensor of a checkpoint file, in file order."""
+    buf = raw[raw.index(b"\n\n") + 2 : -32]
+    out, at = [], 0
+    while at < len(buf):
+        (name_len,) = struct.unpack_from("<I", buf, at)
+        name = buf[at + 4 : at + 4 + name_len].decode()
+        at += 4 + name_len
+        (ndim,) = struct.unpack_from("<I", buf, at)
+        shape = struct.unpack_from(f"<{ndim}q", buf, at + 4)
+        at += 4 + 8 * ndim + 8
+        size = int(np.prod(shape))
+        out.append((name, np.frombuffer(buf, "<f8", size, at).reshape(shape)))
+        at += 8 * size
+    return out

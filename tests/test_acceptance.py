@@ -11,8 +11,8 @@ import numpy as np
 import pytest
 
 from chiraldet.data import (
-    DEFAULT_SCHEME,
     SyntheticSpec,
+    featurize,
     gen_axial,
     gen_axial_torsion,
     gen_rs,
@@ -61,7 +61,7 @@ def random_units(rng, n, min_product=0.1):
         mol = Molecule(
             coords=coords,
             atomic_numbers=zs,
-            features=DEFAULT_SCHEME.featurize_all(zs),
+            features=featurize(zs),
             chiral_units=(
                 ChiralUnit(kind=UnitKind.CENTER, center_atoms=(0,), related=(1, 2, 3, 4)),
             ),

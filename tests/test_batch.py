@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from chiraldet.attention import attend_fwd, init_layer
-from chiraldet.data import DEFAULT_SCHEME, SyntheticSpec, gen_axial, gen_rs, tile_molecules
+from chiraldet.data import SyntheticSpec, featurize, gen_axial, gen_rs, tile_molecules
 from chiraldet.encoder import BatchMask, prepare_batch
 from chiraldet.errors import NumericError
 from chiraldet.geometry import ChiralUnit, Molecule, UnitKind
@@ -27,7 +27,7 @@ TINY = dict(h=8, d_p=4, n_layers=2, n_heads=2, n_gkpt=8)
 def token_only_molecule():
     zs = np.array([6, 6, 8])
     coords = np.array([[0.0, 0.0, 0.0], [1.3, 0.0, 0.0], [0.0, 1.2, 0.3]])
-    return Molecule(coords=coords, atomic_numbers=zs, features=DEFAULT_SCHEME.featurize_all(zs)).validate()
+    return Molecule(coords=coords, atomic_numbers=zs, features=featurize(zs)).validate()
 
 
 def keyless_chiral_molecule():
@@ -40,7 +40,7 @@ def keyless_chiral_molecule():
         for i in range(5)
     )
     return Molecule(coords=rng.uniform(-2, 2, (5, 3)), atomic_numbers=zs,
-                    features=DEFAULT_SCHEME.featurize_all(zs), chiral_units=units).validate()
+                    features=featurize(zs), chiral_units=units).validate()
 
 
 @pytest.fixture(scope="module")

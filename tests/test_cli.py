@@ -9,7 +9,7 @@ import pytest
 from checkpoint_edits import resign, set_first_beta, set_first_value, set_header
 from chiraldet.cli import main
 from chiraldet.data import (
-    DEFAULT_SCHEME,
+    featurize,
     toy_axial_molecule,
     write,
 )
@@ -28,7 +28,7 @@ def canonical_molecule():
     return Molecule(
         coords=coords,
         atomic_numbers=zs,
-        features=DEFAULT_SCHEME.featurize_all(zs),
+        features=featurize(zs),
         chiral_units=(ChiralUnit(kind=UnitKind.CENTER, center_atoms=(0,), related=(1, 2, 3, 4)),),
         id="canon",
     ).validate()
@@ -73,7 +73,7 @@ class TestChirality:
         )
         mol = Molecule(
             coords=coords, atomic_numbers=zs,
-            features=DEFAULT_SCHEME.featurize_all(zs), chiral_units=units, id="multi",
+            features=featurize(zs), chiral_units=units, id="multi",
         ).validate()
         path = tmp_path / "multi.chimol"
         write(mol, path)
@@ -109,7 +109,7 @@ class TestInvariance:
         mol = Molecule(
             coords=coords,
             atomic_numbers=zs,
-            features=DEFAULT_SCHEME.featurize_all(zs),
+            features=featurize(zs),
             chiral_units=(
                 ChiralUnit(kind=UnitKind.CENTER, center_atoms=(0,), related=(1, 2, 3, 4)),
             ),

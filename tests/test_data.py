@@ -4,9 +4,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from chiraldet.data import (
-    DEFAULT_SCHEME,
-    FeatureScheme,
+    FEATURE_WIDTH,
     SyntheticSpec,
+    featurize,
     gen_axial,
     gen_axial_torsion,
     gen_rs,
@@ -122,22 +122,24 @@ class TestParse:
 
 class TestFeatures:
     def test_width_and_one_hot_blocks(self):
-        scheme = FeatureScheme()
-        assert scheme.width == 52
-        vec = scheme.featurize(6)
+        assert FEATURE_WIDTH == 52
+        (vec,) = featurize([6])
+        assert vec.shape == (52,)
         blocks = [32, 6, 5, 5, 4]
         offset = 0
         for width in blocks:
             assert vec[offset : offset + width].sum() == 1.0
+            assert vec[offset + (2 if width == 32 else 0)] == 1.0  # C slot, zero classes
             offset += width
 
     def test_position_independent_and_deterministic(self):
-        scheme = DEFAULT_SCHEME
-        assert np.array_equal(scheme.featurize(8), scheme.featurize(8))
-        assert not np.array_equal(scheme.featurize(8), scheme.featurize(6))
+        rows = featurize([8, 6, 8])
+        assert rows.shape == (3, 52)
+        assert np.array_equal(rows[0], rows[2])
+        assert not np.array_equal(rows[0], rows[1])
 
     def test_unknown_element_goes_to_last_slot(self):
-        vec = DEFAULT_SCHEME.featurize(99)
+        (vec,) = featurize([99])
         assert vec[31] == 1.0
 
 

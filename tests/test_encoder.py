@@ -3,7 +3,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from chiraldet.data import SyntheticSpec, gen_rs
+from chiraldet.data import SyntheticSpec, featurize, gen_rs
 from chiraldet.encoder import (
     KERNEL_EPS,
     EncoderParams,
@@ -35,7 +35,7 @@ from oracles import gram_sqrt_det
 def orthonormal_identity_bank(d_p=8):
     w = np.zeros((1, d_p, 3))
     w[0, :3, :3] = np.eye(3)
-    return KernelBank(w=w, gamma=np.ones(d_p), beta=np.zeros(d_p))
+    return KernelBank(w=w, gamma=np.ones(d_p))
 
 
 def nonsingular_mc(rng, n=1, floor=0.3):
@@ -109,12 +109,6 @@ class TestKernelForward:
         with pytest.raises(NumericError):
             kernel_fwd(bank, bad)
 
-    def test_nonzero_beta_rejected(self):
-        bank = orthonormal_identity_bank()
-        bank.beta[0] = 0.1
-        with pytest.raises(NumericError, match="beta"):
-            kernel_fwd(bank, np.eye(3)[None])
-
     @pytest.mark.parametrize("d_p", [4, 8, 32])
     def test_closed_form_matches_qr_reference(self, d_p):
         rng = np.random.default_rng(40 + d_p)
@@ -168,7 +162,7 @@ class TestRegularization:
 
     def test_matches_double_loop_oracle_seed31(self):
         rng = np.random.default_rng(31)
-        bank = KernelBank(w=rng.standard_normal((3, 6, 3)), gamma=np.ones(6), beta=np.zeros(6))
+        bank = KernelBank(w=rng.standard_normal((3, 6, 3)), gamma=np.ones(6))
         total = 0.0
         for kk in range(3):
             g = bank.w[kk].T @ bank.w[kk]
@@ -180,11 +174,11 @@ class TestRegularization:
 
     def test_gradient_matches_fd(self):
         rng = np.random.default_rng(8)
-        bank = KernelBank(w=rng.standard_normal((2, 5, 3)), gamma=np.ones(5), beta=np.zeros(5))
+        bank = KernelBank(w=rng.standard_normal((2, 5, 3)), gamma=np.ones(5))
 
         def f(theta):
             return regularization_loss(
-                KernelBank(w=theta.reshape(bank.w.shape), gamma=bank.gamma, beta=bank.beta)
+                KernelBank(w=theta.reshape(bank.w.shape), gamma=bank.gamma)
             )
 
         numeric = finite_diff_grad(f, bank.w.ravel())
@@ -208,7 +202,7 @@ class TestRetraction:
     def test_random_slice_seed37(self):
         rng = np.random.default_rng(37)
         w = rng.standard_normal((1, 8, 3))
-        bank = KernelBank(w=w, gamma=np.ones(8), beta=np.zeros(8))
+        bank = KernelBank(w=w, gamma=np.ones(8))
         out = retract_orthonormal(bank)
         q = out.w[0]
         assert np.linalg.norm(q.T @ q - np.eye(3)) < 1e-10
@@ -220,7 +214,7 @@ class TestRetraction:
 
     def test_idempotent_up_to_column_signs(self):
         rng = np.random.default_rng(4)
-        bank = KernelBank(w=rng.standard_normal((2, 6, 3)), gamma=np.ones(6), beta=np.zeros(6))
+        bank = KernelBank(w=rng.standard_normal((2, 6, 3)), gamma=np.ones(6))
         once = retract_orthonormal(bank)
         twice = retract_orthonormal(once)
         for kk in range(2):
@@ -246,11 +240,7 @@ class TestEncode:
         params = make_params()
         coords = np.array([[0.0, 0.0, 0.0], [1.0, 0.0, 0.0], [0.0, 1.0, 0.0]])
         zs = np.array([6, 6, 8])
-        from chiraldet.data import DEFAULT_SCHEME
-
-        mol = Molecule(
-            coords=coords, atomic_numbers=zs, features=DEFAULT_SCHEME.featurize_all(zs)
-        ).validate()
+        mol = Molecule(coords=coords, atomic_numbers=zs, features=featurize(zs)).validate()
         enc, _ = encode_fwd(params, prepare_batch([mol]))
         assert enc.h_c.shape == (1, 1, 8)
         assert np.array_equal(enc.h_c[0, 0], params.global_token)
@@ -266,7 +256,7 @@ class TestEncode:
             mlp.b2[:] = 0.0
         mol = sample_molecule(seed=10)
         enc, _ = encode_fwd(params, prepare_batch([mol]))
-        mc = np.stack([chirality_matrix(u, mol.coords).m for u in mol.chiral_units])
+        mc = np.stack([chirality_matrix(u, mol.coords) for u in mol.chiral_units])
         dets = kernel_fwd(params.kernels, mc)[0]
         assert np.array_equal(enc.h_c[0, 1:], dets)
 
@@ -278,7 +268,7 @@ class TestEncode:
         assert np.array_equal(enc.h_r, enc_m.h_r)
         assert np.array_equal(enc.h_n, enc_m.h_n)
         assert np.array_equal(enc.h_c[0, 0], enc_m.h_c[0, 0])
-        mc = np.stack([chirality_matrix(u, mol.coords).m for u in mol.chiral_units])
+        mc = np.stack([chirality_matrix(u, mol.coords) for u in mol.chiral_units])
         dets = kernel_fwd(params.kernels, mc)[0]
         # chiral rows differ exactly by the kernel sign flip
         assert np.allclose(enc.h_c[0, 1:] - dets, enc_m.h_c[0, 1:] + dets, atol=1e-12)
@@ -303,16 +293,15 @@ class TestEncode:
         w_r = rng.standard_normal(enc.h_r.shape)
         w_n = rng.standard_normal(enc.h_n.shape)
         grads = encode_bwd(params, cache, w_c, w_r, w_n)
-        assert np.array_equal(grads.kernels.beta, np.zeros_like(params.kernels.beta))
 
         def audited(p):
-            """Every encoder tensor but the frozen beta."""
-            return p.kernels.w, p.kernels.gamma, p.proj_c, p.proj_r, p.proj_n, p.global_token
+            """Every encoder tensor."""
+            return p.kernels, p.proj_c, p.proj_r, p.proj_n, p.global_token
 
         def f(theta):
-            w, gamma, proj_c, proj_r, proj_n, token = unflatten(theta, *audited(params))
-            moved = EncoderParams(kernels=replace(params.kernels, w=w, gamma=gamma),
-                                  proj_c=proj_c, proj_r=proj_r, proj_n=proj_n, global_token=token)
+            kernels, proj_c, proj_r, proj_n, token = unflatten(theta, *audited(params))
+            moved = EncoderParams(kernels=kernels, proj_c=proj_c, proj_r=proj_r, proj_n=proj_n,
+                                  global_token=token)
             e, _ = encode_fwd(moved, batch)
             return float((w_c * e.h_c).sum() + (w_r * e.h_r).sum() + (w_n * e.h_n).sum())
 

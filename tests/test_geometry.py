@@ -7,7 +7,6 @@ from chiraldet.errors import AnnotationError
 from chiraldet.geometry import (
     AtomPartition,
     ChiralUnit,
-    ChiralityMatrix,
     Configuration,
     Molecule,
     UnitKind,
@@ -126,12 +125,12 @@ class TestReferencePoint:
 class TestChiralityMatrix:
     def test_canonical_frame(self):
         mc = chirality_matrix(center_unit(0, (1, 2, 3, 4)), CANONICAL_COORDS)
-        assert np.array_equal(mc.m, np.eye(3))
+        assert np.array_equal(mc, np.eye(3))
 
     def test_translation_cancels(self):
         shifted = np.asarray(CANONICAL_COORDS) + 5.0
         mc = chirality_matrix(center_unit(0, (1, 2, 3, 4)), shifted)
-        assert np.allclose(mc.m, np.eye(3), atol=1e-12)
+        assert np.allclose(mc, np.eye(3), atol=1e-12)
 
     def test_rowwise_subtraction_oracle(self):
         rng = np.random.default_rng(7)
@@ -141,7 +140,7 @@ class TestChiralityMatrix:
         expect = np.array(
             [coords[1] - coords[0], coords[2] - coords[0], coords[4] - coords[3]]
         )
-        assert np.array_equal(mc.m, expect)
+        assert np.array_equal(mc, expect)
 
 
 def cofactor_det(m):
@@ -154,15 +153,15 @@ def cofactor_det(m):
 
 class TestChiralityProduct:
     def test_identity_rows(self):
-        assert chirality_product(ChiralityMatrix(m=np.eye(3))) == 1.0
+        assert chirality_product(np.eye(3)) == 1.0
 
     def test_single_reflection(self):
-        assert chirality_product(ChiralityMatrix(m=np.diag([1.0, 1.0, -1.0]))) == -1.0
+        assert chirality_product(np.diag([1.0, 1.0, -1.0])) == -1.0
 
     def test_cross_dot_matches_cofactor_seed11(self):
         rng = np.random.default_rng(11)
         m = rng.standard_normal((3, 3))
-        p = chirality_product(ChiralityMatrix(m=m))
+        p = chirality_product(m)
         expect = cofactor_det(m)
         assert abs(p - expect) <= 1e-12 * abs(expect)
 
@@ -170,7 +169,7 @@ class TestChiralityProduct:
     @settings(max_examples=100, deadline=None)
     def test_cross_dot_vs_cofactor_property(self, seed):
         m = np.random.default_rng(seed).standard_normal((3, 3))
-        p = chirality_product(ChiralityMatrix(m=m))
+        p = chirality_product(m)
         assert abs(p - cofactor_det(m)) <= 1e-12 * max(1.0, abs(p))
 
 

@@ -4,7 +4,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from checkpoint_edits import resign, set_first_beta, set_header
+from checkpoint_edits import read_tensors, resign, set_first_beta, set_header
 from chiraldet.data import SyntheticSpec, gen_rs
 from chiraldet.encoder import RankStrategy, prepare_batch
 from chiraldet.errors import (
@@ -15,7 +15,7 @@ from chiraldet.errors import (
     NumericError,
 )
 from chiraldet.geometry import mirror, random_rotation, transform
-from chiraldet.gradcheck import flatten, unflatten
+from chiraldet.gradcheck import TINY_CONFIG, flatten, unflatten
 from chiraldet.numerics import compare_grads, finite_diff_grad
 from chiraldet.model import (
     AdamState,
@@ -261,6 +261,11 @@ class TestTraining:
             assert set(fields) == {"epoch", "train_loss", "train_acc", "val_acc", "lr", "l_reg"}
             float(fields["train_loss"])
 
+    def test_rank_training_rejects_multi_class_head(self, small_dataset):
+        pairs = [(mol, mirror(mol)) for mol, _ in small_dataset[:2]]
+        with pytest.raises(ValueError, match="n_classes=2"):
+            train(tiny_model(seed=2, n_classes=2), pairs, TrainConfig(epochs=1), margin=0.5)
+
     def test_rank_training_orders_pairs(self):
         # R member of each mirror pair should outrank its enantiomer
         base = gen_rs(SyntheticSpec(count=16, seed=14))
@@ -414,3 +419,39 @@ class TestCheckpoint:
         resign(path, set_first_beta)
         with pytest.raises(CheckpointShapeError, match="encoder.kernel.beta"):
             load_checkpoint(path)
+
+    def test_missing_beta_rejected(self, tmp_path):
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(tiny_model(seed=22), path)
+        resign(path, lambda blob: blob.replace(b"encoder.kernel.beta", b"encoder.kernel.bet_"))
+        with pytest.raises(CheckpointShapeError, match="missing tensor encoder.kernel.beta"):
+            load_checkpoint(path)
+
+    def test_tiny_tensor_table_pinned(self, small_dataset, tmp_path):
+        # checkpoint format v1: every tensor of a TINY_CONFIG checkpoint with
+        # Adam state, in file order; the kernel shift beta is stored as zeros
+        # right after its gain, for the model and both moments
+        mlp = [("w1", (8, 52)), ("b1", (8,)), ("w2", (8, 8)), ("b2", (8,))]
+        layer = [(n, (8, 8)) for n in ("wq", "wk_r", "wv_r", "wk_n", "wv_n", "wo")]
+        layer += [("ff_w1", (32, 8)), ("ff_b1", (32,)), ("ff_w2", (8, 32)), ("ff_b2", (8,))]
+        layer += [(f"ln{i}_{n}", (8,)) for i in (1, 2) for n in ("gamma", "beta")]
+        params = [("encoder.kernel.w", (8, 4, 3)), ("encoder.kernel.gamma", (4,)),
+                  ("encoder.kernel.beta", (4,)), ("encoder.token", (8,))]
+        params += [(f"encoder.{p}.{n}", s) for p in ("proj_c", "proj_r", "proj_n") for n, s in mlp]
+        params += [("bias.e1", (2, 8)), ("bias.e2", (2, 8)), ("bias.mu", (8,)),
+                   ("bias.sigma", (8,)), ("bias.w_p", (8, 2))]
+        params += [(f"layers.{i}.{n}", s) for i in (0, 1) for n, s in layer]
+        params += [("head.w1", (8, 8)), ("head.b1", (8,)), ("head.w2", (2, 8)), ("head.b2", (2,))]
+        expected = params + [(f"adam.{m}.{n}", s) for m in ("m", "v") for n, s in params]
+
+        model = init_model(TINY_CONFIG)
+        adam = AdamState.for_model(model)
+        train(model, small_dataset[:8], TrainConfig(epochs=1, batch_size=8), adam=adam)
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(model, path, adam)
+        tensors = read_tensors(path.read_bytes())
+        assert [(n, a.shape) for n, a in tensors] == expected
+        stored = dict(tensors)
+        for prefix in ("", "adam.m.", "adam.v."):
+            assert not np.any(stored[f"{prefix}encoder.kernel.beta"])
+            assert np.all(stored[f"{prefix}encoder.kernel.gamma"] != 0.0)
