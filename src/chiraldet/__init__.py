@@ -11,7 +11,6 @@ from .geometry import (
     UnitKind,
     assign_configuration,
     chirality_matrix,
-    chirality_product,
     mirror,
     order_substituents,
     partition_atoms,

@@ -167,23 +167,28 @@ def cmd_gradcheck(args) -> int:
     return EXIT_OK
 
 
+# most spectator atoms per generated molecule when --spectators is not given
+_DEFAULT_SPECTATORS = {"rs": 3, "axial": 2}
+
+
 def cmd_gen(args) -> int:
     if args.count < 1:
         print("--count must be >= 1", file=sys.stderr)
         return EXIT_INPUT_ERROR
     out = args.out or f"dataset_{args.task}"
+    spectators = _DEFAULT_SPECTATORS[args.task] if args.spectators is None else args.spectators
     if args.task == "rs":
         spec = data_mod.SyntheticSpec(
             count=args.count,
             seed=args.seed,
             min_abs_product=args.min_product,
-            spectator_range=(0, args.spectators),
+            spectator_range=(0, spectators),
         )
         dataset = data_mod.gen_rs(spec)
     else:
         dataset = data_mod.gen_axial(
             args.count, seed=args.seed, min_abs_product=args.min_product,
-            spectator_range=(0, min(args.spectators, 2)),
+            spectator_range=(0, spectators),
         )
     manifest = data_mod.write_dataset(dataset, out)
     print(f"wrote {len(dataset)} molecules to {manifest.parent} (manifest: {manifest})")
@@ -343,7 +348,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--task", choices=("rs", "axial"), default="rs")
     p.add_argument("--count", type=int, default=2000)
     p.add_argument("--min-product", type=float, default=0.5, dest="min_product")
-    p.add_argument("--spectators", type=int, default=3)
+    p.add_argument("--spectators", type=int, default=None,
+                   help="most spectator atoms per molecule (default: 3 for rs, 2 for axial)")
     p.set_defaults(func=cmd_gen)
 
     p = sub.add_parser("train", parents=[shared], help="train a classifier on a dataset")

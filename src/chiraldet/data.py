@@ -29,13 +29,13 @@ from .geometry import (
     UnitKind,
     assign_configuration,
     chirality_matrix,
-    chirality_product,
     mirror,
     order_substituents,
     random_rotation,
     reference_point,
     transform,
 )
+from .numerics import det3_batch
 
 SYMBOL_TO_Z = {
     "H": 1, "He": 2, "Li": 3, "Be": 4, "B": 5, "C": 6, "N": 7, "O": 8,
@@ -274,6 +274,8 @@ class SyntheticSpec:
             raise ValueError("count must be >= 1")
         if self.min_abs_product <= 0:
             raise ValueError("min_abs_product must be > 0")
+        if not 0 <= self.spectator_range[0] <= self.spectator_range[1]:
+            raise ValueError(f"spectator_range must be 0 <= lo <= hi, got {self.spectator_range}")
         return self
 
 
@@ -322,7 +324,7 @@ def gen_rs(spec: SyntheticSpec):
             coords = np.asarray(coords)
             related = order_substituents((1, 2, 3, 4), tuple(float(z) for z in elements))
             unit = ChiralUnit(kind=UnitKind.CENTER, center_atoms=(0,), related=related)
-            product = chirality_product(chirality_matrix(unit, coords))
+            product = float(det3_batch(chirality_matrix(unit, coords)))
             if abs(product) < spec.min_abs_product:
                 continue
             mol = Molecule(
@@ -436,8 +438,11 @@ def gen_axial(count: int, seed: int = 0, spectator_range=(0, 2), min_abs_product
     """Randomized axial toys labeled by the sign of the chirality product.
 
     Geometry, torsion, and pose vary per sample; labels alternate and are
-    realized by mirroring, as in gen_rs.
+    realized by mirroring, as in gen_rs. The arguments are checked as a
+    SyntheticSpec.
     """
+    SyntheticSpec(count=count, spectator_range=spectator_range,
+                  min_abs_product=min_abs_product, seed=seed).validate()
     dataset = []
     for t in range(count):
         rng = np.random.default_rng(seed + t)
@@ -458,7 +463,7 @@ def gen_axial(count: int, seed: int = 0, spectator_range=(0, 2), min_abs_product
                 zs.extend(rng.choice(SPECTATOR_POOL, size=n_spec))
             coords = np.asarray(pts)
             unit = ChiralUnit(kind=UnitKind.AXIS, center_atoms=(0, 1), related=(2, 3, 4, 5))
-            product = chirality_product(chirality_matrix(unit, coords))
+            product = float(det3_batch(chirality_matrix(unit, coords)))
             if abs(product) < min_abs_product:
                 continue
             pose = random_rotation(rng)
@@ -471,7 +476,7 @@ def gen_axial(count: int, seed: int = 0, spectator_range=(0, 2), min_abs_product
                 id=f"ax{t:05d}",
             ).validate()
             mol = transform(mol, pose, shift)
-            if assign_configuration(chirality_product(chirality_matrix(unit, mol.coords))) is not target:
+            if assign_configuration(float(det3_batch(chirality_matrix(unit, mol.coords)))) is not target:
                 mol = mirror(mol)
             dataset.append((mol, target))
             break

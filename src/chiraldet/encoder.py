@@ -40,7 +40,7 @@ from .geometry import (
     partition_atoms,
     reference_point,
 )
-from .numerics import cofactor3_batch, det3_batch, gelu, gelu_grad, qr_thin
+from .numerics import cofactor3_batch, det3_batch, gelu, gelu_grad
 
 # added to the pooled variance sigma^2 of every normalized slice
 KERNEL_EPS = 1e-5
@@ -252,12 +252,12 @@ def regularization_grad(bank: KernelBank) -> np.ndarray:
 
 
 def retract_orthonormal(bank: KernelBank) -> KernelBank:
-    """Replace every slice by the Q factor of its thin QR."""
-    res = qr_thin(bank.w)
-    dead = np.flatnonzero(np.abs(np.diagonal(res.r, axis1=1, axis2=2)).min(axis=1) < 1e-12)
+    """Replace every slice by the Q factor of its reduced QR."""
+    q, r = np.linalg.qr(bank.w)
+    dead = np.flatnonzero(np.abs(np.diagonal(r, axis1=1, axis2=2)).min(axis=1) < 1e-12)
     if dead.size:
         raise DegeneracyError(f"kernel slice {int(dead[0])} is rank-deficient, cannot retract")
-    return KernelBank(w=res.q, gamma=bank.gamma)
+    return KernelBank(w=q, gamma=bank.gamma)
 
 
 def mlp2_fwd(mlp: Mlp2, x):
@@ -391,7 +391,7 @@ def init_mlp2(rng, d_in: int, d_hidden: int, d_out: int) -> Mlp2:
 
 def init_kernel_bank(rng, n_kernels: int, d_p: int) -> KernelBank:
     """Slices start as random orthonormal columns (reg loss 0, alpha 1)."""
-    w = qr_thin(rng.standard_normal((n_kernels, d_p, 3))).q
+    w = np.linalg.qr(rng.standard_normal((n_kernels, d_p, 3)))[0]
     return KernelBank(w=w, gamma=np.ones(d_p))
 
 

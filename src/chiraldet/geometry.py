@@ -13,7 +13,7 @@ from enum import Enum
 import numpy as np
 
 from .errors import AnnotationError
-from .numerics import det3
+from .numerics import det3_batch
 
 
 class UnitKind(Enum):
@@ -139,11 +139,6 @@ def chirality_matrix(unit: ChiralUnit, coords) -> np.ndarray:
     return np.stack([coords[r1] - ref, coords[r2] - ref, coords[r4] - coords[r3]])
 
 
-def chirality_product(m) -> float:
-    """Signed volume ((r1-ref) x (r2-ref)) . (r4-r3) of a chirality matrix."""
-    return float(np.dot(np.cross(m[0], m[1]), m[2]))
-
-
 def assign_configuration(p: float, tol: float = 1e-9) -> Configuration:
     if tol < 0:
         raise ValueError("tolerance must be non-negative")
@@ -191,15 +186,17 @@ def order_substituents(indices, priorities) -> tuple[int, int, int, int]:
 
 
 def unit_products(mol: Molecule) -> list[float]:
-    """Chirality product of every unit, in annotation order."""
-    return [chirality_product(chirality_matrix(u, mol.coords)) for u in mol.chiral_units]
+    """Chirality product det(M), the signed volume
+    ((r1-ref) x (r2-ref)) . (r4-r3), of every unit in annotation order."""
+    mats = [chirality_matrix(u, mol.coords) for u in mol.chiral_units]
+    return det3_batch(np.reshape(mats, (-1, 3, 3))).tolist()
 
 
 def random_rotation(rng) -> np.ndarray:
     """Uniform-ish random element of SO(3) (QR of Gaussian, det fixed to +1)."""
     q, r = np.linalg.qr(rng.standard_normal((3, 3)))
     q = q * np.sign(np.diag(r))
-    if det3(q) < 0:
+    if det3_batch(q) < 0:
         q[:, 2] = -q[:, 2]
     return q
 

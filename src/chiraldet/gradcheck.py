@@ -52,7 +52,7 @@ from .model import (
 )
 from .numerics import (
     compare_grads,
-    det3,
+    det3_batch,
     finite_diff_grad,
     layer_norm_rows,
     layer_norm_rows_backward,
@@ -96,7 +96,7 @@ def _nonsingular_mc(rng, n, floor=0.3):
     out = []
     while len(out) < n:
         m = rng.standard_normal((3, 3))
-        if abs(det3(m)) >= floor:
+        if abs(det3_batch(m)) >= floor:
             out.append(m)
     return np.stack(out)
 

@@ -332,6 +332,12 @@ def batch_step(model: ChiralModel, batch: MoleculeBatch, objective, reg_weight: 
 # ---------------------------------------------------------------------------
 
 
+# Adam's moment decay rates and the guard added to sqrt(v_hat)
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPS = 1e-8
+
+
 @dataclass
 class AdamState:
     m: dict[str, np.ndarray]
@@ -346,16 +352,24 @@ class AdamState:
         )
 
 
-def adam_step(model: ChiralModel, grads: ChiralModel, state: AdamState, lr: float,
-              beta1=0.9, beta2=0.999, eps=1e-8):
+def adam_step(model: ChiralModel, grads: ChiralModel, state: AdamState, lr: float):
+    """One Adam update of the parameters; the moments are updated in place."""
     state.step += 1
     t = state.step
     for (name, param), (_, g) in zip(named_parameters(model), named_parameters(grads)):
-        state.m[name] = beta1 * state.m[name] + (1.0 - beta1) * g
-        state.v[name] = beta2 * state.v[name] + (1.0 - beta2) * g * g
-        m_hat = state.m[name] / (1.0 - beta1**t)
-        v_hat = state.v[name] / (1.0 - beta2**t)
-        param -= lr * m_hat / (np.sqrt(v_hat) + eps)
+        m, v = state.m[name], state.v[name]
+        m *= ADAM_BETA1
+        m += (1.0 - ADAM_BETA1) * g
+        g2 = (1.0 - ADAM_BETA2) * g
+        g2 *= g
+        v *= ADAM_BETA2
+        v += g2
+        denom = np.sqrt(v / (1.0 - ADAM_BETA2**t), out=g2)
+        denom += ADAM_EPS
+        update = m / (1.0 - ADAM_BETA1**t)
+        update *= lr
+        update /= denom
+        param -= update
 
 
 def cosine_lr(step: int, total_steps: int, lr: float, min_lr_factor: float) -> float:
@@ -439,7 +453,9 @@ def train(model: ChiralModel, dataset, cfg: TrainConfig, val_dataset=None,
     `dataset` is a sequence of (Molecule, label) for classification; with
     `margin` set it holds (hi, lo) molecule pairs, trained by margin ranking
     under a 1-dim head. Shuffling derives from config.seed, so identical
-    seeds give identical loss curves. Returns the list of per-epoch records.
+    seeds give identical loss curves. The cosine schedule spans this call's
+    steps whatever `adam` holds, and Adam's bias correction counts on from
+    `adam.step`. Returns the list of per-epoch records.
     """
     cfg.validate()
     if margin is None:
@@ -460,7 +476,7 @@ def train(model: ChiralModel, dataset, cfg: TrainConfig, val_dataset=None,
     records = []
     metrics_file = open(metrics_path, "a") if metrics_path else None
     try:
-        step = adam.step
+        step = 0
         for epoch in range(cfg.epochs):
             order = rng.permutation(len(data))
             epoch_loss = 0.0
@@ -574,13 +590,20 @@ def _v1_tensors(named):
             yield _V1_KERNEL_SHIFT, np.zeros_like(arr)
 
 
-def save_checkpoint(model: ChiralModel, path, adam: AdamState | None = None):
-    """Versioned container: text header, length-prefixed little-endian
-    float64 tensors, trailing sha256 checksum. Round-trips bit-exactly."""
+def _tensor_table(model: ChiralModel, adam: AdamState | None):
+    """(name, array) of every tensor a checkpoint holds, in file order: the
+    model, then Adam's first and second moments when `adam` is given."""
     tensors = list(_v1_tensors(named_parameters(model)))
     if adam is not None:
         tensors += [(f"adam.m.{n}", a) for n, a in _v1_tensors(adam.m.items())]
         tensors += [(f"adam.v.{n}", a) for n, a in _v1_tensors(adam.v.items())]
+    return tensors
+
+
+def save_checkpoint(model: ChiralModel, path, adam: AdamState | None = None):
+    """Versioned container: text header, length-prefixed little-endian
+    float64 tensors, trailing sha256 checksum. Round-trips bit-exactly."""
+    tensors = _tensor_table(model, adam)
     payload = b"".join(_pack_tensor(n, a) for n, a in tensors)
     header_lines = [f"{CHECKPOINT_MAGIC} v{CHECKPOINT_VERSION}"]
     header_lines += _config_lines(model.config)
@@ -637,33 +660,29 @@ def load_checkpoint(path):
             offset += 8 * ndim
             (size,) = struct.unpack_from("<Q", buf, offset)
             offset += 8
-            arr = np.frombuffer(buf, dtype="<f8", count=size, offset=offset).reshape(shape)
+            tensors[name] = np.frombuffer(buf, dtype="<f8", count=size,
+                                          offset=offset).reshape(shape)
             offset += 8 * size
-            tensors[name] = arr.copy()
     except (struct.error, ValueError) as exc:
         raise CheckpointTruncatedError(f"payload ended early: {exc}") from None
 
     model = init_model(config)
-    for name, param in _v1_tensors(named_parameters(model)):
+    adam = None
+    if any(n.startswith("adam.") for n in tensors):
+        adam = AdamState.for_model(model)
+        adam.step = step
+    for name, target in _tensor_table(model, adam):
         if name not in tensors:
             raise CheckpointShapeError(f"missing tensor {name}")
-        if tensors[name].shape != param.shape:
+        if tensors[name].shape != target.shape:
             raise CheckpointShapeError(
-                f"tensor {name} has shape {tensors[name].shape}, expected {param.shape}"
+                f"tensor {name} has shape {tensors[name].shape}, expected {target.shape}"
             )
         if name == _V1_KERNEL_SHIFT and np.any(tensors[name] != 0.0):
             raise CheckpointShapeError(
                 f"tensor {name} must be zero, the model has no kernel shift"
             )
-        param[...] = tensors[name]
-    adam = None
-    if any(n.startswith("adam.m.") for n in tensors):
-        adam = AdamState.for_model(model)
-        adam.step = step
-        for name, _ in named_parameters(model):
-            if f"adam.m.{name}" in tensors:
-                adam.m[name][...] = tensors[f"adam.m.{name}"]
-                adam.v[name][...] = tensors[f"adam.v.{name}"]
+        target[...] = tensors[name]
     return model, adam
 
 

@@ -1,9 +1,11 @@
 """Dense linear algebra and differentiation utilities.
 
-Everything runs in 64-bit floats. The QR routine keeps the signed-diagonal
-convention (no sign normalization of R). It serves kernel retraction,
-initialization and the check of the |det R| = |det M| sqrt(det W^T W)
-identity that the closed-form determinant kernel rests on.
+Everything runs in 64-bit floats. det3_batch is the package's one 3x3
+determinant: the exact R/S oracle (the chirality product), the kernel's
+det(M) and det(G), the generators' rejection tests and the sign fix of
+random rotations all round the same cofactor expansion. Orthonormal
+columns (kernel initialization and retraction) come from numpy's reduced
+QR; no QR runs in the kernel readout.
 """
 
 from __future__ import annotations
@@ -19,50 +21,12 @@ SQRT2 = np.sqrt(2.0)
 INV_SQRT_2PI = 1.0 / np.sqrt(2.0 * np.pi)
 
 
-@dataclass
-class QrResult:
-    q: np.ndarray  # (..., m, n), orthonormal columns
-    r: np.ndarray  # (..., n, n), upper triangular, diagonal may be negative
-
-
-def qr_thin(a) -> QrResult:
-    """Householder thin QR of an m x n matrix, or of a (..., m, n) stack,
-    with m >= n.
-
-    A reflection is applied at every column step with the numerically
-    stable sign choice, so generic input uses exactly n reflections and
-    sign(det R) covaries with the orientation of the input columns. An
-    exactly zero working column is skipped (its reflector is zero, so the
-    step is the identity) and leaves a zero diagonal entry (the
-    rank-deficient path). Every matrix of a stack is reduced at once.
-    """
-    a = np.asarray(a, dtype=np.float64)
-    if a.ndim < 2:
-        raise NumericError(f"qr_thin expects a matrix or a stack, got shape {a.shape}")
-    m, n = a.shape[-2:]
-    if m < n:
-        raise NumericError(f"qr_thin needs at least as many rows as columns, got {m}x{n}")
-    r = a.copy()
-    vs = []
-    for j in range(n):
-        v = r[..., j:, j].copy()  # (..., m - j)
-        norm = np.sqrt((v * v).sum(axis=-1))
-        v[..., 0] += np.where(v[..., 0] >= 0.0, norm, -norm)
-        v_norm = np.sqrt((v * v).sum(axis=-1, keepdims=True))
-        v = np.divide(v, v_norm, out=np.zeros_like(v), where=v_norm > 0.0)
-        vs.append(v)
-        r[..., j:, j:] -= 2.0 * v[..., :, None] * (v[..., None, :] @ r[..., j:, j:])
-    q = np.zeros(a.shape[:-2] + (m, n))
-    q[..., :n, :n] = np.eye(n)
-    for j in range(n - 1, -1, -1):
-        v = vs[j]
-        q[..., j:, :] -= 2.0 * v[..., :, None] * (v[..., None, :] @ q[..., j:, :])
-    return QrResult(q=q, r=np.triu(r[..., :n, :]))
-
-
 def det3_batch(a) -> np.ndarray:
-    """Cofactor determinant over a (..., 3, 3) stack."""
+    """Cofactor determinant over a (..., 3, 3) stack; a single 3x3 matrix
+    gives a 0-d array."""
     a = np.asarray(a, dtype=np.float64)
+    if a.shape[-2:] != (3, 3):
+        raise NumericError(f"det3_batch expects (..., 3, 3) matrices, got shape {a.shape}")
     return (
         a[..., 0, 0] * (a[..., 1, 1] * a[..., 2, 2] - a[..., 1, 2] * a[..., 2, 1])
         - a[..., 0, 1] * (a[..., 1, 0] * a[..., 2, 2] - a[..., 1, 2] * a[..., 2, 0])
@@ -80,18 +44,6 @@ def cofactor3_batch(a) -> np.ndarray:
     nxt, prv = [1, 2, 0], [2, 0, 1]
     rows_n, rows_p = a[..., nxt, :], a[..., prv, :]
     return rows_n[..., nxt] * rows_p[..., prv] - rows_n[..., prv] * rows_p[..., nxt]
-
-
-def det3(a) -> float:
-    """Cofactor-expansion determinant of a 3x3 matrix."""
-    a = np.asarray(a, dtype=np.float64)
-    if a.shape != (3, 3):
-        raise NumericError(f"det3 expects a 3x3 matrix, got shape {a.shape}")
-    return float(
-        a[0, 0] * (a[1, 1] * a[2, 2] - a[1, 2] * a[2, 1])
-        - a[0, 1] * (a[1, 0] * a[2, 2] - a[1, 2] * a[2, 0])
-        + a[0, 2] * (a[1, 0] * a[2, 1] - a[1, 1] * a[2, 0])
-    )
 
 
 def layer_norm_rows(x, gamma, beta, eps=1e-5):

@@ -34,6 +34,14 @@ def set_first_value(name: bytes, value: float):
 set_first_beta = set_first_value(b"encoder.kernel.beta", 0.25)
 
 
+def rename_tensor(name: bytes):
+    """Edit that renames the named tensor by changing its last byte, so the
+    loader finds it missing while the payload keeps its length."""
+    renamed = name[:-1] + (b"_" if name[-1:] != b"_" else b"-")
+    return lambda blob: blob.replace(struct.pack("<I", len(name)) + name,
+                                     struct.pack("<I", len(name)) + renamed, 1)
+
+
 def read_tensors(raw: bytes):
     """(name, array) of every tensor of a checkpoint file, in file order."""
     buf = raw[raw.index(b"\n\n") + 2 : -32]

@@ -3,7 +3,7 @@
 import numpy as np
 
 from chiraldet.errors import NumericError
-from chiraldet.numerics import det3
+from chiraldet.numerics import det3_batch
 
 
 def gram_sqrt_det(w) -> float:
@@ -15,7 +15,7 @@ def gram_sqrt_det(w) -> float:
     w = np.asarray(w, dtype=np.float64)
     if w.ndim != 2 or w.shape[1] != 3:
         raise NumericError(f"gram_sqrt_det expects a d_p x 3 matrix, got shape {w.shape}")
-    d = det3(w.T @ w)
+    d = float(det3_batch(w.T @ w))
     if d < 0.0:
         if d < -1e-14:
             raise NumericError(f"Gram determinant {d} negative beyond round-off")

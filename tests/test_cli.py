@@ -6,12 +6,14 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from checkpoint_edits import resign, set_first_beta, set_first_value, set_header
+from checkpoint_edits import rename_tensor, resign, set_first_beta, set_first_value, set_header
 from chiraldet.cli import main
 from chiraldet.data import (
     featurize,
+    gen_axial,
     toy_axial_molecule,
     write,
+    write_dataset,
 )
 from chiraldet.geometry import ChiralUnit, Molecule, UnitKind, mirror
 from chiraldet.gradcheck import BLOCKS, TINY_CONFIG
@@ -146,6 +148,34 @@ class TestGen:
         assert main(["gen", "--task", "axial", "--count", "4", "--seed", "1",
                      "--out", str(out)]) == 0
         assert len(list(out.glob("*.chimol"))) == 4
+
+    @pytest.mark.parametrize("task", ["rs", "axial"])
+    @pytest.mark.parametrize("value", ["0", "-1"])
+    def test_nonpositive_min_product_rejected(self, tmp_path, capsys, task, value):
+        out = tmp_path / "ds"
+        assert main(["gen", "--task", task, "--count", "4", "--min-product", value,
+                     "--out", str(out)]) == 2
+        assert "min_abs_product must be > 0" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_axial_spectators_not_clamped(self, tmp_path):
+        out = tmp_path / "ax"
+        assert main(["gen", "--task", "axial", "--count", "12", "--seed", "1",
+                     "--spectators", "5", "--out", str(out)]) == 0
+        expect = write_dataset(gen_axial(12, seed=1, spectator_range=(0, 5)), tmp_path / "lib")
+        sizes = [int(f.read_text().split()[0]) for f in sorted(out.glob("*.chimol"))]
+        assert max(sizes) > 8
+        for f in sorted(expect.parent.iterdir()):
+            assert (out / f.name).read_bytes() == f.read_bytes()
+
+    @pytest.mark.parametrize(("task", "default"), [("rs", "3"), ("axial", "2")])
+    def test_spectator_default_per_task(self, tmp_path, task, default):
+        a, b = tmp_path / "a", tmp_path / "b"
+        main(["gen", "--task", task, "--count", "6", "--seed", "2", "--out", str(a)])
+        main(["gen", "--task", task, "--count", "6", "--seed", "2", "--spectators", default,
+              "--out", str(b)])
+        for f in sorted(a.iterdir()):
+            assert f.read_bytes() == (b / f.name).read_bytes()
 
 
 class TestTrainEval:
@@ -334,8 +364,10 @@ class TestCliContract:
          (set_header(b"n_heads=2", b"n_heads=0"), "n_heads must be >= 1"),
          (set_first_beta, "encoder.kernel.beta"),
          # a degenerate distance bias: DegeneracyError is an input error, not a numeric one
-         (set_first_value(b"bias.sigma", 0.0), "bias.sigma[0]")],
-        ids=["d_p=3", "n_heads=0", "beta", "sigma=0"],
+         (set_first_value(b"bias.sigma", 0.0), "bias.sigma[0]"),
+         (rename_tensor(b"adam.m.encoder.kernel.w"), "missing tensor adam.m.encoder.kernel.w"),
+         (rename_tensor(b"adam.v.encoder.kernel.w"), "missing tensor adam.v.encoder.kernel.w")],
+        ids=["d_p=3", "n_heads=0", "beta", "sigma=0", "adam.m", "adam.v"],
     )
     def test_invalid_checkpoint_content_rejected(self, tmp_path, tiny_ckpt, capsys, edit,
                                                  message):

@@ -21,8 +21,6 @@ from chiraldet.geometry import (
     Configuration,
     UnitKind,
     assign_configuration,
-    chirality_matrix,
-    chirality_product,
     mirror,
     partition_atoms,
     unit_products,
@@ -155,9 +153,7 @@ class TestGenRs:
 
     def test_labels_match_product_oracle(self):
         for mol, label in gen_rs(SyntheticSpec(count=30, seed=5)):
-            unit = mol.chiral_units[0]
-            product = chirality_product(chirality_matrix(unit, mol.coords))
-            assert assign_configuration(product) is label
+            assert assign_configuration(unit_products(mol)[0]) is label
 
     def test_even_counts_balanced(self):
         labels = [lab for _, lab in gen_rs(SyntheticSpec(count=20, seed=2))]
@@ -258,6 +254,16 @@ class TestGenAxial:
         for mol, label in dataset:
             assert assign_configuration(unit_products(mol)[0]) is label
             assert mol.chiral_units[0].kind is UnitKind.AXIS
+
+    @pytest.mark.parametrize(
+        "kwargs",
+        [dict(count=0), dict(min_abs_product=0.0), dict(min_abs_product=-1.0),
+         dict(spectator_range=(0, -1))],
+        ids=["count", "product=0", "product<0", "spectators"],
+    )
+    def test_invalid_arguments_rejected(self, kwargs):
+        with pytest.raises(ValueError):
+            gen_axial(**{"count": 4, **kwargs})
 
     def test_round_trip_through_files(self, tmp_path):
         dataset = gen_axial(3, seed=1)

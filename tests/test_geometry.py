@@ -12,7 +12,6 @@ from chiraldet.geometry import (
     UnitKind,
     assign_configuration,
     chirality_matrix,
-    chirality_product,
     mirror,
     order_substituents,
     partition_atoms,
@@ -143,34 +142,41 @@ class TestChiralityMatrix:
         assert np.array_equal(mc, expect)
 
 
-def cofactor_det(m):
-    return (
-        m[0][0] * (m[1][1] * m[2][2] - m[1][2] * m[2][1])
-        - m[0][1] * (m[1][0] * m[2][2] - m[1][2] * m[2][0])
-        + m[0][2] * (m[1][0] * m[2][1] - m[1][1] * m[2][0])
-    )
+def cross_dot(m):
+    """Signed volume ((r1-ref) x (r2-ref)) . (r4-r3) of a chirality matrix."""
+    return float(np.dot(np.cross(m[0], m[1]), m[2]))
+
+
+def unit_with_rows(m):
+    """A one-center molecule whose chirality matrix is m."""
+    coords = np.vstack([np.zeros(3), m[0], m[1], np.zeros(3), m[2]])
+    return make_molecule(coords, [center_unit(0, (1, 2, 3, 4))])
 
 
 class TestChiralityProduct:
+    # unit_products is det(M) by the cofactor expansion of det3_batch; the
+    # cross/dot signed volume is the oracle
     def test_identity_rows(self):
-        assert chirality_product(np.eye(3)) == 1.0
+        assert unit_products(unit_with_rows(np.eye(3))) == [1.0]
 
     def test_single_reflection(self):
-        assert chirality_product(np.diag([1.0, 1.0, -1.0])) == -1.0
+        assert unit_products(unit_with_rows(np.diag([1.0, 1.0, -1.0]))) == [-1.0]
 
     def test_cross_dot_matches_cofactor_seed11(self):
         rng = np.random.default_rng(11)
         m = rng.standard_normal((3, 3))
-        p = chirality_product(m)
-        expect = cofactor_det(m)
+        mol = unit_with_rows(m)
+        assert np.array_equal(chirality_matrix(mol.chiral_units[0], mol.coords), m)
+        (p,) = unit_products(mol)
+        expect = cross_dot(m)
         assert abs(p - expect) <= 1e-12 * abs(expect)
 
     @given(st.integers(0, 100_000))
     @settings(max_examples=100, deadline=None)
     def test_cross_dot_vs_cofactor_property(self, seed):
         m = np.random.default_rng(seed).standard_normal((3, 3))
-        p = chirality_product(m)
-        assert abs(p - cofactor_det(m)) <= 1e-12 * max(1.0, abs(p))
+        (p,) = unit_products(unit_with_rows(m))
+        assert abs(p - cross_dot(m)) <= 1e-12 * max(1.0, abs(p))
 
 
 class TestAssignConfiguration:

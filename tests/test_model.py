@@ -4,7 +4,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from checkpoint_edits import read_tensors, resign, set_first_beta, set_header
+from checkpoint_edits import read_tensors, rename_tensor, resign, set_first_beta, set_header
 from chiraldet.data import SyntheticSpec, gen_rs
 from chiraldet.encoder import RankStrategy, prepare_batch
 from chiraldet.errors import (
@@ -18,6 +18,9 @@ from chiraldet.geometry import mirror, random_rotation, transform
 from chiraldet.gradcheck import TINY_CONFIG, flatten, unflatten
 from chiraldet.numerics import compare_grads, finite_diff_grad
 from chiraldet.model import (
+    ADAM_BETA1,
+    ADAM_BETA2,
+    ADAM_EPS,
     AdamState,
     ModelConfig,
     TrainConfig,
@@ -35,6 +38,7 @@ from chiraldet.model import (
     mirror_consistency,
     named_parameters,
     rank_loss,
+    adam_step,
     save_checkpoint,
     train,
 )
@@ -226,6 +230,42 @@ class TestTraining:
 
     @pytest.mark.filterwarnings("ignore:invalid value encountered")
     @pytest.mark.filterwarnings("ignore:overflow encountered")
+    def test_resumed_call_repeats_the_schedule(self, small_dataset):
+        # the cosine spans each call's own steps; Adam keeps counting
+        model = init_model(TINY_CONFIG)
+        adam = AdamState.for_model(model)
+        cfg = TrainConfig(lr=1e-3, epochs=4, batch_size=8)
+        first = train(model, small_dataset[:16], cfg, adam=adam)
+        assert adam.step == 8
+        second = train(model, small_dataset[:16], cfg, adam=adam)
+        assert adam.step == 16
+        assert [r.lr for r in second] == [r.lr for r in first]
+        assert first[0].lr > first[-1].lr == pytest.approx(0.1 * cfg.lr, rel=1e-12)
+
+    def test_adam_step_matches_textbook_update(self):
+        # the in-place update keeps the textbook expression order, bit for bit
+        model = tiny_model(seed=23)
+        rng = np.random.default_rng(23)
+        grads = init_model(model.config)
+        for _, g in named_parameters(grads):
+            g[...] = rng.standard_normal(g.shape)
+        adam = AdamState.for_model(model)
+        for _ in range(3):
+            params = {n: a.copy() for n, a in named_parameters(model)}
+            m = {n: a.copy() for n, a in adam.m.items()}
+            v = {n: a.copy() for n, a in adam.v.items()}
+            adam_step(model, grads, adam, 1e-3)
+            t = adam.step
+            for (name, param), (_, g) in zip(named_parameters(model), named_parameters(grads)):
+                m_new = ADAM_BETA1 * m[name] + (1.0 - ADAM_BETA1) * g
+                v_new = ADAM_BETA2 * v[name] + (1.0 - ADAM_BETA2) * g * g
+                m_hat = m_new / (1.0 - ADAM_BETA1**t)
+                v_hat = v_new / (1.0 - ADAM_BETA2**t)
+                expect = params[name] - 1e-3 * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
+                assert np.array_equal(adam.m[name], m_new)
+                assert np.array_equal(adam.v[name], v_new)
+                assert np.array_equal(param, expect)
+
     def test_divergence_aborts_with_step(self, small_dataset):
         model = tiny_model(seed=12)
         model.head.w2[:] = 1e308
@@ -318,6 +358,37 @@ class TestCheckpoint:
         assert adam2.step == adam.step
         for name, _ in named_parameters(model):
             assert np.array_equal(adam2.m[name], adam.m[name])
+            assert np.array_equal(adam2.v[name], adam.v[name])
+
+    def test_save_load_save_is_byte_identical(self, small_dataset, tmp_path):
+        model = init_model(TINY_CONFIG)
+        adam = AdamState.for_model(model)
+        train(model, small_dataset[:16], TrainConfig(lr=1e-3, epochs=1, batch_size=8), adam=adam)
+        first, second = tmp_path / "a.ckpt", tmp_path / "b.ckpt"
+        save_checkpoint(model, first, adam)
+        loaded, adam2 = load_checkpoint(first)
+        save_checkpoint(loaded, second, adam2)
+        assert first.read_bytes() == second.read_bytes()
+
+    @pytest.mark.parametrize("moment", ["m", "v"])
+    def test_missing_moment_rejected(self, tmp_path, moment):
+        name = f"adam.{moment}.encoder.kernel.w"
+        path = tmp_path / "model.ckpt"
+        model = tiny_model(seed=24)
+        save_checkpoint(model, path, AdamState.for_model(model))
+        resign(path, rename_tensor(name.encode()))
+        with pytest.raises(CheckpointShapeError, match=f"missing tensor {name}$"):
+            load_checkpoint(path)
+
+    @pytest.mark.parametrize("moment", ["m", "v"])
+    def test_misshapen_moment_rejected(self, tmp_path, moment):
+        path = tmp_path / "model.ckpt"
+        model = tiny_model(seed=25)
+        adam = AdamState.for_model(model)
+        getattr(adam, moment)["head.b2"] = np.zeros(3)
+        save_checkpoint(model, path, adam)
+        with pytest.raises(CheckpointShapeError, match=rf"adam\.{moment}\.head\.b2 has shape \(3,\)"):
+            load_checkpoint(path)
 
     def test_corrupt_payload_detected(self, tmp_path, small_dataset):
         model = tiny_model(seed=17)

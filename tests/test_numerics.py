@@ -9,14 +9,13 @@ from chiraldet.errors import NumericError
 from chiraldet.numerics import (
     cofactor3_batch,
     compare_grads,
-    det3,
+    det3_batch,
     finite_diff_grad,
     gaussian,
     gelu,
     gelu_grad,
     layer_norm_rows,
     layer_norm_rows_backward,
-    qr_thin,
 )
 from oracles import gram_sqrt_det
 
@@ -34,55 +33,48 @@ def leibniz_det3(a):
     return total
 
 
+def det_r(a) -> float:
+    """det of the R factor of numpy's reduced QR of a (d_p, 3) matrix."""
+    return float(det3_batch(np.linalg.qr(a)[1]))
+
+
 class TestQrThin:
+    """The reduced QR that kernel initialization and retraction use, and
+    the |det R| = |det M| sqrt(det W^T W) identity the closed-form kernel
+    readout rests on."""
+
     def test_padded_identity(self):
         a = np.zeros((8, 3))
         a[:3, :3] = np.eye(3)
-        res = qr_thin(a)
-        assert np.allclose(np.abs(res.r), np.eye(3), atol=1e-14)
-        assert abs(abs(det3(res.r)) - 1.0) < 1e-12
+        r = np.linalg.qr(a)[1]
+        assert np.allclose(np.abs(r), np.eye(3), atol=1e-14)
+        assert abs(abs(det_r(a)) - 1.0) < 1e-12
 
     def test_rank_deficient_third_column(self):
         rng = np.random.default_rng(2)
         a = rng.standard_normal((8, 3))
         a[:, 2] = a[:, 0] + a[:, 1]
-        res = qr_thin(a)
-        assert abs(res.r[2, 2]) < 1e-10
-        assert abs(det3(res.r)) < 1e-10
+        r = np.linalg.qr(a)[1]
+        assert abs(r[2, 2]) < 1e-10
+        assert abs(det_r(a)) < 1e-10
 
     def test_reconstruction_seed13(self):
         rng = np.random.default_rng(13)
         a = rng.standard_normal((8, 3))
-        res = qr_thin(a)
-        assert np.linalg.norm(res.q.T @ res.q - np.eye(3)) < 1e-10
-        assert np.linalg.norm(res.q @ res.r - a) / np.linalg.norm(a) < 1e-10
+        q, r = np.linalg.qr(a)
+        assert np.linalg.norm(q.T @ q - np.eye(3)) < 1e-10
+        assert np.linalg.norm(q @ r - a) / np.linalg.norm(a) < 1e-10
 
     @pytest.mark.parametrize("d_p", [4, 8, 32, 128])
     def test_reconstruction_sweep(self, d_p):
+        # one stacked call, as retraction makes on a (k, d_p, 3) bank
         rng = np.random.default_rng(100 + d_p)
-        for _ in range(250):
-            a = rng.standard_normal((d_p, 3))
-            res = qr_thin(a)
-            assert np.linalg.norm(res.q.T @ res.q - np.eye(3)) < 1e-10
-            assert np.linalg.norm(res.q @ res.r - a) / np.linalg.norm(a) < 1e-10
-            assert np.allclose(res.r, np.triu(res.r))
-
-    def test_stack_matches_each_matrix(self):
-        rng = np.random.default_rng(29)
-        a = rng.standard_normal((6, 8, 3))
-        a[2, :, 1] = 0.0  # a zero working column is skipped in the stack too
-        a[4, :, 2] = a[4, :, 0] - a[4, :, 1]
-        res = qr_thin(a)
+        a = rng.standard_normal((250, d_p, 3))
+        q, r = np.linalg.qr(a)
         for i in range(a.shape[0]):
-            one = qr_thin(a[i])
-            assert np.max(np.abs(res.q[i] - one.q)) < 1e-14
-            assert np.max(np.abs(res.r[i] - one.r)) < 1e-14
-        assert res.r[2, 1, 1] == 0.0
-        assert np.allclose(res.r, np.triu(res.r))
-
-    def test_too_few_rows(self):
-        with pytest.raises(NumericError):
-            qr_thin(np.ones((2, 3)))
+            assert np.linalg.norm(q[i].T @ q[i] - np.eye(3)) < 1e-10
+            assert np.linalg.norm(q[i] @ r[i] - a[i]) / np.linalg.norm(a[i]) < 1e-10
+        assert np.allclose(r, np.triu(r))
 
     def test_magnitude_identity(self):
         # | |det R| - |det M| * sqrt(det(W^T W)) | small, for O = W M
@@ -91,10 +83,10 @@ class TestQrThin:
             for _ in range(300):
                 w = rng.standard_normal((d_p, 3))
                 m = rng.standard_normal((3, 3))
-                if abs(det3(m)) < 1e-2:
+                if abs(det3_batch(m)) < 1e-2:
                     continue
-                dr = det3(qr_thin(w @ m).r)
-                expect = abs(det3(m)) * gram_sqrt_det(w)
+                dr = det_r(w @ m)
+                expect = abs(det3_batch(m)) * gram_sqrt_det(w)
                 assert abs(abs(dr) - expect) / expect < 1e-8
 
     def test_raw_qr_signs_are_not_covariant(self):
@@ -106,9 +98,9 @@ class TestQrThin:
         mismatches = 0
         for _ in range(2000):
             m = rng.standard_normal((3, 3))
-            if abs(det3(m)) < 1e-2:
+            if abs(det3_batch(m)) < 1e-2:
                 continue
-            if det3(qr_thin(w @ m).r) * det3(m) > 0:
+            if det_r(w @ m) * det3_batch(m) > 0:
                 mismatches += 1
         assert mismatches > 0
 
@@ -118,36 +110,39 @@ class TestQrThin:
         w[:, 2] = 2.0 * w[:, 0] - w[:, 1]
         for _ in range(50):
             m = rng.standard_normal((3, 3))
-            assert abs(det3(qr_thin(w @ m).r)) < 1e-10
+            assert abs(det_r(w @ m)) < 1e-10
 
 
 class TestDet3:
     def test_identity(self):
-        assert det3(np.eye(3)) == 1.0
+        assert det3_batch(np.eye(3)) == 1.0
 
     def test_diagonal(self):
-        assert det3(np.diag([2.0, 3.0, -1.0])) == -6.0
+        assert det3_batch(np.diag([2.0, 3.0, -1.0])) == -6.0
 
     def test_matches_leibniz_seed17(self):
         rng = np.random.default_rng(17)
-        a = rng.standard_normal((3, 3))
-        assert abs(det3(a) - leibniz_det3(a)) < 1e-12
+        a = rng.standard_normal((4, 3, 3))
+        got = det3_batch(a)
+        assert got.shape == (4,)
+        for x, d in zip(a, got):
+            assert abs(d - leibniz_det3(x)) < 1e-12
 
     @given(st.integers(0, 10_000))
     @settings(max_examples=50, deadline=None)
     def test_upper_triangular_is_diagonal_product(self, seed):
         rng = np.random.default_rng(seed)
         a = np.triu(rng.standard_normal((3, 3)))
-        assert abs(det3(a) - a[0, 0] * a[1, 1] * a[2, 2]) < 1e-12
+        assert abs(det3_batch(a) - a[0, 0] * a[1, 1] * a[2, 2]) < 1e-12
 
     def test_bad_shape(self):
         with pytest.raises(NumericError):
-            det3(np.eye(4))
+            det3_batch(np.eye(4))
 
     def test_cofactor_is_det_times_inverse_transpose(self):
         rng = np.random.default_rng(18)
         a = rng.standard_normal((5, 3, 3))
-        expect = np.stack([det3(x) * np.linalg.inv(x).T for x in a])
+        expect = det3_batch(a)[:, None, None] * np.linalg.inv(a).transpose(0, 2, 1)
         assert np.allclose(cofactor3_batch(a), expect, atol=1e-12)
 
     def test_cofactor_of_singular_matrix(self):
@@ -175,9 +170,9 @@ class TestGramSqrtDet:
         rng = np.random.default_rng(19)
         w = rng.standard_normal((16, 3))
         m = rng.standard_normal((3, 3))
-        assert abs(det3(m)) > 1e-3
-        dr = abs(det3(qr_thin(w @ m).r))
-        assert abs(gram_sqrt_det(w) - dr / abs(det3(m))) < 1e-8 * gram_sqrt_det(w)
+        assert abs(det3_batch(m)) > 1e-3
+        dr = abs(det_r(w @ m))
+        assert abs(gram_sqrt_det(w) - dr / abs(det3_batch(m))) < 1e-8 * gram_sqrt_det(w)
 
 
 class TestLayerNorm:
@@ -261,8 +256,8 @@ class TestFiniteDiff:
         # d det/dA = adj(A)^T = det(A) * A^{-T}
         rng = np.random.default_rng(23)
         a = rng.standard_normal((3, 3))
-        numeric = finite_diff_grad(lambda t: det3(t.reshape(3, 3)), a.ravel())
-        analytic = (det3(a) * np.linalg.inv(a).T).ravel()
+        numeric = finite_diff_grad(lambda t: float(det3_batch(t.reshape(3, 3))), a.ravel())
+        analytic = (det3_batch(a) * np.linalg.inv(a).T).ravel()
         assert compare_grads(analytic, numeric, tol=1e-6).passed
 
     def test_gelu_grad(self):
