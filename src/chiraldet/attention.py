@@ -18,14 +18,8 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import DegeneracyError, NumericError
-from .encoder import BatchMask, PairInputs
-from .numerics import (
-    gaussian,
-    gelu,
-    gelu_grad,
-    layer_norm_rows,
-    layer_norm_rows_backward,
-)
+from .encoder import BatchMask, Mlp2, PairInputs, glorot, init_mlp2, mlp2_bwd, mlp2_fwd
+from .numerics import gaussian, layer_norm_rows, layer_norm_rows_backward
 
 N_PAIR_TYPES = 2  # 0: chiral-related, 1: non-chiral
 SIGMA_FLOOR = 1e-6
@@ -60,6 +54,11 @@ class LayerParams:
     ln2_gamma: np.ndarray
     ln2_beta: np.ndarray
     n_heads: int
+
+    @property
+    def ff(self) -> Mlp2:
+        """The feed-forward weights as the Mlp2 they form."""
+        return Mlp2(w1=self.ff_w1, b1=self.ff_b1, w2=self.ff_w2, b2=self.ff_b2)
 
 
 def _bias_fwd(params: DistanceBiasParams, dists, types):
@@ -133,8 +132,8 @@ def _rows(x):
 
 
 class LayerCache(NamedTuple):
-    """What attend_bwd needs of attend_fwd; ctx, u_ln, z1 and a1 hold one
-    row per (molecule, query) pair."""
+    """What attend_bwd needs of attend_fwd; ctx and the feed-forward's
+    mlp2_fwd cache hold one row per (molecule, query) pair."""
 
     h_c_in: np.ndarray
     h_r: np.ndarray
@@ -146,9 +145,7 @@ class LayerCache(NamedTuple):
     ctx: np.ndarray
     scale: float
     ln1: tuple
-    u_ln: np.ndarray
-    z1: np.ndarray
-    a1: np.ndarray
+    ff: tuple
     ln2: tuple
 
 
@@ -187,12 +184,10 @@ def attend_fwd(layer: LayerParams, h_c_in, h_r, h_n, bias_in, mask: BatchMask,
     ctx = _rows(attn.transpose(0, 3, 1, 2) @ vh)
     u = h_c_in.reshape(-1, h) + ctx @ layer.wo.T
     u_ln, ln1_cache = layer_norm_rows(u, layer.ln1_gamma, layer.ln1_beta)
-    z1 = u_ln @ layer.ff_w1.T + layer.ff_b1
-    a1 = gelu(z1)
-    f = a1 @ layer.ff_w2.T + layer.ff_b2
+    f, ff_cache = mlp2_fwd(layer.ff, u_ln)
     out, ln2_cache = layer_norm_rows(u_ln + f, layer.ln2_gamma, layer.ln2_beta)
     cache = LayerCache(h_c_in, h_r, h_n, qh, kh, vh, attn, ctx, scale,
-                       ln1_cache, u_ln, z1, a1, ln2_cache)
+                       ln1_cache, ff_cache, ln2_cache)
     return out.reshape(n_batch, n_q, h), logits, attn, cache
 
 
@@ -213,9 +208,9 @@ def attend_bwd(layer: LayerParams, cache: LayerCache, d_out, d_bias_out):
     d_v, d_ln2_gamma, d_ln2_beta = layer_norm_rows_backward(
         d_out.reshape(-1, h), c.ln2, layer.ln2_gamma
     )
-    d_z1 = (d_v @ layer.ff_w2) * gelu_grad(c.z1)
+    d_ff, d_u_ln = mlp2_bwd(layer.ff, c.ff, d_v)
     d_u, d_ln1_gamma, d_ln1_beta = layer_norm_rows_backward(
-        d_v + d_z1 @ layer.ff_w1, c.ln1, layer.ln1_gamma
+        d_v + d_u_ln, c.ln1, layer.ln1_gamma
     )
 
     d_ctx = _heads((d_u @ layer.wo).reshape(n_batch, n_q, h), n_heads)
@@ -237,10 +232,10 @@ def attend_bwd(layer: LayerParams, cache: LayerCache, d_out, d_bias_out):
         wk_n=d_kn.T @ h_n,
         wv_n=d_vn.T @ h_n,
         wo=d_u.T @ c.ctx,
-        ff_w1=d_z1.T @ c.u_ln,
-        ff_b1=d_z1.sum(axis=0),
-        ff_w2=d_v.T @ c.a1,
-        ff_b2=d_v.sum(axis=0),
+        ff_w1=d_ff.w1,
+        ff_b1=d_ff.b1,
+        ff_w2=d_ff.w2,
+        ff_b2=d_ff.b2,
         ln1_gamma=d_ln1_gamma,
         ln1_beta=d_ln1_beta,
         ln2_gamma=d_ln2_gamma,
@@ -268,32 +263,24 @@ def pool_bwd(d_pooled, query_mask) -> np.ndarray:
 
 
 def init_distance_bias(rng, n_channels: int, n_heads: int) -> DistanceBiasParams:
-    bound = np.sqrt(6.0 / (n_channels + n_heads))
     return DistanceBiasParams(
         e1=np.ones((N_PAIR_TYPES, n_channels)),
         e2=np.zeros((N_PAIR_TYPES, n_channels)),
         mu=np.linspace(0.0, 6.0, n_channels),
         sigma=np.ones(n_channels),
-        w_p=rng.uniform(-bound, bound, size=(n_channels, n_heads)),
+        w_p=glorot(rng, n_channels, n_heads),
     )
 
 
 def init_layer(rng, h: int, n_heads: int) -> LayerParams:
-    def xavier(n_out, n_in):
-        bound = np.sqrt(6.0 / (n_in + n_out))
-        return rng.uniform(-bound, bound, size=(n_out, n_in))
-
+    projections = {name: glorot(rng, h, h) for name in ("wq", "wk_r", "wv_r", "wk_n", "wv_n", "wo")}
+    ff = init_mlp2(rng, h, 4 * h, h)
     return LayerParams(
-        wq=xavier(h, h),
-        wk_r=xavier(h, h),
-        wv_r=xavier(h, h),
-        wk_n=xavier(h, h),
-        wv_n=xavier(h, h),
-        wo=xavier(h, h),
-        ff_w1=xavier(4 * h, h),
-        ff_b1=np.zeros(4 * h),
-        ff_w2=xavier(h, 4 * h),
-        ff_b2=np.zeros(h),
+        **projections,
+        ff_w1=ff.w1,
+        ff_b1=ff.b1,
+        ff_w2=ff.w2,
+        ff_b2=ff.b2,
         ln1_gamma=np.ones(h),
         ln1_beta=np.zeros(h),
         ln2_gamma=np.ones(h),

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from dataclasses import asdict
 from dataclasses import fields as dataclass_fields
 from pathlib import Path
 
@@ -31,6 +32,7 @@ from .model import (
     TrainConfig,
     attention_export_rows,
     check_feature_width,
+    check_rank_penalty,
     embed,
     evaluate,
     init_model,
@@ -46,7 +48,8 @@ EXIT_CHECK_FAILED = 1
 EXIT_INPUT_ERROR = 2
 EXIT_NUMERIC_ERROR = 3
 
-_MODEL_KEYS = {f.name for f in dataclass_fields(ModelConfig)}
+# --seed alone sets the seed, so it is no config file key
+_MODEL_KEYS = {f.name for f in dataclass_fields(ModelConfig)} - {"seed"}
 _TRAIN_KEYS = {f.name for f in dataclass_fields(TrainConfig)}
 
 
@@ -66,8 +69,8 @@ def read_config_file(path) -> dict:
     return values
 
 
-def build_configs(values: dict, seed: int | None = None) -> tuple[ModelConfig, TrainConfig]:
-    model_cfg = ModelConfig()
+def build_configs(values: dict, seed: int) -> tuple[ModelConfig, TrainConfig]:
+    model_cfg = ModelConfig(seed=seed)
     train_cfg = TrainConfig()
     for key, val in values.items():
         if key in _MODEL_KEYS:
@@ -75,19 +78,14 @@ def build_configs(values: dict, seed: int | None = None) -> tuple[ModelConfig, T
         else:
             current = getattr(train_cfg, key)
             setattr(train_cfg, key, type(current)(val))
-    if seed is not None:
-        model_cfg.seed = seed
     return model_cfg.validate(), train_cfg.validate()
 
 
-def _load_config_arg(arg, seed):
+def _load_config_arg(arg, seed: int):
     if arg is None:
         return build_configs({}, seed)
     if arg == "tiny":
-        cfg = ModelConfig(**{**TINY_CONFIG.__dict__})
-        if seed is not None:
-            cfg.seed = seed
-        return cfg.validate(), TrainConfig()
+        return ModelConfig(**{**TINY_CONFIG.__dict__, "seed": seed}).validate(), TrainConfig()
     return build_configs(read_config_file(arg), seed)
 
 
@@ -172,25 +170,14 @@ _DEFAULT_SPECTATORS = {"rs": 3, "axial": 2}
 
 
 def cmd_gen(args) -> int:
-    if args.count < 1:
-        print("--count must be >= 1", file=sys.stderr)
-        return EXIT_INPUT_ERROR
-    out = args.out or f"dataset_{args.task}"
     spectators = _DEFAULT_SPECTATORS[args.task] if args.spectators is None else args.spectators
+    spec = data_mod.SyntheticSpec(count=args.count, spectator_range=(0, spectators),
+                                  min_abs_product=args.min_product, seed=args.seed)
     if args.task == "rs":
-        spec = data_mod.SyntheticSpec(
-            count=args.count,
-            seed=args.seed,
-            min_abs_product=args.min_product,
-            spectator_range=(0, spectators),
-        )
         dataset = data_mod.gen_rs(spec)
     else:
-        dataset = data_mod.gen_axial(
-            args.count, seed=args.seed, min_abs_product=args.min_product,
-            spectator_range=(0, spectators),
-        )
-    manifest = data_mod.write_dataset(dataset, out)
+        dataset = data_mod.gen_axial(**asdict(spec))
+    manifest = data_mod.write_dataset(dataset, args.out or f"dataset_{args.task}")
     print(f"wrote {len(dataset)} molecules to {manifest.parent} (manifest: {manifest})")
     return EXIT_OK
 
@@ -217,6 +204,7 @@ def cmd_train(args) -> int:
     if args.lr is not None:
         train_cfg.lr = args.lr
     train_cfg.validate()
+    check_rank_penalty(model_cfg.rank_strategy, train_cfg.reg_weight)
     check_feature_width(model_cfg.d_f, dataset)
     train_set, val_set, _ = _split_dataset(dataset, args.split)
     if not train_set:
@@ -295,10 +283,10 @@ def cmd_rotate_axis(args) -> int:
     model, _ = load_checkpoint(args.ckpt)
     base = data_mod.parse(args.file)
     conformers = data_mod.gen_axial_torsion(base, args.step)
-    ref = embed(model, conformers[0])
+    vecs = [embed(model, conf) for conf in conformers]
+    ref = vecs[0]
     lines = ["angle_deg,cosine_to_first,product_sign"]
-    for t, conf in enumerate(conformers):
-        vec = embed(model, conf)
+    for t, (conf, vec) in enumerate(zip(conformers, vecs)):
         cos = float(ref @ vec / (np.linalg.norm(ref) * np.linalg.norm(vec)))
         sign = int(np.sign(unit_products(conf)[0]))
         lines.append(f"{t * args.step:g},{cos:.6f},{sign:+d}")

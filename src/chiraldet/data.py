@@ -34,6 +34,7 @@ from .geometry import (
     random_rotation,
     reference_point,
     transform,
+    unit_products,
 )
 from .numerics import det3_batch
 
@@ -295,35 +296,28 @@ def _place_spectators(rng, occupied, n_spec):
     return placed
 
 
-def gen_rs(spec: SyntheticSpec):
-    """Synthetic tetrahedral-center molecules with exact R/S labels.
+def _generate(spec: SyntheticSpec, id_prefix: str, draw, random_pose: bool):
+    """The rejection loop both generators share.
 
     Sample t draws from seed + t, so generation parallelizes and any prefix
-    of the dataset is stable. Labels alternate R, S, ... and are realized by
-    mirroring, which keeps even counts exactly balanced.
+    of the dataset is stable. Each attempt takes the task's geometry from
+    `draw(rng)` as (coords, atomic numbers, unit), adds spectators and
+    rejects a chirality product below spec.min_abs_product; with
+    `random_pose` the accepted molecule is then rotated and shifted.
+    Labels alternate R, S, ... and are realized by mirroring, which keeps
+    even counts exactly balanced.
     """
     spec.validate()
     dataset = []
-    lo, hi = BOND_LENGTH_RANGE
     for t in range(spec.count):
         rng = np.random.default_rng(spec.seed + t)
         target = Configuration.R if t % 2 == 0 else Configuration.S
         for _attempt in range(1000):
-            lengths = rng.uniform(lo, hi, size=4)
-            order = rng.permutation(4)
-            subs = TETRA_DIRECTIONS[order] * lengths[:, None]
-            subs = subs + rng.normal(0.0, SUBSTITUENT_NOISE, size=(4, 3))
-            elements = rng.choice(SUBSTITUENT_POOL, size=4, replace=False)
-            coords = [np.zeros(3)] + list(subs)
-            zs = [6] + list(elements)
+            coords, zs, unit = draw(rng)
             n_spec = int(rng.integers(spec.spectator_range[0], spec.spectator_range[1] + 1))
             if n_spec:
-                spectators = _place_spectators(rng, np.asarray(coords), n_spec)
-                coords.extend(spectators)
+                coords = np.concatenate([coords, _place_spectators(rng, coords, n_spec)])
                 zs.extend(rng.choice(SPECTATOR_POOL, size=n_spec))
-            coords = np.asarray(coords)
-            related = order_substituents((1, 2, 3, 4), tuple(float(z) for z in elements))
-            unit = ChiralUnit(kind=UnitKind.CENTER, center_atoms=(0,), related=related)
             product = float(det3_batch(chirality_matrix(unit, coords)))
             if abs(product) < spec.min_abs_product:
                 continue
@@ -332,16 +326,37 @@ def gen_rs(spec: SyntheticSpec):
                 atomic_numbers=np.asarray(zs, dtype=np.int64),
                 features=featurize(zs),
                 chiral_units=(unit,),
-                id=f"rs{t:05d}",
+                id=f"{id_prefix}{t:05d}",
             ).validate()
-            label = assign_configuration(product)
-            if label is not target:
+            if random_pose:
+                mol = transform(mol, random_rotation(rng), rng.uniform(-5.0, 5.0, size=3))
+                # the label reads the posed atoms, as the R/S oracle does
+                product = unit_products(mol)[0]
+            if assign_configuration(product) is not target:
                 mol = mirror(mol)
             dataset.append((mol, target))
             break
         else:
             raise GenerationError(f"rejection budget exhausted at sample {t}")
     return dataset
+
+
+def _draw_center(rng):
+    """A carbon with four distinct substituents on jittered tetrahedral
+    bonds."""
+    lengths = rng.uniform(*BOND_LENGTH_RANGE, size=4)
+    order = rng.permutation(4)
+    subs = TETRA_DIRECTIONS[order] * lengths[:, None]
+    subs = subs + rng.normal(0.0, SUBSTITUENT_NOISE, size=(4, 3))
+    elements = rng.choice(SUBSTITUENT_POOL, size=4, replace=False)
+    related = order_substituents((1, 2, 3, 4), tuple(float(z) for z in elements))
+    unit = ChiralUnit(kind=UnitKind.CENTER, center_atoms=(0,), related=related)
+    return np.concatenate([np.zeros((1, 3)), subs]), [6, *elements], unit
+
+
+def gen_rs(spec: SyntheticSpec):
+    """Synthetic tetrahedral-center molecules with exact R/S labels."""
+    return _generate(spec, "rs", _draw_center, random_pose=False)
 
 
 def _axial_coords(axis_len, radius, drop, torsion_deg):
@@ -434,55 +449,28 @@ def gen_axial_torsion(base: Molecule, step_deg: float):
     return conformers
 
 
+def _draw_axial(rng):
+    """A toy biaryl of random dimensions and torsion, jittered per atom."""
+    coords = _axial_coords(
+        axis_len=rng.uniform(1.3, 1.7),
+        radius=rng.uniform(1.2, 1.6),
+        drop=rng.uniform(0.3, 0.5),
+        torsion_deg=rng.uniform(0.0, 360.0),
+    )
+    coords = coords + rng.normal(0.0, 0.05, size=coords.shape)
+    unit = ChiralUnit(kind=UnitKind.AXIS, center_atoms=(0, 1), related=(2, 3, 4, 5))
+    return coords, [6, 6, 7, 8, 9, 15], unit
+
+
 def gen_axial(count: int, seed: int = 0, spectator_range=(0, 2), min_abs_product: float = 0.5):
     """Randomized axial toys labeled by the sign of the chirality product.
 
-    Geometry, torsion, and pose vary per sample; labels alternate and are
-    realized by mirroring, as in gen_rs. The arguments are checked as a
-    SyntheticSpec.
+    Geometry, torsion, and pose vary per sample; sampling and labels follow
+    gen_rs, whose SyntheticSpec checks the arguments.
     """
-    SyntheticSpec(count=count, spectator_range=spectator_range,
-                  min_abs_product=min_abs_product, seed=seed).validate()
-    dataset = []
-    for t in range(count):
-        rng = np.random.default_rng(seed + t)
-        target = Configuration.R if t % 2 == 0 else Configuration.S
-        for _attempt in range(1000):
-            coords = _axial_coords(
-                axis_len=rng.uniform(1.3, 1.7),
-                radius=rng.uniform(1.2, 1.6),
-                drop=rng.uniform(0.3, 0.5),
-                torsion_deg=rng.uniform(0.0, 360.0),
-            )
-            coords = coords + rng.normal(0.0, 0.05, size=coords.shape)
-            zs = [6, 6, 7, 8, 9, 15]
-            n_spec = int(rng.integers(spectator_range[0], spectator_range[1] + 1))
-            pts = list(coords)
-            if n_spec:
-                pts.extend(_place_spectators(rng, coords, n_spec))
-                zs.extend(rng.choice(SPECTATOR_POOL, size=n_spec))
-            coords = np.asarray(pts)
-            unit = ChiralUnit(kind=UnitKind.AXIS, center_atoms=(0, 1), related=(2, 3, 4, 5))
-            product = float(det3_batch(chirality_matrix(unit, coords)))
-            if abs(product) < min_abs_product:
-                continue
-            pose = random_rotation(rng)
-            shift = rng.uniform(-5.0, 5.0, size=3)
-            mol = Molecule(
-                coords=coords,
-                atomic_numbers=np.asarray(zs, dtype=np.int64),
-                features=featurize(zs),
-                chiral_units=(unit,),
-                id=f"ax{t:05d}",
-            ).validate()
-            mol = transform(mol, pose, shift)
-            if assign_configuration(float(det3_batch(chirality_matrix(unit, mol.coords)))) is not target:
-                mol = mirror(mol)
-            dataset.append((mol, target))
-            break
-        else:
-            raise GenerationError(f"rejection budget exhausted at sample {t}")
-    return dataset
+    spec = SyntheticSpec(count=count, spectator_range=spectator_range,
+                         min_abs_product=min_abs_product, seed=seed)
+    return _generate(spec, "ax", _draw_axial, random_pose=True)
 
 
 # ---------------------------------------------------------------------------

@@ -376,15 +376,17 @@ def encode_bwd(params: EncoderParams, cache, d_hc, d_hr, d_hn) -> EncoderParams:
     )
 
 
-def init_mlp2(rng, d_in: int, d_hidden: int, d_out: int) -> Mlp2:
-    def xavier(n_out, n_in):
-        bound = np.sqrt(6.0 / (n_in + n_out))
-        return rng.uniform(-bound, bound, size=(n_out, n_in))
+def glorot(rng, n_out: int, n_in: int) -> np.ndarray:
+    """(n_out, n_in) weights uniform in +-sqrt(6 / (n_in + n_out))."""
+    bound = np.sqrt(6.0 / (n_in + n_out))
+    return rng.uniform(-bound, bound, size=(n_out, n_in))
 
+
+def init_mlp2(rng, d_in: int, d_hidden: int, d_out: int) -> Mlp2:
     return Mlp2(
-        w1=xavier(d_hidden, d_in),
+        w1=glorot(rng, d_hidden, d_in),
         b1=np.zeros(d_hidden),
-        w2=xavier(d_out, d_hidden),
+        w2=glorot(rng, d_out, d_hidden),
         b2=np.zeros(d_out),
     )
 

@@ -353,23 +353,15 @@ class AdamState:
 
 
 def adam_step(model: ChiralModel, grads: ChiralModel, state: AdamState, lr: float):
-    """One Adam update of the parameters; the moments are updated in place."""
+    """One Adam update of the parameters, which change in place."""
     state.step += 1
     t = state.step
     for (name, param), (_, g) in zip(named_parameters(model), named_parameters(grads)):
-        m, v = state.m[name], state.v[name]
-        m *= ADAM_BETA1
-        m += (1.0 - ADAM_BETA1) * g
-        g2 = (1.0 - ADAM_BETA2) * g
-        g2 *= g
-        v *= ADAM_BETA2
-        v += g2
-        denom = np.sqrt(v / (1.0 - ADAM_BETA2**t), out=g2)
-        denom += ADAM_EPS
-        update = m / (1.0 - ADAM_BETA1**t)
-        update *= lr
-        update /= denom
-        param -= update
+        state.m[name] = ADAM_BETA1 * state.m[name] + (1.0 - ADAM_BETA1) * g
+        state.v[name] = ADAM_BETA2 * state.v[name] + (1.0 - ADAM_BETA2) * g * g
+        m_hat = state.m[name] / (1.0 - ADAM_BETA1**t)
+        v_hat = state.v[name] / (1.0 - ADAM_BETA2**t)
+        param -= lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
 
 
 def cosine_lr(step: int, total_steps: int, lr: float, min_lr_factor: float) -> float:
@@ -445,6 +437,16 @@ def check_feature_width(d_f: int, dataset):
                          f"width {', '.join(map(str, sorted(widths)))}")
 
 
+def check_rank_penalty(rank_strategy: RankStrategy, reg_weight: float):
+    """Raise a ValueError naming both fields unless reg_weight > 0 exactly
+    when rank_strategy is regularize: the penalty is what that strategy
+    trains with, and the other strategies take none."""
+    regularize = rank_strategy is RankStrategy.REGULARIZE
+    if regularize != (reg_weight > 0.0):
+        raise ValueError(f"rank_strategy={rank_strategy.value} needs reg_weight "
+                         f"{'> 0' if regularize else '= 0'}, got reg_weight={reg_weight}")
+
+
 def train(model: ChiralModel, dataset, cfg: TrainConfig, val_dataset=None,
           metrics_path=None, margin: float | None = None, adam: AdamState | None = None,
           log=None):
@@ -458,6 +460,7 @@ def train(model: ChiralModel, dataset, cfg: TrainConfig, val_dataset=None,
     `adam.step`. Returns the list of per-epoch records.
     """
     cfg.validate()
+    check_rank_penalty(model.config.rank_strategy, cfg.reg_weight)
     if margin is None:
         data = dataset_to_pairs(dataset)
     else:

@@ -142,7 +142,8 @@ def test_keyless_row_keeps_its_input():
     assert np.all(cache.ctx.reshape(2, 2, 8)[1] == 0.0)
     # u = h_c_in, so the first layer norm sees the input row itself
     expect, _ = layer_norm_rows(h_c[1], layer.ln1_gamma, layer.ln1_beta)
-    assert np.array_equal(cache.u_ln.reshape(2, 2, 8)[1], expect)
+    u_ln = cache.ff[0]  # the feed-forward's input
+    assert np.array_equal(u_ln.reshape(2, 2, 8)[1], expect)
 
 
 def test_chiral_molecule_without_keys_in_batch_raises(mixed):

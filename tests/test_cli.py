@@ -301,6 +301,45 @@ class TestCliContract:
         assert f"config key {key!r}" in capsys.readouterr().err
         assert not (tmp_path / "r" / "model.ckpt").exists()
 
+    def test_seed_config_key_rejected(self, tmp_path, capsys):
+        # only --seed sets the seed
+        cfg = tmp_path / "cfg"
+        cfg.write_text("seed=7\n")
+        ds = tmp_path / "ds"
+        main(["gen", "--task", "rs", "--count", "4", "--seed", "1", "--out", str(ds)])
+        capsys.readouterr()
+        assert main(["train", "--data", str(ds), "--config", str(cfg),
+                     "--out", str(tmp_path / "r")]) == 2
+        assert "config key 'seed'" in capsys.readouterr().err
+        assert not (tmp_path / "r").exists()
+
+    @pytest.mark.parametrize(
+        "lines", ["rank_strategy=regularize\n", "rank_strategy=none\nreg_weight=0.5\n",
+                  "reg_weight=0.5\n"],
+        ids=["regularize-without-penalty", "none-with-penalty", "qr-with-penalty"],
+    )
+    def test_rank_strategy_must_agree_with_reg_weight(self, tmp_path, capsys, lines):
+        cfg = tmp_path / "cfg"
+        cfg.write_text(lines)
+        ds = tmp_path / "ds"
+        main(["gen", "--task", "rs", "--count", "4", "--seed", "1", "--out", str(ds)])
+        capsys.readouterr()
+        assert main(["train", "--data", str(ds), "--config", str(cfg),
+                     "--out", str(tmp_path / "r")]) == 2
+        err = capsys.readouterr().err
+        assert "rank_strategy=" in err and "reg_weight" in err
+        assert not (tmp_path / "r").exists()
+
+    def test_regularize_with_penalty_trains(self, tmp_path):
+        cfg = tmp_path / "cfg"
+        cfg.write_text("rank_strategy=regularize\nreg_weight=0.1\nh=8\nd_p=4\n"
+                       "n_layers=1\nn_gkpt=8\n")
+        ds = tmp_path / "ds"
+        main(["gen", "--task", "rs", "--count", "4", "--seed", "1", "--out", str(ds)])
+        assert main(["train", "--data", str(ds), "--config", str(cfg), "--epochs", "1",
+                     "--out", str(tmp_path / "r")]) == 0
+        assert (tmp_path / "r" / "model.ckpt").exists()
+
     def test_d_p_3_config_rejected(self, tmp_path, capsys):
         cfg = tmp_path / "cfg"
         cfg.write_text("d_p=3\n")

@@ -172,11 +172,12 @@ class TestGenRs:
     @given(st.integers(0, 1000))
     @settings(max_examples=10, deadline=None)
     def test_prefix_stability(self, seed):
-        a = gen_rs(SyntheticSpec(count=2, seed=seed))
-        b = gen_rs(SyntheticSpec(count=4, seed=seed))
-        for (m1, l1), (m2, l2) in zip(a, b):
-            assert l1 is l2
-            assert np.array_equal(m1.coords, m2.coords)
+        for generate in (lambda n: gen_rs(SyntheticSpec(count=n, seed=seed)),
+                         lambda n: gen_axial(n, seed=seed)):
+            a, b = generate(2), generate(4)
+            for (m1, l1), (m2, l2) in zip(a, b):
+                assert l1 is l2
+                assert np.array_equal(m1.coords, m2.coords)
 
 
 class TestEnantiomer:

@@ -243,7 +243,7 @@ class TestTraining:
         assert first[0].lr > first[-1].lr == pytest.approx(0.1 * cfg.lr, rel=1e-12)
 
     def test_adam_step_matches_textbook_update(self):
-        # the in-place update keeps the textbook expression order, bit for bit
+        # the update follows the textbook expression order, bit for bit
         model = tiny_model(seed=23)
         rng = np.random.default_rng(23)
         grads = init_model(model.config)
@@ -281,6 +281,20 @@ class TestTraining:
         with pytest.raises(ValueError, match="^d_f=52 does not match .* feature width 10, 52$"):
             train(tiny_model(seed=2, n_classes=1), [(mol, narrow)], TrainConfig(epochs=1),
                   margin=0.5)
+
+    @pytest.mark.parametrize(
+        ("strategy", "reg_weight"),
+        [(RankStrategy.REGULARIZE, 0.0), (RankStrategy.NONE, 0.5),
+         (RankStrategy.QR_RETRACTION, 0.5)],
+        ids=["regularize-without-penalty", "none-with-penalty", "qr-with-penalty"],
+    )
+    def test_rank_strategy_must_agree_with_reg_weight(self, small_dataset, strategy, reg_weight):
+        model = tiny_model(seed=2, rank_strategy=strategy)
+        before = [a.copy() for _, a in named_parameters(model)]
+        with pytest.raises(ValueError, match=f"^rank_strategy={strategy.value} needs "
+                                             f"reg_weight .*, got reg_weight={reg_weight}$"):
+            train(model, small_dataset[:4], TrainConfig(epochs=1, reg_weight=reg_weight))
+        assert all(np.array_equal(a, b) for (_, a), b in zip(named_parameters(model), before))
 
     def test_rank_training_rejects_val_dataset(self, small_dataset):
         pairs = [(mol, mirror(mol)) for mol, _ in small_dataset[:2]]
