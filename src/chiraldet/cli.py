@@ -159,6 +159,8 @@ def cmd_gradcheck(args) -> int:
     failed = [r for r in reports if not r.passed]
     for r in reports:
         print(f"{'PASS' if r.passed else 'FAIL'} {r.name} max_rel_error={r.max_rel_error:.3e}")
+        if args.verbose:
+            print(f"{r.name} took {r.seconds:.3f} s", file=sys.stderr)
     if failed:
         print("failed blocks: " + ", ".join(r.name for r in failed), file=sys.stderr)
         return EXIT_CHECK_FAILED

@@ -40,7 +40,7 @@ from .geometry import (
     partition_atoms,
     reference_point,
 )
-from .numerics import cofactor3_batch, det3_batch, gelu, gelu_grad
+from .numerics import INV_SQRT_2PI, cofactor3_batch, det3_batch, normal_cdf
 
 # added to the pooled variance sigma^2 of every normalized slice
 KERNEL_EPS = 1e-5
@@ -263,17 +263,17 @@ def retract_orthonormal(bank: KernelBank) -> KernelBank:
 def mlp2_fwd(mlp: Mlp2, x):
     x = np.asarray(x, dtype=np.float64)
     z1 = x @ mlp.w1.T + mlp.b1
-    a1 = gelu(z1)
-    out = a1 @ mlp.w2.T + mlp.b2
-    return out, (x, z1, a1)
+    cdf = normal_cdf(z1)
+    out = (z1 * cdf) @ mlp.w2.T + mlp.b2
+    return out, (x, z1, cdf)
 
 
 def mlp2_bwd(mlp: Mlp2, cache, d_out):
-    x, z1, a1 = cache
-    d_w2 = d_out.T @ a1
+    x, z1, cdf = cache
+    d_w2 = d_out.T @ (z1 * cdf)
     d_b2 = d_out.sum(axis=0)
     d_a1 = d_out @ mlp.w2
-    d_z1 = d_a1 * gelu_grad(z1)
+    d_z1 = d_a1 * (cdf + z1 * (INV_SQRT_2PI * np.exp(-0.5 * z1 * z1)))
     d_w1 = d_z1.T @ x
     d_b1 = d_z1.sum(axis=0)
     d_x = d_z1 @ mlp.w1

@@ -8,6 +8,7 @@ the harness can prove the audit actually detects wrong gradients.
 
 from __future__ import annotations
 
+import time
 import zlib
 from dataclasses import dataclass, replace
 
@@ -48,6 +49,7 @@ from .model import (
     forward_batch,
     init_model,
     named_parameters,
+    parameter_stage,
     rank_loss,
 )
 from .numerics import (
@@ -65,6 +67,7 @@ class BlockReport:
     name: str
     max_rel_error: float
     passed: bool
+    seconds: float  # wall time of the block's audit
 
 
 def _arrays(item) -> list:
@@ -201,30 +204,39 @@ def _check_predictor(rng, config: ModelConfig):
     return flatten(*mlp2_bwd(mlp, cache, weights)), numeric
 
 
-def _oracle(f, live):
-    """Central differences of f() in the live parameter arrays: each
-    evaluation copies its point into them, and they are restored after."""
-    point = flatten(*live)
-    theta0 = point.copy()
-    views = unflatten(point, *live)
+def _oracle(model, batch, objective, reg_weight: float, names) -> np.ndarray:
+    """Central differences of batch_loss in the named live parameters, in
+    named_parameters order.
 
-    def at(theta):
-        point[...] = theta
-        for a, v in zip(live, views):
-            a[...] = v
-        return f()
+    One forward at the starting point is the prefix that every evaluation
+    resumes from: an evaluation writes its point into one array, in place,
+    and reruns the forward from the first stage that array reaches
+    (parameter_stage). Each array is restored before the next is moved.
+    """
+    prefix = forward_batch(model, batch)
+    numeric = []
+    for name, live in named_parameters(model):
+        if name not in names:
+            continue
+        start = parameter_stage(model, name)
+        theta0 = live.flatten()
 
-    try:
-        return finite_diff_grad(at, theta0)
-    finally:
-        at(theta0)
+        def loss_at(theta):
+            live[...] = theta.reshape(live.shape)
+            return batch_loss(model, batch, objective, reg_weight, prefix, start)
+
+        try:
+            numeric.append(finite_diff_grad(loss_at, theta0))
+        finally:
+            live[...] = theta0.reshape(live.shape)
+    return np.concatenate(numeric)
 
 
 def _check_full_loss(rng, config: ModelConfig):
     """Loss of a padded batch: a one-unit gen_rs molecule and a two-unit
     molecule tiled from two more, so the first has pad queries and pad
     keys. The oracle runs forward only, every evaluation on one prepared
-    batch with its point written into the live parameters."""
+    batch, resumed at the stage its coordinate reaches."""
     model = init_model(config)
     (mol_a, label_a), (mol_b, label_b), (mol_c, _) = gen_rs(
         SyntheticSpec(count=3, seed=int(rng.integers(1 << 16)), spectator_range=(1, 2))
@@ -233,9 +245,8 @@ def _check_full_loss(rng, config: ModelConfig):
         [(mol_a, label_a), (tile_molecules([mol_b, mol_c]), label_b)]
     ))
     batch = prepare_batch(mols)
-    live = [a for _, a in named_parameters(model)]
     objective = classify_loss(labels)
-    numeric = _oracle(lambda: batch_loss(model, batch, objective, reg_weight=0.1), live)
+    numeric = _oracle(model, batch, objective, 0.1, {n for n, _ in named_parameters(model)})
     _, _, grads = batch_step(model, batch, objective, reg_weight=0.1)
     return flatten(*(a for _, a in named_parameters(grads))), numeric
 
@@ -257,9 +268,9 @@ def _check_rank_loss(rng, config: ModelConfig):
     if np.min(np.abs(np.abs(gaps) - margin)) < 1e-4:
         raise NumericError(f"score gaps {gaps} put a rank audit pair on the hinge kink")
     batch = prepare_batch(his + los)
-    live = [model.encoder.kernels.gamma] + _arrays(model.head)
     objective = rank_loss(margin)
-    numeric = _oracle(lambda: batch_loss(model, batch, objective, reg_weight=0.0), live)
+    live = {"encoder.kernel.gamma"} | {f"head.{n}" for n, _ in _leaves(model.head)}
+    numeric = _oracle(model, batch, objective, 0.0, live)
     _, _, grads = batch_step(model, batch, objective, reg_weight=0.0)
     return flatten(grads.encoder.kernels.gamma, grads.head), numeric
 
@@ -285,10 +296,12 @@ def run_gradcheck(config: ModelConfig = TINY_CONFIG, seed: int = 1, tol: float =
     block name, so every process audits the same points."""
     reports = []
     for name in blocks:
+        began = time.perf_counter()
         rng = np.random.default_rng(seed + zlib.crc32(name.encode()) % 1000)
         analytic, numeric = _CHECKS[name](rng, config)
         if sabotage and name.startswith(sabotage):
             analytic = analytic * 1.02 + 0.01
         rep = compare_grads(analytic, numeric, tol=tol)
-        reports.append(BlockReport(name=name, max_rel_error=rep.max_rel_error, passed=rep.passed))
+        reports.append(BlockReport(name=name, max_rel_error=rep.max_rel_error, passed=rep.passed,
+                                   seconds=time.perf_counter() - began))
     return reports

@@ -160,39 +160,85 @@ def named_parameters(model: ChiralModel):
 
 @dataclass
 class BatchState:
-    """Everything forward_batch computed that backward or exports need.
+    """Everything forward_batch computed that backward, exports or a resumed
+    forward need.
 
     Arrays are padded to the batch's largest molecule; `encoded.batch.mask`
-    marks the valid entries.
+    marks the valid entries. Each layer's cache holds that layer's inputs.
     """
 
     logits: np.ndarray  # (B, n_classes)
     pooled: np.ndarray  # (B, h)
+    h_c: np.ndarray  # (B, Q, h) query rows out of the last layer, the pooling input
     encoded: EncodedBatch
     attn: list  # per layer, (B, Q, Kr + Kn, H)
     caches: dict
 
 
-def forward_batch(model: ChiralModel, batch: MoleculeBatch) -> BatchState:
+def parameter_stage(model: ChiralModel, name: str) -> int:
+    """The first forward_batch stage that reads a named parameter:
+    encoder.* and bias.* at 0, layers.i.* at 1 + i, head.* at L + 1."""
+    group, _, rest = name.partition(".")
+    if group in ("encoder", "bias"):
+        return 0
+    if group == "layers":
+        return 1 + int(rest.partition(".")[0])
+    if group == "head":
+        return len(model.layers) + 1
+    raise ValueError(f"no forward stage reads {name!r}")
+
+
+def forward_batch(model: ChiralModel, batch: MoleculeBatch, prefix: BatchState | None = None,
+                  start: int = 0) -> BatchState:
     """Forward over a prepared batch; parameter arithmetic only, so one
-    batch serves any number of forwards under changing parameters."""
-    encoded, enc_cache = encode_fwd(model.encoder, batch)
-    bias, bias_cache = pair_bias_fwd(model.distance_bias, batch.pairs)
-    h_c = encoded.h_c
+    batch serves any number of forwards under changing parameters.
+
+    The forward is a list of stages: 0 encodes the batch and seeds the pair
+    bias, 1..L run the attention layers in order, and L + 1 pools the query
+    rows and applies the head. Given `prefix`, a state of the same batch,
+    the forward resumes at stage `start` from the inputs the prefix holds
+    for it, which gives the bytes of a full forward as long as no parameter
+    of an earlier stage (parameter_stage) changed since the prefix was
+    computed. The prefix is not modified.
+
+    Non-finite logits raise NumericError naming the first stage whose
+    output is non-finite.
+    """
+    n_layers = len(model.layers)
+    if not 0 <= start <= n_layers + 1:
+        raise ValueError(f"stage {start} is not in 0..{n_layers + 1}")
     mask = batch.mask
-    layer_caches = []
-    all_attn = []
-    for i, layer in enumerate(model.layers):
-        h_c, bias, attn, cache = attend_fwd(
-            layer, h_c, encoded.h_r, encoded.h_n, bias, mask, layer_index=i
-        )
-        layer_caches.append(cache)
-        all_attn.append(attn)
-    pooled = pool(h_c, mask.queries)
-    logits, head_cache = mlp2_fwd(model.head, pooled)
-    return BatchState(
+    if start == 0:
+        layer_caches, all_attn = [], []
+    else:
+        if prefix is None or prefix.encoded.batch is not batch:
+            raise ValueError("resuming a forward needs a prefix state of the same batch")
+        encoded, caches = prefix.encoded, prefix.caches
+        enc_cache, bias_cache = caches["encode"], caches["bias"]
+        layer_caches, all_attn = caches["layers"][: start - 1], prefix.attn[: start - 1]
+        if start <= n_layers:
+            h_c, bias = caches["layers"][start - 1].h_c_in, caches["layers"][start - 1].bias_in
+        else:
+            h_c = prefix.h_c
+    for stage in range(start, n_layers + 2):
+        if stage == 0:
+            encoded, enc_cache = encode_fwd(model.encoder, batch)
+            bias, bias_cache = pair_bias_fwd(model.distance_bias, batch.pairs)
+            h_c = encoded.h_c
+        elif stage <= n_layers:
+            h_c, bias, attn, cache = attend_fwd(
+                model.layers[stage - 1], h_c, encoded.h_r, encoded.h_n, bias, mask,
+                layer_index=stage - 1,
+            )
+            layer_caches.append(cache)
+            all_attn.append(attn)
+        else:
+            pooled = pool(h_c, mask.queries)
+            logits, head_cache = mlp2_fwd(model.head, pooled)
+    state = BatchState(
         logits=logits,
         pooled=pooled,
+        h_c=h_c,
         encoded=encoded,
         attn=all_attn,
         caches={
@@ -202,6 +248,28 @@ def forward_batch(model: ChiralModel, batch: MoleculeBatch) -> BatchState:
             "head": head_cache,
         },
     )
+    if not np.isfinite(logits).all():
+        # the walk ends at the logits, so it always finds a stage
+        first = next(name for outputs in stage_outputs(state) for name, arr in outputs
+                     if not np.isfinite(arr).all())
+        raise NumericError(f"non-finite logits, first non-finite stage output: {first}")
+    return state
+
+
+def stage_outputs(state: BatchState) -> list:
+    """Per forward_batch stage, (name, array) of each output it passes on:
+    the encoder rows and the initial pair bias, each layer's query rows and
+    emitted bias (the last layer's bias is not kept), the pooled rows and
+    the logits. Reads the layer caches, so not after backward_batch."""
+    enc = state.encoded
+    layers = state.caches["layers"]
+    outputs = [[("encoder", enc.h_c), ("encoder", enc.h_r), ("encoder", enc.h_n),
+                ("pair bias", layers[0].bias_in)]]
+    for i, nxt in enumerate(layers[1:]):
+        outputs.append([(f"layer {i}", nxt.h_c_in), (f"layer {i}", nxt.bias_in)])
+    outputs.append([(f"layer {len(layers) - 1}", state.h_c)])
+    outputs.append([("pooling and head", state.pooled), ("pooling and head", state.logits)])
+    return outputs
 
 
 def backward_batch(model: ChiralModel, state: BatchState, d_logits) -> ChiralModel:
@@ -299,19 +367,22 @@ def rank_loss(margin: float):
     return objective
 
 
-def _forward_loss(model: ChiralModel, batch: MoleculeBatch, objective, reg_weight: float):
+def _forward_loss(model: ChiralModel, batch: MoleculeBatch, objective, reg_weight: float,
+                  prefix: BatchState | None = None, start: int = 0):
     """(loss, n_correct, state, d_logits) of an objective over a prepared
-    batch plus the rank penalty when enabled."""
-    state = forward_batch(model, batch)
+    batch plus the rank penalty when enabled; the forward resumes at stage
+    `start` of `prefix` as forward_batch does."""
+    state = forward_batch(model, batch, prefix, start)
     loss, d_logits, n_correct = objective(state.logits)
     if reg_weight > 0.0:
         loss += reg_weight * regularization_loss(model.encoder.kernels)
     return loss, n_correct, state, d_logits
 
 
-def batch_loss(model: ChiralModel, batch: MoleculeBatch, objective, reg_weight: float) -> float:
-    """The loss of batch_step, forward only."""
-    return _forward_loss(model, batch, objective, reg_weight)[0]
+def batch_loss(model: ChiralModel, batch: MoleculeBatch, objective, reg_weight: float,
+               prefix: BatchState | None = None, start: int = 0) -> float:
+    """The loss of batch_step, forward only, resumable as forward_batch is."""
+    return _forward_loss(model, batch, objective, reg_weight, prefix, start)[0]
 
 
 def batch_step(model: ChiralModel, batch: MoleculeBatch, objective, reg_weight: float):
@@ -493,8 +564,11 @@ def train(model: ChiralModel, dataset, cfg: TrainConfig, val_dataset=None,
                     mols, objective = firsts, classify_loss(seconds)
                 else:
                     mols, objective = firsts + seconds, ranking
-                loss, correct, grads = batch_step(model, prepare_batch(mols), objective,
-                                                  cfg.reg_weight)
+                try:
+                    loss, correct, grads = batch_step(model, prepare_batch(mols), objective,
+                                                      cfg.reg_weight)
+                except NumericError as exc:
+                    raise NumericError(f"training step {step} failed: {exc}") from exc
                 if not math.isfinite(loss):
                     raise NumericError(f"training diverged at step {step}")
                 adam_step(model, grads, adam, lr_now)
@@ -620,7 +694,9 @@ def save_checkpoint(model: ChiralModel, path, adam: AdamState | None = None):
 
 def load_checkpoint(path):
     """Returns (model, adam_state or None). Raises distinct errors for
-    version, truncation, checksum, and shape failures."""
+    version, truncation, checksum, and shape failures; a shape failure also
+    covers a tensor holding a non-finite value and a negative Adam second
+    moment, either of which no training run writes."""
     raw = Path(path).read_bytes()
     sep = raw.find(b"\n\n")
     if sep < 0:
@@ -684,6 +760,16 @@ def load_checkpoint(path):
         if name == _V1_KERNEL_SHIFT and np.any(tensors[name] != 0.0):
             raise CheckpointShapeError(
                 f"tensor {name} must be zero, the model has no kernel shift"
+            )
+        bad = np.flatnonzero(~np.isfinite(tensors[name]))
+        if bad.size:
+            raise CheckpointShapeError(
+                f"tensor {name} holds a non-finite value at flat index {int(bad[0])}"
+            )
+        bad = np.flatnonzero(tensors[name] < 0.0) if name.startswith("adam.v.") else bad
+        if bad.size:
+            raise CheckpointShapeError(
+                f"tensor {name} holds a negative second moment at flat index {int(bad[0])}"
             )
         target[...] = tensors[name]
     return model, adam

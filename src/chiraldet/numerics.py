@@ -81,16 +81,11 @@ def gaussian(x, mu, sigma):
     return INV_SQRT_2PI / sigma * np.exp(-0.5 * z * z)
 
 
-def gelu(x):
-    """Exact (erf-based) GELU."""
-    x = np.asarray(x, dtype=np.float64)
-    return 0.5 * x * (1.0 + erf(x / SQRT2))
-
-
-def gelu_grad(x):
-    x = np.asarray(x, dtype=np.float64)
-    phi = INV_SQRT_2PI * np.exp(-0.5 * x * x)
-    return 0.5 * (1.0 + erf(x / SQRT2)) + x * phi
+def normal_cdf(x):
+    """Standard normal CDF Phi(x) = (1 + erf(x / sqrt 2)) / 2, the gate of the
+    exact GELU: gelu(x) = x Phi(x) and gelu'(x) = Phi(x) + x phi(x), so one
+    erf per element serves the forward and the backward."""
+    return 0.5 * (1.0 + erf(np.asarray(x, dtype=np.float64) / SQRT2))
 
 
 def finite_diff_grad(f, theta, h=1e-5):

@@ -18,6 +18,8 @@ from chiraldet.model import (
     init_model,
     loss_classify,
     named_parameters,
+    parameter_stage,
+    stage_outputs,
 )
 from chiraldet.numerics import layer_norm_rows
 
@@ -172,3 +174,64 @@ def test_prepared_batch_holds_nothing_of_the_parameters(mixed):
     assert np.array_equal(reused.pooled, fresh.pooled)
     for a_reused, a_fresh in zip(reused.attn, fresh.attn):
         assert np.array_equal(a_reused, a_fresh)
+
+
+PARAMETER_NAMES = [name for name, _ in named_parameters(init_model(ModelConfig(**TINY)))]
+
+
+@pytest.fixture(scope="module")
+def staged(mixed):
+    """A tiny model, the mixed batch, the model's forward over it (the
+    prefix that resumed forwards start from) and, per parameter, the entry
+    with the largest gradient of the summed logits: one that reaches them,
+    where a feature weight of an absent one-hot class would not."""
+    model = init_model(ModelConfig(**TINY, seed=10))
+    batch = prepare_batch(mixed[0])
+    prefix = forward_batch(model, batch)
+    grads = backward_batch(model, forward_batch(model, batch), np.ones_like(prefix.logits))
+    entries = {name: int(np.argmax(np.abs(g))) for name, g in named_parameters(grads)}
+    return model, batch, prefix, entries
+
+
+@pytest.mark.parametrize("name", PARAMETER_NAMES)
+def test_resumed_forward_matches_fresh_forward(staged, name):
+    """Moving one entry of a parameter leaves the output of every stage
+    before its parameter_stage as it was and changes that stage's output;
+    a forward resumed there from the unmoved prefix gives the logits of a
+    fresh forward, byte for byte."""
+    model, batch, prefix, entries = staged
+    live = dict(named_parameters(model))[name]
+    stage = parameter_stage(model, name)
+    entry = entries[name]
+    saved = live.flat[entry]
+    live.flat[entry] += 0.25
+    try:
+        fresh = forward_batch(model, batch)
+        resumed = forward_batch(model, batch, prefix, stage)
+    finally:
+        live.flat[entry] = saved
+    assert np.array_equal(resumed.logits, fresh.logits)
+    assert np.array_equal(resumed.pooled, fresh.pooled)
+    before, after = stage_outputs(prefix), stage_outputs(fresh)
+    for k in range(stage):
+        assert all(np.array_equal(a, b) for (_, a), (_, b) in zip(before[k], after[k])), k
+    assert not all(np.array_equal(a, b) for (_, a), (_, b) in zip(before[stage], after[stage]))
+
+
+def test_resume_needs_a_prefix_of_the_same_batch(staged, mixed):
+    model, batch, prefix, _ = staged
+    with pytest.raises(ValueError):
+        forward_batch(model, batch, None, 1)
+    with pytest.raises(ValueError):
+        forward_batch(model, prepare_batch(mixed[0]), prefix, 1)
+    with pytest.raises(ValueError):
+        forward_batch(model, batch, prefix, len(model.layers) + 2)
+
+
+@pytest.mark.parametrize(("name", "stage"), [("layers.1.ff_b2", "layer 1"),
+                                             ("head.b2", "pooling and head")])
+def test_nonfinite_logits_name_first_nonfinite_stage(mixed, name, stage):
+    model = init_model(ModelConfig(**TINY, seed=11))
+    dict(named_parameters(model))[name].flat[0] = np.nan
+    with pytest.raises(NumericError, match=f"first non-finite stage output: {stage}$"):
+        forward_batch(model, prepare_batch(mixed[0]))

@@ -208,6 +208,20 @@ class TestTrainEval:
         bad.write_bytes(bytes(raw))
         assert main(["eval", "--ckpt", str(bad), "--data", str(ds)]) == 2
 
+    def test_eval_overflowing_logits_exit_3(self, tmp_path, tiny_ckpt, capsys):
+        # finite weights whose product overflows: every logit row gets an inf,
+        # which argmax would have read as class 0
+        resign(tiny_ckpt, set_first_value(b"head.b1", 1e300))
+        resign(tiny_ckpt, set_first_value(b"head.w2", 1e300))
+        ds = tmp_path / "ds"
+        main(["gen", "--task", "rs", "--count", "4", "--seed", "5", "--out", str(ds)])
+        capsys.readouterr()
+        assert main(["eval", "--ckpt", str(tiny_ckpt), "--data", str(ds), "--eval-split",
+                     "all"]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "non-finite logits, first non-finite stage output: pooling and head" in captured.err
+
     def test_empty_manifest(self, tmp_path, tiny_ckpt):
         ds = tmp_path / "empty"
         ds.mkdir()
@@ -405,8 +419,16 @@ class TestCliContract:
          # a degenerate distance bias: DegeneracyError is an input error, not a numeric one
          (set_first_value(b"bias.sigma", 0.0), "bias.sigma[0]"),
          (rename_tensor(b"adam.m.encoder.kernel.w"), "missing tensor adam.m.encoder.kernel.w"),
-         (rename_tensor(b"adam.v.encoder.kernel.w"), "missing tensor adam.v.encoder.kernel.w")],
-        ids=["d_p=3", "n_heads=0", "beta", "sigma=0", "adam.m", "adam.v"],
+         (rename_tensor(b"adam.v.encoder.kernel.w"), "missing tensor adam.v.encoder.kernel.w"),
+         (set_first_value(b"head.b2", np.nan), "tensor head.b2 holds a non-finite value"),
+         (set_first_value(b"layers.1.ff_b2", np.nan),
+          "tensor layers.1.ff_b2 holds a non-finite value"),
+         (set_first_value(b"adam.m.head.w1", np.inf),
+          "tensor adam.m.head.w1 holds a non-finite value"),
+         (set_first_value(b"adam.v.layers.0.wq", -1e-12),
+          "tensor adam.v.layers.0.wq holds a negative second moment")],
+        ids=["d_p=3", "n_heads=0", "beta", "sigma=0", "adam.m", "adam.v", "nan-head",
+             "nan-layer", "inf-adam.m", "negative-adam.v"],
     )
     def test_invalid_checkpoint_content_rejected(self, tmp_path, tiny_ckpt, capsys, edit,
                                                  message):
@@ -418,10 +440,36 @@ class TestCliContract:
         assert message in capsys.readouterr().err
 
 
+# stdout of `gradcheck --seed 1` and `--seed 2`, pinned so that a change to
+# the audited points or to the arithmetic of an audit shows here; a BLAS
+# build that rounds differently may move the last digits
+GRADCHECK_STDOUT = {
+    "1": """PASS encoder.kernel max_rel_error=7.428e-10
+PASS encoder.reg_loss max_rel_error=2.866e-09
+PASS numerics.layer_norm max_rel_error=1.036e-09
+PASS attention.distance_bias max_rel_error=1.094e-08
+PASS attention.layer max_rel_error=3.111e-07
+PASS model.predictor max_rel_error=3.590e-08
+PASS model.full_loss max_rel_error=1.766e-06
+PASS model.rank_loss max_rel_error=5.564e-08
+""",
+    "2": """PASS encoder.kernel max_rel_error=5.206e-09
+PASS encoder.reg_loss max_rel_error=6.851e-10
+PASS numerics.layer_norm max_rel_error=2.003e-09
+PASS attention.distance_bias max_rel_error=3.631e-06
+PASS attention.layer max_rel_error=4.132e-07
+PASS model.predictor max_rel_error=2.599e-09
+PASS model.full_loss max_rel_error=5.669e-06
+PASS model.rank_loss max_rel_error=3.508e-08
+""",
+}
+
+
 class TestGradcheckCmd:
     def test_pass_and_negative_control(self, capsys):
         assert main(["gradcheck", "--seed", "1"]) == 0
         out = capsys.readouterr().out
+        assert out == GRADCHECK_STDOUT["1"]
         assert out.count("PASS") == len(BLOCKS)
         assert "PASS model.rank_loss" in out
         assert main(["gradcheck", "--seed", "1", "--sabotage", "encoder"]) == 1
@@ -432,8 +480,14 @@ class TestGradcheckCmd:
     def test_repeat_runs_identical(self, capsys):
         main(["gradcheck", "--seed", "2"])
         first = capsys.readouterr().out
-        main(["gradcheck", "--seed", "2"])
-        assert capsys.readouterr().out == first
+        assert first == GRADCHECK_STDOUT["2"]
+        # --verbose adds each block's wall time on stderr and leaves stdout be
+        main(["gradcheck", "--seed", "2", "--verbose"])
+        captured = capsys.readouterr()
+        assert captured.out == first
+        timings = captured.err.splitlines()
+        assert [line.split(" took ")[0] for line in timings] == list(BLOCKS)
+        assert all(line.endswith(" s") and float(line.split()[-2]) >= 0.0 for line in timings)
 
     def test_output_independent_of_hash_seed(self):
         # block seeds must not depend on Python's per-process str hashing

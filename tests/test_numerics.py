@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from chiraldet.encoder import Mlp2, mlp2_bwd, mlp2_fwd
 from chiraldet.errors import NumericError
 from chiraldet.numerics import (
     cofactor3_batch,
@@ -12,8 +13,6 @@ from chiraldet.numerics import (
     det3_batch,
     finite_diff_grad,
     gaussian,
-    gelu,
-    gelu_grad,
     layer_norm_rows,
     layer_norm_rows_backward,
 )
@@ -261,10 +260,16 @@ class TestFiniteDiff:
         assert compare_grads(analytic, numeric, tol=1e-6).passed
 
     def test_gelu_grad(self):
+        # an identity first layer and a ones readout make the Mlp2 sum(gelu(x)),
+        # so its input gradient is the GELU derivative mlp2_bwd builds from the
+        # cached normal CDF
         rng = np.random.default_rng(6)
         x = rng.standard_normal(11)
-        numeric = finite_diff_grad(lambda t: float(gelu(t).sum()), x)
-        assert compare_grads(gelu_grad(x), numeric, tol=1e-7).passed
+        mlp = Mlp2(w1=np.eye(11), b1=np.zeros(11), w2=np.ones((1, 11)), b2=np.zeros(1))
+        numeric = finite_diff_grad(lambda t: float(mlp2_fwd(mlp, t[None])[0].sum()), x)
+        _, cache = mlp2_fwd(mlp, x[None])
+        analytic = mlp2_bwd(mlp, cache, np.ones((1, 1)))[1][0]
+        assert compare_grads(analytic, numeric, tol=1e-7).passed
 
     def test_bad_h(self):
         with pytest.raises(NumericError):
