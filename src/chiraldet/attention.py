@@ -12,6 +12,7 @@ a BatchMask marks the valid queries and keys.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -167,12 +168,12 @@ def attend_fwd(layer: LayerParams, h_c_in, h_r, h_n, bias_in, mask: BatchMask,
     """
     n_batch, n_q, h = h_c_in.shape
     n_heads = layer.n_heads
-    if (mask.queries[:, 1:].any(axis=1) & ~mask.keys.any(axis=1)).any():
+    if mask.keyless_units:
         raise NumericError("chiral queries present but the key set is empty")
     qh = _heads(h_c_in @ layer.wq.T, n_heads)
     kh = _heads(np.concatenate([h_r @ layer.wk_r.T, h_n @ layer.wk_n.T], axis=1), n_heads)
     vh = _heads(np.concatenate([h_r @ layer.wv_r.T, h_n @ layer.wv_n.T], axis=1), n_heads)
-    scale = 1.0 / np.sqrt(h // n_heads)
+    scale = 1.0 / math.sqrt(h // n_heads)
     scores = (qh @ kh.transpose(0, 1, 3, 2)).transpose(0, 2, 3, 1) * scale
     logits = scores + bias_in
     if not np.isfinite(logits).all():

@@ -158,9 +158,13 @@ def cmd_gradcheck(args) -> int:
                             sabotage=args.sabotage)
     failed = [r for r in reports if not r.passed]
     for r in reports:
-        print(f"{'PASS' if r.passed else 'FAIL'} {r.name} max_rel_error={r.max_rel_error:.3e}")
+        if r.passed:
+            print(f"PASS {r.name} max_rel_error={r.max_rel_error:.3e}")
+        else:
+            print(f"FAIL {r.name} max_rel_error={r.max_rel_error:.3e} worst={r.worst}")
         if args.verbose:
-            print(f"{r.name} took {r.seconds:.3f} s", file=sys.stderr)
+            print(f"{r.name} took {r.evaluations} evaluations in {r.seconds:.3f} s",
+                  file=sys.stderr)
     if failed:
         print("failed blocks: " + ", ".join(r.name for r in failed), file=sys.stderr)
         return EXIT_CHECK_FAILED

@@ -27,6 +27,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
@@ -44,6 +45,9 @@ from .numerics import INV_SQRT_2PI, cofactor3_batch, det3_batch, normal_cdf
 
 # added to the pooled variance sigma^2 of every normalized slice
 KERNEL_EPS = 1e-5
+# the I_3 of the rank penalty, read-only since every call shares it
+_EYE3 = np.eye(3)
+_EYE3.flags.writeable = False
 
 
 class RankStrategy(Enum):
@@ -91,6 +95,13 @@ class BatchMask:
 
     queries: np.ndarray  # (B, Q) bool, token row first
     keys: np.ndarray  # (B, Kr + Kn) bool, related keys first
+
+    @cached_property
+    def keyless_units(self) -> bool:
+        """Whether some molecule has chiral queries but no valid key, which
+        attention rejects. Read from the masks once, on first use, so a
+        mask must not be edited after that."""
+        return bool((self.queries[:, 1:].any(axis=1) & ~self.keys.any(axis=1)).any())
 
     @classmethod
     def of_counts(cls, n_units, n_related, n_nonchiral) -> "BatchMask":
@@ -144,6 +155,7 @@ class MoleculeBatch:
     the padded arrays (unit slots count the token row).
     """
 
+    ids: tuple[str, ...]  # Molecule.id of each molecule, for error messages
     partitions: list[AtomPartition]
     mask: BatchMask
     k_r: int  # width of the related-key block, Kr
@@ -243,12 +255,12 @@ def kernel_bwd(cache, d_out):
 
 def regularization_loss(bank: KernelBank) -> float:
     """Sum over slices of ||w^T w - I_3||_F^2."""
-    diff = bank.w.transpose(0, 2, 1) @ bank.w - np.eye(3)
+    diff = bank.w.transpose(0, 2, 1) @ bank.w - _EYE3
     return float((diff * diff).sum())
 
 
 def regularization_grad(bank: KernelBank) -> np.ndarray:
-    return 4.0 * bank.w @ (bank.w.transpose(0, 2, 1) @ bank.w - np.eye(3))
+    return 4.0 * bank.w @ (bank.w.transpose(0, 2, 1) @ bank.w - _EYE3)
 
 
 def retract_orthonormal(bank: KernelBank) -> KernelBank:
@@ -320,6 +332,7 @@ def prepare_batch(mols) -> MoleculeBatch:
     key_positions[rb, rs] = np.vstack([m.coords[i] for m, i in zip(mols, related)])
     key_positions[nb, k_r + ns] = np.vstack([m.coords[i] for m, i in zip(mols, nonchiral)])
     return MoleculeBatch(
+        ids=tuple(m.id for m in mols),
         partitions=partitions,
         mask=mask,
         k_r=k_r,

@@ -67,6 +67,8 @@ class BlockReport:
     name: str
     max_rel_error: float
     passed: bool
+    worst: str  # the audited entry of max_rel_error, as <array>[i, j]
+    evaluations: int  # finite-difference evaluations of the block's loss
     seconds: float  # wall time of the block's audit
 
 
@@ -80,19 +82,39 @@ def flatten(*items) -> np.ndarray:
     return np.concatenate([a.ravel() for item in items for a in _arrays(item)])
 
 
-def unflatten(theta, *like) -> list:
-    """Inverse of flatten: consecutive views of theta shaped like the arrays
-    of `like`. A parameter dataclass comes back as a copy of the same type
-    whose array fields are views."""
-    out, i = [], 0
-    for item in like:
-        is_array = isinstance(item, np.ndarray)
-        views = {}
-        for name, a in [(None, item)] if is_array else _leaves(item):
-            views[name] = theta[i : i + a.size].reshape(a.shape)
-            i += a.size
-        out.append(views[None] if is_array else replace(item, **views))
-    return out
+def _numeric(arrays, loss_of) -> np.ndarray:
+    """Central differences of a scalar loss in every entry of `arrays`,
+    (name, array) pairs, in order.
+
+    While an array is moved, each evaluation writes its point into that
+    array, in place, and calls loss_of(name)(), so no evaluation unpacks a
+    flat vector or rebuilds a parameter dataclass. Each array is restored
+    before the next is moved.
+    """
+    numeric = []
+    for name, live in arrays:
+        loss = loss_of(name)
+        theta0 = live.flatten()
+
+        def loss_at(theta):
+            live[...] = theta.reshape(live.shape)
+            return loss()
+
+        try:
+            numeric.append(finite_diff_grad(loss_at, theta0))
+        finally:
+            live[...] = theta0.reshape(live.shape)
+    return np.concatenate(numeric)
+
+
+def _entry(arrays, index: int) -> str:
+    """The entry at a flat index of the vector _numeric(arrays, ...) returns,
+    as <name>[i, j]."""
+    for name, a in arrays:
+        if index < a.size:
+            return f"{name}[{', '.join(str(int(i)) for i in np.unravel_index(index, a.shape))}]"
+        index -= a.size
+    raise IndexError(f"index {index} is past the audited arrays")
 
 
 def _nonsingular_mc(rng, n, floor=0.3):
@@ -104,30 +126,35 @@ def _nonsingular_mc(rng, n, floor=0.3):
     return np.stack(out)
 
 
+# Each _check_* returns (analytic, numeric, arrays): both gradients over the
+# entries of the audited (name, array) pairs, in order.
+
+
 def _check_kernel(rng, config: ModelConfig):
     bank = init_kernel_bank(rng, 2, 4)
     bank.gamma[:] = rng.uniform(0.8, 1.2, 4)
     mc = _nonsingular_mc(rng, 2)
     weights = rng.standard_normal((2, 2))
+    arrays = [("w", bank.w), ("gamma", bank.gamma), ("mc", mc)]
 
-    def f(theta):
-        w, gamma, m = unflatten(theta, bank.w, bank.gamma, mc)
-        return float((weights * kernel_fwd(replace(bank, w=w, gamma=gamma), m)[0]).sum())
+    def f():
+        return float((weights * kernel_fwd(bank, mc)[0]).sum())
 
-    numeric = finite_diff_grad(f, flatten(bank.w, bank.gamma, mc))
+    numeric = _numeric(arrays, lambda _: f)
     _, cache = kernel_fwd(bank, mc)
     grads, d_mc = kernel_bwd(cache, weights)
-    return flatten(grads.w, grads.gamma, d_mc), numeric
+    return flatten(grads.w, grads.gamma, d_mc), numeric, arrays
 
 
 def _check_reg_loss(rng, config: ModelConfig):
     bank = KernelBank(w=rng.standard_normal((2, 4, 3)), gamma=np.ones(4))
+    arrays = [("w", bank.w)]
 
-    def f(theta):
-        return regularization_loss(replace(bank, w=theta.reshape(bank.w.shape)))
+    def f():
+        return regularization_loss(bank)
 
-    numeric = finite_diff_grad(f, bank.w.ravel())
-    return regularization_grad(bank).ravel(), numeric
+    numeric = _numeric(arrays, lambda _: f)
+    return regularization_grad(bank).ravel(), numeric, arrays
 
 
 def _check_layer_norm(rng, config: ModelConfig):
@@ -135,13 +162,14 @@ def _check_layer_norm(rng, config: ModelConfig):
     gamma = rng.uniform(0.5, 1.5, 8)
     beta = rng.standard_normal(8)
     weights = rng.standard_normal((3, 8))
+    arrays = [("x", x), ("gamma", gamma), ("beta", beta)]
 
-    def f(theta):
-        return float((weights * layer_norm_rows(*unflatten(theta, x, gamma, beta))[0]).sum())
+    def f():
+        return float((weights * layer_norm_rows(x, gamma, beta)[0]).sum())
 
-    numeric = finite_diff_grad(f, flatten(x, gamma, beta))
+    numeric = _numeric(arrays, lambda _: f)
     _, cache = layer_norm_rows(x, gamma, beta)
-    return flatten(*layer_norm_rows_backward(weights, cache, gamma)), numeric
+    return flatten(*layer_norm_rows_backward(weights, cache, gamma)), numeric, arrays
 
 
 def _pair_instance(rng):
@@ -159,14 +187,14 @@ def _check_distance_bias(rng, config: ModelConfig):
     params.sigma = rng.uniform(0.5, 1.5, 4)
     pairs = _pair_instance(rng)
     weights = rng.standard_normal((2, 3, 5, 2))
+    arrays = _leaves(params)
 
-    def f(theta):
-        (p,) = unflatten(theta, params)
-        return float((weights * pair_bias_fwd(p, pairs)[0]).sum())
+    def f():
+        return float((weights * pair_bias_fwd(params, pairs)[0]).sum())
 
-    numeric = finite_diff_grad(f, flatten(params))
+    numeric = _numeric(arrays, lambda _: f)
     _, cache = pair_bias_fwd(params, pairs)
-    return flatten(pair_bias_bwd(params, cache, weights)), numeric
+    return flatten(pair_bias_bwd(params, cache, weights)), numeric, arrays
 
 
 def _check_attention_layer(rng, config: ModelConfig):
@@ -177,59 +205,51 @@ def _check_attention_layer(rng, config: ModelConfig):
     reach the emitted logits, so their gradients are audited as well."""
     layer = init_layer(rng, 8, 2)
     mask = BatchMask.of_counts([1, 0, 0], [2, 0, 0], [1, 2, 0])
-    # h_c, h_r, h_n and the incoming bias
     inputs = [rng.standard_normal(s) for s in ((3, 2, 8), (3, 2, 8), (3, 2, 8), (3, 2, 4, 2))]
     w_out = rng.standard_normal((3, 2, 8))
     w_bias = rng.standard_normal((3, 2, 4, 2))
+    arrays = _leaves(layer) + list(zip(("h_c_in", "h_r", "h_n", "bias_in"), inputs))
 
-    def f(theta):
-        out, bias_out, _, _ = attend_fwd(*unflatten(theta, layer, *inputs), mask)
+    def f():
+        out, bias_out, _, _ = attend_fwd(layer, *inputs, mask)
         return float((w_out * out).sum() + (w_bias * bias_out).sum())
 
-    numeric = finite_diff_grad(f, flatten(layer, *inputs))
+    numeric = _numeric(arrays, lambda _: f)
     _, _, _, cache = attend_fwd(layer, *inputs, mask)
-    return flatten(*attend_bwd(layer, cache, w_out, w_bias)), numeric
+    return flatten(*attend_bwd(layer, cache, w_out, w_bias)), numeric, arrays
 
 
 def _check_predictor(rng, config: ModelConfig):
     mlp = init_mlp2(rng, 8, 8, 2)
     x = rng.standard_normal((3, 8))
     weights = rng.standard_normal((3, 2))
+    arrays = _leaves(mlp) + [("x", x)]
 
-    def f(theta):
-        return float((weights * mlp2_fwd(*unflatten(theta, mlp, x))[0]).sum())
+    def f():
+        return float((weights * mlp2_fwd(mlp, x)[0]).sum())
 
-    numeric = finite_diff_grad(f, flatten(mlp, x))
+    numeric = _numeric(arrays, lambda _: f)
     _, cache = mlp2_fwd(mlp, x)
-    return flatten(*mlp2_bwd(mlp, cache, weights)), numeric
+    return flatten(*mlp2_bwd(mlp, cache, weights)), numeric, arrays
 
 
-def _oracle(model, batch, objective, reg_weight: float, names) -> np.ndarray:
+def _oracle(model, batch, objective, reg_weight: float, names):
     """Central differences of batch_loss in the named live parameters, in
-    named_parameters order.
+    named_parameters order; returns (numeric, the audited (name, array)
+    pairs).
 
     One forward at the starting point is the prefix that every evaluation
-    resumes from: an evaluation writes its point into one array, in place,
-    and reruns the forward from the first stage that array reaches
-    (parameter_stage). Each array is restored before the next is moved.
+    resumes from: an evaluation reruns the forward from the first stage
+    that the moved array reaches (parameter_stage).
     """
     prefix = forward_batch(model, batch)
-    numeric = []
-    for name, live in named_parameters(model):
-        if name not in names:
-            continue
+    arrays = [(name, live) for name, live in named_parameters(model) if name in names]
+
+    def loss_of(name):
         start = parameter_stage(model, name)
-        theta0 = live.flatten()
+        return lambda: batch_loss(model, batch, objective, reg_weight, prefix, start)
 
-        def loss_at(theta):
-            live[...] = theta.reshape(live.shape)
-            return batch_loss(model, batch, objective, reg_weight, prefix, start)
-
-        try:
-            numeric.append(finite_diff_grad(loss_at, theta0))
-        finally:
-            live[...] = theta0.reshape(live.shape)
-    return np.concatenate(numeric)
+    return _numeric(arrays, loss_of), arrays
 
 
 def _check_full_loss(rng, config: ModelConfig):
@@ -245,10 +265,11 @@ def _check_full_loss(rng, config: ModelConfig):
         [(mol_a, label_a), (tile_molecules([mol_b, mol_c]), label_b)]
     ))
     batch = prepare_batch(mols)
-    objective = classify_loss(labels)
-    numeric = _oracle(model, batch, objective, 0.1, {n for n, _ in named_parameters(model)})
+    objective = classify_loss(labels, config.n_classes)
+    numeric, arrays = _oracle(model, batch, objective, 0.1,
+                              {n for n, _ in named_parameters(model)})
     _, _, grads = batch_step(model, batch, objective, reg_weight=0.1)
-    return flatten(*(a for _, a in named_parameters(grads))), numeric
+    return flatten(*(a for _, a in named_parameters(grads))), numeric, arrays
 
 
 def _check_rank_loss(rng, config: ModelConfig):
@@ -270,9 +291,9 @@ def _check_rank_loss(rng, config: ModelConfig):
     batch = prepare_batch(his + los)
     objective = rank_loss(margin)
     live = {"encoder.kernel.gamma"} | {f"head.{n}" for n, _ in _leaves(model.head)}
-    numeric = _oracle(model, batch, objective, 0.0, live)
+    numeric, arrays = _oracle(model, batch, objective, 0.0, live)
     _, _, grads = batch_step(model, batch, objective, reg_weight=0.0)
-    return flatten(grads.encoder.kernels.gamma, grads.head), numeric
+    return flatten(grads.encoder.kernels.gamma, grads.head), numeric, arrays
 
 
 _CHECKS = {
@@ -298,10 +319,12 @@ def run_gradcheck(config: ModelConfig = TINY_CONFIG, seed: int = 1, tol: float =
     for name in blocks:
         began = time.perf_counter()
         rng = np.random.default_rng(seed + zlib.crc32(name.encode()) % 1000)
-        analytic, numeric = _CHECKS[name](rng, config)
+        analytic, numeric, arrays = _CHECKS[name](rng, config)
         if sabotage and name.startswith(sabotage):
             analytic = analytic * 1.02 + 0.01
         rep = compare_grads(analytic, numeric, tol=tol)
         reports.append(BlockReport(name=name, max_rel_error=rep.max_rel_error, passed=rep.passed,
+                                   worst=_entry(arrays, rep.worst_index),
+                                   evaluations=2 * numeric.size,
                                    seconds=time.perf_counter() - began))
     return reports

@@ -201,8 +201,9 @@ def forward_batch(model: ChiralModel, batch: MoleculeBatch, prefix: BatchState |
     of an earlier stage (parameter_stage) changed since the prefix was
     computed. The prefix is not modified.
 
-    Non-finite logits raise NumericError naming the first stage whose
-    output is non-finite.
+    Non-finite logits raise NumericError naming the first molecule whose
+    logits are non-finite (its id, or its index in the batch when the id is
+    empty) and the first stage whose output is non-finite for it.
     """
     n_layers = len(model.layers)
     if not 0 <= start <= n_layers + 1:
@@ -249,10 +250,13 @@ def forward_batch(model: ChiralModel, batch: MoleculeBatch, prefix: BatchState |
         },
     )
     if not np.isfinite(logits).all():
-        # the walk ends at the logits, so it always finds a stage
+        b = int(np.flatnonzero(~np.isfinite(logits).all(axis=1))[0])
+        # the walk ends at the molecule's logits, so it always finds a stage
         first = next(name for outputs in stage_outputs(state) for name, arr in outputs
-                     if not np.isfinite(arr).all())
-        raise NumericError(f"non-finite logits, first non-finite stage output: {first}")
+                     if not np.isfinite(arr[b]).all())
+        who = batch.ids[b] or f"at index {b}"
+        raise NumericError(f"molecule {who}: non-finite logits, "
+                           f"first non-finite stage output: {first}")
     return state
 
 
@@ -260,7 +264,8 @@ def stage_outputs(state: BatchState) -> list:
     """Per forward_batch stage, (name, array) of each output it passes on:
     the encoder rows and the initial pair bias, each layer's query rows and
     emitted bias (the last layer's bias is not kept), the pooled rows and
-    the logits. Reads the layer caches, so not after backward_batch."""
+    the logits, each with the molecule on its first axis. Reads the layer
+    caches, so not after backward_batch."""
     enc = state.encoded
     layers = state.caches["layers"]
     outputs = [[("encoder", enc.h_c), ("encoder", enc.h_r), ("encoder", enc.h_n),
@@ -312,18 +317,29 @@ def embed(model: ChiralModel, mol: Molecule) -> np.ndarray:
     return forward_batch(model, prepare_batch([mol])).pooled[0]
 
 
-def loss_classify(logits, label):
-    """Softmax cross-entropy over the last axis of (..., C) logits, summed
-    over any leading axes; returns (loss, d_logits)."""
-    logits = np.asarray(logits, dtype=np.float64)
+def _onehot(label, n_classes: int) -> np.ndarray:
+    """(..., n_classes) bool one-hot of class indices; raises ValueError for
+    an index outside 0..n_classes - 1."""
     label = np.asarray(label)
-    if np.any((label < 0) | (label >= logits.shape[-1])):
+    if np.any((label < 0) | (label >= n_classes)):
         raise ValueError(f"label {label} out of range")
-    onehot = np.arange(logits.shape[-1]) == label[..., None]
+    return np.arange(n_classes) == label[..., None]
+
+
+def _softmax_xent(logits, onehot):
+    """Softmax cross-entropy of (..., C) logits against a one-hot of the
+    same shape, summed over any leading axes; returns (loss, d_logits)."""
     shifted = logits - logits.max(axis=-1, keepdims=True)
     lse = np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
     loss = float((lse - shifted)[onehot].sum())
     return loss, np.exp(shifted - lse) - onehot
+
+
+def loss_classify(logits, label):
+    """Softmax cross-entropy over the last axis of (..., C) logits, summed
+    over any leading axes; returns (loss, d_logits)."""
+    logits = np.asarray(logits, dtype=np.float64)
+    return _softmax_xent(logits, _onehot(label, logits.shape[-1]))
 
 
 def loss_margin_rank(score_hi, score_lo, margin: float):
@@ -336,13 +352,19 @@ def loss_margin_rank(score_hi, score_lo, margin: float):
     return float(np.maximum(gap, 0.0).sum()), -active, active
 
 
-def classify_loss(labels):
+def classify_loss(labels, n_classes: int):
     """The mean cross-entropy objective of a batch with one class index per
-    molecule: logits -> (loss, d_logits, n_correct)."""
+    molecule, scored by an n_classes head: logits -> (loss, d_logits,
+    n_correct). The labels are checked and one-hot encoded here, once per
+    objective, not once per evaluation."""
     labels = np.asarray(labels)
+    onehot = _onehot(labels, n_classes)
 
     def objective(logits):
-        loss, d_logits = loss_classify(logits, labels)
+        if logits.shape != onehot.shape:
+            raise ValueError(f"logits of shape {logits.shape} for {onehot.shape[0]} labels "
+                             f"of {n_classes} classes")
+        loss, d_logits = _softmax_xent(logits, onehot)
         n_correct = int((logits.argmax(axis=1) == labels).sum())
         return loss / len(labels), d_logits / len(labels), n_correct
 
@@ -561,7 +583,7 @@ def train(model: ChiralModel, dataset, cfg: TrainConfig, val_dataset=None,
                 lr_now = cosine_lr(step, total_steps, cfg.lr, cfg.min_lr_factor)
                 firsts, seconds = zip(*batch)
                 if margin is None:
-                    mols, objective = firsts, classify_loss(seconds)
+                    mols, objective = firsts, classify_loss(seconds, model.config.n_classes)
                 else:
                     mols, objective = firsts + seconds, ranking
                 try:

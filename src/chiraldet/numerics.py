@@ -47,12 +47,18 @@ def cofactor3_batch(a) -> np.ndarray:
 
 
 def layer_norm_rows(x, gamma, beta, eps=1e-5):
-    """Row-wise layer norm of a 2-D array; returns (out, cache) for backward."""
+    """Row-wise layer norm of a 2-D array; returns (out, cache) for backward.
+
+    The rows are centred once. Mean and variance are the reductions that
+    x.mean and x.var make, so the result is theirs to the bit, without
+    their Python wrappers or var's second centring.
+    """
     x = np.asarray(x, dtype=np.float64)
-    mu = x.mean(axis=1, keepdims=True)
-    var = x.var(axis=1, keepdims=True)
+    d = x.shape[1]
+    xc = x - np.add.reduce(x, axis=1, keepdims=True) / d
+    var = np.add.reduce(xc * xc, axis=1, keepdims=True) / d
     inv = 1.0 / np.sqrt(var + eps)
-    xhat = (x - mu) * inv
+    xhat = xc * inv
     out = xhat * gamma + beta
     return out, (xhat, inv)
 

@@ -1,8 +1,11 @@
 """Reference computations that the tests check the package against."""
 
+from dataclasses import replace
+
 import numpy as np
 
 from chiraldet.errors import NumericError
+from chiraldet.model import _leaves
 from chiraldet.numerics import det3_batch
 
 
@@ -21,3 +24,27 @@ def gram_sqrt_det(w) -> float:
             raise NumericError(f"Gram determinant {d} negative beyond round-off")
         return 0.0
     return float(np.sqrt(d))
+
+
+def layer_norm_rows_reference(x, gamma, beta, eps=1e-5):
+    """numpy's mean and var layer norm: (out, xhat, inv) of the rows of x."""
+    mu = x.mean(axis=1, keepdims=True)
+    var = x.var(axis=1, keepdims=True)
+    inv = 1.0 / np.sqrt(var + eps)
+    xhat = (x - mu) * inv
+    return xhat * gamma + beta, xhat, inv
+
+
+def unflatten(theta, *like) -> list:
+    """Inverse of gradcheck.flatten: consecutive views of theta shaped like
+    the arrays of `like`. A parameter dataclass comes back as a copy of the
+    same type whose array fields are views."""
+    out, i = [], 0
+    for item in like:
+        is_array = isinstance(item, np.ndarray)
+        views = {}
+        for name, a in [(None, item)] if is_array else _leaves(item):
+            views[name] = theta[i : i + a.size].reshape(a.shape)
+            i += a.size
+        out.append(views[None] if is_array else replace(item, **views))
+    return out

@@ -18,8 +18,9 @@ from chiraldet.data import SyntheticSpec, gen_rs
 from chiraldet.encoder import BatchMask, pair_inputs, prepare_batch
 from chiraldet.errors import DegeneracyError, NumericError
 from chiraldet.geometry import partition_atoms, reference_point
-from chiraldet.gradcheck import flatten, unflatten
+from chiraldet.gradcheck import flatten
 from chiraldet.numerics import compare_grads, finite_diff_grad
+from oracles import unflatten
 
 
 def full_mask(n_q, n_keys):
@@ -281,6 +282,23 @@ class TestAttend:
         with pytest.raises(NumericError):
             attend_fwd(layer, rng.standard_normal((1, 2, 8)), np.zeros((1, 0, 8)),
                        np.zeros((1, 0, 8)), np.zeros((1, 2, 0, 2)), full_mask(2, 0))
+
+    def test_keyless_molecule_of_a_hand_built_mask_rejected(self):
+        """The key check is read from the mask once; every call with the
+        mask still raises, and the same batch with a key for the second
+        molecule runs."""
+        rng = np.random.default_rng(12)
+        layer = init_layer(rng, 8, 2)
+        queries = np.ones((2, 2), bool)
+        inputs = (rng.standard_normal((2, 2, 8)), rng.standard_normal((2, 1, 8)),
+                  rng.standard_normal((2, 1, 8)), rng.standard_normal((2, 2, 2, 2)))
+        keyless = BatchMask(queries=queries, keys=np.array([[True, True], [False, False]]))
+        for _ in range(2):
+            with pytest.raises(NumericError, match="key set is empty"):
+                attend_fwd(layer, *inputs, keyless)
+        keyed = BatchMask(queries=queries, keys=np.array([[True, True], [False, True]]))
+        out, _, _, _ = attend_fwd(layer, *inputs, keyed)
+        assert np.all(np.isfinite(out))
 
     def test_token_only_skips_attention(self):
         rng = np.random.default_rng(11)

@@ -1,6 +1,8 @@
 """The padded batch path: one forward/backward over molecules of mixed size
 must give each molecule exactly what a batch of one gives it."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -235,3 +237,55 @@ def test_nonfinite_logits_name_first_nonfinite_stage(mixed, name, stage):
     dict(named_parameters(model))[name].flat[0] = np.nan
     with pytest.raises(NumericError, match=f"first non-finite stage output: {stage}$"):
         forward_batch(model, prepare_batch(mixed[0]))
+
+
+@pytest.mark.parametrize("keep_ids", [True, False])
+def test_nonfinite_logits_name_first_nonfinite_molecule(mixed, keep_ids):
+    """Head weights under which only the molecules on one side of a plane
+    through their pooled rows overflow, molecule 0 not among them: the
+    error names the first that does, by its id or, when the id is empty,
+    by its index in the batch."""
+    mols = mixed[0][:6] if keep_ids else [replace(m, id="") for m in mixed[0][:6]]
+    model = init_model(ModelConfig(**TINY, seed=12))
+    pooled = forward_batch(model, prepare_batch(mols)).pooled
+    # the plane halfway between molecules 0 and 2, normal to v
+    v = pooled[2] - pooled[0]
+    c = (pooled[0] + pooled[2]) @ v / 2
+    first = int(np.flatnonzero(pooled @ v > c)[0])
+    assert 0 < first <= 2
+    # hidden unit 0 becomes 1e200 (pooled . v - c); GELU keeps it where it
+    # is positive, where the 1e300 readout overflows, and zeroes it elsewhere
+    model.head.w1[0] = 1e200 * v
+    model.head.b1[0] = -1e200 * c
+    model.head.w2[:, 0] = 1e300
+    who = mols[first].id if keep_ids else f"at index {first}"
+    with pytest.raises(NumericError, match=f"^molecule {who}: non-finite logits, "
+                                           "first non-finite stage output: pooling and head$"):
+        forward_batch(model, prepare_batch(mols))
+
+
+def test_nonfinite_stage_is_the_named_molecules(mixed):
+    """Molecule 1 overflows in the last layer's feed-forward; once the head
+    overflows for molecule 0 too, the error names molecule 0 and its own
+    first non-finite stage, not molecule 1's earlier one."""
+    mols = mixed[0][:2]  # one unit each, so no pad query rows
+    model = init_model(ModelConfig(**TINY, seed=13))
+    batch = prepare_batch(mols)
+    # the rows entering the last feed-forward, per molecule
+    rows = forward_batch(model, batch).caches["layers"][-1].ff[0].reshape(2, -1, TINY["h"])
+    r1 = rows[1, 0]
+    c = (np.max(rows[0] @ r1) + r1 @ r1) / 2
+    assert np.max(rows[0] @ r1) < c < r1 @ r1
+    last = model.layers[-1]
+    last.ff_w1[0] = 1e200 * r1
+    last.ff_b1[0] = -1e200 * c
+    last.ff_w2[:, 0] = 1e300
+    with pytest.raises(NumericError, match=f"^molecule {mols[1].id}: .* output: layer 1$"):
+        forward_batch(model, batch)
+    p0 = forward_batch(model, prepare_batch(mols[:1])).pooled[0]
+    model.head.w1[0] = 1e200 * p0
+    model.head.b1[0] = -0.5e200 * (p0 @ p0)
+    model.head.w2[:, 0] = 1e300
+    with pytest.raises(NumericError,
+                       match=f"^molecule {mols[0].id}: .* output: pooling and head$"):
+        forward_batch(model, batch)

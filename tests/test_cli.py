@@ -11,6 +11,7 @@ from chiraldet.cli import main
 from chiraldet.data import (
     featurize,
     gen_axial,
+    read_manifest,
     toy_axial_molecule,
     write,
     write_dataset,
@@ -221,6 +222,9 @@ class TestTrainEval:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert "non-finite logits, first non-finite stage output: pooling and head" in captured.err
+        # every molecule overflows, so the error names the first one evaluated
+        first = read_manifest(ds)[0][0].id
+        assert captured.err.startswith(f"numeric error: molecule {first}: non-finite logits")
 
     def test_empty_manifest(self, tmp_path, tiny_ckpt):
         ds = tmp_path / "empty"
@@ -464,6 +468,19 @@ PASS model.rank_loss max_rel_error=3.508e-08
 """,
 }
 
+# finite-difference evaluations per block, two per audited coordinate: what
+# the audit covers, whatever its speed
+AUDIT_EVALUATIONS = {
+    "encoder.kernel": 92,
+    "encoder.reg_loss": 48,
+    "numerics.layer_norm": 80,
+    "attention.distance_bias": 64,
+    "attention.layer": 2320,
+    "model.predictor": 228,
+    "model.full_loss": 7372,
+    "model.rank_loss": 170,
+}
+
 
 class TestGradcheckCmd:
     def test_pass_and_negative_control(self, capsys):
@@ -476,6 +493,16 @@ class TestGradcheckCmd:
         captured = capsys.readouterr()
         assert "FAIL encoder.kernel" in captured.out
         assert "encoder" in captured.err
+        # FAIL lines name the worst audited entry; PASS lines stay as pinned
+        lines = captured.out.splitlines()
+        assert [line for line in lines if line.startswith("FAIL")] == [
+            "FAIL encoder.kernel max_rel_error=9.131e-01 worst=mc[1, 1, 2]",
+            "FAIL encoder.reg_loss max_rel_error=8.408e-02 worst=w[1, 2, 1]",
+        ]
+        assert [line for line in lines if line.startswith("PASS")] == [
+            line for line in GRADCHECK_STDOUT["1"].splitlines()
+            if not line.startswith("PASS encoder.")
+        ]
 
     def test_repeat_runs_identical(self, capsys):
         main(["gradcheck", "--seed", "2"])
@@ -488,6 +515,9 @@ class TestGradcheckCmd:
         timings = captured.err.splitlines()
         assert [line.split(" took ")[0] for line in timings] == list(BLOCKS)
         assert all(line.endswith(" s") and float(line.split()[-2]) >= 0.0 for line in timings)
+        # two evaluations per audited coordinate, next to the wall time
+        assert [int(line.split(" took ")[1].split()[0]) for line in timings] == list(
+            AUDIT_EVALUATIONS.values())
 
     def test_output_independent_of_hash_seed(self):
         # block seeds must not depend on Python's per-process str hashing

@@ -27,9 +27,9 @@ from chiraldet.geometry import (
     random_rotation,
     transform,
 )
-from chiraldet.gradcheck import flatten, unflatten
+from chiraldet.gradcheck import flatten
 from chiraldet.numerics import compare_grads, det3_batch, finite_diff_grad
-from oracles import gram_sqrt_det
+from oracles import gram_sqrt_det, unflatten
 
 
 def orthonormal_identity_bank(d_p=8):

@@ -15,7 +15,7 @@ from chiraldet.errors import (
     NumericError,
 )
 from chiraldet.geometry import mirror, random_rotation, transform
-from chiraldet.gradcheck import TINY_CONFIG, flatten, unflatten
+from chiraldet.gradcheck import TINY_CONFIG, flatten
 from chiraldet.numerics import compare_grads, finite_diff_grad
 from chiraldet.model import (
     ADAM_BETA1,
@@ -27,6 +27,7 @@ from chiraldet.model import (
     attention_export_rows,
     batch_loss,
     batch_step,
+    classify_loss,
     cosine_lr,
     embed,
     evaluate,
@@ -42,6 +43,7 @@ from chiraldet.model import (
     save_checkpoint,
     train,
 )
+from oracles import unflatten
 
 TINY = dict(h=8, d_p=4, n_layers=2, n_heads=2, n_gkpt=8)
 
@@ -134,6 +136,25 @@ class TestLosses:
         with pytest.raises(ValueError,
                            match=f"^margin must be finite and non-negative, got {margin}$"):
             rank_loss(margin)
+
+    @pytest.mark.parametrize("labels", [[0, 2], [-1, 1]])
+    def test_classify_loss_rejects_bad_label_when_built(self, labels):
+        with pytest.raises(ValueError, match="out of range"):
+            classify_loss(labels, 2)
+
+    def test_classify_loss_is_mean_loss_classify(self):
+        rng = np.random.default_rng(54)
+        logits = rng.standard_normal((3, 2))
+        labels = [1, 0, 1]
+        objective = classify_loss(labels, 2)
+        total, d_total = loss_classify(logits, labels)
+        for _ in range(2):  # the one-hot made with the objective serves every call
+            loss, d_logits, n_correct = objective(logits)
+            assert loss == total / 3
+            assert np.array_equal(d_logits, d_total / 3)
+            assert n_correct == int((logits.argmax(axis=1) == labels).sum())
+        with pytest.raises(ValueError, match="logits of shape"):
+            objective(logits[:, :1])
 
 
 class TestConfig:

@@ -16,7 +16,7 @@ from chiraldet.numerics import (
     layer_norm_rows,
     layer_norm_rows_backward,
 )
-from oracles import gram_sqrt_det
+from oracles import gram_sqrt_det, layer_norm_rows_reference
 
 
 def leibniz_det3(a):
@@ -201,6 +201,23 @@ class TestLayerNorm:
         for i in range(4):
             expect = (x[i] - x[i].mean()) / np.sqrt(x[i].var() + 1e-5) * gamma + beta
             assert np.allclose(rows[i], expect, atol=1e-12)
+
+    @given(st.integers(1, 40), st.integers(1, 300), st.integers(-200, 200),
+           st.floats(-1e3, 1e3), st.integers(0, 10_000))
+    @settings(max_examples=200, deadline=None)
+    def test_one_centring_matches_numpy_moments_bitwise(self, n, d, log2_scale, offset, seed):
+        """The one-pass centring gives the bytes of numpy's mean and var,
+        over row counts, widths past numpy's 8-way unrolled and 128-wide
+        pairwise summation blocks, and scales from tiny to huge."""
+        rng = np.random.default_rng(seed)
+        x = rng.standard_normal((n, d)) * 2.0**log2_scale + offset
+        gamma = rng.standard_normal(d)
+        beta = rng.standard_normal(d)
+        out, (xhat, inv) = layer_norm_rows(x, gamma, beta)
+        ref_out, ref_xhat, ref_inv = layer_norm_rows_reference(x, gamma, beta)
+        assert np.array_equal(out, ref_out)
+        assert np.array_equal(xhat, ref_xhat)
+        assert np.array_equal(inv, ref_inv)
 
     def test_rows_backward_matches_fd(self):
         rng = np.random.default_rng(5)
