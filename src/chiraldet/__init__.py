@@ -4,16 +4,13 @@ a trainable classifier. All numerics are hand-rolled float64 numpy,
 including every reverse-mode gradient."""
 
 from .geometry import (
-    AtomPartition,
     ChiralUnit,
     Configuration,
     Molecule,
     UnitKind,
     assign_configuration,
-    chirality_matrix,
     mirror,
     order_substituents,
-    partition_atoms,
     reference_point,
     transform,
     unit_products,

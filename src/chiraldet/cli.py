@@ -116,7 +116,8 @@ def cmd_invariance(args) -> int:
         return EXIT_INPUT_ERROR
     mol = data_mod.parse(args.file)
     products = unit_products(mol)
-    live = [i for i, p in enumerate(products) if abs(p) > args.tol]
+    live = [i for i, p in enumerate(products)
+            if assign_configuration(p, args.tol) is not Configuration.DEGENERATE]
     for i, p in enumerate(products):
         if i not in live:
             print(f"warning: unit {i} is Degenerate (P={p:.3e}), sign check skipped",

@@ -28,12 +28,13 @@ from .geometry import (
     Molecule,
     UnitKind,
     assign_configuration,
-    chirality_matrix,
+    chirality_matrices,
     mirror,
     order_substituents,
     random_rotation,
     reference_point,
     transform,
+    unit_atoms,
     unit_products,
 )
 from .numerics import det3_batch
@@ -318,7 +319,7 @@ def _generate(spec: SyntheticSpec, id_prefix: str, draw, random_pose: bool):
             if n_spec:
                 coords = np.concatenate([coords, _place_spectators(rng, coords, n_spec)])
                 zs.extend(rng.choice(SPECTATOR_POOL, size=n_spec))
-            product = float(det3_batch(chirality_matrix(unit, coords)))
+            product = float(det3_batch(chirality_matrices(coords, *unit_atoms([unit]))[0])[0])
             if abs(product) < spec.min_abs_product:
                 continue
             mol = Molecule(

@@ -17,10 +17,11 @@ learnable per-row gain `gamma`. It has no additive shift: a shift, like
 per-column scales, would break rotation invariance (a rotation mixes the
 three columns), and the closed form relies on its absence.
 
-prepare_batch does the geometry of a molecule batch once (partitions,
-chirality matrices, projector inputs, pair distances); encode_fwd and the
-rest of the forward read that MoleculeBatch and do parameter arithmetic
-only.
+prepare_batch does the geometry of a molecule batch once (atom roles,
+chirality matrices, projector inputs, pair distances), with array
+operations over index arrays of the batch's units; centres and axes take
+the same path. encode_fwd and the rest of the forward read that
+MoleculeBatch and do parameter arithmetic only.
 """
 
 from __future__ import annotations
@@ -32,15 +33,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import DegeneracyError, NumericError
-from .geometry import (
-    AtomPartition,
-    Molecule,
-    UnitKind,
-    chirality_matrix,
-    partition_atoms,
-    reference_point,
-)
+from .errors import AnnotationError, DegeneracyError, NumericError
+from .geometry import atom_roles, chirality_matrices, unit_atoms
 from .numerics import INV_SQRT_2PI, cofactor3_batch, det3_batch, normal_cdf
 
 # added to the pooled variance sigma^2 of every normalized slice
@@ -156,7 +150,7 @@ class MoleculeBatch:
     """
 
     ids: tuple[str, ...]  # Molecule.id of each molecule, for error messages
-    partitions: list[AtomPartition]
+    key_atoms: np.ndarray  # (B, Kr + Kn) atom index of each key in its molecule, -1 on pads
     mask: BatchMask
     k_r: int  # width of the related-key block, Kr
     chirality: np.ndarray  # (U, 3, 3) chirality matrices
@@ -292,56 +286,57 @@ def mlp2_bwd(mlp: Mlp2, cache, d_out):
     return Mlp2(w1=d_w1, b1=d_b1, w2=d_w2, b2=d_b2), d_x
 
 
-def unit_feature_rows(mol: Molecule) -> np.ndarray:
-    """Feature input of proj_c, one row per chiral unit (axis rows average
-    the two axis atoms)."""
-    rows = []
-    for unit in mol.chiral_units:
-        if unit.kind is UnitKind.CENTER:
-            rows.append(mol.features[unit.center_atoms[0]])
-        else:
-            a, b = unit.center_atoms
-            rows.append(0.5 * (mol.features[a] + mol.features[b]))
-    if not rows:
-        return np.zeros((0, mol.features.shape[1]))
-    return np.stack(rows)
-
-
 def prepare_batch(mols) -> MoleculeBatch:
-    """Partitions, masks, chirality matrices, projector inputs and pair
-    distances of a molecule batch, padded to its largest member."""
+    """Masks, chirality matrices, projector inputs and pair distances of a
+    molecule batch, padded to its largest member.
+
+    Atoms are numbered over the whole batch, molecule after molecule, so
+    every step is one array operation over all molecules. Each molecule's
+    related and non-chiral keys come in atom order.
+    """
     if not mols:
         raise ValueError("empty molecule batch")
-    partitions = [partition_atoms(m) for m in mols]
-    units = [(mol, u) for mol in mols for u in mol.chiral_units]
-    related = [list(p.related) for p in partitions]
-    nonchiral = [list(p.nonchiral) for p in partitions]
-    mask = BatchMask.of_counts([len(m.chiral_units) for m in mols],
-                               [len(i) for i in related], [len(i) for i in nonchiral])
-    n_batch, n_q = mask.queries.shape
-    k_r = max(len(i) for i in related)
+    n_batch = len(mols)
+    n_atoms = np.array([m.n_atoms for m in mols])
+    n_units = np.array([len(m.chiral_units) for m in mols])
+    starts = np.cumsum(n_atoms) - n_atoms
+    coords = np.concatenate([m.coords for m in mols], dtype=np.float64)
+    features = np.concatenate([m.features for m in mols])
+    centres, related = unit_atoms([u for m in mols for u in m.chiral_units])
+    # an index past its molecule would read a neighbour's atom
+    local = np.hstack([centres, related])
+    if np.any((local < 0) | (local >= np.repeat(n_atoms, n_units)[:, None])):
+        raise AnnotationError("a chiral unit's atom index is out of range of its molecule")
+    shift = np.repeat(starts, n_units)[:, None]
+    centres, related = centres + shift, related + shift
+    roles = atom_roles(len(coords), centres, related)
+    molecule_of = np.repeat(np.arange(n_batch), n_atoms)
+    related_atoms, nonchiral_atoms = np.flatnonzero(roles == 1), np.flatnonzero(roles == 0)
+    n_related, n_nonchiral = (np.bincount(molecule_of[a], minlength=n_batch)
+                              for a in (related_atoms, nonchiral_atoms))
+    mask = BatchMask.of_counts(n_units, n_related, n_nonchiral)
+    k_r = int(n_related.max())
     # (molecule, slot) of every stacked row, in stacking order
     (ub, us), (rb, rs), (nb, ns) = (
         np.nonzero(m) for m in (mask.queries[:, 1:], mask.keys[:, :k_r], mask.keys[:, k_r:])
     )
-    chiral_positions = np.zeros((n_batch, n_q - 1, 3))
-    chiral_positions[ub, us] = np.array(
-        [reference_point(u, mol.coords) for mol, u in units]
-    ).reshape(-1, 3)
-    key_positions = np.zeros((n_batch, mask.keys.shape[1], 3))
-    key_positions[rb, rs] = np.vstack([m.coords[i] for m, i in zip(mols, related)])
-    key_positions[nb, k_r + ns] = np.vstack([m.coords[i] for m, i in zip(mols, nonchiral)])
+    chirality, refs = chirality_matrices(coords, centres, related)
+    chiral_positions = np.zeros((n_batch, mask.queries.shape[1] - 1, 3))
+    chiral_positions[ub, us] = refs
+    keys = np.zeros(mask.keys.shape, dtype=np.int64)  # batch atom of each key
+    keys[rb, rs] = related_atoms
+    keys[nb, k_r + ns] = nonchiral_atoms
+    # pads read atom 0, and pair_inputs never reads a pad
+    key_positions = coords[keys]
     return MoleculeBatch(
         ids=tuple(m.id for m in mols),
-        partitions=partitions,
+        key_atoms=np.where(mask.keys, keys - starts[:, None], -1),
         mask=mask,
         k_r=k_r,
-        chirality=np.array(
-            [chirality_matrix(u, mol.coords) for mol, u in units]
-        ).reshape(-1, 3, 3),
-        unit_rows=np.vstack([unit_feature_rows(m) for m in mols]),
-        related_rows=np.vstack([m.features[i] for m, i in zip(mols, related)]),
-        nonchiral_rows=np.vstack([m.features[i] for m, i in zip(mols, nonchiral)]),
+        chirality=chirality,
+        unit_rows=0.5 * (features[centres[:, 0]] + features[centres[:, 1]]),
+        related_rows=features[related_atoms],
+        nonchiral_rows=features[nonchiral_atoms],
         unit_slots=(ub, 1 + us),
         related_slots=(rb, rs),
         nonchiral_slots=(nb, ns),

@@ -1,5 +1,12 @@
 """Molecule containers, chirality matrices, and the exact sign oracle.
 
+A stereogenic unit is read in one index form, centre and axis alike:
+unit_atoms gives each unit two centre atoms (a centre repeats its atom)
+and four related atoms. chirality_matrices builds every unit's matrix and
+reference point from those index arrays, and serves the batch encoder, the
+R/S oracle unit_products and the generators' rejection test; atom_roles
+splits atoms into chiral, related and non-chiral.
+
 All geometry is plain float64 numpy. Molecules are treated as immutable
 after construction; every operation returns new arrays, which makes the
 whole module safe to use from multiple threads.
@@ -75,13 +82,9 @@ class Molecule:
             raise AnnotationError("coords contain non-finite values")
         if self.features.shape[0] != self.n_atoms:
             raise AnnotationError("features row count must match atom count")
-        seen_centers: set[int] = set()
         for unit in self.chiral_units:
             unit.validate(self.n_atoms)
-            overlap = seen_centers.intersection(unit.center_atoms)
-            if overlap:
-                raise AnnotationError(f"center atoms {sorted(overlap)} appear in more than one chiral unit")
-            seen_centers.update(unit.center_atoms)
+        atom_roles(self.n_atoms, *unit_atoms(self.chiral_units))
         if self.blade is not None:
             for idx in self.blade:
                 if not 0 <= idx < self.n_atoms:
@@ -89,59 +92,59 @@ class Molecule:
         return self
 
 
-@dataclass(frozen=True)
-class AtomPartition:
-    """Disjoint chiral / chiral-related / non-chiral atom index sets."""
+def unit_atoms(units) -> tuple[np.ndarray, np.ndarray]:
+    """(U, 2) centre atoms and (U, 4) related atoms of the units.
 
-    chiral: tuple[int, ...]
-    related: tuple[int, ...]
-    nonchiral: tuple[int, ...]
-
-
-def partition_atoms(mol: Molecule) -> AtomPartition:
-    """Split atom indices into chiral, chiral-related, and non-chiral sets.
-
-    An atom that is a related atom of one unit and a center of another
-    lands in the chiral set (set subtraction happens after the union).
+    A centre unit repeats its one atom, so every unit's reference point is
+    the midpoint of its two centre atoms: 0.5 * (x + x) == x exactly.
     """
-    chiral: set[int] = set()
-    for unit in mol.chiral_units:
-        overlap = chiral.intersection(unit.center_atoms)
-        if overlap:
-            raise AnnotationError(f"center atoms {sorted(overlap)} appear in more than one chiral unit")
-        chiral.update(unit.center_atoms)
-    related: set[int] = set()
-    for unit in mol.chiral_units:
-        related.update(unit.related)
-    related -= chiral
-    nonchiral = set(range(mol.n_atoms)) - chiral - related
-    return AtomPartition(
-        chiral=tuple(sorted(chiral)),
-        related=tuple(sorted(related)),
-        nonchiral=tuple(sorted(nonchiral)),
-    )
+    atoms = np.array([(u.center_atoms[0], u.center_atoms[-1], *u.related) for u in units],
+                     dtype=np.int64).reshape(-1, 6)
+    return atoms[:, :2], atoms[:, 2:]
+
+
+def atom_roles(n_atoms: int, centres, related) -> np.ndarray:
+    """Role of every atom: 0 non-chiral, 1 related, 2 chiral.
+
+    An atom that centres one unit and is related to another is chiral. A
+    centre atom of two units raises AnnotationError.
+    """
+    roles = np.zeros(n_atoms, dtype=np.int8)
+    roles[related] = 1
+    roles[centres] = 2
+    # units own 1 centre atom each, axes 2; disjoint only if none is shared
+    axes = centres[:, 0] != centres[:, 1]
+    if np.count_nonzero(roles == 2) < len(centres) + np.count_nonzero(axes):
+        own = np.concatenate([centres[:, 0], centres[axes, 1]])
+        shared = np.flatnonzero(np.bincount(own) > 1)
+        raise AnnotationError(f"center atoms {shared.tolist()} appear in more than one chiral unit")
+    return roles
+
+
+def chirality_matrices(coords, centres, related) -> tuple[np.ndarray, np.ndarray]:
+    """(U, 3, 3) chirality matrices with rows (x_r1 - x_ref, x_r2 - x_ref,
+    x_r4 - x_r3), and the (U, 3) reference points x_ref of unit_atoms'
+    index arrays."""
+    coords = np.asarray(coords, dtype=np.float64)
+    # take, not fancy indexing: several times cheaper on a molecule's few units
+    c = coords.take(centres, axis=0)
+    ref = 0.5 * (c[:, 0] + c[:, 1])
+    r = coords.take(related, axis=0)
+    mats = r[:, :3] - ref[:, None]
+    mats[:, 2] = r[:, 3] - r[:, 2]
+    return mats, ref
 
 
 def reference_point(unit: ChiralUnit, coords) -> np.ndarray:
-    """Center atom position, or the midpoint of the two axis atoms."""
+    """The midpoint of the unit's two centre atoms in unit_atoms' form:
+    a centre's own position, or the midpoint of the axis."""
     coords = np.asarray(coords, dtype=np.float64)
-    if unit.kind is UnitKind.CENTER:
-        return coords[unit.center_atoms[0]].copy()
-    a, b = unit.center_atoms
-    return 0.5 * (coords[a] + coords[b])
-
-
-def chirality_matrix(unit: ChiralUnit, coords) -> np.ndarray:
-    """(3, 3) matrix with rows (x_r1 - x_ref, x_r2 - x_ref, x_r4 - x_r3)."""
-    coords = np.asarray(coords, dtype=np.float64)
-    ref = reference_point(unit, coords)
-    r1, r2, r3, r4 = unit.related
-    return np.stack([coords[r1] - ref, coords[r2] - ref, coords[r4] - coords[r3]])
+    return 0.5 * (coords[unit.center_atoms[0]] + coords[unit.center_atoms[-1]])
 
 
 def assign_configuration(p: float, tol: float = 1e-9) -> Configuration:
-    if tol < 0:
-        raise ValueError("tolerance must be non-negative")
+    if not 0.0 <= tol < np.inf:
+        raise ValueError(f"tolerance must be finite and non-negative, got {tol}")
     if p > tol:
         return Configuration.R
     if p < -tol:
@@ -188,8 +191,7 @@ def order_substituents(indices, priorities) -> tuple[int, int, int, int]:
 def unit_products(mol: Molecule) -> list[float]:
     """Chirality product det(M), the signed volume
     ((r1-ref) x (r2-ref)) . (r4-r3), of every unit in annotation order."""
-    mats = [chirality_matrix(u, mol.coords) for u in mol.chiral_units]
-    return det3_batch(np.reshape(mats, (-1, 3, 3))).tolist()
+    return det3_batch(chirality_matrices(mol.coords, *unit_atoms(mol.chiral_units))[0]).tolist()
 
 
 def random_rotation(rng) -> np.ndarray:

@@ -804,7 +804,5 @@ def attention_export_rows(model: ChiralModel, mol: Molecule):
     order matching the index list.
     """
     state = forward_batch(model, prepare_batch([mol]))
-    part = state.encoded.batch.partitions[0]
-    keys = part.related + part.nonchiral
     # a batch of one has no padding, so its final attention is (n_q, n_k, H)
-    return keys, head_averaged_rows(state.attn[-1][0])
+    return state.encoded.batch.key_atoms[0].tolist(), head_averaged_rows(state.attn[-1][0])

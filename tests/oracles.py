@@ -4,7 +4,9 @@ from dataclasses import replace
 
 import numpy as np
 
-from chiraldet.errors import NumericError
+from chiraldet.encoder import BatchMask, MoleculeBatch, pair_inputs
+from chiraldet.errors import AnnotationError, NumericError
+from chiraldet.geometry import UnitKind
 from chiraldet.model import _leaves
 from chiraldet.numerics import det3_batch
 
@@ -48,3 +50,70 @@ def unflatten(theta, *like) -> list:
             i += a.size
         out.append(views[None] if is_array else replace(item, **views))
     return out
+
+
+def partition_reference(mol) -> tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...]]:
+    """Sorted (chiral, related, non-chiral) atom indices by set arithmetic:
+    the subtraction comes after the union, so an atom that centres one unit
+    and is related to another is chiral."""
+    chiral: set[int] = set()
+    for unit in mol.chiral_units:
+        overlap = chiral.intersection(unit.center_atoms)
+        if overlap:
+            raise AnnotationError(f"center atoms {sorted(overlap)} appear in more than one chiral unit")
+        chiral.update(unit.center_atoms)
+    related = {a for unit in mol.chiral_units for a in unit.related} - chiral
+    nonchiral = set(range(mol.n_atoms)) - chiral - related
+    return tuple(sorted(chiral)), tuple(sorted(related)), tuple(sorted(nonchiral))
+
+
+def unit_reference(unit, coords, features):
+    """(reference point, chirality matrix, proj_c input row) of one unit,
+    each kind by its own formula: a centre reads its atom, an axis
+    averages its two atoms."""
+    coords = np.asarray(coords, dtype=np.float64)
+    if unit.kind is UnitKind.CENTER:
+        (c,) = unit.center_atoms
+        ref, row = coords[c].copy(), features[c]
+    else:
+        a, b = unit.center_atoms
+        ref, row = 0.5 * (coords[a] + coords[b]), 0.5 * (features[a] + features[b])
+    r1, r2, r3, r4 = unit.related
+    return ref, np.stack([coords[r1] - ref, coords[r2] - ref, coords[r4] - coords[r3]]), row
+
+
+def batch_reference(mols) -> MoleculeBatch:
+    """prepare_batch molecule by molecule and unit by unit, from
+    partition_reference and unit_reference."""
+    parts = [partition_reference(m) for m in mols]
+    mask = BatchMask.of_counts([len(m.chiral_units) for m in mols],
+                               [len(p[1]) for p in parts], [len(p[2]) for p in parts])
+    n_batch, n_q = mask.queries.shape
+    k_r = max(len(p[1]) for p in parts)
+    (ub, us), (rb, rs), (nb, ns) = (
+        np.nonzero(m) for m in (mask.queries[:, 1:], mask.keys[:, :k_r], mask.keys[:, k_r:])
+    )
+    units = [unit_reference(u, m.coords, m.features) for m in mols for u in m.chiral_units]
+    d_f = mols[0].features.shape[1]
+    chiral_positions = np.zeros((n_batch, n_q - 1, 3))
+    chiral_positions[ub, us] = np.reshape([ref for ref, _, _ in units], (-1, 3))
+    key_positions = np.zeros((n_batch, mask.keys.shape[1], 3))
+    key_atoms = np.full(mask.keys.shape, -1)
+    for b, (m, (_, related, nonchiral)) in enumerate(zip(mols, parts)):
+        keys = list(related + nonchiral)
+        key_positions[b, np.flatnonzero(mask.keys[b])] = m.coords[keys]
+        key_atoms[b, np.flatnonzero(mask.keys[b])] = keys
+    return MoleculeBatch(
+        ids=tuple(m.id for m in mols),
+        key_atoms=key_atoms,
+        mask=mask,
+        k_r=k_r,
+        chirality=np.reshape([mc for _, mc, _ in units], (-1, 3, 3)),
+        unit_rows=np.reshape([row for _, _, row in units], (-1, d_f)),
+        related_rows=np.vstack([m.features[list(p[1])] for m, p in zip(mols, parts)]),
+        nonchiral_rows=np.vstack([m.features[list(p[2])] for m, p in zip(mols, parts)]),
+        unit_slots=(ub, 1 + us),
+        related_slots=(rb, rs),
+        nonchiral_slots=(nb, ns),
+        pairs=pair_inputs(mask, k_r, chiral_positions, key_positions),
+    )

@@ -17,10 +17,10 @@ from chiraldet.attention import (
 from chiraldet.data import SyntheticSpec, gen_rs
 from chiraldet.encoder import BatchMask, pair_inputs, prepare_batch
 from chiraldet.errors import DegeneracyError, NumericError
-from chiraldet.geometry import partition_atoms, reference_point
+from chiraldet.geometry import reference_point
 from chiraldet.gradcheck import flatten
 from chiraldet.numerics import compare_grads, finite_diff_grad
-from oracles import unflatten
+from oracles import partition_reference, unflatten
 
 
 def full_mask(n_q, n_keys):
@@ -141,11 +141,11 @@ class TestInitPairBias:
         params.e1 += rng.normal(0, 0.2, params.e1.shape)
         mols = gen_rs(SyntheticSpec(count=1, seed=8, spectator_range=(2, 2)))
         mol = mols[0][0]
-        part = partition_atoms(mol)
+        _, related, nonchiral = partition_reference(mol)
         bias = pair_bias_fwd(params, prepare_batch([mol]).pairs)[0][0]
         assert np.array_equal(bias[0], np.zeros_like(bias[0]))
-        key_pos = mol.coords[list(part.related + part.nonchiral)]
-        n_r = len(part.related)
+        key_pos = mol.coords[list(related + nonchiral)]
+        n_r = len(related)
         for u, unit in enumerate(mol.chiral_units):
             for j in range(key_pos.shape[0]):
                 d = float(np.linalg.norm(reference_point(unit, mol.coords) - key_pos[j]))

@@ -1,15 +1,17 @@
 """The padded batch path: one forward/backward over molecules of mixed size
 must give each molecule exactly what a batch of one gives it."""
 
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from chiraldet.attention import attend_fwd, init_layer
 from chiraldet.data import SyntheticSpec, featurize, gen_axial, gen_rs, tile_molecules
 from chiraldet.encoder import BatchMask, prepare_batch
-from chiraldet.errors import NumericError
+from chiraldet.errors import AnnotationError, NumericError
 from chiraldet.geometry import ChiralUnit, Molecule, UnitKind
 from chiraldet.model import (
     AdamState,
@@ -24,6 +26,7 @@ from chiraldet.model import (
     stage_outputs,
 )
 from chiraldet.numerics import layer_norm_rows
+from oracles import batch_reference
 
 TINY = dict(h=8, d_p=4, n_layers=2, n_heads=2, n_gkpt=8)
 
@@ -63,6 +66,79 @@ def mixed():
     assert sorted({len(m.chiral_units) for m in mols}) == [0, 1, 2, 3, 6]
     labels = np.arange(len(mols)) % 2
     return mols, labels
+
+
+def assert_same(got, want, where):
+    """Equal values of the same type, arrays also of the same dtype and
+    shape, through tuples and dataclasses."""
+    assert type(got) is type(want), where
+    if isinstance(want, np.ndarray):
+        assert got.dtype == want.dtype and np.array_equal(got, want), where
+    elif isinstance(want, tuple):
+        assert len(got) == len(want), where
+        for i, (g, w) in enumerate(zip(got, want)):
+            assert_same(g, w, f"{where}[{i}]")
+    elif hasattr(want, "__dataclass_fields__"):
+        for f in fields(want):
+            assert_same(getattr(got, f.name), getattr(want, f.name), f"{where}.{f.name}")
+    else:
+        assert got == want, where
+
+
+def random_molecule(rng, n_atoms, n_units):
+    """Up to n_units centres and axes on random atoms, with disjoint centre
+    atoms; related atoms may repeat across units or centre another unit."""
+    units, taken = [], set()
+    for _ in range(n_units):
+        n_centre = int(rng.integers(1, 3))
+        free = [a for a in range(n_atoms) if a not in taken]
+        if len(free) < n_centre or n_atoms < n_centre + 4:
+            break
+        centre = tuple(int(a) for a in rng.choice(free, n_centre, replace=False))
+        others = [a for a in range(n_atoms) if a not in centre]
+        units.append(ChiralUnit(
+            kind=UnitKind.CENTER if n_centre == 1 else UnitKind.AXIS,
+            center_atoms=centre,
+            related=tuple(int(a) for a in rng.choice(others, 4, replace=False)),
+        ))
+        taken.update(centre)
+    return Molecule(coords=rng.standard_normal((n_atoms, 3)),
+                    atomic_numbers=np.full(n_atoms, 6),
+                    features=rng.standard_normal((n_atoms, 5)),
+                    chiral_units=tuple(units), id=f"m{n_atoms}.{len(units)}").validate()
+
+
+@pytest.mark.parametrize("chunk", [1, 3, 10])
+def test_prepare_batch_matches_per_unit_reference(mixed, chunk):
+    mols = mixed[0]
+    for i in range(0, len(mols), chunk):
+        assert_same(prepare_batch(mols[i : i + chunk]), batch_reference(mols[i : i + chunk]),
+                    f"batch {i}")
+
+
+def test_prepare_batch_matches_reference_on_overlapping_units():
+    # unit 1 centres a related atom of unit 0, both relate to atom 6, and
+    # the axis shares related atoms with each
+    rng = np.random.default_rng(5)
+    units = (
+        ChiralUnit(kind=UnitKind.CENTER, center_atoms=(0,), related=(1, 2, 3, 6)),
+        ChiralUnit(kind=UnitKind.CENTER, center_atoms=(1,), related=(4, 5, 6, 7)),
+        ChiralUnit(kind=UnitKind.AXIS, center_atoms=(8, 9), related=(2, 3, 4, 10)),
+    )
+    mol = Molecule(coords=rng.standard_normal((12, 3)), atomic_numbers=np.full(12, 6),
+                   features=rng.standard_normal((12, 5)), chiral_units=units).validate()
+    token_only = replace(token_only_molecule(), features=rng.standard_normal((3, 5)))
+    for mols in ([mol], [token_only, mol]):
+        assert_same(prepare_batch(mols), batch_reference(mols), "batch")
+
+
+@given(seed=st.integers(0, 2**32 - 1),
+       shapes=st.lists(st.tuples(st.integers(1, 10), st.integers(0, 4)), min_size=1, max_size=4))
+@settings(max_examples=60, deadline=None)
+def test_prepare_batch_matches_reference_on_drawn_molecules(seed, shapes):
+    rng = np.random.default_rng(seed)
+    mols = [random_molecule(rng, n_atoms, n_units) for n_atoms, n_units in shapes]
+    assert_same(prepare_batch(mols), batch_reference(mols), "batch")
 
 
 @pytest.mark.parametrize("config", [ModelConfig(**TINY, seed=4), ModelConfig(seed=5)])
@@ -155,6 +231,15 @@ def test_chiral_molecule_without_keys_in_batch_raises(mixed):
     model = init_model(ModelConfig(**TINY, seed=8))
     with pytest.raises(NumericError, match="key set is empty"):
         forward_batch(model, prepare_batch([mols[0], keyless_chiral_molecule(), mols[-1]]))
+
+
+def test_unit_index_past_its_molecule_rejected(mixed):
+    # the index exists in the batch's atom numbering, but not in molecule 0
+    mol = mixed[0][0]
+    unit = mol.chiral_units[0]
+    bad = replace(mol, chiral_units=(replace(unit, related=unit.related[:3] + (mol.n_atoms,)),))
+    with pytest.raises(AnnotationError, match="out of range of its molecule"):
+        prepare_batch([bad, mixed[0][1]])
 
 
 def test_empty_batch_rejected():

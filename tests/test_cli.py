@@ -45,6 +45,27 @@ def canon_file(tmp_path):
 
 
 @pytest.fixture
+def flat_file(tmp_path):
+    """A unit whose four substituents lie in the xy-plane, so P = 0."""
+    coords = np.array(
+        [[0, 0, 0], [1, 0, 0], [0, 1, 0], [-1, 0, 0], [0, -1, 0]], dtype=float
+    )
+    zs = np.array([6, 7, 8, 9, 15])
+    mol = Molecule(
+        coords=coords,
+        atomic_numbers=zs,
+        features=featurize(zs),
+        chiral_units=(
+            ChiralUnit(kind=UnitKind.CENTER, center_atoms=(0,), related=(1, 2, 3, 4)),
+        ),
+        id="flat",
+    )
+    path = tmp_path / "flat.chimol"
+    write(mol, path)
+    return path
+
+
+@pytest.fixture
 def tiny_ckpt(tmp_path):
     model = init_model(TINY_CONFIG)
     path = tmp_path / "tiny.ckpt"
@@ -103,26 +124,28 @@ class TestInvariance:
         out = capsys.readouterr().out
         assert out.startswith("PASS")
 
-    def test_degenerate_warns_and_passes(self, tmp_path, capsys):
-        # planar: all four substituents in the xy-plane
-        coords = np.array(
-            [[0, 0, 0], [1, 0, 0], [0, 1, 0], [-1, 0, 0], [0, -1, 0]], dtype=float
-        )
-        zs = np.array([6, 7, 8, 9, 15])
-        mol = Molecule(
-            coords=coords,
-            atomic_numbers=zs,
-            features=featurize(zs),
-            chiral_units=(
-                ChiralUnit(kind=UnitKind.CENTER, center_atoms=(0,), related=(1, 2, 3, 4)),
-            ),
-            id="flat",
-        )
-        path = tmp_path / "flat.chimol"
-        write(mol, path)
-        assert main(["invariance", str(path), "--trials", "10"]) == 0
+    def test_degenerate_warns_and_passes(self, flat_file, capsys):
+        assert main(["invariance", str(flat_file), "--trials", "10"]) == 0
         captured = capsys.readouterr()
         assert "Degenerate" in captured.err
+
+    @pytest.mark.parametrize("tol", ["-1", "nan", "inf"])
+    @pytest.mark.parametrize("command", ["chirality", "invariance"])
+    def test_bad_tol_exit_2(self, flat_file, capsys, command, tol):
+        trials = ["--trials", "10"] if command == "invariance" else []
+        assert main([command, str(flat_file), "--tol", tol, *trials]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "tolerance must be finite and non-negative" in captured.err
+
+    def test_degenerate_band_shared_with_chirality(self, canon_file, capsys):
+        # |P| = 1: degenerate for both commands at tol 1, live just below
+        assert main(["chirality", str(canon_file), "--tol", "1"]) == 0
+        assert main(["invariance", str(canon_file), "--tol", "1", "--trials", "5"]) == 0
+        out = capsys.readouterr().out.splitlines()
+        assert out == ["unit 0: P=+1.000000 Degenerate", "all units degenerate; nothing to check"]
+        assert main(["invariance", str(canon_file), "--tol", "0.999", "--trials", "5"]) == 0
+        assert capsys.readouterr().out.startswith("PASS trials=5")
 
     def test_zero_trials_usage_error(self, canon_file):
         assert main(["invariance", str(canon_file), "--trials", "0"]) == 2

@@ -21,8 +21,9 @@ from chiraldet.geometry import (
     Configuration,
     UnitKind,
     assign_configuration,
+    atom_roles,
     mirror,
-    partition_atoms,
+    unit_atoms,
     unit_products,
 )
 
@@ -51,8 +52,8 @@ class TestParse:
         assert mol.id == "canonical"
         assert len(mol.chiral_units) == 1
         assert mol.chiral_units[0].related == (1, 2, 3, 4)
-        part = partition_atoms(mol)
-        assert (len(part.chiral), len(part.related), len(part.nonchiral)) == (1, 4, 0)
+        roles = atom_roles(mol.n_atoms, *unit_atoms(mol.chiral_units))
+        assert np.array_equal(np.bincount(roles, minlength=3), [0, 4, 1])
         assert unit_products(mol)[0] == 1.0
 
     def test_out_of_range_index_reports_line(self, tmp_path):

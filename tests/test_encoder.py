@@ -22,10 +22,11 @@ from chiraldet.encoder import (
 from chiraldet.errors import DegeneracyError, NumericError
 from chiraldet.geometry import (
     Molecule,
-    chirality_matrix,
+    chirality_matrices,
     mirror,
     random_rotation,
     transform,
+    unit_atoms,
 )
 from chiraldet.gradcheck import flatten
 from chiraldet.numerics import compare_grads, det3_batch, finite_diff_grad
@@ -256,7 +257,7 @@ class TestEncode:
             mlp.b2[:] = 0.0
         mol = sample_molecule(seed=10)
         enc, _ = encode_fwd(params, prepare_batch([mol]))
-        mc = np.stack([chirality_matrix(u, mol.coords) for u in mol.chiral_units])
+        mc = chirality_matrices(mol.coords, *unit_atoms(mol.chiral_units))[0]
         dets = kernel_fwd(params.kernels, mc)[0]
         assert np.array_equal(enc.h_c[0, 1:], dets)
 
@@ -268,7 +269,7 @@ class TestEncode:
         assert np.array_equal(enc.h_r, enc_m.h_r)
         assert np.array_equal(enc.h_n, enc_m.h_n)
         assert np.array_equal(enc.h_c[0, 0], enc_m.h_c[0, 0])
-        mc = np.stack([chirality_matrix(u, mol.coords) for u in mol.chiral_units])
+        mc = chirality_matrices(mol.coords, *unit_atoms(mol.chiral_units))[0]
         dets = kernel_fwd(params.kernels, mc)[0]
         # chiral rows differ exactly by the kernel sign flip
         assert np.allclose(enc.h_c[0, 1:] - dets, enc_m.h_c[0, 1:] + dets, atol=1e-12)

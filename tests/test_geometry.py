@@ -5,22 +5,23 @@ from hypothesis import strategies as st
 
 from chiraldet.errors import AnnotationError
 from chiraldet.geometry import (
-    AtomPartition,
     ChiralUnit,
     Configuration,
     Molecule,
     UnitKind,
     assign_configuration,
-    chirality_matrix,
+    atom_roles,
+    chirality_matrices,
     mirror,
     order_substituents,
-    partition_atoms,
     random_reflection,
     random_rotation,
     reference_point,
     transform,
+    unit_atoms,
     unit_products,
 )
+from oracles import partition_reference, unit_reference
 
 
 def make_molecule(coords, units=(), blade=None):
@@ -60,43 +61,55 @@ def random_chiral_molecule(rng, min_product=0.1):
             return mol
 
 
+def roles_of(mol):
+    return atom_roles(mol.n_atoms, *unit_atoms(mol.chiral_units))
+
+
+def matrix_of(unit, coords):
+    """The (3, 3) chirality matrix of one unit."""
+    return chirality_matrices(coords, *unit_atoms([unit]))[0][0]
+
+
 class TestPartition:
     def test_five_atom_center(self):
-        part = partition_atoms(canonical_molecule())
-        assert part == AtomPartition(chiral=(0,), related=(1, 2, 3, 4), nonchiral=())
+        assert np.array_equal(roles_of(canonical_molecule()), [2, 1, 1, 1, 1])
 
     def test_no_units(self):
-        part = partition_atoms(make_molecule(np.zeros((3, 3))))
-        assert part == AtomPartition(chiral=(), related=(), nonchiral=(0, 1, 2))
+        assert np.array_equal(roles_of(make_molecule(np.zeros((3, 3)))), [0, 0, 0])
 
     def test_two_units_shared_related_atom(self):
         units = [center_unit(0, (2, 3, 4, 5)), center_unit(1, (2, 5, 6, 7))]
         mol = make_molecule(np.arange(24.0).reshape(8, 3), units)
-        part = partition_atoms(mol)
+        roles = roles_of(mol)
         # set-arithmetic oracle over the explicit index lists
-        chiral = {0, 1}
-        related = ({2, 3, 4, 5} | {2, 5, 6, 7}) - chiral
-        nonchiral = set(range(8)) - chiral - related
-        assert set(part.chiral) == chiral
-        assert set(part.related) == related
-        assert set(part.nonchiral) == nonchiral
+        chiral, related, nonchiral = partition_reference(mol)
+        assert (chiral, related, nonchiral) == ((0, 1), (2, 3, 4, 5, 6, 7), ())
+        for role, atoms in enumerate((nonchiral, related, chiral)):
+            assert tuple(np.flatnonzero(roles == role)) == atoms
 
     def test_related_atom_that_centers_another_unit_goes_chiral(self):
         units = [center_unit(0, (1, 2, 3, 4)), center_unit(1, (2, 5, 6, 7))]
         mol = make_molecule(np.arange(24.0).reshape(8, 3), units)
-        part = partition_atoms(mol)
-        assert 1 in part.chiral and 1 not in part.related
+        assert roles_of(mol)[1] == 2
 
     def test_overlapping_centers_rejected(self):
         units = [center_unit(0, (1, 2, 3, 4)), center_unit(0, (1, 2, 3, 5))]
+        with pytest.raises(AnnotationError, match=r"^center atoms \[0\] appear in more than one"):
+            atom_roles(6, *unit_atoms(units))
         mol = Molecule(
             coords=np.zeros((6, 3)),
             atomic_numbers=np.full(6, 6),
             features=np.zeros((6, 4)),
             chiral_units=tuple(units),
         )
-        with pytest.raises(AnnotationError):
-            partition_atoms(mol)
+        with pytest.raises(AnnotationError, match=r"^center atoms \[0\] appear in more than one"):
+            mol.validate()
+
+    def test_axis_atom_shared_with_a_centre_rejected(self):
+        units = [ChiralUnit(kind=UnitKind.AXIS, center_atoms=(0, 1), related=(2, 3, 4, 5)),
+                 center_unit(1, (2, 3, 4, 5))]
+        with pytest.raises(AnnotationError, match=r"^center atoms \[1\] appear"):
+            atom_roles(6, *unit_atoms(units))
 
 
 class TestReferencePoint:
@@ -123,23 +136,36 @@ class TestReferencePoint:
 
 class TestChiralityMatrix:
     def test_canonical_frame(self):
-        mc = chirality_matrix(center_unit(0, (1, 2, 3, 4)), CANONICAL_COORDS)
+        mc = matrix_of(center_unit(0, (1, 2, 3, 4)), CANONICAL_COORDS)
         assert np.array_equal(mc, np.eye(3))
 
     def test_translation_cancels(self):
         shifted = np.asarray(CANONICAL_COORDS) + 5.0
-        mc = chirality_matrix(center_unit(0, (1, 2, 3, 4)), shifted)
+        mc = matrix_of(center_unit(0, (1, 2, 3, 4)), shifted)
         assert np.allclose(mc, np.eye(3), atol=1e-12)
 
     def test_rowwise_subtraction_oracle(self):
         rng = np.random.default_rng(7)
         coords = rng.uniform(-3.0, 3.0, size=(5, 3))
         unit = center_unit(0, (1, 2, 3, 4))
-        mc = chirality_matrix(unit, coords)
+        mc = matrix_of(unit, coords)
         expect = np.array(
             [coords[1] - coords[0], coords[2] - coords[0], coords[4] - coords[3]]
         )
         assert np.array_equal(mc, expect)
+
+
+    def test_centres_and_axes_in_one_call(self):
+        rng = np.random.default_rng(8)
+        coords = rng.uniform(-3.0, 3.0, size=(9, 3))
+        units = [center_unit(0, (1, 2, 3, 4)),
+                 ChiralUnit(kind=UnitKind.AXIS, center_atoms=(5, 6), related=(1, 7, 8, 0)),
+                 center_unit(7, (0, 5, 6, 8))]
+        mats, refs = chirality_matrices(coords, *unit_atoms(units))
+        for unit, mc, ref in zip(units, mats, refs):
+            want_ref, want_mc, _ = unit_reference(unit, coords, np.zeros((9, 1)))
+            assert np.array_equal(ref, want_ref)
+            assert np.array_equal(mc, want_mc)
 
 
 def cross_dot(m):
@@ -166,7 +192,7 @@ class TestChiralityProduct:
         rng = np.random.default_rng(11)
         m = rng.standard_normal((3, 3))
         mol = unit_with_rows(m)
-        assert np.array_equal(chirality_matrix(mol.chiral_units[0], mol.coords), m)
+        assert np.array_equal(matrix_of(mol.chiral_units[0], mol.coords), m)
         (p,) = unit_products(mol)
         expect = cross_dot(m)
         assert abs(p - expect) <= 1e-12 * abs(expect)
@@ -192,6 +218,11 @@ class TestAssignConfiguration:
     def test_negative_tol_rejected(self):
         with pytest.raises(ValueError):
             assign_configuration(1.0, -1.0)
+
+    @pytest.mark.parametrize("tol", [float("nan"), float("inf")])
+    def test_non_finite_tol_rejected(self, tol):
+        with pytest.raises(ValueError, match="^tolerance must be finite and non-negative"):
+            assign_configuration(1.0, tol)
 
 
 class TestTransform:
