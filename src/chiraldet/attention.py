@@ -133,14 +133,12 @@ def _rows(x):
 
 
 class LayerCache(NamedTuple):
-    """What attend_bwd needs of attend_fwd, plus the incoming bias, so that
-    with h_c_in, h_r and h_n it holds every input of the layer; ctx and the
-    feed-forward's mlp2_fwd cache hold one row per (molecule, query) pair."""
+    """What attend_bwd needs of attend_fwd; ctx and the feed-forward's
+    mlp2_fwd cache hold one row per (molecule, query) pair."""
 
     h_c_in: np.ndarray
     h_r: np.ndarray
     h_n: np.ndarray
-    bias_in: np.ndarray
     qh: np.ndarray  # (B, H, Q, d)
     kh: np.ndarray  # (B, H, Kr + Kn, d)
     vh: np.ndarray
@@ -189,7 +187,7 @@ def attend_fwd(layer: LayerParams, h_c_in, h_r, h_n, bias_in, mask: BatchMask,
     u_ln, ln1_cache = layer_norm_rows(u, layer.ln1_gamma, layer.ln1_beta)
     f, ff_cache = mlp2_fwd(layer.ff, u_ln)
     out, ln2_cache = layer_norm_rows(u_ln + f, layer.ln2_gamma, layer.ln2_beta)
-    cache = LayerCache(h_c_in, h_r, h_n, bias_in, qh, kh, vh, attn, ctx, scale,
+    cache = LayerCache(h_c_in, h_r, h_n, qh, kh, vh, attn, ctx, scale,
                        ln1_cache, ff_cache, ln2_cache)
     return out.reshape(n_batch, n_q, h), logits, attn, cache
 

@@ -150,6 +150,7 @@ class MoleculeBatch:
     """
 
     ids: tuple[str, ...]  # Molecule.id of each molecule, for error messages
+    index: tuple[int, ...]  # position in the caller's sequence, named when the id is empty
     key_atoms: np.ndarray  # (B, Kr + Kn) atom index of each key in its molecule, -1 on pads
     mask: BatchMask
     k_r: int  # width of the related-key block, Kr
@@ -286,17 +287,22 @@ def mlp2_bwd(mlp: Mlp2, cache, d_out):
     return Mlp2(w1=d_w1, b1=d_b1, w2=d_w2, b2=d_b2), d_x
 
 
-def prepare_batch(mols) -> MoleculeBatch:
+def prepare_batch(mols, index=None) -> MoleculeBatch:
     """Masks, chirality matrices, projector inputs and pair distances of a
     molecule batch, padded to its largest member.
 
     Atoms are numbered over the whole batch, molecule after molecule, so
     every step is one array operation over all molecules. Each molecule's
-    related and non-chiral keys come in atom order.
+    related and non-chiral keys come in atom order. `index` gives each
+    molecule's index in the caller's sequence (0, 1, ... by default), which
+    errors name for a molecule without an id.
     """
     if not mols:
         raise ValueError("empty molecule batch")
     n_batch = len(mols)
+    index = tuple(range(n_batch)) if index is None else tuple(int(i) for i in index)
+    if len(index) != n_batch:
+        raise ValueError(f"{len(index)} indices for a batch of {n_batch} molecules")
     n_atoms = np.array([m.n_atoms for m in mols])
     n_units = np.array([len(m.chiral_units) for m in mols])
     starts = np.cumsum(n_atoms) - n_atoms
@@ -330,6 +336,7 @@ def prepare_batch(mols) -> MoleculeBatch:
     key_positions = coords[keys]
     return MoleculeBatch(
         ids=tuple(m.id for m in mols),
+        index=index,
         key_atoms=np.where(mask.keys, keys - starts[:, None], -1),
         mask=mask,
         k_r=k_r,

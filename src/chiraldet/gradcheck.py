@@ -42,7 +42,6 @@ from .geometry import mirror
 from .model import (
     ModelConfig,
     _leaves,
-    batch_loss,
     batch_step,
     classify_loss,
     dataset_to_pairs,
@@ -51,8 +50,12 @@ from .model import (
     named_parameters,
     parameter_stage,
     rank_loss,
+    rank_penalty,
+    stack_states,
 )
 from .numerics import (
+    FD_STEP,
+    central_difference,
     compare_grads,
     det3_batch,
     finite_diff_grad,
@@ -82,18 +85,17 @@ def flatten(*items) -> np.ndarray:
     return np.concatenate([a.ravel() for item in items for a in _arrays(item)])
 
 
-def _numeric(arrays, loss_of) -> np.ndarray:
-    """Central differences of a scalar loss in every entry of `arrays`,
-    (name, array) pairs, in order.
+def _numeric(arrays, loss) -> np.ndarray:
+    """Central differences of a scalar loss() in every entry of `arrays`,
+    (name, array) pairs, in order, through finite_diff_grad.
 
     While an array is moved, each evaluation writes its point into that
-    array, in place, and calls loss_of(name)(), so no evaluation unpacks a
-    flat vector or rebuilds a parameter dataclass. Each array is restored
+    array, in place, and calls loss(), so no evaluation unpacks a flat
+    vector or rebuilds a parameter dataclass. Each array is restored
     before the next is moved.
     """
     numeric = []
-    for name, live in arrays:
-        loss = loss_of(name)
+    for _, live in arrays:
         theta0 = live.flatten()
 
         def loss_at(theta):
@@ -140,7 +142,7 @@ def _check_kernel(rng, config: ModelConfig):
     def f():
         return float((weights * kernel_fwd(bank, mc)[0]).sum())
 
-    numeric = _numeric(arrays, lambda _: f)
+    numeric = _numeric(arrays, f)
     _, cache = kernel_fwd(bank, mc)
     grads, d_mc = kernel_bwd(cache, weights)
     return flatten(grads.w, grads.gamma, d_mc), numeric, arrays
@@ -153,7 +155,7 @@ def _check_reg_loss(rng, config: ModelConfig):
     def f():
         return regularization_loss(bank)
 
-    numeric = _numeric(arrays, lambda _: f)
+    numeric = _numeric(arrays, f)
     return regularization_grad(bank).ravel(), numeric, arrays
 
 
@@ -167,7 +169,7 @@ def _check_layer_norm(rng, config: ModelConfig):
     def f():
         return float((weights * layer_norm_rows(x, gamma, beta)[0]).sum())
 
-    numeric = _numeric(arrays, lambda _: f)
+    numeric = _numeric(arrays, f)
     _, cache = layer_norm_rows(x, gamma, beta)
     return flatten(*layer_norm_rows_backward(weights, cache, gamma)), numeric, arrays
 
@@ -192,7 +194,7 @@ def _check_distance_bias(rng, config: ModelConfig):
     def f():
         return float((weights * pair_bias_fwd(params, pairs)[0]).sum())
 
-    numeric = _numeric(arrays, lambda _: f)
+    numeric = _numeric(arrays, f)
     _, cache = pair_bias_fwd(params, pairs)
     return flatten(pair_bias_bwd(params, cache, weights)), numeric, arrays
 
@@ -214,7 +216,7 @@ def _check_attention_layer(rng, config: ModelConfig):
         out, bias_out, _, _ = attend_fwd(layer, *inputs, mask)
         return float((w_out * out).sum() + (w_bias * bias_out).sum())
 
-    numeric = _numeric(arrays, lambda _: f)
+    numeric = _numeric(arrays, f)
     _, _, _, cache = attend_fwd(layer, *inputs, mask)
     return flatten(*attend_bwd(layer, cache, w_out, w_bias)), numeric, arrays
 
@@ -228,35 +230,76 @@ def _check_predictor(rng, config: ModelConfig):
     def f():
         return float((weights * mlp2_fwd(mlp, x)[0]).sum())
 
-    numeric = _numeric(arrays, lambda _: f)
+    numeric = _numeric(arrays, f)
     _, cache = mlp2_fwd(mlp, x)
     return flatten(*mlp2_bwd(mlp, cache, weights)), numeric, arrays
 
 
-def _oracle(model, batch, objective, reg_weight: float, names):
-    """Central differences of batch_loss in the named live parameters, in
-    named_parameters order; returns (numeric, the audited (name, array)
-    pairs).
+# evaluation points per stacked forward in _oracle. Stacks of 8 and of 16
+# kept every audited gradient byte-identical to a forward per point; at 32
+# a feed-forward product of the stacked rows took another BLAS kernel and
+# rounded differently, and 8 ran as fast as 32
+AUDIT_CHUNK = 8
 
-    One forward at the starting point is the prefix that every evaluation
-    resumes from: an evaluation reruns the forward from the first stage
-    that the moved array reaches (parameter_stage).
+
+def _oracle(model, mols, objective, reg_weight: float, names):
+    """Central differences of batch_loss over prepare_batch(mols) in the
+    named live parameters, in named_parameters order; returns (numeric, the
+    audited (name, array) pairs).
+
+    One forward at the starting point is the prefix. Each evaluation point
+    writes its entry into the live array, in place, and runs only the
+    stage s its array reaches (parameter_stage) from the prefix; it keeps
+    that stage's output and the rank penalty at the point. The stages
+    after s run once per AUDIT_CHUNK points: their kept outputs are
+    stacked along the molecule axis (stack_states) and resumed over
+    prepare_batch(mols * k), whose copies are padded as the batch is. Each
+    copy's logits then give the loss batch_step would, so every numeric
+    gradient is byte-identical to a full forward per point.
     """
+    batch = prepare_batch(mols)
     prefix = forward_batch(model, batch)
+    repeated = {}  # k -> prepare_batch(mols * k)
+    last = len(model.layers) + 1
     arrays = [(name, live) for name, live in named_parameters(model) if name in names]
+    numeric = []
+    for name, live in arrays:
+        stage = parameter_stage(model, name)
+        theta0 = live.flatten()
+        points = [(i, t + d) for i, t in enumerate(theta0) for d in (FD_STEP, -FD_STEP)]
+        losses = []
+        try:
+            for c in range(0, len(points), AUDIT_CHUNK):
+                kept = []
+                for i, value in points[c : c + AUDIT_CHUNK]:
+                    live.flat[i] = value
+                    kept.append((forward_batch(model, batch, prefix, stage, stage + 1),
+                                 rank_penalty(model, reg_weight)))
+                    live.flat[i] = theta0[i]
+                states, penalties = zip(*kept)
+                k = len(states)
+                if k not in repeated:
+                    repeated[k] = prepare_batch(mols * k)
+                stacked = stack_states(states, repeated[k])
+                if stage < last:
+                    stacked = forward_batch(model, repeated[k], stacked, stage + 1)
+                copies = stacked.logits.reshape(k, len(mols), -1)
+                losses += [objective(logits)[0] + penalty
+                           for logits, penalty in zip(copies, penalties)]
+        finally:
+            live[...] = theta0.reshape(live.shape)
+        numeric.append(central_difference(losses[0::2], losses[1::2]))
+    return np.concatenate(numeric), arrays
 
-    def loss_of(name):
-        start = parameter_stage(model, name)
-        return lambda: batch_loss(model, batch, objective, reg_weight, prefix, start)
 
-    return _numeric(arrays, loss_of), arrays
+# Each *_loss_instance returns (model, mols, objective, reg_weight, the
+# audited parameter names) of a model-level block; _check_model audits it.
 
 
-def _check_full_loss(rng, config: ModelConfig):
-    """Loss of a padded batch: a one-unit gen_rs molecule and a two-unit
-    molecule tiled from two more, so the first has pad queries and pad
-    keys. The oracle runs forward only, every evaluation on one prepared
-    batch, resumed at the stage its coordinate reaches."""
+def _full_loss_instance(rng, config: ModelConfig):
+    """Classification loss plus the rank penalty over every parameter, on a
+    padded batch: a one-unit gen_rs molecule and a two-unit molecule tiled
+    from two more, so the first has pad queries and pad keys."""
     model = init_model(config)
     (mol_a, label_a), (mol_b, label_b), (mol_c, _) = gen_rs(
         SyntheticSpec(count=3, seed=int(rng.integers(1 << 16)), spectator_range=(1, 2))
@@ -264,15 +307,11 @@ def _check_full_loss(rng, config: ModelConfig):
     mols, labels = zip(*dataset_to_pairs(
         [(mol_a, label_a), (tile_molecules([mol_b, mol_c]), label_b)]
     ))
-    batch = prepare_batch(mols)
     objective = classify_loss(labels, config.n_classes)
-    numeric, arrays = _oracle(model, batch, objective, 0.1,
-                              {n for n, _ in named_parameters(model)})
-    _, _, grads = batch_step(model, batch, objective, reg_weight=0.1)
-    return flatten(*(a for _, a in named_parameters(grads))), numeric, arrays
+    return model, mols, objective, 0.1, {n for n, _ in named_parameters(model)}
 
 
-def _check_rank_loss(rng, config: ModelConfig):
+def _rank_loss_instance(rng, config: ModelConfig):
     """Margin-ranking loss of two enantiomer pairs under a 1-dim head, each
     pair ordered so that its score gap is positive. Only the head and the
     kernel gain are audited: the rest of the chain is the backward_batch
@@ -288,12 +327,21 @@ def _check_rank_loss(rng, config: ModelConfig):
     margin = float(np.abs(gaps).mean())
     if np.min(np.abs(np.abs(gaps) - margin)) < 1e-4:
         raise NumericError(f"score gaps {gaps} put a rank audit pair on the hinge kink")
-    batch = prepare_batch(his + los)
-    objective = rank_loss(margin)
     live = {"encoder.kernel.gamma"} | {f"head.{n}" for n, _ in _leaves(model.head)}
-    numeric, arrays = _oracle(model, batch, objective, 0.0, live)
-    _, _, grads = batch_step(model, batch, objective, reg_weight=0.0)
-    return flatten(grads.encoder.kernels.gamma, grads.head), numeric, arrays
+    return model, his + los, rank_loss(margin), 0.0, live
+
+
+def _check_model(instance):
+    """The check of a model-level block: _oracle against batch_step's
+    gradients of the named parameters."""
+
+    def check(rng, config: ModelConfig):
+        model, mols, objective, reg_weight, names = instance(rng, config)
+        numeric, arrays = _oracle(model, mols, objective, reg_weight, names)
+        _, _, grads = batch_step(model, prepare_batch(mols), objective, reg_weight)
+        return flatten(*(g for n, g in named_parameters(grads) if n in names)), numeric, arrays
+
+    return check
 
 
 _CHECKS = {
@@ -303,23 +351,27 @@ _CHECKS = {
     "attention.distance_bias": _check_distance_bias,
     "attention.layer": _check_attention_layer,
     "model.predictor": _check_predictor,
-    "model.full_loss": _check_full_loss,
-    "model.rank_loss": _check_rank_loss,
+    "model.full_loss": _check_model(_full_loss_instance),
+    "model.rank_loss": _check_model(_rank_loss_instance),
 }
 BLOCKS = tuple(_CHECKS)
+
+
+def block_rng(name: str, seed: int) -> np.random.Generator:
+    """The generator of a block's audit, offset from `seed` by a stable
+    hash of the block name, so every process audits the same points."""
+    return np.random.default_rng(seed + zlib.crc32(name.encode()) % 1000)
 
 
 def run_gradcheck(config: ModelConfig = TINY_CONFIG, seed: int = 1, tol: float = 1e-4,
                   sabotage: str | None = None, blocks=BLOCKS) -> list[BlockReport]:
     """Run every block audit; `sabotage` corrupts matching blocks' analytic
     gradients (negative control for the audit itself). Each block draws
-    from its own generator, offset from `seed` by a stable hash of the
-    block name, so every process audits the same points."""
+    from its own generator, block_rng."""
     reports = []
     for name in blocks:
         began = time.perf_counter()
-        rng = np.random.default_rng(seed + zlib.crc32(name.encode()) % 1000)
-        analytic, numeric, arrays = _CHECKS[name](rng, config)
+        analytic, numeric, arrays = _CHECKS[name](block_rng(name, seed), config)
         if sabotage and name.startswith(sabotage):
             analytic = analytic * 1.02 + 0.01
         rep = compare_grads(analytic, numeric, tol=tol)

@@ -161,18 +161,21 @@ def named_parameters(model: ChiralModel):
 @dataclass
 class BatchState:
     """Everything forward_batch computed that backward, exports or a resumed
-    forward need.
+    forward need, stage by stage.
 
     Arrays are padded to the batch's largest molecule; `encoded.batch.mask`
-    marks the valid entries. Each layer's cache holds that layer's inputs.
+    marks the valid entries. `carried[t]` is the (query rows, pair bias)
+    that stage t passes on, for stage 0 and each layer run, and
+    `caches[t]` what stage t's backward needs. A forward stopped before
+    the head has no pooled rows or logits.
     """
 
-    logits: np.ndarray  # (B, n_classes)
-    pooled: np.ndarray  # (B, h)
-    h_c: np.ndarray  # (B, Q, h) query rows out of the last layer, the pooling input
     encoded: EncodedBatch
-    attn: list  # per layer, (B, Q, Kr + Kn, H)
-    caches: dict
+    carried: list  # per stage 0..L run, (h_c (B, Q, h), bias (B, Q, Kr + Kn, H))
+    attn: list  # per layer run, (B, Q, Kr + Kn, H)
+    caches: list  # per stage run; entries are None in a stacked state
+    pooled: np.ndarray | None = None  # (B, h)
+    logits: np.ndarray | None = None  # (B, n_classes)
 
 
 def parameter_stage(model: ChiralModel, name: str) -> int:
@@ -189,91 +192,111 @@ def parameter_stage(model: ChiralModel, name: str) -> int:
 
 
 def forward_batch(model: ChiralModel, batch: MoleculeBatch, prefix: BatchState | None = None,
-                  start: int = 0) -> BatchState:
+                  start: int = 0, stop: int | None = None) -> BatchState:
     """Forward over a prepared batch; parameter arithmetic only, so one
     batch serves any number of forwards under changing parameters.
 
     The forward is a list of stages: 0 encodes the batch and seeds the pair
     bias, 1..L run the attention layers in order, and L + 1 pools the query
-    rows and applies the head. Given `prefix`, a state of the same batch,
-    the forward resumes at stage `start` from the inputs the prefix holds
-    for it, which gives the bytes of a full forward as long as no parameter
-    of an earlier stage (parameter_stage) changed since the prefix was
-    computed. The prefix is not modified.
+    rows and applies the head. It runs stages start..stop - 1, every stage
+    to the end by default. Given `prefix`, a state of the same batch that
+    ran stage start - 1, the forward resumes at stage `start` from what the
+    prefix carried out of that stage and from its encoder rows. That gives
+    the bytes of a full forward as long as no parameter of an earlier stage
+    (parameter_stage) changed since the prefix was computed. The prefix is
+    not modified.
+
+    A prefix may also be stack_states of k states of one batch, each
+    stopped after stage start - 1, with `batch` the prepare_batch of that
+    batch's molecules repeated k times: its rows are those k states,
+    concatenated on the molecule axis.
 
     Non-finite logits raise NumericError naming the first molecule whose
-    logits are non-finite (its id, or its index in the batch when the id is
-    empty) and the first stage whose output is non-finite for it.
+    logits are non-finite (its id, or its index when the id is empty) and
+    the first stage whose output is non-finite for it.
     """
     n_layers = len(model.layers)
-    if not 0 <= start <= n_layers + 1:
-        raise ValueError(f"stage {start} is not in 0..{n_layers + 1}")
+    stop = n_layers + 2 if stop is None else stop
+    if not 0 <= start < stop <= n_layers + 2:
+        raise ValueError(f"stages {start}..{stop - 1} are not in 0..{n_layers + 1}")
     mask = batch.mask
     if start == 0:
-        layer_caches, all_attn = [], []
+        carried, all_attn, caches = [], [], []
     else:
-        if prefix is None or prefix.encoded.batch is not batch:
-            raise ValueError("resuming a forward needs a prefix state of the same batch")
-        encoded, caches = prefix.encoded, prefix.caches
-        enc_cache, bias_cache = caches["encode"], caches["bias"]
-        layer_caches, all_attn = caches["layers"][: start - 1], prefix.attn[: start - 1]
-        if start <= n_layers:
-            h_c, bias = caches["layers"][start - 1].h_c_in, caches["layers"][start - 1].bias_in
-        else:
-            h_c = prefix.h_c
-    for stage in range(start, n_layers + 2):
+        if prefix is None or prefix.encoded.batch is not batch or len(prefix.carried) < start:
+            raise ValueError(f"resuming a forward at stage {start} needs a prefix state "
+                             "of the same batch that ran the stages before it")
+        encoded = prefix.encoded
+        carried, caches = prefix.carried[:start], prefix.caches[:start]
+        all_attn = prefix.attn[: start - 1]
+        h_c, bias = carried[-1]
+    pooled = logits = None
+    for stage in range(start, stop):
         if stage == 0:
             encoded, enc_cache = encode_fwd(model.encoder, batch)
             bias, bias_cache = pair_bias_fwd(model.distance_bias, batch.pairs)
             h_c = encoded.h_c
+            caches.append((enc_cache, bias_cache))
+            carried.append((h_c, bias))
         elif stage <= n_layers:
             h_c, bias, attn, cache = attend_fwd(
                 model.layers[stage - 1], h_c, encoded.h_r, encoded.h_n, bias, mask,
                 layer_index=stage - 1,
             )
-            layer_caches.append(cache)
+            caches.append(cache)
+            carried.append((h_c, bias))
             all_attn.append(attn)
         else:
             pooled = pool(h_c, mask.queries)
             logits, head_cache = mlp2_fwd(model.head, pooled)
-    state = BatchState(
-        logits=logits,
-        pooled=pooled,
-        h_c=h_c,
-        encoded=encoded,
-        attn=all_attn,
-        caches={
-            "encode": enc_cache,
-            "bias": bias_cache,
-            "layers": layer_caches,
-            "head": head_cache,
-        },
-    )
-    if not np.isfinite(logits).all():
+            caches.append(head_cache)
+    state = BatchState(encoded=encoded, carried=carried, attn=all_attn, caches=caches,
+                       pooled=pooled, logits=logits)
+    if logits is not None and not np.isfinite(logits).all():
         b = int(np.flatnonzero(~np.isfinite(logits).all(axis=1))[0])
         # the walk ends at the molecule's logits, so it always finds a stage
         first = next(name for outputs in stage_outputs(state) for name, arr in outputs
                      if not np.isfinite(arr[b]).all())
-        who = batch.ids[b] or f"at index {b}"
+        who = batch.ids[b] or f"at index {batch.index[b]}"
         raise NumericError(f"molecule {who}: non-finite logits, "
                            f"first non-finite stage output: {first}")
     return state
 
 
+def stack_states(states, batch: MoleculeBatch) -> BatchState:
+    """k states of one batch, each stopped after the same stage, as one
+    state of `batch`, the prepare_batch of that batch's molecules repeated
+    k times: every array with the molecule on its first axis (encoder rows,
+    carried stage outputs, attention, pooled rows and logits) is the k
+    states' arrays concatenated on that axis. It is a prefix that
+    forward_batch resumes at the next stage. No cache is stacked, so
+    neither it nor a forward resumed from it can be backpropagated."""
+    first = states[0]
+    return BatchState(
+        encoded=EncodedBatch(*(np.concatenate([getattr(s.encoded, f) for s in states])
+                               for f in ("h_c", "h_r", "h_n")), batch=batch),
+        carried=[tuple(map(np.concatenate, zip(*outs)))
+                 for outs in zip(*(s.carried for s in states))],
+        attn=[np.concatenate(layer) for layer in zip(*(s.attn for s in states))],
+        caches=[None] * len(first.caches),
+        pooled=None if first.pooled is None else np.concatenate([s.pooled for s in states]),
+        logits=None if first.logits is None else np.concatenate([s.logits for s in states]),
+    )
+
+
 def stage_outputs(state: BatchState) -> list:
-    """Per forward_batch stage, (name, array) of each output it passes on:
-    the encoder rows and the initial pair bias, each layer's query rows and
-    emitted bias (the last layer's bias is not kept), the pooled rows and
-    the logits, each with the molecule on its first axis. Reads the layer
-    caches, so not after backward_batch."""
+    """Per forward_batch stage run, (name, array) of each output it passes
+    on: the encoder rows and the initial pair bias, each layer's query rows
+    and emitted bias, the pooled rows and the logits, each with the
+    molecule on its first axis."""
     enc = state.encoded
-    layers = state.caches["layers"]
+    (_, bias), *layers = state.carried
     outputs = [[("encoder", enc.h_c), ("encoder", enc.h_r), ("encoder", enc.h_n),
-                ("pair bias", layers[0].bias_in)]]
-    for i, nxt in enumerate(layers[1:]):
-        outputs.append([(f"layer {i}", nxt.h_c_in), (f"layer {i}", nxt.bias_in)])
-    outputs.append([(f"layer {len(layers) - 1}", state.h_c)])
-    outputs.append([("pooling and head", state.pooled), ("pooling and head", state.logits)])
+                ("pair bias", bias)]]
+    outputs += [[(f"layer {i}", h_c), (f"layer {i}", bias)]
+                for i, (h_c, bias) in enumerate(layers)]
+    if state.logits is not None:
+        outputs.append([("pooling and head", state.pooled), ("pooling and head", state.logits)])
     return outputs
 
 
@@ -284,25 +307,26 @@ def backward_batch(model: ChiralModel, state: BatchState, d_logits) -> ChiralMod
     Each layer's cache is released once consumed, so a state can be
     backpropagated only once.
     """
-    d_head, d_pooled = mlp2_bwd(model.head, state.caches["head"], d_logits)
+    caches = state.caches
+    d_head, d_pooled = mlp2_bwd(model.head, caches[-1], d_logits)
     encoded = state.encoded
     d_h_c = pool_bwd(d_pooled, encoded.batch.mask.queries)
     d_h_r = np.zeros_like(encoded.h_r)
     d_h_n = np.zeros_like(encoded.h_n)
     d_bias = np.zeros(state.attn[-1].shape)
-    layer_caches = state.caches["layers"]
     d_layers = [None] * len(model.layers)
     for i in reversed(range(len(model.layers))):
         d_layers[i], d_h_c, d_hr_i, d_hn_i, d_bias = attend_bwd(
-            model.layers[i], layer_caches[i], d_h_c, d_bias
+            model.layers[i], caches[1 + i], d_h_c, d_bias
         )
-        layer_caches[i] = None
+        caches[1 + i] = None
         d_h_r += d_hr_i
         d_h_n += d_hn_i
+    enc_cache, bias_cache = caches[0]
     return ChiralModel(
         config=model.config,
-        distance_bias=pair_bias_bwd(model.distance_bias, state.caches["bias"], d_bias),
-        encoder=encode_bwd(model.encoder, state.caches["encode"], d_h_c, d_h_r, d_h_n),
+        distance_bias=pair_bias_bwd(model.distance_bias, bias_cache, d_bias),
+        encoder=encode_bwd(model.encoder, enc_cache, d_h_c, d_h_r, d_h_n),
         layers=d_layers,
         head=d_head,
     )
@@ -389,22 +413,24 @@ def rank_loss(margin: float):
     return objective
 
 
-def _forward_loss(model: ChiralModel, batch: MoleculeBatch, objective, reg_weight: float,
-                  prefix: BatchState | None = None, start: int = 0):
+def rank_penalty(model: ChiralModel, reg_weight: float) -> float:
+    """The rank penalty batch_step adds to the objective's loss: reg_weight
+    times the kernels' regularization_loss; 0.0, without computing it, when
+    reg_weight is 0."""
+    return reg_weight * regularization_loss(model.encoder.kernels) if reg_weight > 0.0 else 0.0
+
+
+def _forward_loss(model: ChiralModel, batch: MoleculeBatch, objective, reg_weight: float):
     """(loss, n_correct, state, d_logits) of an objective over a prepared
-    batch plus the rank penalty when enabled; the forward resumes at stage
-    `start` of `prefix` as forward_batch does."""
-    state = forward_batch(model, batch, prefix, start)
+    batch plus the rank penalty."""
+    state = forward_batch(model, batch)
     loss, d_logits, n_correct = objective(state.logits)
-    if reg_weight > 0.0:
-        loss += reg_weight * regularization_loss(model.encoder.kernels)
-    return loss, n_correct, state, d_logits
+    return loss + rank_penalty(model, reg_weight), n_correct, state, d_logits
 
 
-def batch_loss(model: ChiralModel, batch: MoleculeBatch, objective, reg_weight: float,
-               prefix: BatchState | None = None, start: int = 0) -> float:
-    """The loss of batch_step, forward only, resumable as forward_batch is."""
-    return _forward_loss(model, batch, objective, reg_weight, prefix, start)[0]
+def batch_loss(model: ChiralModel, batch: MoleculeBatch, objective, reg_weight: float) -> float:
+    """The loss of batch_step, forward only."""
+    return _forward_loss(model, batch, objective, reg_weight)[0]
 
 
 def batch_step(model: ChiralModel, batch: MoleculeBatch, objective, reg_weight: float):
@@ -505,10 +531,13 @@ def dataset_to_pairs(dataset):
 EVAL_CHUNK = 8
 
 
-def _predict(model: ChiralModel, mols) -> np.ndarray:
-    """Predicted class per molecule, in forward_batch chunks of EVAL_CHUNK."""
+def _predict(model: ChiralModel, mols, index) -> np.ndarray:
+    """Predicted class per molecule, in forward_batch chunks of EVAL_CHUNK;
+    index[i] is where mols[i] sits in the caller's dataset, which an error
+    names for a molecule without an id."""
     return np.concatenate([
-        forward_batch(model, prepare_batch(mols[i : i + EVAL_CHUNK])).logits.argmax(axis=1)
+        forward_batch(model, prepare_batch(mols[i : i + EVAL_CHUNK], index[i : i + EVAL_CHUNK]))
+        .logits.argmax(axis=1)
         for i in range(0, len(mols), EVAL_CHUNK)
     ])
 
@@ -518,7 +547,7 @@ def evaluate(model: ChiralModel, dataset) -> float:
     if not pairs:
         raise ValueError("empty evaluation set")
     mols, labels = zip(*pairs)
-    return int((_predict(model, list(mols)) == labels).sum()) / len(pairs)
+    return int((_predict(model, mols, range(len(mols))) == labels).sum()) / len(pairs)
 
 
 def check_feature_width(d_f: int, dataset):
@@ -592,7 +621,10 @@ def train(model: ChiralModel, dataset, cfg: TrainConfig, val_dataset=None,
                 except NumericError as exc:
                     raise NumericError(f"training step {step} failed: {exc}") from exc
                 if not math.isfinite(loss):
-                    raise NumericError(f"training diverged at step {step}")
+                    bad = next((name for name, g in named_parameters(grads)
+                                if not np.isfinite(g).all()), None)
+                    raise NumericError(f"training diverged at step {step}: " + (
+                        f"first non-finite gradient: {bad}" if bad else "every gradient is finite"))
                 adam_step(model, grads, adam, lr_now)
                 del grads  # not held while the next batch's forward caches fill
                 if model.config.rank_strategy is RankStrategy.QR_RETRACTION:
@@ -630,12 +662,13 @@ def mirror_consistency(model: ChiralModel, dataset) -> tuple[float, float]:
     if not pairs:
         return 0.0, 0.0
     mols, labels = zip(*pairs)
-    pred = _predict(model, list(mols))
+    pred = _predict(model, mols, range(len(mols)))
     right = pred == labels
     correct = int(right.sum())
     if correct == 0:
         return 0.0, 0.0
-    pred_m = _predict(model, [mirror(m) for m, ok in zip(mols, right) if ok])
+    kept = np.flatnonzero(right)
+    pred_m = _predict(model, [mirror(mols[i]) for i in kept], kept)
     flipped = int((pred_m == 1 - pred[right]).sum())
     return correct / len(pairs), flipped / correct
 

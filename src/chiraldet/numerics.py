@@ -94,29 +94,43 @@ def normal_cdf(x):
     return 0.5 * (1.0 + erf(np.asarray(x, dtype=np.float64) / SQRT2))
 
 
-def finite_diff_grad(f, theta, h=1e-5):
-    """Central-difference gradient of a scalar function of a flat vector.
+# the step of every central difference the gradient audit takes
+FD_STEP = 1e-5
+
+
+def central_difference(hi, lo, h=FD_STEP) -> np.ndarray:
+    """(hi - lo) / 2h per coordinate i, from the evaluations hi[i] at
+    theta + h e_i and lo[i] at theta - h e_i. A non-finite evaluation
+    raises NumericError naming its coordinate, the first one if several."""
+    hi, lo = np.asarray(hi, dtype=np.float64), np.asarray(lo, dtype=np.float64)
+    bad = np.flatnonzero(~(np.isfinite(hi) & np.isfinite(lo)))
+    if bad.size:
+        raise NumericError(f"non-finite evaluation at coordinate {int(bad[0])}")
+    return (hi - lo) / (2.0 * h)
+
+
+def finite_diff_grad(f, theta, h=FD_STEP):
+    """Central-difference gradient of a scalar function of a flat vector,
+    one point at a time.
 
     Every evaluation receives one working copy of theta with entry i moved
     by +h or -h, and the entry is restored before the next coordinate, so
     f must not keep its argument (or views of it) beyond the call. theta
-    itself is not modified.
+    itself is not modified. The gradient is central_difference of the
+    evaluations.
     """
     if h <= 0.0:
         raise NumericError("finite_diff_grad requires h > 0")
     work = np.array(theta, dtype=np.float64)
-    grad = np.zeros_like(work)
+    hi, lo = np.empty(work.size), np.empty(work.size)
     for i in range(work.size):
         t = work[i]
         work[i] = t + h
-        hi = f(work)
+        hi[i] = f(work)
         work[i] = t - h
-        lo = f(work)
+        lo[i] = f(work)
         work[i] = t
-        if not (np.isfinite(hi) and np.isfinite(lo)):
-            raise NumericError(f"non-finite evaluation at coordinate {i}")
-        grad[i] = (hi - lo) / (2.0 * h)
-    return grad
+    return central_difference(hi, lo, h)
 
 
 @dataclass

@@ -105,6 +105,7 @@ def batch_reference(mols) -> MoleculeBatch:
         key_atoms[b, np.flatnonzero(mask.keys[b])] = keys
     return MoleculeBatch(
         ids=tuple(m.id for m in mols),
+        index=tuple(range(len(mols))),
         key_atoms=key_atoms,
         mask=mask,
         k_r=k_r,

@@ -356,8 +356,9 @@ def test_nonfinite_stage_is_the_named_molecules(mixed):
     mols = mixed[0][:2]  # one unit each, so no pad query rows
     model = init_model(ModelConfig(**TINY, seed=13))
     batch = prepare_batch(mols)
-    # the rows entering the last feed-forward, per molecule
-    rows = forward_batch(model, batch).caches["layers"][-1].ff[0].reshape(2, -1, TINY["h"])
+    # the rows entering the last feed-forward (stage L's cache), per molecule
+    last = len(model.layers)
+    rows = forward_batch(model, batch).caches[last].ff[0].reshape(2, -1, TINY["h"])
     r1 = rows[1, 0]
     c = (np.max(rows[0] @ r1) + r1 @ r1) / 2
     assert np.max(rows[0] @ r1) < c < r1 @ r1

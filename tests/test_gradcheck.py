@@ -1,0 +1,156 @@
+"""The model-level audit oracle: evaluation points run their own stage one
+at a time and the later stages stacked, AUDIT_CHUNK points per forward,
+and every numeric gradient keeps the bytes of a forward per point."""
+
+import numpy as np
+import pytest
+
+from chiraldet.encoder import prepare_batch
+from chiraldet.errors import NumericError
+from chiraldet.gradcheck import (
+    AUDIT_CHUNK,
+    TINY_CONFIG,
+    _full_loss_instance,
+    _oracle,
+    _rank_loss_instance,
+    block_rng,
+)
+from chiraldet.model import (
+    batch_loss,
+    forward_batch,
+    named_parameters,
+    parameter_stage,
+    stack_states,
+    stage_outputs,
+)
+from chiraldet.numerics import finite_diff_grad
+
+INSTANCES = {"model.full_loss": _full_loss_instance, "model.rank_loss": _rank_loss_instance}
+
+
+def audit_instance(block, seed=1):
+    """(model, mols, objective, reg_weight, names) as run_gradcheck audits
+    the block at `seed`."""
+    return INSTANCES[block](block_rng(block, seed), TINY_CONFIG)
+
+
+@pytest.mark.parametrize("block", list(INSTANCES))
+def test_repeated_batch_gives_every_copy_the_bytes_of_the_batch(block):
+    model, mols, *_ = audit_instance(block)
+    alone = stage_outputs(forward_batch(model, prepare_batch(mols)))
+    n = len(mols)
+    for k in range(1, AUDIT_CHUNK + 1):
+        repeated = stage_outputs(forward_batch(model, prepare_batch(mols * k)))
+        for outputs, outputs_k in zip(alone, repeated, strict=True):
+            for (name, a), (_, a_k) in zip(outputs, outputs_k, strict=True):
+                for j in range(k):
+                    assert a_k[j * n : (j + 1) * n].tobytes() == a.tobytes(), (
+                        f"{name} output of copy {j} of {k} differs from the batch alone: "
+                        f"the audit oracle stacks up to AUDIT_CHUNK = {AUDIT_CHUNK} "
+                        "evaluation points per forward and assumes BLAS rounds each "
+                        "row of a product alike whatever rows are stacked with it"
+                    )
+
+
+@pytest.mark.parametrize("block", list(INSTANCES))
+def test_chunked_oracle_matches_a_full_forward_per_point(block):
+    """Byte for byte against finite_diff_grad over batch_loss, which runs
+    every stage at every point: in every audited array, its first and last
+    five entries, so the points that cross from the first chunk into the
+    second and those of the last chunk, short or not."""
+    model, mols, objective, reg_weight, names = audit_instance(block)
+    numeric, arrays = _oracle(model, mols, objective, reg_weight, names)
+    assert [name for name, _ in arrays] == [n for n, _ in named_parameters(model) if n in names]
+    # head.b2 has 2 entries (1 under the ranking head), so its points make
+    # one short chunk
+    assert (2 * dict(arrays)["head.b2"].size) % AUDIT_CHUNK
+    batch = prepare_batch(mols)
+    offset = 0
+    for name, live in arrays:
+        theta0 = live.flatten()
+        picked = np.unique(np.r_[0 : min(5, live.size), max(0, live.size - 5) : live.size])
+
+        def loss_at(theta):
+            live.flat[picked] = theta
+            return batch_loss(model, batch, objective, reg_weight)
+
+        try:
+            expect = finite_diff_grad(loss_at, theta0[picked])
+        finally:
+            live[...] = theta0.reshape(live.shape)
+        got = numeric[offset : offset + live.size][picked]
+        assert got.tobytes() == expect.tobytes(), name
+        offset += live.size
+    assert offset == numeric.size
+
+
+@pytest.fixture(scope="module")
+def full_loss():
+    model, mols, *_ = audit_instance("model.full_loss")
+    batch = prepare_batch(mols)
+    return model, mols, batch, forward_batch(model, batch)
+
+
+@pytest.mark.parametrize("name", ["encoder.kernel.w", "bias.w_p", "layers.0.wq",
+                                  "layers.1.ff_b2", "head.b2"])
+def test_stacked_prefix_resumes_to_the_bytes_of_each_point(full_loss, name):
+    """States stopped after a parameter's stage, one per point, stacked and
+    resumed at the next stage, give each point the stage outputs of its own
+    full forward."""
+    model, mols, batch, prefix = full_loss
+    live = dict(named_parameters(model))[name]
+    stage = parameter_stage(model, name)
+    saved = live.flat[0]
+    states, fresh = [], []
+    try:
+        for delta in (0.0, 0.25, -0.5):
+            live.flat[0] = saved + delta
+            states.append(forward_batch(model, batch, prefix, stage, stage + 1))
+            fresh.append(stage_outputs(forward_batch(model, batch)))
+    finally:
+        live.flat[0] = saved
+    assert all(len(stage_outputs(s)) == stage + 1 for s in states)
+    repeated = prepare_batch(mols * 3)
+    resumed = stack_states(states, repeated)
+    if stage <= len(model.layers):
+        assert resumed.logits is None
+        resumed = forward_batch(model, repeated, resumed, stage + 1)
+    n = len(mols)
+    for outputs, *per_point in zip(stage_outputs(resumed), *fresh, strict=True):
+        for j, expect in enumerate(per_point):
+            for (label, a), (_, b) in zip(outputs, expect, strict=True):
+                assert a[j * n : (j + 1) * n].tobytes() == b.tobytes(), (label, j)
+
+
+def test_stacked_prefix_is_bound_to_its_repeated_batch(full_loss):
+    model, mols, batch, prefix = full_loss
+    stopped = forward_batch(model, batch, prefix, 1, 2)
+    repeated = prepare_batch(mols * 2)
+    stacked = stack_states([stopped, stopped], repeated)
+    forward_batch(model, repeated, stacked, 2)
+    with pytest.raises(ValueError):
+        forward_batch(model, prepare_batch(mols * 2), stacked, 2)
+    with pytest.raises(ValueError):
+        forward_batch(model, batch, stacked, 2)
+    # it carries stages 0 and 1 only
+    with pytest.raises(ValueError):
+        forward_batch(model, repeated, stacked, 3)
+
+
+def test_nonfinite_evaluation_names_its_coordinate(full_loss):
+    """The 12th evaluation of head.w1, the minus point of its coordinate 5
+    in the second chunk, is NaN; the array is restored after the error."""
+    model, mols, _, _ = full_loss
+    _, _, objective, reg_weight, _ = audit_instance("model.full_loss")
+    calls = []
+
+    def nan_at_call_12(logits):
+        calls.append(1)
+        loss, d_logits, n_correct = objective(logits)
+        return (float("nan") if len(calls) == 12 else loss), d_logits, n_correct
+
+    saved = model.head.w1.copy()
+    with pytest.raises(NumericError, match="^non-finite evaluation at coordinate 5$"):
+        _oracle(model, mols, nan_at_call_12, reg_weight, {"head.w1"})
+    assert len(calls) == 2 * saved.size
+    assert np.array_equal(model.head.w1, saved)

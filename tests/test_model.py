@@ -293,6 +293,39 @@ class TestTraining:
         with pytest.raises(NumericError, match="step 0"):
             train(model, small_dataset[:8], TrainConfig(lr=1e-3, epochs=1, batch_size=8))
 
+    def test_divergence_names_first_nonfinite_gradient(self, small_dataset):
+        """Kernel slices at 1e40 under a 1e300 rank penalty: the forward and
+        the classification gradients stay finite (the readout is scale
+        free), the penalty and its kernel gradient overflow."""
+        model = tiny_model(seed=12, rank_strategy=RankStrategy.REGULARIZE)
+        model.encoder.kernels.w *= 1e40
+        with pytest.raises(NumericError, match="^training diverged at step 0: "
+                                               "first non-finite gradient: encoder.kernel.w$"):
+            train(model, small_dataset[:8],
+                  TrainConfig(lr=1e-3, epochs=1, batch_size=8, reg_weight=1e300))
+
+    @pytest.mark.parametrize("score", [evaluate, mirror_consistency])
+    def test_idless_molecule_named_by_its_dataset_index(self, score):
+        """Nine molecules without ids, so the ninth is alone in the second
+        chunk of EVAL_CHUNK = 8; head weights overflow for it alone, and the
+        error names it at index 8 of the dataset, not 0 of its chunk."""
+        data = [(replace(mol, id=""), label) for mol, label in
+                gen_rs(SyntheticSpec(count=9, seed=39, spectator_range=(0, 2)))]
+        model = tiny_model(seed=14)
+        pooled = np.array([embed(model, m) for m, _ in data])
+        # a plane normal to v between the ninth pooled row and the others
+        v = pooled[8] - pooled[:8].mean(axis=0)
+        top = np.max(pooled[:8] @ v)
+        assert top < pooled[8] @ v
+        c = (top + pooled[8] @ v) / 2
+        # hidden unit 0 becomes 1e200 (pooled . v - c): GELU keeps it for the
+        # ninth molecule alone, whose 1e300 readout overflows
+        model.head.w1[0] = 1e200 * v
+        model.head.b1[0] = -1e200 * c
+        model.head.w2[:, 0] = 1e300
+        with pytest.raises(NumericError, match="^molecule at index 8: non-finite logits"):
+            score(model, data)
+
     def test_d_f_mismatch_rejected(self, small_dataset):
         with pytest.raises(ValueError, match="^d_f=10 does not match .* feature width 52$"):
             train(tiny_model(seed=2, d_f=10), small_dataset[:4], TrainConfig(epochs=1))
