@@ -30,7 +30,6 @@ from .data import (
 )
 from .encoder import (
     BatchMask,
-    EncodedBatch,
     EncoderParams,
     KernelBank,
     MoleculeBatch,

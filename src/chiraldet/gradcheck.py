@@ -248,40 +248,44 @@ def _oracle(model, mols, objective, reg_weight: float, names):
     audited (name, array) pairs).
 
     One forward at the starting point is the prefix. Each evaluation point
-    writes its entry into the live array, in place, and runs only the
-    stage s its array reaches (parameter_stage) from the prefix; it keeps
-    that stage's output and the rank penalty at the point. The stages
-    after s run once per AUDIT_CHUNK points: their kept outputs are
-    stacked along the molecule axis (stack_states) and resumed over
-    prepare_batch(mols * k), whose copies are padded as the batch is. Each
-    copy's logits then give the loss batch_step would, so every numeric
-    gradient is byte-identical to a full forward per point.
+    writes its entry into the live array, in place, and runs only the one
+    stage s that reads the array (parameter_stage) from the prefix: for a
+    projector that is one mlp2_fwd, for the distance bias one
+    pair_bias_fwd. It keeps that stage's output and the rank penalty at the
+    point, which only the kernel slices move, so every other array reuses
+    the penalty of the starting point. The stages after s run once per
+    AUDIT_CHUNK points: their kept outputs are stacked along the molecule
+    axis (stack_states) and resumed over prepare_batch(mols * k), whose
+    copies are padded as the batch is. Each copy's logits then give the
+    loss batch_step would, so every numeric gradient is byte-identical to
+    a full forward per point.
     """
     batch = prepare_batch(mols)
     prefix = forward_batch(model, batch)
+    penalty0 = rank_penalty(model, reg_weight)
     repeated = {}  # k -> prepare_batch(mols * k)
-    last = len(model.layers) + 1
     arrays = [(name, live) for name, live in named_parameters(model) if name in names]
     numeric = []
     for name, live in arrays:
         stage = parameter_stage(model, name)
+        # rank_penalty reads the kernel slices alone
+        moves_penalty = live is model.encoder.kernels.w
         theta0 = live.flatten()
         points = [(i, t + d) for i, t in enumerate(theta0) for d in (FD_STEP, -FD_STEP)]
         losses = []
         try:
             for c in range(0, len(points), AUDIT_CHUNK):
-                kept = []
+                states, penalties = [], []
                 for i, value in points[c : c + AUDIT_CHUNK]:
                     live.flat[i] = value
-                    kept.append((forward_batch(model, batch, prefix, stage, stage + 1),
-                                 rank_penalty(model, reg_weight)))
+                    states.append(forward_batch(model, batch, prefix, stage, stage + 1))
+                    penalties.append(rank_penalty(model, reg_weight) if moves_penalty else penalty0)
                     live.flat[i] = theta0[i]
-                states, penalties = zip(*kept)
                 k = len(states)
                 if k not in repeated:
                     repeated[k] = prepare_batch(mols * k)
                 stacked = stack_states(states, repeated[k])
-                if stage < last:
+                if stacked.logits is None:
                     stacked = forward_batch(model, repeated[k], stacked, stage + 1)
                 copies = stacked.logits.reshape(k, len(mols), -1)
                 losses += [objective(logits)[0] + penalty

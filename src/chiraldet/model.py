@@ -5,6 +5,7 @@ checksummed binary checkpoint format.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import math
 import struct
@@ -28,13 +29,12 @@ from .attention import (
     pool_bwd,
 )
 from .encoder import (
-    EncodedBatch,
+    ENCODER_STAGES,
     EncoderParams,
     Mlp2,
     MoleculeBatch,
     RankStrategy,
-    encode_bwd,
-    encode_fwd,
+    encoder_bwd,
     init_encoder,
     init_mlp2,
     mlp2_bwd,
@@ -163,31 +163,71 @@ class BatchState:
     """Everything forward_batch computed that backward, exports or a resumed
     forward need, stage by stage.
 
-    Arrays are padded to the batch's largest molecule; `encoded.batch.mask`
-    marks the valid entries. `carried[t]` is the (query rows, pair bias)
-    that stage t passes on, for stage 0 and each layer run, and
-    `caches[t]` what stage t's backward needs. A forward stopped before
-    the head has no pooled rows or logits.
+    `outputs[t]` holds the arrays stage t wrote, by name, each with the
+    molecule on its first axis and padded to the batch's largest molecule
+    (`batch.mask` marks the valid entries): h_k, h_c, h_r and h_n from the
+    encoder stages, bias from the pair bias, h_c, bias and attn from each
+    layer, pooled and logits from the head. A later stage's h_c or bias
+    supersedes an earlier one. `caches[t]` is what stage t's backward
+    needs.
     """
 
-    encoded: EncodedBatch
-    carried: list  # per stage 0..L run, (h_c (B, Q, h), bias (B, Q, Kr + Kn, H))
-    attn: list  # per layer run, (B, Q, Kr + Kn, H)
+    batch: MoleculeBatch
+    stages: tuple  # forward_stages of the model, run or not
+    outputs: list  # per stage run, {name: array}
     caches: list  # per stage run; entries are None in a stacked state
-    pooled: np.ndarray | None = None  # (B, h)
-    logits: np.ndarray | None = None  # (B, n_classes)
+
+    def latest(self, name: str) -> np.ndarray | None:
+        """The array `name` as the last stage run that wrote it left it."""
+        return next((out[name] for out in reversed(self.outputs) if name in out), None)
+
+    @property
+    def attn(self) -> list:
+        """Each layer's attention (B, Q, Kr + Kn, H), per layer run."""
+        return [out["attn"] for out in self.outputs if "attn" in out]
+
+    @property
+    def pooled(self) -> np.ndarray | None:
+        """(B, h); None in a forward stopped before the head."""
+        return self.latest("pooled")
+
+    @property
+    def logits(self) -> np.ndarray | None:
+        """(B, n_classes); None in a forward stopped before the head."""
+        return self.latest("logits")
+
+
+# forward_batch's stage indices: the encoder stages, then the pair bias,
+# the layers, and pooling plus the head
+_BIAS_STAGE = len(ENCODER_STAGES)
+_FIRST_LAYER_STAGE = _BIAS_STAGE + 1
+
+
+# built once per layer count, since every forward_batch call reads it
+@functools.cache
+def _stage_table(n_layers: int) -> tuple:
+    return tuple([("encoder", groups) for groups, _ in ENCODER_STAGES]
+                 + [("pair bias", ("bias",))]
+                 + [(f"layer {i}", (f"layers.{i}",)) for i in range(n_layers)]
+                 + [("pooling and head", ("head",))])
+
+
+def forward_stages(model: ChiralModel) -> tuple:
+    """(name, parameter groups) of each forward_batch stage, in run order:
+    the name a NumericError gives the stage's outputs and the
+    named_parameters groups that only that stage reads. The groups, stage
+    after stage, are the named_parameters groups in their order."""
+    return _stage_table(len(model.layers))
 
 
 def parameter_stage(model: ChiralModel, name: str) -> int:
-    """The first forward_batch stage that reads a named parameter:
-    encoder.* and bias.* at 0, layers.i.* at 1 + i, head.* at L + 1."""
-    group, _, rest = name.partition(".")
-    if group in ("encoder", "bias"):
-        return 0
-    if group == "layers":
-        return 1 + int(rest.partition(".")[0])
-    if group == "head":
-        return len(model.layers) + 1
+    """The one forward_batch stage that reads a named parameter, looked up
+    from its group in forward_stages: encoder.kernel.* 0, encoder.token and
+    encoder.proj_c.* 1, encoder.proj_r.* 2, encoder.proj_n.* 3, bias.* 4,
+    layers.i.* 5 + i and head.* the last."""
+    for stage, (_, groups) in enumerate(forward_stages(model)):
+        if name in groups or name.rpartition(".")[0] in groups:
+            return stage
     raise ValueError(f"no forward stage reads {name!r}")
 
 
@@ -196,66 +236,67 @@ def forward_batch(model: ChiralModel, batch: MoleculeBatch, prefix: BatchState |
     """Forward over a prepared batch; parameter arithmetic only, so one
     batch serves any number of forwards under changing parameters.
 
-    The forward is a list of stages: 0 encodes the batch and seeds the pair
-    bias, 1..L run the attention layers in order, and L + 1 pools the query
-    rows and applies the head. It runs stages start..stop - 1, every stage
-    to the end by default. Given `prefix`, a state of the same batch that
-    ran stage start - 1, the forward resumes at stage `start` from what the
-    prefix carried out of that stage and from its encoder rows. That gives
-    the bytes of a full forward as long as no parameter of an earlier stage
-    (parameter_stage) changed since the prefix was computed. The prefix is
-    not modified.
+    The forward is a list of stages (forward_stages), one per group of
+    parameters: the ENCODER_STAGES (kernel channels, query rows, related
+    keys, non-chiral keys), the initial pair bias, the attention layers in
+    order, and pooling of the query rows with the head. It runs stages
+    start..stop - 1, every stage to the end by default. Given `prefix`, a
+    state of the same batch that ran stage start - 1, the forward resumes
+    at stage `start` from the latest value of each array the prefix's
+    stages before `start` wrote. That gives the bytes of a full forward as
+    long as no parameter of an earlier stage (parameter_stage) changed
+    since the prefix was computed. The prefix is not modified.
 
     A prefix may also be stack_states of k states of one batch, each
     stopped after stage start - 1, with `batch` the prepare_batch of that
-    batch's molecules repeated k times: its rows are those k states,
+    batch's molecules repeated k times: its arrays are those k states',
     concatenated on the molecule axis.
 
     Non-finite logits raise NumericError naming the first molecule whose
     logits are non-finite (its id, or its index when the id is empty) and
     the first stage whose output is non-finite for it.
     """
-    n_layers = len(model.layers)
-    stop = n_layers + 2 if stop is None else stop
-    if not 0 <= start < stop <= n_layers + 2:
-        raise ValueError(f"stages {start}..{stop - 1} are not in 0..{n_layers + 1}")
+    stages = forward_stages(model)
+    stop = len(stages) if stop is None else stop
+    if not 0 <= start < stop <= len(stages):
+        raise ValueError(f"stages {start}..{stop - 1} are not in 0..{len(stages) - 1}")
     mask = batch.mask
+    arrays = {}  # the latest array of each name
     if start == 0:
-        carried, all_attn, caches = [], [], []
+        outputs, caches = [], []
     else:
-        if prefix is None or prefix.encoded.batch is not batch or len(prefix.carried) < start:
+        if prefix is None or prefix.batch is not batch or len(prefix.outputs) < start:
             raise ValueError(f"resuming a forward at stage {start} needs a prefix state "
                              "of the same batch that ran the stages before it")
-        encoded = prefix.encoded
-        carried, caches = prefix.carried[:start], prefix.caches[:start]
-        all_attn = prefix.attn[: start - 1]
-        h_c, bias = carried[-1]
-    pooled = logits = None
+        outputs, caches = prefix.outputs[:start], prefix.caches[:start]
+        for out in outputs:
+            arrays.update(out)
     for stage in range(start, stop):
-        if stage == 0:
-            encoded, enc_cache = encode_fwd(model.encoder, batch)
-            bias, bias_cache = pair_bias_fwd(model.distance_bias, batch.pairs)
-            h_c = encoded.h_c
-            caches.append((enc_cache, bias_cache))
-            carried.append((h_c, bias))
-        elif stage <= n_layers:
+        if stage < _BIAS_STAGE:
+            out, cache = ENCODER_STAGES[stage][1](model.encoder, batch, arrays)
+        elif stage == _BIAS_STAGE:
+            bias, cache = pair_bias_fwd(model.distance_bias, batch.pairs)
+            out = {"bias": bias}
+        elif stage < len(stages) - 1:
+            i = stage - _FIRST_LAYER_STAGE
             h_c, bias, attn, cache = attend_fwd(
-                model.layers[stage - 1], h_c, encoded.h_r, encoded.h_n, bias, mask,
-                layer_index=stage - 1,
+                model.layers[i], arrays["h_c"], arrays["h_r"], arrays["h_n"], arrays["bias"],
+                mask, layer_index=i,
             )
-            caches.append(cache)
-            carried.append((h_c, bias))
-            all_attn.append(attn)
+            out = {"h_c": h_c, "bias": bias, "attn": attn}
         else:
-            pooled = pool(h_c, mask.queries)
-            logits, head_cache = mlp2_fwd(model.head, pooled)
-            caches.append(head_cache)
-    state = BatchState(encoded=encoded, carried=carried, attn=all_attn, caches=caches,
-                       pooled=pooled, logits=logits)
+            pooled = pool(arrays["h_c"], mask.queries)
+            logits, cache = mlp2_fwd(model.head, pooled)
+            out = {"pooled": pooled, "logits": logits}
+        arrays.update(out)
+        outputs.append(out)
+        caches.append(cache)
+    state = BatchState(batch=batch, stages=stages, outputs=outputs, caches=caches)
+    logits = arrays.get("logits")
     if logits is not None and not np.isfinite(logits).all():
         b = int(np.flatnonzero(~np.isfinite(logits).all(axis=1))[0])
         # the walk ends at the molecule's logits, so it always finds a stage
-        first = next(name for outputs in stage_outputs(state) for name, arr in outputs
+        first = next(name for written in stage_outputs(state) for name, arr in written
                      if not np.isfinite(arr[b]).all())
         who = batch.ids[b] or f"at index {batch.index[b]}"
         raise NumericError(f"molecule {who}: non-finite logits, "
@@ -266,67 +307,54 @@ def forward_batch(model: ChiralModel, batch: MoleculeBatch, prefix: BatchState |
 def stack_states(states, batch: MoleculeBatch) -> BatchState:
     """k states of one batch, each stopped after the same stage, as one
     state of `batch`, the prepare_batch of that batch's molecules repeated
-    k times: every array with the molecule on its first axis (encoder rows,
-    carried stage outputs, attention, pooled rows and logits) is the k
-    states' arrays concatenated on that axis. It is a prefix that
-    forward_batch resumes at the next stage. No cache is stacked, so
-    neither it nor a forward resumed from it can be backpropagated."""
+    k times: every array each stage wrote is the k states' arrays
+    concatenated on the molecule axis. It is a prefix that forward_batch
+    resumes at the next stage. No cache is stacked, so neither it nor a
+    forward resumed from it can be backpropagated."""
     first = states[0]
     return BatchState(
-        encoded=EncodedBatch(*(np.concatenate([getattr(s.encoded, f) for s in states])
-                               for f in ("h_c", "h_r", "h_n")), batch=batch),
-        carried=[tuple(map(np.concatenate, zip(*outs)))
-                 for outs in zip(*(s.carried for s in states))],
-        attn=[np.concatenate(layer) for layer in zip(*(s.attn for s in states))],
-        caches=[None] * len(first.caches),
-        pooled=None if first.pooled is None else np.concatenate([s.pooled for s in states]),
-        logits=None if first.logits is None else np.concatenate([s.logits for s in states]),
+        batch=batch,
+        stages=first.stages,
+        outputs=[{name: np.concatenate([s.outputs[t][name] for s in states]) for name in out}
+                 for t, out in enumerate(first.outputs)],
+        caches=[None] * len(first.outputs),
     )
 
 
 def stage_outputs(state: BatchState) -> list:
-    """Per forward_batch stage run, (name, array) of each output it passes
-    on: the encoder rows and the initial pair bias, each layer's query rows
-    and emitted bias, the pooled rows and the logits, each with the
-    molecule on its first axis."""
-    enc = state.encoded
-    (_, bias), *layers = state.carried
-    outputs = [[("encoder", enc.h_c), ("encoder", enc.h_r), ("encoder", enc.h_n),
-                ("pair bias", bias)]]
-    outputs += [[(f"layer {i}", h_c), (f"layer {i}", bias)]
-                for i, (h_c, bias) in enumerate(layers)]
-    if state.logits is not None:
-        outputs.append([("pooling and head", state.pooled), ("pooling and head", state.logits)])
-    return outputs
+    """Per forward_batch stage run, (stage name, array) of each array it
+    wrote, each with the molecule on its first axis."""
+    return [[(name, arr) for arr in out.values()]
+            for (name, _), out in zip(state.stages, state.outputs)]
 
 
 def backward_batch(model: ChiralModel, state: BatchState, d_logits) -> ChiralModel:
     """Parameter gradients of a batch from d loss / d logits (B, n_classes),
-    as a ChiralModel of the same shapes.
+    as a ChiralModel of the same shapes, from the caches of every stage.
 
     Each layer's cache is released once consumed, so a state can be
     backpropagated only once.
     """
     caches = state.caches
     d_head, d_pooled = mlp2_bwd(model.head, caches[-1], d_logits)
-    encoded = state.encoded
-    d_h_c = pool_bwd(d_pooled, encoded.batch.mask.queries)
-    d_h_r = np.zeros_like(encoded.h_r)
-    d_h_n = np.zeros_like(encoded.h_n)
-    d_bias = np.zeros(state.attn[-1].shape)
+    batch = state.batch
+    d_h_c = pool_bwd(d_pooled, batch.mask.queries)
+    d_h_r = np.zeros_like(state.latest("h_r"))
+    d_h_n = np.zeros_like(state.latest("h_n"))
+    d_bias = np.zeros(state.latest("attn").shape)
     d_layers = [None] * len(model.layers)
     for i in reversed(range(len(model.layers))):
+        stage = _FIRST_LAYER_STAGE + i
         d_layers[i], d_h_c, d_hr_i, d_hn_i, d_bias = attend_bwd(
-            model.layers[i], caches[1 + i], d_h_c, d_bias
+            model.layers[i], caches[stage], d_h_c, d_bias
         )
-        caches[1 + i] = None
+        caches[stage] = None
         d_h_r += d_hr_i
         d_h_n += d_hn_i
-    enc_cache, bias_cache = caches[0]
     return ChiralModel(
         config=model.config,
-        distance_bias=pair_bias_bwd(model.distance_bias, bias_cache, d_bias),
-        encoder=encode_bwd(model.encoder, enc_cache, d_h_c, d_h_r, d_h_n),
+        distance_bias=pair_bias_bwd(model.distance_bias, caches[_BIAS_STAGE], d_bias),
+        encoder=encoder_bwd(model.encoder, batch, caches[:_BIAS_STAGE], d_h_c, d_h_r, d_h_n),
         layers=d_layers,
         head=d_head,
     )
@@ -657,16 +685,18 @@ def train(model: ChiralModel, dataset, cfg: TrainConfig, val_dataset=None,
 
 def mirror_consistency(model: ChiralModel, dataset) -> tuple[float, float]:
     """(accuracy, fraction of correctly classified molecules whose mirror
-    gets the opposite class)."""
+    gets the opposite class). Without a correct prediction the fraction is
+    0/0, returned as NaN; an empty dataset raises ValueError, as in
+    evaluate."""
     pairs = dataset_to_pairs(dataset)
     if not pairs:
-        return 0.0, 0.0
+        raise ValueError("empty evaluation set")
     mols, labels = zip(*pairs)
     pred = _predict(model, mols, range(len(mols)))
     right = pred == labels
     correct = int(right.sum())
     if correct == 0:
-        return 0.0, 0.0
+        return 0.0, math.nan
     kept = np.flatnonzero(right)
     pred_m = _predict(model, [mirror(mols[i]) for i in kept], kept)
     flipped = int((pred_m == 1 - pred[right]).sum())
@@ -838,4 +868,4 @@ def attention_export_rows(model: ChiralModel, mol: Molecule):
     """
     state = forward_batch(model, prepare_batch([mol]))
     # a batch of one has no padding, so its final attention is (n_q, n_k, H)
-    return state.encoded.batch.key_atoms[0].tolist(), head_averaged_rows(state.attn[-1][0])
+    return state.batch.key_atoms[0].tolist(), head_averaged_rows(state.latest("attn")[0])

@@ -19,6 +19,7 @@ from chiraldet.model import (
     adam_step,
     backward_batch,
     forward_batch,
+    forward_stages,
     init_model,
     loss_classify,
     named_parameters,
@@ -146,7 +147,7 @@ def test_batch_composition_invariance(mixed, config):
     mols, labels = mixed
     model = init_model(config)
     state = forward_batch(model, prepare_batch(mols))
-    mask = state.encoded.batch.mask
+    mask = state.batch.mask
     for b, mol in enumerate(mols):
         # a batch of one has no padding; molecule b is unpadded by its mask
         alone = forward_batch(model, prepare_batch([mol]))
@@ -188,7 +189,7 @@ def test_token_only_batch_gets_zero_bias_gradients():
     # chirality batch and the distance bias on an empty pair set
     model = init_model(ModelConfig(**TINY, seed=11))
     state = forward_batch(model, prepare_batch([token_only_molecule()] * 2))
-    assert state.encoded.batch.pairs.dists.size == 0
+    assert state.batch.pairs.dists.size == 0
     grads = backward_batch(model, state, loss_classify(state.logits, [0, 1])[1])
     named = dict(named_parameters(grads))
     for name, g in named.items():
@@ -201,7 +202,7 @@ def test_token_only_batch_gets_zero_bias_gradients():
 def test_attention_masks_pad_keys(mixed):
     mols, _ = mixed
     state = forward_batch(init_model(ModelConfig(**TINY, seed=6)), prepare_batch(mols))
-    keys = state.encoded.batch.mask.keys
+    keys = state.batch.mask.keys
     assert keys.any(axis=1).all()
     for attn in state.attn:
         pad = np.broadcast_to(~keys[:, None, :, None], attn.shape)
@@ -266,6 +267,34 @@ def test_prepared_batch_holds_nothing_of_the_parameters(mixed):
 PARAMETER_NAMES = [name for name, _ in named_parameters(init_model(ModelConfig(**TINY)))]
 
 
+def test_stages_own_the_parameter_groups_in_order():
+    """forward_stages lists the named_parameters groups in their order, one
+    stage for each, with the encoder's token and query projector in one;
+    every parameter's parameter_stage is its group's stage."""
+    model = init_model(ModelConfig(**TINY))
+    stages = forward_stages(model)
+    assert stages == (
+        ("encoder", ("encoder.kernel",)),
+        ("encoder", ("encoder.token", "encoder.proj_c")),
+        ("encoder", ("encoder.proj_r",)),
+        ("encoder", ("encoder.proj_n",)),
+        ("pair bias", ("bias",)),
+        ("layer 0", ("layers.0",)),
+        ("layer 1", ("layers.1",)),
+        ("pooling and head", ("head",)),
+    )
+    stage_of = {group: s for s, (_, groups) in enumerate(stages) for group in groups}
+    seen = []
+    for name in PARAMETER_NAMES:
+        group = next(g for g in stage_of if name == g or name.startswith(g + "."))
+        assert parameter_stage(model, name) == stage_of[group], name
+        if group not in seen:
+            seen.append(group)
+    assert seen == list(stage_of)
+    with pytest.raises(ValueError, match="no forward stage reads 'encoder'"):
+        parameter_stage(model, "encoder")
+
+
 @pytest.fixture(scope="module")
 def staged(mixed):
     """A tiny model, the mixed batch, the model's forward over it (the
@@ -305,6 +334,28 @@ def test_resumed_forward_matches_fresh_forward(staged, name):
     assert not all(np.array_equal(a, b) for (_, a), (_, b) in zip(before[stage], after[stage]))
 
 
+@pytest.mark.parametrize("name", PARAMETER_NAMES)
+def test_a_parameter_reaches_one_stage_alone(staged, name):
+    """With one entry of a parameter moved, each stage run alone from the
+    unmoved prefix writes the prefix's bytes, except the parameter's own
+    stage."""
+    model, batch, prefix, entries = staged
+    live = dict(named_parameters(model))[name]
+    own = parameter_stage(model, name)
+    saved = live.flat[entries[name]]
+    live.flat[entries[name]] += 0.25
+    try:
+        alone = [forward_batch(model, batch, prefix, s, s + 1)
+                 for s in range(len(forward_stages(model)))]
+    finally:
+        live.flat[entries[name]] = saved
+    expect = stage_outputs(prefix)
+    for s, state in enumerate(alone):
+        same = all(np.array_equal(a, b) for (_, a), (_, b)
+                   in zip(stage_outputs(state)[s], expect[s], strict=True))
+        assert same == (s != own), s
+
+
 def test_resume_needs_a_prefix_of_the_same_batch(staged, mixed):
     model, batch, prefix, _ = staged
     with pytest.raises(ValueError):
@@ -312,7 +363,7 @@ def test_resume_needs_a_prefix_of_the_same_batch(staged, mixed):
     with pytest.raises(ValueError):
         forward_batch(model, prepare_batch(mixed[0]), prefix, 1)
     with pytest.raises(ValueError):
-        forward_batch(model, batch, prefix, len(model.layers) + 2)
+        forward_batch(model, batch, prefix, len(forward_stages(model)))
 
 
 @pytest.mark.parametrize(("name", "stage"), [("layers.1.ff_b2", "layer 1"),
@@ -356,8 +407,8 @@ def test_nonfinite_stage_is_the_named_molecules(mixed):
     mols = mixed[0][:2]  # one unit each, so no pad query rows
     model = init_model(ModelConfig(**TINY, seed=13))
     batch = prepare_batch(mols)
-    # the rows entering the last feed-forward (stage L's cache), per molecule
-    last = len(model.layers)
+    # the rows entering the last feed-forward (the last layer's cache), per molecule
+    last = parameter_stage(model, f"layers.{len(model.layers) - 1}.ff_w1")
     rows = forward_batch(model, batch).caches[last].ff[0].reshape(2, -1, TINY["h"])
     r1 = rows[1, 0]
     c = (np.max(rows[0] @ r1) + r1 @ r1) / 2

@@ -9,14 +9,16 @@ import pytest
 from checkpoint_edits import rename_tensor, resign, set_first_beta, set_first_value, set_header
 from chiraldet.cli import main
 from chiraldet.data import (
+    SyntheticSpec,
     featurize,
     gen_axial,
+    gen_rs,
     read_manifest,
     toy_axial_molecule,
     write,
     write_dataset,
 )
-from chiraldet.geometry import ChiralUnit, Molecule, UnitKind, mirror
+from chiraldet.geometry import ChiralUnit, Configuration, Molecule, UnitKind, mirror
 from chiraldet.gradcheck import BLOCKS, TINY_CONFIG
 from chiraldet.model import AdamState, init_model, save_checkpoint
 
@@ -248,6 +250,20 @@ class TestTrainEval:
         # every molecule overflows, so the error names the first one evaluated
         first = read_manifest(ds)[0][0].id
         assert captured.err.startswith(f"numeric error: molecule {first}: non-finite logits")
+
+    def test_mirror_check_without_a_correct_prediction_prints_nan(self, tmp_path, tiny_ckpt,
+                                                                  capsys):
+        # class 0 (R) never wins, and the set holds R molecules alone
+        resign(tiny_ckpt, set_first_value(b"head.b2", -1e3))
+        ds = tmp_path / "ds"
+        write_dataset([(m, c) for m, c in gen_rs(SyntheticSpec(count=8, seed=5))
+                       if c is Configuration.R], ds)
+        capsys.readouterr()
+        assert main(["eval", "--ckpt", str(tiny_ckpt), "--data", str(ds), "--eval-split",
+                     "all", "--mirror-check"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[0].startswith("accuracy=0.0000 n=")
+        assert lines[1] == "mirror_flip_rate=nan"
 
     def test_empty_manifest(self, tmp_path, tiny_ckpt):
         ds = tmp_path / "empty"

@@ -8,8 +8,7 @@ from chiraldet.encoder import (
     KERNEL_EPS,
     EncoderParams,
     KernelBank,
-    encode_bwd,
-    encode_fwd,
+    encoder_bwd,
     init_encoder,
     init_kernel_bank,
     kernel_bwd,
@@ -29,6 +28,7 @@ from chiraldet.geometry import (
     unit_atoms,
 )
 from chiraldet.gradcheck import flatten
+from chiraldet.model import ModelConfig, forward_batch, init_model, parameter_stage
 from chiraldet.numerics import compare_grads, det3_batch, finite_diff_grad
 from oracles import gram_sqrt_det, unflatten
 
@@ -236,13 +236,30 @@ def make_params(seed=0, h=8, d_p=4, d_f=52):
     return init_encoder(np.random.default_rng(seed), d_f, h, d_p)
 
 
+# a model of make_params' widths, whose encoder Encoded replaces
+HOST = init_model(ModelConfig(h=8, d_p=4, n_layers=1, n_heads=2, n_gkpt=8))
+
+
+class Encoded:
+    """The encoder stages of forward_batch over a prepared batch, run on
+    `params` as a model's encoder: the h_c, h_r and h_n they leave, and
+    their caches in stage order."""
+
+    def __init__(self, params, batch):
+        model = replace(HOST, encoder=params)
+        # the encoder stages are the ones before the pair bias's
+        state = forward_batch(model, batch, stop=parameter_stage(model, "bias.w_p"))
+        self.h_c, self.h_r, self.h_n = (state.latest(n) for n in ("h_c", "h_r", "h_n"))
+        self.caches = state.caches
+
+
 class TestEncode:
     def test_no_chiral_units_token_only(self):
         params = make_params()
         coords = np.array([[0.0, 0.0, 0.0], [1.0, 0.0, 0.0], [0.0, 1.0, 0.0]])
         zs = np.array([6, 6, 8])
         mol = Molecule(coords=coords, atomic_numbers=zs, features=featurize(zs)).validate()
-        enc, _ = encode_fwd(params, prepare_batch([mol]))
+        enc = Encoded(params, prepare_batch([mol]))
         assert enc.h_c.shape == (1, 1, 8)
         assert np.array_equal(enc.h_c[0, 0], params.global_token)
         assert enc.h_r.shape == (1, 0, 8)
@@ -256,7 +273,7 @@ class TestEncode:
             mlp.w2[:] = 0.0
             mlp.b2[:] = 0.0
         mol = sample_molecule(seed=10)
-        enc, _ = encode_fwd(params, prepare_batch([mol]))
+        enc = Encoded(params, prepare_batch([mol]))
         mc = chirality_matrices(mol.coords, *unit_atoms(mol.chiral_units))[0]
         dets = kernel_fwd(params.kernels, mc)[0]
         assert np.array_equal(enc.h_c[0, 1:], dets)
@@ -264,8 +281,8 @@ class TestEncode:
     def test_mirror_changes_only_kernel_contribution(self):
         params = make_params(seed=2)
         mol = sample_molecule(seed=11)
-        enc, _ = encode_fwd(params, prepare_batch([mol]))
-        enc_m, _ = encode_fwd(params, prepare_batch([mirror(mol)]))
+        enc = Encoded(params, prepare_batch([mol]))
+        enc_m = Encoded(params, prepare_batch([mirror(mol)]))
         assert np.array_equal(enc.h_r, enc_m.h_r)
         assert np.array_equal(enc.h_n, enc_m.h_n)
         assert np.array_equal(enc.h_c[0, 0], enc_m.h_c[0, 0])
@@ -277,10 +294,10 @@ class TestEncode:
     def test_se3_invariance(self):
         params = make_params(seed=3)
         mol = sample_molecule(seed=12)
-        enc, _ = encode_fwd(params, prepare_batch([mol]))
+        enc = Encoded(params, prepare_batch([mol]))
         rng = np.random.default_rng(6)
         moved = transform(mol, random_rotation(rng), rng.uniform(-8, 8, 3))
-        enc2, _ = encode_fwd(params, prepare_batch([moved]))
+        enc2 = Encoded(params, prepare_batch([moved]))
         assert np.max(np.abs(enc2.h_c - enc.h_c)) < 1e-9
         assert np.array_equal(enc2.h_r, enc.h_r)
         assert np.array_equal(enc2.h_n, enc.h_n)
@@ -289,11 +306,11 @@ class TestEncode:
         params = make_params(seed=4)
         batch = prepare_batch([sample_molecule(seed=13)])
         rng = np.random.default_rng(9)
-        enc, cache = encode_fwd(params, batch)
+        enc = Encoded(params, batch)
         w_c = rng.standard_normal(enc.h_c.shape)
         w_r = rng.standard_normal(enc.h_r.shape)
         w_n = rng.standard_normal(enc.h_n.shape)
-        grads = encode_bwd(params, cache, w_c, w_r, w_n)
+        grads = encoder_bwd(params, batch, enc.caches, w_c, w_r, w_n)
 
         def audited(p):
             """Every encoder tensor."""
@@ -303,7 +320,7 @@ class TestEncode:
             kernels, proj_c, proj_r, proj_n, token = unflatten(theta, *audited(params))
             moved = EncoderParams(kernels=kernels, proj_c=proj_c, proj_r=proj_r, proj_n=proj_n,
                                   global_token=token)
-            e, _ = encode_fwd(moved, batch)
+            e = Encoded(moved, batch)
             return float((w_c * e.h_c).sum() + (w_r * e.h_r).sum() + (w_n * e.h_n).sum())
 
         numeric = finite_diff_grad(f, flatten(*audited(params)))

@@ -91,8 +91,9 @@ def full_loss():
     return model, mols, batch, forward_batch(model, batch)
 
 
-@pytest.mark.parametrize("name", ["encoder.kernel.w", "bias.w_p", "layers.0.wq",
-                                  "layers.1.ff_b2", "head.b2"])
+@pytest.mark.parametrize("name", ["encoder.kernel.w", "encoder.kernel.gamma", "encoder.token",
+                                  "encoder.proj_c.w2", "encoder.proj_r.w1", "encoder.proj_n.b2",
+                                  "bias.w_p", "layers.0.wq", "layers.1.ff_b2", "head.b2"])
 def test_stacked_prefix_resumes_to_the_bytes_of_each_point(full_loss, name):
     """States stopped after a parameter's stage, one per point, stacked and
     resumed at the next stage, give each point the stage outputs of its own
@@ -112,7 +113,7 @@ def test_stacked_prefix_resumes_to_the_bytes_of_each_point(full_loss, name):
     assert all(len(stage_outputs(s)) == stage + 1 for s in states)
     repeated = prepare_batch(mols * 3)
     resumed = stack_states(states, repeated)
-    if stage <= len(model.layers):
+    if stage < parameter_stage(model, "head.b2"):
         assert resumed.logits is None
         resumed = forward_batch(model, repeated, resumed, stage + 1)
     n = len(mols)

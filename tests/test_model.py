@@ -14,7 +14,7 @@ from chiraldet.errors import (
     CheckpointVersionError,
     NumericError,
 )
-from chiraldet.geometry import mirror, random_rotation, transform
+from chiraldet.geometry import Configuration, mirror, random_rotation, transform
 from chiraldet.gradcheck import TINY_CONFIG, flatten
 from chiraldet.numerics import compare_grads, finite_diff_grad
 from chiraldet.model import (
@@ -303,6 +303,20 @@ class TestTraining:
                                                "first non-finite gradient: encoder.kernel.w$"):
             train(model, small_dataset[:8],
                   TrainConfig(lr=1e-3, epochs=1, batch_size=8, reg_weight=1e300))
+
+    def test_mirror_consistency_of_empty_set_raises(self):
+        with pytest.raises(ValueError, match="^empty evaluation set$"):
+            mirror_consistency(tiny_model(seed=11), [])
+
+    def test_mirror_flip_rate_is_nan_without_a_correct_prediction(self, small_dataset):
+        # a head that always answers S, over the R molecules alone
+        model = tiny_model(seed=11)
+        model.head.b2[1] = 1e3
+        r_only = [(m, c) for m, c in small_dataset if c is Configuration.R]
+        assert r_only
+        acc, flip = mirror_consistency(model, r_only)
+        assert acc == 0.0
+        assert math.isnan(flip)
 
     @pytest.mark.parametrize("score", [evaluate, mirror_consistency])
     def test_idless_molecule_named_by_its_dataset_index(self, score):
