@@ -1,0 +1,66 @@
+#!/usr/bin/env python3
+"""Write, from fixed seeds, every CLI output that a change meant to leave
+the numbers alone must reproduce byte for byte, into OUT_DIR:
+
+- `gradcheck --seed 1/2/3/7` stdout;
+- `gradcheck --sabotage encoder/attention/model` stdout;
+- a `gen` rs set, a `train --config tiny` checkpoint and `metrics.log`;
+- `eval --mirror-check` stdout over that set;
+- the `embed` and `attn` CSVs of that set and the `rotate-axis` CSV of
+  `data.toy_axial_molecule()`, written to `axial_toy.chimol`.
+
+Each command's stdout and exit code go to `<step>.out`, its stderr to
+`<step>.err`. Every command runs the chiraldet this script imports, with
+OUT_DIR as its working directory and relative paths, so the outputs hold
+no trace of where OUT_DIR is. Run it once against each tree and compare:
+
+    PYTHONPATH=<tree a>/src python scripts/golden_outputs.py /tmp/a
+    PYTHONPATH=<tree b>/src python scripts/golden_outputs.py /tmp/b
+    diff -r /tmp/a /tmp/b
+"""
+
+import argparse
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import chiraldet
+from chiraldet.data import toy_axial_molecule, write
+
+STEPS = (
+    *((f"gradcheck_seed{s}", ["gradcheck", "--seed", str(s)]) for s in (1, 2, 3, 7)),
+    *((f"gradcheck_sabotage_{b}", ["gradcheck", "--sabotage", b])
+      for b in ("encoder", "attention", "model")),
+    ("gen_rs", ["gen", "--task", "rs", "--count", "40", "--seed", "5", "--out", "data_rs"]),
+    ("train", ["train", "--data", "data_rs", "--config", "tiny", "--epochs", "3",
+               "--seed", "3", "--out", "run"]),
+    ("eval", ["eval", "--ckpt", "run/model.ckpt", "--data", "data_rs", "--eval-split", "all",
+              "--mirror-check"]),
+    ("embed", ["embed", "--ckpt", "run/model.ckpt", "data_rs", "--out", "embed.csv"]),
+    ("attn", ["attn", "--ckpt", "run/model.ckpt", "data_rs", "--out", "attn.csv"]),
+    ("rotate_axis", ["rotate-axis", "axial_toy.chimol", "--ckpt", "run/model.ckpt",
+                     "--out", "rotate_axis.csv"]),
+)
+
+
+def main():
+    ap = argparse.ArgumentParser(description=__doc__,
+                                 formatter_class=argparse.RawDescriptionHelpFormatter)
+    ap.add_argument("out_dir", help="directory to write the outputs into (created)")
+    out_dir = Path(ap.parse_args().out_dir)
+    out_dir.mkdir(parents=True, exist_ok=True)
+    # the generators draw no blade, which rotate-axis needs
+    write(toy_axial_molecule(), out_dir / "axial_toy.chimol")
+    # absolute, since the commands run from OUT_DIR
+    env = {**os.environ, "PYTHONPATH": str(Path(chiraldet.__file__).resolve().parents[1])}
+    for name, argv in STEPS:
+        proc = subprocess.run([sys.executable, "-m", "chiraldet.cli", *argv], cwd=out_dir,
+                              env=env, capture_output=True, text=True)
+        (out_dir / f"{name}.out").write_text(f"{proc.stdout}exit={proc.returncode}\n")
+        (out_dir / f"{name}.err").write_text(proc.stderr)
+        print(f"{name}: exit {proc.returncode}", file=sys.stderr)
+
+
+if __name__ == "__main__":
+    main()

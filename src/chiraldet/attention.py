@@ -62,35 +62,6 @@ class LayerParams:
         return Mlp2(w1=self.ff_w1, b1=self.ff_b1, w2=self.ff_w2, b2=self.ff_b2)
 
 
-def _bias_fwd(params: DistanceBiasParams, dists, types):
-    """Vectorized bias for flat (n,) distances/types; returns (bias, cache)."""
-    x = params.e1[types] * dists[:, None] + params.e2[types]
-    dens = gaussian(x, params.mu, params.sigma)
-    return dens @ params.w_p, (dists, types, x, dens)
-
-
-def _bias_bwd(params: DistanceBiasParams, cache, d_bias) -> DistanceBiasParams:
-    dists, types, x, dens = cache
-    sig = params.sigma
-    d_dens = d_bias @ params.w_p.T
-    z = (x - params.mu) / sig
-    d_x = d_dens * dens * (-z / sig)
-    d_e1 = np.zeros_like(params.e1)
-    d_e2 = np.zeros_like(params.e2)
-    for t in range(N_PAIR_TYPES):
-        mask = types == t
-        if mask.any():
-            d_e1[t] = (d_x[mask] * dists[mask, None]).sum(axis=0)
-            d_e2[t] = d_x[mask].sum(axis=0)
-    return DistanceBiasParams(
-        e1=d_e1,
-        e2=d_e2,
-        mu=(d_dens * dens * (z / sig)).sum(axis=0),
-        sigma=(d_dens * dens * ((z * z - 1.0) / sig)).sum(axis=0),
-        w_p=dens.T @ d_bias,
-    )
-
-
 def pair_bias_fwd(params: DistanceBiasParams, pairs: PairInputs):
     """Initial pair bias (B, Q, Kr + Kn, H) from chiral reference points to
     all key atoms; returns (bias, cache).
@@ -108,15 +79,34 @@ def pair_bias_fwd(params: DistanceBiasParams, pairs: PairInputs):
             f"bias.sigma[{int(low[0])}] = {params.sigma[low[0]]:.3e} is at or below "
             f"SIGMA_FLOOR = {SIGMA_FLOOR:g}"
         )
+    x = params.e1[pairs.types] * pairs.dists[:, None] + params.e2[pairs.types]
+    dens = gaussian(x, params.mu, params.sigma)
     p = np.zeros(pairs.shape + (params.w_p.shape[1],))
-    flat, cache = _bias_fwd(params, pairs.dists, pairs.types)
-    p[pairs.index] = flat
-    return p, (cache, pairs.index)
+    p[pairs.index] = dens @ params.w_p
+    return p, (pairs, x, dens)
 
 
 def pair_bias_bwd(params: DistanceBiasParams, cache, d_p) -> DistanceBiasParams:
-    bias_cache, index = cache
-    return _bias_bwd(params, bias_cache, d_p[index])
+    pairs, x, dens = cache
+    d_bias = d_p[pairs.index]
+    sig = params.sigma
+    d_dens = d_bias @ params.w_p.T
+    z = (x - params.mu) / sig
+    d_x = d_dens * dens * (-z / sig)
+    d_e1 = np.zeros_like(params.e1)
+    d_e2 = np.zeros_like(params.e2)
+    for t in range(N_PAIR_TYPES):
+        mask = pairs.types == t
+        if mask.any():
+            d_e1[t] = (d_x[mask] * pairs.dists[mask, None]).sum(axis=0)
+            d_e2[t] = d_x[mask].sum(axis=0)
+    return DistanceBiasParams(
+        e1=d_e1,
+        e2=d_e2,
+        mu=(d_dens * dens * (z / sig)).sum(axis=0),
+        sigma=(d_dens * dens * ((z * z - 1.0) / sig)).sum(axis=0),
+        w_p=dens.T @ d_bias,
+    )
 
 
 def _heads(x, n_heads):

@@ -20,8 +20,8 @@ three columns), and the closed form relies on its absence.
 prepare_batch does the geometry of a molecule batch once (atom roles,
 chirality matrices, projector inputs, pair distances), with array
 operations over index arrays of the batch's units; centres and axes take
-the same path. The encoder's forward stages (ENCODER_STAGES) and the rest
-of the forward read that MoleculeBatch and do parameter arithmetic only.
+the same path. The model's forward stages (model.forward_stages) read that
+MoleculeBatch and do parameter arithmetic only.
 """
 
 from __future__ import annotations
@@ -334,85 +334,6 @@ def prepare_batch(mols, index=None) -> MoleculeBatch:
         related_slots=(rb, rs),
         nonchiral_slots=(nb, ns),
         pairs=pair_inputs(mask, k_r, chiral_positions, key_positions),
-    )
-
-
-def _padded(rows, slots, shape) -> np.ndarray:
-    """Rows stacked over a batch, placed at their (molecule, slot) index
-    arrays in a zero array of shape + the row width."""
-    out = np.zeros(shape + rows.shape[1:])
-    out[slots] = rows
-    return out
-
-
-def _project(mlp: Mlp2, rows, slots, shape):
-    """A projector stage's arithmetic: mlp2_fwd over rows stacked over the
-    batch, scattered into padded rows; returns (padded, cache)."""
-    out, cache = mlp2_fwd(mlp, rows)
-    return _padded(out, slots, shape), cache
-
-
-def kernel_stage(params: EncoderParams, batch: MoleculeBatch, arrays):
-    """h_k (B, Q, h): the kernel channels of every unit, one kernel_fwd
-    over all chirality matrices, padded as the query rows with a zero
-    token row."""
-    dets, cache = kernel_fwd(params.kernels, batch.chirality)
-    return {"h_k": _padded(dets, batch.unit_slots, batch.mask.queries.shape)}, cache
-
-
-def query_stage(params: EncoderParams, batch: MoleculeBatch, arrays):
-    """h_c (B, Q, h): the global token row, then each unit's proj_c row
-    plus its kernel channels (arrays["h_k"])."""
-    h_c, cache = _project(params.proj_c, batch.unit_rows, batch.unit_slots,
-                          batch.mask.queries.shape)
-    h_c += arrays["h_k"]
-    h_c[:, 0] = params.global_token
-    return {"h_c": h_c}, cache
-
-
-def related_stage(params: EncoderParams, batch: MoleculeBatch, arrays):
-    """h_r (B, Kr, h): the proj_r row of every related key."""
-    h_r, cache = _project(params.proj_r, batch.related_rows, batch.related_slots,
-                          (len(batch.ids), batch.k_r))
-    return {"h_r": h_r}, cache
-
-
-def nonchiral_stage(params: EncoderParams, batch: MoleculeBatch, arrays):
-    """h_n (B, Kn, h): the proj_n row of every non-chiral key."""
-    h_n, cache = _project(params.proj_n, batch.nonchiral_rows, batch.nonchiral_slots,
-                          (len(batch.ids), batch.mask.keys.shape[1] - batch.k_r))
-    return {"h_n": h_n}, cache
-
-
-# The encoder's forward stages in run order, as (the named_parameters groups
-# only that stage reads, its forward). A forward maps (params, a prepared
-# batch, the latest array of each name the stages before it wrote) to (the
-# arrays it writes, its backward cache), so moving one group's parameter
-# changes one stage's output
-ENCODER_STAGES = (
-    (("encoder.kernel",), kernel_stage),
-    (("encoder.token", "encoder.proj_c"), query_stage),
-    (("encoder.proj_r",), related_stage),
-    (("encoder.proj_n",), nonchiral_stage),
-)
-
-
-def encoder_bwd(params: EncoderParams, batch: MoleculeBatch, caches,
-                d_hc, d_hr, d_hn) -> EncoderParams:
-    """Backward of the ENCODER_STAGES from their caches, in that order, and
-    the padded gradients of h_c, h_r and h_n; pad rows are ignored. h_k
-    reaches the loss through h_c alone, so its unit rows take d_hc's.
-
-    Returns the parameter gradients as an EncoderParams.
-    """
-    k_cache, c_cache, r_cache, n_cache = caches
-    d_rows = d_hc[batch.unit_slots]
-    return EncoderParams(
-        kernels=kernel_bwd(k_cache, d_rows)[0],
-        proj_c=mlp2_bwd(params.proj_c, c_cache, d_rows)[0],
-        proj_r=mlp2_bwd(params.proj_r, r_cache, d_hr[batch.related_slots])[0],
-        proj_n=mlp2_bwd(params.proj_n, n_cache, d_hn[batch.nonchiral_slots])[0],
-        global_token=d_hc[:, 0].sum(axis=0),
     )
 
 

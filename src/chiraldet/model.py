@@ -9,9 +9,11 @@ import functools
 import hashlib
 import math
 import struct
+from collections.abc import Callable
 from dataclasses import dataclass
 from dataclasses import fields as dataclass_fields
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -29,14 +31,14 @@ from .attention import (
     pool_bwd,
 )
 from .encoder import (
-    ENCODER_STAGES,
     EncoderParams,
     Mlp2,
     MoleculeBatch,
     RankStrategy,
-    encoder_bwd,
     init_encoder,
     init_mlp2,
+    kernel_bwd,
+    kernel_fwd,
     mlp2_bwd,
     mlp2_fwd,
     prepare_batch,
@@ -165,9 +167,7 @@ class BatchState:
 
     `outputs[t]` holds the arrays stage t wrote, by name, each with the
     molecule on its first axis and padded to the batch's largest molecule
-    (`batch.mask` marks the valid entries): h_k, h_c, h_r and h_n from the
-    encoder stages, bias from the pair bias, h_c, bias and attn from each
-    layer, pooled and logits from the head. A later stage's h_c or bias
+    (`batch.mask` marks the valid entries); a later stage's h_c or bias
     supersedes an earlier one. `caches[t]` is what stage t's backward
     needs.
     """
@@ -175,7 +175,7 @@ class BatchState:
     batch: MoleculeBatch
     stages: tuple  # forward_stages of the model, run or not
     outputs: list  # per stage run, {name: array}
-    caches: list  # per stage run; entries are None in a stacked state
+    caches: list  # per stage run; None in a stacked state and once backpropagated
 
     def latest(self, name: str) -> np.ndarray | None:
         """The array `name` as the last stage run that wrote it left it."""
@@ -197,37 +197,144 @@ class BatchState:
         return self.latest("logits")
 
 
-# forward_batch's stage indices: the encoder stages, then the pair bias,
-# the layers, and pooling plus the head
-_BIAS_STAGE = len(ENCODER_STAGES)
-_FIRST_LAYER_STAGE = _BIAS_STAGE + 1
+class Stage(NamedTuple):
+    """One forward_batch stage. `forward(model, batch, arrays)`, given the
+    latest array of each name, returns ({name: array it writes}, cache);
+    `backward(model, batch, cache, {name: gradient of an array it wrote})`
+    returns ({group: gradient}, {name: gradient of an array it read}).
+    Both call what they run (kernel_fwd, mlp2_fwd, ...) by module name,
+    so a wrapper set on a module attribute sees every call."""
+
+    name: str  # what a NumericError calls the stage's outputs
+    groups: tuple  # the named_parameters groups that only this stage reads
+    forward: Callable
+    backward: Callable
+
+
+def _padded(rows, slots, shape) -> np.ndarray:
+    """Rows stacked over a batch, placed at their (molecule, slot) index
+    arrays in a zero array of shape + the row width."""
+    out = np.zeros(shape + rows.shape[1:])
+    out[slots] = rows
+    return out
+
+
+def _kernel_readout(model, batch, arrays):
+    """h_k (B, Q, h): each unit's kernel channels, padded as the queries."""
+    dets, cache = kernel_fwd(model.encoder.kernels, batch.chirality)
+    return {"h_k": _padded(dets, batch.unit_slots, batch.mask.queries.shape)}, cache
+
+
+def _kernel_readout_bwd(model, batch, cache, d):
+    return {"encoder.kernel": kernel_bwd(cache, d["h_k"][batch.unit_slots])[0]}, {}
+
+
+def _queries(model, batch, arrays):
+    """h_c (B, Q, h): the global token row, then each unit's proj_c row
+    plus its kernel channels h_k."""
+    rows, cache = mlp2_fwd(model.encoder.proj_c, batch.unit_rows)
+    h_c = _padded(rows, batch.unit_slots, batch.mask.queries.shape)
+    h_c += arrays["h_k"]
+    h_c[:, 0] = model.encoder.global_token
+    return {"h_c": h_c}, cache
+
+
+def _queries_bwd(model, batch, cache, d):
+    # h_k's token and pad rows are zeros that the kernel never reads back
+    d_h_c = d["h_c"]
+    d_proj_c = mlp2_bwd(model.encoder.proj_c, cache, d_h_c[batch.unit_slots])[0]
+    return {"encoder.token": d_h_c[:, 0].sum(axis=0), "encoder.proj_c": d_proj_c}, {"h_k": d_h_c}
+
+
+def _related_keys(model, batch, arrays):
+    """h_r (B, Kr, h): the proj_r row of every related key."""
+    rows, cache = mlp2_fwd(model.encoder.proj_r, batch.related_rows)
+    return {"h_r": _padded(rows, batch.related_slots, (len(batch.ids), batch.k_r))}, cache
+
+
+def _related_keys_bwd(model, batch, cache, d):
+    d_rows = d["h_r"][batch.related_slots]
+    return {"encoder.proj_r": mlp2_bwd(model.encoder.proj_r, cache, d_rows)[0]}, {}
+
+
+def _nonchiral_keys(model, batch, arrays):
+    """h_n (B, Kn, h): the proj_n row of every non-chiral key."""
+    rows, cache = mlp2_fwd(model.encoder.proj_n, batch.nonchiral_rows)
+    shape = batch.mask.keys[:, batch.k_r:].shape
+    return {"h_n": _padded(rows, batch.nonchiral_slots, shape)}, cache
+
+
+def _nonchiral_keys_bwd(model, batch, cache, d):
+    d_rows = d["h_n"][batch.nonchiral_slots]
+    return {"encoder.proj_n": mlp2_bwd(model.encoder.proj_n, cache, d_rows)[0]}, {}
+
+
+def _pair_bias(model, batch, arrays):
+    """bias (B, Q, Kr + Kn, H): the initial pair bias."""
+    bias, cache = pair_bias_fwd(model.distance_bias, batch.pairs)
+    return {"bias": bias}, cache
+
+
+def _pair_bias_bwd(model, batch, cache, d):
+    return {"bias": pair_bias_bwd(model.distance_bias, cache, d["bias"])}, {}
+
+
+def _layer_stage(i: int) -> Stage:
+    """Attention layer i: reads h_c, h_r, h_n and bias, rewrites h_c and
+    bias and writes its attention as attn, which no stage reads."""
+
+    def forward(model, batch, arrays):
+        h_c, bias, attn, cache = attend_fwd(model.layers[i], arrays["h_c"], arrays["h_r"],
+                                            arrays["h_n"], arrays["bias"], batch.mask,
+                                            layer_index=i)
+        return {"h_c": h_c, "bias": bias, "attn": attn}, cache
+
+    def backward(model, batch, cache, d):
+        grads, d_h_c, d_h_r, d_h_n, d_bias = attend_bwd(model.layers[i], cache, d["h_c"],
+                                                        d["bias"])
+        return {f"layers.{i}": grads}, {"h_c": d_h_c, "h_r": d_h_r, "h_n": d_h_n, "bias": d_bias}
+
+    return Stage(f"layer {i}", (f"layers.{i}",), forward, backward)
+
+
+def _head(model, batch, arrays):
+    """pooled (B, h), the pooled query rows, and logits (B, n_classes)."""
+    pooled = pool(arrays["h_c"], batch.mask.queries)
+    logits, cache = mlp2_fwd(model.head, pooled)
+    return {"pooled": pooled, "logits": logits}, cache
+
+
+def _head_bwd(model, batch, cache, d):
+    d_head, d_pooled = mlp2_bwd(model.head, cache, d["logits"])
+    return {"head": d_head}, {"h_c": pool_bwd(d_pooled, batch.mask.queries)}
 
 
 # built once per layer count, since every forward_batch call reads it
 @functools.cache
 def _stage_table(n_layers: int) -> tuple:
-    return tuple([("encoder", groups) for groups, _ in ENCODER_STAGES]
-                 + [("pair bias", ("bias",))]
-                 + [(f"layer {i}", (f"layers.{i}",)) for i in range(n_layers)]
-                 + [("pooling and head", ("head",))])
+    return (
+        Stage("encoder", ("encoder.kernel",), _kernel_readout, _kernel_readout_bwd),
+        Stage("encoder", ("encoder.token", "encoder.proj_c"), _queries, _queries_bwd),
+        Stage("encoder", ("encoder.proj_r",), _related_keys, _related_keys_bwd),
+        Stage("encoder", ("encoder.proj_n",), _nonchiral_keys, _nonchiral_keys_bwd),
+        Stage("pair bias", ("bias",), _pair_bias, _pair_bias_bwd),
+        *(_layer_stage(i) for i in range(n_layers)),
+        Stage("pooling and head", ("head",), _head, _head_bwd),
+    )
 
 
 def forward_stages(model: ChiralModel) -> tuple:
-    """(name, parameter groups) of each forward_batch stage, in run order:
-    the name a NumericError gives the stage's outputs and the
-    named_parameters groups that only that stage reads. The groups, stage
-    after stage, are the named_parameters groups in their order."""
+    """The Stage of each forward_batch stage, in run order. Their groups,
+    stage after stage, are the named_parameters groups in order."""
     return _stage_table(len(model.layers))
 
 
 def parameter_stage(model: ChiralModel, name: str) -> int:
-    """The one forward_batch stage that reads a named parameter, looked up
-    from its group in forward_stages: encoder.kernel.* 0, encoder.token and
-    encoder.proj_c.* 1, encoder.proj_r.* 2, encoder.proj_n.* 3, bias.* 4,
-    layers.i.* 5 + i and head.* the last."""
-    for stage, (_, groups) in enumerate(forward_stages(model)):
-        if name in groups or name.rpartition(".")[0] in groups:
-            return stage
+    """The index in forward_stages of the one stage whose groups hold a
+    named parameter or its group."""
+    for t, stage in enumerate(forward_stages(model)):
+        if name in stage.groups or name.rpartition(".")[0] in stage.groups:
+            return t
     raise ValueError(f"no forward stage reads {name!r}")
 
 
@@ -236,21 +343,14 @@ def forward_batch(model: ChiralModel, batch: MoleculeBatch, prefix: BatchState |
     """Forward over a prepared batch; parameter arithmetic only, so one
     batch serves any number of forwards under changing parameters.
 
-    The forward is a list of stages (forward_stages), one per group of
-    parameters: the ENCODER_STAGES (kernel channels, query rows, related
-    keys, non-chiral keys), the initial pair bias, the attention layers in
-    order, and pooling of the query rows with the head. It runs stages
-    start..stop - 1, every stage to the end by default. Given `prefix`, a
+    It runs stages start..stop - 1 of forward_stages, one per group of
+    parameters, every stage to the end by default. Given `prefix`, a
     state of the same batch that ran stage start - 1, the forward resumes
     at stage `start` from the latest value of each array the prefix's
     stages before `start` wrote. That gives the bytes of a full forward as
     long as no parameter of an earlier stage (parameter_stage) changed
-    since the prefix was computed. The prefix is not modified.
-
-    A prefix may also be stack_states of k states of one batch, each
-    stopped after stage start - 1, with `batch` the prepare_batch of that
-    batch's molecules repeated k times: its arrays are those k states',
-    concatenated on the molecule axis.
+    since the prefix was computed. The prefix is not modified; it may be
+    a stack_states state, with `batch` the molecules repeated as stacked.
 
     Non-finite logits raise NumericError naming the first molecule whose
     logits are non-finite (its id, or its index when the id is empty) and
@@ -260,34 +360,15 @@ def forward_batch(model: ChiralModel, batch: MoleculeBatch, prefix: BatchState |
     stop = len(stages) if stop is None else stop
     if not 0 <= start < stop <= len(stages):
         raise ValueError(f"stages {start}..{stop - 1} are not in 0..{len(stages) - 1}")
-    mask = batch.mask
+    if start and (prefix is None or prefix.batch is not batch or len(prefix.outputs) < start):
+        raise ValueError(f"resuming a forward at stage {start} needs a prefix state "
+                         "of the same batch that ran the stages before it")
+    outputs, caches = (prefix.outputs[:start], prefix.caches[:start]) if start else ([], [])
     arrays = {}  # the latest array of each name
-    if start == 0:
-        outputs, caches = [], []
-    else:
-        if prefix is None or prefix.batch is not batch or len(prefix.outputs) < start:
-            raise ValueError(f"resuming a forward at stage {start} needs a prefix state "
-                             "of the same batch that ran the stages before it")
-        outputs, caches = prefix.outputs[:start], prefix.caches[:start]
-        for out in outputs:
-            arrays.update(out)
-    for stage in range(start, stop):
-        if stage < _BIAS_STAGE:
-            out, cache = ENCODER_STAGES[stage][1](model.encoder, batch, arrays)
-        elif stage == _BIAS_STAGE:
-            bias, cache = pair_bias_fwd(model.distance_bias, batch.pairs)
-            out = {"bias": bias}
-        elif stage < len(stages) - 1:
-            i = stage - _FIRST_LAYER_STAGE
-            h_c, bias, attn, cache = attend_fwd(
-                model.layers[i], arrays["h_c"], arrays["h_r"], arrays["h_n"], arrays["bias"],
-                mask, layer_index=i,
-            )
-            out = {"h_c": h_c, "bias": bias, "attn": attn}
-        else:
-            pooled = pool(arrays["h_c"], mask.queries)
-            logits, cache = mlp2_fwd(model.head, pooled)
-            out = {"pooled": pooled, "logits": logits}
+    for out in outputs:
+        arrays.update(out)
+    for stage in stages[start:stop]:
+        out, cache = stage.forward(model, batch, arrays)
         arrays.update(out)
         outputs.append(out)
         caches.append(cache)
@@ -324,40 +405,42 @@ def stack_states(states, batch: MoleculeBatch) -> BatchState:
 def stage_outputs(state: BatchState) -> list:
     """Per forward_batch stage run, (stage name, array) of each array it
     wrote, each with the molecule on its first axis."""
-    return [[(name, arr) for arr in out.values()]
-            for (name, _), out in zip(state.stages, state.outputs)]
+    return [[(stage.name, arr) for arr in out.values()]
+            for stage, out in zip(state.stages, state.outputs)]
 
 
 def backward_batch(model: ChiralModel, state: BatchState, d_logits) -> ChiralModel:
     """Parameter gradients of a batch from d loss / d logits (B, n_classes),
-    as a ChiralModel of the same shapes, from the caches of every stage.
+    as a ChiralModel of the same shapes.
 
-    Each layer's cache is released once consumed, so a state can be
-    backpropagated only once.
+    Walks the stages in reverse, keeping the gradient of each array by
+    name: a stage's backward takes the gradients of the arrays it wrote,
+    and those it returns for the arrays it read are added, from zero, into
+    theirs, so h_r and h_n sum the layers from the last down. An array no
+    later stage read (attn, pooled, the last layer's bias) gets zeros.
+    Each cache is released once consumed; a state without every stage's
+    cache (backpropagated, stopped early or stacked) raises ValueError.
     """
     caches = state.caches
-    d_head, d_pooled = mlp2_bwd(model.head, caches[-1], d_logits)
-    batch = state.batch
-    d_h_c = pool_bwd(d_pooled, batch.mask.queries)
-    d_h_r = np.zeros_like(state.latest("h_r"))
-    d_h_n = np.zeros_like(state.latest("h_n"))
-    d_bias = np.zeros(state.latest("attn").shape)
-    d_layers = [None] * len(model.layers)
-    for i in reversed(range(len(model.layers))):
-        stage = _FIRST_LAYER_STAGE + i
-        d_layers[i], d_h_c, d_hr_i, d_hn_i, d_bias = attend_bwd(
-            model.layers[i], caches[stage], d_h_c, d_bias
-        )
-        caches[stage] = None
-        d_h_r += d_hr_i
-        d_h_n += d_hn_i
-    return ChiralModel(
-        config=model.config,
-        distance_bias=pair_bias_bwd(model.distance_bias, caches[_BIAS_STAGE], d_bias),
-        encoder=encoder_bwd(model.encoder, batch, caches[:_BIAS_STAGE], d_h_c, d_h_r, d_h_n),
-        layers=d_layers,
-        head=d_head,
-    )
+    if len(caches) < len(state.stages) or any(cache is None for cache in caches):
+        raise ValueError("backward_batch needs every stage's cache: this state was consumed "
+                         "by an earlier backward, stopped before the last stage, or stacked")
+    d = {"logits": d_logits}  # gradient of each array, by name
+    grads = {}  # gradient of each named_parameters group
+    for t in reversed(range(len(caches))):
+        d_written = {name: d.pop(name) if name in d else np.zeros(arr.shape)
+                     for name, arr in state.outputs[t].items()}
+        stage_grads, d_read = state.stages[t].backward(model, state.batch, caches[t], d_written)
+        caches[t] = None
+        grads.update(stage_grads)
+        for name, g in d_read.items():
+            d[name] = d.get(name, 0.0) + g
+    encoder = EncoderParams(kernels=grads["encoder.kernel"], global_token=grads["encoder.token"],
+                            proj_c=grads["encoder.proj_c"], proj_r=grads["encoder.proj_r"],
+                            proj_n=grads["encoder.proj_n"])
+    return ChiralModel(config=model.config, encoder=encoder, distance_bias=grads["bias"],
+                       layers=[grads[f"layers.{i}"] for i in range(len(model.layers))],
+                       head=grads["head"])
 
 
 def forward(model: ChiralModel, mol: Molecule) -> np.ndarray:

@@ -13,6 +13,7 @@ from chiraldet.data import SyntheticSpec, featurize, gen_axial, gen_rs, tile_mol
 from chiraldet.encoder import BatchMask, prepare_batch
 from chiraldet.errors import AnnotationError, NumericError
 from chiraldet.geometry import ChiralUnit, Molecule, UnitKind
+from chiraldet.gradcheck import TINY_CONFIG
 from chiraldet.model import (
     AdamState,
     ModelConfig,
@@ -24,6 +25,7 @@ from chiraldet.model import (
     loss_classify,
     named_parameters,
     parameter_stage,
+    stack_states,
     stage_outputs,
 )
 from chiraldet.numerics import layer_norm_rows
@@ -273,7 +275,7 @@ def test_stages_own_the_parameter_groups_in_order():
     every parameter's parameter_stage is its group's stage."""
     model = init_model(ModelConfig(**TINY))
     stages = forward_stages(model)
-    assert stages == (
+    assert [(stage.name, stage.groups) for stage in stages] == [
         ("encoder", ("encoder.kernel",)),
         ("encoder", ("encoder.token", "encoder.proj_c")),
         ("encoder", ("encoder.proj_r",)),
@@ -282,8 +284,8 @@ def test_stages_own_the_parameter_groups_in_order():
         ("layer 0", ("layers.0",)),
         ("layer 1", ("layers.1",)),
         ("pooling and head", ("head",)),
-    )
-    stage_of = {group: s for s, (_, groups) in enumerate(stages) for group in groups}
+    ]
+    stage_of = {group: s for s, stage in enumerate(stages) for group in stage.groups}
     seen = []
     for name in PARAMETER_NAMES:
         group = next(g for g in stage_of if name == g or name.startswith(g + "."))
@@ -293,6 +295,78 @@ def test_stages_own_the_parameter_groups_in_order():
     assert seen == list(stage_of)
     with pytest.raises(ValueError, match="no forward stage reads 'encoder'"):
         parameter_stage(model, "encoder")
+
+
+class RecordedReads(dict):
+    """The arrays handed to a stage's forward, recording each name read."""
+
+    def __init__(self, arrays):
+        super().__init__(arrays)
+        self.read = set()
+
+    def __getitem__(self, name):
+        self.read.add(name)
+        return super().__getitem__(name)
+
+
+def leaf_shapes(group, params):
+    """{parameter name: shape} of a group's array or parameter dataclass."""
+    if isinstance(params, np.ndarray):
+        return {group: params.shape}
+    return {f"{group}.{f.name}": getattr(params, f.name).shape for f in fields(params)
+            if isinstance(getattr(params, f.name), np.ndarray)}
+
+
+def test_each_stage_backward_mirrors_its_forward(mixed):
+    """Run stage by stage over the mixed batch, each stage's backward
+    returns gradients for exactly its own groups, shaped as their
+    parameters, and for exactly the arrays its forward read, shaped as
+    those arrays; each parameter belongs to one stage, its
+    parameter_stage."""
+    model = init_model(ModelConfig(**TINY, seed=14))
+    batch = prepare_batch(mixed[0])
+    stages = forward_stages(model)
+    shapes = {name: arr.shape for name, arr in named_parameters(model)}
+    rng = np.random.default_rng(5)
+    arrays = {}
+    for t, stage in enumerate(stages):
+        reads = RecordedReads(arrays)
+        out, cache = stage.forward(model, batch, reads)
+        d_written = {name: rng.standard_normal(arr.shape) for name, arr in out.items()}
+        grads, d_read = stage.backward(model, batch, cache, d_written)
+        assert tuple(grads) == stage.groups, t
+        for group, g in grads.items():
+            assert leaf_shapes(group, g) == {n: shape for n, shape in shapes.items()
+                                             if n == group or n.startswith(group + ".")}, group
+        assert set(d_read) == reads.read, t
+        for name, g in d_read.items():
+            assert g.shape == arrays[name].shape, (t, name)
+        arrays.update(out)
+    for name in shapes:
+        owners = [t for t, stage in enumerate(stages)
+                  if name in stage.groups or name.rpartition(".")[0] in stage.groups]
+        assert owners == [parameter_stage(model, name)], name
+
+
+@pytest.mark.parametrize("case", ["consumed", "partial", "stacked"])
+def test_backward_refuses_a_state_without_every_cache(mixed, case):
+    """A state already backpropagated, a forward stopped before the head
+    and a stack of states hold no cache for some stage; backward_batch
+    says so instead of failing inside a stage."""
+    model = init_model(ModelConfig(**TINY, seed=15))
+    mols = mixed[0][:3]
+    batch = prepare_batch(mols)
+    if case == "consumed":
+        state = forward_batch(model, batch)
+        backward_batch(model, state, np.ones_like(state.logits))
+    elif case == "partial":
+        state = forward_batch(model, batch, stop=len(forward_stages(model)) - 1)
+    else:
+        state = stack_states([forward_batch(model, batch)] * 2, prepare_batch(mols * 2))
+    d_logits = np.ones((len(state.batch.ids), model.config.n_classes))
+    with pytest.raises(ValueError, match="consumed by an earlier backward, stopped before "
+                                         "the last stage, or stacked"):
+        backward_batch(model, state, d_logits)
 
 
 @pytest.fixture(scope="module")
@@ -398,6 +472,18 @@ def test_nonfinite_logits_name_first_nonfinite_molecule(mixed, keep_ids):
     with pytest.raises(NumericError, match=f"^molecule {who}: non-finite logits, "
                                            "first non-finite stage output: pooling and head$"):
         forward_batch(model, prepare_batch(mols))
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_overflowing_layer_norm_variance_raises(seed):
+    """A finite non-chiral projector weight of 1e200 overflows the row
+    variance of the first layer's norm; the forward raises there instead
+    of returning finite logits of rows set to beta."""
+    model = init_model(TINY_CONFIG)
+    model.encoder.proj_n.w2[0] = 1e200
+    batch = prepare_batch([m for m, _ in gen_rs(SyntheticSpec(count=4, seed=seed))])
+    with np.errstate(over="ignore"), pytest.raises(NumericError, match="^layer norm: "):
+        forward_batch(model, batch)
 
 
 def test_nonfinite_stage_is_the_named_molecules(mixed):

@@ -251,6 +251,21 @@ class TestTrainEval:
         first = read_manifest(ds)[0][0].id
         assert captured.err.startswith(f"numeric error: molecule {first}: non-finite logits")
 
+    def test_eval_overflowing_layer_norm_exit_3(self, tmp_path, tiny_ckpt, capsys):
+        # a finite non-chiral projector weight overflows the first layer
+        # norm's row variance, which would otherwise set its rows to beta
+        # and let eval report an accuracy
+        resign(tiny_ckpt, set_first_value(b"encoder.proj_n.w2", 1e200))
+        ds = tmp_path / "ds"
+        main(["gen", "--task", "rs", "--count", "4", "--seed", "5", "--out", str(ds)])
+        capsys.readouterr()
+        with np.errstate(over="ignore"):
+            code = main(["eval", "--ckpt", str(tiny_ckpt), "--data", str(ds), "--eval-split",
+                         "all"])
+        captured = capsys.readouterr()
+        assert (code, captured.out) == (3, "")
+        assert captured.err.startswith("numeric error: layer norm: ")
+
     def test_mirror_check_without_a_correct_prediction_prints_nan(self, tmp_path, tiny_ckpt,
                                                                   capsys):
         # class 0 (R) never wins, and the set holds R molecules alone
@@ -312,9 +327,10 @@ class TestRotateAxis:
         assert signs.count(1) == 9 and signs.count(-1) == 9
 
 
-@pytest.mark.parametrize("script", ["rs_benchmark.py", "torsion_analysis.py"])
+@pytest.mark.parametrize("script", ["rs_benchmark.py", "torsion_analysis.py",
+                                    "golden_outputs.py"])
 def test_script_help_runs(script):
-    # both scripts import the training API, so an API change that breaks
+    # the scripts import the package's API, so an API change that breaks
     # their imports fails here
     proc = subprocess.run([sys.executable, str(SRC.parent / "scripts" / script), "--help"],
                           env={**os.environ, "PYTHONPATH": str(SRC)},

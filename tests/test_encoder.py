@@ -8,7 +8,6 @@ from chiraldet.encoder import (
     KERNEL_EPS,
     EncoderParams,
     KernelBank,
-    encoder_bwd,
     init_encoder,
     init_kernel_bank,
     kernel_bwd,
@@ -28,7 +27,13 @@ from chiraldet.geometry import (
     unit_atoms,
 )
 from chiraldet.gradcheck import flatten
-from chiraldet.model import ModelConfig, forward_batch, init_model, parameter_stage
+from chiraldet.model import (
+    ModelConfig,
+    forward_batch,
+    forward_stages,
+    init_model,
+    parameter_stage,
+)
 from chiraldet.numerics import compare_grads, det3_batch, finite_diff_grad
 from oracles import gram_sqrt_det, unflatten
 
@@ -238,19 +243,37 @@ def make_params(seed=0, h=8, d_p=4, d_f=52):
 
 # a model of make_params' widths, whose encoder Encoded replaces
 HOST = init_model(ModelConfig(h=8, d_p=4, n_layers=1, n_heads=2, n_gkpt=8))
+# the encoder's stages, the ones before the pair bias's
+ENCODER_STAGES = forward_stages(HOST)[:parameter_stage(HOST, "bias.w_p")]
 
 
 class Encoded:
     """The encoder stages of forward_batch over a prepared batch, run on
     `params` as a model's encoder: the h_c, h_r and h_n they leave, and
-    their caches in stage order."""
+    their backward from gradients of those three."""
 
     def __init__(self, params, batch):
-        model = replace(HOST, encoder=params)
-        # the encoder stages are the ones before the pair bias's
-        state = forward_batch(model, batch, stop=parameter_stage(model, "bias.w_p"))
-        self.h_c, self.h_r, self.h_n = (state.latest(n) for n in ("h_c", "h_r", "h_n"))
-        self.caches = state.caches
+        self.model = replace(HOST, encoder=params)
+        self.state = forward_batch(self.model, batch, stop=len(ENCODER_STAGES))
+        self.h_c, self.h_r, self.h_n = (self.state.latest(n) for n in ("h_c", "h_r", "h_n"))
+
+    def backward(self, d_h_c, d_h_r, d_h_n) -> EncoderParams:
+        """The encoder's parameter gradients from padded gradients of h_c,
+        h_r and h_n: the encoder stages' backwards in reverse, each given
+        the gradients of the arrays it wrote, as backward_batch runs them."""
+        d = {"h_c": d_h_c, "h_r": d_h_r, "h_n": d_h_n}
+        grads = {}
+        state = self.state
+        for stage, out, cache in reversed(list(zip(ENCODER_STAGES, state.outputs, state.caches))):
+            stage_grads, d_read = stage.backward(self.model, state.batch, cache,
+                                                 {name: d.pop(name) for name in out})
+            grads.update(stage_grads)
+            for name, g in d_read.items():
+                d[name] = d.get(name, 0.0) + g
+        assert d == {}, "an encoder stage read an array no encoder stage wrote"
+        return EncoderParams(kernels=grads["encoder.kernel"], proj_c=grads["encoder.proj_c"],
+                             proj_r=grads["encoder.proj_r"], proj_n=grads["encoder.proj_n"],
+                             global_token=grads["encoder.token"])
 
 
 class TestEncode:
@@ -310,7 +333,7 @@ class TestEncode:
         w_c = rng.standard_normal(enc.h_c.shape)
         w_r = rng.standard_normal(enc.h_r.shape)
         w_n = rng.standard_normal(enc.h_n.shape)
-        grads = encoder_bwd(params, batch, enc.caches, w_c, w_r, w_n)
+        grads = enc.backward(w_c, w_r, w_n)
 
         def audited(p):
             """Every encoder tensor."""

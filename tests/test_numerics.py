@@ -219,6 +219,19 @@ class TestLayerNorm:
         assert np.array_equal(xhat, ref_xhat)
         assert np.array_equal(inv, ref_inv)
 
+    def test_overflowing_variance_raises(self):
+        # finite values whose variance overflows: 1/sqrt(inf) = 0 would turn
+        # the row into beta
+        with np.errstate(over="ignore"), pytest.raises(NumericError, match="^layer norm: "):
+            layer_norm_rows(np.array([[1e300, -1e300, 0.0, 1.0]]), 1.0, 0.5)
+
+    def test_nonfinite_row_passes_through_as_nan(self):
+        x = np.array([[np.inf, 1.0, 0.0], [1.0, 2.0, 3.0]])
+        with np.errstate(invalid="ignore"):
+            out, _ = layer_norm_rows(x, 1.0, 0.0)
+        assert np.isnan(out[0]).all()
+        assert np.isfinite(out[1]).all()
+
     def test_rows_backward_matches_fd(self):
         rng = np.random.default_rng(5)
         x = rng.standard_normal((3, 8))
