@@ -7,7 +7,8 @@ the numbers alone must reproduce byte for byte, into OUT_DIR:
 - a `gen` rs set, a `train --config tiny` checkpoint and `metrics.log`;
 - `eval --mirror-check` stdout over that set;
 - the `embed` and `attn` CSVs of that set and the `rotate-axis` CSV of
-  `data.toy_axial_molecule()`, written to `axial_toy.chimol`.
+  `data.toy_axial_molecule()`, written to `axial_toy.chimol`;
+- a `gen` axial set and the `rotate-axis` stdout of its first molecule.
 
 Each command's stdout and exit code go to `<step>.out`, its stderr to
 `<step>.err`. Every command runs the chiraldet this script imports, with
@@ -41,6 +42,10 @@ STEPS = (
     ("attn", ["attn", "--ckpt", "run/model.ckpt", "data_rs", "--out", "attn.csv"]),
     ("rotate_axis", ["rotate-axis", "axial_toy.chimol", "--ckpt", "run/model.ckpt",
                      "--out", "rotate_axis.csv"]),
+    ("gen_axial", ["gen", "--task", "axial", "--count", "4", "--seed", "5",
+                   "--out", "data_axial"]),
+    ("rotate_axis_gen", ["rotate-axis", "data_axial/ax00000.chimol", "--ckpt",
+                         "run/model.ckpt"]),
 )
 
 
@@ -50,7 +55,6 @@ def main():
     ap.add_argument("out_dir", help="directory to write the outputs into (created)")
     out_dir = Path(ap.parse_args().out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    # the generators draw no blade, which rotate-axis needs
     write(toy_axial_molecule(), out_dir / "axial_toy.chimol")
     # absolute, since the commands run from OUT_DIR
     env = {**os.environ, "PYTHONPATH": str(Path(chiraldet.__file__).resolve().parents[1])}

@@ -140,8 +140,7 @@ class LayerCache(NamedTuple):
     ln2: tuple
 
 
-def attend_fwd(layer: LayerParams, h_c_in, h_r, h_n, bias_in, mask: BatchMask,
-               layer_index: int = 0):
+def attend_fwd(layer: LayerParams, h_c_in, h_r, h_n, bias_in, mask: BatchMask):
     """One cross-attention layer over a padded batch; returns
     (h_c_out, bias_out, attn, cache).
 
@@ -165,7 +164,7 @@ def attend_fwd(layer: LayerParams, h_c_in, h_r, h_n, bias_in, mask: BatchMask,
     scores = (qh @ kh.transpose(0, 1, 3, 2)).transpose(0, 2, 3, 1) * scale
     logits = scores + bias_in
     if not np.isfinite(logits).all():
-        raise NumericError(f"non-finite attention logits at layer {layer_index}")
+        raise NumericError("non-finite attention logits")
     valid = mask.keys[:, None, :, None]
     row_max = np.where(valid, logits, -np.inf).max(axis=2, keepdims=True, initial=-np.inf)
     expd = np.exp(np.where(valid, logits - row_max, -np.inf))

@@ -297,7 +297,7 @@ def _place_spectators(rng, occupied, n_spec):
     return placed
 
 
-def _generate(spec: SyntheticSpec, id_prefix: str, draw, random_pose: bool):
+def _generate(spec: SyntheticSpec, id_prefix: str, draw, random_pose: bool, blade=None):
     """The rejection loop both generators share.
 
     Sample t draws from seed + t, so generation parallelizes and any prefix
@@ -305,6 +305,8 @@ def _generate(spec: SyntheticSpec, id_prefix: str, draw, random_pose: bool):
     `draw(rng)` as (coords, atomic numbers, unit), adds spectators and
     rejects a chirality product below spec.min_abs_product; with
     `random_pose` the accepted molecule is then rotated and shifted.
+    Every molecule carries `blade`, atom indices of the drawn geometry,
+    which the spectators, appended after it, leave valid.
     Labels alternate R, S, ... and are realized by mirroring, which keeps
     even counts exactly balanced.
     """
@@ -328,6 +330,7 @@ def _generate(spec: SyntheticSpec, id_prefix: str, draw, random_pose: bool):
                 features=featurize(zs),
                 chiral_units=(unit,),
                 id=f"{id_prefix}{t:05d}",
+                blade=blade,
             ).validate()
             if random_pose:
                 mol = transform(mol, random_rotation(rng), rng.uniform(-5.0, 5.0, size=3))
@@ -360,6 +363,11 @@ def gen_rs(spec: SyntheticSpec):
     return _generate(spec, "rs", _draw_center, random_pose=False)
 
 
+# the upper substituents c1 and c2 of _axial_coords, which a torsion sweep
+# turns about the axis
+_AXIAL_BLADE = (3, 5)
+
+
 def _axial_coords(axis_len, radius, drop, torsion_deg):
     """Toy biaryl skeleton: two axis atoms plus two substituents per side."""
     psi = math.radians(torsion_deg)
@@ -388,7 +396,7 @@ def toy_axial_molecule(torsion_deg: float = 90.0) -> Molecule:
         features=featurize(zs),
         chiral_units=(unit,),
         id=f"axial_toy_{torsion_deg:g}",
-        blade=(3, 5),
+        blade=_AXIAL_BLADE,
     ).validate()
 
 
@@ -464,14 +472,15 @@ def _draw_axial(rng):
 
 
 def gen_axial(count: int, seed: int = 0, spectator_range=(0, 2), min_abs_product: float = 0.5):
-    """Randomized axial toys labeled by the sign of the chirality product.
+    """Randomized axial toys labeled by the sign of the chirality product,
+    each with its upper blade marked for gen_axial_torsion.
 
     Geometry, torsion, and pose vary per sample; sampling and labels follow
     gen_rs, whose SyntheticSpec checks the arguments.
     """
     spec = SyntheticSpec(count=count, spectator_range=spectator_range,
                          min_abs_product=min_abs_product, seed=seed)
-    return _generate(spec, "ax", _draw_axial, random_pose=True)
+    return _generate(spec, "ax", _draw_axial, random_pose=True, blade=_AXIAL_BLADE)
 
 
 # ---------------------------------------------------------------------------

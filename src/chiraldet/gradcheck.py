@@ -58,7 +58,6 @@ from .numerics import (
     central_difference,
     compare_grads,
     det3_batch,
-    finite_diff_grad,
     layer_norm_rows,
     layer_norm_rows_backward,
 )
@@ -85,32 +84,51 @@ def flatten(*items) -> np.ndarray:
     return np.concatenate([a.ravel() for item in items for a in _arrays(item)])
 
 
-def _numeric(arrays, loss) -> np.ndarray:
-    """Central differences of a scalar loss() in every entry of `arrays`,
-    (name, array) pairs, in order, through finite_diff_grad.
+# evaluation points per chunk of _oracle. A model block stacks a chunk's
+# points in one forward: stacks of 8 and of 16 kept every audited gradient
+# byte-identical to a forward per point; at 32 a feed-forward product of
+# the stacked rows took another BLAS kernel and rounded differently, and 8
+# ran as fast as 32
+AUDIT_CHUNK = 8
 
-    While an array is moved, each evaluation writes its point into that
-    array, in place, and calls loss(), so no evaluation unpacks a flat
-    vector or rebuilds a parameter dataclass. Each array is restored
-    before the next is moved.
+
+def _unchanged(name, kept):
+    return kept
+
+
+def _oracle(arrays, at_point, finish=_unchanged) -> np.ndarray:
+    """Central differences in every entry of `arrays`, (name, array) pairs,
+    in order: the audit's one point loop.
+
+    The +FD_STEP and -FD_STEP points of an array's entries run AUDIT_CHUNK
+    at a time. Each point is written into the live array, in place, so no
+    evaluation unpacks a flat vector or rebuilds a parameter dataclass;
+    at_point(name, live) is kept and the entry restored. finish(name, kept)
+    turns a chunk's kept values into its losses; by default they are the
+    losses. Each array is restored before the next is moved, also when an
+    evaluation raises.
     """
     numeric = []
-    for _, live in arrays:
+    for name, live in arrays:
         theta0 = live.flatten()
-
-        def loss_at(theta):
-            live[...] = theta.reshape(live.shape)
-            return loss()
-
+        points = [(i, t + d) for i, t in enumerate(theta0) for d in (FD_STEP, -FD_STEP)]
+        losses = []
         try:
-            numeric.append(finite_diff_grad(loss_at, theta0))
+            for c in range(0, len(points), AUDIT_CHUNK):
+                kept = []
+                for i, value in points[c : c + AUDIT_CHUNK]:
+                    live.flat[i] = value
+                    kept.append(at_point(name, live))
+                    live.flat[i] = theta0[i]
+                losses += finish(name, kept)
         finally:
             live[...] = theta0.reshape(live.shape)
+        numeric.append(central_difference(losses[0::2], losses[1::2]))
     return np.concatenate(numeric)
 
 
 def _entry(arrays, index: int) -> str:
-    """The entry at a flat index of the vector _numeric(arrays, ...) returns,
+    """The entry at a flat index of the vector _oracle(arrays, ...) returns,
     as <name>[i, j]."""
     for name, a in arrays:
         if index < a.size:
@@ -128,8 +146,9 @@ def _nonsingular_mc(rng, n, floor=0.3):
     return np.stack(out)
 
 
-# Each _check_* returns (analytic, numeric, arrays): both gradients over the
-# entries of the audited (name, array) pairs, in order.
+# Each _check_* returns (arrays, analytic, at_point, finish) for _oracle:
+# the audited (name, array) pairs and the analytic gradient over their
+# entries, in order. A small block's at_point is its scalar loss.
 
 
 def _check_kernel(rng, config: ModelConfig):
@@ -139,24 +158,22 @@ def _check_kernel(rng, config: ModelConfig):
     weights = rng.standard_normal((2, 2))
     arrays = [("w", bank.w), ("gamma", bank.gamma), ("mc", mc)]
 
-    def f():
+    def f(name, live):
         return float((weights * kernel_fwd(bank, mc)[0]).sum())
 
-    numeric = _numeric(arrays, f)
     _, cache = kernel_fwd(bank, mc)
     grads, d_mc = kernel_bwd(cache, weights)
-    return flatten(grads.w, grads.gamma, d_mc), numeric, arrays
+    return arrays, flatten(grads.w, grads.gamma, d_mc), f, _unchanged
 
 
 def _check_reg_loss(rng, config: ModelConfig):
     bank = KernelBank(w=rng.standard_normal((2, 4, 3)), gamma=np.ones(4))
     arrays = [("w", bank.w)]
 
-    def f():
+    def f(name, live):
         return regularization_loss(bank)
 
-    numeric = _numeric(arrays, f)
-    return regularization_grad(bank).ravel(), numeric, arrays
+    return arrays, regularization_grad(bank).ravel(), f, _unchanged
 
 
 def _check_layer_norm(rng, config: ModelConfig):
@@ -166,12 +183,11 @@ def _check_layer_norm(rng, config: ModelConfig):
     weights = rng.standard_normal((3, 8))
     arrays = [("x", x), ("gamma", gamma), ("beta", beta)]
 
-    def f():
+    def f(name, live):
         return float((weights * layer_norm_rows(x, gamma, beta)[0]).sum())
 
-    numeric = _numeric(arrays, f)
     _, cache = layer_norm_rows(x, gamma, beta)
-    return flatten(*layer_norm_rows_backward(weights, cache, gamma)), numeric, arrays
+    return arrays, flatten(*layer_norm_rows_backward(weights, cache, gamma)), f, _unchanged
 
 
 def _pair_instance(rng):
@@ -191,12 +207,11 @@ def _check_distance_bias(rng, config: ModelConfig):
     weights = rng.standard_normal((2, 3, 5, 2))
     arrays = _leaves(params)
 
-    def f():
+    def f(name, live):
         return float((weights * pair_bias_fwd(params, pairs)[0]).sum())
 
-    numeric = _numeric(arrays, f)
     _, cache = pair_bias_fwd(params, pairs)
-    return flatten(pair_bias_bwd(params, cache, weights)), numeric, arrays
+    return arrays, flatten(pair_bias_bwd(params, cache, weights)), f, _unchanged
 
 
 def _check_attention_layer(rng, config: ModelConfig):
@@ -212,13 +227,12 @@ def _check_attention_layer(rng, config: ModelConfig):
     w_bias = rng.standard_normal((3, 2, 4, 2))
     arrays = _leaves(layer) + list(zip(("h_c_in", "h_r", "h_n", "bias_in"), inputs))
 
-    def f():
+    def f(name, live):
         out, bias_out, _, _ = attend_fwd(layer, *inputs, mask)
         return float((w_out * out).sum() + (w_bias * bias_out).sum())
 
-    numeric = _numeric(arrays, f)
     _, _, _, cache = attend_fwd(layer, *inputs, mask)
-    return flatten(*attend_bwd(layer, cache, w_out, w_bias)), numeric, arrays
+    return arrays, flatten(*attend_bwd(layer, cache, w_out, w_bias)), f, _unchanged
 
 
 def _check_predictor(rng, config: ModelConfig):
@@ -227,73 +241,54 @@ def _check_predictor(rng, config: ModelConfig):
     weights = rng.standard_normal((3, 2))
     arrays = _leaves(mlp) + [("x", x)]
 
-    def f():
+    def f(name, live):
         return float((weights * mlp2_fwd(mlp, x)[0]).sum())
 
-    numeric = _numeric(arrays, f)
     _, cache = mlp2_fwd(mlp, x)
-    return flatten(*mlp2_bwd(mlp, cache, weights)), numeric, arrays
+    return arrays, flatten(*mlp2_bwd(mlp, cache, weights)), f, _unchanged
 
 
-# evaluation points per stacked forward in _oracle. Stacks of 8 and of 16
-# kept every audited gradient byte-identical to a forward per point; at 32
-# a feed-forward product of the stacked rows took another BLAS kernel and
-# rounded differently, and 8 ran as fast as 32
-AUDIT_CHUNK = 8
+def _model_points(model, mols, objective, reg_weight: float, names):
+    """(arrays, at_point, finish) of _oracle over the loss batch_step takes
+    of prepare_batch(mols), in the named live parameters, in
+    named_parameters order.
 
-
-def _oracle(model, mols, objective, reg_weight: float, names):
-    """Central differences of batch_loss over prepare_batch(mols) in the
-    named live parameters, in named_parameters order; returns (numeric, the
-    audited (name, array) pairs).
-
-    One forward at the starting point is the prefix. Each evaluation point
-    writes its entry into the live array, in place, and runs only the one
-    stage s that reads the array (parameter_stage) from the prefix: for a
-    projector that is one mlp2_fwd, for the distance bias one
-    pair_bias_fwd. It keeps that stage's output and the rank penalty at the
-    point, which only the kernel slices move, so every other array reuses
-    the penalty of the starting point. The stages after s run once per
-    AUDIT_CHUNK points: their kept outputs are stacked along the molecule
-    axis (stack_states) and resumed over prepare_batch(mols * k), whose
-    copies are padded as the batch is. Each copy's logits then give the
-    loss batch_step would, so every numeric gradient is byte-identical to
-    a full forward per point.
+    One forward at the starting point is the prefix. At each point,
+    at_point runs only the one stage s that reads the moved array
+    (parameter_stage) from the prefix: for a projector that is one
+    mlp2_fwd, for the distance bias one pair_bias_fwd. It keeps that
+    stage's output and the rank penalty at the point, which only the
+    kernel slices move, so every other array reuses the penalty of the
+    starting point. finish runs the stages after s once per chunk: the
+    kept outputs are stacked along the molecule axis (stack_states) and
+    resumed over prepare_batch(mols * k), whose copies are padded as the
+    batch is. Each copy's logits then give the loss batch_step would, so
+    every numeric gradient is byte-identical to a full forward per point.
     """
     batch = prepare_batch(mols)
     prefix = forward_batch(model, batch)
     penalty0 = rank_penalty(model, reg_weight)
+    stage = {name: parameter_stage(model, name) for name in names}
     repeated = {}  # k -> prepare_batch(mols * k)
-    arrays = [(name, live) for name, live in named_parameters(model) if name in names]
-    numeric = []
-    for name, live in arrays:
-        stage = parameter_stage(model, name)
+
+    def at_point(name, live):
         # rank_penalty reads the kernel slices alone
-        moves_penalty = live is model.encoder.kernels.w
-        theta0 = live.flatten()
-        points = [(i, t + d) for i, t in enumerate(theta0) for d in (FD_STEP, -FD_STEP)]
-        losses = []
-        try:
-            for c in range(0, len(points), AUDIT_CHUNK):
-                states, penalties = [], []
-                for i, value in points[c : c + AUDIT_CHUNK]:
-                    live.flat[i] = value
-                    states.append(forward_batch(model, batch, prefix, stage, stage + 1))
-                    penalties.append(rank_penalty(model, reg_weight) if moves_penalty else penalty0)
-                    live.flat[i] = theta0[i]
-                k = len(states)
-                if k not in repeated:
-                    repeated[k] = prepare_batch(mols * k)
-                stacked = stack_states(states, repeated[k])
-                if stacked.logits is None:
-                    stacked = forward_batch(model, repeated[k], stacked, stage + 1)
-                copies = stacked.logits.reshape(k, len(mols), -1)
-                losses += [objective(logits)[0] + penalty
-                           for logits, penalty in zip(copies, penalties)]
-        finally:
-            live[...] = theta0.reshape(live.shape)
-        numeric.append(central_difference(losses[0::2], losses[1::2]))
-    return np.concatenate(numeric), arrays
+        penalty = rank_penalty(model, reg_weight) if live is model.encoder.kernels.w else penalty0
+        return forward_batch(model, batch, prefix, stage[name], stage[name] + 1), penalty
+
+    def finish(name, kept):
+        states, penalties = zip(*kept)
+        k = len(states)
+        if k not in repeated:
+            repeated[k] = prepare_batch(mols * k)
+        stacked = stack_states(states, repeated[k])
+        if stacked.logits is None:
+            stacked = forward_batch(model, repeated[k], stacked, stage[name] + 1)
+        copies = stacked.logits.reshape(k, len(mols), -1)
+        return [objective(logits)[0] + penalty for logits, penalty in zip(copies, penalties)]
+
+    arrays = [(name, live) for name, live in named_parameters(model) if name in names]
+    return arrays, at_point, finish
 
 
 # Each *_loss_instance returns (model, mols, objective, reg_weight, the
@@ -336,14 +331,15 @@ def _rank_loss_instance(rng, config: ModelConfig):
 
 
 def _check_model(instance):
-    """The check of a model-level block: _oracle against batch_step's
+    """The check of a model-level block: _model_points against batch_step's
     gradients of the named parameters."""
 
     def check(rng, config: ModelConfig):
         model, mols, objective, reg_weight, names = instance(rng, config)
-        numeric, arrays = _oracle(model, mols, objective, reg_weight, names)
+        arrays, at_point, finish = _model_points(model, mols, objective, reg_weight, names)
         _, _, grads = batch_step(model, prepare_batch(mols), objective, reg_weight)
-        return flatten(*(g for n, g in named_parameters(grads) if n in names)), numeric, arrays
+        analytic = flatten(*(g for n, g in named_parameters(grads) if n in names))
+        return arrays, analytic, at_point, finish
 
     return check
 
@@ -375,7 +371,8 @@ def run_gradcheck(config: ModelConfig = TINY_CONFIG, seed: int = 1, tol: float =
     reports = []
     for name in blocks:
         began = time.perf_counter()
-        analytic, numeric, arrays = _CHECKS[name](block_rng(name, seed), config)
+        arrays, analytic, at_point, finish = _CHECKS[name](block_rng(name, seed), config)
+        numeric = _oracle(arrays, at_point, finish)
         if sabotage and name.startswith(sabotage):
             analytic = analytic * 1.02 + 0.01
         rep = compare_grads(analytic, numeric, tol=tol)

@@ -205,7 +205,7 @@ class Stage(NamedTuple):
     Both call what they run (kernel_fwd, mlp2_fwd, ...) by module name,
     so a wrapper set on a module attribute sees every call."""
 
-    name: str  # what a NumericError calls the stage's outputs
+    name: str  # what a NumericError calls the stage and its outputs
     groups: tuple  # the named_parameters groups that only this stage reads
     forward: Callable
     backward: Callable
@@ -285,8 +285,7 @@ def _layer_stage(i: int) -> Stage:
 
     def forward(model, batch, arrays):
         h_c, bias, attn, cache = attend_fwd(model.layers[i], arrays["h_c"], arrays["h_r"],
-                                            arrays["h_n"], arrays["bias"], batch.mask,
-                                            layer_index=i)
+                                            arrays["h_n"], arrays["bias"], batch.mask)
         return {"h_c": h_c, "bias": bias, "attn": attn}, cache
 
     def backward(model, batch, cache, d):
@@ -352,9 +351,10 @@ def forward_batch(model: ChiralModel, batch: MoleculeBatch, prefix: BatchState |
     since the prefix was computed. The prefix is not modified; it may be
     a stack_states state, with `batch` the molecules repeated as stacked.
 
-    Non-finite logits raise NumericError naming the first molecule whose
-    logits are non-finite (its id, or its index when the id is empty) and
-    the first stage whose output is non-finite for it.
+    A NumericError a stage raises comes back with the stage's name in
+    front. Non-finite logits raise NumericError naming the first molecule
+    whose logits are non-finite (its id, or its index when the id is
+    empty) and the first stage whose output is non-finite for it.
     """
     stages = forward_stages(model)
     stop = len(stages) if stop is None else stop
@@ -368,7 +368,10 @@ def forward_batch(model: ChiralModel, batch: MoleculeBatch, prefix: BatchState |
     for out in outputs:
         arrays.update(out)
     for stage in stages[start:stop]:
-        out, cache = stage.forward(model, batch, arrays)
+        try:
+            out, cache = stage.forward(model, batch, arrays)
+        except NumericError as exc:
+            raise NumericError(f"{stage.name}: {exc}") from exc
         arrays.update(out)
         outputs.append(out)
         caches.append(cache)
@@ -461,22 +464,6 @@ def _onehot(label, n_classes: int) -> np.ndarray:
     return np.arange(n_classes) == label[..., None]
 
 
-def _softmax_xent(logits, onehot):
-    """Softmax cross-entropy of (..., C) logits against a one-hot of the
-    same shape, summed over any leading axes; returns (loss, d_logits)."""
-    shifted = logits - logits.max(axis=-1, keepdims=True)
-    lse = np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
-    loss = float((lse - shifted)[onehot].sum())
-    return loss, np.exp(shifted - lse) - onehot
-
-
-def loss_classify(logits, label):
-    """Softmax cross-entropy over the last axis of (..., C) logits, summed
-    over any leading axes; returns (loss, d_logits)."""
-    logits = np.asarray(logits, dtype=np.float64)
-    return _softmax_xent(logits, _onehot(label, logits.shape[-1]))
-
-
 def loss_margin_rank(score_hi, score_lo, margin: float):
     """Sum of max(0, margin - (score_hi - score_lo)) over paired scores;
     returns (loss, d_hi, d_lo)."""
@@ -488,10 +475,10 @@ def loss_margin_rank(score_hi, score_lo, margin: float):
 
 
 def classify_loss(labels, n_classes: int):
-    """The mean cross-entropy objective of a batch with one class index per
-    molecule, scored by an n_classes head: logits -> (loss, d_logits,
-    n_correct). The labels are checked and one-hot encoded here, once per
-    objective, not once per evaluation."""
+    """The mean softmax cross-entropy objective of a batch with one class
+    index per molecule, scored by an n_classes head: logits -> (loss,
+    d_logits, n_correct). The labels are checked and one-hot encoded here,
+    once per objective, not once per evaluation."""
     labels = np.asarray(labels)
     onehot = _onehot(labels, n_classes)
 
@@ -499,7 +486,10 @@ def classify_loss(labels, n_classes: int):
         if logits.shape != onehot.shape:
             raise ValueError(f"logits of shape {logits.shape} for {onehot.shape[0]} labels "
                              f"of {n_classes} classes")
-        loss, d_logits = _softmax_xent(logits, onehot)
+        shifted = logits - logits.max(axis=-1, keepdims=True)
+        lse = np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
+        loss = float((lse - shifted)[onehot].sum())
+        d_logits = np.exp(shifted - lse) - onehot
         n_correct = int((logits.argmax(axis=1) == labels).sum())
         return loss / len(labels), d_logits / len(labels), n_correct
 
@@ -531,30 +521,18 @@ def rank_penalty(model: ChiralModel, reg_weight: float) -> float:
     return reg_weight * regularization_loss(model.encoder.kernels) if reg_weight > 0.0 else 0.0
 
 
-def _forward_loss(model: ChiralModel, batch: MoleculeBatch, objective, reg_weight: float):
-    """(loss, n_correct, state, d_logits) of an objective over a prepared
-    batch plus the rank penalty."""
-    state = forward_batch(model, batch)
-    loss, d_logits, n_correct = objective(state.logits)
-    return loss + rank_penalty(model, reg_weight), n_correct, state, d_logits
-
-
-def batch_loss(model: ChiralModel, batch: MoleculeBatch, objective, reg_weight: float) -> float:
-    """The loss of batch_step, forward only."""
-    return _forward_loss(model, batch, objective, reg_weight)[0]
-
-
 def batch_step(model: ChiralModel, batch: MoleculeBatch, objective, reg_weight: float):
     """An objective (classify_loss or rank_loss) over a prepared batch plus
     the rank penalty when enabled.
 
     Returns (loss, n_correct, grads).
     """
-    loss, n_correct, state, d_logits = _forward_loss(model, batch, objective, reg_weight)
+    state = forward_batch(model, batch)
+    loss, d_logits, n_correct = objective(state.logits)
     grads = backward_batch(model, state, d_logits)
     if reg_weight > 0.0:
         grads.encoder.kernels.w += reg_weight * regularization_grad(model.encoder.kernels)
-    return loss, n_correct, grads
+    return loss + rank_penalty(model, reg_weight), n_correct, grads
 
 
 # ---------------------------------------------------------------------------

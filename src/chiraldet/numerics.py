@@ -113,30 +113,6 @@ def central_difference(hi, lo, h=FD_STEP) -> np.ndarray:
     return (hi - lo) / (2.0 * h)
 
 
-def finite_diff_grad(f, theta, h=FD_STEP):
-    """Central-difference gradient of a scalar function of a flat vector,
-    one point at a time.
-
-    Every evaluation receives one working copy of theta with entry i moved
-    by +h or -h, and the entry is restored before the next coordinate, so
-    f must not keep its argument (or views of it) beyond the call. theta
-    itself is not modified. The gradient is central_difference of the
-    evaluations.
-    """
-    if h <= 0.0:
-        raise NumericError("finite_diff_grad requires h > 0")
-    work = np.array(theta, dtype=np.float64)
-    hi, lo = np.empty(work.size), np.empty(work.size)
-    for i in range(work.size):
-        t = work[i]
-        work[i] = t + h
-        hi[i] = f(work)
-        work[i] = t - h
-        lo[i] = f(work)
-        work[i] = t
-    return central_difference(hi, lo, h)
-
-
 @dataclass
 class GradCheckReport:
     max_rel_error: float

@@ -7,8 +7,8 @@ import numpy as np
 from chiraldet.encoder import BatchMask, MoleculeBatch, pair_inputs
 from chiraldet.errors import AnnotationError, NumericError
 from chiraldet.geometry import UnitKind
-from chiraldet.model import _leaves
-from chiraldet.numerics import det3_batch
+from chiraldet.model import _leaves, _onehot, forward_batch, rank_penalty
+from chiraldet.numerics import FD_STEP, central_difference, det3_batch
 
 
 def gram_sqrt_det(w) -> float:
@@ -35,6 +35,47 @@ def layer_norm_rows_reference(x, gamma, beta, eps=1e-5):
     inv = 1.0 / np.sqrt(var + eps)
     xhat = (x - mu) * inv
     return xhat * gamma + beta, xhat, inv
+
+
+def finite_diff_grad(f, theta, h=FD_STEP):
+    """Central-difference gradient of a scalar function of a flat vector,
+    one point at a time: the per-point reference of gradcheck._oracle.
+
+    Every evaluation receives one working copy of theta with entry i moved
+    by +h or -h, and the entry is restored before the next coordinate, so
+    f must not keep its argument (or views of it) beyond the call. theta
+    itself is not modified. The gradient is central_difference of the
+    evaluations.
+    """
+    if h <= 0.0:
+        raise NumericError("finite_diff_grad requires h > 0")
+    work = np.array(theta, dtype=np.float64)
+    hi, lo = np.empty(work.size), np.empty(work.size)
+    for i in range(work.size):
+        t = work[i]
+        work[i] = t + h
+        hi[i] = f(work)
+        work[i] = t - h
+        lo[i] = f(work)
+        work[i] = t
+    return central_difference(hi, lo, h)
+
+
+def batch_loss(model, batch, objective, reg_weight: float) -> float:
+    """The loss of model.batch_step, forward only: every stage runs."""
+    loss, _, _ = objective(forward_batch(model, batch).logits)
+    return loss + rank_penalty(model, reg_weight)
+
+
+def loss_classify(logits, label):
+    """Softmax cross-entropy over the last axis of (..., C) logits, summed
+    over any leading axes; returns (loss, d_logits)."""
+    logits = np.asarray(logits, dtype=np.float64)
+    onehot = _onehot(label, logits.shape[-1])
+    shifted = logits - logits.max(axis=-1, keepdims=True)
+    lse = np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
+    loss = float((lse - shifted)[onehot].sum())
+    return loss, np.exp(shifted - lse) - onehot
 
 
 def unflatten(theta, *like) -> list:

@@ -22,14 +22,13 @@ from chiraldet.model import (
     forward_batch,
     forward_stages,
     init_model,
-    loss_classify,
     named_parameters,
     parameter_stage,
     stack_states,
     stage_outputs,
 )
 from chiraldet.numerics import layer_norm_rows
-from oracles import batch_reference
+from oracles import batch_reference, loss_classify
 
 TINY = dict(h=8, d_p=4, n_layers=2, n_heads=2, n_gkpt=8)
 
@@ -482,8 +481,22 @@ def test_overflowing_layer_norm_variance_raises(seed):
     model = init_model(TINY_CONFIG)
     model.encoder.proj_n.w2[0] = 1e200
     batch = prepare_batch([m for m, _ in gen_rs(SyntheticSpec(count=4, seed=seed))])
-    with np.errstate(over="ignore"), pytest.raises(NumericError, match="^layer norm: "):
+    with np.errstate(over="ignore"), pytest.raises(
+            NumericError, match="^layer 0: layer norm: a row's variance overflows float64$"):
         forward_batch(model, batch)
+
+
+def test_nonfinite_attention_logits_name_their_layer(mixed):
+    """An infinite query weight makes its layer's attention logits
+    non-finite; the forward's error names that layer's stage, and the
+    NumericError of attend_fwd is its cause."""
+    for i in range(2):
+        model = init_model(ModelConfig(**TINY, seed=14))
+        model.layers[i].wq.flat[0] = np.inf
+        with np.errstate(invalid="ignore"), pytest.raises(
+                NumericError, match=f"^layer {i}: non-finite attention logits$") as caught:
+            forward_batch(model, prepare_batch(mixed[0]))
+        assert isinstance(caught.value.__cause__, NumericError)
 
 
 def test_nonfinite_stage_is_the_named_molecules(mixed):

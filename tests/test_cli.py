@@ -264,7 +264,8 @@ class TestTrainEval:
                          "all"])
         captured = capsys.readouterr()
         assert (code, captured.out) == (3, "")
-        assert captured.err.startswith("numeric error: layer norm: ")
+        assert captured.err == ("numeric error: layer 0: layer norm: "
+                                "a row's variance overflows float64\n")
 
     def test_mirror_check_without_a_correct_prediction_prints_nan(self, tmp_path, tiny_ckpt,
                                                                   capsys):
@@ -325,6 +326,18 @@ class TestRotateAxis:
         changes = sum(1 for i in range(18) if signs[i] != signs[(i + 1) % 18])
         assert changes == 2
         assert signs.count(1) == 9 and signs.count(-1) == 9
+
+    def test_generated_axial_molecule_sweeps(self, tmp_path, tiny_ckpt, capsys):
+        # gen --task axial marks the upper blade, so its molecules sweep
+        out = tmp_path / "ax"
+        assert main(["gen", "--task", "axial", "--count", "4", "--seed", "5",
+                     "--out", str(out)]) == 0
+        capsys.readouterr()
+        assert main(["rotate-axis", str(out / "ax00000.chimol"), "--ckpt", str(tiny_ckpt),
+                     "--step", "90"]) == 0
+        lines = capsys.readouterr().out.strip().splitlines()
+        assert [line.split(",")[0] for line in lines[1:]] == ["0", "90", "180", "270"]
+        assert len({line.split(",")[2] for line in lines[1:]}) == 2
 
 
 @pytest.mark.parametrize("script", ["rs_benchmark.py", "torsion_analysis.py",

@@ -34,8 +34,8 @@ from chiraldet.model import (
     init_model,
     parameter_stage,
 )
-from chiraldet.numerics import compare_grads, det3_batch, finite_diff_grad
-from oracles import gram_sqrt_det, unflatten
+from chiraldet.numerics import compare_grads, det3_batch
+from oracles import finite_diff_grad, gram_sqrt_det, unflatten
 
 
 def orthonormal_identity_bank(d_p=8):

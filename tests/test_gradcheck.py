@@ -1,6 +1,7 @@
-"""The model-level audit oracle: evaluation points run their own stage one
-at a time and the later stages stacked, AUDIT_CHUNK points per forward,
-and every numeric gradient keeps the bytes of a forward per point."""
+"""The audit oracle, _oracle: every block's numeric gradient keeps the
+bytes of finite_diff_grad, one evaluation per point. In a model-level
+block, evaluation points run their own stage one at a time and the later
+stages stacked, AUDIT_CHUNK points per forward."""
 
 import numpy as np
 import pytest
@@ -8,24 +9,70 @@ import pytest
 from chiraldet.encoder import prepare_batch
 from chiraldet.errors import NumericError
 from chiraldet.gradcheck import (
+    _CHECKS,
     AUDIT_CHUNK,
+    BLOCKS,
     TINY_CONFIG,
     _full_loss_instance,
+    _model_points,
     _oracle,
     _rank_loss_instance,
     block_rng,
 )
 from chiraldet.model import (
-    batch_loss,
     forward_batch,
     named_parameters,
     parameter_stage,
     stack_states,
     stage_outputs,
 )
-from chiraldet.numerics import finite_diff_grad
+from oracles import batch_loss, finite_diff_grad
 
 INSTANCES = {"model.full_loss": _full_loss_instance, "model.rank_loss": _rank_loss_instance}
+SMALL_BLOCKS = [b for b in BLOCKS if b not in INSTANCES]
+
+
+@pytest.mark.parametrize("block", SMALL_BLOCKS)
+def test_oracle_matches_finite_diff_grad_on_small_blocks(block):
+    """Byte for byte against finite_diff_grad over the block's own
+    at_point, each array moved through a flat copy of its entries."""
+    arrays, analytic, at_point, finish = _CHECKS[block](block_rng(block, 1), TINY_CONFIG)
+    numeric = _oracle(arrays, at_point, finish)
+    assert numeric.size == analytic.size == sum(live.size for _, live in arrays)
+    expect = []
+    for name, live in arrays:
+        theta0 = live.flatten()
+
+        def loss_at(theta):
+            live[...] = theta.reshape(live.shape)
+            return at_point(name, live)
+
+        try:
+            expect.append(finite_diff_grad(loss_at, theta0))
+        finally:
+            live[...] = theta0.reshape(live.shape)
+    assert numeric.tobytes() == np.concatenate(expect).tobytes()
+
+
+def test_nonfinite_small_block_evaluation_names_its_coordinate():
+    """The 8th evaluation of the layer norm's gamma, the minus point of its
+    coordinate 3, is NaN: the error names the coordinate, after every
+    point ran, and gamma is restored."""
+    arrays, _, at_point, finish = _CHECKS["numerics.layer_norm"](
+        block_rng("numerics.layer_norm", 1), TINY_CONFIG)
+    gamma = dict(arrays)["gamma"]
+    saved = gamma.copy()
+    calls = []
+
+    def nan_at_call_8(name, live):
+        calls.append(name)
+        loss = at_point(name, live)
+        return float("nan") if len(calls) == 8 else loss
+
+    with pytest.raises(NumericError, match="^non-finite evaluation at coordinate 3$"):
+        _oracle([("gamma", gamma)], nan_at_call_8, finish)
+    assert calls == ["gamma"] * (2 * saved.size)
+    assert gamma.tobytes() == saved.tobytes()
 
 
 def audit_instance(block, seed=1):
@@ -59,7 +106,8 @@ def test_chunked_oracle_matches_a_full_forward_per_point(block):
     five entries, so the points that cross from the first chunk into the
     second and those of the last chunk, short or not."""
     model, mols, objective, reg_weight, names = audit_instance(block)
-    numeric, arrays = _oracle(model, mols, objective, reg_weight, names)
+    arrays, at_point, finish = _model_points(model, mols, objective, reg_weight, names)
+    numeric = _oracle(arrays, at_point, finish)
     assert [name for name, _ in arrays] == [n for n, _ in named_parameters(model) if n in names]
     # head.b2 has 2 entries (1 under the ranking head), so its points make
     # one short chunk
@@ -152,6 +200,6 @@ def test_nonfinite_evaluation_names_its_coordinate(full_loss):
 
     saved = model.head.w1.copy()
     with pytest.raises(NumericError, match="^non-finite evaluation at coordinate 5$"):
-        _oracle(model, mols, nan_at_call_12, reg_weight, {"head.w1"})
+        _oracle(*_model_points(model, mols, nan_at_call_12, reg_weight, {"head.w1"}))
     assert len(calls) == 2 * saved.size
     assert np.array_equal(model.head.w1, saved)

@@ -16,7 +16,7 @@ from chiraldet.errors import (
 )
 from chiraldet.geometry import Configuration, mirror, random_rotation, transform
 from chiraldet.gradcheck import TINY_CONFIG, flatten
-from chiraldet.numerics import compare_grads, finite_diff_grad
+from chiraldet.numerics import compare_grads
 from chiraldet.model import (
     ADAM_BETA1,
     ADAM_BETA2,
@@ -25,7 +25,6 @@ from chiraldet.model import (
     ModelConfig,
     TrainConfig,
     attention_export_rows,
-    batch_loss,
     batch_step,
     classify_loss,
     cosine_lr,
@@ -34,7 +33,6 @@ from chiraldet.model import (
     forward,
     init_model,
     load_checkpoint,
-    loss_classify,
     loss_margin_rank,
     mirror_consistency,
     named_parameters,
@@ -43,7 +41,7 @@ from chiraldet.model import (
     save_checkpoint,
     train,
 )
-from oracles import unflatten
+from oracles import batch_loss, finite_diff_grad, loss_classify, unflatten
 
 TINY = dict(h=8, d_p=4, n_layers=2, n_heads=2, n_gkpt=8)
 

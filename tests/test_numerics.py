@@ -11,12 +11,11 @@ from chiraldet.numerics import (
     cofactor3_batch,
     compare_grads,
     det3_batch,
-    finite_diff_grad,
     gaussian,
     layer_norm_rows,
     layer_norm_rows_backward,
 )
-from oracles import gram_sqrt_det, layer_norm_rows_reference
+from oracles import finite_diff_grad, gram_sqrt_det, layer_norm_rows_reference
 
 
 def leibniz_det3(a):
