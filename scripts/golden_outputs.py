@@ -8,7 +8,10 @@ the numbers alone must reproduce byte for byte, into OUT_DIR:
 - `eval --mirror-check` stdout over that set;
 - the `embed` and `attn` CSVs of that set and the `rotate-axis` CSV of
   `data.toy_axial_molecule()`, written to `axial_toy.chimol`;
-- a `gen` axial set and the `rotate-axis` stdout of its first molecule.
+- a `gen` axial set and the `rotate-axis` stdout of its first molecule;
+- `audit_vectors.out`: per seed 1, 2, 3 and 7 and per audit block, the
+  sha256 of the oracle's numeric vector, the sha256 of the analytic
+  vector and the evaluation count, computed in this process.
 
 Each command's stdout and exit code go to `<step>.out`, its stderr to
 `<step>.err`. Every command runs the chiraldet this script imports, with
@@ -21,6 +24,7 @@ no trace of where OUT_DIR is. Run it once against each tree and compare:
 """
 
 import argparse
+import hashlib
 import os
 import subprocess
 import sys
@@ -28,6 +32,7 @@ from pathlib import Path
 
 import chiraldet
 from chiraldet.data import toy_axial_molecule, write
+from chiraldet.gradcheck import _CHECKS, BLOCKS, TINY_CONFIG, _oracle, block_rng
 
 STEPS = (
     *((f"gradcheck_seed{s}", ["gradcheck", "--seed", str(s)]) for s in (1, 2, 3, 7)),
@@ -49,6 +54,22 @@ STEPS = (
 )
 
 
+def audit_vectors() -> str:
+    """One line per seed and block: the sha256 of the numeric and of the
+    analytic gradient vector, and the number of loss evaluations."""
+    lines = []
+    for seed in (1, 2, 3, 7):
+        for block in BLOCKS:
+            arrays, analytic, at_point, finish = _CHECKS[block](block_rng(block, seed),
+                                                                TINY_CONFIG)
+            numeric = _oracle(arrays, at_point, finish)
+            lines.append(f"seed={seed} {block} "
+                         f"numeric={hashlib.sha256(numeric.tobytes()).hexdigest()} "
+                         f"analytic={hashlib.sha256(analytic.tobytes()).hexdigest()} "
+                         f"evaluations={2 * numeric.size}\n")
+    return "".join(lines)
+
+
 def main():
     ap = argparse.ArgumentParser(description=__doc__,
                                  formatter_class=argparse.RawDescriptionHelpFormatter)
@@ -64,6 +85,8 @@ def main():
         (out_dir / f"{name}.out").write_text(f"{proc.stdout}exit={proc.returncode}\n")
         (out_dir / f"{name}.err").write_text(proc.stderr)
         print(f"{name}: exit {proc.returncode}", file=sys.stderr)
+    (out_dir / "audit_vectors.out").write_text(audit_vectors())
+    print("audit_vectors: written", file=sys.stderr)
 
 
 if __name__ == "__main__":

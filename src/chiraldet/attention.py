@@ -151,7 +151,8 @@ def attend_fwd(layer: LayerParams, h_c_in, h_r, h_n, bias_in, mask: BatchMask):
     these logits. attn is (B, Q, Kr + Kn, H) and is exactly 0 on pad keys.
     A row with no valid key gets zero attention, so it keeps u = h_c_in and
     passes through the feed-forward path only. A molecule with chiral
-    queries but no keys is an error.
+    queries but no keys is an error. A layer norm's NumericError comes
+    back with the row of its molecule, since u's rows are (molecule, query).
     """
     n_batch, n_q, h = h_c_in.shape
     n_heads = layer.n_heads
@@ -173,9 +174,12 @@ def attend_fwd(layer: LayerParams, h_c_in, h_r, h_n, bias_in, mask: BatchMask):
     attn = expd / np.maximum(expd.sum(axis=2, keepdims=True), 1.0)
     ctx = _rows(attn.transpose(0, 3, 1, 2) @ vh)
     u = h_c_in.reshape(-1, h) + ctx @ layer.wo.T
-    u_ln, ln1_cache = layer_norm_rows(u, layer.ln1_gamma, layer.ln1_beta)
-    f, ff_cache = mlp2_fwd(layer.ff, u_ln)
-    out, ln2_cache = layer_norm_rows(u_ln + f, layer.ln2_gamma, layer.ln2_beta)
+    try:
+        u_ln, ln1_cache = layer_norm_rows(u, layer.ln1_gamma, layer.ln1_beta)
+        f, ff_cache = mlp2_fwd(layer.ff, u_ln)
+        out, ln2_cache = layer_norm_rows(u_ln + f, layer.ln2_gamma, layer.ln2_beta)
+    except NumericError as exc:
+        raise NumericError(str(exc), row=exc.row // n_q) from exc
     cache = LayerCache(h_c_in, h_r, h_n, qh, kh, vh, attn, ctx, scale,
                        ln1_cache, ff_cache, ln2_cache)
     return out.reshape(n_batch, n_q, h), logits, attn, cache

@@ -20,7 +20,12 @@ class MoleculeParseError(ChiralDetError):
 
 
 class NumericError(ChiralDetError):
-    """A numerical routine received invalid input or produced non-finite output."""
+    """A numerical routine received invalid input or produced non-finite output.
+    `row`, when known, is the first offending index on its input's first axis."""
+
+    def __init__(self, message, row=None):
+        super().__init__(message)
+        self.row = row
 
 
 class DegeneracyError(ChiralDetError):

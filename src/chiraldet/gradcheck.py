@@ -11,6 +11,7 @@ from __future__ import annotations
 import time
 import zlib
 from dataclasses import dataclass, replace
+from functools import partial
 
 import numpy as np
 
@@ -46,12 +47,12 @@ from .model import (
     classify_loss,
     dataset_to_pairs,
     forward_batch,
+    forward_stages,
     init_model,
     named_parameters,
     parameter_stage,
     rank_loss,
     rank_penalty,
-    stack_states,
 )
 from .numerics import (
     FD_STEP,
@@ -75,7 +76,10 @@ class BlockReport:
 
 
 def _arrays(item) -> list:
-    """An array as itself, a parameter dataclass as its array fields."""
+    """An array as itself, a parameter dataclass as its array fields, a
+    tuple as the arrays of its items."""
+    if isinstance(item, tuple):
+        return [a for part in item for a in _arrays(part)]
     return [item] if isinstance(item, np.ndarray) else [a for _, a in _leaves(item)]
 
 
@@ -151,19 +155,23 @@ def _nonsingular_mc(rng, n, floor=0.3):
 # entries, in order. A small block's at_point is its scalar loss.
 
 
+def _probe(arrays, run, backward, *weights):
+    """The check of a block whose loss is sum((w * out).sum()) over
+    `weights` and the outputs of run(), a forward that returns its cache
+    last; the analytic gradient is backward(cache, *weights), flattened."""
+
+    def at_point(name, live):
+        return float(sum((w * out).sum() for w, out in zip(weights, run())))
+
+    return arrays, flatten(backward(run()[-1], *weights)), at_point, _unchanged
+
+
 def _check_kernel(rng, config: ModelConfig):
     bank = init_kernel_bank(rng, 2, 4)
     bank.gamma[:] = rng.uniform(0.8, 1.2, 4)
     mc = _nonsingular_mc(rng, 2)
-    weights = rng.standard_normal((2, 2))
     arrays = [("w", bank.w), ("gamma", bank.gamma), ("mc", mc)]
-
-    def f(name, live):
-        return float((weights * kernel_fwd(bank, mc)[0]).sum())
-
-    _, cache = kernel_fwd(bank, mc)
-    grads, d_mc = kernel_bwd(cache, weights)
-    return arrays, flatten(grads.w, grads.gamma, d_mc), f, _unchanged
+    return _probe(arrays, lambda: kernel_fwd(bank, mc), kernel_bwd, rng.standard_normal((2, 2)))
 
 
 def _check_reg_loss(rng, config: ModelConfig):
@@ -180,14 +188,10 @@ def _check_layer_norm(rng, config: ModelConfig):
     x = rng.standard_normal((3, 8))
     gamma = rng.uniform(0.5, 1.5, 8)
     beta = rng.standard_normal(8)
-    weights = rng.standard_normal((3, 8))
     arrays = [("x", x), ("gamma", gamma), ("beta", beta)]
-
-    def f(name, live):
-        return float((weights * layer_norm_rows(x, gamma, beta)[0]).sum())
-
-    _, cache = layer_norm_rows(x, gamma, beta)
-    return arrays, flatten(*layer_norm_rows_backward(weights, cache, gamma)), f, _unchanged
+    return _probe(arrays, lambda: layer_norm_rows(x, gamma, beta),
+                  lambda cache, w: layer_norm_rows_backward(w, cache, gamma),
+                  rng.standard_normal((3, 8)))
 
 
 def _pair_instance(rng):
@@ -204,14 +208,8 @@ def _check_distance_bias(rng, config: ModelConfig):
     params.e1 += rng.normal(0, 0.3, params.e1.shape)
     params.sigma = rng.uniform(0.5, 1.5, 4)
     pairs = _pair_instance(rng)
-    weights = rng.standard_normal((2, 3, 5, 2))
-    arrays = _leaves(params)
-
-    def f(name, live):
-        return float((weights * pair_bias_fwd(params, pairs)[0]).sum())
-
-    _, cache = pair_bias_fwd(params, pairs)
-    return arrays, flatten(pair_bias_bwd(params, cache, weights)), f, _unchanged
+    return _probe(_leaves(params), lambda: pair_bias_fwd(params, pairs),
+                  partial(pair_bias_bwd, params), rng.standard_normal((2, 3, 5, 2)))
 
 
 def _check_attention_layer(rng, config: ModelConfig):
@@ -226,26 +224,15 @@ def _check_attention_layer(rng, config: ModelConfig):
     w_out = rng.standard_normal((3, 2, 8))
     w_bias = rng.standard_normal((3, 2, 4, 2))
     arrays = _leaves(layer) + list(zip(("h_c_in", "h_r", "h_n", "bias_in"), inputs))
-
-    def f(name, live):
-        out, bias_out, _, _ = attend_fwd(layer, *inputs, mask)
-        return float((w_out * out).sum() + (w_bias * bias_out).sum())
-
-    _, _, _, cache = attend_fwd(layer, *inputs, mask)
-    return arrays, flatten(*attend_bwd(layer, cache, w_out, w_bias)), f, _unchanged
+    return _probe(arrays, lambda: attend_fwd(layer, *inputs, mask), partial(attend_bwd, layer),
+                  w_out, w_bias)
 
 
 def _check_predictor(rng, config: ModelConfig):
     mlp = init_mlp2(rng, 8, 8, 2)
     x = rng.standard_normal((3, 8))
-    weights = rng.standard_normal((3, 2))
-    arrays = _leaves(mlp) + [("x", x)]
-
-    def f(name, live):
-        return float((weights * mlp2_fwd(mlp, x)[0]).sum())
-
-    _, cache = mlp2_fwd(mlp, x)
-    return arrays, flatten(*mlp2_bwd(mlp, cache, weights)), f, _unchanged
+    return _probe(_leaves(mlp) + [("x", x)], lambda: mlp2_fwd(mlp, x), partial(mlp2_bwd, mlp),
+                  rng.standard_normal((3, 2)))
 
 
 def _model_points(model, mols, objective, reg_weight: float, names):
@@ -253,20 +240,23 @@ def _model_points(model, mols, objective, reg_weight: float, names):
     of prepare_batch(mols), in the named live parameters, in
     named_parameters order.
 
-    One forward at the starting point is the prefix. At each point,
-    at_point runs only the one stage s that reads the moved array
-    (parameter_stage) from the prefix: for a projector that is one
-    mlp2_fwd, for the distance bias one pair_bias_fwd. It keeps that
-    stage's output and the rank penalty at the point, which only the
-    kernel slices move, so every other array reuses the penalty of the
-    starting point. finish runs the stages after s once per chunk: the
-    kept outputs are stacked along the molecule axis (stack_states) and
-    resumed over prepare_batch(mols * k), whose copies are padded as the
-    batch is. Each copy's logits then give the loss batch_step would, so
-    every numeric gradient is byte-identical to a full forward per point.
+    One forward at the starting point gives before[s], the latest array of
+    each name that the stages before s wrote. at_point runs only the stage
+    s that reads the moved array (parameter_stage), on before[s], and keeps
+    its output and the rank penalty at the point, which only the kernel
+    slices move. finish runs the stages after s once per chunk of k points,
+    without caches, over prepare_batch(mols * k), whose copies are padded
+    as the batch is: from before[s] repeated k times and the k kept outputs
+    of s stacked along the molecule axis. Each copy's logits then give the
+    loss batch_step would, so every numeric gradient is byte-identical to a
+    full forward per point.
     """
     batch = prepare_batch(mols)
-    prefix = forward_batch(model, batch)
+    stages = forward_stages(model)
+    before, latest = [], {}
+    for out in forward_batch(model, batch).outputs:
+        before.append(dict(latest))
+        latest.update(out)
     penalty0 = rank_penalty(model, reg_weight)
     stage = {name: parameter_stage(model, name) for name in names}
     repeated = {}  # k -> prepare_batch(mols * k)
@@ -274,17 +264,18 @@ def _model_points(model, mols, objective, reg_weight: float, names):
     def at_point(name, live):
         # rank_penalty reads the kernel slices alone
         penalty = rank_penalty(model, reg_weight) if live is model.encoder.kernels.w else penalty0
-        return forward_batch(model, batch, prefix, stage[name], stage[name] + 1), penalty
+        return stages[stage[name]].forward(model, batch, before[stage[name]])[0], penalty
 
     def finish(name, kept):
-        states, penalties = zip(*kept)
-        k = len(states)
+        outs, penalties = zip(*kept)
+        k, s = len(outs), stage[name]
         if k not in repeated:
             repeated[k] = prepare_batch(mols * k)
-        stacked = stack_states(states, repeated[k])
-        if stacked.logits is None:
-            stacked = forward_batch(model, repeated[k], stacked, stage[name] + 1)
-        copies = stacked.logits.reshape(k, len(mols), -1)
+        arrays = {n: np.concatenate([a] * k) for n, a in before[s].items()}
+        arrays.update({n: np.concatenate([out[n] for out in outs]) for n in outs[0]})
+        for later in stages[s + 1:]:
+            arrays.update(later.forward(model, repeated[k], arrays)[0])
+        copies = arrays["logits"].reshape(k, len(mols), -1)
         return [objective(logits)[0] + penalty for logits, penalty in zip(copies, penalties)]
 
     arrays = [(name, live) for name, live in named_parameters(model) if name in names]

@@ -162,8 +162,8 @@ def named_parameters(model: ChiralModel):
 
 @dataclass
 class BatchState:
-    """Everything forward_batch computed that backward, exports or a resumed
-    forward need, stage by stage.
+    """Everything forward_batch computed that backward or exports need,
+    stage by stage.
 
     `outputs[t]` holds the arrays stage t wrote, by name, each with the
     molecule on its first axis and padded to the batch's largest molecule
@@ -173,28 +173,24 @@ class BatchState:
     """
 
     batch: MoleculeBatch
-    stages: tuple  # forward_stages of the model, run or not
-    outputs: list  # per stage run, {name: array}
-    caches: list  # per stage run; None in a stacked state and once backpropagated
-
-    def latest(self, name: str) -> np.ndarray | None:
-        """The array `name` as the last stage run that wrote it left it."""
-        return next((out[name] for out in reversed(self.outputs) if name in out), None)
+    stages: tuple  # forward_stages of the model
+    outputs: list  # per stage, {name: array}
+    caches: list  # per stage; None once backpropagated
 
     @property
     def attn(self) -> list:
-        """Each layer's attention (B, Q, Kr + Kn, H), per layer run."""
+        """Each layer's attention (B, Q, Kr + Kn, H), per layer."""
         return [out["attn"] for out in self.outputs if "attn" in out]
 
     @property
-    def pooled(self) -> np.ndarray | None:
-        """(B, h); None in a forward stopped before the head."""
-        return self.latest("pooled")
+    def pooled(self) -> np.ndarray:
+        """(B, h), which the last stage, the head's, wrote."""
+        return self.outputs[-1]["pooled"]
 
     @property
-    def logits(self) -> np.ndarray | None:
-        """(B, n_classes); None in a forward stopped before the head."""
-        return self.latest("logits")
+    def logits(self) -> np.ndarray:
+        """(B, n_classes), which the last stage, the head's, wrote."""
+        return self.outputs[-1]["logits"]
 
 
 class Stage(NamedTuple):
@@ -337,77 +333,49 @@ def parameter_stage(model: ChiralModel, name: str) -> int:
     raise ValueError(f"no forward stage reads {name!r}")
 
 
-def forward_batch(model: ChiralModel, batch: MoleculeBatch, prefix: BatchState | None = None,
-                  start: int = 0, stop: int | None = None) -> BatchState:
-    """Forward over a prepared batch; parameter arithmetic only, so one
-    batch serves any number of forwards under changing parameters.
+def _molecule(batch: MoleculeBatch, b: int) -> str:
+    """How an error names molecule b of a batch: by its id, or by its index
+    in the caller's sequence when the id is empty."""
+    return f"molecule {batch.ids[b] or f'at index {batch.index[b]}'}"
 
-    It runs stages start..stop - 1 of forward_stages, one per group of
-    parameters, every stage to the end by default. Given `prefix`, a
-    state of the same batch that ran stage start - 1, the forward resumes
-    at stage `start` from the latest value of each array the prefix's
-    stages before `start` wrote. That gives the bytes of a full forward as
-    long as no parameter of an earlier stage (parameter_stage) changed
-    since the prefix was computed. The prefix is not modified; it may be
-    a stack_states state, with `batch` the molecules repeated as stacked.
+
+def forward_batch(model: ChiralModel, batch: MoleculeBatch) -> BatchState:
+    """Forward over a prepared batch, every stage of forward_stages in
+    order; parameter arithmetic only, so one batch serves any number of
+    forwards under changing parameters.
 
     A NumericError a stage raises comes back with the stage's name in
-    front. Non-finite logits raise NumericError naming the first molecule
-    whose logits are non-finite (its id, or its index when the id is
-    empty) and the first stage whose output is non-finite for it.
+    front, and before that the molecule's when the error gives its row.
+    Non-finite logits raise NumericError naming the first molecule whose
+    logits are non-finite and the first stage whose output is non-finite
+    for it.
     """
     stages = forward_stages(model)
-    stop = len(stages) if stop is None else stop
-    if not 0 <= start < stop <= len(stages):
-        raise ValueError(f"stages {start}..{stop - 1} are not in 0..{len(stages) - 1}")
-    if start and (prefix is None or prefix.batch is not batch or len(prefix.outputs) < start):
-        raise ValueError(f"resuming a forward at stage {start} needs a prefix state "
-                         "of the same batch that ran the stages before it")
-    outputs, caches = (prefix.outputs[:start], prefix.caches[:start]) if start else ([], [])
-    arrays = {}  # the latest array of each name
-    for out in outputs:
-        arrays.update(out)
-    for stage in stages[start:stop]:
+    outputs, caches, arrays = [], [], {}  # arrays: the latest array of each name
+    for stage in stages:
         try:
             out, cache = stage.forward(model, batch, arrays)
         except NumericError as exc:
-            raise NumericError(f"{stage.name}: {exc}") from exc
+            who = "" if exc.row is None else f"{_molecule(batch, exc.row)}: "
+            raise NumericError(f"{who}{stage.name}: {exc}") from exc
         arrays.update(out)
         outputs.append(out)
         caches.append(cache)
     state = BatchState(batch=batch, stages=stages, outputs=outputs, caches=caches)
-    logits = arrays.get("logits")
-    if logits is not None and not np.isfinite(logits).all():
+    logits = arrays["logits"]
+    if not np.isfinite(logits).all():
         b = int(np.flatnonzero(~np.isfinite(logits).all(axis=1))[0])
         # the walk ends at the molecule's logits, so it always finds a stage
         first = next(name for written in stage_outputs(state) for name, arr in written
                      if not np.isfinite(arr[b]).all())
-        who = batch.ids[b] or f"at index {batch.index[b]}"
-        raise NumericError(f"molecule {who}: non-finite logits, "
+        raise NumericError(f"{_molecule(batch, b)}: non-finite logits, "
                            f"first non-finite stage output: {first}")
     return state
 
 
-def stack_states(states, batch: MoleculeBatch) -> BatchState:
-    """k states of one batch, each stopped after the same stage, as one
-    state of `batch`, the prepare_batch of that batch's molecules repeated
-    k times: every array each stage wrote is the k states' arrays
-    concatenated on the molecule axis. It is a prefix that forward_batch
-    resumes at the next stage. No cache is stacked, so neither it nor a
-    forward resumed from it can be backpropagated."""
-    first = states[0]
-    return BatchState(
-        batch=batch,
-        stages=first.stages,
-        outputs=[{name: np.concatenate([s.outputs[t][name] for s in states]) for name in out}
-                 for t, out in enumerate(first.outputs)],
-        caches=[None] * len(first.outputs),
-    )
-
-
 def stage_outputs(state: BatchState) -> list:
-    """Per forward_batch stage run, (stage name, array) of each array it
-    wrote, each with the molecule on its first axis."""
+    """Per forward_batch stage, (stage name, array) of each array it wrote,
+    each with the molecule on its first axis."""
     return [[(stage.name, arr) for arr in out.values()]
             for stage, out in zip(state.stages, state.outputs)]
 
@@ -421,13 +389,13 @@ def backward_batch(model: ChiralModel, state: BatchState, d_logits) -> ChiralMod
     and those it returns for the arrays it read are added, from zero, into
     theirs, so h_r and h_n sum the layers from the last down. An array no
     later stage read (attn, pooled, the last layer's bias) gets zeros.
-    Each cache is released once consumed; a state without every stage's
-    cache (backpropagated, stopped early or stacked) raises ValueError.
+    Each cache is released once consumed, so a state backpropagated before
+    raises ValueError.
     """
     caches = state.caches
-    if len(caches) < len(state.stages) or any(cache is None for cache in caches):
+    if any(cache is None for cache in caches):
         raise ValueError("backward_batch needs every stage's cache: this state was consumed "
-                         "by an earlier backward, stopped before the last stage, or stacked")
+                         "by an earlier backward")
     d = {"logits": d_logits}  # gradient of each array, by name
     grads = {}  # gradient of each named_parameters group
     for t in reversed(range(len(caches))):
@@ -929,4 +897,4 @@ def attention_export_rows(model: ChiralModel, mol: Molecule):
     """
     state = forward_batch(model, prepare_batch([mol]))
     # a batch of one has no padding, so its final attention is (n_q, n_k, H)
-    return state.batch.key_atoms[0].tolist(), head_averaged_rows(state.latest("attn")[0])
+    return state.batch.key_atoms[0].tolist(), head_averaged_rows(state.attn[-1][0])

@@ -52,8 +52,8 @@ def layer_norm_rows(x, gamma, beta, eps=1e-5):
     The rows are centred once. Mean and variance are the reductions that
     x.mean and x.var make, so the result is theirs to the bit, without
     their Python wrappers or var's second centring. A finite row whose
-    variance overflows would get inv = 0 and come out as beta, so it
-    raises NumericError; a row holding a NaN or an infinity gives NaN.
+    variance overflows would get inv = 0 and come out as beta, so the first
+    raises NumericError with its row; a NaN or an infinity gives NaN.
     """
     x = np.asarray(x, dtype=np.float64)
     d = x.shape[1]
@@ -61,7 +61,8 @@ def layer_norm_rows(x, gamma, beta, eps=1e-5):
     var = np.add.reduce(xc * xc, axis=1, keepdims=True) / d
     inv = 1.0 / np.sqrt(var + eps)
     if not inv.all():
-        raise NumericError("layer norm: a row's variance overflows float64")
+        raise NumericError("layer norm: a row's variance overflows float64",
+                           row=int(np.flatnonzero(inv == 0.0)[0]))
     xhat = xc * inv
     out = xhat * gamma + beta
     return out, (xhat, inv)

@@ -15,16 +15,17 @@ from chiraldet.errors import AnnotationError, NumericError
 from chiraldet.geometry import ChiralUnit, Molecule, UnitKind
 from chiraldet.gradcheck import TINY_CONFIG
 from chiraldet.model import (
+    EVAL_CHUNK,
     AdamState,
     ModelConfig,
     adam_step,
     backward_batch,
+    evaluate,
     forward_batch,
     forward_stages,
     init_model,
     named_parameters,
     parameter_stage,
-    stack_states,
     stage_outputs,
 )
 from chiraldet.numerics import layer_norm_rows
@@ -347,31 +348,21 @@ def test_each_stage_backward_mirrors_its_forward(mixed):
         assert owners == [parameter_stage(model, name)], name
 
 
-@pytest.mark.parametrize("case", ["consumed", "partial", "stacked"])
+@pytest.mark.parametrize("case", ["consumed"])
 def test_backward_refuses_a_state_without_every_cache(mixed, case):
-    """A state already backpropagated, a forward stopped before the head
-    and a stack of states hold no cache for some stage; backward_batch
-    says so instead of failing inside a stage."""
+    """A state already backpropagated holds no cache; backward_batch says
+    so instead of failing inside a stage."""
     model = init_model(ModelConfig(**TINY, seed=15))
-    mols = mixed[0][:3]
-    batch = prepare_batch(mols)
-    if case == "consumed":
-        state = forward_batch(model, batch)
+    state = forward_batch(model, prepare_batch(mixed[0][:3]))
+    backward_batch(model, state, np.ones_like(state.logits))
+    with pytest.raises(ValueError, match="consumed by an earlier backward$"):
         backward_batch(model, state, np.ones_like(state.logits))
-    elif case == "partial":
-        state = forward_batch(model, batch, stop=len(forward_stages(model)) - 1)
-    else:
-        state = stack_states([forward_batch(model, batch)] * 2, prepare_batch(mols * 2))
-    d_logits = np.ones((len(state.batch.ids), model.config.n_classes))
-    with pytest.raises(ValueError, match="consumed by an earlier backward, stopped before "
-                                         "the last stage, or stacked"):
-        backward_batch(model, state, d_logits)
 
 
 @pytest.fixture(scope="module")
 def staged(mixed):
     """A tiny model, the mixed batch, the model's forward over it (the
-    prefix that resumed forwards start from) and, per parameter, the entry
+    prefix whose arrays single stages run on) and, per parameter, the entry
     with the largest gradient of the summed logits: one that reaches them,
     where a feature weight of an absent one-hot class would not."""
     model = init_model(ModelConfig(**TINY, seed=10))
@@ -382,25 +373,41 @@ def staged(mixed):
     return model, batch, prefix, entries
 
 
+def arrays_before(state, stage):
+    """The latest array of each name that the stages of `state` before
+    `stage` wrote: what Stage.forward of `stage` reads."""
+    arrays = {}
+    for out in state.outputs[:stage]:
+        arrays.update(out)
+    return arrays
+
+
 @pytest.mark.parametrize("name", PARAMETER_NAMES)
 def test_resumed_forward_matches_fresh_forward(staged, name):
     """Moving one entry of a parameter leaves the output of every stage
     before its parameter_stage as it was and changes that stage's output;
-    a forward resumed there from the unmoved prefix gives the logits of a
-    fresh forward, byte for byte."""
+    the stages from there on, run on the unmoved prefix's arrays, give the
+    output of that stage and the logits of a fresh forward, byte for
+    byte."""
     model, batch, prefix, entries = staged
     live = dict(named_parameters(model))[name]
     stage = parameter_stage(model, name)
     entry = entries[name]
+    arrays = arrays_before(prefix, stage)
+    resumed = []
     saved = live.flat[entry]
     live.flat[entry] += 0.25
     try:
         fresh = forward_batch(model, batch)
-        resumed = forward_batch(model, batch, prefix, stage)
+        for later in forward_stages(model)[stage:]:
+            resumed.append(later.forward(model, batch, arrays)[0])
+            arrays.update(resumed[-1])
     finally:
         live.flat[entry] = saved
-    assert np.array_equal(resumed.logits, fresh.logits)
-    assert np.array_equal(resumed.pooled, fresh.pooled)
+    assert np.array_equal(resumed[-1]["logits"], fresh.logits)
+    assert np.array_equal(resumed[-1]["pooled"], fresh.pooled)
+    assert all(a.tobytes() == b.tobytes()
+               for a, b in zip(resumed[0].values(), fresh.outputs[stage].values(), strict=True))
     before, after = stage_outputs(prefix), stage_outputs(fresh)
     for k in range(stage):
         assert all(np.array_equal(a, b) for (_, a), (_, b) in zip(before[k], after[k])), k
@@ -409,34 +416,23 @@ def test_resumed_forward_matches_fresh_forward(staged, name):
 
 @pytest.mark.parametrize("name", PARAMETER_NAMES)
 def test_a_parameter_reaches_one_stage_alone(staged, name):
-    """With one entry of a parameter moved, each stage run alone from the
-    unmoved prefix writes the prefix's bytes, except the parameter's own
-    stage."""
+    """With one entry of a parameter moved, each stage run alone on the
+    unmoved prefix's arrays writes the prefix's bytes, except the
+    parameter's own stage."""
     model, batch, prefix, entries = staged
     live = dict(named_parameters(model))[name]
     own = parameter_stage(model, name)
     saved = live.flat[entries[name]]
     live.flat[entries[name]] += 0.25
     try:
-        alone = [forward_batch(model, batch, prefix, s, s + 1)
-                 for s in range(len(forward_stages(model)))]
+        alone = [stage.forward(model, batch, arrays_before(prefix, s))[0]
+                 for s, stage in enumerate(forward_stages(model))]
     finally:
         live.flat[entries[name]] = saved
-    expect = stage_outputs(prefix)
-    for s, state in enumerate(alone):
-        same = all(np.array_equal(a, b) for (_, a), (_, b)
-                   in zip(stage_outputs(state)[s], expect[s], strict=True))
+    for s, out in enumerate(alone):
+        same = all(np.array_equal(a, b) for a, b
+                   in zip(out.values(), prefix.outputs[s].values(), strict=True))
         assert same == (s != own), s
-
-
-def test_resume_needs_a_prefix_of_the_same_batch(staged, mixed):
-    model, batch, prefix, _ = staged
-    with pytest.raises(ValueError):
-        forward_batch(model, batch, None, 1)
-    with pytest.raises(ValueError):
-        forward_batch(model, prepare_batch(mixed[0]), prefix, 1)
-    with pytest.raises(ValueError):
-        forward_batch(model, batch, prefix, len(forward_stages(model)))
 
 
 @pytest.mark.parametrize(("name", "stage"), [("layers.1.ff_b2", "layer 1"),
@@ -473,17 +469,45 @@ def test_nonfinite_logits_name_first_nonfinite_molecule(mixed, keep_ids):
         forward_batch(model, prepare_batch(mols))
 
 
+def layer_norm_overflows(model, mol) -> bool:
+    """Whether a forward over the molecule alone overflows a layer norm."""
+    try:
+        forward_batch(model, prepare_batch([mol]))
+    except NumericError as exc:
+        return "layer norm" in str(exc)
+    return False
+
+
 @pytest.mark.parametrize("seed", range(6))
 def test_overflowing_layer_norm_variance_raises(seed):
     """A finite non-chiral projector weight of 1e200 overflows the row
     variance of the first layer's norm; the forward raises there instead
-    of returning finite logits of rows set to beta."""
+    of returning finite logits of rows set to beta, and names the first
+    molecule whose forward alone overflows, at some seeds not the first
+    of the batch."""
     model = init_model(TINY_CONFIG)
     model.encoder.proj_n.w2[0] = 1e200
-    batch = prepare_batch([m for m, _ in gen_rs(SyntheticSpec(count=4, seed=seed))])
-    with np.errstate(over="ignore"), pytest.raises(
-            NumericError, match="^layer 0: layer norm: a row's variance overflows float64$"):
-        forward_batch(model, batch)
+    mols = [m for m, _ in gen_rs(SyntheticSpec(count=4, seed=seed))]
+    with np.errstate(over="ignore"):
+        first = next(m.id for m in mols if layer_norm_overflows(model, m))
+        with pytest.raises(NumericError, match=f"^molecule {first}: layer 0: layer norm: "
+                                               "a row's variance overflows float64$"):
+            forward_batch(model, prepare_batch(mols))
+
+
+def test_overflowing_layer_norm_names_an_idless_molecule_by_its_index():
+    """evaluate names an id-less molecule whose layer norm overflows by its
+    index in the dataset: here the second molecule of the second
+    EVAL_CHUNK, after nine that do not overflow."""
+    model = init_model(TINY_CONFIG)
+    model.encoder.proj_n.w2[0] = 1e200
+    data = [(replace(m, id=""), c) for m, c in gen_rs(SyntheticSpec(count=8, seed=0))]
+    with np.errstate(over="ignore"):
+        quiet = next(item for item in data if not layer_norm_overflows(model, item[0]))
+        loud = next(item for item in data if layer_norm_overflows(model, item[0]))
+        with pytest.raises(NumericError, match=f"^molecule at index {EVAL_CHUNK + 1}: layer 0: "
+                                               "layer norm: a row's variance overflows"):
+            evaluate(model, [quiet] * (EVAL_CHUNK + 1) + [loud])
 
 
 def test_nonfinite_attention_logits_name_their_layer(mixed):

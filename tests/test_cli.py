@@ -264,7 +264,7 @@ class TestTrainEval:
                          "all"])
         captured = capsys.readouterr()
         assert (code, captured.out) == (3, "")
-        assert captured.err == ("numeric error: layer 0: layer norm: "
+        assert captured.err == ("numeric error: molecule rs00000: layer 0: layer norm: "
                                 "a row's variance overflows float64\n")
 
     def test_mirror_check_without_a_correct_prediction_prints_nan(self, tmp_path, tiny_ckpt,

@@ -249,13 +249,17 @@ ENCODER_STAGES = forward_stages(HOST)[:parameter_stage(HOST, "bias.w_p")]
 
 class Encoded:
     """The encoder stages of forward_batch over a prepared batch, run on
-    `params` as a model's encoder: the h_c, h_r and h_n they leave, and
-    their backward from gradients of those three."""
+    `params` as a model's encoder: the h_c, h_r and h_n they leave, read
+    from the first stages of a full forward, and their backward from
+    gradients of those three."""
 
     def __init__(self, params, batch):
         self.model = replace(HOST, encoder=params)
-        self.state = forward_batch(self.model, batch, stop=len(ENCODER_STAGES))
-        self.h_c, self.h_r, self.h_n = (self.state.latest(n) for n in ("h_c", "h_r", "h_n"))
+        self.state = forward_batch(self.model, batch)
+        encoded = {}
+        for out in self.state.outputs[:len(ENCODER_STAGES)]:
+            encoded.update(out)
+        self.h_c, self.h_r, self.h_n = (encoded[n] for n in ("h_c", "h_r", "h_n"))
 
     def backward(self, d_h_c, d_h_r, d_h_n) -> EncoderParams:
         """The encoder's parameter gradients from padded gradients of h_c,

@@ -19,13 +19,7 @@ from chiraldet.gradcheck import (
     _rank_loss_instance,
     block_rng,
 )
-from chiraldet.model import (
-    forward_batch,
-    named_parameters,
-    parameter_stage,
-    stack_states,
-    stage_outputs,
-)
+from chiraldet.model import forward_batch, named_parameters, stage_outputs
 from oracles import batch_loss, finite_diff_grad
 
 INSTANCES = {"model.full_loss": _full_loss_instance, "model.rank_loss": _rank_loss_instance}
@@ -134,63 +128,36 @@ def test_chunked_oracle_matches_a_full_forward_per_point(block):
 
 @pytest.fixture(scope="module")
 def full_loss():
-    model, mols, *_ = audit_instance("model.full_loss")
-    batch = prepare_batch(mols)
-    return model, mols, batch, forward_batch(model, batch)
+    return audit_instance("model.full_loss")
 
 
 @pytest.mark.parametrize("name", ["encoder.kernel.w", "encoder.kernel.gamma", "encoder.token",
                                   "encoder.proj_c.w2", "encoder.proj_r.w1", "encoder.proj_n.b2",
                                   "bias.w_p", "layers.0.wq", "layers.1.ff_b2", "head.b2"])
 def test_stacked_prefix_resumes_to_the_bytes_of_each_point(full_loss, name):
-    """States stopped after a parameter's stage, one per point, stacked and
-    resumed at the next stage, give each point the stage outputs of its own
-    full forward."""
-    model, mols, batch, prefix = full_loss
+    """Three points of a parameter, each run by at_point on its own stage
+    and then stacked by one finish on the repeated prefix, give each point
+    the loss of its own full forward, batch_loss."""
+    model, mols, objective, reg_weight, _ = full_loss
+    _, at_point, finish = _model_points(model, mols, objective, reg_weight, {name})
+    batch = prepare_batch(mols)
     live = dict(named_parameters(model))[name]
-    stage = parameter_stage(model, name)
     saved = live.flat[0]
-    states, fresh = [], []
+    kept, expect = [], []
     try:
         for delta in (0.0, 0.25, -0.5):
             live.flat[0] = saved + delta
-            states.append(forward_batch(model, batch, prefix, stage, stage + 1))
-            fresh.append(stage_outputs(forward_batch(model, batch)))
+            kept.append(at_point(name, live))
+            expect.append(batch_loss(model, batch, objective, reg_weight))
     finally:
         live.flat[0] = saved
-    assert all(len(stage_outputs(s)) == stage + 1 for s in states)
-    repeated = prepare_batch(mols * 3)
-    resumed = stack_states(states, repeated)
-    if stage < parameter_stage(model, "head.b2"):
-        assert resumed.logits is None
-        resumed = forward_batch(model, repeated, resumed, stage + 1)
-    n = len(mols)
-    for outputs, *per_point in zip(stage_outputs(resumed), *fresh, strict=True):
-        for j, expect in enumerate(per_point):
-            for (label, a), (_, b) in zip(outputs, expect, strict=True):
-                assert a[j * n : (j + 1) * n].tobytes() == b.tobytes(), (label, j)
-
-
-def test_stacked_prefix_is_bound_to_its_repeated_batch(full_loss):
-    model, mols, batch, prefix = full_loss
-    stopped = forward_batch(model, batch, prefix, 1, 2)
-    repeated = prepare_batch(mols * 2)
-    stacked = stack_states([stopped, stopped], repeated)
-    forward_batch(model, repeated, stacked, 2)
-    with pytest.raises(ValueError):
-        forward_batch(model, prepare_batch(mols * 2), stacked, 2)
-    with pytest.raises(ValueError):
-        forward_batch(model, batch, stacked, 2)
-    # it carries stages 0 and 1 only
-    with pytest.raises(ValueError):
-        forward_batch(model, repeated, stacked, 3)
+    assert np.array(finish(name, kept)).tobytes() == np.array(expect).tobytes()
 
 
 def test_nonfinite_evaluation_names_its_coordinate(full_loss):
     """The 12th evaluation of head.w1, the minus point of its coordinate 5
     in the second chunk, is NaN; the array is restored after the error."""
-    model, mols, _, _ = full_loss
-    _, _, objective, reg_weight, _ = audit_instance("model.full_loss")
+    model, mols, objective, reg_weight, _ = full_loss
     calls = []
 
     def nan_at_call_12(logits):
