@@ -11,7 +11,10 @@ the numbers alone must reproduce byte for byte, into OUT_DIR:
 - a `gen` axial set and the `rotate-axis` stdout of its first molecule;
 - `audit_vectors.out`: per seed 1, 2, 3 and 7 and per audit block, the
   sha256 of the oracle's numeric vector, the sha256 of the analytic
-  vector and the evaluation count, computed in this process.
+  vector and the evaluation count, computed in this process;
+- `backward_hashes.out`: the sha256 of every `backward_batch` gradient of
+  a fixed mixed batch, at `TINY_CONFIG` and at the default config,
+  computed in this process.
 
 Each command's stdout and exit code go to `<step>.out`, its stderr to
 `<step>.err`. Every command runs the chiraldet this script imports, with
@@ -31,8 +34,24 @@ import sys
 from pathlib import Path
 
 import chiraldet
-from chiraldet.data import toy_axial_molecule, write
+from chiraldet.data import (
+    SyntheticSpec,
+    gen_axial,
+    gen_rs,
+    tile_molecules,
+    toy_axial_molecule,
+    write,
+)
+from chiraldet.encoder import prepare_batch
 from chiraldet.gradcheck import _CHECKS, BLOCKS, TINY_CONFIG, _oracle, block_rng
+from chiraldet.model import (
+    ModelConfig,
+    backward_batch,
+    classify_loss,
+    forward_batch,
+    init_model,
+    named_parameters,
+)
 
 STEPS = (
     *((f"gradcheck_seed{s}", ["gradcheck", "--seed", str(s)]) for s in (1, 2, 3, 7)),
@@ -70,6 +89,25 @@ def audit_vectors() -> str:
     return "".join(lines)
 
 
+def backward_hashes() -> str:
+    """One line per config and parameter: the sha256 of its backward_batch
+    gradient under the classification loss of a padded batch of centres
+    with 0-3 spectators, axes and tiled two- and three-unit molecules."""
+    centres = [m for m, _ in gen_rs(SyntheticSpec(count=8, seed=61, spectator_range=(0, 3)))]
+    axes = [m for m, _ in gen_axial(3, seed=62)]
+    mols = centres[:4] + axes[:2] + [tile_molecules(centres[4:6]),
+                                     tile_molecules(centres[6:] + axes[2:])]
+    lines = []
+    for tag, config in (("tiny", TINY_CONFIG), ("default", ModelConfig())):
+        model = init_model(config)
+        state = forward_batch(model, prepare_batch(mols))
+        _, d_logits, _ = classify_loss([i % 2 for i in range(len(mols))],
+                                       config.n_classes)(state.logits)
+        for name, g in named_parameters(backward_batch(model, state, d_logits)):
+            lines.append(f"{tag} {name} {hashlib.sha256(g.tobytes()).hexdigest()}\n")
+    return "".join(lines)
+
+
 def main():
     ap = argparse.ArgumentParser(description=__doc__,
                                  formatter_class=argparse.RawDescriptionHelpFormatter)
@@ -87,6 +125,8 @@ def main():
         print(f"{name}: exit {proc.returncode}", file=sys.stderr)
     (out_dir / "audit_vectors.out").write_text(audit_vectors())
     print("audit_vectors: written", file=sys.stderr)
+    (out_dir / "backward_hashes.out").write_text(backward_hashes())
+    print("backward_hashes: written", file=sys.stderr)
 
 
 if __name__ == "__main__":

@@ -62,6 +62,13 @@ class LayerParams:
         return Mlp2(w1=self.ff_w1, b1=self.ff_b1, w2=self.ff_w2, b2=self.ff_b2)
 
 
+# The LayerParams leaves that attend_fwd reads, then those that
+# feed_forward_fwd reads: together every array field, in declaration order
+ATTENTION_LEAVES = ("wq", "wk_r", "wv_r", "wk_n", "wv_n", "wo")
+FEED_FORWARD_LEAVES = ("ff_w1", "ff_b1", "ff_w2", "ff_b2",
+                       "ln1_gamma", "ln1_beta", "ln2_gamma", "ln2_beta")
+
+
 def pair_bias_fwd(params: DistanceBiasParams, pairs: PairInputs):
     """Initial pair bias (B, Q, Kr + Kn, H) from chiral reference points to
     all key atoms; returns (bias, cache).
@@ -123,8 +130,8 @@ def _rows(x):
 
 
 class LayerCache(NamedTuple):
-    """What attend_bwd needs of attend_fwd; ctx and the feed-forward's
-    mlp2_fwd cache hold one row per (molecule, query) pair."""
+    """What attend_bwd needs of attend_fwd; ctx holds one row per
+    (molecule, query) pair."""
 
     h_c_in: np.ndarray
     h_r: np.ndarray
@@ -135,29 +142,36 @@ class LayerCache(NamedTuple):
     attn: np.ndarray
     ctx: np.ndarray
     scale: float
+
+
+class FeedForwardCache(NamedTuple):
+    """What feed_forward_bwd needs of feed_forward_fwd, one row per
+    (molecule, query) pair; ff[0] is the feed-forward's input."""
+
     ln1: tuple
     ff: tuple
     ln2: tuple
 
 
 def attend_fwd(layer: LayerParams, h_c_in, h_r, h_n, bias_in, mask: BatchMask):
-    """One cross-attention layer over a padded batch; returns
-    (h_c_out, bias_out, attn, cache).
+    """The attention half of one cross-attention layer over a padded batch;
+    returns (u, bias_out, attn, cache).
 
-    h_c_in is (B, Q, h), h_r (B, Kr, h), h_n (B, Kn, h), and bias_in and
-    bias_out are (B, Q, Kr + Kn, H) pair biases. bias_out holds the
-    pre-softmax logits (query-key term plus incoming bias), which is what
-    the next layer consumes; pad keys are masked inside the softmax, not in
-    these logits. attn is (B, Q, Kr + Kn, H) and is exactly 0 on pad keys.
-    A row with no valid key gets zero attention, so it keeps u = h_c_in and
-    passes through the feed-forward path only. A molecule with chiral
-    queries but no keys is an error. A layer norm's NumericError comes
-    back with the row of its molecule, since u's rows are (molecule, query).
+    h_c_in and u are (B, Q, h), h_r (B, Kr, h), h_n (B, Kn, h), and bias_in
+    and bias_out are (B, Q, Kr + Kn, H) pair biases. u = h_c_in + ctx woᵀ
+    is the residual that feed_forward_fwd turns into the layer's output.
+    bias_out holds the pre-softmax logits (query-key term plus incoming
+    bias), which is what the next layer consumes; pad keys are masked
+    inside the softmax, not in these logits. attn is (B, Q, Kr + Kn, H) and
+    is exactly 0 on pad keys. A row with no valid key gets zero attention,
+    so it keeps u = h_c_in. A molecule with chiral queries but no keys is
+    a NumericError that gives the first such molecule as its row.
     """
     n_batch, n_q, h = h_c_in.shape
     n_heads = layer.n_heads
-    if mask.keyless_units:
-        raise NumericError("chiral queries present but the key set is empty")
+    if mask.first_keyless is not None:
+        raise NumericError("chiral queries present but the key set is empty",
+                           row=mask.first_keyless)
     qh = _heads(h_c_in @ layer.wq.T, n_heads)
     kh = _heads(np.concatenate([h_r @ layer.wk_r.T, h_n @ layer.wk_n.T], axis=1), n_heads)
     vh = _heads(np.concatenate([h_r @ layer.wv_r.T, h_n @ layer.wv_n.T], axis=1), n_heads)
@@ -174,39 +188,26 @@ def attend_fwd(layer: LayerParams, h_c_in, h_r, h_n, bias_in, mask: BatchMask):
     attn = expd / np.maximum(expd.sum(axis=2, keepdims=True), 1.0)
     ctx = _rows(attn.transpose(0, 3, 1, 2) @ vh)
     u = h_c_in.reshape(-1, h) + ctx @ layer.wo.T
-    try:
-        u_ln, ln1_cache = layer_norm_rows(u, layer.ln1_gamma, layer.ln1_beta)
-        f, ff_cache = mlp2_fwd(layer.ff, u_ln)
-        out, ln2_cache = layer_norm_rows(u_ln + f, layer.ln2_gamma, layer.ln2_beta)
-    except NumericError as exc:
-        raise NumericError(str(exc), row=exc.row // n_q) from exc
-    cache = LayerCache(h_c_in, h_r, h_n, qh, kh, vh, attn, ctx, scale,
-                       ln1_cache, ff_cache, ln2_cache)
-    return out.reshape(n_batch, n_q, h), logits, attn, cache
+    cache = LayerCache(h_c_in, h_r, h_n, qh, kh, vh, attn, ctx, scale)
+    return u.reshape(n_batch, n_q, h), logits, attn, cache
 
 
-def attend_bwd(layer: LayerParams, cache: LayerCache, d_out, d_bias_out):
+def attend_bwd(layer: LayerParams, cache: LayerCache, d_u, d_bias_out):
     """Backward of attend_fwd.
 
     d_bias_out is the gradient flowing into the emitted logits (from the
-    next layer's bias input); the incoming bias gradient equals the total
-    logit gradient because the bias enters additively. Each weight
-    gradient is one matmul over the rows of the whole batch.
-    Returns (grads as LayerParams, d_h_c_in, d_h_r, d_h_n, d_bias_in).
+    next layer's bias input), an array or the scalar 0.0; the incoming bias
+    gradient equals the total logit gradient because the bias enters
+    additively. Each weight gradient is one matmul over the rows of the
+    whole batch. Returns ({ATTENTION_LEAVES name: gradient}, d_h_c_in,
+    d_h_r, d_h_n, d_bias_in).
     """
     c = cache
     n_batch, n_q, h = c.h_c_in.shape
     n_r = c.h_r.shape[1]
     n_heads = layer.n_heads
 
-    d_v, d_ln2_gamma, d_ln2_beta = layer_norm_rows_backward(
-        d_out.reshape(-1, h), c.ln2, layer.ln2_gamma
-    )
-    d_ff, d_u_ln = mlp2_bwd(layer.ff, c.ff, d_v)
-    d_u, d_ln1_gamma, d_ln1_beta = layer_norm_rows_backward(
-        d_v + d_u_ln, c.ln1, layer.ln1_gamma
-    )
-
+    d_u = d_u.reshape(-1, h)
     d_ctx = _heads((d_u @ layer.wo).reshape(n_batch, n_q, h), n_heads)
     d_attn = (d_ctx @ c.vh.transpose(0, 1, 3, 2)).transpose(0, 2, 3, 1)
     d_vflat = _rows(c.attn.transpose(0, 3, 2, 1) @ d_ctx).reshape(n_batch, -1, h)
@@ -219,27 +220,56 @@ def attend_bwd(layer: LayerParams, cache: LayerCache, d_out, d_bias_out):
     h_n = c.h_n.reshape(-1, h)
     d_kr, d_kn = d_k[:, :n_r].reshape(-1, h), d_k[:, n_r:].reshape(-1, h)
     d_vr, d_vn = d_vflat[:, :n_r].reshape(-1, h), d_vflat[:, n_r:].reshape(-1, h)
-    grads = LayerParams(
-        wq=d_q.T @ c.h_c_in.reshape(-1, h),
-        wk_r=d_kr.T @ h_r,
-        wv_r=d_vr.T @ h_r,
-        wk_n=d_kn.T @ h_n,
-        wv_n=d_vn.T @ h_n,
-        wo=d_u.T @ c.ctx,
-        ff_w1=d_ff.w1,
-        ff_b1=d_ff.b1,
-        ff_w2=d_ff.w2,
-        ff_b2=d_ff.b2,
-        ln1_gamma=d_ln1_gamma,
-        ln1_beta=d_ln1_beta,
-        ln2_gamma=d_ln2_gamma,
-        ln2_beta=d_ln2_beta,
-        n_heads=n_heads,
-    )
+    grads = {
+        "wq": d_q.T @ c.h_c_in.reshape(-1, h),
+        "wk_r": d_kr.T @ h_r,
+        "wv_r": d_vr.T @ h_r,
+        "wk_n": d_kn.T @ h_n,
+        "wv_n": d_vn.T @ h_n,
+        "wo": d_u.T @ c.ctx,
+    }
     d_h_c = (d_u + d_q @ layer.wq).reshape(n_batch, n_q, h)
     d_h_r = (d_kr @ layer.wk_r + d_vr @ layer.wv_r).reshape(c.h_r.shape)
     d_h_n = (d_kn @ layer.wk_n + d_vn @ layer.wv_n).reshape(c.h_n.shape)
     return grads, d_h_c, d_h_r, d_h_n, d_logits
+
+
+def feed_forward_fwd(layer: LayerParams, u):
+    """The feed-forward half of one layer: ln1, the feed-forward with its
+    residual, then ln2, row by row over attend_fwd's u (B, Q, h); returns
+    (h_c_out, cache), h_c_out shaped as u. A layer norm's NumericError
+    comes back with the row of its molecule."""
+    n_q, h = u.shape[1:]
+    try:
+        u_ln, ln1_cache = layer_norm_rows(u.reshape(-1, h), layer.ln1_gamma, layer.ln1_beta)
+        f, ff_cache = mlp2_fwd(layer.ff, u_ln)
+        out, ln2_cache = layer_norm_rows(u_ln + f, layer.ln2_gamma, layer.ln2_beta)
+    except NumericError as exc:
+        raise NumericError(str(exc), row=exc.row // n_q) from exc
+    return out.reshape(u.shape), FeedForwardCache(ln1_cache, ff_cache, ln2_cache)
+
+
+def feed_forward_bwd(layer: LayerParams, cache: FeedForwardCache, d_out):
+    """Backward of feed_forward_fwd: ({FEED_FORWARD_LEAVES name: gradient},
+    d_u shaped as d_out)."""
+    d_v, d_ln2_gamma, d_ln2_beta = layer_norm_rows_backward(
+        d_out.reshape(-1, d_out.shape[-1]), cache.ln2, layer.ln2_gamma
+    )
+    d_ff, d_u_ln = mlp2_bwd(layer.ff, cache.ff, d_v)
+    d_u, d_ln1_gamma, d_ln1_beta = layer_norm_rows_backward(
+        d_v + d_u_ln, cache.ln1, layer.ln1_gamma
+    )
+    grads = {
+        "ff_w1": d_ff.w1,
+        "ff_b1": d_ff.b1,
+        "ff_w2": d_ff.w2,
+        "ff_b2": d_ff.b2,
+        "ln1_gamma": d_ln1_gamma,
+        "ln1_beta": d_ln1_beta,
+        "ln2_gamma": d_ln2_gamma,
+        "ln2_beta": d_ln2_beta,
+    }
+    return grads, d_u.reshape(d_out.shape)
 
 
 def pool(h_c_final, query_mask) -> np.ndarray:

@@ -91,11 +91,12 @@ class BatchMask:
     keys: np.ndarray  # (B, Kr + Kn) bool, related keys first
 
     @cached_property
-    def keyless_units(self) -> bool:
-        """Whether some molecule has chiral queries but no valid key, which
-        attention rejects. Read from the masks once, on first use, so a
-        mask must not be edited after that."""
-        return bool((self.queries[:, 1:].any(axis=1) & ~self.keys.any(axis=1)).any())
+    def first_keyless(self) -> int | None:
+        """The first molecule with chiral queries but no valid key, which
+        attention rejects, or None. Read from the masks once, on first use,
+        so a mask must not be edited after that."""
+        keyless = np.flatnonzero(self.queries[:, 1:].any(axis=1) & ~self.keys.any(axis=1))
+        return int(keyless[0]) if keyless.size else None
 
     @classmethod
     def of_counts(cls, n_units, n_related, n_nonchiral) -> "BatchMask":

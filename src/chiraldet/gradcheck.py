@@ -16,8 +16,12 @@ from functools import partial
 import numpy as np
 
 from .attention import (
+    FEED_FORWARD_LEAVES,
+    LayerParams,
     attend_bwd,
     attend_fwd,
+    feed_forward_bwd,
+    feed_forward_fwd,
     init_distance_bias,
     init_layer,
     pair_bias_bwd,
@@ -217,15 +221,32 @@ def _check_attention_layer(rng, config: ModelConfig):
     and 1 non-chiral key, a token-only molecule over 2 non-chiral keys (so
     the first molecule has a pad key), and a token-only molecule without
     keys, whose token row is key-less. Pad entries hold random values: they
-    reach the emitted logits, so their gradients are audited as well."""
+    reach the emitted logits, so their gradients are audited as well.
+
+    The loss is (w_out * h_c_out).sum() + (w_bias * bias_out).sum() of the
+    whole layer, attend_fwd then feed_forward_fwd. A feed-forward leaf
+    moves neither u nor bias_out, so its points run feed_forward_fwd
+    alone on u at the starting point."""
     layer = init_layer(rng, 8, 2)
     mask = BatchMask.of_counts([1, 0, 0], [2, 0, 0], [1, 2, 0])
     inputs = [rng.standard_normal(s) for s in ((3, 2, 8), (3, 2, 8), (3, 2, 8), (3, 2, 4, 2))]
     w_out = rng.standard_normal((3, 2, 8))
     w_bias = rng.standard_normal((3, 2, 4, 2))
     arrays = _leaves(layer) + list(zip(("h_c_in", "h_r", "h_n", "bias_in"), inputs))
-    return _probe(arrays, lambda: attend_fwd(layer, *inputs, mask), partial(attend_bwd, layer),
-                  w_out, w_bias)
+    u0, bias0, _, attend_cache = attend_fwd(layer, *inputs, mask)
+    ff_grads, d_u = feed_forward_bwd(layer, feed_forward_fwd(layer, u0)[1], w_out)
+    grads, *d_inputs = attend_bwd(layer, attend_cache, d_u, w_bias)
+    analytic = flatten(LayerParams(**grads, **ff_grads, n_heads=layer.n_heads), *d_inputs)
+
+    def at_point(name, live):
+        if name in FEED_FORWARD_LEAVES:
+            u, bias = u0, bias0
+        else:
+            u, bias, _, _ = attend_fwd(layer, *inputs, mask)
+        outs = (feed_forward_fwd(layer, u)[0], bias)
+        return float(sum((w * out).sum() for w, out in zip((w_out, w_bias), outs)))
+
+    return arrays, analytic, at_point, _unchanged
 
 
 def _check_predictor(rng, config: ModelConfig):
@@ -247,9 +268,9 @@ def _model_points(model, mols, objective, reg_weight: float, names):
     slices move. finish runs the stages after s once per chunk of k points,
     without caches, over prepare_batch(mols * k), whose copies are padded
     as the batch is: from before[s] repeated k times and the k kept outputs
-    of s stacked along the molecule axis. Each copy's logits then give the
-    loss batch_step would, so every numeric gradient is byte-identical to a
-    full forward per point.
+    of s stacked along the molecule axis. One objective call scores the k
+    copies' logits, each with the loss batch_step would give, so every
+    numeric gradient is byte-identical to a full forward per point.
     """
     batch = prepare_batch(mols)
     stages = forward_stages(model)
@@ -275,8 +296,8 @@ def _model_points(model, mols, objective, reg_weight: float, names):
         arrays.update({n: np.concatenate([out[n] for out in outs]) for n in outs[0]})
         for later in stages[s + 1:]:
             arrays.update(later.forward(model, repeated[k], arrays)[0])
-        copies = arrays["logits"].reshape(k, len(mols), -1)
-        return [objective(logits)[0] + penalty for logits, penalty in zip(copies, penalties)]
+        losses = objective(arrays["logits"].reshape(k, len(mols), -1))[0]
+        return [loss + penalty for loss, penalty in zip(losses, penalties)]
 
     arrays = [(name, live) for name, live in named_parameters(model) if name in names]
     return arrays, at_point, finish

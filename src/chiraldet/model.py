@@ -18,10 +18,14 @@ from typing import NamedTuple
 import numpy as np
 
 from .attention import (
+    ATTENTION_LEAVES,
+    FEED_FORWARD_LEAVES,
     DistanceBiasParams,
     LayerParams,
     attend_bwd,
     attend_fwd,
+    feed_forward_bwd,
+    feed_forward_fwd,
     head_averaged_rows,
     init_distance_bias,
     init_layer,
@@ -199,7 +203,10 @@ class Stage(NamedTuple):
     `backward(model, batch, cache, {name: gradient of an array it wrote})`
     returns ({group: gradient}, {name: gradient of an array it read}).
     Both call what they run (kernel_fwd, mlp2_fwd, ...) by module name,
-    so a wrapper set on a module attribute sees every call."""
+    so a wrapper set on a module attribute sees every call.
+
+    A group is a named_parameters prefix (`head`) or, for a layer, whose
+    parameters two stages split, a single parameter (`layers.0.wq`)."""
 
     name: str  # what a NumericError calls the stage and its outputs
     groups: tuple  # the named_parameters groups that only this stage reads
@@ -275,21 +282,37 @@ def _pair_bias_bwd(model, batch, cache, d):
     return {"bias": pair_bias_bwd(model.distance_bias, cache, d["bias"])}, {}
 
 
-def _layer_stage(i: int) -> Stage:
-    """Attention layer i: reads h_c, h_r, h_n and bias, rewrites h_c and
-    bias and writes its attention as attn, which no stage reads."""
+def _layer_stages(i: int) -> tuple:
+    """Attention layer i as two stages, both named for the layer. Its
+    attention reads h_c, h_r, h_n and bias, writes the residual u, rewrites
+    bias and writes its attention as attn, which no stage reads; its
+    feed-forward reads u and rewrites h_c. Each owns its leaves of
+    layers.i."""
+    prefix = f"layers.{i}."
 
-    def forward(model, batch, arrays):
-        h_c, bias, attn, cache = attend_fwd(model.layers[i], arrays["h_c"], arrays["h_r"],
-                                            arrays["h_n"], arrays["bias"], batch.mask)
-        return {"h_c": h_c, "bias": bias, "attn": attn}, cache
+    def attend(model, batch, arrays):
+        u, bias, attn, cache = attend_fwd(model.layers[i], arrays["h_c"], arrays["h_r"],
+                                          arrays["h_n"], arrays["bias"], batch.mask)
+        return {"u": u, "bias": bias, "attn": attn}, cache
 
-    def backward(model, batch, cache, d):
-        grads, d_h_c, d_h_r, d_h_n, d_bias = attend_bwd(model.layers[i], cache, d["h_c"],
+    def attend_back(model, batch, cache, d):
+        grads, d_h_c, d_h_r, d_h_n, d_bias = attend_bwd(model.layers[i], cache, d["u"],
                                                         d["bias"])
-        return {f"layers.{i}": grads}, {"h_c": d_h_c, "h_r": d_h_r, "h_n": d_h_n, "bias": d_bias}
+        return ({prefix + leaf: g for leaf, g in grads.items()},
+                {"h_c": d_h_c, "h_r": d_h_r, "h_n": d_h_n, "bias": d_bias})
 
-    return Stage(f"layer {i}", (f"layers.{i}",), forward, backward)
+    def feed_forward(model, batch, arrays):
+        h_c, cache = feed_forward_fwd(model.layers[i], arrays["u"])
+        return {"h_c": h_c}, cache
+
+    def feed_forward_back(model, batch, cache, d):
+        grads, d_u = feed_forward_bwd(model.layers[i], cache, d["h_c"])
+        return {prefix + leaf: g for leaf, g in grads.items()}, {"u": d_u}
+
+    return (Stage(f"layer {i}", tuple(prefix + leaf for leaf in ATTENTION_LEAVES),
+                  attend, attend_back),
+            Stage(f"layer {i}", tuple(prefix + leaf for leaf in FEED_FORWARD_LEAVES),
+                  feed_forward, feed_forward_back))
 
 
 def _head(model, batch, arrays):
@@ -313,7 +336,7 @@ def _stage_table(n_layers: int) -> tuple:
         Stage("encoder", ("encoder.proj_r",), _related_keys, _related_keys_bwd),
         Stage("encoder", ("encoder.proj_n",), _nonchiral_keys, _nonchiral_keys_bwd),
         Stage("pair bias", ("bias",), _pair_bias, _pair_bias_bwd),
-        *(_layer_stage(i) for i in range(n_layers)),
+        *(stage for i in range(n_layers) for stage in _layer_stages(i)),
         Stage("pooling and head", ("head",), _head, _head_bwd),
     )
 
@@ -388,9 +411,9 @@ def backward_batch(model: ChiralModel, state: BatchState, d_logits) -> ChiralMod
     name: a stage's backward takes the gradients of the arrays it wrote,
     and those it returns for the arrays it read are added, from zero, into
     theirs, so h_r and h_n sum the layers from the last down. An array no
-    later stage read (attn, pooled, the last layer's bias) gets zeros.
-    Each cache is released once consumed, so a state backpropagated before
-    raises ValueError.
+    later stage read (attn, pooled, the last layer's bias) gets the scalar
+    0.0. Each cache is released once consumed, so a state backpropagated
+    before raises ValueError.
     """
     caches = state.caches
     if any(cache is None for cache in caches):
@@ -399,18 +422,25 @@ def backward_batch(model: ChiralModel, state: BatchState, d_logits) -> ChiralMod
     d = {"logits": d_logits}  # gradient of each array, by name
     grads = {}  # gradient of each named_parameters group
     for t in reversed(range(len(caches))):
-        d_written = {name: d.pop(name) if name in d else np.zeros(arr.shape)
-                     for name, arr in state.outputs[t].items()}
+        d_written = {name: d.pop(name, 0.0) for name in state.outputs[t]}
         stage_grads, d_read = state.stages[t].backward(model, state.batch, caches[t], d_written)
         caches[t] = None
         grads.update(stage_grads)
         for name, g in d_read.items():
-            d[name] = d.get(name, 0.0) + g
+            if name in d:
+                d[name] += g
+            else:
+                # a new array, so later gradients add in place; a -0.0 of
+                # g becomes 0.0, as in a sum from zero
+                d[name] = 0.0 + g
     encoder = EncoderParams(kernels=grads["encoder.kernel"], global_token=grads["encoder.token"],
                             proj_c=grads["encoder.proj_c"], proj_r=grads["encoder.proj_r"],
                             proj_n=grads["encoder.proj_n"])
     return ChiralModel(config=model.config, encoder=encoder, distance_bias=grads["bias"],
-                       layers=[grads[f"layers.{i}"] for i in range(len(model.layers))],
+                       layers=[LayerParams(**{leaf: grads[f"layers.{i}.{leaf}"]
+                                              for leaf in ATTENTION_LEAVES + FEED_FORWARD_LEAVES},
+                                           n_heads=layer.n_heads)
+                               for i, layer in enumerate(model.layers)],
                        head=grads["head"])
 
 
@@ -432,34 +462,51 @@ def _onehot(label, n_classes: int) -> np.ndarray:
     return np.arange(n_classes) == label[..., None]
 
 
+def _row_sums(x) -> np.ndarray:
+    """The sum along the last axis of each row of x, shaped x.shape[:-1],
+    each taken as a sum of that row alone: numpy adds a lone row of 8 or
+    more entries pairwise, but a stack of rows in another order."""
+    rows = x.reshape(-1, x.shape[-1])
+    return np.reshape([row.sum() for row in rows], x.shape[:-1])
+
+
 def loss_margin_rank(score_hi, score_lo, margin: float):
-    """Sum of max(0, margin - (score_hi - score_lo)) over paired scores;
-    returns (loss, d_hi, d_lo)."""
+    """Sum of max(0, margin - (score_hi - score_lo)) over paired scores
+    along their last axis, a scalar being one pair, so each row of stacked
+    scores gets its own sum, as an array of their leading shape; returns
+    (loss, d_hi, d_lo)."""
     if margin < 0:
         raise ValueError("margin must be non-negative")
     gap = margin - (np.asarray(score_hi, dtype=np.float64) - np.asarray(score_lo, dtype=np.float64))
     active = (gap > 0).astype(np.float64)
-    return float(np.maximum(gap, 0.0).sum()), -active, active
+    return _row_sums(np.maximum(np.atleast_1d(gap), 0.0)), -active, active
+
+
+# An objective maps a batch's (B, n_classes) logits to (loss, d_logits,
+# n_correct), a float and an int. It also scores k stacked copies of the
+# batch, (k, B, n_classes) logits, in one call: loss and n_correct are then
+# lists of k, each entry the bytes of the call on that copy alone
+# (_row_sums).
 
 
 def classify_loss(labels, n_classes: int):
     """The mean softmax cross-entropy objective of a batch with one class
-    index per molecule, scored by an n_classes head: logits -> (loss,
-    d_logits, n_correct). The labels are checked and one-hot encoded here,
-    once per objective, not once per evaluation."""
+    index per molecule, scored by an n_classes head. The labels are
+    checked and one-hot encoded here, once per objective, not once per
+    evaluation."""
     labels = np.asarray(labels)
     onehot = _onehot(labels, n_classes)
 
     def objective(logits):
-        if logits.shape != onehot.shape:
+        if logits.shape[-2:] != onehot.shape:
             raise ValueError(f"logits of shape {logits.shape} for {onehot.shape[0]} labels "
                              f"of {n_classes} classes")
         shifted = logits - logits.max(axis=-1, keepdims=True)
         lse = np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
-        loss = float((lse - shifted)[onehot].sum())
+        loss = _row_sums((lse - shifted)[..., onehot]) / len(labels)
         d_logits = np.exp(shifted - lse) - onehot
-        n_correct = int((logits.argmax(axis=1) == labels).sum())
-        return loss / len(labels), d_logits / len(labels), n_correct
+        n_correct = (logits.argmax(axis=-1) == labels).sum(axis=-1)
+        return loss.tolist(), d_logits / len(labels), n_correct.tolist()
 
     return objective
 
@@ -467,17 +514,19 @@ def classify_loss(labels, n_classes: int):
 def rank_loss(margin: float):
     """The mean margin-ranking objective of a batch holding the his and then
     the los of its pairs, prepare_batch(his + los), scored by the single
-    output of a 1-dim head: logits -> (loss, d_logits, n_correctly_ordered)."""
+    output of a 1-dim head; n_correct counts the correctly ordered pairs."""
     if not 0.0 <= margin < math.inf:
         raise ValueError(f"margin must be finite and non-negative, got {margin}")
 
     def objective(logits):
-        if logits.shape[1] != 1:
-            raise ValueError(f"margin ranking scores a 1-dim head, got n_classes={logits.shape[1]}")
-        n = len(logits) // 2
-        hi, lo = logits[:n, 0], logits[n:, 0]
+        if logits.shape[-1] != 1:
+            raise ValueError("margin ranking scores a 1-dim head, "
+                             f"got n_classes={logits.shape[-1]}")
+        n = logits.shape[-2] // 2
+        hi, lo = logits[..., :n, 0], logits[..., n:, 0]
         total, d_hi, d_lo = loss_margin_rank(hi, lo, margin)
-        return total / n, np.concatenate([d_hi, d_lo])[:, None] * (1.0 / n), int((hi > lo).sum())
+        d_logits = np.concatenate([d_hi, d_lo], axis=-1)[..., None] * (1.0 / n)
+        return (total / n).tolist(), d_logits, (hi > lo).sum(axis=-1).tolist()
 
     return objective
 

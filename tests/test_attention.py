@@ -4,8 +4,11 @@ import pytest
 from chiraldet.attention import (
     SIGMA_FLOOR,
     DistanceBiasParams,
+    LayerParams,
     attend_bwd,
     attend_fwd,
+    feed_forward_bwd,
+    feed_forward_fwd,
     head_averaged_rows,
     init_distance_bias,
     init_layer,
@@ -226,7 +229,8 @@ class TestAttend:
         h_r = rng.standard_normal((1, 3, 8))
         h_n = rng.standard_normal((1, 2, 8))
         bias = rng.standard_normal((1, 3, 5, 2))
-        out, bias_out, attn, _ = attend_fwd(layer, h_c, h_r, h_n, bias, full_mask(3, 5))
+        u, bias_out, attn, _ = attend_fwd(layer, h_c, h_r, h_n, bias, full_mask(3, 5))
+        out, _ = feed_forward_fwd(layer, u)
         assert np.allclose(attn.sum(axis=2), 1.0, atol=1e-12)
         ref_out, ref_logits, ref_attn = dense_attention_oracle(
             layer, h_c[0], h_r[0], h_n[0], bias[0]
@@ -245,8 +249,8 @@ class TestAttend:
         bias = p0.copy()
         h_cs = [h_c]
         for layer in layers:
-            h_c_next, bias, _, _ = attend_fwd(layer, h_cs[-1], h_r, h_n, bias, full_mask(2, 3))
-            h_cs.append(h_c_next)
+            u, bias, _, _ = attend_fwd(layer, h_cs[-1], h_r, h_n, bias, full_mask(2, 3))
+            h_cs.append(feed_forward_fwd(layer, u)[0])
         # unrolled recomputation of each layer's query-key term
         total = p0[0].copy()
         keys0 = np.vstack([h_r[0] @ layers[0].wk_r.T, h_n[0] @ layers[0].wk_n.T])
@@ -267,13 +271,14 @@ class TestAttend:
         h_n = rng.standard_normal((1, 3, 8))
         bias = rng.standard_normal((1, 3, 7, 2))
         mask = full_mask(3, 7)
-        out, _, _, _ = attend_fwd(layer, h_c, h_r, h_n, bias, mask)
+        out = feed_forward_fwd(layer, attend_fwd(layer, h_c, h_r, h_n, bias, mask)[0])[0]
         perm_r = np.random.default_rng(1).permutation(4)
         perm_n = np.random.default_rng(2).permutation(3)
         bias_p = bias.copy()
         bias_p[:, :, :4] = bias_p[:, :, :4][:, :, perm_r]
         bias_p[:, :, 4:] = bias_p[:, :, 4:][:, :, perm_n]
-        out_p, _, _, _ = attend_fwd(layer, h_c, h_r[:, perm_r], h_n[:, perm_n], bias_p, mask)
+        u_p = attend_fwd(layer, h_c, h_r[:, perm_r], h_n[:, perm_n], bias_p, mask)[0]
+        out_p = feed_forward_fwd(layer, u_p)[0]
         assert np.max(np.abs(out - out_p)) < 1e-10
 
     def test_empty_keys_with_chiral_queries_rejected(self):
@@ -323,12 +328,17 @@ class TestAttend:
         inputs = (h_c, h_r, h_n, p0)
 
         def f(theta):
-            out, bias_out, _, _ = attend_fwd(*unflatten(theta, layer, *inputs), mask)
+            layer_at, *inputs_at = unflatten(theta, layer, *inputs)
+            u, bias_out, _, _ = attend_fwd(layer_at, *inputs_at, mask)
+            out, _ = feed_forward_fwd(layer_at, u)
             return float((w_out * out).sum() + (w_bias * bias_out).sum())
 
+        # the whole layer: attend_fwd, then feed_forward_fwd on its u
         numeric = finite_diff_grad(f, flatten(layer, *inputs))
-        _, _, _, cache = attend_fwd(layer, *inputs, mask)
-        analytic = flatten(*attend_bwd(layer, cache, w_out, w_bias))
+        u, _, _, cache = attend_fwd(layer, *inputs, mask)
+        ff_grads, d_u = feed_forward_bwd(layer, feed_forward_fwd(layer, u)[1], w_out)
+        grads, *d_inputs = attend_bwd(layer, cache, d_u, w_bias)
+        analytic = flatten(LayerParams(**grads, **ff_grads, n_heads=layer.n_heads), *d_inputs)
         assert compare_grads(analytic, numeric, tol=1e-5).passed
 
 

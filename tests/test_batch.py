@@ -8,7 +8,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from chiraldet.attention import attend_fwd, init_layer
+from chiraldet.attention import (
+    ATTENTION_LEAVES,
+    FEED_FORWARD_LEAVES,
+    attend_fwd,
+    feed_forward_fwd,
+    init_layer,
+)
 from chiraldet.data import SyntheticSpec, featurize, gen_axial, gen_rs, tile_molecules
 from chiraldet.encoder import BatchMask, prepare_batch
 from chiraldet.errors import AnnotationError, NumericError
@@ -219,21 +225,27 @@ def test_keyless_row_keeps_its_input():
     mask = BatchMask.of_counts([1, 0], [2, 0], [1, 0])
     h_c = rng.standard_normal((2, 2, 8))
     bias = rng.standard_normal((2, 2, 3, 2))
-    _, _, attn, cache = attend_fwd(layer, h_c, rng.standard_normal((2, 2, 8)),
+    u, _, attn, cache = attend_fwd(layer, h_c, rng.standard_normal((2, 2, 8)),
                                    rng.standard_normal((2, 1, 8)), bias, mask)
     assert np.all(attn[1] == 0.0)
     assert np.all(cache.ctx.reshape(2, 2, 8)[1] == 0.0)
     # u = h_c_in, so the first layer norm sees the input row itself
+    assert np.array_equal(u[1], h_c[1])
     expect, _ = layer_norm_rows(h_c[1], layer.ln1_gamma, layer.ln1_beta)
-    u_ln = cache.ff[0]  # the feed-forward's input
+    u_ln = feed_forward_fwd(layer, u)[1].ff[0]  # the feed-forward's input
     assert np.array_equal(u_ln.reshape(2, 2, 8)[1], expect)
 
 
 def test_chiral_molecule_without_keys_in_batch_raises(mixed):
+    """The error names the molecule without keys, by its id or, when the
+    id is empty, by its index."""
     mols, _ = mixed
     model = init_model(ModelConfig(**TINY, seed=8))
-    with pytest.raises(NumericError, match="key set is empty"):
-        forward_batch(model, prepare_batch([mols[0], keyless_chiral_molecule(), mols[-1]]))
+    for mol_id, named in (("keyless", "keyless"), ("", "at index 1")):
+        keyless = replace(keyless_chiral_molecule(), id=mol_id)
+        with pytest.raises(NumericError, match=f"^molecule {named}: layer 0: chiral queries "
+                                               "present but the key set is empty$"):
+            forward_batch(model, prepare_batch([mols[0], keyless, mols[-1]]))
 
 
 def test_unit_index_past_its_molecule_rejected(mixed):
@@ -271,20 +283,26 @@ PARAMETER_NAMES = [name for name, _ in named_parameters(init_model(ModelConfig(*
 
 def test_stages_own_the_parameter_groups_in_order():
     """forward_stages lists the named_parameters groups in their order, one
-    stage for each, with the encoder's token and query projector in one;
-    every parameter's parameter_stage is its group's stage."""
+    stage for each, with the encoder's token and query projector in one
+    and each layer split into two stages named for it, its attention's
+    leaves and then its feed-forward's; every parameter's parameter_stage
+    is its group's stage."""
     model = init_model(ModelConfig(**TINY))
     stages = forward_stages(model)
+    layer = [(f"layer {i}", tuple(f"layers.{i}.{leaf}" for leaf in leaves))
+             for i in range(2) for leaves in (ATTENTION_LEAVES, FEED_FORWARD_LEAVES)]
     assert [(stage.name, stage.groups) for stage in stages] == [
         ("encoder", ("encoder.kernel",)),
         ("encoder", ("encoder.token", "encoder.proj_c")),
         ("encoder", ("encoder.proj_r",)),
         ("encoder", ("encoder.proj_n",)),
         ("pair bias", ("bias",)),
-        ("layer 0", ("layers.0",)),
-        ("layer 1", ("layers.1",)),
+        *layer,
         ("pooling and head", ("head",)),
     ]
+    assert ATTENTION_LEAVES == ("wq", "wk_r", "wv_r", "wk_n", "wv_n", "wo")
+    assert FEED_FORWARD_LEAVES == ("ff_w1", "ff_b1", "ff_w2", "ff_b2",
+                                   "ln1_gamma", "ln1_beta", "ln2_gamma", "ln2_beta")
     stage_of = {group: s for s, stage in enumerate(stages) for group in stage.groups}
     seen = []
     for name in PARAMETER_NAMES:
@@ -530,7 +548,7 @@ def test_nonfinite_stage_is_the_named_molecules(mixed):
     mols = mixed[0][:2]  # one unit each, so no pad query rows
     model = init_model(ModelConfig(**TINY, seed=13))
     batch = prepare_batch(mols)
-    # the rows entering the last feed-forward (the last layer's cache), per molecule
+    # the rows entering the last feed-forward (its stage's cache), per molecule
     last = parameter_stage(model, f"layers.{len(model.layers) - 1}.ff_w1")
     rows = forward_batch(model, batch).caches[last].ff[0].reshape(2, -1, TINY["h"])
     r1 = rows[1, 0]

@@ -6,6 +6,8 @@ stages stacked, AUDIT_CHUNK points per forward."""
 import numpy as np
 import pytest
 
+import chiraldet.gradcheck
+import chiraldet.model
 from chiraldet.encoder import prepare_batch
 from chiraldet.errors import NumericError
 from chiraldet.gradcheck import (
@@ -133,7 +135,9 @@ def full_loss():
 
 @pytest.mark.parametrize("name", ["encoder.kernel.w", "encoder.kernel.gamma", "encoder.token",
                                   "encoder.proj_c.w2", "encoder.proj_r.w1", "encoder.proj_n.b2",
-                                  "bias.w_p", "layers.0.wq", "layers.1.ff_b2", "head.b2"])
+                                  "bias.w_p", "layers.0.wq", "layers.0.wo", "layers.0.ln1_gamma",
+                                  "layers.0.ff_w1", "layers.1.ff_b2", "layers.1.ln2_beta",
+                                  "head.b2"])
 def test_stacked_prefix_resumes_to_the_bytes_of_each_point(full_loss, name):
     """Three points of a parameter, each run by at_point on its own stage
     and then stacked by one finish on the repeated prefix, give each point
@@ -156,17 +160,50 @@ def test_stacked_prefix_resumes_to_the_bytes_of_each_point(full_loss, name):
 
 def test_nonfinite_evaluation_names_its_coordinate(full_loss):
     """The 12th evaluation of head.w1, the minus point of its coordinate 5
-    in the second chunk, is NaN; the array is restored after the error."""
+    in the second chunk, is NaN; the array is restored after the error.
+    The objective scores each chunk's stacked copies in one call."""
     model, mols, objective, reg_weight, _ = full_loss
-    calls = []
+    scored = []  # one entry per evaluation
 
-    def nan_at_call_12(logits):
-        calls.append(1)
-        loss, d_logits, n_correct = objective(logits)
-        return (float("nan") if len(calls) == 12 else loss), d_logits, n_correct
+    def nan_at_evaluation_12(logits):
+        losses, d_logits, n_correct = objective(logits)
+        losses = [float("nan") if len(scored) + j == 11 else loss
+                  for j, loss in enumerate(losses)]
+        scored.extend(losses)
+        return losses, d_logits, n_correct
 
     saved = model.head.w1.copy()
     with pytest.raises(NumericError, match="^non-finite evaluation at coordinate 5$"):
-        _oracle(*_model_points(model, mols, nan_at_call_12, reg_weight, {"head.w1"}))
-    assert len(calls) == 2 * saved.size
+        _oracle(*_model_points(model, mols, nan_at_evaluation_12, reg_weight, {"head.w1"}))
+    assert len(scored) == 2 * saved.size
     assert np.array_equal(model.head.w1, saved)
+
+
+@pytest.mark.parametrize("name", ["layers.0.ff_w1", "layers.0.ln1_beta", "layers.1.ff_b2",
+                                  "layers.1.ln2_gamma", "layers.0.wq"])
+def test_a_feed_forward_point_runs_no_attention(full_loss, monkeypatch, name):
+    """An audit point of a feed-forward or layer-norm leaf runs its layer's
+    feed-forward alone, in the model.full_loss block and in the
+    attention.layer block; a query-weight point runs the attention once."""
+    calls = []
+
+    def counted(module):
+        attend = module.attend_fwd
+
+        def attend_fwd(*args):
+            calls.append(1)
+            return attend(*args)
+
+        monkeypatch.setattr(module, "attend_fwd", attend_fwd)
+
+    counted(chiraldet.model)
+    counted(chiraldet.gradcheck)
+    model, mols, objective, reg_weight, _ = full_loss
+    _, at_point, _ = _model_points(model, mols, objective, reg_weight, {name})
+    arrays, _, layer_point, _ = _CHECKS["attention.layer"](block_rng("attention.layer", 1),
+                                                          TINY_CONFIG)
+    leaf = name.rpartition(".")[2]
+    calls.clear()
+    at_point(name, dict(named_parameters(model))[name])
+    layer_point(leaf, dict(arrays)[leaf])
+    assert len(calls) == (2 if name.endswith(".wq") else 0)

@@ -154,6 +154,24 @@ class TestLosses:
         with pytest.raises(ValueError, match="logits of shape"):
             objective(logits[:, :1])
 
+    @pytest.mark.parametrize("kind", ["classify", "rank"])
+    def test_stacked_logits_score_each_copy_as_alone(self, kind):
+        """One call on (k, B, C) logits gives each copy's loss, d_logits and
+        count with the bytes of a call on that copy alone; 19 molecules or
+        13 pairs, so numpy's pairwise sum works in blocks."""
+        rng = np.random.default_rng(55)
+        if kind == "classify":
+            objective = classify_loss(rng.integers(0, 3, 19), 3)
+            stacked = rng.standard_normal((5, 19, 3))
+        else:
+            objective, stacked = rank_loss(0.4), rng.standard_normal((5, 26, 1)) * 0.5
+        losses, d_logits, n_correct = objective(stacked)
+        alone = [objective(logits) for logits in stacked]
+        assert np.array(losses).tobytes() == np.array([a[0] for a in alone]).tobytes()
+        assert d_logits.tobytes() == np.stack([a[1] for a in alone]).tobytes()
+        assert n_correct == [a[2] for a in alone]
+        assert all(type(a[0]) is float and type(a[2]) is int for a in alone)
+
 
 class TestConfig:
     @pytest.mark.parametrize("d_p", [1, 3])
