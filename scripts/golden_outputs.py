@@ -14,7 +14,10 @@ the numbers alone must reproduce byte for byte, into OUT_DIR:
   vector and the evaluation count, computed in this process;
 - `backward_hashes.out`: the sha256 of every `backward_batch` gradient of
   a fixed mixed batch, at `TINY_CONFIG` and at the default config,
-  computed in this process.
+  computed in this process;
+- `forward_hashes.out`: the sha256 of every array `forward_batch` writes
+  over that batch at both configs, by stage index and array name, read
+  from `BatchState.outputs` alone.
 
 Each command's stdout and exit code go to `<step>.out`, its stderr to
 `<step>.err`. Every command runs the chiraldet this script imports, with
@@ -73,6 +76,10 @@ STEPS = (
 )
 
 
+def sha256(arr) -> str:
+    return hashlib.sha256(arr.tobytes()).hexdigest()
+
+
 def audit_vectors() -> str:
     """One line per seed and block: the sha256 of the numeric and of the
     analytic gradient vector, and the number of loss evaluations."""
@@ -83,28 +90,46 @@ def audit_vectors() -> str:
                                                                 TINY_CONFIG)
             numeric = _oracle(arrays, at_point, finish)
             lines.append(f"seed={seed} {block} "
-                         f"numeric={hashlib.sha256(numeric.tobytes()).hexdigest()} "
-                         f"analytic={hashlib.sha256(analytic.tobytes()).hexdigest()} "
+                         f"numeric={sha256(numeric)} analytic={sha256(analytic)} "
                          f"evaluations={2 * numeric.size}\n")
     return "".join(lines)
 
 
-def backward_hashes() -> str:
-    """One line per config and parameter: the sha256 of its backward_batch
-    gradient under the classification loss of a padded batch of centres
-    with 0-3 spectators, axes and tiled two- and three-unit molecules."""
+CONFIGS = (("tiny", TINY_CONFIG), ("default", ModelConfig()))
+
+
+def mixed_batch() -> list:
+    """A padded batch of centres with 0-3 spectators, axes and tiled two-
+    and three-unit molecules."""
     centres = [m for m, _ in gen_rs(SyntheticSpec(count=8, seed=61, spectator_range=(0, 3)))]
     axes = [m for m, _ in gen_axial(3, seed=62)]
-    mols = centres[:4] + axes[:2] + [tile_molecules(centres[4:6]),
+    return centres[:4] + axes[:2] + [tile_molecules(centres[4:6]),
                                      tile_molecules(centres[6:] + axes[2:])]
+
+
+def backward_hashes() -> str:
+    """One line per config and parameter: the sha256 of its backward_batch
+    gradient under the classification loss of mixed_batch()."""
+    mols = mixed_batch()
     lines = []
-    for tag, config in (("tiny", TINY_CONFIG), ("default", ModelConfig())):
+    for tag, config in CONFIGS:
         model = init_model(config)
         state = forward_batch(model, prepare_batch(mols))
         _, d_logits, _ = classify_loss([i % 2 for i in range(len(mols))],
                                        config.n_classes)(state.logits)
         for name, g in named_parameters(backward_batch(model, state, d_logits)):
-            lines.append(f"{tag} {name} {hashlib.sha256(g.tobytes()).hexdigest()}\n")
+            lines.append(f"{tag} {name} {sha256(g)}\n")
+    return "".join(lines)
+
+
+def forward_hashes() -> str:
+    """One line per config, stage and array it wrote: the sha256 of each
+    array forward_batch writes over mixed_batch()."""
+    batch = prepare_batch(mixed_batch())
+    lines = []
+    for tag, config in CONFIGS:
+        for t, out in enumerate(forward_batch(init_model(config), batch).outputs):
+            lines += [f"{tag} {t} {name} {sha256(arr)}\n" for name, arr in out.items()]
     return "".join(lines)
 
 
@@ -127,6 +152,8 @@ def main():
     print("audit_vectors: written", file=sys.stderr)
     (out_dir / "backward_hashes.out").write_text(backward_hashes())
     print("backward_hashes: written", file=sys.stderr)
+    (out_dir / "forward_hashes.out").write_text(forward_hashes())
+    print("forward_hashes: written", file=sys.stderr)
 
 
 if __name__ == "__main__":

@@ -164,8 +164,9 @@ def attend_fwd(layer: LayerParams, h_c_in, h_r, h_n, bias_in, mask: BatchMask):
     bias), which is what the next layer consumes; pad keys are masked
     inside the softmax, not in these logits. attn is (B, Q, Kr + Kn, H) and
     is exactly 0 on pad keys. A row with no valid key gets zero attention,
-    so it keeps u = h_c_in. A molecule with chiral queries but no keys is
-    a NumericError that gives the first such molecule as its row.
+    so it keeps u = h_c_in. A molecule with chiral queries but no keys, or
+    a non-finite logit, is a NumericError whose row is the first molecule
+    holding one.
     """
     n_batch, n_q, h = h_c_in.shape
     n_heads = layer.n_heads
@@ -179,7 +180,8 @@ def attend_fwd(layer: LayerParams, h_c_in, h_r, h_n, bias_in, mask: BatchMask):
     scores = (qh @ kh.transpose(0, 1, 3, 2)).transpose(0, 2, 3, 1) * scale
     logits = scores + bias_in
     if not np.isfinite(logits).all():
-        raise NumericError("non-finite attention logits")
+        bad = ~np.isfinite(logits).reshape(n_batch, -1).all(axis=1)
+        raise NumericError("non-finite attention logits", row=int(np.flatnonzero(bad)[0]))
     valid = mask.keys[:, None, :, None]
     row_max = np.where(valid, logits, -np.inf).max(axis=2, keepdims=True, initial=-np.inf)
     expd = np.exp(np.where(valid, logits - row_max, -np.inf))

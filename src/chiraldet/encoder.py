@@ -180,13 +180,15 @@ def kernel_fwd(bank: KernelBank, mc_batch):
     out[b, k] = det(M_b) * s_k / sigma_bk^3 with s_k = sqrt(max(det G_k, 0)),
     G_k = W_eff^T W_eff, W_eff = gamma * C_k, C_k the slice centred along
     d_p, and sigma_bk^2 = <C_k^T C_k, M_b M_b^T> / (3 d_p) + KERNEL_EPS. A
-    rank-deficient slice (det G <= 0) reads out 0.
+    rank-deficient slice (det G <= 0) reads out 0. A non-finite matrix is
+    a NumericError whose row is the first such matrix.
     """
     mc_batch = np.asarray(mc_batch, dtype=np.float64)
     if mc_batch.ndim != 3 or mc_batch.shape[1:] != (3, 3):
         raise NumericError(f"expected (B, 3, 3) chirality matrices, got {mc_batch.shape}")
-    if not np.all(np.isfinite(mc_batch)):
-        raise NumericError("chirality matrices contain non-finite values")
+    if not np.isfinite(mc_batch).all():
+        bad = np.flatnonzero(~np.isfinite(mc_batch).all(axis=(1, 2)))
+        raise NumericError("chirality matrices contain non-finite values", row=int(bad[0]))
     n_batch = mc_batch.shape[0]
     k, d_p = bank.n_kernels, bank.d_p
     det_m = det3_batch(mc_batch)

@@ -261,22 +261,28 @@ def _model_points(model, mols, objective, reg_weight: float, names):
     of prepare_batch(mols), in the named live parameters, in
     named_parameters order.
 
-    One forward at the starting point gives before[s], the latest array of
-    each name that the stages before s wrote. at_point runs only the stage
-    s that reads the moved array (parameter_stage), on before[s], and keeps
-    its output and the rank penalty at the point, which only the kernel
-    slices move. finish runs the stages after s once per chunk of k points,
-    without caches, over prepare_batch(mols * k), whose copies are padded
-    as the batch is: from before[s] repeated k times and the k kept outputs
-    of s stacked along the molecule axis. One objective call scores the k
+    at_point runs only the stage s that reads the moved array
+    (parameter_stage), on the θ0 arrays s reads, and keeps its output and
+    the rank penalty at the point, which only the kernel slices move.
+    finish runs the stages after s once per chunk of k points, without
+    caches, over prepare_batch(mols * k), whose copies are padded as the
+    batch is. It stacks along the molecule axis only what a later stage
+    or the objective reads: the k kept outputs of s and the θ0 arrays of
+    earlier stages, repeated k times. One objective call scores the k
     copies' logits, each with the loss batch_step would give, so every
     numeric gradient is byte-identical to a full forward per point.
     """
     batch = prepare_batch(mols)
     stages = forward_stages(model)
-    before, latest = [], {}
-    for out in forward_batch(model, batch).outputs:
-        before.append(dict(latest))
+    # read_after[s]: the names a later stage or the objective reads before a rewrite
+    read_after, read = [], {"logits"}
+    for stage in reversed(stages):
+        read_after.insert(0, read)
+        read = read - set(stage.writes) | set(stage.reads)
+    inputs, carried, latest = [], [], {}
+    for stage, out, needed in zip(stages, forward_batch(model, batch).outputs, read_after):
+        inputs.append([latest[n] for n in stage.reads])
+        carried.append({n: a for n, a in latest.items() if n in needed and n not in stage.writes})
         latest.update(out)
     penalty0 = rank_penalty(model, reg_weight)
     stage = {name: parameter_stage(model, name) for name in names}
@@ -285,17 +291,19 @@ def _model_points(model, mols, objective, reg_weight: float, names):
     def at_point(name, live):
         # rank_penalty reads the kernel slices alone
         penalty = rank_penalty(model, reg_weight) if live is model.encoder.kernels.w else penalty0
-        return stages[stage[name]].forward(model, batch, before[stage[name]])[0], penalty
+        return stages[stage[name]].forward(model, batch, *inputs[stage[name]])[:-1], penalty
 
     def finish(name, kept):
         outs, penalties = zip(*kept)
         k, s = len(outs), stage[name]
         if k not in repeated:
             repeated[k] = prepare_batch(mols * k)
-        arrays = {n: np.concatenate([a] * k) for n, a in before[s].items()}
-        arrays.update({n: np.concatenate([out[n] for out in outs]) for n in outs[0]})
+        arrays = {n: np.concatenate([a] * k) for n, a in carried[s].items()}
+        arrays.update((n, np.concatenate(a)) for n, *a in zip(stages[s].writes, *outs)
+                      if n in read_after[s])
         for later in stages[s + 1:]:
-            arrays.update(later.forward(model, repeated[k], arrays)[0])
+            *written, _ = later.forward(model, repeated[k], *(arrays[n] for n in later.reads))
+            arrays.update(zip(later.writes, written, strict=True))
         losses = objective(arrays["logits"].reshape(k, len(mols), -1))[0]
         return [loss + penalty for loss, penalty in zip(losses, penalties)]
 

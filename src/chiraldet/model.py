@@ -169,11 +169,11 @@ class BatchState:
     """Everything forward_batch computed that backward or exports need,
     stage by stage.
 
-    `outputs[t]` holds the arrays stage t wrote, by name, each with the
-    molecule on its first axis and padded to the batch's largest molecule
-    (`batch.mask` marks the valid entries); a later stage's h_c or bias
-    supersedes an earlier one. `caches[t]` is what stage t's backward
-    needs.
+    `outputs[t]` holds the arrays stage t wrote, under the names of its
+    `writes`, each with the molecule on its first axis and padded to the
+    batch's largest molecule (`batch.mask` marks the valid entries); a
+    later stage's h_c or bias supersedes an earlier one. `caches[t]` is
+    what stage t's backward needs.
     """
 
     batch: MoleculeBatch
@@ -198,18 +198,19 @@ class BatchState:
 
 
 class Stage(NamedTuple):
-    """One forward_batch stage. `forward(model, batch, arrays)`, given the
-    latest array of each name, returns ({name: array it writes}, cache);
-    `backward(model, batch, cache, {name: gradient of an array it wrote})`
-    returns ({group: gradient}, {name: gradient of an array it read}).
-    Both call what they run (kernel_fwd, mlp2_fwd, ...) by module name,
-    so a wrapper set on a module attribute sees every call.
-
+    """One forward_batch stage; its reads and writes are the only place an
+    array's name is spelled. `forward(model, batch, *read arrays)` returns
+    (*written arrays, cache); `backward(model, batch, cache, *gradients of
+    the written arrays)` returns ({group: gradient}, *gradients of the
+    read arrays). Both call what they run (kernel_fwd, mlp2_fwd, ...) by
+    module name, so a wrapper set on a module attribute sees every call.
     A group is a named_parameters prefix (`head`) or, for a layer, whose
     parameters two stages split, a single parameter (`layers.0.wq`)."""
 
     name: str  # what a NumericError calls the stage and its outputs
     groups: tuple  # the named_parameters groups that only this stage reads
+    reads: tuple  # names of the arrays forward takes: the latest of each
+    writes: tuple  # names of the arrays forward returns
     forward: Callable
     backward: Callable
 
@@ -222,122 +223,114 @@ def _padded(rows, slots, shape) -> np.ndarray:
     return out
 
 
-def _kernel_readout(model, batch, arrays):
-    """h_k (B, Q, h): each unit's kernel channels, padded as the queries."""
-    dets, cache = kernel_fwd(model.encoder.kernels, batch.chirality)
-    return {"h_k": _padded(dets, batch.unit_slots, batch.mask.queries.shape)}, cache
+def _kernel_readout(model, batch):
+    """Each unit's kernel channels, padded as the queries; the unit row of
+    a non-finite chirality matrix becomes its molecule's."""
+    try:
+        dets, cache = kernel_fwd(model.encoder.kernels, batch.chirality)
+    except NumericError as exc:
+        raise NumericError(str(exc), row=int(batch.unit_slots[0][exc.row])) from exc
+    return _padded(dets, batch.unit_slots, batch.mask.queries.shape), cache
 
 
-def _kernel_readout_bwd(model, batch, cache, d):
-    return {"encoder.kernel": kernel_bwd(cache, d["h_k"][batch.unit_slots])[0]}, {}
+def _kernel_readout_bwd(model, batch, cache, d_h_k):
+    return {"encoder.kernel": kernel_bwd(cache, d_h_k[batch.unit_slots])[0]},
 
 
-def _queries(model, batch, arrays):
-    """h_c (B, Q, h): the global token row, then each unit's proj_c row
-    plus its kernel channels h_k."""
+def _queries(model, batch, h_k):
+    """The global token row, then each unit's proj_c row plus its kernel
+    channels."""
     rows, cache = mlp2_fwd(model.encoder.proj_c, batch.unit_rows)
     h_c = _padded(rows, batch.unit_slots, batch.mask.queries.shape)
-    h_c += arrays["h_k"]
+    h_c += h_k
     h_c[:, 0] = model.encoder.global_token
-    return {"h_c": h_c}, cache
+    return h_c, cache
 
 
-def _queries_bwd(model, batch, cache, d):
+def _queries_bwd(model, batch, cache, d_h_c):
     # h_k's token and pad rows are zeros that the kernel never reads back
-    d_h_c = d["h_c"]
     d_proj_c = mlp2_bwd(model.encoder.proj_c, cache, d_h_c[batch.unit_slots])[0]
-    return {"encoder.token": d_h_c[:, 0].sum(axis=0), "encoder.proj_c": d_proj_c}, {"h_k": d_h_c}
+    return {"encoder.token": d_h_c[:, 0].sum(axis=0), "encoder.proj_c": d_proj_c}, d_h_c
 
 
-def _related_keys(model, batch, arrays):
-    """h_r (B, Kr, h): the proj_r row of every related key."""
+def _related_keys(model, batch):
     rows, cache = mlp2_fwd(model.encoder.proj_r, batch.related_rows)
-    return {"h_r": _padded(rows, batch.related_slots, (len(batch.ids), batch.k_r))}, cache
+    return _padded(rows, batch.related_slots, (len(batch.ids), batch.k_r)), cache
 
 
-def _related_keys_bwd(model, batch, cache, d):
-    d_rows = d["h_r"][batch.related_slots]
-    return {"encoder.proj_r": mlp2_bwd(model.encoder.proj_r, cache, d_rows)[0]}, {}
+def _related_keys_bwd(model, batch, cache, d_h_r):
+    return {"encoder.proj_r": mlp2_bwd(model.encoder.proj_r, cache,
+                                       d_h_r[batch.related_slots])[0]},
 
 
-def _nonchiral_keys(model, batch, arrays):
-    """h_n (B, Kn, h): the proj_n row of every non-chiral key."""
+def _nonchiral_keys(model, batch):
     rows, cache = mlp2_fwd(model.encoder.proj_n, batch.nonchiral_rows)
-    shape = batch.mask.keys[:, batch.k_r:].shape
-    return {"h_n": _padded(rows, batch.nonchiral_slots, shape)}, cache
+    return _padded(rows, batch.nonchiral_slots, batch.mask.keys[:, batch.k_r:].shape), cache
 
 
-def _nonchiral_keys_bwd(model, batch, cache, d):
-    d_rows = d["h_n"][batch.nonchiral_slots]
-    return {"encoder.proj_n": mlp2_bwd(model.encoder.proj_n, cache, d_rows)[0]}, {}
+def _nonchiral_keys_bwd(model, batch, cache, d_h_n):
+    return {"encoder.proj_n": mlp2_bwd(model.encoder.proj_n, cache,
+                                       d_h_n[batch.nonchiral_slots])[0]},
 
 
-def _pair_bias(model, batch, arrays):
-    """bias (B, Q, Kr + Kn, H): the initial pair bias."""
-    bias, cache = pair_bias_fwd(model.distance_bias, batch.pairs)
-    return {"bias": bias}, cache
+def _pair_bias(model, batch):
+    return pair_bias_fwd(model.distance_bias, batch.pairs)
 
 
-def _pair_bias_bwd(model, batch, cache, d):
-    return {"bias": pair_bias_bwd(model.distance_bias, cache, d["bias"])}, {}
+def _pair_bias_bwd(model, batch, cache, d_bias):
+    return {"bias": pair_bias_bwd(model.distance_bias, cache, d_bias)},
 
 
 def _layer_stages(i: int) -> tuple:
-    """Attention layer i as two stages, both named for the layer. Its
-    attention reads h_c, h_r, h_n and bias, writes the residual u, rewrites
-    bias and writes its attention as attn, which no stage reads; its
-    feed-forward reads u and rewrites h_c. Each owns its leaves of
-    layers.i."""
+    """Attention layer i as two stages, both named for the layer, each
+    owning its leaves of layers.i; no stage reads attn."""
     prefix = f"layers.{i}."
 
-    def attend(model, batch, arrays):
-        u, bias, attn, cache = attend_fwd(model.layers[i], arrays["h_c"], arrays["h_r"],
-                                          arrays["h_n"], arrays["bias"], batch.mask)
-        return {"u": u, "bias": bias, "attn": attn}, cache
+    def attend(model, batch, h_c, h_r, h_n, bias):
+        return attend_fwd(model.layers[i], h_c, h_r, h_n, bias, batch.mask)
 
-    def attend_back(model, batch, cache, d):
-        grads, d_h_c, d_h_r, d_h_n, d_bias = attend_bwd(model.layers[i], cache, d["u"],
-                                                        d["bias"])
-        return ({prefix + leaf: g for leaf, g in grads.items()},
-                {"h_c": d_h_c, "h_r": d_h_r, "h_n": d_h_n, "bias": d_bias})
+    def attend_back(model, batch, cache, d_u, d_bias, d_attn):
+        grads, *d_read = attend_bwd(model.layers[i], cache, d_u, d_bias)
+        return {prefix + leaf: g for leaf, g in grads.items()}, *d_read
 
-    def feed_forward(model, batch, arrays):
-        h_c, cache = feed_forward_fwd(model.layers[i], arrays["u"])
-        return {"h_c": h_c}, cache
+    def feed_forward(model, batch, u):
+        return feed_forward_fwd(model.layers[i], u)
 
-    def feed_forward_back(model, batch, cache, d):
-        grads, d_u = feed_forward_bwd(model.layers[i], cache, d["h_c"])
-        return {prefix + leaf: g for leaf, g in grads.items()}, {"u": d_u}
+    def feed_forward_back(model, batch, cache, d_h_c):
+        grads, d_u = feed_forward_bwd(model.layers[i], cache, d_h_c)
+        return {prefix + leaf: g for leaf, g in grads.items()}, d_u
 
     return (Stage(f"layer {i}", tuple(prefix + leaf for leaf in ATTENTION_LEAVES),
-                  attend, attend_back),
+                  ("h_c", "h_r", "h_n", "bias"), ("u", "bias", "attn"), attend, attend_back),
             Stage(f"layer {i}", tuple(prefix + leaf for leaf in FEED_FORWARD_LEAVES),
-                  feed_forward, feed_forward_back))
+                  ("u",), ("h_c",), feed_forward, feed_forward_back))
 
 
-def _head(model, batch, arrays):
-    """pooled (B, h), the pooled query rows, and logits (B, n_classes)."""
-    pooled = pool(arrays["h_c"], batch.mask.queries)
+def _head(model, batch, h_c):
+    pooled = pool(h_c, batch.mask.queries)
     logits, cache = mlp2_fwd(model.head, pooled)
-    return {"pooled": pooled, "logits": logits}, cache
+    return pooled, logits, cache
 
 
-def _head_bwd(model, batch, cache, d):
-    d_head, d_pooled = mlp2_bwd(model.head, cache, d["logits"])
-    return {"head": d_head}, {"h_c": pool_bwd(d_pooled, batch.mask.queries)}
+def _head_bwd(model, batch, cache, d_pooled, d_logits):
+    # no stage reads pooled, so its own gradient d_pooled is 0.0
+    d_head, d_x = mlp2_bwd(model.head, cache, d_logits)
+    return {"head": d_head}, pool_bwd(d_x, batch.mask.queries)
 
 
 # built once per layer count, since every forward_batch call reads it
 @functools.cache
 def _stage_table(n_layers: int) -> tuple:
     return (
-        Stage("encoder", ("encoder.kernel",), _kernel_readout, _kernel_readout_bwd),
-        Stage("encoder", ("encoder.token", "encoder.proj_c"), _queries, _queries_bwd),
-        Stage("encoder", ("encoder.proj_r",), _related_keys, _related_keys_bwd),
-        Stage("encoder", ("encoder.proj_n",), _nonchiral_keys, _nonchiral_keys_bwd),
-        Stage("pair bias", ("bias",), _pair_bias, _pair_bias_bwd),
+        Stage("encoder", ("encoder.kernel",), (), ("h_k",), _kernel_readout, _kernel_readout_bwd),
+        Stage("encoder", ("encoder.token", "encoder.proj_c"), ("h_k",), ("h_c",),
+              _queries, _queries_bwd),
+        Stage("encoder", ("encoder.proj_r",), (), ("h_r",), _related_keys, _related_keys_bwd),
+        Stage("encoder", ("encoder.proj_n",), (), ("h_n",), _nonchiral_keys,
+              _nonchiral_keys_bwd),
+        Stage("pair bias", ("bias",), (), ("bias",), _pair_bias, _pair_bias_bwd),
         *(stage for i in range(n_layers) for stage in _layer_stages(i)),
-        Stage("pooling and head", ("head",), _head, _head_bwd),
+        Stage("pooling and head", ("head",), ("h_c",), ("pooled", "logits"), _head, _head_bwd),
     )
 
 
@@ -356,51 +349,46 @@ def parameter_stage(model: ChiralModel, name: str) -> int:
     raise ValueError(f"no forward stage reads {name!r}")
 
 
-def _molecule(batch: MoleculeBatch, b: int) -> str:
-    """How an error names molecule b of a batch: by its id, or by its index
-    in the caller's sequence when the id is empty."""
-    return f"molecule {batch.ids[b] or f'at index {batch.index[b]}'}"
+def _stage_error(batch, stages, outputs, row, message: str) -> NumericError:
+    """A NumericError with the message. When row is not None, the message
+    comes after the molecule at that row, named by its id, or by its index
+    in the caller's sequence when the id is empty, and before the first of
+    `stages` whose output in `outputs` is non-finite for it, if one is."""
+    if row is None:
+        return NumericError(message)
+    first = next((stage.name for stage, out in zip(stages, outputs) for arr in out.values()
+                  if not np.isfinite(arr[row]).all()), None)
+    where = "" if first is None else f", first non-finite stage output: {first}"
+    return NumericError(f"molecule {batch.ids[row] or f'at index {batch.index[row]}'}: "
+                        f"{message}{where}")
 
 
 def forward_batch(model: ChiralModel, batch: MoleculeBatch) -> BatchState:
     """Forward over a prepared batch, every stage of forward_stages in
-    order; parameter arithmetic only, so one batch serves any number of
-    forwards under changing parameters.
+    order on the latest array of each name it reads; parameter arithmetic
+    only, so one batch serves any number of forwards under changing
+    parameters.
 
     A NumericError a stage raises comes back with the stage's name in
-    front, and before that the molecule's when the error gives its row.
-    Non-finite logits raise NumericError naming the first molecule whose
-    logits are non-finite and the first stage whose output is non-finite
-    for it.
+    front and, when it gives a row, named for that molecule (_stage_error);
+    non-finite logits raise one named for the first molecule holding one.
     """
     stages = forward_stages(model)
     outputs, caches, arrays = [], [], {}  # arrays: the latest array of each name
     for stage in stages:
         try:
-            out, cache = stage.forward(model, batch, arrays)
+            *written, cache = stage.forward(model, batch, *(arrays[n] for n in stage.reads))
         except NumericError as exc:
-            who = "" if exc.row is None else f"{_molecule(batch, exc.row)}: "
-            raise NumericError(f"{who}{stage.name}: {exc}") from exc
+            raise _stage_error(batch, stages, outputs, exc.row, f"{stage.name}: {exc}") from exc
+        out = dict(zip(stage.writes, written, strict=True))
         arrays.update(out)
         outputs.append(out)
         caches.append(cache)
-    state = BatchState(batch=batch, stages=stages, outputs=outputs, caches=caches)
     logits = arrays["logits"]
     if not np.isfinite(logits).all():
         b = int(np.flatnonzero(~np.isfinite(logits).all(axis=1))[0])
-        # the walk ends at the molecule's logits, so it always finds a stage
-        first = next(name for written in stage_outputs(state) for name, arr in written
-                     if not np.isfinite(arr[b]).all())
-        raise NumericError(f"{_molecule(batch, b)}: non-finite logits, "
-                           f"first non-finite stage output: {first}")
-    return state
-
-
-def stage_outputs(state: BatchState) -> list:
-    """Per forward_batch stage, (stage name, array) of each array it wrote,
-    each with the molecule on its first axis."""
-    return [[(stage.name, arr) for arr in out.values()]
-            for stage, out in zip(state.stages, state.outputs)]
+        raise _stage_error(batch, stages, outputs, b, "non-finite logits")
+    return BatchState(batch=batch, stages=stages, outputs=outputs, caches=caches)
 
 
 def backward_batch(model: ChiralModel, state: BatchState, d_logits) -> ChiralModel:
@@ -409,11 +397,10 @@ def backward_batch(model: ChiralModel, state: BatchState, d_logits) -> ChiralMod
 
     Walks the stages in reverse, keeping the gradient of each array by
     name: a stage's backward takes the gradients of the arrays it wrote,
-    and those it returns for the arrays it read are added, from zero, into
-    theirs, so h_r and h_n sum the layers from the last down. An array no
-    later stage read (attn, pooled, the last layer's bias) gets the scalar
-    0.0. Each cache is released once consumed, so a state backpropagated
-    before raises ValueError.
+    the scalar 0.0 for one no later stage read, and those it returns for
+    the arrays it read are added, from zero, into theirs, so h_r and h_n
+    sum the layers from the last down. Each cache is released once
+    consumed, so a state backpropagated before raises ValueError.
     """
     caches = state.caches
     if any(cache is None for cache in caches):
@@ -422,11 +409,12 @@ def backward_batch(model: ChiralModel, state: BatchState, d_logits) -> ChiralMod
     d = {"logits": d_logits}  # gradient of each array, by name
     grads = {}  # gradient of each named_parameters group
     for t in reversed(range(len(caches))):
-        d_written = {name: d.pop(name, 0.0) for name in state.outputs[t]}
-        stage_grads, d_read = state.stages[t].backward(model, state.batch, caches[t], d_written)
+        stage = state.stages[t]
+        stage_grads, *d_read = stage.backward(model, state.batch, caches[t],
+                                              *(d.pop(n, 0.0) for n in stage.writes))
         caches[t] = None
         grads.update(stage_grads)
-        for name, g in d_read.items():
+        for name, g in zip(stage.reads, d_read, strict=True):
             if name in d:
                 d[name] += g
             else:

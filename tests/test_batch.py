@@ -32,7 +32,6 @@ from chiraldet.model import (
     init_model,
     named_parameters,
     parameter_stage,
-    stage_outputs,
 )
 from chiraldet.numerics import layer_norm_rows
 from oracles import batch_reference, loss_classify
@@ -315,18 +314,6 @@ def test_stages_own_the_parameter_groups_in_order():
         parameter_stage(model, "encoder")
 
 
-class RecordedReads(dict):
-    """The arrays handed to a stage's forward, recording each name read."""
-
-    def __init__(self, arrays):
-        super().__init__(arrays)
-        self.read = set()
-
-    def __getitem__(self, name):
-        self.read.add(name)
-        return super().__getitem__(name)
-
-
 def leaf_shapes(group, params):
     """{parameter name: shape} of a group's array or parameter dataclass."""
     if isinstance(params, np.ndarray):
@@ -336,30 +323,42 @@ def leaf_shapes(group, params):
 
 
 def test_each_stage_backward_mirrors_its_forward(mixed):
-    """Run stage by stage over the mixed batch, each stage's backward
-    returns gradients for exactly its own groups, shaped as their
-    parameters, and for exactly the arrays its forward read, shaped as
-    those arrays; each parameter belongs to one stage, its
-    parameter_stage."""
+    """Run stage by stage over the mixed batch, each stage's forward
+    returns one array per name it writes, and its backward returns
+    gradients for exactly its own groups, shaped as their parameters, and
+    one per name it reads, shaped as that array. Every name a stage reads
+    was written by an earlier stage; the arrays no later stage reads are
+    each layer's attn, the last layer's bias, pooled and logits. Each
+    parameter belongs to one stage, its parameter_stage."""
     model = init_model(ModelConfig(**TINY, seed=14))
     batch = prepare_batch(mixed[0])
     stages = forward_stages(model)
     shapes = {name: arr.shape for name, arr in named_parameters(model)}
     rng = np.random.default_rng(5)
     arrays = {}
+    unread, never_read = {}, []  # unread: name -> the stage that wrote it, until read
     for t, stage in enumerate(stages):
-        reads = RecordedReads(arrays)
-        out, cache = stage.forward(model, batch, reads)
-        d_written = {name: rng.standard_normal(arr.shape) for name, arr in out.items()}
-        grads, d_read = stage.backward(model, batch, cache, d_written)
+        assert set(stage.reads) <= set(arrays), t
+        for name in stage.reads:
+            unread.pop(name, None)
+        *written, cache = stage.forward(model, batch, *(arrays[n] for n in stage.reads))
+        assert len(written) == len(stage.writes), t
+        grads, *d_read = stage.backward(model, batch, cache,
+                                        *(rng.standard_normal(a.shape) for a in written))
         assert tuple(grads) == stage.groups, t
         for group, g in grads.items():
             assert leaf_shapes(group, g) == {n: shape for n, shape in shapes.items()
                                              if n == group or n.startswith(group + ".")}, group
-        assert set(d_read) == reads.read, t
-        for name, g in d_read.items():
-            assert g.shape == arrays[name].shape, (t, name)
-        arrays.update(out)
+        assert [g.shape for g in d_read] == [arrays[n].shape for n in stage.reads], t
+        never_read += [(unread[n], n) for n in stage.writes if n in unread]
+        unread.update((n, t) for n in stage.writes)
+        arrays.update(zip(stage.writes, written, strict=True))
+    never_read += [(t, n) for n, t in unread.items()]
+    attention = [parameter_stage(model, f"layers.{i}.wq") for i in range(len(model.layers))]
+    head = len(stages) - 1
+    assert sorted(never_read) == sorted([(a, "attn") for a in attention]
+                                        + [(attention[-1], "bias"), (head, "pooled"),
+                                           (head, "logits")])
     for name in shapes:
         owners = [t for t, stage in enumerate(stages)
                   if name in stage.groups or name.rpartition(".")[0] in stage.groups]
@@ -393,11 +392,18 @@ def staged(mixed):
 
 def arrays_before(state, stage):
     """The latest array of each name that the stages of `state` before
-    `stage` wrote: what Stage.forward of `stage` reads."""
+    `stage` wrote: what Stage.forward of `stage` reads from."""
     arrays = {}
     for out in state.outputs[:stage]:
         arrays.update(out)
     return arrays
+
+
+def run_stage(model, batch, stage, arrays) -> dict:
+    """A stage's forward on the arrays of the names it reads, as
+    forward_batch runs it: {name: array it wrote}."""
+    *written, _ = stage.forward(model, batch, *(arrays[n] for n in stage.reads))
+    return dict(zip(stage.writes, written, strict=True))
 
 
 @pytest.mark.parametrize("name", PARAMETER_NAMES)
@@ -418,7 +424,7 @@ def test_resumed_forward_matches_fresh_forward(staged, name):
     try:
         fresh = forward_batch(model, batch)
         for later in forward_stages(model)[stage:]:
-            resumed.append(later.forward(model, batch, arrays)[0])
+            resumed.append(run_stage(model, batch, later, arrays))
             arrays.update(resumed[-1])
     finally:
         live.flat[entry] = saved
@@ -426,10 +432,12 @@ def test_resumed_forward_matches_fresh_forward(staged, name):
     assert np.array_equal(resumed[-1]["pooled"], fresh.pooled)
     assert all(a.tobytes() == b.tobytes()
                for a, b in zip(resumed[0].values(), fresh.outputs[stage].values(), strict=True))
-    before, after = stage_outputs(prefix), stage_outputs(fresh)
+    before, after = prefix.outputs, fresh.outputs
     for k in range(stage):
-        assert all(np.array_equal(a, b) for (_, a), (_, b) in zip(before[k], after[k])), k
-    assert not all(np.array_equal(a, b) for (_, a), (_, b) in zip(before[stage], after[stage]))
+        assert all(np.array_equal(a, b)
+                   for a, b in zip(before[k].values(), after[k].values(), strict=True)), k
+    assert not all(np.array_equal(a, b)
+                   for a, b in zip(before[stage].values(), after[stage].values(), strict=True))
 
 
 @pytest.mark.parametrize("name", PARAMETER_NAMES)
@@ -443,7 +451,7 @@ def test_a_parameter_reaches_one_stage_alone(staged, name):
     saved = live.flat[entries[name]]
     live.flat[entries[name]] += 0.25
     try:
-        alone = [stage.forward(model, batch, arrays_before(prefix, s))[0]
+        alone = [run_stage(model, batch, stage, arrays_before(prefix, s))
                  for s, stage in enumerate(forward_stages(model))]
     finally:
         live.flat[entries[name]] = saved
@@ -530,15 +538,46 @@ def test_overflowing_layer_norm_names_an_idless_molecule_by_its_index():
 
 def test_nonfinite_attention_logits_name_their_layer(mixed):
     """An infinite query weight makes its layer's attention logits
-    non-finite; the forward's error names that layer's stage, and the
-    NumericError of attend_fwd is its cause."""
+    non-finite for every molecule; the forward's error names the first
+    molecule and that layer's stage, and the NumericError of attend_fwd is
+    its cause. No earlier stage output is non-finite, so none is named."""
     for i in range(2):
         model = init_model(ModelConfig(**TINY, seed=14))
         model.layers[i].wq.flat[0] = np.inf
         with np.errstate(invalid="ignore"), pytest.raises(
-                NumericError, match=f"^layer {i}: non-finite attention logits$") as caught:
+                NumericError, match=f"^molecule {mixed[0][0].id}: layer {i}: "
+                                    "non-finite attention logits$") as caught:
             forward_batch(model, prepare_batch(mixed[0]))
         assert isinstance(caught.value.__cause__, NumericError)
+
+
+def test_overflowing_kernel_names_its_molecule_and_the_encoder():
+    """Coordinates scaled by 1e150 are finite, but det(M) and MMᵀ overflow
+    in kernel_fwd, so the second molecule's h_k holds NaN. The first check
+    to fire is layer 0's on the attention logits; the error names that
+    molecule and the encoder, its first non-finite stage output."""
+    mols = [m for m, _ in gen_rs(SyntheticSpec(count=3, seed=0))]
+    mols[1] = replace(mols[1], coords=mols[1].coords * 1e150).validate()
+    with np.errstate(over="ignore", invalid="ignore"), pytest.raises(
+            NumericError, match=f"^molecule {mols[1].id}: layer 0: non-finite attention "
+                                "logits, first non-finite stage output: encoder$"):
+        forward_batch(init_model(TINY_CONFIG), prepare_batch(mols))
+
+
+def test_nonfinite_chirality_matrix_names_its_molecule():
+    """Atoms at +-1.5e308 are finite, so validate passes them, but their
+    unit's chirality matrix is not. kernel_fwd gives the unit's row, 2
+    after a two-unit molecule, and the kernel stage maps it to molecule 1."""
+    mols = [m for m, _ in gen_rs(SyntheticSpec(count=4, seed=0))]
+    unit = mols[2].chiral_units[0]
+    coords = mols[2].coords.copy()
+    coords[unit.center_atoms[0]], coords[unit.related[0]] = 1.5e308, -1.5e308
+    batch = [tile_molecules(mols[:2]), replace(mols[2], coords=coords).validate(), mols[3]]
+    with np.errstate(over="ignore", invalid="ignore"), pytest.raises(
+            NumericError, match=f"^molecule {mols[2].id}: encoder: chirality matrices "
+                                "contain non-finite values$") as caught:
+        forward_batch(init_model(TINY_CONFIG), prepare_batch(batch))
+    assert (caught.value.__cause__.row, caught.value.__cause__.__cause__.row) == (1, 2)
 
 
 def test_nonfinite_stage_is_the_named_molecules(mixed):

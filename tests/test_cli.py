@@ -1,6 +1,7 @@
 import os
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -312,6 +313,22 @@ class TestEmbedAttn:
         assert lines[1].startswith("canon,keys,")
         weights = [float(x) for x in lines[2].split(",")[2:]]
         assert abs(sum(weights) - 1.0) < 1e-9
+
+    def test_embed_overflowing_kernel_exit_3(self, tmp_path, tiny_ckpt, capsys):
+        # finite coordinates scaled by 1e150 overflow the kernel readout of
+        # the second molecule; the error names it and the encoder
+        mols = gen_rs(SyntheticSpec(count=3, seed=0))
+        scaled = mols[1][0]
+        mols[1] = (replace(scaled, coords=scaled.coords * 1e150), mols[1][1])
+        ds = tmp_path / "ds"
+        write_dataset(mols, ds)
+        capsys.readouterr()
+        with np.errstate(over="ignore", invalid="ignore"):
+            code = main(["embed", "--ckpt", str(tiny_ckpt), str(ds)])
+        captured = capsys.readouterr()
+        assert (code, captured.out) == (3, "")
+        assert captured.err == (f"numeric error: molecule {scaled.id}: layer 0: non-finite "
+                                "attention logits, first non-finite stage output: encoder\n")
 
 
 class TestRotateAxis:

@@ -268,11 +268,11 @@ class Encoded:
         d = {"h_c": d_h_c, "h_r": d_h_r, "h_n": d_h_n}
         grads = {}
         state = self.state
-        for stage, out, cache in reversed(list(zip(ENCODER_STAGES, state.outputs, state.caches))):
-            stage_grads, d_read = stage.backward(self.model, state.batch, cache,
-                                                 {name: d.pop(name) for name in out})
+        for stage, cache in reversed(list(zip(ENCODER_STAGES, state.caches))):
+            stage_grads, *d_read = stage.backward(self.model, state.batch, cache,
+                                                  *(d.pop(name) for name in stage.writes))
             grads.update(stage_grads)
-            for name, g in d_read.items():
+            for name, g in zip(stage.reads, d_read, strict=True):
                 d[name] = d.get(name, 0.0) + g
         assert d == {}, "an encoder stage read an array no encoder stage wrote"
         return EncoderParams(kernels=grads["encoder.kernel"], proj_c=grads["encoder.proj_c"],

@@ -21,7 +21,7 @@ from chiraldet.gradcheck import (
     _rank_loss_instance,
     block_rng,
 )
-from chiraldet.model import forward_batch, named_parameters, stage_outputs
+from chiraldet.model import forward_batch, named_parameters
 from oracles import batch_loss, finite_diff_grad
 
 INSTANCES = {"model.full_loss": _full_loss_instance, "model.rank_loss": _rank_loss_instance}
@@ -80,15 +80,15 @@ def audit_instance(block, seed=1):
 @pytest.mark.parametrize("block", list(INSTANCES))
 def test_repeated_batch_gives_every_copy_the_bytes_of_the_batch(block):
     model, mols, *_ = audit_instance(block)
-    alone = stage_outputs(forward_batch(model, prepare_batch(mols)))
+    state = forward_batch(model, prepare_batch(mols))
     n = len(mols)
     for k in range(1, AUDIT_CHUNK + 1):
-        repeated = stage_outputs(forward_batch(model, prepare_batch(mols * k)))
-        for outputs, outputs_k in zip(alone, repeated, strict=True):
-            for (name, a), (_, a_k) in zip(outputs, outputs_k, strict=True):
+        repeated = forward_batch(model, prepare_batch(mols * k)).outputs
+        for stage, outputs, outputs_k in zip(state.stages, state.outputs, repeated, strict=True):
+            for a, a_k in zip(outputs.values(), outputs_k.values(), strict=True):
                 for j in range(k):
                     assert a_k[j * n : (j + 1) * n].tobytes() == a.tobytes(), (
-                        f"{name} output of copy {j} of {k} differs from the batch alone: "
+                        f"{stage.name} output of copy {j} of {k} differs from the batch alone: "
                         f"the audit oracle stacks up to AUDIT_CHUNK = {AUDIT_CHUNK} "
                         "evaluation points per forward and assumes BLAS rounds each "
                         "row of a product alike whatever rows are stacked with it"
