@@ -9,6 +9,8 @@ the numbers alone must reproduce byte for byte, into OUT_DIR:
 - the `embed` and `attn` CSVs of that set and the `rotate-axis` CSV of
   `data.toy_axial_molecule()`, written to `axial_toy.chimol`;
 - a `gen` axial set and the `rotate-axis` stdout of its first molecule;
+- the exit-3 `embed` of `data_overflow`, a written 3-molecule rs set
+  whose second molecule's coordinates are scaled by 1e150;
 - `audit_vectors.out`: per seed 1, 2, 3 and 7 and per audit block, the
   sha256 of the oracle's numeric vector, the sha256 of the analytic
   vector and the evaluation count, computed in this process;
@@ -34,6 +36,7 @@ import hashlib
 import os
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import chiraldet
@@ -44,6 +47,7 @@ from chiraldet.data import (
     tile_molecules,
     toy_axial_molecule,
     write,
+    write_dataset,
 )
 from chiraldet.encoder import prepare_batch
 from chiraldet.gradcheck import _CHECKS, BLOCKS, TINY_CONFIG, _oracle, block_rng
@@ -73,6 +77,7 @@ STEPS = (
                    "--out", "data_axial"]),
     ("rotate_axis_gen", ["rotate-axis", "data_axial/ax00000.chimol", "--ckpt",
                          "run/model.ckpt"]),
+    ("embed_overflow", ["embed", "--ckpt", "run/model.ckpt", "data_overflow"]),
 )
 
 
@@ -96,6 +101,15 @@ def audit_vectors() -> str:
 
 
 CONFIGS = (("tiny", TINY_CONFIG), ("default", ModelConfig()))
+
+
+def overflow_set() -> list:
+    """Three gen_rs molecules, the second with its coordinates scaled by
+    1e150, so its kernel readout overflows."""
+    mols = gen_rs(SyntheticSpec(count=3, seed=0))
+    mol, label = mols[1]
+    mols[1] = (replace(mol, coords=mol.coords * 1e150), label)
+    return mols
 
 
 def mixed_batch() -> list:
@@ -140,6 +154,7 @@ def main():
     out_dir = Path(ap.parse_args().out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     write(toy_axial_molecule(), out_dir / "axial_toy.chimol")
+    write_dataset(overflow_set(), out_dir / "data_overflow")
     # absolute, since the commands run from OUT_DIR
     env = {**os.environ, "PYTHONPATH": str(Path(chiraldet.__file__).resolve().parents[1])}
     for name, argv in STEPS:

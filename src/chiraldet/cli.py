@@ -389,7 +389,10 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        # an overflow is reported by the finiteness checks, which name the
+        # molecule, so numpy's warnings would only repeat it on stderr
+        with np.errstate(over="ignore", invalid="ignore"):
+            return args.func(args)
     except FileNotFoundError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT_ERROR

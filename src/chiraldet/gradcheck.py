@@ -92,12 +92,13 @@ def flatten(*items) -> np.ndarray:
     return np.concatenate([a.ravel() for item in items for a in _arrays(item)])
 
 
-# evaluation points per chunk of _oracle. A model block stacks a chunk's
-# points in one forward: stacks of 8 and of 16 kept every audited gradient
-# byte-identical to a forward per point; at 32 a feed-forward product of
-# the stacked rows took another BLAS kernel and rounded differently, and 8
-# ran as fast as 32
-AUDIT_CHUNK = 8
+# evaluation points per chunk of _oracle. A model block reruns, stacked,
+# only the stages a moved array reaches (rerun_stages), so the only
+# projector product over stacked rows is proj_c's, after a kernel point.
+# Stacks of 16 keep every audited gradient byte-identical to a forward per
+# point; at 32 the feed-forward's second product over 192 stacked rows
+# takes another OpenBLAS kernel and rounds differently
+AUDIT_CHUNK = 16
 
 
 def _unchanged(name, kept):
@@ -225,28 +226,50 @@ def _check_attention_layer(rng, config: ModelConfig):
 
     The loss is (w_out * h_c_out).sum() + (w_bias * bias_out).sum() of the
     whole layer, attend_fwd then feed_forward_fwd. A feed-forward leaf
-    moves neither u nor bias_out, so its points run feed_forward_fwd
-    alone on u at the starting point."""
+    moves neither u nor bias_out, so its at_point runs feed_forward_fwd
+    alone on u at the starting point and keeps that loss. An attention
+    leaf's at_point keeps (u, bias_out) of its own attend_fwd, and an
+    input's keeps the moved input; finish runs what follows once per chunk
+    over the k copies stacked on the molecule axis, an input chunk one
+    attend_fwd and every chunk one feed_forward_fwd, and adds each copy's
+    two sums as a point alone would."""
     layer = init_layer(rng, 8, 2)
     mask = BatchMask.of_counts([1, 0, 0], [2, 0, 0], [1, 2, 0])
     inputs = [rng.standard_normal(s) for s in ((3, 2, 8), (3, 2, 8), (3, 2, 8), (3, 2, 4, 2))]
     w_out = rng.standard_normal((3, 2, 8))
     w_bias = rng.standard_normal((3, 2, 4, 2))
-    arrays = _leaves(layer) + list(zip(("h_c_in", "h_r", "h_n", "bias_in"), inputs))
+    input_names = ("h_c_in", "h_r", "h_n", "bias_in")
+    arrays = _leaves(layer) + list(zip(input_names, inputs))
     u0, bias0, _, attend_cache = attend_fwd(layer, *inputs, mask)
     ff_grads, d_u = feed_forward_bwd(layer, feed_forward_fwd(layer, u0)[1], w_out)
     grads, *d_inputs = attend_bwd(layer, attend_cache, d_u, w_bias)
     analytic = flatten(LayerParams(**grads, **ff_grads, n_heads=layer.n_heads), *d_inputs)
 
+    def loss(h_c_out, bias_out):
+        return float(sum((w * out).sum() for w, out in zip((w_out, w_bias), (h_c_out, bias_out))))
+
     def at_point(name, live):
         if name in FEED_FORWARD_LEAVES:
-            u, bias = u0, bias0
-        else:
-            u, bias, _, _ = attend_fwd(layer, *inputs, mask)
-        outs = (feed_forward_fwd(layer, u)[0], bias)
-        return float(sum((w * out).sum() for w, out in zip((w_out, w_bias), outs)))
+            return loss(feed_forward_fwd(layer, u0)[0], bias0)
+        if name in input_names:
+            return live.copy()
+        return attend_fwd(layer, *inputs, mask)[:2]
 
-    return arrays, analytic, at_point, _unchanged
+    def finish(name, kept):
+        if name in FEED_FORWARD_LEAVES:
+            return kept
+        k, n = len(kept), len(u0)
+        if name in input_names:
+            stacked = [np.concatenate(kept if input_name == name else [a] * k)
+                       for input_name, a in zip(input_names, inputs)]
+            u, bias, _, _ = attend_fwd(layer, *stacked, BatchMask(
+                *(np.concatenate([m] * k) for m in (mask.queries, mask.keys))))
+        else:
+            u, bias = (np.concatenate(a) for a in zip(*kept))
+        h_c = feed_forward_fwd(layer, u)[0]
+        return [loss(h_c[j * n : (j + 1) * n], bias[j * n : (j + 1) * n]) for j in range(k)]
+
+    return arrays, analytic, at_point, finish
 
 
 def _check_predictor(rng, config: ModelConfig):
@@ -254,6 +277,24 @@ def _check_predictor(rng, config: ModelConfig):
     x = rng.standard_normal((3, 8))
     return _probe(_leaves(mlp) + [("x", x)], lambda: mlp2_fwd(mlp, x), partial(mlp2_bwd, mlp),
                   rng.standard_normal((3, 2)))
+
+
+def rerun_stages(stages) -> list[tuple]:
+    """Per stage s of a stage table, the indices of the later stages that
+    read an array s wrote, directly or through another such stage: what a
+    move of s's parameters reaches. A name that a stage outside the set
+    rewrites no longer carries the move."""
+    reruns = []
+    for s, stage in enumerate(stages):
+        moved, rerun = set(stage.writes), []
+        for t in range(s + 1, len(stages)):
+            if moved.intersection(stages[t].reads):
+                rerun.append(t)
+                moved |= set(stages[t].writes)
+            else:
+                moved -= set(stages[t].writes)
+        reruns.append(tuple(rerun))
+    return reruns
 
 
 def _model_points(model, mols, objective, reg_weight: float, names):
@@ -264,47 +305,67 @@ def _model_points(model, mols, objective, reg_weight: float, names):
     at_point runs only the stage s that reads the moved array
     (parameter_stage), on the θ0 arrays s reads, and keeps its output and
     the rank penalty at the point, which only the kernel slices move.
-    finish runs the stages after s once per chunk of k points, without
-    caches, over prepare_batch(mols * k), whose copies are padded as the
-    batch is. It stacks along the molecule axis only what a later stage
-    or the objective reads: the k kept outputs of s and the θ0 arrays of
-    earlier stages, repeated k times. One objective call scores the k
-    copies' logits, each with the loss batch_step would give, so every
-    numeric gradient is byte-identical to a full forward per point.
+    finish reruns, once per chunk of k points and without caches, only the
+    stages the move reaches (rerun_stages), over prepare_batch(mols * k),
+    whose copies are padded as the batch is. A rerun stage reads the
+    stacked k outputs of s or of an earlier rerun stage where one of those
+    wrote the array last, and otherwise the θ0 array, repeated k times
+    once per (writing stage, name, k) and reused. One objective call
+    scores the k copies' logits, each with the loss batch_step would
+    give, so every numeric gradient is byte-identical to a full forward
+    per point.
     """
     batch = prepare_batch(mols)
     stages = forward_stages(model)
-    # read_after[s]: the names a later stage or the objective reads before a rewrite
-    read_after, read = [], {"logits"}
-    for stage in reversed(stages):
-        read_after.insert(0, read)
-        read = read - set(stage.writes) | set(stage.reads)
-    inputs, carried, latest = [], [], {}
-    for stage, out, needed in zip(stages, forward_batch(model, batch).outputs, read_after):
-        inputs.append([latest[n] for n in stage.reads])
-        carried.append({n: a for n, a in latest.items() if n in needed and n not in stage.writes})
-        latest.update(out)
+    reruns = rerun_stages(stages)
+    # writer[t]: the stage whose array of each name stage t reads; the
+    # objective, t = len(stages), reads the logits
+    writer, latest = [], {}
+    for t, stage in enumerate(stages):
+        writer.append({n: latest[n] for n in stage.reads})
+        latest.update((n, t) for n in stage.writes)
+    writer.append({"logits": latest["logits"]})
+    # stacked[s]: the names of s's outputs that a rerun stage or the objective reads
+    stacked = [{n for t in (*reruns[s], len(stages)) for n, w in writer[t].items() if w == s}
+               for s in range(len(stages))]
+    outputs = forward_batch(model, batch).outputs
     penalty0 = rank_penalty(model, reg_weight)
     stage = {name: parameter_stage(model, name) for name in names}
-    repeated = {}  # k -> prepare_batch(mols * k)
+    repeated, tiled = {}, {}  # k -> prepare_batch(mols * k); (w, n, k) -> θ0 array repeated
+
+    def reads(s, t, k, moved):
+        """The arrays stage t, or the objective, reads in a chunk of k
+        points of stage s."""
+        out = []
+        for n, w in writer[t].items():
+            if w == s or w in reruns[s]:
+                out.append(moved[n])
+                continue
+            if (w, n, k) not in tiled:
+                tiled[w, n, k] = np.concatenate([outputs[w][n]] * k)
+            out.append(tiled[w, n, k])
+        return out
 
     def at_point(name, live):
         # rank_penalty reads the kernel slices alone
         penalty = rank_penalty(model, reg_weight) if live is model.encoder.kernels.w else penalty0
-        return stages[stage[name]].forward(model, batch, *inputs[stage[name]])[:-1], penalty
+        s = stage[name]
+        *written, _ = stages[s].forward(model, batch,
+                                        *(outputs[w][n] for n, w in writer[s].items()))
+        return written, penalty
 
     def finish(name, kept):
         outs, penalties = zip(*kept)
         k, s = len(outs), stage[name]
         if k not in repeated:
             repeated[k] = prepare_batch(mols * k)
-        arrays = {n: np.concatenate([a] * k) for n, a in carried[s].items()}
-        arrays.update((n, np.concatenate(a)) for n, *a in zip(stages[s].writes, *outs)
-                      if n in read_after[s])
-        for later in stages[s + 1:]:
-            *written, _ = later.forward(model, repeated[k], *(arrays[n] for n in later.reads))
-            arrays.update(zip(later.writes, written, strict=True))
-        losses = objective(arrays["logits"].reshape(k, len(mols), -1))[0]
+        moved = {n: np.concatenate(a) for n, *a in zip(stages[s].writes, *outs)
+                 if n in stacked[s]}
+        for t in reruns[s]:
+            *written, _ = stages[t].forward(model, repeated[k], *reads(s, t, k, moved))
+            moved.update(zip(stages[t].writes, written, strict=True))
+        logits, = reads(s, len(stages), k, moved)
+        losses = objective(logits.reshape(k, len(mols), -1))[0]
         return [loss + penalty for loss, penalty in zip(losses, penalties)]
 
     arrays = [(name, live) for name, live in named_parameters(model) if name in names]

@@ -330,6 +330,20 @@ class TestEmbedAttn:
         assert captured.err == (f"numeric error: molecule {scaled.id}: layer 0: non-finite "
                                 "attention logits, first non-finite stage output: encoder\n")
 
+    def test_embed_overflow_writes_one_stderr_line(self, tmp_path, tiny_ckpt):
+        # as a process, so numpy's RuntimeWarnings would reach stderr
+        mols = gen_rs(SyntheticSpec(count=3, seed=0))
+        scaled = mols[1][0]
+        mols[1] = (replace(scaled, coords=scaled.coords * 1e150), mols[1][1])
+        write_dataset(mols, tmp_path / "ds")
+        proc = subprocess.run([sys.executable, "-m", "chiraldet.cli", "embed", "--ckpt",
+                               str(tiny_ckpt), str(tmp_path / "ds")],
+                              env={**os.environ, "PYTHONPATH": str(SRC)},
+                              capture_output=True, text=True, timeout=120)
+        assert (proc.returncode, proc.stdout) == (3, "")
+        assert proc.stderr == (f"numeric error: molecule {scaled.id}: layer 0: non-finite "
+                               "attention logits, first non-finite stage output: encoder\n")
+
 
 class TestRotateAxis:
     def test_sweep_rows_and_arcs(self, tmp_path, tiny_ckpt, capsys):

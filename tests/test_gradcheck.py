@@ -1,14 +1,18 @@
 """The audit oracle, _oracle: every block's numeric gradient keeps the
 bytes of finite_diff_grad, one evaluation per point. In a model-level
-block, evaluation points run their own stage one at a time and the later
-stages stacked, AUDIT_CHUNK points per forward."""
+block, evaluation points run their own stage one at a time, and each
+chunk of AUDIT_CHUNK points reruns, stacked in one forward, only the
+later stages the moved array reaches (rerun_stages). The attention.layer
+block stacks a chunk's points in one feed_forward_fwd, and an input
+chunk's in one attend_fwd too."""
 
 import numpy as np
 import pytest
 
 import chiraldet.gradcheck
 import chiraldet.model
-from chiraldet.encoder import prepare_batch
+from chiraldet.attention import LayerParams, attend_fwd, feed_forward_fwd, init_layer
+from chiraldet.encoder import BatchMask, prepare_batch
 from chiraldet.errors import NumericError
 from chiraldet.gradcheck import (
     _CHECKS,
@@ -20,12 +24,14 @@ from chiraldet.gradcheck import (
     _oracle,
     _rank_loss_instance,
     block_rng,
+    rerun_stages,
 )
-from chiraldet.model import forward_batch, named_parameters
+from chiraldet.model import Stage, _leaves, forward_batch, named_parameters, parameter_stage
 from oracles import batch_loss, finite_diff_grad
 
 INSTANCES = {"model.full_loss": _full_loss_instance, "model.rank_loss": _rank_loss_instance}
-SMALL_BLOCKS = [b for b in BLOCKS if b not in INSTANCES]
+# attention.layer's at_point is not its loss: its finish stacks a chunk
+SMALL_BLOCKS = [b for b in BLOCKS if b not in INSTANCES and b != "attention.layer"]
 
 
 @pytest.mark.parametrize("block", SMALL_BLOCKS)
@@ -47,6 +53,48 @@ def test_oracle_matches_finite_diff_grad_on_small_blocks(block):
             expect.append(finite_diff_grad(loss_at, theta0))
         finally:
             live[...] = theta0.reshape(live.shape)
+    assert numeric.tobytes() == np.concatenate(expect).tobytes()
+
+
+def test_layer_oracle_matches_a_whole_layer_per_point():
+    """Byte for byte against finite_diff_grad over the whole layer,
+    attend_fwd then feed_forward_fwd, run at every point alone: the
+    attention.layer block's chunks keep the bytes of one layer per point."""
+    arrays, analytic, at_point, finish = _CHECKS["attention.layer"](
+        block_rng("attention.layer", 1), TINY_CONFIG)
+    numeric = _oracle(arrays, at_point, finish)
+    assert numeric.size == analytic.size == sum(live.size for _, live in arrays)
+    # the block's draws, replayed for the weights of its loss
+    rng = block_rng("attention.layer", 1)
+    replayed = init_layer(rng, 8, 2)
+    inputs = [rng.standard_normal(s) for s in ((3, 2, 8), (3, 2, 8), (3, 2, 8), (3, 2, 4, 2))]
+    w_out, w_bias = rng.standard_normal((3, 2, 8)), rng.standard_normal((3, 2, 4, 2))
+    live = dict(arrays)
+    assert all(live[n].tobytes() == a.tobytes()
+               for n, a in _leaves(replayed) + list(zip(("h_c_in", "h_r", "h_n", "bias_in"),
+                                                        inputs)))
+    # the block's live arrays, so moving one moves this layer too
+    layer = LayerParams(**{n: live[n] for n, _ in _leaves(replayed)}, n_heads=2)
+    mask = BatchMask.of_counts([1, 0, 0], [2, 0, 0], [1, 2, 0])
+
+    def whole_layer():
+        u, bias_out, _, _ = attend_fwd(layer, live["h_c_in"], live["h_r"], live["h_n"],
+                                       live["bias_in"], mask)
+        outs = (feed_forward_fwd(layer, u)[0], bias_out)
+        return float(sum((w * out).sum() for w, out in zip((w_out, w_bias), outs)))
+
+    expect = []
+    for name, a in arrays:
+        theta0 = a.flatten()
+
+        def loss_at(theta):
+            a[...] = theta.reshape(a.shape)
+            return whole_layer()
+
+        try:
+            expect.append(finite_diff_grad(loss_at, theta0))
+        finally:
+            a[...] = theta0.reshape(a.shape)
     assert numeric.tobytes() == np.concatenate(expect).tobytes()
 
 
@@ -79,28 +127,64 @@ def audit_instance(block, seed=1):
 
 @pytest.mark.parametrize("block", list(INSTANCES))
 def test_repeated_batch_gives_every_copy_the_bytes_of_the_batch(block):
-    model, mols, *_ = audit_instance(block)
+    """Every stage that finish reruns for an audited parameter, run over
+    prepare_batch(mols * k) on its θ0 reads repeated k times, gives each
+    copy the bytes of the batch alone, for k = 1 ... AUDIT_CHUNK."""
+    model, mols, _, _, names = audit_instance(block)
     state = forward_batch(model, prepare_batch(mols))
+    reruns = rerun_stages(state.stages)
+    rerun = {t for name in names for t in reruns[parameter_stage(model, name)]}
+    # the queries stage (after a kernel point), every layer stage and the head
+    assert rerun == {1, *range(5, len(state.stages))}
     n = len(mols)
     for k in range(1, AUDIT_CHUNK + 1):
-        repeated = forward_batch(model, prepare_batch(mols * k)).outputs
-        for stage, outputs, outputs_k in zip(state.stages, state.outputs, repeated, strict=True):
-            for a, a_k in zip(outputs.values(), outputs_k.values(), strict=True):
-                for j in range(k):
-                    assert a_k[j * n : (j + 1) * n].tobytes() == a.tobytes(), (
-                        f"{stage.name} output of copy {j} of {k} differs from the batch alone: "
-                        f"the audit oracle stacks up to AUDIT_CHUNK = {AUDIT_CHUNK} "
-                        "evaluation points per forward and assumes BLAS rounds each "
-                        "row of a product alike whatever rows are stacked with it"
-                    )
+        batch_k = prepare_batch(mols * k)
+        latest = {}  # the θ0 array of each name
+        for t, (stage, outputs) in enumerate(zip(state.stages, state.outputs, strict=True)):
+            if t in rerun:
+                *written, _ = stage.forward(model, batch_k, *(np.concatenate([latest[r]] * k)
+                                                              for r in stage.reads))
+                for a, a_k in zip(outputs.values(), written, strict=True):
+                    for j in range(k):
+                        assert a_k[j * n : (j + 1) * n].tobytes() == a.tobytes(), (
+                            f"{stage.name} output of copy {j} of {k} differs from the batch "
+                            f"alone: the audit oracle stacks up to AUDIT_CHUNK = {AUDIT_CHUNK} "
+                            "evaluation points per rerun stage and assumes BLAS rounds each "
+                            "row of a product alike whatever rows are stacked with it"
+                        )
+            latest.update(outputs)
+
+
+def test_rerun_stages_of_the_model_table(full_loss):
+    """A move reaches the queries from the kernel, the first layer from
+    every encoder and pair-bias stage, and from a layer stage everything
+    after it; no encoder stage reaches another projector or the pair bias."""
+    model = full_loss[0]
+    layers = tuple(range(5, 10))
+    assert rerun_stages(chiraldet.model.forward_stages(model)) == [
+        (1, *layers), layers, layers, layers, layers, layers[1:], layers[2:], layers[3:],
+        layers[4:], (),
+    ]
+
+
+def test_rerun_stages_drop_a_name_a_skipped_stage_rewrites():
+    """x moved by stage 0 reaches stage 2, but stage 3, which reads
+    nothing moved, rewrites x, so stage 4 reads x at θ0; stage 5 reads z,
+    which stage 2 wrote from the moved x."""
+    table = [Stage(str(t), (), reads, writes, None, None) for t, (reads, writes) in enumerate([
+        ((), ("x",)), ((), ("y",)), (("x", "y"), ("z",)), ((), ("x",)), (("x",), ("w",)),
+        (("z",), ("v",)),
+    ])]
+    assert rerun_stages(table) == [(2, 5), (2, 5), (5,), (4,), (), ()]
 
 
 @pytest.mark.parametrize("block", list(INSTANCES))
 def test_chunked_oracle_matches_a_full_forward_per_point(block):
     """Byte for byte against finite_diff_grad over batch_loss, which runs
-    every stage at every point: in every audited array, its first and last
-    five entries, so the points that cross from the first chunk into the
-    second and those of the last chunk, short or not."""
+    every stage at every point: in every audited array, its first
+    AUDIT_CHUNK // 2 + 1 and last five entries, so the points that cross
+    from the first chunk into the second and those of the last chunk,
+    short or not."""
     model, mols, objective, reg_weight, names = audit_instance(block)
     arrays, at_point, finish = _model_points(model, mols, objective, reg_weight, names)
     numeric = _oracle(arrays, at_point, finish)
@@ -112,7 +196,8 @@ def test_chunked_oracle_matches_a_full_forward_per_point(block):
     offset = 0
     for name, live in arrays:
         theta0 = live.flatten()
-        picked = np.unique(np.r_[0 : min(5, live.size), max(0, live.size - 5) : live.size])
+        picked = np.unique(np.r_[0 : min(AUDIT_CHUNK // 2 + 1, live.size),
+                                 max(0, live.size - 5) : live.size])
 
         def loss_at(theta):
             live.flat[picked] = theta
@@ -159,22 +244,23 @@ def test_stacked_prefix_resumes_to_the_bytes_of_each_point(full_loss, name):
 
 
 def test_nonfinite_evaluation_names_its_coordinate(full_loss):
-    """The 12th evaluation of head.w1, the minus point of its coordinate 5
+    """The 28th evaluation of head.w1, the minus point of its coordinate 13
     in the second chunk, is NaN; the array is restored after the error.
     The objective scores each chunk's stacked copies in one call."""
     model, mols, objective, reg_weight, _ = full_loss
     scored = []  # one entry per evaluation
+    assert AUDIT_CHUNK < 28 <= 2 * AUDIT_CHUNK
 
-    def nan_at_evaluation_12(logits):
+    def nan_at_evaluation_28(logits):
         losses, d_logits, n_correct = objective(logits)
-        losses = [float("nan") if len(scored) + j == 11 else loss
+        losses = [float("nan") if len(scored) + j == 27 else loss
                   for j, loss in enumerate(losses)]
         scored.extend(losses)
         return losses, d_logits, n_correct
 
     saved = model.head.w1.copy()
-    with pytest.raises(NumericError, match="^non-finite evaluation at coordinate 5$"):
-        _oracle(*_model_points(model, mols, nan_at_evaluation_12, reg_weight, {"head.w1"}))
+    with pytest.raises(NumericError, match="^non-finite evaluation at coordinate 13$"):
+        _oracle(*_model_points(model, mols, nan_at_evaluation_28, reg_weight, {"head.w1"}))
     assert len(scored) == 2 * saved.size
     assert np.array_equal(model.head.w1, saved)
 
@@ -207,3 +293,46 @@ def test_a_feed_forward_point_runs_no_attention(full_loss, monkeypatch, name):
     at_point(name, dict(named_parameters(model))[name])
     layer_point(leaf, dict(arrays)[leaf])
     assert len(calls) == (2 if name.endswith(".wq") else 0)
+
+
+@pytest.mark.parametrize("name", ["encoder.kernel.w", "encoder.proj_c.w1", "encoder.proj_r.b1",
+                                  "encoder.proj_n.w2", "layers.1.wq", "layers.1.ln1_gamma"])
+def test_a_chunk_reruns_only_the_stages_its_point_reaches(full_loss, monkeypatch, name):
+    """One chunk of AUDIT_CHUNK points: an encoder point runs no pair
+    bias, a proj_r point no projector after its own at_points, and a
+    layers.1 point no stage of layer 0."""
+    model, mols, objective, reg_weight, _ = full_loss
+    arrays, at_point, finish = _model_points(model, mols, objective, reg_weight, {name})
+    calls = []  # (function name, its first argument), in call order
+
+    for fn in ("kernel_fwd", "mlp2_fwd", "pair_bias_fwd", "attend_fwd", "feed_forward_fwd"):
+        def recorded(first, *rest, fn=fn, run=getattr(chiraldet.model, fn)):
+            calls.append((fn, first))
+            return run(first, *rest)
+
+        monkeypatch.setattr(chiraldet.model, fn, recorded)
+    live = dict(arrays)[name]
+    saved = live.flat[0]
+    kept = []
+    try:
+        for j in range(AUDIT_CHUNK):
+            live.flat[0] = saved + (j + 1) * 1e-3
+            kept.append(at_point(name, live))
+    finally:
+        live.flat[0] = saved
+    at_points = calls[:]
+    finish(name, kept)
+    finished = calls[len(at_points):]
+    encoder = model.encoder
+    projectors = [encoder.proj_c, encoder.proj_r, encoder.proj_n]
+    assert len(at_points) == AUDIT_CHUNK
+    if name.startswith("encoder."):
+        assert all(fn != "pair_bias_fwd" for fn, _ in calls)
+    if name.startswith("encoder.proj_r"):
+        assert at_points == [("mlp2_fwd", encoder.proj_r)] * AUDIT_CHUNK
+        assert not any(fn == "mlp2_fwd" and any(first is p for p in projectors)
+                       for fn, first in finished)
+    if name.startswith("layers.1."):
+        assert not any(first is model.layers[0] for _, first in calls)
+    # every chunk ends in the head, once
+    assert finished[-1] == ("mlp2_fwd", model.head)
