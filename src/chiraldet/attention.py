@@ -240,7 +240,12 @@ def feed_forward_fwd(layer: LayerParams, u):
     """The feed-forward half of one layer: ln1, the feed-forward with its
     residual, then ln2, row by row over attend_fwd's u (B, Q, h); returns
     (h_c_out, cache), h_c_out shaped as u. A layer norm's NumericError
-    comes back with the row of its molecule."""
+    comes back with the row of its molecule.
+
+    Its leaves may carry a leading axis of k copies (mlp2_fwd,
+    layer_norm_rows): h_c_out is then the k copies' outputs concatenated
+    on the molecule axis, (k * B, Q, h), each the bytes of a call with that
+    copy alone. Only the forward takes such copies."""
     n_q, h = u.shape[1:]
     try:
         u_ln, ln1_cache = layer_norm_rows(u.reshape(-1, h), layer.ln1_gamma, layer.ln1_beta)
@@ -248,7 +253,7 @@ def feed_forward_fwd(layer: LayerParams, u):
         out, ln2_cache = layer_norm_rows(u_ln + f, layer.ln2_gamma, layer.ln2_beta)
     except NumericError as exc:
         raise NumericError(str(exc), row=exc.row // n_q) from exc
-    return out.reshape(u.shape), FeedForwardCache(ln1_cache, ff_cache, ln2_cache)
+    return out.reshape(-1, n_q, h), FeedForwardCache(ln1_cache, ff_cache, ln2_cache)
 
 
 def feed_forward_bwd(layer: LayerParams, cache: FeedForwardCache, d_out):

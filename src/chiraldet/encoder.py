@@ -257,10 +257,17 @@ def retract_orthonormal(bank: KernelBank) -> KernelBank:
 
 
 def mlp2_fwd(mlp: Mlp2, x):
+    """The perceptron over the rows of x (n, d_in); returns (out, cache).
+
+    A leaf may carry a leading axis of k copies, (k, *shape) for a weight
+    and (k, 1, n) for a bias, and x may be a (k, n, d_in) stack: out is
+    then (k, n, d_out), and each copy's block is the bytes of the 2-D call
+    with that copy alone, since matmul runs each block's product alone.
+    """
     x = np.asarray(x, dtype=np.float64)
-    z1 = x @ mlp.w1.T + mlp.b1
+    z1 = x @ mlp.w1.swapaxes(-1, -2) + mlp.b1
     cdf = normal_cdf(z1)
-    out = (z1 * cdf) @ mlp.w2.T + mlp.b2
+    out = (z1 * cdf) @ mlp.w2.swapaxes(-1, -2) + mlp.b2
     return out, (x, z1, cdf)
 
 

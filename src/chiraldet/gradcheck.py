@@ -54,6 +54,7 @@ from .model import (
     forward_stages,
     init_model,
     named_parameters,
+    parameter_slots,
     parameter_stage,
     rank_loss,
     rank_penalty,
@@ -99,6 +100,19 @@ def flatten(*items) -> np.ndarray:
 # point; at 32 the feed-forward's second product over 192 stacked rows
 # takes another OpenBLAS kernel and rounds differently
 AUDIT_CHUNK = 16
+
+
+def _stacked_call(holder, field, copies, run):
+    """run() with the k arrays of `copies` stacked into holder.field on a
+    leading axis, a vector's as (k, 1, n) so that it broadcasts over rows;
+    the leaf is restored after, also when run raises."""
+    live = getattr(holder, field)
+    stack = np.stack(copies)
+    setattr(holder, field, stack[:, None] if live.ndim == 1 else stack)
+    try:
+        return run()
+    finally:
+        setattr(holder, field, live)
 
 
 def _unchanged(name, kept):
@@ -225,14 +239,15 @@ def _check_attention_layer(rng, config: ModelConfig):
     reach the emitted logits, so their gradients are audited as well.
 
     The loss is (w_out * h_c_out).sum() + (w_bias * bias_out).sum() of the
-    whole layer, attend_fwd then feed_forward_fwd. A feed-forward leaf
-    moves neither u nor bias_out, so its at_point runs feed_forward_fwd
-    alone on u at the starting point and keeps that loss. An attention
-    leaf's at_point keeps (u, bias_out) of its own attend_fwd, and an
-    input's keeps the moved input; finish runs what follows once per chunk
-    over the k copies stacked on the molecule axis, an input chunk one
-    attend_fwd and every chunk one feed_forward_fwd, and adds each copy's
-    two sums as a point alone would."""
+    whole layer, attend_fwd then feed_forward_fwd. An attention leaf's
+    at_point keeps (u, bias_out) of its own attend_fwd, and an input's or a
+    feed-forward leaf's keeps a copy of the moved array. finish runs what
+    follows once per chunk: an input chunk one attend_fwd over the k
+    copies stacked on the molecule axis; a feed-forward chunk, which moves
+    neither u nor bias_out, one feed_forward_fwd on u at the starting
+    point with the k copies stacked into the leaf (_stacked_call), and any
+    other chunk one feed_forward_fwd over the k stacked u. It adds each
+    copy's two sums as a point alone would."""
     layer = init_layer(rng, 8, 2)
     mask = BatchMask.of_counts([1, 0, 0], [2, 0, 0], [1, 2, 0])
     inputs = [rng.standard_normal(s) for s in ((3, 2, 8), (3, 2, 8), (3, 2, 8), (3, 2, 4, 2))]
@@ -249,24 +264,24 @@ def _check_attention_layer(rng, config: ModelConfig):
         return float(sum((w * out).sum() for w, out in zip((w_out, w_bias), (h_c_out, bias_out))))
 
     def at_point(name, live):
-        if name in FEED_FORWARD_LEAVES:
-            return loss(feed_forward_fwd(layer, u0)[0], bias0)
-        if name in input_names:
+        if name in FEED_FORWARD_LEAVES or name in input_names:
             return live.copy()
         return attend_fwd(layer, *inputs, mask)[:2]
 
     def finish(name, kept):
-        if name in FEED_FORWARD_LEAVES:
-            return kept
         k, n = len(kept), len(u0)
-        if name in input_names:
-            stacked = [np.concatenate(kept if input_name == name else [a] * k)
-                       for input_name, a in zip(input_names, inputs)]
-            u, bias, _, _ = attend_fwd(layer, *stacked, BatchMask(
-                *(np.concatenate([m] * k) for m in (mask.queries, mask.keys))))
+        if name in FEED_FORWARD_LEAVES:
+            h_c = _stacked_call(layer, name, kept, lambda: feed_forward_fwd(layer, u0)[0])
+            bias = np.concatenate([bias0] * k)
         else:
-            u, bias = (np.concatenate(a) for a in zip(*kept))
-        h_c = feed_forward_fwd(layer, u)[0]
+            if name in input_names:
+                stacked = [np.concatenate(kept if input_name == name else [a] * k)
+                           for input_name, a in zip(input_names, inputs)]
+                u, bias, _, _ = attend_fwd(layer, *stacked, BatchMask(
+                    *(np.concatenate([m] * k) for m in (mask.queries, mask.keys))))
+            else:
+                u, bias = (np.concatenate(a) for a in zip(*kept))
+            h_c = feed_forward_fwd(layer, u)[0]
         return [loss(h_c[j * n : (j + 1) * n], bias[j * n : (j + 1) * n]) for j in range(k)]
 
     return arrays, analytic, at_point, finish
@@ -302,11 +317,14 @@ def _model_points(model, mols, objective, reg_weight: float, names):
     of prepare_batch(mols), in the named live parameters, in
     named_parameters order.
 
-    at_point runs only the stage s that reads the moved array
-    (parameter_stage), on the θ0 arrays s reads, and keeps its output and
-    the rank penalty at the point, which only the kernel slices move.
-    finish reruns, once per chunk of k points and without caches, only the
-    stages the move reaches (rerun_stages), over prepare_batch(mols * k),
+    The stage s that reads the moved array (parameter_stage) runs on the
+    θ0 arrays it reads. If s stacks, at_point keeps a copy of the moved
+    array, and finish runs s once per chunk of k points, with the k copies
+    stacked into the leaf (_stacked_call); otherwise at_point runs s and
+    keeps its output. Either keeps the rank penalty at the point, which
+    only the kernel slices move. finish then reruns, once per chunk and
+    without caches, only the stages the move reaches (rerun_stages), over
+    prepare_batch(mols * k),
     whose copies are padded as the batch is. A rerun stage reads the
     stacked k outputs of s or of an earlier rerun stage where one of those
     wrote the array last, and otherwise the θ0 array, repeated k times
@@ -331,6 +349,8 @@ def _model_points(model, mols, objective, reg_weight: float, names):
     outputs = forward_batch(model, batch).outputs
     penalty0 = rank_penalty(model, reg_weight)
     stage = {name: parameter_stage(model, name) for name in names}
+    slots = {name: (holder, field) for name, holder, field in parameter_slots(model)
+             if name in names}
     repeated, tiled = {}, {}  # k -> prepare_batch(mols * k); (w, n, k) -> θ0 array repeated
 
     def reads(s, t, k, moved):
@@ -346,21 +366,30 @@ def _model_points(model, mols, objective, reg_weight: float, names):
             out.append(tiled[w, n, k])
         return out
 
+    def run_alone(s):
+        """The arrays stage s writes from its θ0 reads."""
+        return stages[s].forward(model, batch, *(outputs[w][n] for n, w in writer[s].items()))[:-1]
+
     def at_point(name, live):
+        s = stage[name]
+        if stages[s].stacks:
+            return live.copy(), penalty0
         # rank_penalty reads the kernel slices alone
         penalty = rank_penalty(model, reg_weight) if live is model.encoder.kernels.w else penalty0
-        s = stage[name]
-        *written, _ = stages[s].forward(model, batch,
-                                        *(outputs[w][n] for n, w in writer[s].items()))
-        return written, penalty
+        return run_alone(s), penalty
 
     def finish(name, kept):
-        outs, penalties = zip(*kept)
-        k, s = len(outs), stage[name]
+        points, penalties = zip(*kept)
+        k, s = len(points), stage[name]
         if k not in repeated:
             repeated[k] = prepare_batch(mols * k)
-        moved = {n: np.concatenate(a) for n, *a in zip(stages[s].writes, *outs)
-                 if n in stacked[s]}
+        if stages[s].stacks:
+            written = _stacked_call(*slots[name], points, partial(run_alone, s))
+            moved = {n: a.reshape(-1, *outputs[s][n].shape[1:])
+                     for n, a in zip(stages[s].writes, written) if n in stacked[s]}
+        else:
+            moved = {n: np.concatenate(a) for n, *a in zip(stages[s].writes, *points)
+                     if n in stacked[s]}
         for t in reruns[s]:
             *written, _ = stages[t].forward(model, repeated[k], *reads(s, t, k, moved))
             moved.update(zip(stages[t].writes, written, strict=True))

@@ -146,22 +146,30 @@ def _leaves(params):
             if isinstance(getattr(params, f.name), np.ndarray)]
 
 
+def parameter_slots(model: ChiralModel):
+    """(name, holder, field) of every tensor, in named_parameters order:
+    the named array is getattr(holder, field), so setattr swaps it."""
+
+    def fields(prefix, params):
+        return [(f"{prefix}.{field}", params, field) for field, _ in _leaves(params)]
+
+    enc = model.encoder
+    yield from fields("encoder.kernel", enc.kernels)
+    yield "encoder.token", enc, "global_token"
+    for tag in ("proj_c", "proj_r", "proj_n"):
+        yield from fields(f"encoder.{tag}", getattr(enc, tag))
+    yield from fields("bias", model.distance_bias)
+    for i, layer in enumerate(model.layers):
+        yield from fields(f"layers.{i}", layer)
+    yield from fields("head", model.head)
+
+
 def named_parameters(model: ChiralModel):
     """Deterministically ordered (name, array) pairs over every tensor. On
     the ChiralModel of gradients that backward_batch returns, each gradient
     comes under its parameter's name."""
-    enc = model.encoder
-    groups = [("encoder.kernel", enc.kernels), ("encoder.token", enc.global_token)]
-    groups += [(f"encoder.{tag}", getattr(enc, tag)) for tag in ("proj_c", "proj_r", "proj_n")]
-    groups += [("bias", model.distance_bias)]
-    groups += [(f"layers.{i}", layer) for i, layer in enumerate(model.layers)]
-    groups += [("head", model.head)]
-    for prefix, params in groups:
-        if isinstance(params, np.ndarray):
-            yield prefix, params
-        else:
-            for name, arr in _leaves(params):
-                yield f"{prefix}.{name}", arr
+    for name, holder, field in parameter_slots(model):
+        yield name, getattr(holder, field)
 
 
 @dataclass
@@ -205,21 +213,31 @@ class Stage(NamedTuple):
     read arrays). Both call what they run (kernel_fwd, mlp2_fwd, ...) by
     module name, so a wrapper set on a module attribute sees every call.
     A group is a named_parameters prefix (`head`) or, for a layer, whose
-    parameters two stages split, a single parameter (`layers.0.wq`)."""
+    parameters two stages split, a single parameter (`layers.0.wq`).
+
+    A stage that `stacks` reads its parameters only through mlp2_fwd,
+    layer_norm_rows or a broadcast add, so forward also takes one leaf
+    with a leading axis of k copies, (k, *shape), or (k, 1, n) for a
+    vector: each array the leaf moves then holds the k copies' outputs in
+    order, on a leading axis or concatenated on the molecule axis, each
+    copy the bytes of a forward with that copy alone. The gradient audit
+    runs a chunk of such points in one call."""
 
     name: str  # what a NumericError calls the stage and its outputs
     groups: tuple  # the named_parameters groups that only this stage reads
     reads: tuple  # names of the arrays forward takes: the latest of each
     writes: tuple  # names of the arrays forward returns
+    stacks: bool  # whether forward takes a leaf stacked with k copies
     forward: Callable
     backward: Callable
 
 
 def _padded(rows, slots, shape) -> np.ndarray:
     """Rows stacked over a batch, placed at their (molecule, slot) index
-    arrays in a zero array of shape + the row width."""
-    out = np.zeros(shape + rows.shape[1:])
-    out[slots] = rows
+    arrays in a zero array of shape + the row width. Leading axes of rows,
+    a (k, n, width) stack, are kept: (k, *shape, width)."""
+    out = np.zeros(rows.shape[:-2] + shape + rows.shape[-1:])
+    out[(..., *slots, slice(None))] = rows
     return out
 
 
@@ -239,12 +257,13 @@ def _kernel_readout_bwd(model, batch, cache, d_h_k):
 
 def _queries(model, batch, h_k):
     """The global token row, then each unit's proj_c row plus its kernel
-    channels."""
+    channels. The token row is selected, not assigned, so that a token of
+    k copies, (k, 1, h), broadcasts as a proj_c leaf of k copies does."""
     rows, cache = mlp2_fwd(model.encoder.proj_c, batch.unit_rows)
     h_c = _padded(rows, batch.unit_slots, batch.mask.queries.shape)
     h_c += h_k
-    h_c[:, 0] = model.encoder.global_token
-    return h_c, cache
+    token_row = (np.arange(h_c.shape[-2]) == 0)[:, None]
+    return np.where(token_row, model.encoder.global_token[..., None, :], h_c), cache
 
 
 def _queries_bwd(model, batch, cache, d_h_c):
@@ -301,9 +320,10 @@ def _layer_stages(i: int) -> tuple:
         return {prefix + leaf: g for leaf, g in grads.items()}, d_u
 
     return (Stage(f"layer {i}", tuple(prefix + leaf for leaf in ATTENTION_LEAVES),
-                  ("h_c", "h_r", "h_n", "bias"), ("u", "bias", "attn"), attend, attend_back),
+                  ("h_c", "h_r", "h_n", "bias"), ("u", "bias", "attn"), False, attend,
+                  attend_back),
             Stage(f"layer {i}", tuple(prefix + leaf for leaf in FEED_FORWARD_LEAVES),
-                  ("u",), ("h_c",), feed_forward, feed_forward_back))
+                  ("u",), ("h_c",), True, feed_forward, feed_forward_back))
 
 
 def _head(model, batch, h_c):
@@ -322,15 +342,18 @@ def _head_bwd(model, batch, cache, d_pooled, d_logits):
 @functools.cache
 def _stage_table(n_layers: int) -> tuple:
     return (
-        Stage("encoder", ("encoder.kernel",), (), ("h_k",), _kernel_readout, _kernel_readout_bwd),
-        Stage("encoder", ("encoder.token", "encoder.proj_c"), ("h_k",), ("h_c",),
+        Stage("encoder", ("encoder.kernel",), (), ("h_k",), False, _kernel_readout,
+              _kernel_readout_bwd),
+        Stage("encoder", ("encoder.token", "encoder.proj_c"), ("h_k",), ("h_c",), True,
               _queries, _queries_bwd),
-        Stage("encoder", ("encoder.proj_r",), (), ("h_r",), _related_keys, _related_keys_bwd),
-        Stage("encoder", ("encoder.proj_n",), (), ("h_n",), _nonchiral_keys,
+        Stage("encoder", ("encoder.proj_r",), (), ("h_r",), True, _related_keys,
+              _related_keys_bwd),
+        Stage("encoder", ("encoder.proj_n",), (), ("h_n",), True, _nonchiral_keys,
               _nonchiral_keys_bwd),
-        Stage("pair bias", ("bias",), (), ("bias",), _pair_bias, _pair_bias_bwd),
+        Stage("pair bias", ("bias",), (), ("bias",), False, _pair_bias, _pair_bias_bwd),
         *(stage for i in range(n_layers) for stage in _layer_stages(i)),
-        Stage("pooling and head", ("head",), ("h_c",), ("pooled", "logits"), _head, _head_bwd),
+        Stage("pooling and head", ("head",), ("h_c",), ("pooled", "logits"), True, _head,
+              _head_bwd),
     )
 
 
@@ -845,9 +868,10 @@ def save_checkpoint(model: ChiralModel, path, adam: AdamState | None = None):
 
 def load_checkpoint(path):
     """Returns (model, adam_state or None). Raises distinct errors for
-    version, truncation, checksum, and shape failures; a shape failure also
-    covers a tensor holding a non-finite value and a negative Adam second
-    moment, either of which no training run writes."""
+    version, truncation, checksum, and shape failures; a version failure
+    also covers a header field out of range, such as a negative step, and
+    a shape failure a tensor holding a non-finite value and a negative Adam
+    second moment, none of which a training run writes."""
     raw = Path(path).read_bytes()
     sep = raw.find(b"\n\n")
     if sep < 0:
@@ -863,6 +887,9 @@ def load_checkpoint(path):
         n_tensors = int(fields["tensors"])
         payload_bytes = int(fields["payload_bytes"])
         step = int(fields["step"])
+        if step < 0:
+            # Adam's bias correction would divide by 1 - beta**0 = 0
+            raise ValueError(f"step must be >= 0, got {step}")
         config = _config_from_header(fields).validate()
     except (KeyError, ValueError) as exc:
         raise CheckpointVersionError(f"bad header field: {exc}") from None

@@ -54,11 +54,16 @@ def layer_norm_rows(x, gamma, beta, eps=1e-5):
     their Python wrappers or var's second centring. A finite row whose
     variance overflows would get inv = 0 and come out as beta, so the first
     raises NumericError with its row; a NaN or an infinity gives NaN.
+
+    x may also be a (k, n, d) stack of row blocks, and gamma and beta
+    (k, 1, d) stacks of k copies: rows reduce along the last axis alone,
+    so each block, and each copy's out, keeps the bytes of its 2-D call.
+    The row an error gives then counts the rows of the blocks in order.
     """
     x = np.asarray(x, dtype=np.float64)
-    d = x.shape[1]
-    xc = x - np.add.reduce(x, axis=1, keepdims=True) / d
-    var = np.add.reduce(xc * xc, axis=1, keepdims=True) / d
+    d = x.shape[-1]
+    xc = x - np.add.reduce(x, axis=-1, keepdims=True) / d
+    var = np.add.reduce(xc * xc, axis=-1, keepdims=True) / d
     inv = 1.0 / np.sqrt(var + eps)
     if not inv.all():
         raise NumericError("layer norm: a row's variance overflows float64",

@@ -529,9 +529,10 @@ class TestCliContract:
          (set_first_value(b"adam.m.head.w1", np.inf),
           "tensor adam.m.head.w1 holds a non-finite value"),
          (set_first_value(b"adam.v.layers.0.wq", -1e-12),
-          "tensor adam.v.layers.0.wq holds a negative second moment")],
+          "tensor adam.v.layers.0.wq holds a negative second moment"),
+         (set_header(b"step=0", b"step=-1"), "bad header field: step must be >= 0, got -1")],
         ids=["d_p=3", "n_heads=0", "beta", "sigma=0", "adam.m", "adam.v", "nan-head",
-             "nan-layer", "inf-adam.m", "negative-adam.v"],
+             "nan-layer", "inf-adam.m", "negative-adam.v", "step=-1"],
     )
     def test_invalid_checkpoint_content_rejected(self, tmp_path, tiny_ckpt, capsys, edit,
                                                  message):

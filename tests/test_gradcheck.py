@@ -1,17 +1,29 @@
 """The audit oracle, _oracle: every block's numeric gradient keeps the
 bytes of finite_diff_grad, one evaluation per point. In a model-level
-block, evaluation points run their own stage one at a time, and each
-chunk of AUDIT_CHUNK points reruns, stacked in one forward, only the
-later stages the moved array reaches (rerun_stages). The attention.layer
-block stacks a chunk's points in one feed_forward_fwd, and an input
-chunk's in one attend_fwd too."""
+block, the points of a stage that stacks run in one call of that stage
+per chunk of AUDIT_CHUNK, their copies of the moved leaf stacked into it;
+other points run their own stage one at a time. Each chunk then reruns,
+stacked in one forward, only the later stages the moved array reaches
+(rerun_stages). The attention.layer block stacks a chunk's points in one
+feed_forward_fwd, a feed-forward chunk's copies into the moved leaf, and
+an input chunk's in one attend_fwd too."""
 
 import numpy as np
 import pytest
 
+import chiraldet.attention
+import chiraldet.encoder
 import chiraldet.gradcheck
 import chiraldet.model
-from chiraldet.attention import LayerParams, attend_fwd, feed_forward_fwd, init_layer
+import chiraldet.numerics
+from chiraldet.attention import (
+    ATTENTION_LEAVES,
+    FEED_FORWARD_LEAVES,
+    LayerParams,
+    attend_fwd,
+    feed_forward_fwd,
+    init_layer,
+)
 from chiraldet.encoder import BatchMask, prepare_batch
 from chiraldet.errors import NumericError
 from chiraldet.gradcheck import (
@@ -23,10 +35,19 @@ from chiraldet.gradcheck import (
     _model_points,
     _oracle,
     _rank_loss_instance,
+    _stacked_call,
     block_rng,
     rerun_stages,
+    run_gradcheck,
 )
-from chiraldet.model import Stage, _leaves, forward_batch, named_parameters, parameter_stage
+from chiraldet.model import (
+    Stage,
+    _leaves,
+    forward_batch,
+    named_parameters,
+    parameter_slots,
+    parameter_stage,
+)
 from oracles import batch_loss, finite_diff_grad
 
 INSTANCES = {"model.full_loss": _full_loss_instance, "model.rank_loss": _rank_loss_instance}
@@ -171,10 +192,11 @@ def test_rerun_stages_drop_a_name_a_skipped_stage_rewrites():
     """x moved by stage 0 reaches stage 2, but stage 3, which reads
     nothing moved, rewrites x, so stage 4 reads x at θ0; stage 5 reads z,
     which stage 2 wrote from the moved x."""
-    table = [Stage(str(t), (), reads, writes, None, None) for t, (reads, writes) in enumerate([
-        ((), ("x",)), ((), ("y",)), (("x", "y"), ("z",)), ((), ("x",)), (("x",), ("w",)),
-        (("z",), ("v",)),
-    ])]
+    table = [Stage(str(t), (), reads, writes, False, None, None)
+             for t, (reads, writes) in enumerate([
+                 ((), ("x",)), ((), ("y",)), (("x", "y"), ("z",)), ((), ("x",)),
+                 (("x",), ("w",)), (("z",), ("v",)),
+             ])]
     assert rerun_stages(table) == [(2, 5), (2, 5), (5,), (4,), (), ()]
 
 
@@ -268,9 +290,10 @@ def test_nonfinite_evaluation_names_its_coordinate(full_loss):
 @pytest.mark.parametrize("name", ["layers.0.ff_w1", "layers.0.ln1_beta", "layers.1.ff_b2",
                                   "layers.1.ln2_gamma", "layers.0.wq"])
 def test_a_feed_forward_point_runs_no_attention(full_loss, monkeypatch, name):
-    """An audit point of a feed-forward or layer-norm leaf runs its layer's
-    feed-forward alone, in the model.full_loss block and in the
-    attention.layer block; a query-weight point runs the attention once."""
+    """An audit point of a feed-forward or layer-norm leaf runs no
+    attention, in the model.full_loss block and in the attention.layer
+    block (its chunk runs the feed-forward once, stacked); a query-weight
+    point runs the attention once."""
     calls = []
 
     def counted(module):
@@ -298,9 +321,11 @@ def test_a_feed_forward_point_runs_no_attention(full_loss, monkeypatch, name):
 @pytest.mark.parametrize("name", ["encoder.kernel.w", "encoder.proj_c.w1", "encoder.proj_r.b1",
                                   "encoder.proj_n.w2", "layers.1.wq", "layers.1.ln1_gamma"])
 def test_a_chunk_reruns_only_the_stages_its_point_reaches(full_loss, monkeypatch, name):
-    """One chunk of AUDIT_CHUNK points: an encoder point runs no pair
-    bias, a proj_r point no projector after its own at_points, and a
-    layers.1 point no stage of layer 0."""
+    """One chunk of AUDIT_CHUNK points: a point of a stage that stacks runs
+    nothing, and finish runs that stage once for the chunk; any other
+    point runs its own stage. An encoder point runs no pair bias, a
+    proj_r chunk no other projector, and a layers.1 point no stage of
+    layer 0."""
     model, mols, objective, reg_weight, _ = full_loss
     arrays, at_point, finish = _model_points(model, mols, objective, reg_weight, {name})
     calls = []  # (function name, its first argument), in call order
@@ -323,16 +348,111 @@ def test_a_chunk_reruns_only_the_stages_its_point_reaches(full_loss, monkeypatch
     at_points = calls[:]
     finish(name, kept)
     finished = calls[len(at_points):]
+    holder = next(h for n, h, _ in parameter_slots(model) if n == name)
+    if chiraldet.model.forward_stages(model)[parameter_stage(model, name)].stacks:
+        assert at_points == []
+        # the moved stage's one call, with the chunk's copies stacked in
+        assert [first is holder for _, first in finished].count(True) == 1
+        assert finished[0][1] is holder
+    else:
+        assert len(at_points) == AUDIT_CHUNK
+        assert all(first is holder for _, first in at_points)
     encoder = model.encoder
-    projectors = [encoder.proj_c, encoder.proj_r, encoder.proj_n]
-    assert len(at_points) == AUDIT_CHUNK
     if name.startswith("encoder."):
         assert all(fn != "pair_bias_fwd" for fn, _ in calls)
     if name.startswith("encoder.proj_r"):
-        assert at_points == [("mlp2_fwd", encoder.proj_r)] * AUDIT_CHUNK
-        assert not any(fn == "mlp2_fwd" and any(first is p for p in projectors)
-                       for fn, first in finished)
+        assert not any(first is p for _, first in calls for p in (encoder.proj_c, encoder.proj_n))
     if name.startswith("layers.1."):
         assert not any(first is model.layers[0] for _, first in calls)
     # every chunk ends in the head, once
     assert finished[-1] == ("mlp2_fwd", model.head)
+
+
+def assert_copies_keep_their_bytes(holder, field, run):
+    """For k = 1 ... AUDIT_CHUNK, run() under _stacked_call with k copies
+    of holder.field gives each copy the arrays of run() with that copy
+    alone, np.array_equal, and leaves the original leaf object in place.
+    A written array that the leaf does not move, such as the head's
+    pooled, stays single and equals every copy's."""
+    live = getattr(holder, field)
+    rng = np.random.default_rng(live.size)
+    copies = [live + 1e-3 * rng.standard_normal(live.shape) for _ in range(AUDIT_CHUNK)]
+    alone = []
+    for copy in copies:
+        setattr(holder, field, copy)
+        try:
+            alone.append(run())
+        finally:
+            setattr(holder, field, live)
+    for k in range(1, AUDIT_CHUNK + 1):
+        written = _stacked_call(holder, field, copies[:k], run)
+        assert getattr(holder, field) is live
+        for i, a_k in enumerate(written):
+            a = alone[0][i]
+            blocks = a_k.reshape(k, *a.shape) if a_k.size == k * a.size else [a_k] * k
+            for j in range(k):
+                assert np.array_equal(blocks[j], alone[j][i]), (
+                    f"{field}: output {i} of copy {j} of {k} differs from that copy alone")
+
+
+@pytest.mark.parametrize("block", list(INSTANCES))
+def test_every_stacking_stage_gives_each_copy_the_bytes_of_that_copy_alone(block):
+    """Every leaf of every stage that stacks, matrices and vectors: the
+    queries (proj_c and the token), proj_r, proj_n, each feed-forward and
+    the head, each run once on its θ0 reads."""
+    model, mols, _, _, _ = audit_instance(block)
+    batch = prepare_batch(mols)
+    state = forward_batch(model, batch)
+    stacking = [t for t, stage in enumerate(state.stages) if stage.stacks]
+    assert stacking == [1, 2, 3, 6, 8, 9]
+    latest, reads = {}, []  # reads[t]: the θ0 arrays stage t reads
+    for stage, outputs in zip(state.stages, state.outputs, strict=True):
+        reads.append([latest[n] for n in stage.reads])
+        latest.update(outputs)
+    leaves = 0
+    for name, holder, field in parameter_slots(model):
+        t = parameter_stage(model, name)
+        if t in stacking:
+            leaves += 1
+            assert_copies_keep_their_bytes(
+                holder, field, lambda t=t: state.stages[t].forward(model, batch, *reads[t])[:-1])
+    assert leaves == 5 + 4 + 4 + 8 + 8 + 4
+
+
+def test_feed_forward_leaves_give_each_copy_the_bytes_of_that_copy_alone():
+    """attention.layer's layer and u: every feed-forward leaf stacked into
+    feed_forward_fwd; a run that raises leaves the original leaf."""
+    arrays, *_ = _CHECKS["attention.layer"](block_rng("attention.layer", 1), TINY_CONFIG)
+    live = dict(arrays)
+    layer = LayerParams(**{n: live[n] for n in ATTENTION_LEAVES + FEED_FORWARD_LEAVES},
+                        n_heads=2)
+    mask = BatchMask.of_counts([1, 0, 0], [2, 0, 0], [1, 2, 0])
+    u = attend_fwd(layer, live["h_c_in"], live["h_r"], live["h_n"], live["bias_in"], mask)[0]
+    for leaf in FEED_FORWARD_LEAVES:
+        assert_copies_keep_their_bytes(layer, leaf, lambda: (feed_forward_fwd(layer, u)[0],))
+    with pytest.raises(ZeroDivisionError):
+        _stacked_call(layer, "ff_b1", [layer.ff_b1] * 2, lambda: 1 / 0)
+    assert layer.ff_b1 is live["ff_b1"]
+
+
+def test_audit_call_counts(monkeypatch):
+    """One run_gradcheck() makes these calls, counted at every module
+    attribute that reaches the function: a chunk of feed-forward, projector
+    or head points is one call, so a fallback to a call per point shows."""
+    counts = dict.fromkeys(("attend_fwd", "feed_forward_fwd", "mlp2_fwd", "layer_norm_rows"), 0)
+
+    def counted(fn, run):
+        def wrapper(*args, **kwargs):
+            counts[fn] += 1
+            return run(*args, **kwargs)
+
+        return wrapper
+
+    for module in (chiraldet.numerics, chiraldet.encoder, chiraldet.attention, chiraldet.model,
+                   chiraldet.gradcheck):
+        for fn in counts:
+            if hasattr(module, fn):
+                monkeypatch.setattr(module, fn, counted(fn, getattr(module, fn)))
+    assert all(report.passed for report in run_gradcheck())
+    assert counts == {"attend_fwd": 2878, "feed_forward_fwd": 937, "mlp2_fwd": 1861,
+                      "layer_norm_rows": 1955}

@@ -550,8 +550,8 @@ class TestCheckpoint:
     @pytest.mark.parametrize(
         ("old", "new"),
         [(b"n_heads=2", b"n_heads=two"), (b"rank_strategy=none", b"rank_strategy=bogus"),
-         (b"seed=19", b"sead=19")],
-        ids=["int", "rank_strategy", "missing"],
+         (b"seed=19", b"sead=19"), (b"step=0", b"step=-1")],
+        ids=["int", "rank_strategy", "missing", "negative-step"],
     )
     def test_bad_config_header_field(self, tmp_path, old, new):
         model = tiny_model(seed=19, rank_strategy=RankStrategy.NONE)
