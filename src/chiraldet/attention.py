@@ -117,16 +117,38 @@ def pair_bias_bwd(params: DistanceBiasParams, cache, d_p) -> DistanceBiasParams:
 
 
 def _heads(x, n_heads):
-    """(B, n, h) rows as (B, H, n, h / H) per-head blocks, so that the
-    attention products are batched matmuls."""
-    n_batch, n, h = x.shape
-    return x.reshape(n_batch, n, n_heads, h // n_heads).transpose(0, 2, 1, 3)
+    """(..., B, n, h) rows as (..., B, H, n, h / H) per-head blocks, so that
+    the attention products are batched matmuls; leading axes are kept."""
+    return x.reshape(x.shape[:-1] + (n_heads, x.shape[-1] // n_heads)).swapaxes(-3, -2)
 
 
 def _rows(x):
-    """(B, H, n, d) per-head blocks back to (B * n, H * d) rows."""
-    n_batch, n_heads, n, d = x.shape
-    return x.transpose(0, 2, 1, 3).reshape(n_batch * n, n_heads * d)
+    """(..., B, H, n, d) per-head blocks back to (..., B * n, H * d) rows."""
+    n_batch, n_heads, n, d = x.shape[-4:]
+    return x.swapaxes(-3, -2).reshape(x.shape[:-4] + (n_batch * n, n_heads * d))
+
+
+# (..., B, H, Q, K) per-head blocks to (..., B, Q, K, H) and back, by
+# ndim: 4 for a batch, 5 for k copies of one
+_HEADS_LAST = {4: (0, 2, 3, 1), 5: (0, 1, 3, 4, 2)}
+_HEADS_FIRST = {4: (0, 3, 1, 2), 5: (0, 1, 4, 2, 3)}
+
+
+def _project(x, w):
+    """(..., B, n, h) rows times wᵀ. A weight of k stacked copies, (k, h, h),
+    is lifted to (k, 1, h, h), so that the rows broadcast to (k, B, n, h)
+    and each (molecule, copy) block is the product of that copy alone."""
+    return x @ w.T if w.ndim == 2 else x @ w.swapaxes(-1, -2)[:, None]
+
+
+def _key_rows(related, nonchiral):
+    """Related then non-chiral key rows, concatenated on the key axis; when
+    one of them carries k copies, the other is repeated for each."""
+    if related.ndim != nonchiral.ndim:
+        lead = max(related.shape[:-3], nonchiral.shape[:-3])
+        related, nonchiral = (np.broadcast_to(a, lead + a.shape[-3:])
+                              for a in (related, nonchiral))
+    return np.concatenate([related, nonchiral], axis=-2)
 
 
 class LayerCache(NamedTuple):
@@ -167,31 +189,60 @@ def attend_fwd(layer: LayerParams, h_c_in, h_r, h_n, bias_in, mask: BatchMask):
     so it keeps u = h_c_in. A molecule with chiral queries but no keys, or
     a non-finite logit, is a NumericError whose row is the first molecule
     holding one.
+
+    The logits and the softmax run in (B, H, Q, K) memory, each row's
+    keys contiguous, and bias_out is a view of them in the (B, Q, K, H)
+    shape; the key sums keep the order of a sum along a strided key axis,
+    and attn is written in (B, Q, K, H) memory, so every output keeps the
+    bytes of the query-major softmax.
+
+    One of the weights (ATTENTION_LEAVES) may carry a leading axis of k
+    copies, (k, h, h). The products then run per copy as batched matmuls
+    (_project lifts the copies over the molecules), and the softmax
+    reduces along the key axis alone, so u, bias_out and attn come back
+    concatenated on the molecule axis, (k * B, ...), each copy the bytes
+    of a call with that copy alone; a weight that does not move bias_out
+    or attn (wv_*, wo) still returns k copies of them. A non-finite logit's
+    row then counts the k * B molecules in copy order. Only the forward
+    takes such copies: a stacked call returns None for its cache.
     """
     n_batch, n_q, h = h_c_in.shape
     n_heads = layer.n_heads
     if mask.first_keyless is not None:
         raise NumericError("chiral queries present but the key set is empty",
                            row=mask.first_keyless)
-    qh = _heads(h_c_in @ layer.wq.T, n_heads)
-    kh = _heads(np.concatenate([h_r @ layer.wk_r.T, h_n @ layer.wk_n.T], axis=1), n_heads)
-    vh = _heads(np.concatenate([h_r @ layer.wv_r.T, h_n @ layer.wv_n.T], axis=1), n_heads)
+    qh = _heads(_project(h_c_in, layer.wq), n_heads)
+    kh = _heads(_key_rows(_project(h_r, layer.wk_r), _project(h_n, layer.wk_n)), n_heads)
+    vh = _heads(_key_rows(_project(h_r, layer.wv_r), _project(h_n, layer.wv_n)), n_heads)
     scale = 1.0 / math.sqrt(h // n_heads)
-    scores = (qh @ kh.transpose(0, 1, 3, 2)).transpose(0, 2, 3, 1) * scale
-    logits = scores + bias_in
+    logits = qh @ kh.swapaxes(-1, -2)  # (..., B, H, Q, K) memory
+    logits *= scale
+    logits += bias_in.transpose(_HEADS_FIRST[bias_in.ndim])
     if not np.isfinite(logits).all():
-        bad = ~np.isfinite(logits).reshape(n_batch, -1).all(axis=1)
+        bad = ~np.isfinite(logits).all(axis=(-3, -2, -1)).ravel()
         raise NumericError("non-finite attention logits", row=int(np.flatnonzero(bad)[0]))
-    valid = mask.keys[:, None, :, None]
-    row_max = np.where(valid, logits, -np.inf).max(axis=2, keepdims=True, initial=-np.inf)
+    valid = mask.keys[:, None, None, :]
+    row_max = np.where(valid, logits, -np.inf).max(axis=-1, keepdims=True, initial=-np.inf)
     expd = np.exp(np.where(valid, logits - row_max, -np.inf))
     # a row with a valid key sums to >= 1 (its maximum contributes exp(0)),
-    # so the floor only turns the 0/0 of a key-less row into 0
-    attn = expd / np.maximum(expd.sum(axis=2, keepdims=True), 1.0)
-    ctx = _rows(attn.transpose(0, 3, 1, 2) @ vh)
-    u = h_c_in.reshape(-1, h) + ctx @ layer.wo.T
-    cache = LayerCache(h_c_in, h_r, h_n, qh, kh, vh, attn, ctx, scale)
-    return u.reshape(n_batch, n_q, h), logits, attn, cache
+    # so the floor only turns the 0/0 of a key-less row into 0. The running
+    # sum (cumsum's ufunc, without its wrapper) adds the keys one after
+    # another, as a sum along a strided key axis does, not pairwise
+    total = np.maximum(np.add.accumulate(expd, axis=-1)[..., -1:], 1.0)
+    to_last = _HEADS_LAST[logits.ndim]
+    logits = logits.transpose(to_last)
+    # attn in (..., B, Q, K, H) memory, so ctx's product takes the same path
+    attn = np.divide(expd.transpose(to_last), total.transpose(to_last), order="C")
+    ctx = _rows(attn.transpose(_HEADS_FIRST[attn.ndim]) @ vh)
+    wo = layer.wo
+    u = h_c_in.reshape(-1, h) + ctx @ (wo.T if wo.ndim == 2 else wo.swapaxes(-1, -2))
+    if u.ndim == 2:
+        cache = LayerCache(h_c_in, h_r, h_n, qh, kh, vh, attn, ctx, scale)
+        return u.reshape(n_batch, n_q, h), logits, attn, cache
+    copies = u.shape[:1] + logits.shape[-4:]
+    return (u.reshape(-1, n_q, h),
+            *(np.broadcast_to(a, copies).reshape(-1, *a.shape[-3:]) for a in (logits, attn)),
+            None)
 
 
 def attend_bwd(layer: LayerParams, cache: LayerCache, d_u, d_bias_out):

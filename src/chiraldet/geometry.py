@@ -84,7 +84,10 @@ class Molecule:
             raise AnnotationError("features row count must match atom count")
         for unit in self.chiral_units:
             unit.validate(self.n_atoms)
-        atom_roles(self.n_atoms, *unit_atoms(self.chiral_units))
+        # a set, not atom_roles: numpy's per-call cost dwarfs a few atoms
+        centres = [atom for unit in self.chiral_units for atom in unit.center_atoms]
+        if len(set(centres)) < len(centres):
+            raise _shared_centres_error(sorted({int(a) for a in centres if centres.count(a) > 1}))
         if self.blade is not None:
             for idx in self.blade:
                 if not 0 <= idx < self.n_atoms:
@@ -103,6 +106,10 @@ def unit_atoms(units) -> tuple[np.ndarray, np.ndarray]:
     return atoms[:, :2], atoms[:, 2:]
 
 
+def _shared_centres_error(atoms: list) -> AnnotationError:
+    return AnnotationError(f"center atoms {atoms} appear in more than one chiral unit")
+
+
 def atom_roles(n_atoms: int, centres, related) -> np.ndarray:
     """Role of every atom: 0 non-chiral, 1 related, 2 chiral.
 
@@ -117,7 +124,7 @@ def atom_roles(n_atoms: int, centres, related) -> np.ndarray:
     if np.count_nonzero(roles == 2) < len(centres) + np.count_nonzero(axes):
         own = np.concatenate([centres[:, 0], centres[axes, 1]])
         shared = np.flatnonzero(np.bincount(own) > 1)
-        raise AnnotationError(f"center atoms {shared.tolist()} appear in more than one chiral unit")
+        raise _shared_centres_error(shared.tolist())
     return roles
 
 

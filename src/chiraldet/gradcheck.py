@@ -119,6 +119,10 @@ def _unchanged(name, kept):
     return kept
 
 
+def _copy(name, live):
+    return live.copy()
+
+
 def _oracle(arrays, at_point, finish=_unchanged) -> np.ndarray:
     """Central differences in every entry of `arrays`, (name, array) pairs,
     in order: the audit's one point loop.
@@ -239,15 +243,15 @@ def _check_attention_layer(rng, config: ModelConfig):
     reach the emitted logits, so their gradients are audited as well.
 
     The loss is (w_out * h_c_out).sum() + (w_bias * bias_out).sum() of the
-    whole layer, attend_fwd then feed_forward_fwd. An attention leaf's
-    at_point keeps (u, bias_out) of its own attend_fwd, and an input's or a
-    feed-forward leaf's keeps a copy of the moved array. finish runs what
-    follows once per chunk: an input chunk one attend_fwd over the k
-    copies stacked on the molecule axis; a feed-forward chunk, which moves
-    neither u nor bias_out, one feed_forward_fwd on u at the starting
-    point with the k copies stacked into the leaf (_stacked_call), and any
-    other chunk one feed_forward_fwd over the k stacked u. It adds each
-    copy's two sums as a point alone would."""
+    whole layer, attend_fwd then feed_forward_fwd. Every at_point keeps a
+    copy of the moved array, and finish runs the layer once per chunk: an
+    input chunk one attend_fwd over the k copies stacked on the molecule
+    axis, an attention chunk one attend_fwd with the k copies stacked into
+    the leaf (_stacked_call), each then one feed_forward_fwd over the k
+    stacked u; a feed-forward chunk, which moves neither u nor bias_out,
+    one feed_forward_fwd on u at the starting point with the k copies
+    stacked into the leaf. It adds each copy's two sums as a point alone
+    would."""
     layer = init_layer(rng, 8, 2)
     mask = BatchMask.of_counts([1, 0, 0], [2, 0, 0], [1, 2, 0])
     inputs = [rng.standard_normal(s) for s in ((3, 2, 8), (3, 2, 8), (3, 2, 8), (3, 2, 4, 2))]
@@ -263,11 +267,6 @@ def _check_attention_layer(rng, config: ModelConfig):
     def loss(h_c_out, bias_out):
         return float(sum((w * out).sum() for w, out in zip((w_out, w_bias), (h_c_out, bias_out))))
 
-    def at_point(name, live):
-        if name in FEED_FORWARD_LEAVES or name in input_names:
-            return live.copy()
-        return attend_fwd(layer, *inputs, mask)[:2]
-
     def finish(name, kept):
         k, n = len(kept), len(u0)
         if name in FEED_FORWARD_LEAVES:
@@ -280,11 +279,12 @@ def _check_attention_layer(rng, config: ModelConfig):
                 u, bias, _, _ = attend_fwd(layer, *stacked, BatchMask(
                     *(np.concatenate([m] * k) for m in (mask.queries, mask.keys))))
             else:
-                u, bias = (np.concatenate(a) for a in zip(*kept))
+                u, bias, _, _ = _stacked_call(layer, name, kept,
+                                              lambda: attend_fwd(layer, *inputs, mask))
             h_c = feed_forward_fwd(layer, u)[0]
         return [loss(h_c[j * n : (j + 1) * n], bias[j * n : (j + 1) * n]) for j in range(k)]
 
-    return arrays, analytic, at_point, finish
+    return arrays, analytic, _copy, finish
 
 
 def _check_predictor(rng, config: ModelConfig):

@@ -216,12 +216,14 @@ class Stage(NamedTuple):
     parameters two stages split, a single parameter (`layers.0.wq`).
 
     A stage that `stacks` reads its parameters only through mlp2_fwd,
-    layer_norm_rows or a broadcast add, so forward also takes one leaf
-    with a leading axis of k copies, (k, *shape), or (k, 1, n) for a
-    vector: each array the leaf moves then holds the k copies' outputs in
-    order, on a leading axis or concatenated on the molecule axis, each
-    copy the bytes of a forward with that copy alone. The gradient audit
-    runs a chunk of such points in one call."""
+    layer_norm_rows, a broadcast add or attend_fwd's batched products
+    (each copy's weight lifted over the molecules), so forward also takes
+    one leaf with a leading axis of k copies, (k, *shape), or (k, 1, n)
+    for a vector: each array the leaf moves then holds the k copies'
+    outputs in order, on a leading axis or concatenated on the molecule
+    axis, each copy the bytes of a forward with that copy alone. The
+    gradient audit runs a chunk of such points in one call; only the
+    kernel readout and the pair bias do not stack."""
 
     name: str  # what a NumericError calls the stage and its outputs
     groups: tuple  # the named_parameters groups that only this stage reads
@@ -320,7 +322,7 @@ def _layer_stages(i: int) -> tuple:
         return {prefix + leaf: g for leaf, g in grads.items()}, d_u
 
     return (Stage(f"layer {i}", tuple(prefix + leaf for leaf in ATTENTION_LEAVES),
-                  ("h_c", "h_r", "h_n", "bias"), ("u", "bias", "attn"), False, attend,
+                  ("h_c", "h_r", "h_n", "bias"), ("u", "bias", "attn"), True, attend,
                   attend_back),
             Stage(f"layer {i}", tuple(prefix + leaf for leaf in FEED_FORWARD_LEAVES),
                   ("u",), ("h_c",), True, feed_forward, feed_forward_back))

@@ -5,8 +5,9 @@ per chunk of AUDIT_CHUNK, their copies of the moved leaf stacked into it;
 other points run their own stage one at a time. Each chunk then reruns,
 stacked in one forward, only the later stages the moved array reaches
 (rerun_stages). The attention.layer block stacks a chunk's points in one
-feed_forward_fwd, a feed-forward chunk's copies into the moved leaf, and
-an input chunk's in one attend_fwd too."""
+feed_forward_fwd, a feed-forward chunk's copies into the moved leaf, an
+attention chunk's into the moved leaf of one attend_fwd, and an input
+chunk's on the molecule axis of one attend_fwd."""
 
 import numpy as np
 import pytest
@@ -290,10 +291,9 @@ def test_nonfinite_evaluation_names_its_coordinate(full_loss):
 @pytest.mark.parametrize("name", ["layers.0.ff_w1", "layers.0.ln1_beta", "layers.1.ff_b2",
                                   "layers.1.ln2_gamma", "layers.0.wq"])
 def test_a_feed_forward_point_runs_no_attention(full_loss, monkeypatch, name):
-    """An audit point of a feed-forward or layer-norm leaf runs no
-    attention, in the model.full_loss block and in the attention.layer
-    block (its chunk runs the feed-forward once, stacked); a query-weight
-    point runs the attention once."""
+    """An audit point of a feed-forward, layer-norm or attention leaf runs
+    no attention, in the model.full_loss block and in the attention.layer
+    block: its chunk runs its stage once, stacked."""
     calls = []
 
     def counted(module):
@@ -315,7 +315,7 @@ def test_a_feed_forward_point_runs_no_attention(full_loss, monkeypatch, name):
     calls.clear()
     at_point(name, dict(named_parameters(model))[name])
     layer_point(leaf, dict(arrays)[leaf])
-    assert len(calls) == (2 if name.endswith(".wq") else 0)
+    assert calls == []
 
 
 @pytest.mark.parametrize("name", ["encoder.kernel.w", "encoder.proj_c.w1", "encoder.proj_r.b1",
@@ -351,9 +351,10 @@ def test_a_chunk_reruns_only_the_stages_its_point_reaches(full_loss, monkeypatch
     holder = next(h for n, h, _ in parameter_slots(model) if n == name)
     if chiraldet.model.forward_stages(model)[parameter_stage(model, name)].stacks:
         assert at_points == []
-        # the moved stage's one call, with the chunk's copies stacked in
-        assert [first is holder for _, first in finished].count(True) == 1
+        # the moved stage's one call, with the chunk's copies stacked in;
+        # after an attention chunk the layer's feed-forward reruns too
         assert finished[0][1] is holder
+        assert [fn for fn, first in finished if first is holder].count(finished[0][0]) == 1
     else:
         assert len(at_points) == AUDIT_CHUNK
         assert all(first is holder for _, first in at_points)
@@ -398,13 +399,13 @@ def assert_copies_keep_their_bytes(holder, field, run):
 @pytest.mark.parametrize("block", list(INSTANCES))
 def test_every_stacking_stage_gives_each_copy_the_bytes_of_that_copy_alone(block):
     """Every leaf of every stage that stacks, matrices and vectors: the
-    queries (proj_c and the token), proj_r, proj_n, each feed-forward and
-    the head, each run once on its θ0 reads."""
+    queries (proj_c and the token), proj_r, proj_n, each layer's attention
+    and feed-forward, and the head, each run once on its θ0 reads."""
     model, mols, _, _, _ = audit_instance(block)
     batch = prepare_batch(mols)
     state = forward_batch(model, batch)
     stacking = [t for t, stage in enumerate(state.stages) if stage.stacks]
-    assert stacking == [1, 2, 3, 6, 8, 9]
+    assert stacking == [1, 2, 3, 5, 6, 7, 8, 9]
     latest, reads = {}, []  # reads[t]: the θ0 arrays stage t reads
     for stage, outputs in zip(state.stages, state.outputs, strict=True):
         reads.append([latest[n] for n in stage.reads])
@@ -416,7 +417,7 @@ def test_every_stacking_stage_gives_each_copy_the_bytes_of_that_copy_alone(block
             leaves += 1
             assert_copies_keep_their_bytes(
                 holder, field, lambda t=t: state.stages[t].forward(model, batch, *reads[t])[:-1])
-    assert leaves == 5 + 4 + 4 + 8 + 8 + 4
+    assert leaves == 5 + 4 + 4 + 6 + 8 + 6 + 8 + 4
 
 
 def test_feed_forward_leaves_give_each_copy_the_bytes_of_that_copy_alone():
@@ -435,10 +436,47 @@ def test_feed_forward_leaves_give_each_copy_the_bytes_of_that_copy_alone():
     assert layer.ff_b1 is live["ff_b1"]
 
 
+def attention_layer_instance():
+    """attention.layer's layer, its four inputs and its mask, as
+    run_gradcheck audits them at seed 1."""
+    arrays, *_ = _CHECKS["attention.layer"](block_rng("attention.layer", 1), TINY_CONFIG)
+    live = dict(arrays)
+    layer = LayerParams(**{n: live[n] for n in ATTENTION_LEAVES + FEED_FORWARD_LEAVES},
+                        n_heads=2)
+    inputs = [live[n] for n in ("h_c_in", "h_r", "h_n", "bias_in")]
+    return layer, inputs, BatchMask.of_counts([1, 0, 0], [2, 0, 0], [1, 2, 0])
+
+
+def test_attention_leaves_give_each_copy_the_bytes_of_that_copy_alone():
+    """attention.layer's layer and inputs: every attention weight stacked
+    into attend_fwd gives each copy u, bias_out and attn of that copy
+    alone, also wv_* and wo, which move neither bias_out nor attn."""
+    layer, inputs, mask = attention_layer_instance()
+    for leaf in ATTENTION_LEAVES:
+        assert_copies_keep_their_bytes(layer, leaf, lambda: attend_fwd(layer, *inputs, mask)[:3])
+
+
+@pytest.mark.parametrize("j", [0, 2])
+def test_stacked_attention_error_row_counts_across_copies(j):
+    """Copy j of three stacked wq copies is infinite: the non-finite-logits
+    NumericError names molecule j * B + 0, the first molecule of copy j,
+    and the leaf is restored after the error."""
+    layer, inputs, mask = attention_layer_instance()
+    live = layer.wq
+    copies = [live.copy() for _ in range(3)]
+    copies[j][0, 0] = np.inf
+    with pytest.raises(NumericError, match="non-finite attention logits") as err:
+        _stacked_call(layer, "wq", copies, lambda: attend_fwd(layer, *inputs, mask))
+    assert err.value.row == j * len(inputs[0]) + 0
+    assert layer.wq is live
+    assert np.isfinite(live).all()
+
+
 def test_audit_call_counts(monkeypatch):
     """One run_gradcheck() makes these calls, counted at every module
-    attribute that reaches the function: a chunk of feed-forward, projector
-    or head points is one call, so a fallback to a call per point shows."""
+    attribute that reaches the function: a chunk of attention,
+    feed-forward, projector or head points is one call, so a fallback to a
+    call per point shows."""
     counts = dict.fromkeys(("attend_fwd", "feed_forward_fwd", "mlp2_fwd", "layer_norm_rows"), 0)
 
     def counted(fn, run):
@@ -454,5 +492,5 @@ def test_audit_call_counts(monkeypatch):
             if hasattr(module, fn):
                 monkeypatch.setattr(module, fn, counted(fn, getattr(module, fn)))
     assert all(report.passed for report in run_gradcheck())
-    assert counts == {"attend_fwd": 2878, "feed_forward_fwd": 937, "mlp2_fwd": 1861,
+    assert counts == {"attend_fwd": 718, "feed_forward_fwd": 937, "mlp2_fwd": 1861,
                       "layer_norm_rows": 1955}
