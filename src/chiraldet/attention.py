@@ -79,17 +79,22 @@ def pair_bias_fwd(params: DistanceBiasParams, pairs: PairInputs):
     whose distances come prepared in `pairs`. A bias.sigma entry at or
     below SIGMA_FLOOR raises DegeneracyError: its density has no usable
     gradient.
+
+    One leaf may carry a leading axis of k copies, (k, 1, G) for mu and
+    sigma: the bias is then (k, B, Q, Kr + Kn, H), each copy's block the
+    bytes of a call with that copy alone; a low sigma is named by channel.
     """
     low = np.flatnonzero(params.sigma <= SIGMA_FLOOR)
     if low.size:
         raise DegeneracyError(
-            f"bias.sigma[{int(low[0])}] = {params.sigma[low[0]]:.3e} is at or below "
-            f"SIGMA_FLOOR = {SIGMA_FLOOR:g}"
+            f"bias.sigma[{int(low[0]) % params.sigma.shape[-1]}] = "
+            f"{params.sigma.flat[low[0]]:.3e} is at or below SIGMA_FLOOR = {SIGMA_FLOOR:g}"
         )
-    x = params.e1[pairs.types] * pairs.dists[:, None] + params.e2[pairs.types]
+    x = params.e1[..., pairs.types, :] * pairs.dists[:, None] + params.e2[..., pairs.types, :]
     dens = gaussian(x, params.mu, params.sigma)
-    p = np.zeros(pairs.shape + (params.w_p.shape[1],))
-    p[pairs.index] = dens @ params.w_p
+    rows = dens @ params.w_p
+    p = np.zeros(rows.shape[:-2] + pairs.shape + rows.shape[-1:])
+    p[(..., *pairs.index, slice(None))] = rows
     return p, (pairs, x, dens)
 
 

@@ -166,12 +166,12 @@ class MoleculeBatch:
 
 
 def _row_mean(x: np.ndarray) -> np.ndarray:
-    """Mean over the d_p axis of a (k, d_p, 3) stack, kept as (k, 1, 3).
+    """Mean over the d_p axis of a (..., k, d_p, 3) stack, as (..., k, 1, 3).
 
     Taken as a matmul with a constant row: at kernel-bank sizes numpy's
     strided reduction over the middle axis costs several times more.
     """
-    return np.full((1, x.shape[1]), 1.0 / x.shape[1]) @ x
+    return np.full((1, x.shape[-2]), 1.0 / x.shape[-2]) @ x
 
 
 def kernel_fwd(bank: KernelBank, mc_batch):
@@ -182,6 +182,10 @@ def kernel_fwd(bank: KernelBank, mc_batch):
     d_p, and sigma_bk^2 = <C_k^T C_k, M_b M_b^T> / (3 d_p) + KERNEL_EPS. A
     rank-deficient slice (det G <= 0) reads out 0. A non-finite matrix is
     a NumericError whose row is the first such matrix.
+
+    w may be (c, k, d_p, 3), c copies, or gamma (c, 1, d_p): out is then
+    (c, B, k), each copy's block the bytes of a call with that copy alone,
+    since every product and reduction runs over one copy's block.
     """
     mc_batch = np.asarray(mc_batch, dtype=np.float64)
     if mc_batch.ndim != 3 or mc_batch.shape[1:] != (3, 3):
@@ -190,17 +194,18 @@ def kernel_fwd(bank: KernelBank, mc_batch):
         bad = np.flatnonzero(~np.isfinite(mc_batch).all(axis=(1, 2)))
         raise NumericError("chirality matrices contain non-finite values", row=int(bad[0]))
     n_batch = mc_batch.shape[0]
-    k, d_p = bank.n_kernels, bank.d_p
+    d_p = bank.w.shape[-2]
     det_m = det3_batch(mc_batch)
     centered = bank.w - _row_mean(bank.w)
-    w_eff = bank.gamma[None, :, None] * centered
-    cc = centered.transpose(0, 2, 1) @ centered  # (k, 3, 3)
+    w_eff = bank.gamma[..., None] * centered
+    cc = centered.swapaxes(-1, -2) @ centered  # (k, 3, 3)
     mmt = mc_batch @ mc_batch.transpose(0, 2, 1)  # (B, 3, 3)
-    sigma2 = mmt.reshape(n_batch, 9) @ cc.reshape(k, 9).T / (3 * d_p) + KERNEL_EPS
-    gram = w_eff.transpose(0, 2, 1) @ w_eff
+    sigma2 = (mmt.reshape(n_batch, 9) @ cc.reshape(*cc.shape[:-2], 9).swapaxes(-1, -2)
+              / (3 * d_p) + KERNEL_EPS)
+    gram = w_eff.swapaxes(-1, -2) @ w_eff
     s = np.sqrt(np.maximum(det3_batch(gram), 0.0))
     inv_sigma3 = 1.0 / (sigma2 * np.sqrt(sigma2))
-    out = det_m[:, None] * s * inv_sigma3
+    out = det_m[:, None] * s[..., None, :] * inv_sigma3
     return out, (bank, mc_batch, out, det_m, w_eff, centered, cc, mmt, gram, s, sigma2, inv_sigma3)
 
 

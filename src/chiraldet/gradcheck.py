@@ -235,6 +235,14 @@ def _check_distance_bias(rng, config: ModelConfig):
                   partial(pair_bias_bwd, params), rng.standard_normal((2, 3, 5, 2)))
 
 
+def _copy_sums(w, stacked) -> np.ndarray:
+    """(w * copy).sum() of each copy of w's shape concatenated on the first
+    axis of `stacked`, each the bytes of that lone sum: the products are
+    written in C order, as a lone copy's is, even of a strided view."""
+    k = stacked.size // w.size
+    return np.multiply(w, stacked.reshape(k, *w.shape), order="C").reshape(k, -1).sum(axis=-1)
+
+
 def _check_attention_layer(rng, config: ModelConfig):
     """Padded 3-molecule input: a token plus one unit over 2 related keys
     and 1 non-chiral key, a token-only molecule over 2 non-chiral keys (so
@@ -250,8 +258,8 @@ def _check_attention_layer(rng, config: ModelConfig):
     the leaf (_stacked_call), each then one feed_forward_fwd over the k
     stacked u; a feed-forward chunk, which moves neither u nor bias_out,
     one feed_forward_fwd on u at the starting point with the k copies
-    stacked into the leaf. It adds each copy's two sums as a point alone
-    would."""
+    stacked into the leaf, whose one bias_out sum serves every copy. Each
+    copy's two sums add as a point alone would add them (_copy_sums)."""
     layer = init_layer(rng, 8, 2)
     mask = BatchMask.of_counts([1, 0, 0], [2, 0, 0], [1, 2, 0])
     inputs = [rng.standard_normal(s) for s in ((3, 2, 8), (3, 2, 8), (3, 2, 8), (3, 2, 4, 2))]
@@ -264,14 +272,11 @@ def _check_attention_layer(rng, config: ModelConfig):
     grads, *d_inputs = attend_bwd(layer, attend_cache, d_u, w_bias)
     analytic = flatten(LayerParams(**grads, **ff_grads, n_heads=layer.n_heads), *d_inputs)
 
-    def loss(h_c_out, bias_out):
-        return float(sum((w * out).sum() for w, out in zip((w_out, w_bias), (h_c_out, bias_out))))
-
     def finish(name, kept):
-        k, n = len(kept), len(u0)
+        k = len(kept)
         if name in FEED_FORWARD_LEAVES:
             h_c = _stacked_call(layer, name, kept, lambda: feed_forward_fwd(layer, u0)[0])
-            bias = np.concatenate([bias0] * k)
+            bias = bias0
         else:
             if name in input_names:
                 stacked = [np.concatenate(kept if input_name == name else [a] * k)
@@ -282,7 +287,7 @@ def _check_attention_layer(rng, config: ModelConfig):
                 u, bias, _, _ = _stacked_call(layer, name, kept,
                                               lambda: attend_fwd(layer, *inputs, mask))
             h_c = feed_forward_fwd(layer, u)[0]
-        return [loss(h_c[j * n : (j + 1) * n], bias[j * n : (j + 1) * n]) for j in range(k)]
+        return (_copy_sums(w_out, h_c) + _copy_sums(w_bias, bias)).tolist()
 
     return arrays, analytic, _copy, finish
 
@@ -317,21 +322,19 @@ def _model_points(model, mols, objective, reg_weight: float, names):
     of prepare_batch(mols), in the named live parameters, in
     named_parameters order.
 
-    The stage s that reads the moved array (parameter_stage) runs on the
-    θ0 arrays it reads. If s stacks, at_point keeps a copy of the moved
-    array, and finish runs s once per chunk of k points, with the k copies
-    stacked into the leaf (_stacked_call); otherwise at_point runs s and
-    keeps its output. Either keeps the rank penalty at the point, which
-    only the kernel slices move. finish then reruns, once per chunk and
-    without caches, only the stages the move reaches (rerun_stages), over
-    prepare_batch(mols * k),
-    whose copies are padded as the batch is. A rerun stage reads the
-    stacked k outputs of s or of an earlier rerun stage where one of those
-    wrote the array last, and otherwise the θ0 array, repeated k times
-    once per (writing stage, name, k) and reused. One objective call
-    scores the k copies' logits, each with the loss batch_step would
-    give, so every numeric gradient is byte-identical to a full forward
-    per point.
+    at_point keeps a copy of the moved array and the rank penalty at the
+    point, which only the kernel slices move. finish runs the stage s that
+    reads the moved array (parameter_stage) once per chunk of k points, on
+    the θ0 arrays it reads, with the k copies stacked into the leaf
+    (_stacked_call). It then reruns, once per chunk and without caches,
+    only the stages the move reaches (rerun_stages), over
+    prepare_batch(mols * k), whose copies are padded as the batch is. A
+    rerun stage reads the stacked k outputs of s or of an earlier rerun
+    stage where one of those wrote the array last, and otherwise the θ0
+    array, repeated k times once per (writing stage, name, k) and reused.
+    One objective call scores the k copies' logits, each with the loss
+    batch_step would give, so every numeric gradient is byte-identical to
+    a full forward per point.
     """
     batch = prepare_batch(mols)
     stages = forward_stages(model)
@@ -366,30 +369,20 @@ def _model_points(model, mols, objective, reg_weight: float, names):
             out.append(tiled[w, n, k])
         return out
 
-    def run_alone(s):
-        """The arrays stage s writes from its θ0 reads."""
-        return stages[s].forward(model, batch, *(outputs[w][n] for n, w in writer[s].items()))[:-1]
-
     def at_point(name, live):
-        s = stage[name]
-        if stages[s].stacks:
-            return live.copy(), penalty0
         # rank_penalty reads the kernel slices alone
         penalty = rank_penalty(model, reg_weight) if live is model.encoder.kernels.w else penalty0
-        return run_alone(s), penalty
+        return live.copy(), penalty
 
     def finish(name, kept):
         points, penalties = zip(*kept)
         k, s = len(points), stage[name]
         if k not in repeated:
             repeated[k] = prepare_batch(mols * k)
-        if stages[s].stacks:
-            written = _stacked_call(*slots[name], points, partial(run_alone, s))
-            moved = {n: a.reshape(-1, *outputs[s][n].shape[1:])
-                     for n, a in zip(stages[s].writes, written) if n in stacked[s]}
-        else:
-            moved = {n: np.concatenate(a) for n, *a in zip(stages[s].writes, *points)
-                     if n in stacked[s]}
+        written = _stacked_call(*slots[name], points, lambda: stages[s].forward(
+            model, batch, *(outputs[w][n] for n, w in writer[s].items()))[:-1])
+        moved = {n: a.reshape(-1, *outputs[s][n].shape[1:])
+                 for n, a in zip(stages[s].writes, written) if n in stacked[s]}
         for t in reruns[s]:
             *written, _ = stages[t].forward(model, repeated[k], *reads(s, t, k, moved))
             moved.update(zip(stages[t].writes, written, strict=True))

@@ -215,21 +215,19 @@ class Stage(NamedTuple):
     A group is a named_parameters prefix (`head`) or, for a layer, whose
     parameters two stages split, a single parameter (`layers.0.wq`).
 
-    A stage that `stacks` reads its parameters only through mlp2_fwd,
-    layer_norm_rows, a broadcast add or attend_fwd's batched products
-    (each copy's weight lifted over the molecules), so forward also takes
-    one leaf with a leading axis of k copies, (k, *shape), or (k, 1, n)
-    for a vector: each array the leaf moves then holds the k copies'
-    outputs in order, on a leading axis or concatenated on the molecule
-    axis, each copy the bytes of a forward with that copy alone. The
-    gradient audit runs a chunk of such points in one call; only the
-    kernel readout and the pair bias do not stack."""
+    Every stage's forward also takes one leaf with a leading axis of k
+    copies, (k, *shape), or (k, 1, n) for a vector, since it reads its
+    parameters only through products and reductions that run each copy's
+    block alone (kernel_fwd, pair_bias_fwd, mlp2_fwd, layer_norm_rows,
+    attend_fwd, a broadcast add): each array the leaf moves then holds
+    the k copies' outputs in order, on a leading axis or concatenated on
+    the molecule axis, each copy the bytes of a forward with that copy
+    alone. The gradient audit runs a chunk of points in one call."""
 
     name: str  # what a NumericError calls the stage and its outputs
     groups: tuple  # the named_parameters groups that only this stage reads
     reads: tuple  # names of the arrays forward takes: the latest of each
     writes: tuple  # names of the arrays forward returns
-    stacks: bool  # whether forward takes a leaf stacked with k copies
     forward: Callable
     backward: Callable
 
@@ -322,10 +320,9 @@ def _layer_stages(i: int) -> tuple:
         return {prefix + leaf: g for leaf, g in grads.items()}, d_u
 
     return (Stage(f"layer {i}", tuple(prefix + leaf for leaf in ATTENTION_LEAVES),
-                  ("h_c", "h_r", "h_n", "bias"), ("u", "bias", "attn"), True, attend,
-                  attend_back),
+                  ("h_c", "h_r", "h_n", "bias"), ("u", "bias", "attn"), attend, attend_back),
             Stage(f"layer {i}", tuple(prefix + leaf for leaf in FEED_FORWARD_LEAVES),
-                  ("u",), ("h_c",), True, feed_forward, feed_forward_back))
+                  ("u",), ("h_c",), feed_forward, feed_forward_back))
 
 
 def _head(model, batch, h_c):
@@ -344,18 +341,16 @@ def _head_bwd(model, batch, cache, d_pooled, d_logits):
 @functools.cache
 def _stage_table(n_layers: int) -> tuple:
     return (
-        Stage("encoder", ("encoder.kernel",), (), ("h_k",), False, _kernel_readout,
+        Stage("encoder", ("encoder.kernel",), (), ("h_k",), _kernel_readout,
               _kernel_readout_bwd),
-        Stage("encoder", ("encoder.token", "encoder.proj_c"), ("h_k",), ("h_c",), True,
-              _queries, _queries_bwd),
-        Stage("encoder", ("encoder.proj_r",), (), ("h_r",), True, _related_keys,
-              _related_keys_bwd),
-        Stage("encoder", ("encoder.proj_n",), (), ("h_n",), True, _nonchiral_keys,
+        Stage("encoder", ("encoder.token", "encoder.proj_c"), ("h_k",), ("h_c",), _queries,
+              _queries_bwd),
+        Stage("encoder", ("encoder.proj_r",), (), ("h_r",), _related_keys, _related_keys_bwd),
+        Stage("encoder", ("encoder.proj_n",), (), ("h_n",), _nonchiral_keys,
               _nonchiral_keys_bwd),
-        Stage("pair bias", ("bias",), (), ("bias",), False, _pair_bias, _pair_bias_bwd),
+        Stage("pair bias", ("bias",), (), ("bias",), _pair_bias, _pair_bias_bwd),
         *(stage for i in range(n_layers) for stage in _layer_stages(i)),
-        Stage("pooling and head", ("head",), ("h_c",), ("pooled", "logits"), True, _head,
-              _head_bwd),
+        Stage("pooling and head", ("head",), ("h_c",), ("pooled", "logits"), _head, _head_bwd),
     )
 
 
@@ -477,10 +472,10 @@ def _onehot(label, n_classes: int) -> np.ndarray:
 
 def _row_sums(x) -> np.ndarray:
     """The sum along the last axis of each row of x, shaped x.shape[:-1],
-    each taken as a sum of that row alone: numpy adds a lone row of 8 or
-    more entries pairwise, but a stack of rows in another order."""
-    rows = x.reshape(-1, x.shape[-1])
-    return np.reshape([row.sum() for row in rows], x.shape[:-1])
+    each the bytes of that row's sum alone: numpy adds a lone row of 8 or
+    more entries, and each row of a C-contiguous stack, pairwise, but the
+    rows of a strided stack (a boolean-masked one) in another order."""
+    return np.ascontiguousarray(x).sum(axis=-1)
 
 
 def loss_margin_rank(score_hi, score_lo, margin: float):

@@ -1,4 +1,5 @@
-"""Reference computations that the tests check the package against."""
+"""Reference computations that the tests check the package against, and
+the checks that several test modules share."""
 
 from dataclasses import replace
 
@@ -7,6 +8,7 @@ import numpy as np
 from chiraldet.encoder import BatchMask, MoleculeBatch, pair_inputs
 from chiraldet.errors import AnnotationError, NumericError
 from chiraldet.geometry import UnitKind
+from chiraldet.gradcheck import AUDIT_CHUNK, _stacked_call
 from chiraldet.model import _leaves, _onehot, forward_batch, rank_penalty
 from chiraldet.numerics import FD_STEP, central_difference, det3_batch
 
@@ -159,3 +161,30 @@ def batch_reference(mols) -> MoleculeBatch:
         nonchiral_slots=(nb, ns),
         pairs=pair_inputs(mask, k_r, chiral_positions, key_positions),
     )
+
+
+def assert_copies_keep_their_bytes(holder, field, run):
+    """For k = 1 ... AUDIT_CHUNK, run() under _stacked_call with k copies
+    of holder.field gives each copy the arrays of run() with that copy
+    alone, np.array_equal, and leaves the original leaf object in place.
+    A written array that the leaf does not move, such as the head's
+    pooled, stays single and equals every copy's."""
+    live = getattr(holder, field)
+    rng = np.random.default_rng(live.size)
+    copies = [live + 1e-3 * rng.standard_normal(live.shape) for _ in range(AUDIT_CHUNK)]
+    alone = []
+    for copy in copies:
+        setattr(holder, field, copy)
+        try:
+            alone.append(run())
+        finally:
+            setattr(holder, field, live)
+    for k in range(1, AUDIT_CHUNK + 1):
+        written = _stacked_call(holder, field, copies[:k], run)
+        assert getattr(holder, field) is live
+        for i, a_k in enumerate(written):
+            a = alone[0][i]
+            blocks = a_k.reshape(k, *a.shape) if a_k.size == k * a.size else [a_k] * k
+            for j in range(k):
+                assert np.array_equal(blocks[j], alone[j][i]), (
+                    f"{field}: output {i} of copy {j} of {k} differs from that copy alone")

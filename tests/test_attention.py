@@ -21,9 +21,14 @@ from chiraldet.data import SyntheticSpec, gen_rs
 from chiraldet.encoder import BatchMask, pair_inputs, prepare_batch
 from chiraldet.errors import DegeneracyError, NumericError
 from chiraldet.geometry import reference_point
-from chiraldet.gradcheck import flatten
+from chiraldet.gradcheck import _stacked_call, flatten
 from chiraldet.numerics import compare_grads
-from oracles import finite_diff_grad, partition_reference, unflatten
+from oracles import (
+    assert_copies_keep_their_bytes,
+    finite_diff_grad,
+    partition_reference,
+    unflatten,
+)
 
 
 def full_mask(n_q, n_keys):
@@ -122,6 +127,32 @@ class TestDistanceBias:
         _, cache = pair_bias_fwd(params, pairs)
         analytic = flatten(pair_bias_bwd(params, cache, weights))
         assert compare_grads(analytic, numeric, tol=1e-5).passed
+
+    @staticmethod
+    def default_shaped():
+        """Distance-bias parameters of 64 channels and 2 heads, and the pair
+        inputs of a padded 3-molecule batch with both key types."""
+        rng = np.random.default_rng(13)
+        params = init_distance_bias(rng, 64, 2)
+        params.e1 += rng.normal(0, 0.3, params.e1.shape)
+        params.sigma = rng.uniform(0.5, 1.5, 64)
+        pairs = pair_inputs(BatchMask.of_counts([3, 1, 2], [6, 2, 4], [10, 3, 7]), 6,
+                            rng.uniform(-4, 4, (3, 3, 3)), rng.uniform(-4, 4, (3, 16, 3)))
+        return params, pairs
+
+    @pytest.mark.parametrize("field", ["e1", "e2", "mu", "sigma", "w_p"])
+    def test_stacked_copies_keep_their_bytes_at_default_shapes(self, field):
+        """k = 1 ... AUDIT_CHUNK copies of any leaf give each copy the bias
+        of that copy alone."""
+        params, pairs = self.default_shaped()
+        assert_copies_keep_their_bytes(params, field, lambda: pair_bias_fwd(params, pairs)[:1])
+
+    def test_stacked_sigma_at_floor_is_named_by_its_channel(self):
+        params, pairs = self.default_shaped()
+        copies = [params.sigma.copy() for _ in range(3)]
+        copies[1][2] = 0.0
+        with pytest.raises(DegeneracyError, match=r"^bias\.sigma\[2\] = 0\.000e\+00 is at"):
+            _stacked_call(params, "sigma", copies, lambda: pair_bias_fwd(params, pairs))
 
 
 class TestInitPairBias:

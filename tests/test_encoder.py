@@ -35,7 +35,7 @@ from chiraldet.model import (
     parameter_stage,
 )
 from chiraldet.numerics import compare_grads, det3_batch
-from oracles import finite_diff_grad, gram_sqrt_det, unflatten
+from oracles import assert_copies_keep_their_bytes, finite_diff_grad, gram_sqrt_det, unflatten
 
 
 def orthonormal_identity_bank(d_p=8):
@@ -154,6 +154,17 @@ class TestKernelForward:
         assert np.all(out[:, 1] == 0.0) and np.all(out[:, [0, 2]] != 0.0)
         with pytest.raises(DegeneracyError, match="slice 1"):
             kernel_bwd(cache, np.ones_like(out))
+
+    @pytest.mark.parametrize("field", ["w", "gamma"])
+    def test_stacked_copies_keep_their_bytes_at_default_shapes(self, field):
+        """64 kernels of d_p 32 over 300 matrices: k = 1 ... AUDIT_CHUNK
+        copies of w, (k, 64, 32, 3), or of gamma, (k, 1, 32), give each
+        copy the readout of that copy alone."""
+        rng = np.random.default_rng(12)
+        bank = init_kernel_bank(rng, 64, 32)
+        bank.gamma[:] = rng.uniform(0.5, 1.5, 32)
+        mc = nonsingular_mc(rng, n=300)
+        assert_copies_keep_their_bytes(bank, field, lambda: kernel_fwd(bank, mc)[:1])
 
 
 class TestRegularization:

@@ -1,13 +1,13 @@
 """The audit oracle, _oracle: every block's numeric gradient keeps the
 bytes of finite_diff_grad, one evaluation per point. In a model-level
-block, the points of a stage that stacks run in one call of that stage
-per chunk of AUDIT_CHUNK, their copies of the moved leaf stacked into it;
-other points run their own stage one at a time. Each chunk then reruns,
-stacked in one forward, only the later stages the moved array reaches
-(rerun_stages). The attention.layer block stacks a chunk's points in one
-feed_forward_fwd, a feed-forward chunk's copies into the moved leaf, an
-attention chunk's into the moved leaf of one attend_fwd, and an input
-chunk's on the molecule axis of one attend_fwd."""
+block, the points of every stage run in one call of that stage per chunk
+of AUDIT_CHUNK, their copies of the moved leaf stacked into it; no stage
+runs once per point. Each chunk then reruns, stacked in one forward, only
+the later stages the moved array reaches (rerun_stages). The
+attention.layer block stacks a chunk's points in one feed_forward_fwd, a
+feed-forward chunk's copies into the moved leaf, an attention chunk's
+into the moved leaf of one attend_fwd, and an input chunk's on the
+molecule axis of one attend_fwd."""
 
 import numpy as np
 import pytest
@@ -49,7 +49,7 @@ from chiraldet.model import (
     parameter_slots,
     parameter_stage,
 )
-from oracles import batch_loss, finite_diff_grad
+from oracles import assert_copies_keep_their_bytes, batch_loss, finite_diff_grad
 
 INSTANCES = {"model.full_loss": _full_loss_instance, "model.rank_loss": _rank_loss_instance}
 # attention.layer's at_point is not its loss: its finish stacks a chunk
@@ -193,7 +193,7 @@ def test_rerun_stages_drop_a_name_a_skipped_stage_rewrites():
     """x moved by stage 0 reaches stage 2, but stage 3, which reads
     nothing moved, rewrites x, so stage 4 reads x at θ0; stage 5 reads z,
     which stage 2 wrote from the moved x."""
-    table = [Stage(str(t), (), reads, writes, False, None, None)
+    table = [Stage(str(t), (), reads, writes, None, None)
              for t, (reads, writes) in enumerate([
                  ((), ("x",)), ((), ("y",)), (("x", "y"), ("z",)), ((), ("x",)),
                  (("x",), ("w",)), (("z",), ("v",)),
@@ -247,8 +247,8 @@ def full_loss():
                                   "layers.0.ff_w1", "layers.1.ff_b2", "layers.1.ln2_beta",
                                   "head.b2"])
 def test_stacked_prefix_resumes_to_the_bytes_of_each_point(full_loss, name):
-    """Three points of a parameter, each run by at_point on its own stage
-    and then stacked by one finish on the repeated prefix, give each point
+    """Three points of a parameter, each kept by at_point and then stacked
+    into its stage by one finish on the repeated prefix, give each point
     the loss of its own full forward, batch_loss."""
     model, mols, objective, reg_weight, _ = full_loss
     _, at_point, finish = _model_points(model, mols, objective, reg_weight, {name})
@@ -321,11 +321,10 @@ def test_a_feed_forward_point_runs_no_attention(full_loss, monkeypatch, name):
 @pytest.mark.parametrize("name", ["encoder.kernel.w", "encoder.proj_c.w1", "encoder.proj_r.b1",
                                   "encoder.proj_n.w2", "layers.1.wq", "layers.1.ln1_gamma"])
 def test_a_chunk_reruns_only_the_stages_its_point_reaches(full_loss, monkeypatch, name):
-    """One chunk of AUDIT_CHUNK points: a point of a stage that stacks runs
-    nothing, and finish runs that stage once for the chunk; any other
-    point runs its own stage. An encoder point runs no pair bias, a
-    proj_r chunk no other projector, and a layers.1 point no stage of
-    layer 0."""
+    """One chunk of AUDIT_CHUNK points: every point runs nothing, and
+    finish runs the moved stage once for the chunk, the kernel readout
+    too. An encoder point runs no pair bias, a proj_r chunk no other
+    projector, and a layers.1 point no stage of layer 0."""
     model, mols, objective, reg_weight, _ = full_loss
     arrays, at_point, finish = _model_points(model, mols, objective, reg_weight, {name})
     calls = []  # (function name, its first argument), in call order
@@ -349,15 +348,11 @@ def test_a_chunk_reruns_only_the_stages_its_point_reaches(full_loss, monkeypatch
     finish(name, kept)
     finished = calls[len(at_points):]
     holder = next(h for n, h, _ in parameter_slots(model) if n == name)
-    if chiraldet.model.forward_stages(model)[parameter_stage(model, name)].stacks:
-        assert at_points == []
-        # the moved stage's one call, with the chunk's copies stacked in;
-        # after an attention chunk the layer's feed-forward reruns too
-        assert finished[0][1] is holder
-        assert [fn for fn, first in finished if first is holder].count(finished[0][0]) == 1
-    else:
-        assert len(at_points) == AUDIT_CHUNK
-        assert all(first is holder for _, first in at_points)
+    assert at_points == []
+    # the moved stage's one call, with the chunk's copies stacked in;
+    # after an attention chunk the layer's feed-forward reruns too
+    assert finished[0][1] is holder
+    assert [fn for fn, first in finished if first is holder].count(finished[0][0]) == 1
     encoder = model.encoder
     if name.startswith("encoder."):
         assert all(fn != "pair_bias_fwd" for fn, _ in calls)
@@ -369,55 +364,27 @@ def test_a_chunk_reruns_only_the_stages_its_point_reaches(full_loss, monkeypatch
     assert finished[-1] == ("mlp2_fwd", model.head)
 
 
-def assert_copies_keep_their_bytes(holder, field, run):
-    """For k = 1 ... AUDIT_CHUNK, run() under _stacked_call with k copies
-    of holder.field gives each copy the arrays of run() with that copy
-    alone, np.array_equal, and leaves the original leaf object in place.
-    A written array that the leaf does not move, such as the head's
-    pooled, stays single and equals every copy's."""
-    live = getattr(holder, field)
-    rng = np.random.default_rng(live.size)
-    copies = [live + 1e-3 * rng.standard_normal(live.shape) for _ in range(AUDIT_CHUNK)]
-    alone = []
-    for copy in copies:
-        setattr(holder, field, copy)
-        try:
-            alone.append(run())
-        finally:
-            setattr(holder, field, live)
-    for k in range(1, AUDIT_CHUNK + 1):
-        written = _stacked_call(holder, field, copies[:k], run)
-        assert getattr(holder, field) is live
-        for i, a_k in enumerate(written):
-            a = alone[0][i]
-            blocks = a_k.reshape(k, *a.shape) if a_k.size == k * a.size else [a_k] * k
-            for j in range(k):
-                assert np.array_equal(blocks[j], alone[j][i]), (
-                    f"{field}: output {i} of copy {j} of {k} differs from that copy alone")
-
-
 @pytest.mark.parametrize("block", list(INSTANCES))
-def test_every_stacking_stage_gives_each_copy_the_bytes_of_that_copy_alone(block):
-    """Every leaf of every stage that stacks, matrices and vectors: the
-    queries (proj_c and the token), proj_r, proj_n, each layer's attention
-    and feed-forward, and the head, each run once on its θ0 reads."""
+def test_every_stage_gives_each_stacked_copy_its_own_bytes(block):
+    """Every leaf of every stage, matrices and vectors: the kernel readout,
+    the queries (proj_c and the token), proj_r, proj_n, the pair bias,
+    each layer's attention and feed-forward, and the head, each run once
+    on its θ0 reads."""
     model, mols, _, _, _ = audit_instance(block)
     batch = prepare_batch(mols)
     state = forward_batch(model, batch)
-    stacking = [t for t, stage in enumerate(state.stages) if stage.stacks]
-    assert stacking == [1, 2, 3, 5, 6, 7, 8, 9]
     latest, reads = {}, []  # reads[t]: the θ0 arrays stage t reads
     for stage, outputs in zip(state.stages, state.outputs, strict=True):
         reads.append([latest[n] for n in stage.reads])
         latest.update(outputs)
-    leaves = 0
+    stages = []
     for name, holder, field in parameter_slots(model):
         t = parameter_stage(model, name)
-        if t in stacking:
-            leaves += 1
-            assert_copies_keep_their_bytes(
-                holder, field, lambda t=t: state.stages[t].forward(model, batch, *reads[t])[:-1])
-    assert leaves == 5 + 4 + 4 + 6 + 8 + 6 + 8 + 4
+        stages.append(t)
+        assert_copies_keep_their_bytes(
+            holder, field, lambda t=t: state.stages[t].forward(model, batch, *reads[t])[:-1])
+    assert sorted(set(stages)) == list(range(len(state.stages)))
+    assert len(stages) == 2 + 5 + 4 + 4 + 5 + 6 + 8 + 6 + 8 + 4
 
 
 def test_feed_forward_leaves_give_each_copy_the_bytes_of_that_copy_alone():
@@ -474,10 +441,12 @@ def test_stacked_attention_error_row_counts_across_copies(j):
 
 def test_audit_call_counts(monkeypatch):
     """One run_gradcheck() makes these calls, counted at every module
-    attribute that reaches the function: a chunk of attention,
-    feed-forward, projector or head points is one call, so a fallback to a
-    call per point shows."""
-    counts = dict.fromkeys(("attend_fwd", "feed_forward_fwd", "mlp2_fwd", "layer_norm_rows"), 0)
+    attribute that reaches the function: a chunk of any stage's points is
+    one call, so a fallback to a call per point shows. The kernel_fwd and
+    pair_bias_fwd calls left are mostly the encoder.kernel and
+    attention.distance_bias blocks, which run one call per point."""
+    counts = dict.fromkeys(("kernel_fwd", "pair_bias_fwd", "attend_fwd", "feed_forward_fwd",
+                            "mlp2_fwd", "layer_norm_rows"), 0)
 
     def counted(fn, run):
         def wrapper(*args, **kwargs):
@@ -492,5 +461,5 @@ def test_audit_call_counts(monkeypatch):
             if hasattr(module, fn):
                 monkeypatch.setattr(module, fn, counted(fn, getattr(module, fn)))
     assert all(report.passed for report in run_gradcheck())
-    assert counts == {"attend_fwd": 718, "feed_forward_fwd": 937, "mlp2_fwd": 1861,
-                      "layer_norm_rows": 1955}
+    assert counts == {"kernel_fwd": 112, "pair_bias_fwd": 78, "attend_fwd": 718,
+                      "feed_forward_fwd": 937, "mlp2_fwd": 1861, "layer_norm_rows": 1955}
