@@ -91,9 +91,8 @@ def audit_vectors() -> str:
     lines = []
     for seed in (1, 2, 3, 7):
         for block in BLOCKS:
-            arrays, analytic, at_point, finish = _CHECKS[block](block_rng(block, seed),
-                                                                TINY_CONFIG)
-            numeric = _oracle(arrays, at_point, finish)
+            arrays, analytic, losses = _CHECKS[block](block_rng(block, seed), TINY_CONFIG)
+            numeric = _oracle(arrays, losses)
             lines.append(f"seed={seed} {block} "
                          f"numeric={sha256(numeric)} analytic={sha256(analytic)} "
                          f"evaluations={2 * numeric.size}\n")

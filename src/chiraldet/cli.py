@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import asdict
+from dataclasses import asdict, replace
 from dataclasses import fields as dataclass_fields
 from pathlib import Path
 
@@ -85,7 +85,7 @@ def _load_config_arg(arg, seed: int):
     if arg is None:
         return build_configs({}, seed)
     if arg == "tiny":
-        return ModelConfig(**{**TINY_CONFIG.__dict__, "seed": seed}).validate(), TrainConfig()
+        return replace(TINY_CONFIG, seed=seed).validate(), TrainConfig()
     return build_configs(read_config_file(arg), seed)
 
 

@@ -438,10 +438,8 @@ def gen_axial_torsion(base: Molecule, step_deg: float):
     n_steps = int(round(360.0 / step_deg))
     blade_idx = sorted(blade)
     for t in range(n_steps):
-        if t == 0:
-            coords = base.coords.copy()
-        else:
-            coords = base.coords.copy()
+        coords = base.coords.copy()
+        if t:
             coords[blade_idx] = _rotate_about_axis(
                 base.coords[blade_idx], a, direction, math.radians(t * step_deg)
             )

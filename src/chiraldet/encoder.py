@@ -242,10 +242,15 @@ def kernel_bwd(cache, d_out):
     return KernelBank(w=d_w, gamma=d_gamma), d_mc
 
 
-def regularization_loss(bank: KernelBank) -> float:
-    """Sum over slices of ||w^T w - I_3||_F^2."""
-    diff = bank.w.transpose(0, 2, 1) @ bank.w - _EYE3
-    return float((diff * diff).sum())
+def regularization_loss(bank: KernelBank):
+    """Sum over slices of ||w^T w - I_3||_F^2, an np.float64.
+
+    w may be (c, k, d_p, 3), c copies: the c sums then come back as an
+    array, each the bytes of that copy's lone call, since each copy's
+    squares are one contiguous row of the reduction.
+    """
+    diff = bank.w.swapaxes(-1, -2) @ bank.w - _EYE3
+    return (diff * diff).reshape(*bank.w.shape[:-3], -1).sum(axis=-1)
 
 
 def regularization_grad(bank: KernelBank) -> np.ndarray:

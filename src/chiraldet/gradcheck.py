@@ -17,6 +17,7 @@ import numpy as np
 
 from .attention import (
     FEED_FORWARD_LEAVES,
+    DistanceBiasParams,
     LayerParams,
     attend_bwd,
     attend_fwd,
@@ -31,6 +32,7 @@ from .data import SyntheticSpec, gen_rs, tile_molecules
 from .encoder import (
     BatchMask,
     KernelBank,
+    Mlp2,
     init_kernel_bank,
     init_mlp2,
     kernel_bwd,
@@ -102,55 +104,45 @@ def flatten(*items) -> np.ndarray:
 AUDIT_CHUNK = 16
 
 
+def _lifted(copies: np.ndarray) -> np.ndarray:
+    """A (k, *shape) stack of copies, a vector's as (k, 1, n) so that it
+    broadcasts over rows."""
+    return copies[:, None] if copies.ndim == 2 else copies
+
+
 def _stacked_call(holder, field, copies, run):
-    """run() with the k arrays of `copies` stacked into holder.field on a
-    leading axis, a vector's as (k, 1, n) so that it broadcasts over rows;
-    the leaf is restored after, also when run raises."""
+    """run() with `copies`, a (k, *shape) stack of holder.field, set in its
+    place (_lifted); the leaf is restored after, also when run raises."""
     live = getattr(holder, field)
-    stack = np.stack(copies)
-    setattr(holder, field, stack[:, None] if live.ndim == 1 else stack)
+    setattr(holder, field, _lifted(copies))
     try:
         return run()
     finally:
         setattr(holder, field, live)
 
 
-def _unchanged(name, kept):
-    return kept
-
-
-def _copy(name, live):
-    return live.copy()
-
-
-def _oracle(arrays, at_point, finish=_unchanged) -> np.ndarray:
+def _oracle(arrays, losses) -> np.ndarray:
     """Central differences in every entry of `arrays`, (name, array) pairs,
     in order: the audit's one point loop.
 
-    The +FD_STEP and -FD_STEP points of an array's entries run AUDIT_CHUNK
-    at a time. Each point is written into the live array, in place, so no
-    evaluation unpacks a flat vector or rebuilds a parameter dataclass;
-    at_point(name, live) is kept and the entry restored. finish(name, kept)
-    turns a chunk's kept values into its losses; by default they are the
-    losses. Each array is restored before the next is moved, also when an
-    evaluation raises.
+    The +FD_STEP and then -FD_STEP point of each entry run AUDIT_CHUNK at
+    a time. A chunk of k points is one (k, *shape) array built from θ0,
+    copy j with its point's entry moved, and losses(name, copies) returns
+    the k losses. No array of `arrays` is written.
     """
     numeric = []
     for name, live in arrays:
-        theta0 = live.flatten()
-        points = [(i, t + d) for i, t in enumerate(theta0) for d in (FD_STEP, -FD_STEP)]
-        losses = []
-        try:
-            for c in range(0, len(points), AUDIT_CHUNK):
-                kept = []
-                for i, value in points[c : c + AUDIT_CHUNK]:
-                    live.flat[i] = value
-                    kept.append(at_point(name, live))
-                    live.flat[i] = theta0[i]
-                losses += finish(name, kept)
-        finally:
-            live[...] = theta0.reshape(live.shape)
-        numeric.append(central_difference(losses[0::2], losses[1::2]))
+        theta0 = live.ravel()
+        entry = np.repeat(np.arange(live.size), 2)  # the entry each point moves
+        value = np.repeat(theta0, 2) + np.tile([FD_STEP, -FD_STEP], live.size)
+        values = []
+        for c in range(0, entry.size, AUDIT_CHUNK):
+            moved = entry[c : c + AUDIT_CHUNK]
+            copies = np.tile(theta0, (moved.size, 1))
+            copies[np.arange(moved.size), moved] = value[c : c + AUDIT_CHUNK]
+            values.append(losses(name, copies.reshape(moved.size, *live.shape)))
+        values = np.concatenate(values)
+        numeric.append(central_difference(values[0::2], values[1::2]))
     return np.concatenate(numeric)
 
 
@@ -173,20 +165,31 @@ def _nonsingular_mc(rng, n, floor=0.3):
     return np.stack(out)
 
 
-# Each _check_* returns (arrays, analytic, at_point, finish) for _oracle:
-# the audited (name, array) pairs and the analytic gradient over their
-# entries, in order. A small block's at_point is its scalar loss.
+def _copy_sums(w, stacked) -> np.ndarray:
+    """(w * copy).sum() of each copy of w's shape concatenated on the first
+    axis of `stacked`, each the bytes of that lone sum: the products are
+    written in C order, as a lone copy's is, even of a strided view."""
+    k = stacked.size // w.size
+    return np.multiply(w, stacked.reshape(k, *w.shape), order="C").reshape(k, -1).sum(axis=-1)
+
+
+# Each _check_* returns (arrays, analytic, losses) for _oracle: the audited
+# (name, array) pairs, the analytic gradient over their entries, in order,
+# and the losses of a chunk of points.
 
 
 def _probe(arrays, run, backward, *weights):
-    """The check of a block whose loss is sum((w * out).sum()) over
-    `weights` and the outputs of run(), a forward that returns its cache
-    last; the analytic gradient is backward(cache, *weights), flattened."""
+    """The check of a block whose loss is the sum of (w * out).sum() over
+    `weights` and the outputs of run(*audited arrays), a forward that
+    returns its cache last; the analytic gradient is backward(cache,
+    *weights), flattened. A chunk is one run, the moved array's copies
+    (_lifted) in its place."""
 
-    def at_point(name, live):
-        return float(sum((w * out).sum() for w, out in zip(weights, run())))
+    def losses(name, copies):
+        outs = run(*(_lifted(copies) if n == name else a for n, a in arrays))
+        return sum(_copy_sums(w, out) for w, out in zip(weights, outs))
 
-    return arrays, flatten(backward(run()[-1], *weights)), at_point, _unchanged
+    return arrays, flatten(backward(run(*(a for _, a in arrays))[-1], *weights)), losses
 
 
 def _check_kernel(rng, config: ModelConfig):
@@ -194,17 +197,18 @@ def _check_kernel(rng, config: ModelConfig):
     bank.gamma[:] = rng.uniform(0.8, 1.2, 4)
     mc = _nonsingular_mc(rng, 2)
     arrays = [("w", bank.w), ("gamma", bank.gamma), ("mc", mc)]
-    return _probe(arrays, lambda: kernel_fwd(bank, mc), kernel_bwd, rng.standard_normal((2, 2)))
+    return _probe(arrays,
+                  lambda w, gamma, mc: kernel_fwd(KernelBank(w, gamma), mc.reshape(-1, 3, 3)),
+                  kernel_bwd, rng.standard_normal((2, 2)))
 
 
 def _check_reg_loss(rng, config: ModelConfig):
     bank = KernelBank(w=rng.standard_normal((2, 4, 3)), gamma=np.ones(4))
-    arrays = [("w", bank.w)]
 
-    def f(name, live):
-        return regularization_loss(bank)
+    def losses(name, copies):
+        return _stacked_call(bank, "w", copies, lambda: regularization_loss(bank))
 
-    return arrays, regularization_grad(bank).ravel(), f, _unchanged
+    return [("w", bank.w)], regularization_grad(bank).ravel(), losses
 
 
 def _check_layer_norm(rng, config: ModelConfig):
@@ -212,7 +216,7 @@ def _check_layer_norm(rng, config: ModelConfig):
     gamma = rng.uniform(0.5, 1.5, 8)
     beta = rng.standard_normal(8)
     arrays = [("x", x), ("gamma", gamma), ("beta", beta)]
-    return _probe(arrays, lambda: layer_norm_rows(x, gamma, beta),
+    return _probe(arrays, layer_norm_rows,
                   lambda cache, w: layer_norm_rows_backward(w, cache, gamma),
                   rng.standard_normal((3, 8)))
 
@@ -231,16 +235,9 @@ def _check_distance_bias(rng, config: ModelConfig):
     params.e1 += rng.normal(0, 0.3, params.e1.shape)
     params.sigma = rng.uniform(0.5, 1.5, 4)
     pairs = _pair_instance(rng)
-    return _probe(_leaves(params), lambda: pair_bias_fwd(params, pairs),
+    return _probe(_leaves(params),
+                  lambda *leaves: pair_bias_fwd(DistanceBiasParams(*leaves), pairs),
                   partial(pair_bias_bwd, params), rng.standard_normal((2, 3, 5, 2)))
-
-
-def _copy_sums(w, stacked) -> np.ndarray:
-    """(w * copy).sum() of each copy of w's shape concatenated on the first
-    axis of `stacked`, each the bytes of that lone sum: the products are
-    written in C order, as a lone copy's is, even of a strided view."""
-    k = stacked.size // w.size
-    return np.multiply(w, stacked.reshape(k, *w.shape), order="C").reshape(k, -1).sum(axis=-1)
 
 
 def _check_attention_layer(rng, config: ModelConfig):
@@ -251,15 +248,15 @@ def _check_attention_layer(rng, config: ModelConfig):
     reach the emitted logits, so their gradients are audited as well.
 
     The loss is (w_out * h_c_out).sum() + (w_bias * bias_out).sum() of the
-    whole layer, attend_fwd then feed_forward_fwd. Every at_point keeps a
-    copy of the moved array, and finish runs the layer once per chunk: an
-    input chunk one attend_fwd over the k copies stacked on the molecule
-    axis, an attention chunk one attend_fwd with the k copies stacked into
-    the leaf (_stacked_call), each then one feed_forward_fwd over the k
-    stacked u; a feed-forward chunk, which moves neither u nor bias_out,
-    one feed_forward_fwd on u at the starting point with the k copies
-    stacked into the leaf, whose one bias_out sum serves every copy. Each
-    copy's two sums add as a point alone would add them (_copy_sums)."""
+    whole layer, attend_fwd then feed_forward_fwd. A chunk of k points runs
+    the layer once: an input chunk one attend_fwd over the k copies stacked
+    on the molecule axis, an attention chunk one attend_fwd with the k
+    copies stacked into the leaf (_stacked_call), each then one
+    feed_forward_fwd over the k stacked u; a feed-forward chunk, which
+    moves neither u nor bias_out, one feed_forward_fwd on u at θ0 with the
+    k copies stacked into the leaf, whose one bias_out sum serves every
+    copy. Each copy's two sums add as a point alone would add them
+    (_copy_sums)."""
     layer = init_layer(rng, 8, 2)
     mask = BatchMask.of_counts([1, 0, 0], [2, 0, 0], [1, 2, 0])
     inputs = [rng.standard_normal(s) for s in ((3, 2, 8), (3, 2, 8), (3, 2, 8), (3, 2, 4, 2))]
@@ -272,31 +269,33 @@ def _check_attention_layer(rng, config: ModelConfig):
     grads, *d_inputs = attend_bwd(layer, attend_cache, d_u, w_bias)
     analytic = flatten(LayerParams(**grads, **ff_grads, n_heads=layer.n_heads), *d_inputs)
 
-    def finish(name, kept):
-        k = len(kept)
+    def losses(name, copies):
+        k = len(copies)
         if name in FEED_FORWARD_LEAVES:
-            h_c = _stacked_call(layer, name, kept, lambda: feed_forward_fwd(layer, u0)[0])
+            h_c = _stacked_call(layer, name, copies, lambda: feed_forward_fwd(layer, u0)[0])
             bias = bias0
         else:
             if name in input_names:
-                stacked = [np.concatenate(kept if input_name == name else [a] * k)
+                stacked = [copies.reshape(-1, *a.shape[1:]) if input_name == name
+                           else np.concatenate([a] * k)
                            for input_name, a in zip(input_names, inputs)]
                 u, bias, _, _ = attend_fwd(layer, *stacked, BatchMask(
                     *(np.concatenate([m] * k) for m in (mask.queries, mask.keys))))
             else:
-                u, bias, _, _ = _stacked_call(layer, name, kept,
+                u, bias, _, _ = _stacked_call(layer, name, copies,
                                               lambda: attend_fwd(layer, *inputs, mask))
             h_c = feed_forward_fwd(layer, u)[0]
-        return (_copy_sums(w_out, h_c) + _copy_sums(w_bias, bias)).tolist()
+        return _copy_sums(w_out, h_c) + _copy_sums(w_bias, bias)
 
-    return arrays, analytic, _copy, finish
+    return arrays, analytic, losses
 
 
 def _check_predictor(rng, config: ModelConfig):
     mlp = init_mlp2(rng, 8, 8, 2)
     x = rng.standard_normal((3, 8))
-    return _probe(_leaves(mlp) + [("x", x)], lambda: mlp2_fwd(mlp, x), partial(mlp2_bwd, mlp),
-                  rng.standard_normal((3, 2)))
+    return _probe(_leaves(mlp) + [("x", x)],
+                  lambda w1, b1, w2, b2, x: mlp2_fwd(Mlp2(w1, b1, w2, b2), x),
+                  partial(mlp2_bwd, mlp), rng.standard_normal((3, 2)))
 
 
 def rerun_stages(stages) -> list[tuple]:
@@ -318,23 +317,23 @@ def rerun_stages(stages) -> list[tuple]:
 
 
 def _model_points(model, mols, objective, reg_weight: float, names):
-    """(arrays, at_point, finish) of _oracle over the loss batch_step takes
-    of prepare_batch(mols), in the named live parameters, in
-    named_parameters order.
+    """(arrays, losses) of _oracle over the loss batch_step takes of
+    prepare_batch(mols), in the named live parameters, in named_parameters
+    order.
 
-    at_point keeps a copy of the moved array and the rank penalty at the
-    point, which only the kernel slices move. finish runs the stage s that
-    reads the moved array (parameter_stage) once per chunk of k points, on
-    the θ0 arrays it reads, with the k copies stacked into the leaf
-    (_stacked_call). It then reruns, once per chunk and without caches,
-    only the stages the move reaches (rerun_stages), over
-    prepare_batch(mols * k), whose copies are padded as the batch is. A
-    rerun stage reads the stacked k outputs of s or of an earlier rerun
-    stage where one of those wrote the array last, and otherwise the θ0
-    array, repeated k times once per (writing stage, name, k) and reused.
-    One objective call scores the k copies' logits, each with the loss
-    batch_step would give, so every numeric gradient is byte-identical to
-    a full forward per point.
+    losses runs the stage s that reads the moved array (parameter_stage)
+    once per chunk of k points, on the θ0 arrays it reads, with the k
+    copies stacked into the leaf (_stacked_call). It then reruns, once per
+    chunk and without caches, only the stages the move reaches
+    (rerun_stages), over prepare_batch(mols * k), whose copies are padded
+    as the batch is. A rerun stage reads the stacked k outputs of s or of
+    an earlier rerun stage where one of those wrote the array last, and
+    otherwise the θ0 array, repeated k times once per (writing stage, name,
+    k) and reused. One objective call scores the k copies' logits, each
+    with the loss batch_step would give; the rank penalty, which reads the
+    kernel slices alone, is one stacked rank_penalty call for a kernel-slice
+    chunk. So every numeric gradient is byte-identical to a full forward
+    per point.
     """
     batch = prepare_batch(mols)
     stages = forward_stages(model)
@@ -346,9 +345,6 @@ def _model_points(model, mols, objective, reg_weight: float, names):
         writer.append({n: latest[n] for n in stage.reads})
         latest.update((n, t) for n in stage.writes)
     writer.append({"logits": latest["logits"]})
-    # stacked[s]: the names of s's outputs that a rerun stage or the objective reads
-    stacked = [{n for t in (*reruns[s], len(stages)) for n, w in writer[t].items() if w == s}
-               for s in range(len(stages))]
     outputs = forward_batch(model, batch).outputs
     penalty0 = rank_penalty(model, reg_weight)
     stage = {name: parameter_stage(model, name) for name in names}
@@ -369,29 +365,24 @@ def _model_points(model, mols, objective, reg_weight: float, names):
             out.append(tiled[w, n, k])
         return out
 
-    def at_point(name, live):
-        # rank_penalty reads the kernel slices alone
-        penalty = rank_penalty(model, reg_weight) if live is model.encoder.kernels.w else penalty0
-        return live.copy(), penalty
-
-    def finish(name, kept):
-        points, penalties = zip(*kept)
-        k, s = len(points), stage[name]
+    def losses(name, copies):
+        k, s = len(copies), stage[name]
         if k not in repeated:
             repeated[k] = prepare_batch(mols * k)
-        written = _stacked_call(*slots[name], points, lambda: stages[s].forward(
+        written = _stacked_call(*slots[name], copies, lambda: stages[s].forward(
             model, batch, *(outputs[w][n] for n, w in writer[s].items()))[:-1])
         moved = {n: a.reshape(-1, *outputs[s][n].shape[1:])
-                 for n, a in zip(stages[s].writes, written) if n in stacked[s]}
+                 for n, a in zip(stages[s].writes, written, strict=True)}
         for t in reruns[s]:
             *written, _ = stages[t].forward(model, repeated[k], *reads(s, t, k, moved))
             moved.update(zip(stages[t].writes, written, strict=True))
         logits, = reads(s, len(stages), k, moved)
-        losses = objective(logits.reshape(k, len(mols), -1))[0]
-        return [loss + penalty for loss, penalty in zip(losses, penalties)]
+        penalty = (_stacked_call(*slots[name], copies, lambda: rank_penalty(model, reg_weight))
+                   if name == "encoder.kernel.w" else penalty0)
+        return np.add(objective(logits.reshape(k, len(mols), -1))[0], penalty)
 
     arrays = [(name, live) for name, live in named_parameters(model) if name in names]
-    return arrays, at_point, finish
+    return arrays, losses
 
 
 # Each *_loss_instance returns (model, mols, objective, reg_weight, the
@@ -439,10 +430,10 @@ def _check_model(instance):
 
     def check(rng, config: ModelConfig):
         model, mols, objective, reg_weight, names = instance(rng, config)
-        arrays, at_point, finish = _model_points(model, mols, objective, reg_weight, names)
+        arrays, losses = _model_points(model, mols, objective, reg_weight, names)
         _, _, grads = batch_step(model, prepare_batch(mols), objective, reg_weight)
         analytic = flatten(*(g for n, g in named_parameters(grads) if n in names))
-        return arrays, analytic, at_point, finish
+        return arrays, analytic, losses
 
     return check
 
@@ -474,8 +465,8 @@ def run_gradcheck(config: ModelConfig = TINY_CONFIG, seed: int = 1, tol: float =
     reports = []
     for name in blocks:
         began = time.perf_counter()
-        arrays, analytic, at_point, finish = _CHECKS[name](block_rng(name, seed), config)
-        numeric = _oracle(arrays, at_point, finish)
+        arrays, analytic, losses = _CHECKS[name](block_rng(name, seed), config)
+        numeric = _oracle(arrays, losses)
         if sabotage and name.startswith(sabotage):
             analytic = analytic * 1.02 + 0.01
         rep = compare_grads(analytic, numeric, tol=tol)

@@ -164,14 +164,14 @@ def batch_reference(mols) -> MoleculeBatch:
 
 
 def assert_copies_keep_their_bytes(holder, field, run):
-    """For k = 1 ... AUDIT_CHUNK, run() under _stacked_call with k copies
-    of holder.field gives each copy the arrays of run() with that copy
+    """For k = 1 ... AUDIT_CHUNK, run() under _stacked_call with a stack of
+    k copies of holder.field gives each copy the arrays of run() with that copy
     alone, np.array_equal, and leaves the original leaf object in place.
     A written array that the leaf does not move, such as the head's
     pooled, stays single and equals every copy's."""
     live = getattr(holder, field)
     rng = np.random.default_rng(live.size)
-    copies = [live + 1e-3 * rng.standard_normal(live.shape) for _ in range(AUDIT_CHUNK)]
+    copies = live + 1e-3 * rng.standard_normal((AUDIT_CHUNK, *live.shape))
     alone = []
     for copy in copies:
         setattr(holder, field, copy)

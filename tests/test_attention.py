@@ -149,8 +149,8 @@ class TestDistanceBias:
 
     def test_stacked_sigma_at_floor_is_named_by_its_channel(self):
         params, pairs = self.default_shaped()
-        copies = [params.sigma.copy() for _ in range(3)]
-        copies[1][2] = 0.0
+        copies = np.stack([params.sigma] * 3)
+        copies[1, 2] = 0.0
         with pytest.raises(DegeneracyError, match=r"^bias\.sigma\[2\] = 0\.000e\+00 is at"):
             _stacked_call(params, "sigma", copies, lambda: pair_bias_fwd(params, pairs))
 

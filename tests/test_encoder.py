@@ -26,7 +26,7 @@ from chiraldet.geometry import (
     transform,
     unit_atoms,
 )
-from chiraldet.gradcheck import flatten
+from chiraldet.gradcheck import AUDIT_CHUNK, flatten
 from chiraldet.model import (
     ModelConfig,
     forward_batch,
@@ -188,6 +188,25 @@ class TestRegularization:
                     diff = g[i, j] - (1.0 if i == j else 0.0)
                     total += diff * diff
         assert abs(regularization_loss(bank) - total) < 1e-12
+
+    def test_stacked_copies_keep_their_bytes_at_default_shapes(self):
+        """64 kernels of d_p 32: c = 1 ... AUDIT_CHUNK copies of w,
+        (c, 64, 32, 3), give c sums, each the bytes of that copy's lone
+        call, which is an np.float64 with the bytes of the sum of the
+        squares over the whole bank."""
+        rng = np.random.default_rng(14)
+        bank = init_kernel_bank(rng, 64, 32)
+        copies = bank.w + 1e-3 * rng.standard_normal((AUDIT_CHUNK, *bank.w.shape))
+        alone = []
+        for w in copies:
+            loss = regularization_loss(KernelBank(w=w, gamma=bank.gamma))
+            diff = w.transpose(0, 2, 1) @ w - np.eye(3)
+            assert type(loss) is np.float64
+            assert loss.tobytes() == (diff * diff).sum().tobytes()
+            alone.append(loss)
+        for c in range(1, AUDIT_CHUNK + 1):
+            stacked = regularization_loss(KernelBank(w=copies[:c], gamma=bank.gamma))
+            assert stacked.tobytes() == np.array(alone[:c]).tobytes(), c
 
     def test_gradient_matches_fd(self):
         rng = np.random.default_rng(8)

@@ -1,13 +1,15 @@
 """The audit oracle, _oracle: every block's numeric gradient keeps the
-bytes of finite_diff_grad, one evaluation per point. In a model-level
-block, the points of every stage run in one call of that stage per chunk
-of AUDIT_CHUNK, their copies of the moved leaf stacked into it; no stage
-runs once per point. Each chunk then reruns, stacked in one forward, only
-the later stages the moved array reaches (rerun_stages). The
-attention.layer block stacks a chunk's points in one feed_forward_fwd, a
-feed-forward chunk's copies into the moved leaf, an attention chunk's
-into the moved leaf of one attend_fwd, and an input chunk's on the
-molecule axis of one attend_fwd."""
+bytes of finite_diff_grad over a plain forward per point, and no audited
+array is written. Every block scores a chunk of AUDIT_CHUNK points, a
+(k, *shape) stack of copies of the moved array, in one call of its
+forward; no block runs once per point. A small block passes the copies
+to its forward in place of the array. In a model-level block the copies
+are stacked into the leaf of the one stage that reads it, and the chunk
+then reruns, stacked in one forward, only the later stages the moved
+array reaches (rerun_stages). The attention.layer block stacks a
+feed-forward chunk's copies into the moved leaf of one feed_forward_fwd,
+an attention chunk's into the moved leaf of one attend_fwd, and an input
+chunk's on the molecule axis of one attend_fwd."""
 
 import numpy as np
 import pytest
@@ -23,10 +25,22 @@ from chiraldet.attention import (
     LayerParams,
     attend_fwd,
     feed_forward_fwd,
+    init_distance_bias,
     init_layer,
+    pair_bias_fwd,
 )
-from chiraldet.encoder import BatchMask, prepare_batch
+from chiraldet.encoder import (
+    BatchMask,
+    KernelBank,
+    init_kernel_bank,
+    init_mlp2,
+    kernel_fwd,
+    mlp2_fwd,
+    prepare_batch,
+    regularization_loss,
+)
 from chiraldet.errors import NumericError
+from chiraldet.numerics import layer_norm_rows
 from chiraldet.gradcheck import (
     _CHECKS,
     AUDIT_CHUNK,
@@ -34,7 +48,9 @@ from chiraldet.gradcheck import (
     TINY_CONFIG,
     _full_loss_instance,
     _model_points,
+    _nonsingular_mc,
     _oracle,
+    _pair_instance,
     _rank_loss_instance,
     _stacked_call,
     block_rng,
@@ -52,24 +68,61 @@ from chiraldet.model import (
 from oracles import assert_copies_keep_their_bytes, batch_loss, finite_diff_grad
 
 INSTANCES = {"model.full_loss": _full_loss_instance, "model.rank_loss": _rank_loss_instance}
-# attention.layer's at_point is not its loss: its finish stacks a chunk
 SMALL_BLOCKS = [b for b in BLOCKS if b not in INSTANCES and b != "attention.layer"]
+
+
+def replayed_small_block(block):
+    """(arrays, loss) of a small block from its seed-1 draws replayed: the
+    arrays it audits, as new arrays, and its loss as one plain forward of
+    them, a float."""
+    rng = block_rng(block, 1)
+    if block == "encoder.kernel":
+        bank = init_kernel_bank(rng, 2, 4)
+        bank.gamma[:] = rng.uniform(0.8, 1.2, 4)
+        mc = _nonsingular_mc(rng, 2)
+        w = rng.standard_normal((2, 2))
+        return ([("w", bank.w), ("gamma", bank.gamma), ("mc", mc)],
+                lambda: float((w * kernel_fwd(bank, mc)[0]).sum()))
+    if block == "encoder.reg_loss":
+        bank = KernelBank(w=rng.standard_normal((2, 4, 3)), gamma=np.ones(4))
+        return [("w", bank.w)], lambda: float(regularization_loss(bank))
+    if block == "numerics.layer_norm":
+        x, gamma, beta = (rng.standard_normal((3, 8)), rng.uniform(0.5, 1.5, 8),
+                          rng.standard_normal(8))
+        w = rng.standard_normal((3, 8))
+        return ([("x", x), ("gamma", gamma), ("beta", beta)],
+                lambda: float((w * layer_norm_rows(x, gamma, beta)[0]).sum()))
+    if block == "attention.distance_bias":
+        params = init_distance_bias(rng, 4, 2)
+        params.e1 += rng.normal(0, 0.3, params.e1.shape)
+        params.sigma = rng.uniform(0.5, 1.5, 4)
+        pairs = _pair_instance(rng)
+        w = rng.standard_normal((2, 3, 5, 2))
+        return _leaves(params), lambda: float((w * pair_bias_fwd(params, pairs)[0]).sum())
+    assert block == "model.predictor"
+    mlp = init_mlp2(rng, 8, 8, 2)
+    x = rng.standard_normal((3, 8))
+    w = rng.standard_normal((3, 2))
+    return _leaves(mlp) + [("x", x)], lambda: float((w * mlp2_fwd(mlp, x)[0]).sum())
 
 
 @pytest.mark.parametrize("block", SMALL_BLOCKS)
 def test_oracle_matches_finite_diff_grad_on_small_blocks(block):
-    """Byte for byte against finite_diff_grad over the block's own
-    at_point, each array moved through a flat copy of its entries."""
-    arrays, analytic, at_point, finish = _CHECKS[block](block_rng(block, 1), TINY_CONFIG)
-    numeric = _oracle(arrays, at_point, finish)
+    """Byte for byte against finite_diff_grad over the block's forward,
+    unstacked, at every point alone, on the block's draws replayed: its
+    chunks keep the bytes of one forward per point."""
+    arrays, analytic, losses = _CHECKS[block](block_rng(block, 1), TINY_CONFIG)
+    numeric = _oracle(arrays, losses)
     assert numeric.size == analytic.size == sum(live.size for _, live in arrays)
+    replayed, loss = replayed_small_block(block)
+    assert [(n, a.tobytes()) for n, a in replayed] == [(n, a.tobytes()) for n, a in arrays]
     expect = []
-    for name, live in arrays:
+    for _, live in replayed:
         theta0 = live.flatten()
 
         def loss_at(theta):
             live[...] = theta.reshape(live.shape)
-            return at_point(name, live)
+            return loss()
 
         try:
             expect.append(finite_diff_grad(loss_at, theta0))
@@ -78,13 +131,25 @@ def test_oracle_matches_finite_diff_grad_on_small_blocks(block):
     assert numeric.tobytes() == np.concatenate(expect).tobytes()
 
 
+@pytest.mark.parametrize("block", BLOCKS)
+def test_oracle_writes_no_audited_array(block):
+    """Every audited array set read-only: _oracle gives the bytes of a run
+    on writable arrays, so no evaluation writes into a live array."""
+    arrays, _, losses = _CHECKS[block](block_rng(block, 1), TINY_CONFIG)
+    expect = _oracle(arrays, losses)
+    arrays, _, losses = _CHECKS[block](block_rng(block, 1), TINY_CONFIG)
+    for _, live in arrays:
+        live.flags.writeable = False
+    assert _oracle(arrays, losses).tobytes() == expect.tobytes()
+
+
 def test_layer_oracle_matches_a_whole_layer_per_point():
     """Byte for byte against finite_diff_grad over the whole layer,
     attend_fwd then feed_forward_fwd, run at every point alone: the
     attention.layer block's chunks keep the bytes of one layer per point."""
-    arrays, analytic, at_point, finish = _CHECKS["attention.layer"](
-        block_rng("attention.layer", 1), TINY_CONFIG)
-    numeric = _oracle(arrays, at_point, finish)
+    arrays, analytic, losses = _CHECKS["attention.layer"](block_rng("attention.layer", 1),
+                                                          TINY_CONFIG)
+    numeric = _oracle(arrays, losses)
     assert numeric.size == analytic.size == sum(live.size for _, live in arrays)
     # the block's draws, replayed for the weights of its loss
     rng = block_rng("attention.layer", 1)
@@ -123,21 +188,22 @@ def test_layer_oracle_matches_a_whole_layer_per_point():
 def test_nonfinite_small_block_evaluation_names_its_coordinate():
     """The 8th evaluation of the layer norm's gamma, the minus point of its
     coordinate 3, is NaN: the error names the coordinate, after every
-    point ran, and gamma is restored."""
-    arrays, _, at_point, finish = _CHECKS["numerics.layer_norm"](
-        block_rng("numerics.layer_norm", 1), TINY_CONFIG)
+    point ran, and gamma keeps its bytes."""
+    arrays, _, losses = _CHECKS["numerics.layer_norm"](block_rng("numerics.layer_norm", 1),
+                                                       TINY_CONFIG)
     gamma = dict(arrays)["gamma"]
     saved = gamma.copy()
-    calls = []
+    scored = []  # one entry per evaluation
 
-    def nan_at_call_8(name, live):
-        calls.append(name)
-        loss = at_point(name, live)
-        return float("nan") if len(calls) == 8 else loss
+    def nan_at_evaluation_8(name, copies):
+        values = [float("nan") if len(scored) + j == 7 else v
+                  for j, v in enumerate(losses(name, copies))]
+        scored.extend(values)
+        return values
 
     with pytest.raises(NumericError, match="^non-finite evaluation at coordinate 3$"):
-        _oracle([("gamma", gamma)], nan_at_call_8, finish)
-    assert calls == ["gamma"] * (2 * saved.size)
+        _oracle([("gamma", gamma)], nan_at_evaluation_8)
+    assert len(scored) == 2 * saved.size
     assert gamma.tobytes() == saved.tobytes()
 
 
@@ -149,7 +215,7 @@ def audit_instance(block, seed=1):
 
 @pytest.mark.parametrize("block", list(INSTANCES))
 def test_repeated_batch_gives_every_copy_the_bytes_of_the_batch(block):
-    """Every stage that finish reruns for an audited parameter, run over
+    """Every stage that a chunk reruns for an audited parameter, run over
     prepare_batch(mols * k) on its θ0 reads repeated k times, gives each
     copy the bytes of the batch alone, for k = 1 ... AUDIT_CHUNK."""
     model, mols, _, _, names = audit_instance(block)
@@ -209,8 +275,8 @@ def test_chunked_oracle_matches_a_full_forward_per_point(block):
     from the first chunk into the second and those of the last chunk,
     short or not."""
     model, mols, objective, reg_weight, names = audit_instance(block)
-    arrays, at_point, finish = _model_points(model, mols, objective, reg_weight, names)
-    numeric = _oracle(arrays, at_point, finish)
+    arrays, losses = _model_points(model, mols, objective, reg_weight, names)
+    numeric = _oracle(arrays, losses)
     assert [name for name, _ in arrays] == [n for n, _ in named_parameters(model) if n in names]
     # head.b2 has 2 entries (1 under the ranking head), so its points make
     # one short chunk
@@ -247,23 +313,25 @@ def full_loss():
                                   "layers.0.ff_w1", "layers.1.ff_b2", "layers.1.ln2_beta",
                                   "head.b2"])
 def test_stacked_prefix_resumes_to_the_bytes_of_each_point(full_loss, name):
-    """Three points of a parameter, each kept by at_point and then stacked
-    into its stage by one finish on the repeated prefix, give each point
-    the loss of its own full forward, batch_loss."""
+    """Three points of a parameter, a stack of three copies scored by one
+    losses call on the repeated prefix, give each point the loss of its
+    own full forward, batch_loss."""
     model, mols, objective, reg_weight, _ = full_loss
-    _, at_point, finish = _model_points(model, mols, objective, reg_weight, {name})
+    _, losses = _model_points(model, mols, objective, reg_weight, {name})
     batch = prepare_batch(mols)
     live = dict(named_parameters(model))[name]
     saved = live.flat[0]
-    kept, expect = [], []
+    points = saved + np.array([0.0, 0.25, -0.5])
+    copies = np.stack([live] * 3)
+    copies.reshape(3, -1)[:, 0] = points
+    expect = []
     try:
-        for delta in (0.0, 0.25, -0.5):
-            live.flat[0] = saved + delta
-            kept.append(at_point(name, live))
+        for point in points:
+            live.flat[0] = point
             expect.append(batch_loss(model, batch, objective, reg_weight))
     finally:
         live.flat[0] = saved
-    assert np.array(finish(name, kept)).tobytes() == np.array(expect).tobytes()
+    assert np.asarray(losses(name, copies)).tobytes() == np.array(expect).tobytes()
 
 
 def test_nonfinite_evaluation_names_its_coordinate(full_loss):
@@ -291,42 +359,46 @@ def test_nonfinite_evaluation_names_its_coordinate(full_loss):
 @pytest.mark.parametrize("name", ["layers.0.ff_w1", "layers.0.ln1_beta", "layers.1.ff_b2",
                                   "layers.1.ln2_gamma", "layers.0.wq"])
 def test_a_feed_forward_point_runs_no_attention(full_loss, monkeypatch, name):
-    """An audit point of a feed-forward, layer-norm or attention leaf runs
-    no attention, in the model.full_loss block and in the attention.layer
-    block: its chunk runs its stage once, stacked."""
-    calls = []
+    """A chunk of AUDIT_CHUNK points of a feed-forward or layer-norm leaf
+    runs no attention of its layer, in the model.full_loss block and in
+    the attention.layer block; a chunk of an attention leaf runs its
+    layer's attention once, stacked."""
+    calls = []  # the layer of each attend_fwd call
 
     def counted(module):
         attend = module.attend_fwd
 
-        def attend_fwd(*args):
-            calls.append(1)
-            return attend(*args)
+        def attend_fwd(layer, *args):
+            calls.append(layer)
+            return attend(layer, *args)
 
         monkeypatch.setattr(module, "attend_fwd", attend_fwd)
 
     counted(chiraldet.model)
     counted(chiraldet.gradcheck)
     model, mols, objective, reg_weight, _ = full_loss
-    _, at_point, _ = _model_points(model, mols, objective, reg_weight, {name})
-    arrays, _, layer_point, _ = _CHECKS["attention.layer"](block_rng("attention.layer", 1),
-                                                          TINY_CONFIG)
+    _, losses = _model_points(model, mols, objective, reg_weight, {name})
+    arrays, _, layer_losses = _CHECKS["attention.layer"](block_rng("attention.layer", 1),
+                                                         TINY_CONFIG)
     leaf = name.rpartition(".")[2]
+    runs = int(leaf in ATTENTION_LEAVES)
+    layer = model.layers[int(name.split(".")[1])]
     calls.clear()
-    at_point(name, dict(named_parameters(model))[name])
-    layer_point(leaf, dict(arrays)[leaf])
-    assert calls == []
+    losses(name, np.stack([dict(named_parameters(model))[name]] * AUDIT_CHUNK))
+    assert sum(called is layer for called in calls) == runs
+    calls.clear()
+    layer_losses(leaf, np.stack([dict(arrays)[leaf]] * AUDIT_CHUNK))
+    assert len(calls) == runs
 
 
 @pytest.mark.parametrize("name", ["encoder.kernel.w", "encoder.proj_c.w1", "encoder.proj_r.b1",
                                   "encoder.proj_n.w2", "layers.1.wq", "layers.1.ln1_gamma"])
 def test_a_chunk_reruns_only_the_stages_its_point_reaches(full_loss, monkeypatch, name):
-    """One chunk of AUDIT_CHUNK points: every point runs nothing, and
-    finish runs the moved stage once for the chunk, the kernel readout
-    too. An encoder point runs no pair bias, a proj_r chunk no other
-    projector, and a layers.1 point no stage of layer 0."""
+    """One chunk of AUDIT_CHUNK points runs the moved stage once, the
+    kernel readout too. An encoder chunk runs no pair bias, a proj_r chunk
+    no other projector, and a layers.1 chunk no stage of layer 0."""
     model, mols, objective, reg_weight, _ = full_loss
-    arrays, at_point, finish = _model_points(model, mols, objective, reg_weight, {name})
+    arrays, losses = _model_points(model, mols, objective, reg_weight, {name})
     calls = []  # (function name, its first argument), in call order
 
     for fn in ("kernel_fwd", "mlp2_fwd", "pair_bias_fwd", "attend_fwd", "feed_forward_fwd"):
@@ -335,24 +407,14 @@ def test_a_chunk_reruns_only_the_stages_its_point_reaches(full_loss, monkeypatch
             return run(first, *rest)
 
         monkeypatch.setattr(chiraldet.model, fn, recorded)
-    live = dict(arrays)[name]
-    saved = live.flat[0]
-    kept = []
-    try:
-        for j in range(AUDIT_CHUNK):
-            live.flat[0] = saved + (j + 1) * 1e-3
-            kept.append(at_point(name, live))
-    finally:
-        live.flat[0] = saved
-    at_points = calls[:]
-    finish(name, kept)
-    finished = calls[len(at_points):]
+    copies = np.stack([dict(arrays)[name]] * AUDIT_CHUNK)
+    copies.reshape(AUDIT_CHUNK, -1)[:, 0] += np.arange(1, AUDIT_CHUNK + 1) * 1e-3
+    losses(name, copies)
     holder = next(h for n, h, _ in parameter_slots(model) if n == name)
-    assert at_points == []
     # the moved stage's one call, with the chunk's copies stacked in;
     # after an attention chunk the layer's feed-forward reruns too
-    assert finished[0][1] is holder
-    assert [fn for fn, first in finished if first is holder].count(finished[0][0]) == 1
+    assert calls[0][1] is holder
+    assert [fn for fn, first in calls if first is holder].count(calls[0][0]) == 1
     encoder = model.encoder
     if name.startswith("encoder."):
         assert all(fn != "pair_bias_fwd" for fn, _ in calls)
@@ -361,7 +423,7 @@ def test_a_chunk_reruns_only_the_stages_its_point_reaches(full_loss, monkeypatch
     if name.startswith("layers.1."):
         assert not any(first is model.layers[0] for _, first in calls)
     # every chunk ends in the head, once
-    assert finished[-1] == ("mlp2_fwd", model.head)
+    assert calls[-1] == ("mlp2_fwd", model.head)
 
 
 @pytest.mark.parametrize("block", list(INSTANCES))
@@ -399,7 +461,7 @@ def test_feed_forward_leaves_give_each_copy_the_bytes_of_that_copy_alone():
     for leaf in FEED_FORWARD_LEAVES:
         assert_copies_keep_their_bytes(layer, leaf, lambda: (feed_forward_fwd(layer, u)[0],))
     with pytest.raises(ZeroDivisionError):
-        _stacked_call(layer, "ff_b1", [layer.ff_b1] * 2, lambda: 1 / 0)
+        _stacked_call(layer, "ff_b1", np.stack([layer.ff_b1] * 2), lambda: 1 / 0)
     assert layer.ff_b1 is live["ff_b1"]
 
 
@@ -430,8 +492,8 @@ def test_stacked_attention_error_row_counts_across_copies(j):
     and the leaf is restored after the error."""
     layer, inputs, mask = attention_layer_instance()
     live = layer.wq
-    copies = [live.copy() for _ in range(3)]
-    copies[j][0, 0] = np.inf
+    copies = np.stack([live] * 3)
+    copies[j, 0, 0] = np.inf
     with pytest.raises(NumericError, match="non-finite attention logits") as err:
         _stacked_call(layer, "wq", copies, lambda: attend_fwd(layer, *inputs, mask))
     assert err.value.row == j * len(inputs[0]) + 0
@@ -441,12 +503,12 @@ def test_stacked_attention_error_row_counts_across_copies(j):
 
 def test_audit_call_counts(monkeypatch):
     """One run_gradcheck() makes these calls, counted at every module
-    attribute that reaches the function: a chunk of any stage's points is
-    one call, so a fallback to a call per point shows. The kernel_fwd and
-    pair_bias_fwd calls left are mostly the encoder.kernel and
-    attention.distance_bias blocks, which run one call per point."""
+    attribute that reaches the function: every block scores a chunk of
+    points in one call of its forward, so a fallback to a call per point
+    shows. regularization_loss runs once per chunk of encoder.reg_loss and
+    of the kernel slices in model.full_loss, plus the penalties at θ0."""
     counts = dict.fromkeys(("kernel_fwd", "pair_bias_fwd", "attend_fwd", "feed_forward_fwd",
-                            "mlp2_fwd", "layer_norm_rows"), 0)
+                            "mlp2_fwd", "layer_norm_rows", "regularization_loss"), 0)
 
     def counted(fn, run):
         def wrapper(*args, **kwargs):
@@ -461,5 +523,6 @@ def test_audit_call_counts(monkeypatch):
             if hasattr(module, fn):
                 monkeypatch.setattr(module, fn, counted(fn, getattr(module, fn)))
     assert all(report.passed for report in run_gradcheck())
-    assert counts == {"kernel_fwd": 112, "pair_bias_fwd": 78, "attend_fwd": 718,
-                      "feed_forward_fwd": 937, "mlp2_fwd": 1861, "layer_norm_rows": 1955}
+    assert counts == {"kernel_fwd": 27, "pair_bias_fwd": 19, "attend_fwd": 718,
+                      "feed_forward_fwd": 937, "mlp2_fwd": 1648, "layer_norm_rows": 1880,
+                      "regularization_loss": 17}
