@@ -201,17 +201,17 @@ def attend_fwd(layer: LayerParams, h_c_in, h_r, h_n, bias_in, mask: BatchMask):
     and attn is written in (B, Q, K, H) memory, so every output keeps the
     bytes of the query-major softmax.
 
-    One of the weights (ATTENTION_LEAVES) may carry a leading axis of k
-    copies, (k, h, h). The products then run per copy as batched matmuls
-    (_project lifts the copies over the molecules), and the softmax
-    reduces along the key axis alone, so u, bias_out and attn come back
-    concatenated on the molecule axis, (k * B, ...), each copy the bytes
-    of a call with that copy alone; a weight that does not move bias_out
-    or attn (wv_*, wo) still returns k copies of them. A non-finite logit's
-    row then counts the k * B molecules in copy order. Only the forward
-    takes such copies: a stacked call returns None for its cache.
+    One of the weights (ATTENTION_LEAVES), (k, h, h), or one of the four
+    inputs, (k, B, ...), may carry a leading axis of k copies. The
+    products then run per copy as batched matmuls (_project lifts weight
+    copies over the molecules) and the softmax reduces along the key axis
+    alone, so each output the copies move comes back with that axis, each
+    copy the bytes of a call with that copy alone; an output they do not
+    move, such as bias_out and attn of a wv_* or wo copy, keeps its single
+    shape. A non-finite logit's row then counts the k * B molecules in
+    copy order. Only the forward takes such copies.
     """
-    n_batch, n_q, h = h_c_in.shape
+    n_batch, n_q, h = h_c_in.shape[-3:]
     n_heads = layer.n_heads
     if mask.first_keyless is not None:
         raise NumericError("chiral queries present but the key set is empty",
@@ -222,7 +222,7 @@ def attend_fwd(layer: LayerParams, h_c_in, h_r, h_n, bias_in, mask: BatchMask):
     scale = 1.0 / math.sqrt(h // n_heads)
     logits = qh @ kh.swapaxes(-1, -2)  # (..., B, H, Q, K) memory
     logits *= scale
-    logits += bias_in.transpose(_HEADS_FIRST[bias_in.ndim])
+    logits = logits + bias_in.transpose(_HEADS_FIRST[bias_in.ndim])
     if not np.isfinite(logits).all():
         bad = ~np.isfinite(logits).all(axis=(-3, -2, -1)).ravel()
         raise NumericError("non-finite attention logits", row=int(np.flatnonzero(bad)[0]))
@@ -239,15 +239,9 @@ def attend_fwd(layer: LayerParams, h_c_in, h_r, h_n, bias_in, mask: BatchMask):
     # attn in (..., B, Q, K, H) memory, so ctx's product takes the same path
     attn = np.divide(expd.transpose(to_last), total.transpose(to_last), order="C")
     ctx = _rows(attn.transpose(_HEADS_FIRST[attn.ndim]) @ vh)
-    wo = layer.wo
-    u = h_c_in.reshape(-1, h) + ctx @ (wo.T if wo.ndim == 2 else wo.swapaxes(-1, -2))
-    if u.ndim == 2:
-        cache = LayerCache(h_c_in, h_r, h_n, qh, kh, vh, attn, ctx, scale)
-        return u.reshape(n_batch, n_q, h), logits, attn, cache
-    copies = u.shape[:1] + logits.shape[-4:]
-    return (u.reshape(-1, n_q, h),
-            *(np.broadcast_to(a, copies).reshape(-1, *a.shape[-3:]) for a in (logits, attn)),
-            None)
+    u = h_c_in.reshape(h_c_in.shape[:-3] + (-1, h)) + ctx @ layer.wo.swapaxes(-1, -2)
+    cache = LayerCache(h_c_in, h_r, h_n, qh, kh, vh, attn, ctx, scale)
+    return u.reshape(u.shape[:-2] + (n_batch, n_q, h)), logits, attn, cache
 
 
 def attend_bwd(layer: LayerParams, cache: LayerCache, d_u, d_bias_out):
@@ -298,18 +292,20 @@ def feed_forward_fwd(layer: LayerParams, u):
     (h_c_out, cache), h_c_out shaped as u. A layer norm's NumericError
     comes back with the row of its molecule.
 
-    Its leaves may carry a leading axis of k copies (mlp2_fwd,
-    layer_norm_rows): h_c_out is then the k copies' outputs concatenated
-    on the molecule axis, (k * B, Q, h), each the bytes of a call with that
-    copy alone. Only the forward takes such copies."""
-    n_q, h = u.shape[1:]
+    Its leaves (mlp2_fwd, layer_norm_rows) or u, (k, B, Q, h), may carry a
+    leading axis of k copies: h_c_out is then (k, B, Q, h), and each copy's
+    rows run as one (B * Q, h) block, so each copy is the bytes of a call
+    with that copy alone. Only the forward takes such copies."""
+    n_q, h = u.shape[-2:]
     try:
-        u_ln, ln1_cache = layer_norm_rows(u.reshape(-1, h), layer.ln1_gamma, layer.ln1_beta)
+        u_ln, ln1_cache = layer_norm_rows(u.reshape(u.shape[:-3] + (-1, h)), layer.ln1_gamma,
+                                          layer.ln1_beta)
         f, ff_cache = mlp2_fwd(layer.ff, u_ln)
         out, ln2_cache = layer_norm_rows(u_ln + f, layer.ln2_gamma, layer.ln2_beta)
     except NumericError as exc:
         raise NumericError(str(exc), row=exc.row // n_q) from exc
-    return out.reshape(-1, n_q, h), FeedForwardCache(ln1_cache, ff_cache, ln2_cache)
+    cache = FeedForwardCache(ln1_cache, ff_cache, ln2_cache)
+    return out.reshape(out.shape[:-2] + u.shape[-3:]), cache
 
 
 def feed_forward_bwd(layer: LayerParams, cache: FeedForwardCache, d_out):
@@ -337,10 +333,12 @@ def feed_forward_bwd(layer: LayerParams, cache: FeedForwardCache, d_out):
 
 def pool(h_c_final, query_mask) -> np.ndarray:
     """Token row plus the mean of the valid chiral rows (token alone if
-    none), per molecule of a (B, Q, h) batch."""
+    none), per molecule of a (B, Q, h) batch; leading axes of h_c_final,
+    (k, B, Q, h) copies, are kept."""
     chiral = query_mask[:, 1:, None]
     n_units = np.maximum(chiral.sum(axis=1), 1)
-    return h_c_final[:, 0] + np.where(chiral, h_c_final[:, 1:], 0.0).sum(axis=1) / n_units
+    return (h_c_final[..., 0, :]
+            + np.where(chiral, h_c_final[..., 1:, :], 0.0).sum(axis=-2) / n_units)
 
 
 def pool_bwd(d_pooled, query_mask) -> np.ndarray:

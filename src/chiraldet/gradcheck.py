@@ -95,12 +95,10 @@ def flatten(*items) -> np.ndarray:
     return np.concatenate([a.ravel() for item in items for a in _arrays(item)])
 
 
-# evaluation points per chunk of _oracle. A model block reruns, stacked,
-# only the stages a moved array reaches (rerun_stages), so the only
-# projector product over stacked rows is proj_c's, after a kernel point.
-# Stacks of 16 keep every audited gradient byte-identical to a forward per
-# point; at 32 the feed-forward's second product over 192 stacked rows
-# takes another OpenBLAS kernel and rounds differently
+# evaluation points per chunk of _oracle. Copies keep a leading axis
+# through every stage, so each copy's products have the shapes of a lone
+# forward whatever the chunk: it sets speed and memory, not the audited
+# bytes
 AUDIT_CHUNK = 16
 
 
@@ -166,9 +164,10 @@ def _nonsingular_mc(rng, n, floor=0.3):
 
 
 def _copy_sums(w, stacked) -> np.ndarray:
-    """(w * copy).sum() of each copy of w's shape concatenated on the first
-    axis of `stacked`, each the bytes of that lone sum: the products are
-    written in C order, as a lone copy's is, even of a strided view."""
+    """(w * copy).sum() of each copy of w's shape in `stacked`, k of them
+    on a leading axis or one alone, each the bytes of that lone sum: the
+    products are written in C order, as a lone copy's is, even of a
+    strided view."""
     k = stacked.size // w.size
     return np.multiply(w, stacked.reshape(k, *w.shape), order="C").reshape(k, -1).sum(axis=-1)
 
@@ -249,13 +248,12 @@ def _check_attention_layer(rng, config: ModelConfig):
 
     The loss is (w_out * h_c_out).sum() + (w_bias * bias_out).sum() of the
     whole layer, attend_fwd then feed_forward_fwd. A chunk of k points runs
-    the layer once: an input chunk one attend_fwd over the k copies stacked
-    on the molecule axis, an attention chunk one attend_fwd with the k
-    copies stacked into the leaf (_stacked_call), each then one
-    feed_forward_fwd over the k stacked u; a feed-forward chunk, which
-    moves neither u nor bias_out, one feed_forward_fwd on u at θ0 with the
-    k copies stacked into the leaf, whose one bias_out sum serves every
-    copy. Each copy's two sums add as a point alone would add them
+    the layer once, with the k copies (_lifted) in place of the moved
+    weight or input: an attention or input chunk one attend_fwd, then one
+    feed_forward_fwd over its u; a feed-forward chunk, which moves neither
+    u nor bias_out, one feed_forward_fwd on u at θ0. An output the copies
+    do not move keeps its single shape, and its one sum serves every copy.
+    Each copy's two sums add as a point alone would add them
     (_copy_sums)."""
     layer = init_layer(rng, 8, 2)
     mask = BatchMask.of_counts([1, 0, 0], [2, 0, 0], [1, 2, 0])
@@ -270,22 +268,13 @@ def _check_attention_layer(rng, config: ModelConfig):
     analytic = flatten(LayerParams(**grads, **ff_grads, n_heads=layer.n_heads), *d_inputs)
 
     def losses(name, copies):
-        k = len(copies)
+        live = dict(arrays, **{name: _lifted(copies)})
+        moved = LayerParams(**{n: live[n] for n, _ in _leaves(layer)}, n_heads=layer.n_heads)
         if name in FEED_FORWARD_LEAVES:
-            h_c = _stacked_call(layer, name, copies, lambda: feed_forward_fwd(layer, u0)[0])
-            bias = bias0
+            u, bias = u0, bias0
         else:
-            if name in input_names:
-                stacked = [copies.reshape(-1, *a.shape[1:]) if input_name == name
-                           else np.concatenate([a] * k)
-                           for input_name, a in zip(input_names, inputs)]
-                u, bias, _, _ = attend_fwd(layer, *stacked, BatchMask(
-                    *(np.concatenate([m] * k) for m in (mask.queries, mask.keys))))
-            else:
-                u, bias, _, _ = _stacked_call(layer, name, copies,
-                                              lambda: attend_fwd(layer, *inputs, mask))
-            h_c = feed_forward_fwd(layer, u)[0]
-        return _copy_sums(w_out, h_c) + _copy_sums(w_bias, bias)
+            u, bias, _, _ = attend_fwd(moved, *(live[n] for n in input_names), mask)
+        return _copy_sums(w_out, feed_forward_fwd(moved, u)[0]) + _copy_sums(w_bias, bias)
 
     return arrays, analytic, losses
 
@@ -325,61 +314,42 @@ def _model_points(model, mols, objective, reg_weight: float, names):
     once per chunk of k points, on the θ0 arrays it reads, with the k
     copies stacked into the leaf (_stacked_call). It then reruns, once per
     chunk and without caches, only the stages the move reaches
-    (rerun_stages), over prepare_batch(mols * k), whose copies are padded
-    as the batch is. A rerun stage reads the stacked k outputs of s or of
-    an earlier rerun stage where one of those wrote the array last, and
-    otherwise the θ0 array, repeated k times once per (writing stage, name,
-    k) and reused. One objective call scores the k copies' logits, each
-    with the loss batch_step would give; the rank penalty, which reads the
-    kernel slices alone, is one stacked rank_penalty call for a kernel-slice
-    chunk. So every numeric gradient is byte-identical to a full forward
-    per point.
+    (rerun_stages), on the same batch. A rerun stage reads the output of s
+    or of an earlier rerun stage where one of those wrote the array last,
+    (k, B, ...) where the copies moved it, and otherwise the θ0 array,
+    which broadcasts over the copies. One objective call scores the k
+    copies' logits, (k, B, n_classes), each with the loss batch_step would
+    give; the rank penalty, which reads the kernel slices alone, is one
+    stacked rank_penalty call for a kernel-slice chunk. So every numeric
+    gradient is byte-identical to a full forward per point.
     """
     batch = prepare_batch(mols)
     stages = forward_stages(model)
     reruns = rerun_stages(stages)
-    # writer[t]: the stage whose array of each name stage t reads; the
-    # objective, t = len(stages), reads the logits
+    # writer[t]: the stage whose array of each name stage t reads
     writer, latest = [], {}
     for t, stage in enumerate(stages):
         writer.append({n: latest[n] for n in stage.reads})
         latest.update((n, t) for n in stage.writes)
-    writer.append({"logits": latest["logits"]})
     outputs = forward_batch(model, batch).outputs
     penalty0 = rank_penalty(model, reg_weight)
     stage = {name: parameter_stage(model, name) for name in names}
     slots = {name: (holder, field) for name, holder, field in parameter_slots(model)
              if name in names}
-    repeated, tiled = {}, {}  # k -> prepare_batch(mols * k); (w, n, k) -> θ0 array repeated
-
-    def reads(s, t, k, moved):
-        """The arrays stage t, or the objective, reads in a chunk of k
-        points of stage s."""
-        out = []
-        for n, w in writer[t].items():
-            if w == s or w in reruns[s]:
-                out.append(moved[n])
-                continue
-            if (w, n, k) not in tiled:
-                tiled[w, n, k] = np.concatenate([outputs[w][n]] * k)
-            out.append(tiled[w, n, k])
-        return out
 
     def losses(name, copies):
-        k, s = len(copies), stage[name]
-        if k not in repeated:
-            repeated[k] = prepare_batch(mols * k)
+        s = stage[name]
         written = _stacked_call(*slots[name], copies, lambda: stages[s].forward(
             model, batch, *(outputs[w][n] for n, w in writer[s].items()))[:-1])
-        moved = {n: a.reshape(-1, *outputs[s][n].shape[1:])
-                 for n, a in zip(stages[s].writes, written, strict=True)}
+        moved = dict(zip(stages[s].writes, written, strict=True))
         for t in reruns[s]:
-            *written, _ = stages[t].forward(model, repeated[k], *reads(s, t, k, moved))
+            *written, _ = stages[t].forward(model, batch, *(
+                moved[n] if w == s or w in reruns[s] else outputs[w][n]
+                for n, w in writer[t].items()))
             moved.update(zip(stages[t].writes, written, strict=True))
-        logits, = reads(s, len(stages), k, moved)
         penalty = (_stacked_call(*slots[name], copies, lambda: rank_penalty(model, reg_weight))
                    if name == "encoder.kernel.w" else penalty0)
-        return np.add(objective(logits.reshape(k, len(mols), -1))[0], penalty)
+        return np.add(objective(moved["logits"])[0], penalty)
 
     arrays = [(name, live) for name, live in named_parameters(model) if name in names]
     return arrays, losses
@@ -461,7 +431,14 @@ def run_gradcheck(config: ModelConfig = TINY_CONFIG, seed: int = 1, tol: float =
                   sabotage: str | None = None, blocks=BLOCKS) -> list[BlockReport]:
     """Run every block audit; `sabotage` corrupts matching blocks' analytic
     gradients (negative control for the audit itself). Each block draws
-    from its own generator, block_rng."""
+    from its own generator, block_rng. A tol that is not finite and
+    positive, or a sabotage prefix that matches none of `blocks`, raises
+    ValueError before any block runs."""
+    if not 0.0 < tol < np.inf:
+        raise ValueError(f"tolerance must be finite and positive, got {tol}")
+    if sabotage is not None and not (sabotage and any(n.startswith(sabotage) for n in blocks)):
+        raise ValueError(f"sabotage prefix {sabotage!r} matches no audit block; "
+                         f"blocks: {', '.join(blocks)}")
     reports = []
     for name in blocks:
         began = time.perf_counter()

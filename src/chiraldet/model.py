@@ -215,14 +215,15 @@ class Stage(NamedTuple):
     A group is a named_parameters prefix (`head`) or, for a layer, whose
     parameters two stages split, a single parameter (`layers.0.wq`).
 
-    Every stage's forward also takes one leaf with a leading axis of k
-    copies, (k, *shape), or (k, 1, n) for a vector, since it reads its
-    parameters only through products and reductions that run each copy's
-    block alone (kernel_fwd, pair_bias_fwd, mlp2_fwd, layer_norm_rows,
-    attend_fwd, a broadcast add): each array the leaf moves then holds
-    the k copies' outputs in order, on a leading axis or concatenated on
-    the molecule axis, each copy the bytes of a forward with that copy
-    alone. The gradient audit runs a chunk of points in one call."""
+    Every stage's forward also takes one leaf, (k, *shape) or (k, 1, n)
+    for a vector, or read arrays, (k, B, ...), with a leading axis of k
+    copies, since it reads both only through products and reductions
+    that run each copy's block alone (kernel_fwd, pair_bias_fwd, mlp2_fwd,
+    layer_norm_rows, attend_fwd, a broadcast add): each array the copies
+    move then holds the k copies' outputs on that leading axis, each copy
+    the bytes of a forward with that copy alone, and every other array
+    keeps its single shape. The gradient audit runs a chunk of points,
+    and every later stage they reach, in one call each."""
 
     name: str  # what a NumericError calls the stage and its outputs
     groups: tuple  # the named_parameters groups that only this stage reads
@@ -257,11 +258,11 @@ def _kernel_readout_bwd(model, batch, cache, d_h_k):
 
 def _queries(model, batch, h_k):
     """The global token row, then each unit's proj_c row plus its kernel
-    channels. The token row is selected, not assigned, so that a token of
-    k copies, (k, 1, h), broadcasts as a proj_c leaf of k copies does."""
+    channels. The sum is a new array and the token row is selected, not
+    assigned, so that k copies of h_k, of the token, (k, 1, h), or of a
+    proj_c leaf all broadcast to (k, B, Q, h)."""
     rows, cache = mlp2_fwd(model.encoder.proj_c, batch.unit_rows)
-    h_c = _padded(rows, batch.unit_slots, batch.mask.queries.shape)
-    h_c += h_k
+    h_c = _padded(rows, batch.unit_slots, batch.mask.queries.shape) + h_k
     token_row = (np.arange(h_c.shape[-2]) == 0)[:, None]
     return np.where(token_row, model.encoder.global_token[..., None, :], h_c), cache
 
@@ -866,9 +867,11 @@ def save_checkpoint(model: ChiralModel, path, adam: AdamState | None = None):
 def load_checkpoint(path):
     """Returns (model, adam_state or None). Raises distinct errors for
     version, truncation, checksum, and shape failures; a version failure
-    also covers a header field out of range, such as a negative step, and
-    a shape failure a tensor holding a non-finite value and a negative Adam
-    second moment, none of which a training run writes."""
+    also covers a header field out of range, such as a negative step or
+    count, a truncation failure a tensor table that does not end at
+    payload_bytes, and a shape failure a tensor holding a non-finite value
+    and a negative Adam second moment, none of which a training run
+    writes."""
     raw = Path(path).read_bytes()
     sep = raw.find(b"\n\n")
     if sep < 0:
@@ -881,12 +884,14 @@ def load_checkpoint(path):
         raise CheckpointVersionError(f"unsupported checkpoint version {version!r}")
     fields = dict(line.split("=", 1) for line in header[1:] if "=" in line)
     try:
-        n_tensors = int(fields["tensors"])
-        payload_bytes = int(fields["payload_bytes"])
-        step = int(fields["step"])
-        if step < 0:
-            # Adam's bias correction would divide by 1 - beta**0 = 0
-            raise ValueError(f"step must be >= 0, got {step}")
+        n_tensors, payload_bytes, step = (int(fields[f])
+                                          for f in ("tensors", "payload_bytes", "step"))
+        # a negative step would make Adam's bias correction divide by
+        # 1 - beta**0 = 0
+        for field, value in (("tensors", n_tensors), ("payload_bytes", payload_bytes),
+                             ("step", step)):
+            if value < 0:
+                raise ValueError(f"{field} must be >= 0, got {value}")
         config = _config_from_header(fields).validate()
     except (KeyError, ValueError) as exc:
         raise CheckpointVersionError(f"bad header field: {exc}") from None
@@ -919,6 +924,10 @@ def load_checkpoint(path):
             offset += 8 * size
     except (struct.error, ValueError) as exc:
         raise CheckpointTruncatedError(f"payload ended early: {exc}") from None
+    if offset != payload_bytes:
+        raise CheckpointTruncatedError(
+            f"{n_tensors} tensors end at byte {offset} of a {payload_bytes}-byte payload"
+        )
 
     model = init_model(config)
     adam = None

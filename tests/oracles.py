@@ -165,8 +165,8 @@ def batch_reference(mols) -> MoleculeBatch:
 
 def assert_copies_keep_their_bytes(holder, field, run):
     """For k = 1 ... AUDIT_CHUNK, run() under _stacked_call with a stack of
-    k copies of holder.field gives each copy the arrays of run() with that copy
-    alone, np.array_equal, and leaves the original leaf object in place.
+    k copies of holder.field gives each copy the bytes of run() with that
+    copy alone, and leaves the original leaf object in place.
     A written array that the leaf does not move, such as the head's
     pooled, stays single and equals every copy's."""
     live = getattr(holder, field)
@@ -186,5 +186,5 @@ def assert_copies_keep_their_bytes(holder, field, run):
             a = alone[0][i]
             blocks = a_k.reshape(k, *a.shape) if a_k.size == k * a.size else [a_k] * k
             for j in range(k):
-                assert np.array_equal(blocks[j], alone[j][i]), (
+                assert blocks[j].tobytes() == alone[j][i].tobytes(), (
                     f"{field}: output {i} of copy {j} of {k} differs from that copy alone")

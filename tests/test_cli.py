@@ -7,6 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import chiraldet.gradcheck
 from checkpoint_edits import rename_tensor, resign, set_first_beta, set_first_value, set_header
 from chiraldet.cli import main
 from chiraldet.data import (
@@ -618,6 +619,27 @@ class TestGradcheckCmd:
         # two evaluations per audited coordinate, next to the wall time
         assert [int(line.split(" took ")[1].split()[0]) for line in timings] == list(
             AUDIT_EVALUATIONS.values())
+
+    @pytest.mark.parametrize(("flag", "value", "message"), [
+        ("--tol", "-1", "tolerance must be finite and positive"),
+        ("--tol", "nan", "tolerance must be finite and positive"),
+        ("--tol", "inf", "tolerance must be finite and positive"),
+        ("--tol", "0", "tolerance must be finite and positive"),
+        ("--sabotage", "encodr", "sabotage prefix 'encodr' matches no audit block; blocks: "
+                                 + ", ".join(BLOCKS)),
+        ("--sabotage", "", "sabotage prefix '' matches no audit block"),
+    ], ids=["tol-negative", "tol-nan", "tol-inf", "tol-zero", "sabotage-typo",
+            "sabotage-empty"])
+    def test_bad_tol_or_sabotage_exit_2_before_any_block(self, capsys, monkeypatch, flag, value,
+                                                          message):
+        def no_block(name, seed):
+            raise AssertionError(f"block {name} ran")
+
+        monkeypatch.setattr(chiraldet.gradcheck, "block_rng", no_block)
+        assert main(["gradcheck", "--seed", "1", flag, value]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert message in captured.err
 
     def test_output_independent_of_hash_seed(self):
         # block seeds must not depend on Python's per-process str hashing

@@ -5,11 +5,14 @@ array is written. Every block scores a chunk of AUDIT_CHUNK points, a
 forward; no block runs once per point. A small block passes the copies
 to its forward in place of the array. In a model-level block the copies
 are stacked into the leaf of the one stage that reads it, and the chunk
-then reruns, stacked in one forward, only the later stages the moved
-array reaches (rerun_stages). The attention.layer block stacks a
-feed-forward chunk's copies into the moved leaf of one feed_forward_fwd,
-an attention chunk's into the moved leaf of one attend_fwd, and an input
-chunk's on the molecule axis of one attend_fwd."""
+then reruns, stacked in one forward on the one audit batch, only the
+later stages the moved array reaches (rerun_stages). Every array the
+copies move keeps a leading axis of k copies, (k, B, ...), through every
+stage, and every other array its single shape, so the numeric vectors do
+not depend on the chunk. The attention.layer block runs the layer once
+per chunk with the copies in place of the moved weight or input."""
+
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -214,33 +217,42 @@ def audit_instance(block, seed=1):
 
 
 @pytest.mark.parametrize("block", list(INSTANCES))
-def test_repeated_batch_gives_every_copy_the_bytes_of_the_batch(block):
-    """Every stage that a chunk reruns for an audited parameter, run over
-    prepare_batch(mols * k) on its θ0 reads repeated k times, gives each
-    copy the bytes of the batch alone, for k = 1 ... AUDIT_CHUNK."""
+def test_every_rerun_stage_gives_each_stacked_read_copy_its_own_bytes(block):
+    """Every stage that a chunk reruns for an audited parameter, given one
+    of its reads as k stacked copies, (k, B, ...), and its other reads at
+    θ0, on the one audit batch, gives each copy the bytes of that copy
+    alone, for k = 1 ... AUDIT_CHUNK."""
     model, mols, _, _, names = audit_instance(block)
-    state = forward_batch(model, prepare_batch(mols))
+    batch = prepare_batch(mols)
+    state = forward_batch(model, batch)
     reruns = rerun_stages(state.stages)
     rerun = {t for name in names for t in reruns[parameter_stage(model, name)]}
     # the queries stage (after a kernel point), every layer stage and the head
     assert rerun == {1, *range(5, len(state.stages))}
-    n = len(mols)
-    for k in range(1, AUDIT_CHUNK + 1):
-        batch_k = prepare_batch(mols * k)
-        latest = {}  # the θ0 array of each name
-        for t, (stage, outputs) in enumerate(zip(state.stages, state.outputs, strict=True)):
-            if t in rerun:
-                *written, _ = stage.forward(model, batch_k, *(np.concatenate([latest[r]] * k)
-                                                              for r in stage.reads))
-                for a, a_k in zip(outputs.values(), written, strict=True):
-                    for j in range(k):
-                        assert a_k[j * n : (j + 1) * n].tobytes() == a.tobytes(), (
-                            f"{stage.name} output of copy {j} of {k} differs from the batch "
-                            f"alone: the audit oracle stacks up to AUDIT_CHUNK = {AUDIT_CHUNK} "
-                            "evaluation points per rerun stage and assumes BLAS rounds each "
-                            "row of a product alike whatever rows are stacked with it"
-                        )
-            latest.update(outputs)
+    latest = {}  # the θ0 array of each name
+    for t, (stage, outputs) in enumerate(zip(state.stages, state.outputs, strict=True)):
+        if t in rerun:
+            held = SimpleNamespace(**{n: latest[n] for n in stage.reads})
+
+            def run(stage=stage, held=held):
+                return stage.forward(model, batch, *(getattr(held, n) for n in stage.reads))[:-1]
+
+            for read in stage.reads:
+                assert_copies_keep_their_bytes(held, read, run)
+        latest.update(outputs)
+
+
+@pytest.mark.parametrize("chunk", [32, 64])
+@pytest.mark.parametrize("block", ["attention.layer", "model.full_loss"])
+def test_audit_vector_does_not_depend_on_the_chunk(monkeypatch, block, chunk):
+    """The block's numeric vector at seed 1 has the same bytes in chunks
+    of 32 or 64 points as in chunks of 16: a copy's products keep the
+    shapes of a lone forward whatever the chunk."""
+    arrays, _, losses = _CHECKS[block](block_rng(block, 1), TINY_CONFIG)
+    monkeypatch.setattr(chiraldet.gradcheck, "AUDIT_CHUNK", 16)
+    expect = _oracle(arrays, losses)
+    monkeypatch.setattr(chiraldet.gradcheck, "AUDIT_CHUNK", chunk)
+    assert _oracle(arrays, losses).tobytes() == expect.tobytes()
 
 
 def test_rerun_stages_of_the_model_table(full_loss):
@@ -314,7 +326,7 @@ def full_loss():
                                   "head.b2"])
 def test_stacked_prefix_resumes_to_the_bytes_of_each_point(full_loss, name):
     """Three points of a parameter, a stack of three copies scored by one
-    losses call on the repeated prefix, give each point the loss of its
+    losses call on the one batch, give each point the loss of its
     own full forward, batch_loss."""
     model, mols, objective, reg_weight, _ = full_loss
     _, losses = _model_points(model, mols, objective, reg_weight, {name})

@@ -550,8 +550,10 @@ class TestCheckpoint:
     @pytest.mark.parametrize(
         ("old", "new"),
         [(b"n_heads=2", b"n_heads=two"), (b"rank_strategy=none", b"rank_strategy=bogus"),
-         (b"seed=19", b"sead=19"), (b"step=0", b"step=-1")],
-        ids=["int", "rank_strategy", "missing", "negative-step"],
+         (b"seed=19", b"sead=19"), (b"step=0", b"step=-1"), (b"tensors=53", b"tensors=-1"),
+         (b"payload_bytes=31763", b"payload_bytes=-5")],
+        ids=["int", "rank_strategy", "missing", "negative-step", "negative-tensors",
+             "negative-payload-bytes"],
     )
     def test_bad_config_header_field(self, tmp_path, old, new):
         model = tiny_model(seed=19, rank_strategy=RankStrategy.NONE)
@@ -559,6 +561,19 @@ class TestCheckpoint:
         save_checkpoint(model, path)
         resign(path, set_header(old, new))
         with pytest.raises(CheckpointVersionError, match="bad header field"):
+            load_checkpoint(path)
+
+    def test_tensor_table_short_of_the_payload_rejected(self, tmp_path):
+        # an Adam checkpoint re-signed to count only its model tensors:
+        # the walk stops before the moments instead of dropping them
+        path = tmp_path / "model.ckpt"
+        model = tiny_model(seed=24)
+        save_checkpoint(model, path, AdamState.for_model(model))
+        tensors = read_tensors(path.read_bytes())
+        n_model = sum(not name.startswith("adam.") for name, _ in tensors)
+        assert (n_model, len(tensors)) == (53, 159)
+        resign(path, set_header(b"tensors=159", b"tensors=53"))
+        with pytest.raises(CheckpointTruncatedError, match="^53 tensors end at byte "):
             load_checkpoint(path)
 
     def test_d_p_3_header_rejected(self, tmp_path):
