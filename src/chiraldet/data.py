@@ -418,7 +418,9 @@ def gen_axial_torsion(base: Molecule, step_deg: float):
     axis_units = [u for u in base.chiral_units if u.kind is UnitKind.AXIS]
     if len(axis_units) != 1 or len(base.chiral_units) != 1:
         raise AnnotationError("torsion sweep needs exactly one axis unit")
-    if step_deg <= 0 or 360.0 % step_deg != 0:
+    # a whole number of steps to within round-off: 360.0 % 3.6 is 3.5999...
+    n_steps = round(360.0 / step_deg) if 0.0 < step_deg < math.inf else 0
+    if n_steps < 1 or abs(n_steps * step_deg - 360.0) > 1e-9 * 360.0:
         raise ValueError(f"step must divide 360, got {step_deg}")
     if base.blade is None:
         raise AnnotationError("torsion sweep needs a BLADE annotation")
@@ -435,7 +437,6 @@ def gen_axial_torsion(base: Molecule, step_deg: float):
         raise AnnotationError("blade atoms lie on both sides of the axis midpoint")
 
     conformers = []
-    n_steps = int(round(360.0 / step_deg))
     blade_idx = sorted(blade)
     for t in range(n_steps):
         coords = base.coords.copy()

@@ -16,7 +16,6 @@ from functools import partial
 import numpy as np
 
 from .attention import (
-    FEED_FORWARD_LEAVES,
     DistanceBiasParams,
     LayerParams,
     attend_bwd,
@@ -57,7 +56,6 @@ from .model import (
     init_model,
     named_parameters,
     parameter_slots,
-    parameter_stage,
     rank_loss,
     rank_penalty,
 )
@@ -99,7 +97,7 @@ def flatten(*items) -> np.ndarray:
 # through every stage, so each copy's products have the shapes of a lone
 # forward whatever the chunk: it sets speed and memory, not the audited
 # bytes
-AUDIT_CHUNK = 16
+AUDIT_CHUNK = 64
 
 
 def _lifted(copies: np.ndarray) -> np.ndarray:
@@ -247,36 +245,29 @@ def _check_attention_layer(rng, config: ModelConfig):
     reach the emitted logits, so their gradients are audited as well.
 
     The loss is (w_out * h_c_out).sum() + (w_bias * bias_out).sum() of the
-    whole layer, attend_fwd then feed_forward_fwd. A chunk of k points runs
-    the layer once, with the k copies (_lifted) in place of the moved
-    weight or input: an attention or input chunk one attend_fwd, then one
-    feed_forward_fwd over its u; a feed-forward chunk, which moves neither
-    u nor bias_out, one feed_forward_fwd on u at θ0. An output the copies
-    do not move keeps its single shape, and its one sum serves every copy.
-    Each copy's two sums add as a point alone would add them
-    (_copy_sums)."""
+    whole layer, attend_fwd then feed_forward_fwd; the analytic gradient
+    chains feed_forward_bwd into attend_bwd."""
     layer = init_layer(rng, 8, 2)
     mask = BatchMask.of_counts([1, 0, 0], [2, 0, 0], [1, 2, 0])
     inputs = [rng.standard_normal(s) for s in ((3, 2, 8), (3, 2, 8), (3, 2, 8), (3, 2, 4, 2))]
     w_out = rng.standard_normal((3, 2, 8))
     w_bias = rng.standard_normal((3, 2, 4, 2))
-    input_names = ("h_c_in", "h_r", "h_n", "bias_in")
-    arrays = _leaves(layer) + list(zip(input_names, inputs))
-    u0, bias0, _, attend_cache = attend_fwd(layer, *inputs, mask)
-    ff_grads, d_u = feed_forward_bwd(layer, feed_forward_fwd(layer, u0)[1], w_out)
-    grads, *d_inputs = attend_bwd(layer, attend_cache, d_u, w_bias)
-    analytic = flatten(LayerParams(**grads, **ff_grads, n_heads=layer.n_heads), *d_inputs)
+    leaves = _leaves(layer)
+    arrays = leaves + list(zip(("h_c_in", "h_r", "h_n", "bias_in"), inputs))
 
-    def losses(name, copies):
-        live = dict(arrays, **{name: _lifted(copies)})
-        moved = LayerParams(**{n: live[n] for n, _ in _leaves(layer)}, n_heads=layer.n_heads)
-        if name in FEED_FORWARD_LEAVES:
-            u, bias = u0, bias0
-        else:
-            u, bias, _, _ = attend_fwd(moved, *(live[n] for n in input_names), mask)
-        return _copy_sums(w_out, feed_forward_fwd(moved, u)[0]) + _copy_sums(w_bias, bias)
+    def run(*live):
+        moved = LayerParams(**{n: a for (n, _), a in zip(leaves, live)}, n_heads=layer.n_heads)
+        u, bias, _, attend_cache = attend_fwd(moved, *live[len(leaves):], mask)
+        h_c, ff_cache = feed_forward_fwd(moved, u)
+        return h_c, bias, (attend_cache, ff_cache)
 
-    return arrays, analytic, losses
+    def backward(cache, w_out, w_bias):
+        attend_cache, ff_cache = cache
+        ff_grads, d_u = feed_forward_bwd(layer, ff_cache, w_out)
+        grads, *d_inputs = attend_bwd(layer, attend_cache, d_u, w_bias)
+        return LayerParams(**grads, **ff_grads, n_heads=layer.n_heads), *d_inputs
+
+    return _probe(arrays, run, backward, w_out, w_bias)
 
 
 def _check_predictor(rng, config: ModelConfig):
@@ -287,69 +278,34 @@ def _check_predictor(rng, config: ModelConfig):
                   partial(mlp2_bwd, mlp), rng.standard_normal((3, 2)))
 
 
-def rerun_stages(stages) -> list[tuple]:
-    """Per stage s of a stage table, the indices of the later stages that
-    read an array s wrote, directly or through another such stage: what a
-    move of s's parameters reaches. A name that a stage outside the set
-    rewrites no longer carries the move."""
-    reruns = []
-    for s, stage in enumerate(stages):
-        moved, rerun = set(stage.writes), []
-        for t in range(s + 1, len(stages)):
-            if moved.intersection(stages[t].reads):
-                rerun.append(t)
-                moved |= set(stages[t].writes)
-            else:
-                moved -= set(stages[t].writes)
-        reruns.append(tuple(rerun))
-    return reruns
-
-
 def _model_points(model, mols, objective, reg_weight: float, names):
     """(arrays, losses) of _oracle over the loss batch_step takes of
     prepare_batch(mols), in the named live parameters, in named_parameters
     order.
 
-    losses runs the stage s that reads the moved array (parameter_stage)
-    once per chunk of k points, on the θ0 arrays it reads, with the k
-    copies stacked into the leaf (_stacked_call). It then reruns, once per
-    chunk and without caches, only the stages the move reaches
-    (rerun_stages), on the same batch. A rerun stage reads the output of s
-    or of an earlier rerun stage where one of those wrote the array last,
-    (k, B, ...) where the copies moved it, and otherwise the θ0 array,
-    which broadcasts over the copies. One objective call scores the k
-    copies' logits, (k, B, n_classes), each with the loss batch_step would
-    give; the rank penalty, which reads the kernel slices alone, is one
-    stacked rank_penalty call for a kernel-slice chunk. So every numeric
-    gradient is byte-identical to a full forward per point.
+    losses stacks a chunk's k copies into the moved leaf (_stacked_call)
+    and runs every stage of forward_stages once, in order, on the latest
+    array of each name, on the one audit batch and keeping no cache. Each
+    array the copies move holds them on a leading axis, (k, B, ...), and
+    every other array keeps its single shape. One objective call scores
+    the k copies' logits, (k, B, n_classes), and one rank_penalty call
+    adds each copy's penalty, as batch_step adds them. So every numeric
+    gradient is byte-identical to a full forward per point. A NumericError
+    a stage raises reaches the oracle without the stage's name.
     """
     batch = prepare_batch(mols)
     stages = forward_stages(model)
-    reruns = rerun_stages(stages)
-    # writer[t]: the stage whose array of each name stage t reads
-    writer, latest = [], {}
-    for t, stage in enumerate(stages):
-        writer.append({n: latest[n] for n in stage.reads})
-        latest.update((n, t) for n in stage.writes)
-    outputs = forward_batch(model, batch).outputs
-    penalty0 = rank_penalty(model, reg_weight)
-    stage = {name: parameter_stage(model, name) for name in names}
-    slots = {name: (holder, field) for name, holder, field in parameter_slots(model)
-             if name in names}
+    slots = {name: (holder, field) for name, holder, field in parameter_slots(model)}
+
+    def run():
+        latest = {}
+        for stage in stages:
+            *written, _ = stage.forward(model, batch, *(latest[n] for n in stage.reads))
+            latest.update(zip(stage.writes, written, strict=True))
+        return np.add(objective(latest["logits"])[0], rank_penalty(model, reg_weight))
 
     def losses(name, copies):
-        s = stage[name]
-        written = _stacked_call(*slots[name], copies, lambda: stages[s].forward(
-            model, batch, *(outputs[w][n] for n, w in writer[s].items()))[:-1])
-        moved = dict(zip(stages[s].writes, written, strict=True))
-        for t in reruns[s]:
-            *written, _ = stages[t].forward(model, batch, *(
-                moved[n] if w == s or w in reruns[s] else outputs[w][n]
-                for n, w in writer[t].items()))
-            moved.update(zip(stages[t].writes, written, strict=True))
-        penalty = (_stacked_call(*slots[name], copies, lambda: rank_penalty(model, reg_weight))
-                   if name == "encoder.kernel.w" else penalty0)
-        return np.add(objective(moved["logits"])[0], penalty)
+        return _stacked_call(*slots[name], copies, run)
 
     arrays = [(name, live) for name, live in named_parameters(model) if name in names]
     return arrays, losses
@@ -433,7 +389,11 @@ def run_gradcheck(config: ModelConfig = TINY_CONFIG, seed: int = 1, tol: float =
     gradients (negative control for the audit itself). Each block draws
     from its own generator, block_rng. A tol that is not finite and
     positive, or a sabotage prefix that matches none of `blocks`, raises
-    ValueError before any block runs."""
+    ValueError before any block runs, as does a name of `blocks` that is
+    not one of BLOCKS."""
+    unknown = [name for name in blocks if name not in _CHECKS]
+    if unknown:
+        raise ValueError(f"no audit block {unknown[0]!r}; blocks: {', '.join(BLOCKS)}")
     if not 0.0 < tol < np.inf:
         raise ValueError(f"tolerance must be finite and positive, got {tol}")
     if sabotage is not None and not (sabotage and any(n.startswith(sabotage) for n in blocks)):

@@ -222,8 +222,8 @@ class Stage(NamedTuple):
     layer_norm_rows, attend_fwd, a broadcast add): each array the copies
     move then holds the k copies' outputs on that leading axis, each copy
     the bytes of a forward with that copy alone, and every other array
-    keeps its single shape. The gradient audit runs a chunk of points,
-    and every later stage they reach, in one call each."""
+    keeps its single shape. The gradient audit runs a chunk of points
+    through every stage in one call each."""
 
     name: str  # what a NumericError calls the stage and its outputs
     groups: tuple  # the named_parameters groups that only this stage reads
@@ -359,15 +359,6 @@ def forward_stages(model: ChiralModel) -> tuple:
     """The Stage of each forward_batch stage, in run order. Their groups,
     stage after stage, are the named_parameters groups in order."""
     return _stage_table(len(model.layers))
-
-
-def parameter_stage(model: ChiralModel, name: str) -> int:
-    """The index in forward_stages of the one stage whose groups hold a
-    named parameter or its group."""
-    for t, stage in enumerate(forward_stages(model)):
-        if name in stage.groups or name.rpartition(".")[0] in stage.groups:
-            return t
-    raise ValueError(f"no forward stage reads {name!r}")
 
 
 def _stage_error(batch, stages, outputs, row, message: str) -> NumericError:

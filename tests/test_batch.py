@@ -31,10 +31,9 @@ from chiraldet.model import (
     forward_stages,
     init_model,
     named_parameters,
-    parameter_stage,
 )
 from chiraldet.numerics import layer_norm_rows
-from oracles import batch_reference, loss_classify
+from oracles import batch_reference, loss_classify, parameter_stage
 
 TINY = dict(h=8, d_p=4, n_layers=2, n_heads=2, n_gkpt=8)
 

@@ -222,6 +222,16 @@ class TestTrainEval:
         out = capsys.readouterr().out
         assert out.startswith("accuracy=")
 
+    def test_nonfinite_split_rejected(self, tmp_path, capsys):
+        ds = tmp_path / "ds"
+        main(["gen", "--task", "rs", "--count", "4", "--seed", "5", "--out", str(ds)])
+        capsys.readouterr()
+        assert main(["train", "--data", str(ds), "--out", str(tmp_path / "run"), "--config",
+                     "tiny", "--split", "nan,0.5,0.5"]) == 2
+        assert "--split must be three fractions summing to 1, got 'nan,0.5,0.5'" in (
+            capsys.readouterr().err)
+        assert not (tmp_path / "run" / "model.ckpt").exists()
+
     def test_eval_missing_checkpoint(self, tmp_path):
         ds = tmp_path / "ds"
         main(["gen", "--task", "rs", "--count", "4", "--seed", "5", "--out", str(ds)])

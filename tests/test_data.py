@@ -221,6 +221,16 @@ class TestAxialTorsion:
         with pytest.raises(ValueError):
             gen_axial_torsion(toy_axial_molecule(), 50.0)
 
+    @pytest.mark.parametrize(("step", "count"), [(7.2, 50), (3.6, 100), (0.9, 400)])
+    def test_step_dividing_360_under_round_off_accepted(self, step, count):
+        # 360.0 % 7.2 is 7.1999..., not 0, yet 50 steps of 7.2 make the turn
+        assert len(gen_axial_torsion(toy_axial_molecule(), step)) == count
+
+    @pytest.mark.parametrize("step", [7.0, 0.0, -20.0, float("nan"), float("inf"), 1000.0])
+    def test_step_not_dividing_360_rejected(self, step):
+        with pytest.raises(ValueError, match="^step must divide 360, got "):
+            gen_axial_torsion(toy_axial_molecule(), step)
+
     def test_blade_on_both_sides_rejected(self):
         toy = toy_axial_molecule()
         bad = toy.__class__(

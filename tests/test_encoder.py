@@ -32,10 +32,15 @@ from chiraldet.model import (
     forward_batch,
     forward_stages,
     init_model,
-    parameter_stage,
 )
 from chiraldet.numerics import compare_grads, det3_batch
-from oracles import assert_copies_keep_their_bytes, finite_diff_grad, gram_sqrt_det, unflatten
+from oracles import (
+    assert_copies_keep_their_bytes,
+    finite_diff_grad,
+    gram_sqrt_det,
+    parameter_stage,
+    unflatten,
+)
 
 
 def orthonormal_identity_bank(d_p=8):

@@ -2,15 +2,13 @@
 bytes of finite_diff_grad over a plain forward per point, and no audited
 array is written. Every block scores a chunk of AUDIT_CHUNK points, a
 (k, *shape) stack of copies of the moved array, in one call of its
-forward; no block runs once per point. A small block passes the copies
-to its forward in place of the array. In a model-level block the copies
-are stacked into the leaf of the one stage that reads it, and the chunk
-then reruns, stacked in one forward on the one audit batch, only the
-later stages the moved array reaches (rerun_stages). Every array the
-copies move keeps a leading axis of k copies, (k, B, ...), through every
-stage, and every other array its single shape, so the numeric vectors do
-not depend on the chunk. The attention.layer block runs the layer once
-per chunk with the copies in place of the moved weight or input."""
+forward; no block runs once per point. A small block, attention.layer
+among them, passes the copies to its forward in place of the array. In a
+model-level block the copies are stacked into the moved leaf, and the
+chunk runs every stage of the table once, in order, on the one audit
+batch. Every array the copies move keeps a leading axis of k copies,
+(k, B, ...), through every stage, and every other array its single
+shape, so the numeric vectors do not depend on the chunk."""
 
 from types import SimpleNamespace
 
@@ -57,18 +55,15 @@ from chiraldet.gradcheck import (
     _rank_loss_instance,
     _stacked_call,
     block_rng,
-    rerun_stages,
     run_gradcheck,
 )
-from chiraldet.model import (
-    Stage,
-    _leaves,
-    forward_batch,
-    named_parameters,
-    parameter_slots,
+from chiraldet.model import _leaves, forward_batch, named_parameters, parameter_slots
+from oracles import (
+    assert_copies_keep_their_bytes,
+    batch_loss,
+    finite_diff_grad,
     parameter_stage,
 )
-from oracles import assert_copies_keep_their_bytes, batch_loss, finite_diff_grad
 
 INSTANCES = {"model.full_loss": _full_loss_instance, "model.rank_loss": _rank_loss_instance}
 SMALL_BLOCKS = [b for b in BLOCKS if b not in INSTANCES and b != "attention.layer"]
@@ -218,65 +213,39 @@ def audit_instance(block, seed=1):
 
 @pytest.mark.parametrize("block", list(INSTANCES))
 def test_every_rerun_stage_gives_each_stacked_read_copy_its_own_bytes(block):
-    """Every stage that a chunk reruns for an audited parameter, given one
-    of its reads as k stacked copies, (k, B, ...), and its other reads at
-    θ0, on the one audit batch, gives each copy the bytes of that copy
-    alone, for k = 1 ... AUDIT_CHUNK."""
-    model, mols, _, _, names = audit_instance(block)
+    """Every read of every stage, which a chunk reruns whatever array it
+    moves, given as k stacked copies, (k, B, ...), with the stage's other
+    reads at θ0, on the one audit batch, gives each copy the bytes of that
+    copy alone, for k = 1 ... AUDIT_CHUNK."""
+    model, mols, _, _, _ = audit_instance(block)
     batch = prepare_batch(mols)
     state = forward_batch(model, batch)
-    reruns = rerun_stages(state.stages)
-    rerun = {t for name in names for t in reruns[parameter_stage(model, name)]}
-    # the queries stage (after a kernel point), every layer stage and the head
-    assert rerun == {1, *range(5, len(state.stages))}
-    latest = {}  # the θ0 array of each name
-    for t, (stage, outputs) in enumerate(zip(state.stages, state.outputs, strict=True)):
-        if t in rerun:
-            held = SimpleNamespace(**{n: latest[n] for n in stage.reads})
+    latest, checked = {}, 0  # latest: the θ0 array of each name
+    for stage, outputs in zip(state.stages, state.outputs, strict=True):
+        held = SimpleNamespace(**{n: latest[n] for n in stage.reads})
 
-            def run(stage=stage, held=held):
-                return stage.forward(model, batch, *(getattr(held, n) for n in stage.reads))[:-1]
+        def run(stage=stage, held=held):
+            return stage.forward(model, batch, *(getattr(held, n) for n in stage.reads))[:-1]
 
-            for read in stage.reads:
-                assert_copies_keep_their_bytes(held, read, run)
+        for read in stage.reads:
+            assert_copies_keep_their_bytes(held, read, run)
+            checked += 1
         latest.update(outputs)
+    # the queries' h_k, each layer's four attention reads and its u, the head's h_c
+    assert checked == 1 + 5 * len(model.layers) + 1
 
 
-@pytest.mark.parametrize("chunk", [32, 64])
+@pytest.mark.parametrize("chunk", [32, 64, 128])
 @pytest.mark.parametrize("block", ["attention.layer", "model.full_loss"])
 def test_audit_vector_does_not_depend_on_the_chunk(monkeypatch, block, chunk):
     """The block's numeric vector at seed 1 has the same bytes in chunks
-    of 32 or 64 points as in chunks of 16: a copy's products keep the
-    shapes of a lone forward whatever the chunk."""
+    of 32, 64 (AUDIT_CHUNK) or 128 points as in chunks of 16: a copy's
+    products keep the shapes of a lone forward whatever the chunk."""
     arrays, _, losses = _CHECKS[block](block_rng(block, 1), TINY_CONFIG)
     monkeypatch.setattr(chiraldet.gradcheck, "AUDIT_CHUNK", 16)
     expect = _oracle(arrays, losses)
     monkeypatch.setattr(chiraldet.gradcheck, "AUDIT_CHUNK", chunk)
     assert _oracle(arrays, losses).tobytes() == expect.tobytes()
-
-
-def test_rerun_stages_of_the_model_table(full_loss):
-    """A move reaches the queries from the kernel, the first layer from
-    every encoder and pair-bias stage, and from a layer stage everything
-    after it; no encoder stage reaches another projector or the pair bias."""
-    model = full_loss[0]
-    layers = tuple(range(5, 10))
-    assert rerun_stages(chiraldet.model.forward_stages(model)) == [
-        (1, *layers), layers, layers, layers, layers, layers[1:], layers[2:], layers[3:],
-        layers[4:], (),
-    ]
-
-
-def test_rerun_stages_drop_a_name_a_skipped_stage_rewrites():
-    """x moved by stage 0 reaches stage 2, but stage 3, which reads
-    nothing moved, rewrites x, so stage 4 reads x at θ0; stage 5 reads z,
-    which stage 2 wrote from the moved x."""
-    table = [Stage(str(t), (), reads, writes, None, None)
-             for t, (reads, writes) in enumerate([
-                 ((), ("x",)), ((), ("y",)), (("x", "y"), ("z",)), ((), ("x",)),
-                 (("x",), ("w",)), (("z",), ("v",)),
-             ])]
-    assert rerun_stages(table) == [(2, 5), (2, 5), (5,), (4,), (), ()]
 
 
 @pytest.mark.parametrize("block", list(INSTANCES))
@@ -347,23 +316,23 @@ def test_stacked_prefix_resumes_to_the_bytes_of_each_point(full_loss, name):
 
 
 def test_nonfinite_evaluation_names_its_coordinate(full_loss):
-    """The 28th evaluation of head.w1, the minus point of its coordinate 13
-    in the second chunk, is NaN; the array is restored after the error.
+    """The 100th evaluation of head.w1, the minus point of its coordinate
+    49 in the second chunk, is NaN; the array is restored after the error.
     The objective scores each chunk's stacked copies in one call."""
     model, mols, objective, reg_weight, _ = full_loss
     scored = []  # one entry per evaluation
-    assert AUDIT_CHUNK < 28 <= 2 * AUDIT_CHUNK
+    assert AUDIT_CHUNK < 100 <= 2 * AUDIT_CHUNK
 
-    def nan_at_evaluation_28(logits):
+    def nan_at_evaluation_100(logits):
         losses, d_logits, n_correct = objective(logits)
-        losses = [float("nan") if len(scored) + j == 27 else loss
+        losses = [float("nan") if len(scored) + j == 99 else loss
                   for j, loss in enumerate(losses)]
         scored.extend(losses)
         return losses, d_logits, n_correct
 
     saved = model.head.w1.copy()
-    with pytest.raises(NumericError, match="^non-finite evaluation at coordinate 13$"):
-        _oracle(*_model_points(model, mols, nan_at_evaluation_28, reg_weight, {"head.w1"}))
+    with pytest.raises(NumericError, match="^non-finite evaluation at coordinate 49$"):
+        _oracle(*_model_points(model, mols, nan_at_evaluation_100, reg_weight, {"head.w1"}))
     assert len(scored) == 2 * saved.size
     assert np.array_equal(model.head.w1, saved)
 
@@ -371,18 +340,21 @@ def test_nonfinite_evaluation_names_its_coordinate(full_loss):
 @pytest.mark.parametrize("name", ["layers.0.ff_w1", "layers.0.ln1_beta", "layers.1.ff_b2",
                                   "layers.1.ln2_gamma", "layers.0.wq"])
 def test_a_feed_forward_point_runs_no_attention(full_loss, monkeypatch, name):
-    """A chunk of AUDIT_CHUNK points of a feed-forward or layer-norm leaf
-    runs no attention of its layer, in the model.full_loss block and in
-    the attention.layer block; a chunk of an attention leaf runs its
-    layer's attention once, stacked."""
-    calls = []  # the layer of each attend_fwd call
+    """A chunk of AUDIT_CHUNK points of a layer leaf runs its layer's
+    attention once, in the model.full_loss block and in the
+    attention.layer block. For a feed-forward or layer-norm leaf that one
+    attend_fwd call is at θ0, its outputs at their single shape, so no
+    copy runs an attention of its own; for an attention leaf it is
+    stacked, its output u holding one block per copy."""
+    calls = []  # (the layer, the shape of u) of each attend_fwd call
 
     def counted(module):
         attend = module.attend_fwd
 
         def attend_fwd(layer, *args):
-            calls.append(layer)
-            return attend(layer, *args)
+            out = attend(layer, *args)
+            calls.append((layer, out[0].shape))
+            return out
 
         monkeypatch.setattr(module, "attend_fwd", attend_fwd)
 
@@ -393,49 +365,59 @@ def test_a_feed_forward_point_runs_no_attention(full_loss, monkeypatch, name):
     arrays, _, layer_losses = _CHECKS["attention.layer"](block_rng("attention.layer", 1),
                                                          TINY_CONFIG)
     leaf = name.rpartition(".")[2]
-    runs = int(leaf in ATTENTION_LEAVES)
+    stacked = leaf in ATTENTION_LEAVES
+    u_shape = next(out["u"] for out in forward_batch(model, prepare_batch(mols)).outputs
+                   if "u" in out).shape
     layer = model.layers[int(name.split(".")[1])]
     calls.clear()
     losses(name, np.stack([dict(named_parameters(model))[name]] * AUDIT_CHUNK))
-    assert sum(called is layer for called in calls) == runs
+    assert [shape for called, shape in calls if called is layer] == [
+        (AUDIT_CHUNK, *u_shape) if stacked else u_shape]
     calls.clear()
     layer_losses(leaf, np.stack([dict(arrays)[leaf]] * AUDIT_CHUNK))
-    assert len(calls) == runs
+    assert [shape for _, shape in calls] == [(AUDIT_CHUNK, 3, 2, 8) if stacked else (3, 2, 8)]
 
 
 @pytest.mark.parametrize("name", ["encoder.kernel.w", "encoder.proj_c.w1", "encoder.proj_r.b1",
                                   "encoder.proj_n.w2", "layers.1.wq", "layers.1.ln1_gamma"])
 def test_a_chunk_reruns_only_the_stages_its_point_reaches(full_loss, monkeypatch, name):
-    """One chunk of AUDIT_CHUNK points runs the moved stage once, the
-    kernel readout too. An encoder chunk runs no pair bias, a proj_r chunk
-    no other projector, and a layers.1 chunk no stage of layer 0."""
+    """One chunk of AUDIT_CHUNK points calls each stage's forward once, in
+    table order, and the moved stage sees the stacked leaf. The copies
+    reach only the stages downstream of the moved one: those write their
+    arrays with a leading axis of k copies, and every other stage writes
+    its θ0 arrays at their single shape. So an encoder chunk runs the pair
+    bias once unstacked, a proj_r chunk every other projector too, and a
+    layers.1 chunk every stage of layer 0."""
     model, mols, objective, reg_weight, _ = full_loss
+    stages = chiraldet.model.forward_stages(model)
+    state = forward_batch(model, prepare_batch(mols))
+    holder, field = next((h, f) for n, h, f in parameter_slots(model) if n == name)
+    calls = []  # (stage index, whether the leaf is stacked, each written array stacked)
+
+    def recorded(t, stage):
+        def forward(*args):
+            *written, cache = stage.forward(*args)
+            single = state.outputs[t].values()
+            calls.append((t, getattr(holder, field).shape[0] == AUDIT_CHUNK,
+                          [a.shape == (AUDIT_CHUNK, *s.shape) for a, s in zip(written, single)]))
+            return *written, cache
+
+        return stage._replace(forward=forward)
+
+    monkeypatch.setattr(chiraldet.gradcheck, "forward_stages",
+                        lambda model: tuple(recorded(t, st) for t, st in enumerate(stages)))
     arrays, losses = _model_points(model, mols, objective, reg_weight, {name})
-    calls = []  # (function name, its first argument), in call order
-
-    for fn in ("kernel_fwd", "mlp2_fwd", "pair_bias_fwd", "attend_fwd", "feed_forward_fwd"):
-        def recorded(first, *rest, fn=fn, run=getattr(chiraldet.model, fn)):
-            calls.append((fn, first))
-            return run(first, *rest)
-
-        monkeypatch.setattr(chiraldet.model, fn, recorded)
     copies = np.stack([dict(arrays)[name]] * AUDIT_CHUNK)
     copies.reshape(AUDIT_CHUNK, -1)[:, 0] += np.arange(1, AUDIT_CHUNK + 1) * 1e-3
     losses(name, copies)
-    holder = next(h for n, h, _ in parameter_slots(model) if n == name)
-    # the moved stage's one call, with the chunk's copies stacked in;
-    # after an attention chunk the layer's feed-forward reruns too
-    assert calls[0][1] is holder
-    assert [fn for fn, first in calls if first is holder].count(calls[0][0]) == 1
-    encoder = model.encoder
-    if name.startswith("encoder."):
-        assert all(fn != "pair_bias_fwd" for fn, _ in calls)
-    if name.startswith("encoder.proj_r"):
-        assert not any(first is p for _, first in calls for p in (encoder.proj_c, encoder.proj_n))
-    if name.startswith("layers.1."):
-        assert not any(first is model.layers[0] for _, first in calls)
-    # every chunk ends in the head, once
-    assert calls[-1] == ("mlp2_fwd", model.head)
+    assert [t for t, _, _ in calls] == list(range(len(stages)))
+    assert all(leaf_stacked for _, leaf_stacked, _ in calls)
+    moved = parameter_stage(model, name)
+    # the kernel readout reaches the queries; every encoder stage and the
+    # pair bias reach both layers and the head; a layer stage what follows
+    reached = {0: {0, 1}}.get(moved, {moved}) | set(range(max(moved, 5), len(stages)))
+    assert [t for t, _, written in calls if all(written)] == sorted(reached)
+    assert all(not any(written) for t, _, written in calls if t not in reached)
 
 
 @pytest.mark.parametrize("block", list(INSTANCES))
@@ -513,12 +495,26 @@ def test_stacked_attention_error_row_counts_across_copies(j):
     assert np.isfinite(live).all()
 
 
+def test_unknown_block_raises_before_any_block_runs(monkeypatch):
+    """An unknown name among `blocks`, even after a known one, raises a
+    ValueError that names it and lists BLOCKS, before any block runs."""
+    def no_block(name, seed):
+        raise AssertionError(f"block {name} ran")
+
+    monkeypatch.setattr(chiraldet.gradcheck, "block_rng", no_block)
+    with pytest.raises(ValueError) as err:
+        run_gradcheck(blocks=("model.full_loss", "bogus"))
+    assert str(err.value) == f"no audit block 'bogus'; blocks: {', '.join(BLOCKS)}"
+
+
 def test_audit_call_counts(monkeypatch):
     """One run_gradcheck() makes these calls, counted at every module
     attribute that reaches the function: every block scores a chunk of
     points in one call of its forward, so a fallback to a call per point
-    shows. regularization_loss runs once per chunk of encoder.reg_loss and
-    of the kernel slices in model.full_loss, plus the penalties at θ0."""
+    shows. A model-level chunk runs every stage once, so attend_fwd and
+    feed_forward_fwd are called as often. regularization_loss runs once
+    per chunk of encoder.reg_loss and of model.full_loss, plus the penalty
+    of its analytic batch_step."""
     counts = dict.fromkeys(("kernel_fwd", "pair_bias_fwd", "attend_fwd", "feed_forward_fwd",
                             "mlp2_fwd", "layer_norm_rows", "regularization_loss"), 0)
 
@@ -535,6 +531,6 @@ def test_audit_call_counts(monkeypatch):
             if hasattr(module, fn):
                 monkeypatch.setattr(module, fn, counted(fn, getattr(module, fn)))
     assert all(report.passed for report in run_gradcheck())
-    assert counts == {"kernel_fwd": 27, "pair_bias_fwd": 19, "attend_fwd": 718,
-                      "feed_forward_fwd": 937, "mlp2_fwd": 1648, "layer_norm_rows": 1880,
-                      "regularization_loss": 17}
+    assert counts == {"kernel_fwd": 147, "pair_bias_fwd": 149, "attend_fwd": 329,
+                      "feed_forward_fwd": 329, "mlp2_fwd": 908, "layer_norm_rows": 662,
+                      "regularization_loss": 136}
