@@ -190,7 +190,10 @@ def cmd_gen(args) -> int:
 
 
 def _split_dataset(dataset, split: str):
-    fracs = [float(x) for x in split.split(",")]
+    try:
+        fracs = [float(x) for x in split.split(",")]
+    except ValueError:
+        fracs = []  # a fraction that is not a number fails the check below
     if (len(fracs) != 3 or not np.isfinite(fracs).all() or abs(sum(fracs) - 1.0) > 1e-9
             or min(fracs) < 0):
         raise ValueError(f"--split must be three fractions summing to 1, got {split!r}")

@@ -174,8 +174,8 @@ def named_parameters(model: ChiralModel):
 
 @dataclass
 class BatchState:
-    """Everything forward_batch computed that backward or exports need,
-    stage by stage.
+    """Everything forward_batch computed that backward_batch needs, stage
+    by stage.
 
     `outputs[t]` holds the arrays stage t wrote, under the names of its
     `writes`, each with the molecule on its first axis and padded to the
@@ -338,7 +338,7 @@ def _head_bwd(model, batch, cache, d_pooled, d_logits):
     return {"head": d_head}, pool_bwd(d_x, batch.mask.queries)
 
 
-# built once per layer count, since every forward_batch call reads it
+# built once per layer count, since every forward reads it
 @functools.cache
 def _stage_table(n_layers: int) -> tuple:
     return (
@@ -375,18 +375,20 @@ def _stage_error(batch, stages, outputs, row, message: str) -> NumericError:
                         f"{message}{where}")
 
 
-def forward_batch(model: ChiralModel, batch: MoleculeBatch) -> BatchState:
-    """Forward over a prepared batch, every stage of forward_stages in
-    order on the latest array of each name it reads; parameter arithmetic
-    only, so one batch serves any number of forwards under changing
-    parameters.
+def _run_stages(model: ChiralModel, batch: MoleculeBatch, caches: list | None = None) -> list:
+    """The outputs of a forward over a prepared batch, per stage {name:
+    array it wrote}: every stage of forward_stages in order on the latest
+    array of each name it reads; parameter arithmetic only, so one batch
+    serves any number of forwards under changing parameters. Each stage's
+    cache is appended to `caches` when it is given, and dropped otherwise,
+    so a forward-only pass holds no backward cache past its stage.
 
     A NumericError a stage raises comes back with the stage's name in
     front and, when it gives a row, named for that molecule (_stage_error);
     non-finite logits raise one named for the first molecule holding one.
     """
     stages = forward_stages(model)
-    outputs, caches, arrays = [], [], {}  # arrays: the latest array of each name
+    outputs, arrays = [], {}  # arrays: the latest array of each name
     for stage in stages:
         try:
             *written, cache = stage.forward(model, batch, *(arrays[n] for n in stage.reads))
@@ -395,12 +397,21 @@ def forward_batch(model: ChiralModel, batch: MoleculeBatch) -> BatchState:
         out = dict(zip(stage.writes, written, strict=True))
         arrays.update(out)
         outputs.append(out)
-        caches.append(cache)
+        if caches is not None:
+            caches.append(cache)
     logits = arrays["logits"]
     if not np.isfinite(logits).all():
         b = int(np.flatnonzero(~np.isfinite(logits).all(axis=1))[0])
         raise _stage_error(batch, stages, outputs, b, "non-finite logits")
-    return BatchState(batch=batch, stages=stages, outputs=outputs, caches=caches)
+    return outputs
+
+
+def forward_batch(model: ChiralModel, batch: MoleculeBatch) -> BatchState:
+    """Forward over a prepared batch (_run_stages), keeping every stage's
+    cache for backward_batch."""
+    caches = []
+    outputs = _run_stages(model, batch, caches)
+    return BatchState(batch=batch, stages=forward_stages(model), outputs=outputs, caches=caches)
 
 
 def backward_batch(model: ChiralModel, state: BatchState, d_logits) -> ChiralModel:
@@ -445,12 +456,12 @@ def backward_batch(model: ChiralModel, state: BatchState, d_logits) -> ChiralMod
 
 
 def forward(model: ChiralModel, mol: Molecule) -> np.ndarray:
-    return forward_batch(model, prepare_batch([mol])).logits[0]
+    return _run_stages(model, prepare_batch([mol]))[-1]["logits"][0]
 
 
 def embed(model: ChiralModel, mol: Molecule) -> np.ndarray:
     """Pooled pre-predictor representation."""
-    return forward_batch(model, prepare_batch([mol])).pooled[0]
+    return _run_stages(model, prepare_batch([mol]))[-1]["pooled"][0]
 
 
 def _onehot(label, n_classes: int) -> np.ndarray:
@@ -630,22 +641,31 @@ def dataset_to_pairs(dataset):
     return out
 
 
-# molecules per forward_batch in evaluate and mirror_consistency. A batch
-# holds its forward caches until it is dropped, about 0.5 MB per multi-unit
-# molecule at the default config, so chunks of 8 keep that near 4 MB; they
-# ran within a few percent of the speed of larger chunks
+# molecules per cache-free forward in evaluate and mirror_consistency.
+# Larger chunks were not clearly faster over 1-6-unit molecules (16 beat 8
+# in 33 of 48 alternating runs, its median 5% lower, inside 8's spread) and
+# page-faulted more on their larger arrays (about 7,000 minor faults per
+# 300-molecule evaluate at 16, against a few hundred at most at 8)
 EVAL_CHUNK = 8
 
 
 def _predict(model: ChiralModel, mols, index) -> np.ndarray:
-    """Predicted class per molecule, in forward_batch chunks of EVAL_CHUNK;
-    index[i] is where mols[i] sits in the caller's dataset, which an error
-    names for a molecule without an id."""
-    return np.concatenate([
-        forward_batch(model, prepare_batch(mols[i : i + EVAL_CHUNK], index[i : i + EVAL_CHUNK]))
-        .logits.argmax(axis=1)
-        for i in range(0, len(mols), EVAL_CHUNK)
-    ])
+    """Predicted class per molecule, in input order; index[i] is where
+    mols[i] sits in the caller's dataset, which an error names for a
+    molecule without an id.
+
+    Chunks of EVAL_CHUNK are cut from the molecules stably sorted by (unit
+    count, atom count), so a chunk pads little, and each runs as one
+    cache-free forward with its molecules in input order. So with several
+    failing molecules, the first failing chunk in size order raises,
+    naming its first failing molecule in input order."""
+    order = sorted(range(len(mols)), key=lambda i: (len(mols[i].chiral_units), mols[i].n_atoms))
+    pred = np.empty(len(mols), dtype=np.intp)
+    for start in range(0, len(mols), EVAL_CHUNK):
+        chunk = sorted(order[start : start + EVAL_CHUNK])
+        batch = prepare_batch([mols[i] for i in chunk], [index[i] for i in chunk])
+        pred[chunk] = _run_stages(model, batch)[-1]["logits"].argmax(axis=1)
+    return pred
 
 
 def evaluate(model: ChiralModel, dataset) -> float:
@@ -956,6 +976,7 @@ def attention_export_rows(model: ChiralModel, mol: Molecule):
     Returns (key_atom_indices, rows) with one row per chiral unit, key
     order matching the index list.
     """
-    state = forward_batch(model, prepare_batch([mol]))
+    batch = prepare_batch([mol])
+    attn = next(out["attn"] for out in reversed(_run_stages(model, batch)) if "attn" in out)
     # a batch of one has no padding, so its final attention is (n_q, n_k, H)
-    return state.batch.key_atoms[0].tolist(), head_averaged_rows(state.attn[-1][0])
+    return batch.key_atoms[0].tolist(), head_averaged_rows(attn[0])

@@ -8,28 +8,35 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import chiraldet.model
 from chiraldet.attention import (
     ATTENTION_LEAVES,
     FEED_FORWARD_LEAVES,
     attend_fwd,
     feed_forward_fwd,
+    head_averaged_rows,
     init_layer,
 )
 from chiraldet.data import SyntheticSpec, featurize, gen_axial, gen_rs, tile_molecules
 from chiraldet.encoder import BatchMask, prepare_batch
 from chiraldet.errors import AnnotationError, NumericError
-from chiraldet.geometry import ChiralUnit, Molecule, UnitKind
+from chiraldet.geometry import ChiralUnit, Molecule, UnitKind, mirror
 from chiraldet.gradcheck import TINY_CONFIG
 from chiraldet.model import (
     EVAL_CHUNK,
     AdamState,
     ModelConfig,
+    _predict,
     adam_step,
+    attention_export_rows,
     backward_batch,
+    embed,
     evaluate,
+    forward,
     forward_batch,
     forward_stages,
     init_model,
+    mirror_consistency,
     named_parameters,
 )
 from chiraldet.numerics import layer_norm_rows
@@ -522,8 +529,8 @@ def test_overflowing_layer_norm_variance_raises(seed):
 
 def test_overflowing_layer_norm_names_an_idless_molecule_by_its_index():
     """evaluate names an id-less molecule whose layer norm overflows by its
-    index in the dataset: here the second molecule of the second
-    EVAL_CHUNK, after nine that do not overflow."""
+    index in the dataset: here index EVAL_CHUNK + 1, the last of ten, after
+    nine that do not overflow, whichever size-sorted chunk it runs in."""
     model = init_model(TINY_CONFIG)
     model.encoder.proj_n.w2[0] = 1e200
     data = [(replace(m, id=""), c) for m, c in gen_rs(SyntheticSpec(count=8, seed=0))]
@@ -533,6 +540,92 @@ def test_overflowing_layer_norm_names_an_idless_molecule_by_its_index():
         with pytest.raises(NumericError, match=f"^molecule at index {EVAL_CHUNK + 1}: layer 0: "
                                                "layer norm: a row's variance overflows"):
             evaluate(model, [quiet] * (EVAL_CHUNK + 1) + [loud])
+
+
+@pytest.fixture(scope="module")
+def tiled():
+    """Twenty molecules of 1-6 tiled centres and axes, sizes interleaved,
+    so evaluate runs three chunks whose size order is not input order."""
+    units = [6, 1, 3, 1, 5, 2, 4, 1, 6, 2, 1, 3, 5, 1, 4, 2, 1, 6, 3, 2]
+    centres = [m for m, _ in gen_rs(SyntheticSpec(count=40, seed=71, spectator_range=(0, 3)))]
+    axes = [m for m, _ in gen_axial(30, seed=72)]
+    frags = [f for pair in zip(centres, axes) for f in pair]
+    ends = np.cumsum(units)
+    mols = [tile_molecules(frags[end - n : end]) for n, end in zip(units, ends)]
+    assert len(mols) > 2 * EVAL_CHUNK
+    return mols
+
+
+def test_predict_restores_input_order(tiled):
+    """_predict, evaluate and mirror_consistency give what one forward per
+    molecule gives, in input order, over a set whose chunks run in size
+    order; the mirror pass runs a subset under its dataset indices."""
+    model = init_model(ModelConfig(**TINY, seed=0))
+    alone = np.array([forward(model, m).argmax() for m in tiled])
+    assert set(alone) == {0, 1}
+    assert np.array_equal(_predict(model, tiled, range(len(tiled))), alone)
+    labels = np.arange(len(tiled)) % 2
+    right = alone == labels
+    assert 0 < right.sum() < len(tiled)
+    assert evaluate(model, list(zip(tiled, labels))) == right.mean()
+    kept = np.flatnonzero(right)
+    mirrored = np.array([forward(model, mirror(tiled[i])).argmax() for i in kept])
+    assert np.array_equal(_predict(model, [mirror(tiled[i]) for i in kept], kept), mirrored)
+    flip = (mirrored == 1 - alone[kept]).sum() / right.sum()
+    assert mirror_consistency(model, list(zip(tiled, labels))) == (right.mean(), flip)
+
+
+@pytest.mark.parametrize("keep_ids", [True, False])
+@pytest.mark.parametrize("score", [evaluate, mirror_consistency])
+def test_first_failing_chunk_in_size_order_names_the_error(tiled, score, keep_ids):
+    """Three molecules overflow: a six-unit one at index 0, which runs in a
+    later chunk, and two one-unit ones at 3 and 13, which run in the first.
+    The error names the first failing molecule, in input order, of the
+    first failing chunk in size order: index 3, by id or by index."""
+    assert [len(tiled[i].chiral_units) for i in (0, 3, 13)] == [6, 1, 1]
+    assert sum(len(m.chiral_units) == 1 for m in tiled) <= EVAL_CHUNK
+    mols = [replace(m, id=f"t{i:02d}" if keep_ids else "") for i, m in enumerate(tiled)]
+    for i in (0, 3, 13):
+        mols[i] = replace(mols[i], coords=mols[i].coords * 1e150).validate()
+    who = "t03" if keep_ids else "at index 3"
+    with np.errstate(over="ignore", invalid="ignore"), pytest.raises(
+            NumericError, match=f"^molecule {who}: layer 0: non-finite attention logits, "
+                                "first non-finite stage output: encoder$"):
+        score(init_model(ModelConfig(**TINY, seed=0)), [(m, 0) for m in mols])
+
+
+def test_forward_only_callers_match_forward_batch(mixed):
+    """forward, embed and attention_export_rows, which keep no stage cache,
+    give the bytes of forward_batch's logits, pooled and last-layer
+    attention on the same batch of one."""
+    model = init_model(ModelConfig(**TINY, seed=4))
+    for mol in mixed[0]:
+        state = forward_batch(model, prepare_batch([mol]))
+        assert forward(model, mol).tobytes() == state.logits[0].tobytes()
+        assert embed(model, mol).tobytes() == state.pooled[0].tobytes()
+        keys, rows = attention_export_rows(model, mol)
+        assert keys == state.batch.key_atoms[0].tolist()
+        assert rows.tobytes() == head_averaged_rows(state.attn[-1][0]).tobytes()
+
+
+def test_forward_only_callers_build_no_batch_state(mixed, monkeypatch):
+    """With BatchState made to raise, forward_batch fails, but every
+    forward-only caller still runs."""
+
+    def refuse(**fields):
+        raise AssertionError("a forward-only caller built a BatchState")
+
+    monkeypatch.setattr(chiraldet.model, "BatchState", refuse)
+    model = init_model(ModelConfig(**TINY, seed=4))
+    mols, labels = mixed
+    with pytest.raises(AssertionError):
+        forward_batch(model, prepare_batch(mols))
+    evaluate(model, list(zip(mols, labels)))
+    mirror_consistency(model, list(zip(mols, labels)))
+    for mol in mols:
+        forward(model, mol)
+        embed(model, mol)
+        attention_export_rows(model, mol)
 
 
 def test_nonfinite_attention_logits_name_their_layer(mixed):

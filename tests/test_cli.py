@@ -223,14 +223,17 @@ class TestTrainEval:
         assert out.startswith("accuracy=")
 
     def test_nonfinite_split_rejected(self, tmp_path, capsys):
+        """A fraction that is NaN or not a number at all gets the documented
+        --split message, not float()'s."""
         ds = tmp_path / "ds"
         main(["gen", "--task", "rs", "--count", "4", "--seed", "5", "--out", str(ds)])
         capsys.readouterr()
-        assert main(["train", "--data", str(ds), "--out", str(tmp_path / "run"), "--config",
-                     "tiny", "--split", "nan,0.5,0.5"]) == 2
-        assert "--split must be three fractions summing to 1, got 'nan,0.5,0.5'" in (
-            capsys.readouterr().err)
-        assert not (tmp_path / "run" / "model.ckpt").exists()
+        for split in ("nan,0.5,0.5", "a,0.5,0.5"):
+            assert main(["train", "--data", str(ds), "--out", str(tmp_path / "run"), "--config",
+                         "tiny", "--split", split]) == 2
+            assert f"--split must be three fractions summing to 1, got '{split}'" in (
+                capsys.readouterr().err)
+            assert not (tmp_path / "run" / "model.ckpt").exists()
 
     def test_eval_missing_checkpoint(self, tmp_path):
         ds = tmp_path / "ds"

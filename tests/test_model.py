@@ -336,9 +336,9 @@ class TestTraining:
 
     @pytest.mark.parametrize("score", [evaluate, mirror_consistency])
     def test_idless_molecule_named_by_its_dataset_index(self, score):
-        """Nine molecules without ids, so the ninth is alone in the second
-        chunk of EVAL_CHUNK = 8; head weights overflow for it alone, and the
-        error names it at index 8 of the dataset, not 0 of its chunk."""
+        """Nine molecules without ids, more than one chunk of EVAL_CHUNK = 8;
+        head weights overflow for the ninth alone, and the error names it at
+        index 8 of the dataset, not by its place in its size-sorted chunk."""
         data = [(replace(mol, id=""), label) for mol, label in
                 gen_rs(SyntheticSpec(count=9, seed=39, spectator_range=(0, 2)))]
         model = tiny_model(seed=14)
