@@ -54,7 +54,9 @@ _TRAIN_KEYS = {f.name for f in dataclass_fields(TrainConfig)}
 
 
 def read_config_file(path) -> dict:
-    """key=value lines mirroring ModelConfig/TrainConfig field names."""
+    """key=value lines mirroring ModelConfig/TrainConfig field names, each
+    value parsed as its field's type (a TrainConfig field's, as its
+    default's); a line that does not parse raises MoleculeParseError."""
     values = {}
     for lineno, line in enumerate(Path(path).read_text().splitlines(), start=1):
         line = line.strip()
@@ -65,7 +67,12 @@ def read_config_file(path) -> dict:
         key, val = (part.strip() for part in line.split("=", 1))
         if key not in _MODEL_KEYS | _TRAIN_KEYS:
             raise MoleculeParseError(f"unknown config key {key!r}", lineno)
-        values[key] = val
+        try:
+            values[key] = (parse_config_value(key, val) if key in _MODEL_KEYS
+                           else type(getattr(TrainConfig(), key))(val))
+        except ValueError:
+            raise MoleculeParseError(f"config key {key!r} cannot take the value {val!r}",
+                                     lineno) from None
     return values
 
 
@@ -73,11 +80,7 @@ def build_configs(values: dict, seed: int) -> tuple[ModelConfig, TrainConfig]:
     model_cfg = ModelConfig(seed=seed)
     train_cfg = TrainConfig()
     for key, val in values.items():
-        if key in _MODEL_KEYS:
-            setattr(model_cfg, key, parse_config_value(key, val))
-        else:
-            current = getattr(train_cfg, key)
-            setattr(train_cfg, key, type(current)(val))
+        setattr(model_cfg if key in _MODEL_KEYS else train_cfg, key, val)
     return model_cfg.validate(), train_cfg.validate()
 
 

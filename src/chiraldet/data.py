@@ -274,8 +274,9 @@ class SyntheticSpec:
     def validate(self):
         if self.count < 1:
             raise ValueError("count must be >= 1")
-        if self.min_abs_product <= 0:
-            raise ValueError("min_abs_product must be > 0")
+        # a NaN floor rejects no draw and an infinite one every draw
+        if not 0 < self.min_abs_product < math.inf:
+            raise ValueError(f"min_abs_product must be > 0 and finite, got {self.min_abs_product}")
         if not 0 <= self.spectator_range[0] <= self.spectator_range[1]:
             raise ValueError(f"spectator_range must be 0 <= lo <= hi, got {self.spectator_range}")
         return self

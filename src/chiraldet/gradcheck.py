@@ -48,11 +48,10 @@ from .geometry import mirror
 from .model import (
     ModelConfig,
     _leaves,
+    _run_stages,
     batch_step,
     classify_loss,
     dataset_to_pairs,
-    forward_batch,
-    forward_stages,
     init_model,
     named_parameters,
     parameter_slots,
@@ -284,28 +283,20 @@ def _model_points(model, mols, objective, reg_weight: float, names):
     order.
 
     losses stacks a chunk's k copies into the moved leaf (_stacked_call)
-    and runs every stage of forward_stages once, in order, on the latest
-    array of each name, on the one audit batch and keeping no cache. Each
-    array the copies move holds them on a leading axis, (k, B, ...), and
-    every other array keeps its single shape. One objective call scores
-    the k copies' logits, (k, B, n_classes), and one rank_penalty call
-    adds each copy's penalty, as batch_step adds them. So every numeric
-    gradient is byte-identical to a full forward per point. A NumericError
-    a stage raises reaches the oracle without the stage's name.
+    and runs _run_stages once on the one audit batch, so each array the
+    copies move holds them on a leading axis, (k, B, ...). One objective
+    call scores the k copies' logits and one rank_penalty call adds each
+    copy's penalty, as batch_step adds them: every numeric gradient is
+    byte-identical to a full forward per point. A stage's NumericError
+    names the stage, the molecule and the copy.
     """
     batch = prepare_batch(mols)
-    stages = forward_stages(model)
     slots = {name: (holder, field) for name, holder, field in parameter_slots(model)}
 
-    def run():
-        latest = {}
-        for stage in stages:
-            *written, _ = stage.forward(model, batch, *(latest[n] for n in stage.reads))
-            latest.update(zip(stage.writes, written, strict=True))
-        return np.add(objective(latest["logits"])[0], rank_penalty(model, reg_weight))
-
     def losses(name, copies):
-        return _stacked_call(*slots[name], copies, run)
+        return _stacked_call(*slots[name], copies, lambda: np.add(
+            objective(_run_stages(model, batch)[-1]["logits"])[0],
+            rank_penalty(model, reg_weight)))
 
     arrays = [(name, live) for name, live in named_parameters(model) if name in names]
     return arrays, losses
@@ -340,7 +331,7 @@ def _rank_loss_instance(rng, config: ModelConfig):
     pairs = [(mol, mirror(mol)) for mol, _ in gen_rs(
         SyntheticSpec(count=2, seed=int(rng.integers(1 << 16)), spectator_range=(1, 2))
     )]
-    scores = forward_batch(model, prepare_batch([m for pair in pairs for m in pair])).logits
+    scores = _run_stages(model, prepare_batch([m for pair in pairs for m in pair]))[-1]["logits"]
     gaps = scores[0::2, 0] - scores[1::2, 0]
     his, los = zip(*(pair if gap > 0 else pair[::-1] for pair, gap in zip(pairs, gaps)))
     margin = float(np.abs(gaps).mean())

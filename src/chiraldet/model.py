@@ -222,8 +222,8 @@ class Stage(NamedTuple):
     layer_norm_rows, attend_fwd, a broadcast add): each array the copies
     move then holds the k copies' outputs on that leading axis, each copy
     the bytes of a forward with that copy alone, and every other array
-    keeps its single shape. The gradient audit runs a chunk of points
-    through every stage in one call each."""
+    keeps its single shape: a gradient audit chunk is one _run_stages pass
+    with a leaf of copies."""
 
     name: str  # what a NumericError calls the stage and its outputs
     groups: tuple  # the named_parameters groups that only this stage reads
@@ -361,18 +361,26 @@ def forward_stages(model: ChiralModel) -> tuple:
     return _stage_table(len(model.layers))
 
 
-def _stage_error(batch, stages, outputs, row, message: str) -> NumericError:
+def _stage_error(model, batch, outputs, row, message: str) -> NumericError:
     """A NumericError with the message. When row is not None, the message
     comes after the molecule at that row, named by its id, or by its index
-    in the caller's sequence when the id is empty, and before the first of
-    `stages` whose output in `outputs` is non-finite for it, if one is."""
+    in the caller's sequence when the id is empty, and before the first
+    stage whose output in `outputs` is non-finite for it, if one is. In a
+    stacked pass, a leaf holding copies (a single leaf is 1- or 2-d, the
+    kernels' w 3-d), row counts the k * B molecules in copy order: the
+    copy is named too, and the walk reads its block of each output with a
+    copy axis, one axis more than a lone forward's output has."""
     if row is None:
         return NumericError(message)
-    first = next((stage.name for stage, out in zip(stages, outputs) for arr in out.values()
-                  if not np.isfinite(arr[row]).all()), None)
+    copy, row = divmod(row, len(batch.ids))
+    ndim = {"pooled": 2, "logits": 2, "bias": 4, "attn": 4}  # every other name: 3
+    blocks = ((stage.name, arr[copy, row] if arr.ndim > ndim.get(name, 3) else arr[row])
+              for stage, out in zip(forward_stages(model), outputs) for name, arr in out.items())
+    first = next((stage for stage, block in blocks if not np.isfinite(block).all()), None)
     where = "" if first is None else f", first non-finite stage output: {first}"
-    return NumericError(f"molecule {batch.ids[row] or f'at index {batch.index[row]}'}: "
-                        f"{message}{where}")
+    stacked = any(a.ndim > 2 + (n == "encoder.kernel.w") for n, a in named_parameters(model))
+    return NumericError(f"molecule {batch.ids[row] or f'at index {batch.index[row]}'}"
+                        f"{f', copy {copy}' if stacked else ''}: {message}{where}")
 
 
 def _run_stages(model: ChiralModel, batch: MoleculeBatch, caches: list | None = None) -> list:
@@ -381,28 +389,27 @@ def _run_stages(model: ChiralModel, batch: MoleculeBatch, caches: list | None = 
     array of each name it reads; parameter arithmetic only, so one batch
     serves any number of forwards under changing parameters. Each stage's
     cache is appended to `caches` when it is given, and dropped otherwise,
-    so a forward-only pass holds no backward cache past its stage.
+    so a forward-only pass holds no backward cache past its stage. It is
+    the one stage loop; the gradient audit runs it with a leaf of copies.
 
-    A NumericError a stage raises comes back with the stage's name in
-    front and, when it gives a row, named for that molecule (_stage_error);
-    non-finite logits raise one named for the first molecule holding one.
+    A stage's NumericError comes back with the stage's name in front and,
+    when it gives a row, named for that molecule (_stage_error), as do
+    non-finite logits for the first molecule holding one.
     """
-    stages = forward_stages(model)
     outputs, arrays = [], {}  # arrays: the latest array of each name
-    for stage in stages:
+    for stage in forward_stages(model):
         try:
             *written, cache = stage.forward(model, batch, *(arrays[n] for n in stage.reads))
         except NumericError as exc:
-            raise _stage_error(batch, stages, outputs, exc.row, f"{stage.name}: {exc}") from exc
+            raise _stage_error(model, batch, outputs, exc.row, f"{stage.name}: {exc}") from exc
         out = dict(zip(stage.writes, written, strict=True))
         arrays.update(out)
         outputs.append(out)
         if caches is not None:
             caches.append(cache)
-    logits = arrays["logits"]
-    if not np.isfinite(logits).all():
-        b = int(np.flatnonzero(~np.isfinite(logits).all(axis=1))[0])
-        raise _stage_error(batch, stages, outputs, b, "non-finite logits")
+    bad = np.flatnonzero(~np.isfinite(arrays["logits"]).all(axis=-1))
+    if bad.size:
+        raise _stage_error(model, batch, outputs, int(bad[0]), "non-finite logits")
     return outputs
 
 

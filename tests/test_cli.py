@@ -178,7 +178,7 @@ class TestGen:
         assert len(list(out.glob("*.chimol"))) == 4
 
     @pytest.mark.parametrize("task", ["rs", "axial"])
-    @pytest.mark.parametrize("value", ["0", "-1"])
+    @pytest.mark.parametrize("value", ["0", "-1", "nan", "inf"])
     def test_nonpositive_min_product_rejected(self, tmp_path, capsys, task, value):
         out = tmp_path / "ds"
         assert main(["gen", "--task", task, "--count", "4", "--min-product", value,
@@ -502,6 +502,21 @@ class TestCliContract:
                      "--out", str(tmp_path / "r")]) == 2
         assert message in capsys.readouterr().err
         assert not (tmp_path / "r" / "model.ckpt").exists()
+
+    @pytest.mark.parametrize("line", ["lr=abc", "epochs=1.5", "h=x", "rank_strategy=qr"],
+                             ids=["float", "int-train", "int-model", "rank_strategy"])
+    def test_unparsable_config_value_names_key_and_line(self, tmp_path, capsys, line):
+        cfg = tmp_path / "cfg"
+        cfg.write_text("# model\nn_layers=1\n" + line + "\n")
+        ds = tmp_path / "ds"
+        main(["gen", "--task", "rs", "--count", "4", "--seed", "1", "--out", str(ds)])
+        capsys.readouterr()
+        assert main(["train", "--data", str(ds), "--config", str(cfg),
+                     "--out", str(tmp_path / "r")]) == 2
+        key, value = line.split("=")
+        assert capsys.readouterr().err == (f"error: line 3: config key {key!r} cannot take "
+                                           f"the value {value!r}\n")
+        assert not (tmp_path / "r").exists()
 
     @pytest.mark.parametrize(("flags", "name"),
                              [(["--lr", "nan"], "lr"), (["--lr=-inf"], "lr"),

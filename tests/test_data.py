@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -147,6 +149,12 @@ class TestGenRs:
         labels = [lab for _, lab in gen_rs(SyntheticSpec(count=2, seed=61))]
         assert sorted(l.value for l in labels) == ["R", "S"]
 
+    @pytest.mark.parametrize("product", [0.0, -1.0, math.nan, math.inf])
+    def test_invalid_min_product_rejected(self, product):
+        # a NaN floor would keep every draw, an infinite one exhaust the budget
+        with pytest.raises(ValueError, match="^min_abs_product must be > 0 and finite, got "):
+            gen_rs(SyntheticSpec(count=4, min_abs_product=product))
+
     def test_min_product_respected(self):
         spec = SyntheticSpec(count=30, seed=11)
         for mol, _ in gen_rs(spec):
@@ -270,8 +278,9 @@ class TestGenAxial:
     @pytest.mark.parametrize(
         "kwargs",
         [dict(count=0), dict(min_abs_product=0.0), dict(min_abs_product=-1.0),
+         dict(min_abs_product=math.nan), dict(min_abs_product=math.inf),
          dict(spectator_range=(0, -1))],
-        ids=["count", "product=0", "product<0", "spectators"],
+        ids=["count", "product=0", "product<0", "product=nan", "product=inf", "spectators"],
     )
     def test_invalid_arguments_rejected(self, kwargs):
         with pytest.raises(ValueError):

@@ -5,11 +5,12 @@ array is written. Every block scores a chunk of AUDIT_CHUNK points, a
 forward; no block runs once per point. A small block, attention.layer
 among them, passes the copies to its forward in place of the array. In a
 model-level block the copies are stacked into the moved leaf, and the
-chunk runs every stage of the table once, in order, on the one audit
-batch. Every array the copies move keeps a leading axis of k copies,
+chunk is one pass of the model's stage loop, _run_stages, on the one
+audit batch. Every array the copies move keeps a leading axis of k copies,
 (k, B, ...), through every stage, and every other array its single
 shape, so the numeric vectors do not depend on the chunk."""
 
+import math
 from types import SimpleNamespace
 
 import numpy as np
@@ -57,7 +58,13 @@ from chiraldet.gradcheck import (
     block_rng,
     run_gradcheck,
 )
-from chiraldet.model import _leaves, forward_batch, named_parameters, parameter_slots
+from chiraldet.model import (
+    _leaves,
+    _run_stages,
+    forward_batch,
+    named_parameters,
+    parameter_slots,
+)
 from oracles import (
     assert_copies_keep_their_bytes,
     batch_loss,
@@ -404,7 +411,7 @@ def test_a_chunk_reruns_only_the_stages_its_point_reaches(full_loss, monkeypatch
 
         return stage._replace(forward=forward)
 
-    monkeypatch.setattr(chiraldet.gradcheck, "forward_stages",
+    monkeypatch.setattr(chiraldet.model, "forward_stages",
                         lambda model: tuple(recorded(t, st) for t, st in enumerate(stages)))
     arrays, losses = _model_points(model, mols, objective, reg_weight, {name})
     copies = np.stack([dict(arrays)[name]] * AUDIT_CHUNK)
@@ -493,6 +500,60 @@ def test_stacked_attention_error_row_counts_across_copies(j):
     assert err.value.row == j * len(inputs[0]) + 0
     assert layer.wq is live
     assert np.isfinite(live).all()
+
+
+# what a stacked pass raises when copy {j} of a leaf is infinite: layer 1's
+# attention logits, or the logits, whose walk finds the head's stage
+NONFINITE_COPY = {
+    "layers.1.wq": "molecule rs00000, copy {j}: layer 1: non-finite attention logits",
+    "head.b2": "molecule rs00000, copy {j}: non-finite logits, "
+               "first non-finite stage output: pooling and head",
+}
+
+
+@pytest.mark.parametrize(("k", "j"), [(2, 0), (2, 1), (3, 0), (3, 2)])
+@pytest.mark.parametrize("name", list(NONFINITE_COPY))
+def test_a_nonfinite_copy_names_its_molecule_and_copy(full_loss, name, k, j):
+    """Copy j of k stacked copies of a leaf holds an infinity: a
+    _run_stages pass, and the audit's losses over the same copies, raise
+    a NumericError naming the first molecule of copy j and the copy,
+    never an IndexError, also when k equals the batch's B = 2, so that
+    sizes alone cannot tell a copy axis from the molecule axis. The leaf
+    is restored after the error."""
+    model, mols, objective, reg_weight, _ = full_loss
+    batch = prepare_batch(mols)
+    assert len(batch.ids) == 2
+    holder, field = next((h, f) for n, h, f in parameter_slots(model) if n == name)
+    live = getattr(holder, field)
+    copies = np.stack([live] * k)
+    copies[j].flat[0] = np.inf
+    _, losses = _model_points(model, mols, objective, reg_weight, {name})
+    for run in (lambda: _stacked_call(holder, field, copies, lambda: _run_stages(model, batch)),
+                lambda: losses(name, copies)):
+        with np.errstate(invalid="ignore"), pytest.raises(NumericError) as err:
+            run()
+        assert str(err.value) == NONFINITE_COPY[name].format(j=j)
+        assert getattr(holder, field) is live
+    assert np.isfinite(live).all()
+
+
+def test_the_model_blocks_run_the_model_stage_loop(monkeypatch):
+    """The two model-level blocks run their forwards through
+    model._run_stages: one cache-free call per chunk of points and one for
+    the rank instance's scoring, and one call keeping caches per block,
+    its analytic batch_step's forward_batch."""
+    chunks = sum(math.ceil(2 * live.size / AUDIT_CHUNK) for block in INSTANCES
+                 for _, live in _CHECKS[block](block_rng(block, 1), TINY_CONFIG)[0])
+    calls = []  # whether each call keeps caches
+
+    def counted(model, batch, caches=None):
+        calls.append(caches is not None)
+        return _run_stages(model, batch, caches)
+
+    for module in (chiraldet.model, chiraldet.gradcheck):
+        monkeypatch.setattr(module, "_run_stages", counted)
+    assert all(report.passed for report in run_gradcheck(blocks=tuple(INSTANCES)))
+    assert (calls.count(False), calls.count(True)) == (chunks + 1, 2) == (141, 2)
 
 
 def test_unknown_block_raises_before_any_block_runs(monkeypatch):
