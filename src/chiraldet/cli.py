@@ -56,8 +56,9 @@ _TRAIN_KEYS = {f.name for f in dataclass_fields(TrainConfig)}
 def read_config_file(path) -> dict:
     """key=value lines mirroring ModelConfig/TrainConfig field names, each
     value parsed as its field's type (a TrainConfig field's, as its
-    default's); a line that does not parse raises MoleculeParseError."""
-    values = {}
+    default's); a line that does not parse, or that sets a key an earlier
+    line set, raises MoleculeParseError."""
+    values, set_at = {}, {}
     for lineno, line in enumerate(Path(path).read_text().splitlines(), start=1):
         line = line.strip()
         if not line or line.startswith("#"):
@@ -67,6 +68,9 @@ def read_config_file(path) -> dict:
         key, val = (part.strip() for part in line.split("=", 1))
         if key not in _MODEL_KEYS | _TRAIN_KEYS:
             raise MoleculeParseError(f"unknown config key {key!r}", lineno)
+        if key in set_at:
+            raise MoleculeParseError(f"config key {key!r} repeats line {set_at[key]}", lineno)
+        set_at[key] = lineno
         try:
             values[key] = (parse_config_value(key, val) if key in _MODEL_KEYS
                            else type(getattr(TrainConfig(), key))(val))

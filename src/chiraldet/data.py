@@ -159,7 +159,7 @@ def parse(path) -> Molecule:
 
     units: list[ChiralUnit] = []
     seen_centers: set[int] = set()
-    blade = None
+    blade, blade_line = None, None
     for offset, raw in enumerate(lines[2 + n_atoms:]):
         lineno = 3 + n_atoms + offset
         tokens = raw.split()
@@ -173,6 +173,10 @@ def parse(path) -> Molecule:
             seen_centers.update(unit.center_atoms)
             units.append(unit)
         elif tokens[0] == "BLADE":
+            if blade_line is not None:
+                raise MoleculeParseError(f"second BLADE line, the first is line {blade_line}",
+                                         lineno)
+            blade_line = lineno
             try:
                 blade = tuple(int(t) for t in tokens[1:])
             except ValueError:
@@ -279,6 +283,8 @@ class SyntheticSpec:
             raise ValueError(f"min_abs_product must be > 0 and finite, got {self.min_abs_product}")
         if not 0 <= self.spectator_range[0] <= self.spectator_range[1]:
             raise ValueError(f"spectator_range must be 0 <= lo <= hi, got {self.spectator_range}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
         return self
 
 

@@ -206,19 +206,19 @@ def kernel_fwd(bank: KernelBank, mc_batch):
     s = np.sqrt(np.maximum(det3_batch(gram), 0.0))
     inv_sigma3 = 1.0 / (sigma2 * np.sqrt(sigma2))
     out = det_m[:, None] * s[..., None, :] * inv_sigma3
-    return out, (bank, mc_batch, out, det_m, w_eff, centered, cc, mmt, gram, s, sigma2, inv_sigma3)
+    return out, (bank, out, det_m, w_eff, centered, mmt, gram, s, sigma2, inv_sigma3)
 
 
-def kernel_bwd(cache, d_out):
-    """Backward of kernel_fwd; returns (grads as a KernelBank, d_mc).
+def kernel_bwd(cache, d_out) -> KernelBank:
+    """Backward of kernel_fwd; returns the parameter gradients as a
+    KernelBank, the chirality matrices being fixed inputs.
 
-    d out / d M = cof(M) s / sigma^3 - out / (d_p sigma^2) * C^T C M, which
-    is smooth through det(M) = 0. Parameter gradients flow through s, with
-    d s / d W_eff = W_eff adj(G) / s, and through sigma; only the k slice
-    Grams are adjugated. s is not differentiable at det G = 0, so a
-    rank-deficient slice raises DegeneracyError.
+    Gradients flow through s, with d s / d W_eff = W_eff adj(G) / s, and
+    through sigma; only the k slice Grams are adjugated. s is not
+    differentiable at det G = 0, so a rank-deficient slice raises
+    DegeneracyError.
     """
-    bank, mc_batch, out, det_m, w_eff, centered, cc, mmt, gram, s, sigma2, inv_sigma3 = cache
+    bank, out, det_m, w_eff, centered, mmt, gram, s, sigma2, inv_sigma3 = cache
     d_out = np.asarray(d_out, dtype=np.float64)
     dead = np.flatnonzero(s <= 0.0)
     if dead.size:
@@ -229,17 +229,14 @@ def kernel_bwd(cache, d_out):
     n_batch, k = out.shape
     d_s = (d_out * det_m[:, None] * inv_sigma3).sum(axis=0)  # (k,)
     d_w_eff = (d_s / s)[:, None, None] * (w_eff @ cofactor3_batch(gram))
-    d_mc = cofactor3_batch(mc_batch) * ((d_out * inv_sigma3) @ s)[:, None, None]
-    # through sigma: d loss / d M = -sum_k coef C^T C M and
-    # d loss / d C = -C sum_b coef M M^T
+    # through sigma: d loss / d C = -C sum_b coef M M^T
     coef = d_out * out / (bank.d_p * sigma2)  # (B, k)
-    d_mc -= (coef @ cc.reshape(k, 9)).reshape(n_batch, 3, 3) @ mc_batch
     coef_mmt = (coef.T @ mmt.reshape(n_batch, 9)).reshape(k, 3, 3)
     # summed over columns by matmul for the reason given in _row_mean
     d_gamma = ((d_w_eff * centered) @ np.ones(3)).sum(axis=0)
     d_c = bank.gamma[None, :, None] * d_w_eff - centered @ coef_mmt
     d_w = d_c - _row_mean(d_c)
-    return KernelBank(w=d_w, gamma=d_gamma), d_mc
+    return KernelBank(w=d_w, gamma=d_gamma)
 
 
 def regularization_loss(bank: KernelBank):

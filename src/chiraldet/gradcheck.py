@@ -191,10 +191,8 @@ def _probe(arrays, run, backward, *weights):
 def _check_kernel(rng, config: ModelConfig):
     bank = init_kernel_bank(rng, 2, 4)
     bank.gamma[:] = rng.uniform(0.8, 1.2, 4)
-    mc = _nonsingular_mc(rng, 2)
-    arrays = [("w", bank.w), ("gamma", bank.gamma), ("mc", mc)]
-    return _probe(arrays,
-                  lambda w, gamma, mc: kernel_fwd(KernelBank(w, gamma), mc.reshape(-1, 3, 3)),
+    mc = _nonsingular_mc(rng, 2)  # fixed inputs, as a batch's chirality matrices are
+    return _probe(_leaves(bank), lambda w, gamma: kernel_fwd(KernelBank(w, gamma), mc),
                   kernel_bwd, rng.standard_normal((2, 2)))
 
 

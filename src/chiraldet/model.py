@@ -76,9 +76,11 @@ class ModelConfig:
     seed: int = 0
 
     def validate(self):
-        for name in ("h", "n_heads", "n_gkpt", "n_classes"):
+        for name in ("h", "n_heads", "n_gkpt", "n_classes", "d_f"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
         if self.h % self.n_heads != 0:
             raise ValueError("hidden width must be divisible by head count")
         if self.n_layers < 1:
@@ -253,7 +255,7 @@ def _kernel_readout(model, batch):
 
 
 def _kernel_readout_bwd(model, batch, cache, d_h_k):
-    return {"encoder.kernel": kernel_bwd(cache, d_h_k[batch.unit_slots])[0]},
+    return {"encoder.kernel": kernel_bwd(cache, d_h_k[batch.unit_slots])},
 
 
 def _queries(model, batch, h_k):
@@ -887,9 +889,9 @@ def load_checkpoint(path):
     version, truncation, checksum, and shape failures; a version failure
     also covers a header field out of range, such as a negative step or
     count, a truncation failure a tensor table that does not end at
-    payload_bytes, and a shape failure a tensor holding a non-finite value
-    and a negative Adam second moment, none of which a training run
-    writes."""
+    payload_bytes, and a shape failure a tensor holding a non-finite value,
+    a negative Adam second moment, a name the payload holds twice and a
+    name the tensor table lacks, none of which a training run writes."""
     raw = Path(path).read_bytes()
     sep = raw.find(b"\n\n")
     if sep < 0:
@@ -937,6 +939,8 @@ def load_checkpoint(path):
             offset += 8 * ndim
             (size,) = struct.unpack_from("<Q", buf, offset)
             offset += 8
+            if name in tensors:
+                raise CheckpointShapeError(f"tensor {name} appears twice in the payload")
             tensors[name] = np.frombuffer(buf, dtype="<f8", count=size,
                                           offset=offset).reshape(shape)
             offset += 8 * size
@@ -973,7 +977,9 @@ def load_checkpoint(path):
             raise CheckpointShapeError(
                 f"tensor {name} holds a negative second moment at flat index {int(bad[0])}"
             )
-        target[...] = tensors[name]
+        target[...] = tensors.pop(name)
+    if tensors:
+        raise CheckpointShapeError(f"tensor {next(iter(tensors))} is not in the tensor table")
     return model, adam
 
 

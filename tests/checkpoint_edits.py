@@ -7,6 +7,8 @@ import struct
 
 import numpy as np
 
+from chiraldet.model import _pack_tensor
+
 
 def resign(path, edit):
     """Apply `edit` to a checkpoint's checksummed bytes and re-sign them."""
@@ -40,6 +42,23 @@ def rename_tensor(name: bytes):
     renamed = name[:-1] + (b"_" if name[-1:] != b"_" else b"-")
     return lambda blob: blob.replace(struct.pack("<I", len(name)) + name,
                                      struct.pack("<I", len(name)) + renamed, 1)
+
+
+def append_tensor(name: bytes, values):
+    """Edit that appends a tensor after the last one, packed as the writer
+    packs one, and raises the header's tensors and payload_bytes counts to
+    match."""
+    packed = _pack_tensor(name.decode(), np.asarray(values, dtype=np.float64))
+
+    def edit(blob):
+        header = blob[: blob.index(b"\n\n")].splitlines()
+        fields = dict(line.split(b"=", 1) for line in header[1:])
+        for key, grow in ((b"tensors", 1), (b"payload_bytes", len(packed))):
+            blob = set_header(key + b"=" + fields[key],
+                              key + b"=" + str(int(fields[key]) + grow).encode())(blob)
+        return blob + packed
+
+    return edit
 
 
 def read_tensors(raw: bytes):

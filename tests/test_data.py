@@ -97,6 +97,20 @@ class TestParse:
         with pytest.raises(MoleculeParseError):
             parse(p)
 
+    def test_second_blade_line_rejected(self, tmp_path):
+        # a written toy with one more BLADE line: the second would override the first
+        p = tmp_path / "blades.chimol"
+        write(toy_axial_molecule(), p)
+        text = p.read_text()
+        assert "BLADE 3 5\n" in text
+        p.write_text(text + "BLADE 2 4\n")
+        second = len(text.splitlines()) + 1
+        with pytest.raises(MoleculeParseError,
+                           match=f"^line {second}: second BLADE line, the first is line "
+                                 f"{second - 1}$") as err:
+            parse(p)
+        assert err.value.line == second
+
     def test_malformed_atom_line(self, tmp_path):
         p = tmp_path / "atom.chimol"
         p.write_text("1\n\nC 0 zero 0\n")

@@ -86,8 +86,7 @@ def replayed_small_block(block):
         bank.gamma[:] = rng.uniform(0.8, 1.2, 4)
         mc = _nonsingular_mc(rng, 2)
         w = rng.standard_normal((2, 2))
-        return ([("w", bank.w), ("gamma", bank.gamma), ("mc", mc)],
-                lambda: float((w * kernel_fwd(bank, mc)[0]).sum()))
+        return _leaves(bank), lambda: float((w * kernel_fwd(bank, mc)[0]).sum())
     if block == "encoder.reg_loss":
         bank = KernelBank(w=rng.standard_normal((2, 4, 3)), gamma=np.ones(4))
         return [("w", bank.w)], lambda: float(regularization_loss(bank))
@@ -592,6 +591,6 @@ def test_audit_call_counts(monkeypatch):
             if hasattr(module, fn):
                 monkeypatch.setattr(module, fn, counted(fn, getattr(module, fn)))
     assert all(report.passed for report in run_gradcheck())
-    assert counts == {"kernel_fwd": 147, "pair_bias_fwd": 149, "attend_fwd": 329,
+    assert counts == {"kernel_fwd": 146, "pair_bias_fwd": 149, "attend_fwd": 329,
                       "feed_forward_fwd": 329, "mlp2_fwd": 908, "layer_norm_rows": 662,
                       "regularization_loss": 136}

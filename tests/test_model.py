@@ -4,7 +4,14 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from checkpoint_edits import read_tensors, rename_tensor, resign, set_first_beta, set_header
+from checkpoint_edits import (
+    append_tensor,
+    read_tensors,
+    rename_tensor,
+    resign,
+    set_first_beta,
+    set_header,
+)
 from chiraldet.data import SyntheticSpec, gen_rs
 from chiraldet.encoder import RankStrategy, prepare_batch
 from chiraldet.errors import (
@@ -478,6 +485,18 @@ class TestCheckpoint:
         with pytest.raises(CheckpointShapeError, match=f"missing tensor {name}$"):
             load_checkpoint(path)
 
+    @pytest.mark.parametrize(("name", "message"),
+                             [("bogus.tensor", "tensor bogus.tensor is not in the tensor table"),
+                              ("head.b2", "tensor head.b2 appears twice in the payload")],
+                             ids=["extra", "repeated"])
+    def test_tensor_outside_the_table_rejected(self, tmp_path, name, message):
+        # either would load silently: an extra name unread, a repeat over the first
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(tiny_model(seed=24), path)
+        resign(path, append_tensor(name.encode(), [0.5, -0.5]))
+        with pytest.raises(CheckpointShapeError, match=f"^{message}$"):
+            load_checkpoint(path)
+
     @pytest.mark.parametrize("moment", ["m", "v"])
     def test_misshapen_moment_rejected(self, tmp_path, moment):
         path = tmp_path / "model.ckpt"
@@ -586,8 +605,8 @@ class TestCheckpoint:
     @pytest.mark.parametrize(
         ("old", "new"),
         [(b"h=8", b"h=0"), (b"n_heads=2", b"n_heads=0"), (b"n_gkpt=8", b"n_gkpt=0"),
-         (b"n_classes=2", b"n_classes=0")],
-        ids=["h", "n_heads", "n_gkpt", "n_classes"],
+         (b"n_classes=2", b"n_classes=0"), (b"d_f=52", b"d_f=0"), (b"d_f=52", b"d_f=-1")],
+        ids=["h", "n_heads", "n_gkpt", "n_classes", "d_f", "d_f-negative"],
     )
     def test_zero_size_header_rejected(self, tmp_path, old, new):
         path = tmp_path / "model.ckpt"
@@ -595,6 +614,13 @@ class TestCheckpoint:
         resign(path, set_header(old, new))
         field = old.split(b"=")[0].decode()
         with pytest.raises(CheckpointVersionError, match=f"{field} must be >= 1"):
+            load_checkpoint(path)
+
+    def test_negative_seed_header_rejected(self, tmp_path):
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(tiny_model(seed=21), path)
+        resign(path, set_header(b"seed=21", b"seed=-1"))
+        with pytest.raises(CheckpointVersionError, match="seed must be >= 0, got -1"):
             load_checkpoint(path)
 
     def test_nonzero_beta_rejected(self, tmp_path):
