@@ -139,23 +139,24 @@ def parse(path) -> Molecule:
     if len(lines) < 2 + n_atoms:
         raise MoleculeParseError(f"file ends before {n_atoms} atom lines", len(lines))
     comment = lines[1].strip()
-    coords = np.zeros((n_atoms, 3))
-    atomic_numbers = np.zeros(n_atoms, dtype=np.int64)
-    for i in range(n_atoms):
-        lineno = 3 + i
-        tokens = lines[2 + i].split()
+    rows, numbers = [], []
+    for lineno, line in enumerate(lines[2 : 2 + n_atoms], start=3):
+        tokens = line.split()
         if len(tokens) != 4:
-            raise MoleculeParseError(f"expected 'symbol x y z', got {lines[2 + i]!r}", lineno)
+            raise MoleculeParseError(f"expected 'symbol x y z', got {line!r}", lineno)
         symbol = tokens[0]
         if symbol not in SYMBOL_TO_Z:
             raise MoleculeParseError(f"unknown element symbol {symbol!r}", lineno)
-        atomic_numbers[i] = SYMBOL_TO_Z[symbol]
+        numbers.append(SYMBOL_TO_Z[symbol])
         try:
-            coords[i] = [float(t) for t in tokens[1:]]
+            xyz = [float(t) for t in tokens[1:]]
         except ValueError:
-            raise MoleculeParseError(f"bad coordinate in {lines[2 + i]!r}", lineno) from None
-        if not np.all(np.isfinite(coords[i])):
+            raise MoleculeParseError(f"bad coordinate in {line!r}", lineno) from None
+        if not all(map(math.isfinite, xyz)):
             raise MoleculeParseError("non-finite coordinate", lineno)
+        rows.append(xyz)
+    coords = np.array(rows, dtype=np.float64)
+    atomic_numbers = np.array(numbers, dtype=np.int64)
 
     units: list[ChiralUnit] = []
     seen_centers: set[int] = set()
@@ -208,7 +209,7 @@ def write(mol: Molecule, path):
     """
     path = Path(path)
     lines = [str(mol.n_atoms), mol.id]
-    for z, xyz in zip(mol.atomic_numbers, mol.coords):
+    for z, xyz in zip(mol.atomic_numbers.tolist(), mol.coords.tolist()):
         sym = Z_TO_SYMBOL.get(int(z))
         if sym is None:
             raise AnnotationError(f"no symbol for atomic number {z}")

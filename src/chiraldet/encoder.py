@@ -26,7 +26,7 @@ MoleculeBatch and do parameter arithmetic only.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 from functools import cached_property
 from typing import NamedTuple
@@ -54,6 +54,11 @@ class RankStrategy(Enum):
 class KernelBank:
     w: np.ndarray  # (k, d_p, 3)
     gamma: np.ndarray  # (d_p,)
+    # what _bank_factors keeps: not a parameter, and dropped by copy and pickle
+    _factors: tuple | None = field(default=None, init=False, repr=False, compare=False)
+
+    def __getstate__(self):
+        return {k: v for k, v in vars(self).items() if k != "_factors"}
 
     @property
     def n_kernels(self) -> int:
@@ -174,6 +179,28 @@ def _row_mean(x: np.ndarray) -> np.ndarray:
     return np.full((1, x.shape[-2]), 1.0 / x.shape[-2]) @ x
 
 
+def _bank_factors(bank: KernelBank):
+    """(C, W_eff, C^T C, G, s) of kernel_fwd, which depend on the bank
+    alone. They are kept, read-only, on the bank with the bytes of the
+    (w, gamma) they came from, and computed again, replacing the kept ones,
+    when w or gamma differs from those in shape, dtype or any bit: an
+    in-place write such as adam_step's or load_checkpoint's, or a stack of
+    copies, is never read stale."""
+    key = tuple((a.dtype, a.shape, a.tobytes()) for a in (bank.w, bank.gamma))
+    if bank._factors is not None and bank._factors[0] == key:
+        return bank._factors[1]
+    centered = bank.w - _row_mean(bank.w)
+    w_eff = bank.gamma[..., None] * centered
+    cc = centered.swapaxes(-1, -2) @ centered  # (k, 3, 3)
+    gram = w_eff.swapaxes(-1, -2) @ w_eff
+    s = np.sqrt(np.maximum(det3_batch(gram), 0.0))
+    factors = (centered, w_eff, cc, gram, s)
+    for a in factors:
+        a.flags.writeable = False
+    bank._factors = key, factors
+    return factors
+
+
 def kernel_fwd(bank: KernelBank, mc_batch):
     """Determinant-kernel forward; returns (out (B, k), cache).
 
@@ -196,14 +223,10 @@ def kernel_fwd(bank: KernelBank, mc_batch):
     n_batch = mc_batch.shape[0]
     d_p = bank.w.shape[-2]
     det_m = det3_batch(mc_batch)
-    centered = bank.w - _row_mean(bank.w)
-    w_eff = bank.gamma[..., None] * centered
-    cc = centered.swapaxes(-1, -2) @ centered  # (k, 3, 3)
+    centered, w_eff, cc, gram, s = _bank_factors(bank)
     mmt = mc_batch @ mc_batch.transpose(0, 2, 1)  # (B, 3, 3)
     sigma2 = (mmt.reshape(n_batch, 9) @ cc.reshape(*cc.shape[:-2], 9).swapaxes(-1, -2)
               / (3 * d_p) + KERNEL_EPS)
-    gram = w_eff.swapaxes(-1, -2) @ w_eff
-    s = np.sqrt(np.maximum(det3_batch(gram), 0.0))
     inv_sigma3 = 1.0 / (sigma2 * np.sqrt(sigma2))
     out = det_m[:, None] * s[..., None, :] * inv_sigma3
     return out, (bank, out, det_m, w_eff, centered, mmt, gram, s, sigma2, inv_sigma3)

@@ -888,10 +888,12 @@ def load_checkpoint(path):
     """Returns (model, adam_state or None). Raises distinct errors for
     version, truncation, checksum, and shape failures; a version failure
     also covers a header field out of range, such as a negative step or
-    count, a truncation failure a tensor table that does not end at
-    payload_bytes, and a shape failure a tensor holding a non-finite value,
-    a negative Adam second moment, a name the payload holds twice and a
-    name the tensor table lacks, none of which a training run writes."""
+    count, a header line whose field is unknown and one repeating an
+    earlier line's field, naming both lines; a truncation failure a tensor
+    table that does not end at payload_bytes, and a shape failure a tensor
+    holding a non-finite value, a negative Adam second moment, a name the
+    payload holds twice and a name the tensor table lacks, none of which a
+    training run writes."""
     raw = Path(path).read_bytes()
     sep = raw.find(b"\n\n")
     if sep < 0:
@@ -902,7 +904,17 @@ def load_checkpoint(path):
     version = header[0].removeprefix(CHECKPOINT_MAGIC).strip()
     if version != f"v{CHECKPOINT_VERSION}":
         raise CheckpointVersionError(f"unsupported checkpoint version {version!r}")
-    fields = dict(line.split("=", 1) for line in header[1:] if "=" in line)
+    fields, line_of = {}, {}
+    known = {f.name for f in dataclass_fields(ModelConfig)} | {"step", "tensors", "payload_bytes"}
+    for lineno, line in enumerate(header[1:], start=2):
+        key, _, value = line.partition("=")
+        if key not in known:
+            raise CheckpointVersionError(f"bad header field: unknown field {key!r} on line "
+                                         f"{lineno}")
+        if key in line_of:
+            raise CheckpointVersionError(f"bad header field: {key!r} on line {lineno} repeats "
+                                         f"line {line_of[key]}")
+        fields[key], line_of[key] = value, lineno
     try:
         n_tensors, payload_bytes, step = (int(fields[f])
                                           for f in ("tensors", "payload_bytes", "step"))

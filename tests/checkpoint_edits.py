@@ -21,6 +21,12 @@ def set_header(old: bytes, new: bytes):
     return lambda blob: blob.replace(b"\n" + old + b"\n", b"\n" + new + b"\n", 1)
 
 
+def insert_header(after: bytes, line: bytes):
+    """Edit that inserts a header line after the line `after`, e.g. a
+    second b"seed=5" after b"step=0"."""
+    return set_header(after, after + b"\n" + line)
+
+
 def set_first_value(name: bytes, value: float):
     """Edit that overwrites the first float of the named tensor."""
 

@@ -10,6 +10,7 @@ import pytest
 import chiraldet.gradcheck
 from checkpoint_edits import (
     append_tensor,
+    insert_header,
     rename_tensor,
     resign,
     set_first_beta,
@@ -590,10 +591,14 @@ class TestCliContract:
           "tensor adam.v.layers.0.wq holds a negative second moment"),
          (set_header(b"step=0", b"step=-1"), "bad header field: step must be >= 0, got -1"),
          (append_tensor(b"bogus.tensor", [1.0]), "tensor bogus.tensor is not in the tensor table"),
-         (append_tensor(b"head.b2", [0.0, 0.0]), "tensor head.b2 appears twice in the payload")],
+         (append_tensor(b"head.b2", [0.0, 0.0]), "tensor head.b2 appears twice in the payload"),
+         (insert_header(b"step=0", b"seed=5"),
+          "bad header field: 'seed' on line 12 repeats line 10"),
+         (insert_header(b"step=0", b"bogus=1"),
+          "bad header field: unknown field 'bogus' on line 12")],
         ids=["d_p=3", "n_heads=0", "beta", "sigma=0", "adam.m", "adam.v", "nan-head",
              "nan-layer", "inf-adam.m", "negative-adam.v", "step=-1", "extra-tensor",
-             "repeated-tensor"],
+             "repeated-tensor", "repeated-header-field", "unknown-header-field"],
     )
     def test_invalid_checkpoint_content_rejected(self, tmp_path, tiny_ckpt, capsys, edit,
                                                  message):

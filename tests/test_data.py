@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -14,6 +15,7 @@ from chiraldet.data import (
     gen_rs,
     parse,
     read_manifest,
+    tile_molecules,
     toy_axial_molecule,
     write,
     write_dataset,
@@ -118,6 +120,14 @@ class TestParse:
             parse(p)
         assert err.value.line == 3
 
+    def test_first_bad_atom_line_is_named(self, tmp_path):
+        # each atom line is checked in full before the next is read, so a
+        # non-finite coordinate on line 3 is named before line 5's symbol
+        p = tmp_path / "atoms.chimol"
+        p.write_text("3\n\nC 0 inf 0\nN 1 0 0\nXx 0 1 0\n")
+        with pytest.raises(MoleculeParseError, match="^line 3: non-finite coordinate$"):
+            parse(p)
+
     def test_unknown_annotation_rejected(self, tmp_path):
         p = tmp_path / "junk.chimol"
         p.write_text("1\n\nC 0 0 0\nWHAT 1 2\n")
@@ -133,6 +143,18 @@ class TestParse:
         assert back.chiral_units == mol.chiral_units
         assert np.array_equal(back.atomic_numbers, mol.atomic_numbers)
         assert back.blade == mol.blade
+
+    def test_write_parse_write_keeps_the_bytes(self, tmp_path):
+        # an axis with a blade, a tiled centre pair and a -0.0 coordinate
+        tiled = tile_molecules([m for m, _ in gen_rs(SyntheticSpec(count=2, seed=4,
+                                                                  spectator_range=(0, 3)))])
+        mols = [toy_axial_molecule(), replace(tiled, id="tiled")]
+        mols[1].coords[0, 2] = -0.0
+        for i, mol in enumerate(mols):
+            first, second = tmp_path / f"{i}a.chimol", tmp_path / f"{i}b.chimol"
+            write(mol, first)
+            write(parse(first), second)
+            assert second.read_bytes() == first.read_bytes()
 
 
 class TestFeatures:

@@ -32,8 +32,9 @@ def golden_script():
     return module
 
 
-@pytest.mark.parametrize("name", ["audit_vectors", "backward_hashes", "forward_hashes"])
-def test_in_process_outputs_match_fixture(golden_script, name):
+def assert_matches_fixture(golden_script, name):
+    """The script's `name` output, computed now, against its fixture file,
+    failing with the lines that differ and the regenerate command."""
     got = getattr(golden_script, name)().splitlines()
     want = (FIXTURE / f"{name}.out").read_text().splitlines()
     differ = [f"  line {i + 1}:\n    want {w}\n    got  {g}"
@@ -43,3 +44,26 @@ def test_in_process_outputs_match_fixture(golden_script, name):
     if differ:
         pytest.fail(f"{name}.out differs from tests/golden/{name}.out:\n" + "\n".join(differ)
                     + f"\nto regenerate: {REGENERATE}", pytrace=False)
+
+
+@pytest.mark.parametrize("name", ["audit_vectors", "backward_hashes", "forward_hashes"])
+def test_in_process_outputs_match_fixture(golden_script, name):
+    assert_matches_fixture(golden_script, name)
+
+
+@pytest.mark.parametrize("name", ["backward_hashes", "forward_hashes"])
+def test_outputs_read_from_kept_kernel_factors_match_fixture(golden_script, monkeypatch, name):
+    """Each model the script initialises runs one forward_batch before it
+    is returned, so every hashed forward reads the kernel factors that
+    forward kept on the bank, and must give the same bytes."""
+    init_model = golden_script.init_model
+    batch = golden_script.prepare_batch(golden_script.mixed_batch())
+
+    def warmed(config):
+        model = init_model(config)
+        golden_script.forward_batch(model, batch)
+        assert model.encoder.kernels._factors is not None
+        return model
+
+    monkeypatch.setattr(golden_script, "init_model", warmed)
+    assert_matches_fixture(golden_script, name)

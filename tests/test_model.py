@@ -6,6 +6,7 @@ import pytest
 
 from checkpoint_edits import (
     append_tensor,
+    insert_header,
     read_tensors,
     rename_tensor,
     resign,
@@ -580,6 +581,23 @@ class TestCheckpoint:
         save_checkpoint(model, path)
         resign(path, set_header(old, new))
         with pytest.raises(CheckpointVersionError, match="bad header field"):
+            load_checkpoint(path)
+
+    @pytest.mark.parametrize(
+        ("line", "message"),
+        [(b"seed=5", "'seed' on line 12 repeats line 10"),
+         (b"step=0", "'step' on line 12 repeats line 11"),
+         (b"bogus=1", "unknown field 'bogus' on line 12"),
+         (b"no equals sign", "unknown field 'no equals sign' on line 12")],
+        ids=["repeated-seed", "repeated-step", "unknown", "not-key-value"],
+    )
+    def test_repeated_or_unknown_header_field_rejected(self, tmp_path, line, message):
+        # a TINY_CONFIG header: magic, 9 config lines (seed on line 10),
+        # then step on line 11; the inserted line is line 12
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(tiny_model(seed=21), path)
+        resign(path, insert_header(b"step=0", line))
+        with pytest.raises(CheckpointVersionError, match=f"^bad header field: {message}$"):
             load_checkpoint(path)
 
     def test_tensor_table_short_of_the_payload_rejected(self, tmp_path):
