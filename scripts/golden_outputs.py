@@ -6,7 +6,8 @@ the numbers alone must reproduce byte for byte, into OUT_DIR:
 - `gradcheck --sabotage encoder/attention/model` stdout;
 - a `gen` rs set, a `train --config tiny` checkpoint and `metrics.log`;
 - `eval --mirror-check` stdout over that set;
-- the `embed` and `attn` CSVs of that set and the `rotate-axis` CSV of
+- the `embed` and `attn` CSVs of that set, and the `rotate-axis` CSV and
+  the `chirality` and `invariance --trials 50` stdout of
   `data.toy_axial_molecule()`, written to `axial_toy.chimol`;
 - a `gen` axial set and the `rotate-axis` stdout of its first molecule;
 - the exit-3 `embed` of `data_overflow`, a written 3-molecule rs set
@@ -21,10 +22,14 @@ the numbers alone must reproduce byte for byte, into OUT_DIR:
   over that batch at both configs, by stage index and array name, read
   from `BatchState.outputs` alone.
 
-Each command's stdout and exit code go to `<step>.out`, its stderr to
-`<step>.err`. Every command runs the chiraldet this script imports, with
-OUT_DIR as its working directory and relative paths, so the outputs hold
-no trace of where OUT_DIR is. Run it once against each tree and compare:
+Each command runs in this process through `cli.main(argv)`, with OUT_DIR
+as the working directory and relative paths, so the outputs hold no trace
+of where OUT_DIR is. Its stdout and exit code go to `<step>.out`, its
+stderr to `<step>.err`. `golden.sha256` lists, as `sha256  path` lines,
+every file the CLI steps and their inputs leave in OUT_DIR; the tier-1
+`tests/test_golden.py` holds them to the committed `tests/golden.sha256`.
+OUT_DIR must be new or empty, because `train` appends to `metrics.log`.
+Run it once against each tree and compare:
 
     PYTHONPATH=<tree a>/src python scripts/golden_outputs.py /tmp/a
     PYTHONPATH=<tree b>/src python scripts/golden_outputs.py /tmp/b
@@ -33,13 +38,14 @@ no trace of where OUT_DIR is. Run it once against each tree and compare:
 
 import argparse
 import hashlib
+import io
 import os
-import subprocess
 import sys
+from contextlib import redirect_stderr, redirect_stdout
 from dataclasses import replace
 from pathlib import Path
 
-import chiraldet
+from chiraldet import cli
 from chiraldet.data import (
     SyntheticSpec,
     gen_axial,
@@ -73,6 +79,8 @@ STEPS = (
     ("attn", ["attn", "--ckpt", "run/model.ckpt", "data_rs", "--out", "attn.csv"]),
     ("rotate_axis", ["rotate-axis", "axial_toy.chimol", "--ckpt", "run/model.ckpt",
                      "--out", "rotate_axis.csv"]),
+    ("chirality", ["chirality", "axial_toy.chimol"]),
+    ("invariance", ["invariance", "axial_toy.chimol", "--trials", "50"]),
     ("gen_axial", ["gen", "--task", "axial", "--count", "4", "--seed", "5",
                    "--out", "data_axial"]),
     ("rotate_axis_gen", ["rotate-axis", "data_axial/ax00000.chimol", "--ckpt",
@@ -146,22 +154,39 @@ def forward_hashes() -> str:
     return "".join(lines)
 
 
+def run_cli_steps(out_dir) -> str:
+    """Write the CLI steps' inputs into out_dir, run every step there in
+    this process, and return the digest of every file they leave, one
+    `sha256  path` line per file in path order."""
+    out_dir = Path(out_dir)
+    write(toy_axial_molecule(), out_dir / "axial_toy.chimol")
+    write_dataset(overflow_set(), out_dir / "data_overflow")
+    cwd = os.getcwd()
+    os.chdir(out_dir)
+    try:
+        for name, argv in STEPS:
+            out, err = io.StringIO(), io.StringIO()
+            with redirect_stdout(out), redirect_stderr(err):
+                code = cli.main(argv)
+            Path(f"{name}.out").write_text(f"{out.getvalue()}exit={code}\n")
+            Path(f"{name}.err").write_text(err.getvalue())
+            print(f"{name}: exit {code}", file=sys.stderr)
+    finally:
+        os.chdir(cwd)
+    files = sorted(p.relative_to(out_dir).as_posix() for p in out_dir.rglob("*") if p.is_file())
+    return "".join(f"{hashlib.sha256((out_dir / f).read_bytes()).hexdigest()}  {f}\n"
+                   for f in files)
+
+
 def main():
     ap = argparse.ArgumentParser(description=__doc__,
                                  formatter_class=argparse.RawDescriptionHelpFormatter)
     ap.add_argument("out_dir", help="directory to write the outputs into (created)")
     out_dir = Path(ap.parse_args().out_dir)
+    if out_dir.exists() and any(out_dir.iterdir()):
+        ap.error(f"{out_dir} is not empty")
     out_dir.mkdir(parents=True, exist_ok=True)
-    write(toy_axial_molecule(), out_dir / "axial_toy.chimol")
-    write_dataset(overflow_set(), out_dir / "data_overflow")
-    # absolute, since the commands run from OUT_DIR
-    env = {**os.environ, "PYTHONPATH": str(Path(chiraldet.__file__).resolve().parents[1])}
-    for name, argv in STEPS:
-        proc = subprocess.run([sys.executable, "-m", "chiraldet.cli", *argv], cwd=out_dir,
-                              env=env, capture_output=True, text=True)
-        (out_dir / f"{name}.out").write_text(f"{proc.stdout}exit={proc.returncode}\n")
-        (out_dir / f"{name}.err").write_text(proc.stderr)
-        print(f"{name}: exit {proc.returncode}", file=sys.stderr)
+    (out_dir / "golden.sha256").write_text(run_cli_steps(out_dir))
     (out_dir / "audit_vectors.out").write_text(audit_vectors())
     print("audit_vectors: written", file=sys.stderr)
     (out_dir / "backward_hashes.out").write_text(backward_hashes())

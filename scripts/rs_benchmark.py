@@ -11,7 +11,6 @@ from chiraldet.data import SyntheticSpec, gen_rs
 from chiraldet.model import (
     ModelConfig,
     TrainConfig,
-    evaluate,
     init_model,
     mirror_consistency,
     train,
@@ -41,8 +40,7 @@ def main():
     train(model, train_set, cfg, val_dataset=val_set, log=print)
     print(f"training took {time.time() - start:.0f}s")
 
-    acc = evaluate(model, test_set)
-    _, flip = mirror_consistency(model, test_set)
+    acc, flip = mirror_consistency(model, test_set)
     print(f"test accuracy          {acc:.4f}  (n={len(test_set)})")
     print(f"mirror flip rate       {flip:.4f}")
 

@@ -16,7 +16,7 @@ from pathlib import Path
 import numpy as np
 
 from . import data as data_mod
-from .errors import CheckpointError, ChiralDetError, MoleculeParseError, NumericError
+from .errors import ChiralDetError, MoleculeParseError, NumericError
 from .geometry import (
     Configuration,
     assign_configuration,
@@ -232,15 +232,13 @@ def cmd_train(args) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
     model = init_model(model_cfg)
     adam = AdamState.for_model(model)
-    train(
-        model,
-        train_set,
-        train_cfg,
-        val_dataset=val_set if val_set else None,
-        metrics_path=out_dir / "metrics.log",
-        adam=adam,
-        log=print,
-    )
+    with open(out_dir / "metrics.log", "a") as metrics:
+        def log(line):
+            metrics.write(line + "\n")
+            metrics.flush()
+            print(line)
+
+        train(model, train_set, train_cfg, val_dataset=val_set or None, adam=adam, log=log)
     ckpt = out_dir / "model.ckpt"
     save_checkpoint(model, ckpt, adam)
     print(f"checkpoint: {ckpt}")
@@ -256,10 +254,12 @@ def cmd_eval(args) -> int:
     if not subset:
         print(f"split {args.eval_split!r} is empty", file=sys.stderr)
         return EXIT_INPUT_ERROR
-    acc = evaluate(model, subset)
+    if args.mirror_check:
+        acc, flip = mirror_consistency(model, subset)
+    else:
+        acc = evaluate(model, subset)
     print(f"accuracy={acc:.4f} n={len(subset)}")
     if args.mirror_check:
-        _, flip = mirror_consistency(model, subset)
         print(f"mirror_flip_rate={flip:.4f}")
     return EXIT_OK
 
@@ -404,16 +404,10 @@ def main(argv=None) -> int:
         # molecule, so numpy's warnings would only repeat it on stderr
         with np.errstate(over="ignore", invalid="ignore"):
             return args.func(args)
-    except FileNotFoundError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT_ERROR
-    except (MoleculeParseError, CheckpointError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT_ERROR
     except NumericError as exc:
         print(f"numeric error: {exc}", file=sys.stderr)
         return EXIT_NUMERIC_ERROR
-    except ChiralDetError as exc:
+    except (FileNotFoundError, ValueError, ChiralDetError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT_ERROR
 

@@ -19,7 +19,7 @@ from enum import Enum
 
 import numpy as np
 
-from .errors import AnnotationError
+from .errors import AnnotationError, NumericError
 from .numerics import det3_batch
 
 
@@ -197,8 +197,16 @@ def order_substituents(indices, priorities) -> tuple[int, int, int, int]:
 
 def unit_products(mol: Molecule) -> list[float]:
     """Chirality product det(M), the signed volume
-    ((r1-ref) x (r2-ref)) . (r4-r3), of every unit in annotation order."""
-    return det3_batch(chirality_matrices(mol.coords, *unit_atoms(mol.chiral_units))[0]).tolist()
+    ((r1-ref) x (r2-ref)) . (r4-r3), of every unit in annotation order.
+    A product that is not finite, as coordinates large enough to overflow
+    give, has no sign to label, so the first raises NumericError naming
+    its unit."""
+    products = det3_batch(chirality_matrices(mol.coords, *unit_atoms(mol.chiral_units))[0])
+    bad = np.flatnonzero(~np.isfinite(products))
+    if bad.size:
+        raise NumericError(f"unit {bad[0]}: chirality product P={products[bad[0]]:+.6f} "
+                           "is not finite", row=int(bad[0]))
+    return products.tolist()
 
 
 def random_rotation(rng) -> np.ndarray:

@@ -705,8 +705,7 @@ def check_rank_penalty(rank_strategy: RankStrategy, reg_weight: float):
 
 
 def train(model: ChiralModel, dataset, cfg: TrainConfig, val_dataset=None,
-          metrics_path=None, margin: float | None = None, adam: AdamState | None = None,
-          log=None):
+          margin: float | None = None, adam: AdamState | None = None, log=None):
     """Deterministic training loop.
 
     `dataset` is a sequence of (Molecule, label) for classification; with
@@ -714,7 +713,8 @@ def train(model: ChiralModel, dataset, cfg: TrainConfig, val_dataset=None,
     under a 1-dim head. Shuffling derives from config.seed, so identical
     seeds give identical loss curves. The cosine schedule spans this call's
     steps whatever `adam` holds, and Adam's bias correction counts on from
-    `adam.step`. Returns the list of per-epoch records.
+    `adam.step`. `log`, if given, gets each epoch's `EpochRecord.as_line()`.
+    Returns the list of per-epoch records.
     """
     cfg.validate()
     check_rank_penalty(model.config.rank_strategy, cfg.reg_weight)
@@ -734,59 +734,51 @@ def train(model: ChiralModel, dataset, cfg: TrainConfig, val_dataset=None,
     if adam is None:
         adam = AdamState.for_model(model)
     records = []
-    metrics_file = open(metrics_path, "a") if metrics_path else None
-    try:
-        step = 0
-        for epoch in range(cfg.epochs):
-            order = rng.permutation(len(data))
-            epoch_loss = 0.0
-            epoch_correct = 0
-            lr_now = cfg.lr
-            for b in range(n_batches):
-                batch = [data[i] for i in order[b * cfg.batch_size : (b + 1) * cfg.batch_size]]
-                lr_now = cosine_lr(step, total_steps, cfg.lr, cfg.min_lr_factor)
-                firsts, seconds = zip(*batch)
-                if margin is None:
-                    mols, objective = firsts, classify_loss(seconds, model.config.n_classes)
-                else:
-                    mols, objective = firsts + seconds, ranking
-                try:
-                    loss, correct, grads = batch_step(model, prepare_batch(mols), objective,
-                                                      cfg.reg_weight)
-                except NumericError as exc:
-                    raise NumericError(f"training step {step} failed: {exc}") from exc
-                if not math.isfinite(loss):
-                    bad = next((name for name, g in named_parameters(grads)
-                                if not np.isfinite(g).all()), None)
-                    raise NumericError(f"training diverged at step {step}: " + (
-                        f"first non-finite gradient: {bad}" if bad else "every gradient is finite"))
-                adam_step(model, grads, adam, lr_now)
-                del grads  # not held while the next batch's forward caches fill
-                if model.config.rank_strategy is RankStrategy.QR_RETRACTION:
-                    model.encoder.kernels = retract_orthonormal(model.encoder.kernels)
-                epoch_loss += loss * len(batch)
-                epoch_correct += correct
-                step += 1
-            val_acc = float("nan")
-            if val_dataset is not None:
-                val_acc = evaluate(model, val_dataset)
-            record = EpochRecord(
-                epoch=epoch,
-                train_loss=epoch_loss / len(data),
-                train_acc=epoch_correct / len(data),
-                val_acc=val_acc,
-                lr=lr_now,
-                l_reg=regularization_loss(model.encoder.kernels),
-            )
-            records.append(record)
-            if metrics_file:
-                metrics_file.write(record.as_line() + "\n")
-                metrics_file.flush()
-            if log:
-                log(record.as_line())
-    finally:
-        if metrics_file:
-            metrics_file.close()
+    step = 0
+    for epoch in range(cfg.epochs):
+        order = rng.permutation(len(data))
+        epoch_loss = 0.0
+        epoch_correct = 0
+        lr_now = cfg.lr
+        for b in range(n_batches):
+            batch = [data[i] for i in order[b * cfg.batch_size : (b + 1) * cfg.batch_size]]
+            lr_now = cosine_lr(step, total_steps, cfg.lr, cfg.min_lr_factor)
+            firsts, seconds = zip(*batch)
+            if margin is None:
+                mols, objective = firsts, classify_loss(seconds, model.config.n_classes)
+            else:
+                mols, objective = firsts + seconds, ranking
+            try:
+                loss, correct, grads = batch_step(model, prepare_batch(mols), objective,
+                                                  cfg.reg_weight)
+            except NumericError as exc:
+                raise NumericError(f"training step {step} failed: {exc}") from exc
+            if not math.isfinite(loss):
+                bad = next((name for name, g in named_parameters(grads)
+                            if not np.isfinite(g).all()), None)
+                raise NumericError(f"training diverged at step {step}: " + (
+                    f"first non-finite gradient: {bad}" if bad else "every gradient is finite"))
+            adam_step(model, grads, adam, lr_now)
+            del grads  # not held while the next batch's forward caches fill
+            if model.config.rank_strategy is RankStrategy.QR_RETRACTION:
+                model.encoder.kernels = retract_orthonormal(model.encoder.kernels)
+            epoch_loss += loss * len(batch)
+            epoch_correct += correct
+            step += 1
+        val_acc = float("nan")
+        if val_dataset is not None:
+            val_acc = evaluate(model, val_dataset)
+        record = EpochRecord(
+            epoch=epoch,
+            train_loss=epoch_loss / len(data),
+            train_acc=epoch_correct / len(data),
+            val_acc=val_acc,
+            lr=lr_now,
+            l_reg=regularization_loss(model.encoder.kernels),
+        )
+        records.append(record)
+        if log:
+            log(record.as_line())
     return records
 
 

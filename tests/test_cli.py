@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 import chiraldet.gradcheck
+import chiraldet.model
 from checkpoint_edits import (
     append_tensor,
     insert_header,
@@ -150,6 +151,21 @@ class TestInvariance:
         assert captured.out == ""
         assert "tolerance must be finite and non-negative" in captured.err
 
+    @pytest.mark.parametrize("scale", [1e150, 1e160])
+    @pytest.mark.parametrize("command", ["chirality", "invariance"])
+    def test_non_finite_product_exit_3(self, tmp_path, capsys, command, scale):
+        # the product overflows to inf at 1e150 and to NaN at 1e160, which
+        # used to print an R or Degenerate label, or a FAIL, and no error
+        mol = gen_rs(SyntheticSpec(count=1, seed=0))[0][0]
+        path = tmp_path / "big.chimol"
+        write(replace(mol, coords=mol.coords * scale), path)
+        trials = ["--trials", "5"] if command == "invariance" else []
+        assert main([command, str(path), *trials]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("numeric error: unit 0: chirality product P=")
+        assert captured.err.endswith(" is not finite\n")
+
     def test_degenerate_band_shared_with_chirality(self, canon_file, capsys):
         # |P| = 1: degenerate for both commands at tol 1, live just below
         assert main(["chirality", str(canon_file), "--tol", "1"]) == 0
@@ -237,6 +253,36 @@ class TestTrainEval:
         assert main(["eval", "--ckpt", str(run / "model.ckpt"), "--data", str(ds)]) == 0
         out = capsys.readouterr().out
         assert out.startswith("accuracy=")
+
+    def test_train_runs_append_to_one_metrics_log(self, tmp_path, capsys):
+        ds = tmp_path / "ds"
+        main(["gen", "--task", "rs", "--count", "12", "--seed", "5", "--out", str(ds)])
+        run = tmp_path / "run"
+        argv = ["train", "--data", str(ds), "--out", str(run), "--config", "tiny", "--epochs", "2"]
+        capsys.readouterr()
+        assert main(argv) == 0
+        assert main([*argv, "--seed", "1"]) == 0
+        printed = [line for line in capsys.readouterr().out.splitlines()
+                   if line.startswith("epoch=")]
+        lines = (run / "metrics.log").read_text().splitlines()
+        assert [line.split()[0] for line in lines] == ["epoch=0", "epoch=1"] * 2
+        assert lines == printed
+
+    def test_mirror_check_scores_the_split_once(self, tmp_path, tiny_ckpt, monkeypatch,
+                                                capsys):
+        # one pass over the split, then one over the mirrors of its
+        # correctly classified molecules
+        ds = tmp_path / "ds"
+        write_dataset(gen_rs(SyntheticSpec(count=8, seed=5)), ds)
+        predict, calls = chiraldet.model._predict, []
+        monkeypatch.setattr(chiraldet.model, "_predict",
+                            lambda *args: calls.append(args) or predict(*args))
+        capsys.readouterr()
+        assert main(["eval", "--ckpt", str(tiny_ckpt), "--data", str(ds), "--eval-split",
+                     "all", "--mirror-check"]) == 0
+        accuracy = capsys.readouterr().out.splitlines()[0]
+        assert accuracy != "accuracy=0.0000 n=8"
+        assert len(calls) == 2
 
     def test_nonfinite_split_rejected(self, tmp_path, capsys):
         """A fraction that is NaN or not a number at all gets the documented

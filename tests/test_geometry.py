@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from chiraldet.errors import AnnotationError
+from chiraldet.errors import AnnotationError, NumericError
 from chiraldet.geometry import (
     ChiralUnit,
     Configuration,
@@ -203,6 +203,21 @@ class TestChiralityProduct:
         m = np.random.default_rng(seed).standard_normal((3, 3))
         (p,) = unit_products(unit_with_rows(m))
         assert abs(p - cross_dot(m)) <= 1e-12 * max(1.0, abs(p))
+
+
+    @pytest.mark.parametrize("rows, scale, shown", [(np.diag([1.0, 2.0, 3.0]), 1e150, "inf"),
+                                                   (np.ones((3, 3)) + np.eye(3), 1e160, "nan")])
+    def test_non_finite_product_names_its_unit(self, rows, scale, shown):
+        # finite coordinates whose product overflows: to inf, or through
+        # inf - inf in the cofactor expansion to NaN; neither has a sign,
+        # so neither may be labelled
+        coords = unit_with_rows(rows).coords
+        mol = make_molecule(np.vstack([coords, coords * scale]),
+                            [center_unit(0, (1, 2, 3, 4)), center_unit(5, (6, 7, 8, 9))])
+        with np.errstate(over="ignore", invalid="ignore"), pytest.raises(
+                NumericError, match=rf"^unit 1: chirality product P=\+{shown} is not finite$") as exc:
+            unit_products(mol)
+        assert exc.value.row == 1
 
 
 class TestAssignConfiguration:

@@ -1,6 +1,8 @@
-"""The in-process outputs of scripts/golden_outputs.py, held to committed
-bytes: the audit's numeric and analytic vectors, every backward_batch
-gradient and every forward_batch array, as sha256 lines.
+"""The outputs of scripts/golden_outputs.py, held to committed bytes: the
+files its CLI steps write, as the sha256 lines of tests/golden.sha256, and
+its in-process outputs (the audit's numeric and analytic vectors, every
+backward_batch gradient and every forward_batch array), as the sha256
+lines of tests/golden/*.out.
 
 The hashes bind the numpy and OpenBLAS that wrote them (numpy 2.4.6 with
 scipy-openblas 0.3.31): another BLAS build may round differently and fail
@@ -8,7 +10,8 @@ here without any change to the code. They are identical at 1 and at 2
 BLAS threads. A change that moves these numbers on
 purpose regenerates the fixture, so its diff names every moved line:
 
-    PYTHONPATH=src python3 scripts/golden_outputs.py /tmp/golden
+    rm -rf /tmp/golden && PYTHONPATH=src python3 scripts/golden_outputs.py /tmp/golden
+    cp /tmp/golden/golden.sha256 tests/
     cp /tmp/golden/{audit_vectors,backward_hashes,forward_hashes}.out tests/golden/
 """
 
@@ -19,7 +22,9 @@ import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
 FIXTURE = ROOT / "tests" / "golden"
-REGENERATE = ("PYTHONPATH=src python3 scripts/golden_outputs.py /tmp/golden && "
+DIGEST = ROOT / "tests" / "golden.sha256"
+RUN_SCRIPT = "rm -rf /tmp/golden && PYTHONPATH=src python3 scripts/golden_outputs.py /tmp/golden"
+REGENERATE = (f"{RUN_SCRIPT} && "
               "cp /tmp/golden/{audit_vectors,backward_hashes,forward_hashes}.out tests/golden/")
 
 
@@ -44,6 +49,25 @@ def assert_matches_fixture(golden_script, name):
     if differ:
         pytest.fail(f"{name}.out differs from tests/golden/{name}.out:\n" + "\n".join(differ)
                     + f"\nto regenerate: {REGENERATE}", pytrace=False)
+
+
+def _digest_lines(text) -> dict:
+    return {path: digest for digest, path in (line.split("  ", 1) for line in text.splitlines())}
+
+
+def test_cli_outputs_match_digest(golden_script, tmp_path):
+    """Every file the CLI steps write, run through cli.main in tmp_path,
+    has the bytes tests/golden.sha256 records, and no file is missing or
+    extra."""
+    got = _digest_lines(golden_script.run_cli_steps(tmp_path))
+    want = _digest_lines(DIGEST.read_text())
+    differ = [f"  {path}: " + ("missing" if path not in got else
+                               "differs" if path in want else "not in the digest")
+              for path in sorted(got.keys() | want.keys()) if got.get(path) != want.get(path)]
+    if differ:
+        pytest.fail("CLI outputs differ from tests/golden.sha256:\n" + "\n".join(differ)
+                    + f"\nto regenerate: {RUN_SCRIPT} && cp /tmp/golden/golden.sha256 tests/",
+                    pytrace=False)
 
 
 @pytest.mark.parametrize("name", ["audit_vectors", "backward_hashes", "forward_hashes"])

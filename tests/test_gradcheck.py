@@ -10,7 +10,10 @@ audit batch. Every array the copies move keeps a leading axis of k copies,
 (k, B, ...), through every stage, and every other array its single
 shape, so the numeric vectors do not depend on the chunk."""
 
+import __future__
+import inspect
 import math
+import textwrap
 from types import SimpleNamespace
 
 import numpy as np
@@ -594,3 +597,57 @@ def test_audit_call_counts(monkeypatch):
     assert counts == {"kernel_fwd": 146, "pair_bias_fwd": 149, "attend_fwd": 329,
                       "feed_forward_fwd": 329, "mlp2_fwd": 908, "layer_norm_rows": 662,
                       "regularization_loss": 136}
+
+
+def mutant(module, name, *edits):
+    """module.name recompiled from its source with each (old, new) edit
+    made, in a copy of the module's namespace. An old text the source does
+    not hold exactly once raises LookupError, which no xfail below takes
+    for the audit passing."""
+    source = textwrap.dedent(inspect.getsource(getattr(module, name)))
+    for old, new in edits:
+        if source.count(old) != 1:
+            raise LookupError(f"{name} does not hold {old!r} exactly once")
+        source = source.replace(old, new)
+    namespace = dict(vars(module))
+    exec(compile(source, f"<mutant {name}>", "exec", flags=__future__.annotations.compiler_flag,
+                 dont_inherit=True), namespace)
+    return namespace[name]
+
+
+UNCAUGHT_AT_INIT = pytest.mark.xfail(raises=AssertionError, strict=True,
+                                     reason="ROADMAP item 21: the audit runs at init")
+
+
+@pytest.mark.parametrize("module, name, edits, failing", [
+    pytest.param(chiraldet.attention, "pair_bias_bwd",
+                 [("d_x = d_dens * dens * (-z / sig)", "d_x = d_dens * dens * (-z)")],
+                 ("attention.distance_bias",), id="pair_bias_bwd-d_x-without-sigma"),
+    pytest.param(chiraldet.attention, "attend_bwd",
+                 [('"wq": d_q.T @ c.h_c_in.reshape(-1, h),',
+                   '"wq": (d_q.T @ c.h_c_in.reshape(-1, h)).T,')],
+                 ("attention.layer", "model.full_loss"), id="attend_bwd-wq-transposed"),
+    pytest.param(chiraldet.attention, "feed_forward_bwd",
+                 [("cache.ln2, layer.ln2_gamma", "cache.ln2, layer.ln1_gamma"),
+                  ("cache.ln1, layer.ln1_gamma", "cache.ln1, layer.ln2_gamma")],
+                 ("attention.layer", "model.full_loss"), marks=UNCAUGHT_AT_INIT,
+                 id="M1-feed_forward_bwd-layer-norm-gains-swapped"),
+    pytest.param(chiraldet.encoder, "mlp2_bwd",
+                 [("x, z1, cdf = cache", "x = cache[0]\n    z1 = x @ mlp.w1.T\n"
+                                         "    cdf = normal_cdf(z1)")],
+                 ("attention.layer", "model.predictor", "model.full_loss"),
+                 marks=UNCAUGHT_AT_INIT, id="M2-mlp2_bwd-z1-without-b1"),
+])
+def test_the_audit_fails_a_mutated_backward(monkeypatch, module, name, edits, failing):
+    """Mutation controls: a plausible bug in one backward, patched into
+    every module that imported it, FAILs the named blocks at seed 1.
+    pair_bias_bwd's is caught by attention.distance_bias alone, because
+    model.full_loss audits at init, where sigma is 1. M1 is exact while
+    the two layer-norm gains are equal and M2 while b1 is 0, as init sets
+    them, so no block catches either until the audit leaves init."""
+    original, bad = getattr(module, name), mutant(module, name, *edits)
+    for holder in (chiraldet.encoder, chiraldet.attention, chiraldet.model, chiraldet.gradcheck):
+        if getattr(holder, name, None) is original:
+            monkeypatch.setattr(holder, name, bad)
+    reports = run_gradcheck(seed=1, blocks=failing)
+    assert [r.name for r in reports if not r.passed] == list(failing)

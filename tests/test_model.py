@@ -394,13 +394,12 @@ class TestTraining:
             train(tiny_model(seed=2, n_classes=1), pairs, TrainConfig(epochs=1),
                   val_dataset=small_dataset[2:4], margin=0.5)
 
-    def test_metrics_stream(self, small_dataset, tmp_path):
-        metrics = tmp_path / "metrics.log"
+    def test_metrics_stream(self, small_dataset):
+        lines = []
         model = tiny_model(seed=13)
         train(model, small_dataset[:8],
               TrainConfig(lr=1e-3, epochs=2, batch_size=8),
-              val_dataset=small_dataset[8:12], metrics_path=metrics)
-        lines = metrics.read_text().splitlines()
+              val_dataset=small_dataset[8:12], log=lines.append)
         assert len(lines) == 2
         for line in lines:
             fields = dict(kv.split("=") for kv in line.split())
