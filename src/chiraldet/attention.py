@@ -62,13 +62,6 @@ class LayerParams:
         return Mlp2(w1=self.ff_w1, b1=self.ff_b1, w2=self.ff_w2, b2=self.ff_b2)
 
 
-# The LayerParams leaves that attend_fwd reads, then those that
-# feed_forward_fwd reads: together every array field, in declaration order
-ATTENTION_LEAVES = ("wq", "wk_r", "wv_r", "wk_n", "wv_n", "wo")
-FEED_FORWARD_LEAVES = ("ff_w1", "ff_b1", "ff_w2", "ff_b2",
-                       "ln1_gamma", "ln1_beta", "ln2_gamma", "ln2_beta")
-
-
 def pair_bias_fwd(params: DistanceBiasParams, pairs: PairInputs):
     """Initial pair bias (B, Q, Kr + Kn, H) from chiral reference points to
     all key atoms; returns (bias, cache).
@@ -156,7 +149,7 @@ def _key_rows(related, nonchiral):
     return np.concatenate([related, nonchiral], axis=-2)
 
 
-class LayerCache(NamedTuple):
+class AttendCache(NamedTuple):
     """What attend_bwd needs of attend_fwd; ctx holds one row per
     (molecule, query) pair."""
 
@@ -201,7 +194,7 @@ def attend_fwd(layer: LayerParams, h_c_in, h_r, h_n, bias_in, mask: BatchMask):
     and attn is written in (B, Q, K, H) memory, so every output keeps the
     bytes of the query-major softmax.
 
-    One of the weights (ATTENTION_LEAVES), (k, h, h), or one of the four
+    One of the weights (wq, wk_*, wv_*, wo), (k, h, h), or one of the four
     inputs, (k, B, ...), may carry a leading axis of k copies. The
     products then run per copy as batched matmuls (_project lifts weight
     copies over the molecules) and the softmax reduces along the key axis
@@ -240,19 +233,19 @@ def attend_fwd(layer: LayerParams, h_c_in, h_r, h_n, bias_in, mask: BatchMask):
     attn = np.divide(expd.transpose(to_last), total.transpose(to_last), order="C")
     ctx = _rows(attn.transpose(_HEADS_FIRST[attn.ndim]) @ vh)
     u = h_c_in.reshape(h_c_in.shape[:-3] + (-1, h)) + ctx @ layer.wo.swapaxes(-1, -2)
-    cache = LayerCache(h_c_in, h_r, h_n, qh, kh, vh, attn, ctx, scale)
+    cache = AttendCache(h_c_in, h_r, h_n, qh, kh, vh, attn, ctx, scale)
     return u.reshape(u.shape[:-2] + (n_batch, n_q, h)), logits, attn, cache
 
 
-def attend_bwd(layer: LayerParams, cache: LayerCache, d_u, d_bias_out):
+def attend_bwd(layer: LayerParams, cache: AttendCache, d_u, d_bias_out):
     """Backward of attend_fwd.
 
     d_bias_out is the gradient flowing into the emitted logits (from the
     next layer's bias input), an array or the scalar 0.0; the incoming bias
     gradient equals the total logit gradient because the bias enters
     additively. Each weight gradient is one matmul over the rows of the
-    whole batch. Returns ({ATTENTION_LEAVES name: gradient}, d_h_c_in,
-    d_h_r, d_h_n, d_bias_in).
+    whole batch. Returns ({weight's field name: gradient}, d_h_c_in, d_h_r,
+    d_h_n, d_bias_in).
     """
     c = cache
     n_batch, n_q, h = c.h_c_in.shape
@@ -309,8 +302,8 @@ def feed_forward_fwd(layer: LayerParams, u):
 
 
 def feed_forward_bwd(layer: LayerParams, cache: FeedForwardCache, d_out):
-    """Backward of feed_forward_fwd: ({FEED_FORWARD_LEAVES name: gradient},
-    d_u shaped as d_out)."""
+    """Backward of feed_forward_fwd: ({field name: gradient} of the ff_*,
+    ln1_* and ln2_* leaves, d_u shaped as d_out)."""
     d_v, d_ln2_gamma, d_ln2_beta = layer_norm_rows_backward(
         d_out.reshape(-1, d_out.shape[-1]), cache.ln2, layer.ln2_gamma
     )
@@ -329,6 +322,31 @@ def feed_forward_bwd(layer: LayerParams, cache: FeedForwardCache, d_out):
         "ln2_beta": d_ln2_beta,
     }
     return grads, d_u.reshape(d_out.shape)
+
+
+class LayerCache(NamedTuple):
+    """What layer_bwd needs of layer_fwd: the caches of its two halves."""
+
+    attend: AttendCache
+    feed_forward: FeedForwardCache
+
+
+def layer_fwd(layer: LayerParams, h_c_in, h_r, h_n, bias_in, mask: BatchMask):
+    """One cross-attention layer over a padded batch, attend_fwd and then
+    feed_forward_fwd on its residual u; returns (h_c_out, bias_out, attn,
+    cache), h_c_out shaped as h_c_in. Its leaves and inputs may carry the
+    leading axis of k copies that either half takes."""
+    u, bias_out, attn, attend_cache = attend_fwd(layer, h_c_in, h_r, h_n, bias_in, mask)
+    h_c_out, ff_cache = feed_forward_fwd(layer, u)
+    return h_c_out, bias_out, attn, LayerCache(attend_cache, ff_cache)
+
+
+def layer_bwd(layer: LayerParams, cache: LayerCache, d_h_c_out, d_bias_out):
+    """Backward of layer_fwd, d_bias_out an array or the scalar 0.0: returns
+    (LayerParams of gradients, d_h_c_in, d_h_r, d_h_n, d_bias_in)."""
+    ff_grads, d_u = feed_forward_bwd(layer, cache.feed_forward, d_h_c_out)
+    grads, *d_inputs = attend_bwd(layer, cache.attend, d_u, d_bias_out)
+    return LayerParams(**grads, **ff_grads, n_heads=layer.n_heads), *d_inputs
 
 
 def pool(h_c_final, query_mask) -> np.ndarray:

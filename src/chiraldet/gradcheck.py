@@ -18,12 +18,10 @@ import numpy as np
 from .attention import (
     DistanceBiasParams,
     LayerParams,
-    attend_bwd,
-    attend_fwd,
-    feed_forward_bwd,
-    feed_forward_fwd,
     init_distance_bias,
     init_layer,
+    layer_bwd,
+    layer_fwd,
     pair_bias_bwd,
     pair_bias_fwd,
 )
@@ -176,8 +174,8 @@ def _copy_sums(w, stacked) -> np.ndarray:
 
 def _probe(arrays, run, backward, *weights):
     """The check of a block whose loss is the sum of (w * out).sum() over
-    `weights` and the outputs of run(*audited arrays), a forward that
-    returns its cache last; the analytic gradient is backward(cache,
+    `weights` and the first outputs of run(*audited arrays), a forward
+    that returns its cache last; the analytic gradient is backward(cache,
     *weights), flattened. A chunk is one run, the moved array's copies
     (_lifted) in its place."""
 
@@ -241,9 +239,8 @@ def _check_attention_layer(rng, config: ModelConfig):
     keys, whose token row is key-less. Pad entries hold random values: they
     reach the emitted logits, so their gradients are audited as well.
 
-    The loss is (w_out * h_c_out).sum() + (w_bias * bias_out).sum() of the
-    whole layer, attend_fwd then feed_forward_fwd; the analytic gradient
-    chains feed_forward_bwd into attend_bwd."""
+    The loss is (w_out * h_c_out).sum() + (w_bias * bias_out).sum() of
+    layer_fwd; the analytic gradient is layer_bwd's."""
     layer = init_layer(rng, 8, 2)
     mask = BatchMask.of_counts([1, 0, 0], [2, 0, 0], [1, 2, 0])
     inputs = [rng.standard_normal(s) for s in ((3, 2, 8), (3, 2, 8), (3, 2, 8), (3, 2, 4, 2))]
@@ -254,17 +251,9 @@ def _check_attention_layer(rng, config: ModelConfig):
 
     def run(*live):
         moved = LayerParams(**{n: a for (n, _), a in zip(leaves, live)}, n_heads=layer.n_heads)
-        u, bias, _, attend_cache = attend_fwd(moved, *live[len(leaves):], mask)
-        h_c, ff_cache = feed_forward_fwd(moved, u)
-        return h_c, bias, (attend_cache, ff_cache)
+        return layer_fwd(moved, *live[len(leaves):], mask)
 
-    def backward(cache, w_out, w_bias):
-        attend_cache, ff_cache = cache
-        ff_grads, d_u = feed_forward_bwd(layer, ff_cache, w_out)
-        grads, *d_inputs = attend_bwd(layer, attend_cache, d_u, w_bias)
-        return LayerParams(**grads, **ff_grads, n_heads=layer.n_heads), *d_inputs
-
-    return _probe(arrays, run, backward, w_out, w_bias)
+    return _probe(arrays, run, partial(layer_bwd, layer), w_out, w_bias)
 
 
 def _check_predictor(rng, config: ModelConfig):

@@ -18,17 +18,13 @@ from typing import NamedTuple
 import numpy as np
 
 from .attention import (
-    ATTENTION_LEAVES,
-    FEED_FORWARD_LEAVES,
     DistanceBiasParams,
     LayerParams,
-    attend_bwd,
-    attend_fwd,
-    feed_forward_bwd,
-    feed_forward_fwd,
     head_averaged_rows,
     init_distance_bias,
     init_layer,
+    layer_bwd,
+    layer_fwd,
     pair_bias_bwd,
     pair_bias_fwd,
     pool,
@@ -214,14 +210,14 @@ class Stage(NamedTuple):
     the written arrays)` returns ({group: gradient}, *gradients of the
     read arrays). Both call what they run (kernel_fwd, mlp2_fwd, ...) by
     module name, so a wrapper set on a module attribute sees every call.
-    A group is a named_parameters prefix (`head`) or, for a layer, whose
-    parameters two stages split, a single parameter (`layers.0.wq`).
+    A group is a named_parameters name (`encoder.token`) or prefix
+    (`layers.0`).
 
     Every stage's forward also takes one leaf, (k, *shape) or (k, 1, n)
     for a vector, or read arrays, (k, B, ...), with a leading axis of k
     copies, since it reads both only through products and reductions
     that run each copy's block alone (kernel_fwd, pair_bias_fwd, mlp2_fwd,
-    layer_norm_rows, attend_fwd, a broadcast add): each array the copies
+    layer_norm_rows, layer_fwd, a broadcast add): each array the copies
     move then holds the k copies' outputs on that leading axis, each copy
     the bytes of a forward with that copy alone, and every other array
     keeps its single shape: a gradient audit chunk is one _run_stages pass
@@ -303,29 +299,14 @@ def _pair_bias_bwd(model, batch, cache, d_bias):
     return {"bias": pair_bias_bwd(model.distance_bias, cache, d_bias)},
 
 
-def _layer_stages(i: int) -> tuple:
-    """Attention layer i as two stages, both named for the layer, each
-    owning its leaves of layers.i; no stage reads attn."""
-    prefix = f"layers.{i}."
+def _layer(i, model, batch, h_c, h_r, h_n, bias):
+    return layer_fwd(model.layers[i], h_c, h_r, h_n, bias, batch.mask)
 
-    def attend(model, batch, h_c, h_r, h_n, bias):
-        return attend_fwd(model.layers[i], h_c, h_r, h_n, bias, batch.mask)
 
-    def attend_back(model, batch, cache, d_u, d_bias, d_attn):
-        grads, *d_read = attend_bwd(model.layers[i], cache, d_u, d_bias)
-        return {prefix + leaf: g for leaf, g in grads.items()}, *d_read
-
-    def feed_forward(model, batch, u):
-        return feed_forward_fwd(model.layers[i], u)
-
-    def feed_forward_back(model, batch, cache, d_h_c):
-        grads, d_u = feed_forward_bwd(model.layers[i], cache, d_h_c)
-        return {prefix + leaf: g for leaf, g in grads.items()}, d_u
-
-    return (Stage(f"layer {i}", tuple(prefix + leaf for leaf in ATTENTION_LEAVES),
-                  ("h_c", "h_r", "h_n", "bias"), ("u", "bias", "attn"), attend, attend_back),
-            Stage(f"layer {i}", tuple(prefix + leaf for leaf in FEED_FORWARD_LEAVES),
-                  ("u",), ("h_c",), feed_forward, feed_forward_back))
+def _layer_bwd(i, model, batch, cache, d_h_c, d_bias, d_attn):
+    # no stage reads attn, so its own gradient d_attn is 0.0
+    grads, *d_read = layer_bwd(model.layers[i], cache, d_h_c, d_bias)
+    return {f"layers.{i}": grads}, *d_read
 
 
 def _head(model, batch, h_c):
@@ -352,7 +333,9 @@ def _stage_table(n_layers: int) -> tuple:
         Stage("encoder", ("encoder.proj_n",), (), ("h_n",), _nonchiral_keys,
               _nonchiral_keys_bwd),
         Stage("pair bias", ("bias",), (), ("bias",), _pair_bias, _pair_bias_bwd),
-        *(stage for i in range(n_layers) for stage in _layer_stages(i)),
+        *(Stage(f"layer {i}", (f"layers.{i}",), ("h_c", "h_r", "h_n", "bias"),
+                ("h_c", "bias", "attn"), functools.partial(_layer, i),
+                functools.partial(_layer_bwd, i)) for i in range(n_layers)),
         Stage("pooling and head", ("head",), ("h_c",), ("pooled", "logits"), _head, _head_bwd),
     )
 
@@ -457,10 +440,7 @@ def backward_batch(model: ChiralModel, state: BatchState, d_logits) -> ChiralMod
                             proj_c=grads["encoder.proj_c"], proj_r=grads["encoder.proj_r"],
                             proj_n=grads["encoder.proj_n"])
     return ChiralModel(config=model.config, encoder=encoder, distance_bias=grads["bias"],
-                       layers=[LayerParams(**{leaf: grads[f"layers.{i}.{leaf}"]
-                                              for leaf in ATTENTION_LEAVES + FEED_FORWARD_LEAVES},
-                                           n_heads=layer.n_heads)
-                               for i, layer in enumerate(model.layers)],
+                       layers=[grads[f"layers.{i}"] for i in range(len(model.layers))],
                        head=grads["head"])
 
 

@@ -12,6 +12,12 @@ from chiraldet.gradcheck import AUDIT_CHUNK, _stacked_call
 from chiraldet.model import _leaves, _onehot, forward_batch, forward_stages, rank_penalty
 from chiraldet.numerics import FD_STEP, central_difference, det3_batch
 
+# The LayerParams leaves that attend_fwd reads, then those that
+# feed_forward_fwd reads: together every array field, in declaration order
+ATTENTION_LEAVES = ("wq", "wk_r", "wv_r", "wk_n", "wv_n", "wo")
+FEED_FORWARD_LEAVES = ("ff_w1", "ff_b1", "ff_w2", "ff_b2",
+                       "ln1_gamma", "ln1_beta", "ln2_gamma", "ln2_beta")
+
 
 def gram_sqrt_det(w) -> float:
     """sqrt(det(w^T w)) for a d_p x 3 matrix; 0 for rank-deficient input.

@@ -10,8 +10,6 @@ from hypothesis import strategies as st
 
 import chiraldet.model
 from chiraldet.attention import (
-    ATTENTION_LEAVES,
-    FEED_FORWARD_LEAVES,
     attend_fwd,
     feed_forward_fwd,
     head_averaged_rows,
@@ -40,7 +38,13 @@ from chiraldet.model import (
     named_parameters,
 )
 from chiraldet.numerics import layer_norm_rows
-from oracles import batch_reference, loss_classify, parameter_stage
+from oracles import (
+    ATTENTION_LEAVES,
+    FEED_FORWARD_LEAVES,
+    batch_reference,
+    loss_classify,
+    parameter_stage,
+)
 
 TINY = dict(h=8, d_p=4, n_layers=2, n_heads=2, n_gkpt=8)
 
@@ -289,25 +293,23 @@ PARAMETER_NAMES = [name for name, _ in named_parameters(init_model(ModelConfig(*
 def test_stages_own_the_parameter_groups_in_order():
     """forward_stages lists the named_parameters groups in their order, one
     stage for each, with the encoder's token and query projector in one
-    and each layer split into two stages named for it, its attention's
-    leaves and then its feed-forward's; every parameter's parameter_stage
-    is its group's stage."""
+    and each layer one stage named for it, owning layers.i: its
+    attention's leaves and then its feed-forward's; every parameter's
+    parameter_stage is its group's stage."""
     model = init_model(ModelConfig(**TINY))
     stages = forward_stages(model)
-    layer = [(f"layer {i}", tuple(f"layers.{i}.{leaf}" for leaf in leaves))
-             for i in range(2) for leaves in (ATTENTION_LEAVES, FEED_FORWARD_LEAVES)]
     assert [(stage.name, stage.groups) for stage in stages] == [
         ("encoder", ("encoder.kernel",)),
         ("encoder", ("encoder.token", "encoder.proj_c")),
         ("encoder", ("encoder.proj_r",)),
         ("encoder", ("encoder.proj_n",)),
         ("pair bias", ("bias",)),
-        *layer,
+        *((f"layer {i}", (f"layers.{i}",)) for i in range(2)),
         ("pooling and head", ("head",)),
     ]
-    assert ATTENTION_LEAVES == ("wq", "wk_r", "wv_r", "wk_n", "wv_n", "wo")
-    assert FEED_FORWARD_LEAVES == ("ff_w1", "ff_b1", "ff_w2", "ff_b2",
-                                   "ln1_gamma", "ln1_beta", "ln2_gamma", "ln2_beta")
+    for i in range(2):
+        assert [name for name in PARAMETER_NAMES if name.startswith(f"layers.{i}.")] == [
+            f"layers.{i}.{leaf}" for leaf in ATTENTION_LEAVES + FEED_FORWARD_LEAVES]
     stage_of = {group: s for s, stage in enumerate(stages) for group in stage.groups}
     seen = []
     for name in PARAMETER_NAMES:
@@ -681,7 +683,7 @@ def test_nonfinite_stage_is_the_named_molecules(mixed):
     batch = prepare_batch(mols)
     # the rows entering the last feed-forward (its stage's cache), per molecule
     last = parameter_stage(model, f"layers.{len(model.layers) - 1}.ff_w1")
-    rows = forward_batch(model, batch).caches[last].ff[0].reshape(2, -1, TINY["h"])
+    rows = forward_batch(model, batch).caches[last].feed_forward.ff[0].reshape(2, -1, TINY["h"])
     r1 = rows[1, 0]
     c = (np.max(rows[0] @ r1) + r1 @ r1) / 2
     assert np.max(rows[0] @ r1) < c < r1 @ r1

@@ -25,8 +25,6 @@ import chiraldet.gradcheck
 import chiraldet.model
 import chiraldet.numerics
 from chiraldet.attention import (
-    ATTENTION_LEAVES,
-    FEED_FORWARD_LEAVES,
     LayerParams,
     attend_fwd,
     feed_forward_fwd,
@@ -69,6 +67,8 @@ from chiraldet.model import (
     parameter_slots,
 )
 from oracles import (
+    ATTENTION_LEAVES,
+    FEED_FORWARD_LEAVES,
     assert_copies_keep_their_bytes,
     batch_loss,
     finite_diff_grad,
@@ -240,8 +240,8 @@ def test_every_rerun_stage_gives_each_stacked_read_copy_its_own_bytes(block):
             assert_copies_keep_their_bytes(held, read, run)
             checked += 1
         latest.update(outputs)
-    # the queries' h_k, each layer's four attention reads and its u, the head's h_c
-    assert checked == 1 + 5 * len(model.layers) + 1
+    # the queries' h_k, each layer's four reads, the head's h_c
+    assert checked == 1 + 4 * len(model.layers) + 1
 
 
 @pytest.mark.parametrize("chunk", [32, 64, 128])
@@ -352,31 +352,28 @@ def test_a_feed_forward_point_runs_no_attention(full_loss, monkeypatch, name):
     """A chunk of AUDIT_CHUNK points of a layer leaf runs its layer's
     attention once, in the model.full_loss block and in the
     attention.layer block. For a feed-forward or layer-norm leaf that one
-    attend_fwd call is at θ0, its outputs at their single shape, so no
-    copy runs an attention of its own; for an attention leaf it is
-    stacked, its output u holding one block per copy."""
+    attend_fwd call, which layer_fwd makes, is at θ0, its outputs at their
+    single shape, so no copy runs an attention of its own; for an
+    attention leaf it is stacked, its output u holding one block per
+    copy."""
     calls = []  # (the layer, the shape of u) of each attend_fwd call
+    attend = chiraldet.attention.attend_fwd
 
-    def counted(module):
-        attend = module.attend_fwd
+    def attend_fwd(layer, *args):
+        out = attend(layer, *args)
+        calls.append((layer, out[0].shape))
+        return out
 
-        def attend_fwd(layer, *args):
-            out = attend(layer, *args)
-            calls.append((layer, out[0].shape))
-            return out
-
-        monkeypatch.setattr(module, "attend_fwd", attend_fwd)
-
-    counted(chiraldet.model)
-    counted(chiraldet.gradcheck)
+    monkeypatch.setattr(chiraldet.attention, "attend_fwd", attend_fwd)
     model, mols, objective, reg_weight, _ = full_loss
     _, losses = _model_points(model, mols, objective, reg_weight, {name})
     arrays, _, layer_losses = _CHECKS["attention.layer"](block_rng("attention.layer", 1),
                                                          TINY_CONFIG)
     leaf = name.rpartition(".")[2]
     stacked = leaf in ATTENTION_LEAVES
-    u_shape = next(out["u"] for out in forward_batch(model, prepare_batch(mols)).outputs
-                   if "u" in out).shape
+    # u is shaped as the h_c its layer reads and writes
+    u_shape = next(out["h_c"] for out in forward_batch(model, prepare_batch(mols)).outputs
+                   if "attn" in out).shape
     layer = model.layers[int(name.split(".")[1])]
     calls.clear()
     losses(name, np.stack([dict(named_parameters(model))[name]] * AUDIT_CHUNK))
@@ -396,7 +393,9 @@ def test_a_chunk_reruns_only_the_stages_its_point_reaches(full_loss, monkeypatch
     arrays with a leading axis of k copies, and every other stage writes
     its θ0 arrays at their single shape. So an encoder chunk runs the pair
     bias once unstacked, a proj_r chunk every other projector too, and a
-    layers.1 chunk every stage of layer 0."""
+    layers.1 chunk layer 0's stage. A feed-forward or layer-norm leaf
+    moves its layer's h_c alone, not the bias and attn that the
+    attention half computes before it."""
     model, mols, objective, reg_weight, _ = full_loss
     stages = chiraldet.model.forward_stages(model)
     state = forward_batch(model, prepare_batch(mols))
@@ -425,16 +424,18 @@ def test_a_chunk_reruns_only_the_stages_its_point_reaches(full_loss, monkeypatch
     # the kernel readout reaches the queries; every encoder stage and the
     # pair bias reach both layers and the head; a layer stage what follows
     reached = {0: {0, 1}}.get(moved, {moved}) | set(range(max(moved, 5), len(stages)))
-    assert [t for t, _, written in calls if all(written)] == sorted(reached)
-    assert all(not any(written) for t, _, written in calls if t not in reached)
+    expect = {t: [True] * len(stages[t].writes) for t in reached}
+    if name.rpartition(".")[2] in FEED_FORWARD_LEAVES:
+        assert stages[moved].writes == ("h_c", "bias", "attn")
+        expect[moved] = [True, False, False]
+    assert {t: written for t, _, written in calls if any(written)} == expect
 
 
 @pytest.mark.parametrize("block", list(INSTANCES))
 def test_every_stage_gives_each_stacked_copy_its_own_bytes(block):
     """Every leaf of every stage, matrices and vectors: the kernel readout,
     the queries (proj_c and the token), proj_r, proj_n, the pair bias,
-    each layer's attention and feed-forward, and the head, each run once
-    on its θ0 reads."""
+    each layer, and the head, each run once on its θ0 reads."""
     model, mols, _, _, _ = audit_instance(block)
     batch = prepare_batch(mols)
     state = forward_batch(model, batch)
@@ -449,7 +450,7 @@ def test_every_stage_gives_each_stacked_copy_its_own_bytes(block):
         assert_copies_keep_their_bytes(
             holder, field, lambda t=t: state.stages[t].forward(model, batch, *reads[t])[:-1])
     assert sorted(set(stages)) == list(range(len(state.stages)))
-    assert len(stages) == 2 + 5 + 4 + 4 + 5 + 6 + 8 + 6 + 8 + 4
+    assert len(stages) == 2 + 5 + 4 + 4 + 5 + 14 + 14 + 4
 
 
 def test_feed_forward_leaves_give_each_copy_the_bytes_of_that_copy_alone():
