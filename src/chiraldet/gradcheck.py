@@ -296,7 +296,10 @@ def _model_points(model, mols, objective, reg_weight: float, names):
 def _full_loss_instance(rng, config: ModelConfig):
     """Classification loss plus the rank penalty over every parameter, on a
     padded batch: a one-unit gen_rs molecule and a two-unit molecule tiled
-    from two more, so the first has pad queries and pad keys."""
+    from two more, so the first has pad queries and pad keys. Each
+    molecule's features are U(0, 1) draws, not featurize()'s one-hot rows,
+    whose all-zero columns would give every projector weight reading them
+    a zero gradient and a zero central difference."""
     model = init_model(config)
     (mol_a, label_a), (mol_b, label_b), (mol_c, _) = gen_rs(
         SyntheticSpec(count=3, seed=int(rng.integers(1 << 16)), spectator_range=(1, 2))
@@ -304,6 +307,7 @@ def _full_loss_instance(rng, config: ModelConfig):
     mols, labels = zip(*dataset_to_pairs(
         [(mol_a, label_a), (tile_molecules([mol_b, mol_c]), label_b)]
     ))
+    mols = tuple(replace(m, features=rng.uniform(0.0, 1.0, m.features.shape)) for m in mols)
     objective = classify_loss(labels, config.n_classes)
     return model, mols, objective, 0.1, {n for n, _ in named_parameters(model)}
 

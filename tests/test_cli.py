@@ -666,7 +666,7 @@ PASS numerics.layer_norm max_rel_error=1.036e-09
 PASS attention.distance_bias max_rel_error=1.094e-08
 PASS attention.layer max_rel_error=3.111e-07
 PASS model.predictor max_rel_error=3.590e-08
-PASS model.full_loss max_rel_error=1.766e-06
+PASS model.full_loss max_rel_error=7.112e-06
 PASS model.rank_loss max_rel_error=5.564e-08
 """,
     "2": """PASS encoder.kernel max_rel_error=5.206e-09
@@ -675,7 +675,7 @@ PASS numerics.layer_norm max_rel_error=2.003e-09
 PASS attention.distance_bias max_rel_error=3.631e-06
 PASS attention.layer max_rel_error=4.132e-07
 PASS model.predictor max_rel_error=2.599e-09
-PASS model.full_loss max_rel_error=5.669e-06
+PASS model.full_loss max_rel_error=2.073e-05
 PASS model.rank_loss max_rel_error=3.508e-08
 """,
 }

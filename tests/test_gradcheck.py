@@ -49,6 +49,7 @@ from chiraldet.gradcheck import (
     AUDIT_CHUNK,
     BLOCKS,
     TINY_CONFIG,
+    _entry,
     _full_loss_instance,
     _model_points,
     _nonsingular_mc,
@@ -557,6 +558,22 @@ def test_the_model_blocks_run_the_model_stage_loop(monkeypatch):
         monkeypatch.setattr(module, "_run_stages", counted)
     assert all(report.passed for report in run_gradcheck(blocks=tuple(INSTANCES)))
     assert (calls.count(False), calls.count(True)) == (chunks + 1, 2) == (141, 2)
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3, 7])
+def test_every_model_level_entry_carries_signal(seed):
+    """No entry that model.full_loss or model.rank_loss audits has an
+    analytic and a numeric gradient both exactly 0, which would certify
+    nothing. Only model.rank_loss's head.b2 is exempt: the margin loss
+    reads only score differences, in which the head's output bias cancels
+    at every point, so its analytic gradient is 0 by construction."""
+    exempt = {"model.rank_loss": "head.b2"}
+    for block in INSTANCES:
+        arrays, analytic, losses = _CHECKS[block](block_rng(block, seed), TINY_CONFIG)
+        numeric = _oracle(arrays, losses)
+        vacuous = [_entry(arrays, int(i))
+                   for i in np.flatnonzero((analytic == 0.0) & (numeric == 0.0))]
+        assert [e for e in vacuous if e.partition("[")[0] != exempt.get(block)] == [], block
 
 
 def test_unknown_block_raises_before_any_block_runs(monkeypatch):
