@@ -8,6 +8,8 @@ rotate-axis, attn. Exit codes: 0 success, 1 check failure, 2 input error,
 from __future__ import annotations
 
 import argparse
+import csv
+import io
 import sys
 from dataclasses import asdict, replace
 from dataclasses import fields as dataclass_fields
@@ -101,6 +103,15 @@ def _write_or_print(text: str, out):
         Path(out).write_text(text)
     else:
         sys.stdout.write(text)
+
+
+def _csv_text(rows) -> str:
+    """The rows as CSV text: a field holding a comma, a quote or a line
+    break, such as a molecule id from a free comment line, is quoted, and
+    every other field is written as it is."""
+    buf = io.StringIO()
+    csv.writer(buf, lineterminator="\n").writerows(rows)
+    return buf.getvalue()
 
 
 # ---------------------------------------------------------------------------
@@ -276,24 +287,21 @@ def _input_molecules(args):
 
 def cmd_embed(args) -> int:
     model, _ = load_checkpoint(args.ckpt)
-    h = model.config.h
-    lines = ["id," + ",".join(f"e{i}" for i in range(h))]
+    rows = [["id", *(f"e{i}" for i in range(model.config.h))]]
     for mol in _input_molecules(args):
-        vec = embed(model, mol)
-        lines.append(mol.id + "," + ",".join(f"{x:.10g}" for x in vec))
-    _write_or_print("\n".join(lines) + "\n", args.out)
+        rows.append([mol.id, *(f"{x:.10g}" for x in embed(model, mol))])
+    _write_or_print(_csv_text(rows), args.out)
     return EXIT_OK
 
 
 def cmd_attn(args) -> int:
     model, _ = load_checkpoint(args.ckpt)
-    lines = ["id,query,weights"]
+    rows = [["id", "query", "weights"]]
     for mol in _input_molecules(args):
-        keys, rows = attention_export_rows(model, mol)
-        lines.append(mol.id + ",keys," + ",".join(str(k) for k in keys))
-        for q, row in enumerate(rows):
-            lines.append(f"{mol.id},{q}," + ",".join(f"{x:.10g}" for x in row))
-    _write_or_print("\n".join(lines) + "\n", args.out)
+        keys, weights = attention_export_rows(model, mol)
+        rows.append([mol.id, "keys", *keys])
+        rows += [[mol.id, q, *(f"{x:.10g}" for x in row)] for q, row in enumerate(weights)]
+    _write_or_print(_csv_text(rows), args.out)
     return EXIT_OK
 
 

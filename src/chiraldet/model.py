@@ -18,6 +18,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .attention import (
+    SIGMA_FLOOR,
     DistanceBiasParams,
     LayerParams,
     head_averaged_rows,
@@ -51,6 +52,8 @@ from .errors import (
     CheckpointShapeError,
     CheckpointTruncatedError,
     CheckpointVersionError,
+    ChiralDetError,
+    DegeneracyError,
     NumericError,
 )
 from .geometry import Configuration, Molecule, mirror
@@ -368,6 +371,12 @@ def _stage_error(model, batch, outputs, row, message: str) -> NumericError:
                         f"{f', copy {copy}' if stacked else ''}: {message}{where}")
 
 
+def _named(exc: ChiralDetError, where: str) -> ChiralDetError:
+    """An error of exc's class whose message is exc's with `where: ` in
+    front, to raise from exc, so the CLI's exit code does not move."""
+    return type(exc)(f"{where}: {exc}")
+
+
 def _run_stages(model: ChiralModel, batch: MoleculeBatch, caches: list | None = None) -> list:
     """The outputs of a forward over a prepared batch, per stage {name:
     array it wrote}: every stage of forward_stages in order on the latest
@@ -379,7 +388,8 @@ def _run_stages(model: ChiralModel, batch: MoleculeBatch, caches: list | None = 
 
     A stage's NumericError comes back with the stage's name in front and,
     when it gives a row, named for that molecule (_stage_error), as do
-    non-finite logits for the first molecule holding one.
+    non-finite logits for the first molecule holding one. A stage's
+    DegeneracyError comes back with the stage's name in front.
     """
     outputs, arrays = [], {}  # arrays: the latest array of each name
     for stage in forward_stages(model):
@@ -387,6 +397,8 @@ def _run_stages(model: ChiralModel, batch: MoleculeBatch, caches: list | None = 
             *written, cache = stage.forward(model, batch, *(arrays[n] for n in stage.reads))
         except NumericError as exc:
             raise _stage_error(model, batch, outputs, exc.row, f"{stage.name}: {exc}") from exc
+        except DegeneracyError as exc:
+            raise _named(exc, stage.name) from exc
         out = dict(zip(stage.writes, written, strict=True))
         arrays.update(out)
         outputs.append(out)
@@ -415,7 +427,9 @@ def backward_batch(model: ChiralModel, state: BatchState, d_logits) -> ChiralMod
     the scalar 0.0 for one no later stage read, and those it returns for
     the arrays it read are added, from zero, into theirs, so h_r and h_n
     sum the layers from the last down. Each cache is released once
-    consumed, so a state backpropagated before raises ValueError.
+    consumed, so a state backpropagated before raises ValueError. A
+    stage's backward error comes back, of its class, with the stage's
+    name in front.
     """
     caches = state.caches
     if any(cache is None for cache in caches):
@@ -425,8 +439,11 @@ def backward_batch(model: ChiralModel, state: BatchState, d_logits) -> ChiralMod
     grads = {}  # gradient of each named_parameters group
     for t in reversed(range(len(caches))):
         stage = state.stages[t]
-        stage_grads, *d_read = stage.backward(model, state.batch, caches[t],
-                                              *(d.pop(n, 0.0) for n in stage.writes))
+        try:
+            stage_grads, *d_read = stage.backward(model, state.batch, caches[t],
+                                                  *(d.pop(n, 0.0) for n in stage.writes))
+        except ChiralDetError as exc:
+            raise _named(exc, stage.name) from exc
         caches[t] = None
         grads.update(stage_grads)
         for name, g in zip(stage.reads, d_read, strict=True):
@@ -694,7 +711,10 @@ def train(model: ChiralModel, dataset, cfg: TrainConfig, val_dataset=None,
     seeds give identical loss curves. The cosine schedule spans this call's
     steps whatever `adam` holds, and Adam's bias correction counts on from
     `adam.step`. `log`, if given, gets each epoch's `EpochRecord.as_line()`.
-    Returns the list of per-epoch records.
+    Returns the list of per-epoch records. A step's ChiralDetError comes
+    back, of its class, as `training step N failed: ...`. A last step
+    that leaves a bias.sigma entry at or below SIGMA_FLOOR raises nothing
+    here, but load_checkpoint refuses a checkpoint holding it.
     """
     cfg.validate()
     check_rank_penalty(model.config.rank_strategy, cfg.reg_weight)
@@ -731,17 +751,18 @@ def train(model: ChiralModel, dataset, cfg: TrainConfig, val_dataset=None,
             try:
                 loss, correct, grads = batch_step(model, prepare_batch(mols), objective,
                                                   cfg.reg_weight)
-            except NumericError as exc:
-                raise NumericError(f"training step {step} failed: {exc}") from exc
+                if math.isfinite(loss):
+                    adam_step(model, grads, adam, lr_now)
+                    if model.config.rank_strategy is RankStrategy.QR_RETRACTION:
+                        model.encoder.kernels = retract_orthonormal(model.encoder.kernels)
+            except ChiralDetError as exc:
+                raise _named(exc, f"training step {step} failed") from exc
             if not math.isfinite(loss):
                 bad = next((name for name, g in named_parameters(grads)
                             if not np.isfinite(g).all()), None)
                 raise NumericError(f"training diverged at step {step}: " + (
                     f"first non-finite gradient: {bad}" if bad else "every gradient is finite"))
-            adam_step(model, grads, adam, lr_now)
             del grads  # not held while the next batch's forward caches fill
-            if model.config.rank_strategy is RankStrategy.QR_RETRACTION:
-                model.encoder.kernels = retract_orthonormal(model.encoder.kernels)
             epoch_loss += loss * len(batch)
             epoch_correct += correct
             step += 1
@@ -865,7 +886,8 @@ def load_checkpoint(path):
     table that does not end at payload_bytes, and a shape failure a tensor
     holding a non-finite value, a negative Adam second moment, a name the
     payload holds twice and a name the tensor table lacks, none of which a
-    training run writes."""
+    training run writes, and a bias.sigma entry at or below SIGMA_FLOOR,
+    which no forward can run."""
     raw = Path(path).read_bytes()
     sep = raw.find(b"\n\n")
     if sep < 0:
@@ -960,6 +982,12 @@ def load_checkpoint(path):
         if bad.size:
             raise CheckpointShapeError(
                 f"tensor {name} holds a negative second moment at flat index {int(bad[0])}"
+            )
+        bad = np.flatnonzero(tensors[name] <= SIGMA_FLOOR) if name == "bias.sigma" else bad
+        if bad.size:
+            raise CheckpointShapeError(
+                f"tensor {name} holds bias.sigma[{int(bad[0])}] = {tensors[name][bad[0]]:.3e}, "
+                f"at or below SIGMA_FLOOR = {SIGMA_FLOOR:g}, which no forward can run"
             )
         target[...] = tensors.pop(name)
     if tensors:

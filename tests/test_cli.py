@@ -1,3 +1,4 @@
+import csv
 import os
 import subprocess
 import sys
@@ -390,6 +391,24 @@ class TestEmbedAttn:
         weights = [float(x) for x in lines[2].split(",")[2:]]
         assert abs(sum(weights) - 1.0) < 1e-9
 
+    def test_an_id_with_a_comma_stays_one_field(self, tmp_path, tiny_ckpt):
+        """A molecule whose comment line, its id, holds a comma: each embed
+        row has the header's fields and each attn row one field per key
+        or weight after its id and query, read back by csv.reader."""
+        path = tmp_path / "ala.chimol"
+        write(replace(canonical_molecule(), id="alanine, L-form"), path)
+        for cmd in ("embed", "attn"):
+            out = tmp_path / f"{cmd}.csv"
+            assert main([cmd, "--ckpt", str(tiny_ckpt), str(path), "--out", str(out)]) == 0
+            with out.open(newline="") as f:
+                header, *rows = csv.reader(f)
+            assert rows and all(row[0] == "alanine, L-form" for row in rows), cmd
+            if cmd == "embed":
+                assert [len(row) for row in rows] == [len(header)] == [1 + TINY_CONFIG.h]
+            else:
+                assert [row[1] for row in rows] == ["keys", "0"]
+                assert len(rows[0]) == len(rows[1]) == 2 + 4
+
     def test_embed_overflowing_kernel_exit_3(self, tmp_path, tiny_ckpt, capsys):
         # finite coordinates scaled by 1e150 overflow the kernel readout of
         # the second molecule; the error names it and the encoder
@@ -624,8 +643,10 @@ class TestCliContract:
         [(set_header(b"d_p=4", b"d_p=3"), "d_p must be >= 4"),
          (set_header(b"n_heads=2", b"n_heads=0"), "n_heads must be >= 1"),
          (set_first_beta, "encoder.kernel.beta"),
-         # a degenerate distance bias: DegeneracyError is an input error, not a numeric one
+         # a distance bias that no forward can run is refused on load, an input error
          (set_first_value(b"bias.sigma", 0.0), "bias.sigma[0]"),
+         (set_first_value(b"bias.sigma", 1e-7),
+          "tensor bias.sigma holds bias.sigma[0] = 1.000e-07, at or below SIGMA_FLOOR"),
          (rename_tensor(b"adam.m.encoder.kernel.w"), "missing tensor adam.m.encoder.kernel.w"),
          (rename_tensor(b"adam.v.encoder.kernel.w"), "missing tensor adam.v.encoder.kernel.w"),
          (set_first_value(b"head.b2", np.nan), "tensor head.b2 holds a non-finite value"),
@@ -642,8 +663,8 @@ class TestCliContract:
           "bad header field: 'seed' on line 12 repeats line 10"),
          (insert_header(b"step=0", b"bogus=1"),
           "bad header field: unknown field 'bogus' on line 12")],
-        ids=["d_p=3", "n_heads=0", "beta", "sigma=0", "adam.m", "adam.v", "nan-head",
-             "nan-layer", "inf-adam.m", "negative-adam.v", "step=-1", "extra-tensor",
+        ids=["d_p=3", "n_heads=0", "beta", "sigma=0", "sigma=1e-7", "adam.m", "adam.v",
+             "nan-head", "nan-layer", "inf-adam.m", "negative-adam.v", "step=-1", "extra-tensor",
              "repeated-tensor", "repeated-header-field", "unknown-header-field"],
     )
     def test_invalid_checkpoint_content_rejected(self, tmp_path, tiny_ckpt, capsys, edit,

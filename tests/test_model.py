@@ -11,6 +11,7 @@ from checkpoint_edits import (
     rename_tensor,
     resign,
     set_first_beta,
+    set_first_value,
     set_header,
 )
 from chiraldet.data import SyntheticSpec, gen_rs
@@ -20,6 +21,7 @@ from chiraldet.errors import (
     CheckpointShapeError,
     CheckpointTruncatedError,
     CheckpointVersionError,
+    DegeneracyError,
     NumericError,
 )
 from chiraldet.geometry import Configuration, mirror, random_rotation, transform
@@ -315,6 +317,30 @@ class TestTraining:
         model = tiny_model(seed=12)
         model.head.w2[:] = 1e308
         with pytest.raises(NumericError, match="step 0"):
+            train(model, small_dataset[:8], TrainConfig(lr=1e-3, epochs=1, batch_size=8))
+
+    def test_sigma_below_the_floor_names_its_step_and_stage(self, small_dataset):
+        """A bias.sigma entry below SIGMA_FLOOR fails the first step's pair
+        bias. The error keeps its class, DegeneracyError, which the CLI
+        maps to exit 2, and names the step and the stage."""
+        model = tiny_model(seed=12)
+        model.distance_bias.sigma[0] = 1e-7
+        with pytest.raises(DegeneracyError, match=r"^training step 0 failed: pair bias: "
+                                                  r"bias\.sigma\[0\] = 1\.000e-07 is at or "
+                                                  r"below SIGMA_FLOOR = 1e-06$") as err:
+            train(model, small_dataset[:8], TrainConfig(lr=1e-3, epochs=1, batch_size=8))
+        assert isinstance(err.value.__cause__.__cause__, DegeneracyError)
+
+    def test_rank_deficient_slice_names_its_step_and_stage(self, small_dataset):
+        """Under rank_strategy=none nothing retracts the kernels, so a zero
+        slice 2 reads out 0 and its backward raises. The error keeps its
+        class, DegeneracyError, and names the step and the encoder stage
+        whose backward raised."""
+        model = tiny_model(seed=12, rank_strategy=RankStrategy.NONE)
+        model.encoder.kernels.w[2] = 0.0
+        with pytest.raises(DegeneracyError, match=r"^training step 0 failed: encoder: kernel "
+                                                  r"slice 2 is rank-deficient \(det G <= 0\), "
+                                                  r"its readout has no gradient$"):
             train(model, small_dataset[:8], TrainConfig(lr=1e-3, epochs=1, batch_size=8))
 
     def test_divergence_names_first_nonfinite_gradient(self, small_dataset):
@@ -638,6 +664,18 @@ class TestCheckpoint:
         save_checkpoint(tiny_model(seed=21), path)
         resign(path, set_header(b"seed=21", b"seed=-1"))
         with pytest.raises(CheckpointVersionError, match="seed must be >= 0, got -1"):
+            load_checkpoint(path)
+
+    def test_sigma_at_or_below_the_floor_rejected(self, tmp_path):
+        """A bias.sigma entry that no forward can run is refused on load,
+        named by its index, not at the checkpoint's first forward."""
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(init_model(TINY_CONFIG), path)
+        resign(path, set_first_value(b"bias.sigma", 1e-7))
+        with pytest.raises(CheckpointShapeError, match=r"^tensor bias\.sigma holds "
+                                                       r"bias\.sigma\[0\] = 1\.000e-07, at or "
+                                                       r"below SIGMA_FLOOR = 1e-06, which no "
+                                                       r"forward can run$"):
             load_checkpoint(path)
 
     def test_nonzero_beta_rejected(self, tmp_path):
