@@ -14,7 +14,7 @@ import numpy as np
 
 from chiraldet.data import gen_axial, gen_axial_torsion, toy_axial_molecule
 from chiraldet.geometry import unit_products
-from chiraldet.model import ModelConfig, TrainConfig, embed, init_model, train
+from chiraldet.model import ModelConfig, TrainConfig, embed_rows, init_model, train
 
 
 def main():
@@ -31,7 +31,7 @@ def main():
     train(model, data, TrainConfig(lr=1e-3, epochs=args.epochs, batch_size=16), log=print)
 
     conformers = gen_axial_torsion(toy_axial_molecule(), args.step)
-    vecs = np.stack([embed(model, c) for c in conformers])
+    vecs = embed_rows(model, conformers)
     ref = vecs[0]
     cos = vecs @ ref / (np.linalg.norm(vecs, axis=1) * np.linalg.norm(ref))
 

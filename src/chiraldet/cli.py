@@ -35,7 +35,7 @@ from .model import (
     attention_export_rows,
     check_feature_width,
     check_rank_penalty,
-    embed,
+    embed_rows,
     evaluate,
     init_model,
     load_checkpoint,
@@ -275,30 +275,32 @@ def cmd_eval(args) -> int:
     return EXIT_OK
 
 
-def _input_molecules(args):
+def _input_molecules(args) -> list:
+    mols = []
     for item in args.inputs:
         p = Path(item)
         if p.is_dir():
-            for mol, _ in data_mod.read_manifest(p):
-                yield mol
+            mols += [mol for mol, _ in data_mod.read_manifest(p)]
         else:
-            yield data_mod.parse(p)
+            mols.append(data_mod.parse(p))
+    return mols
 
 
 def cmd_embed(args) -> int:
     model, _ = load_checkpoint(args.ckpt)
+    mols = _input_molecules(args)
     rows = [["id", *(f"e{i}" for i in range(model.config.h))]]
-    for mol in _input_molecules(args):
-        rows.append([mol.id, *(f"{x:.10g}" for x in embed(model, mol))])
+    rows += [[mol.id, *(f"{x:.10g}" for x in vec)]
+             for mol, vec in zip(mols, embed_rows(model, mols))]
     _write_or_print(_csv_text(rows), args.out)
     return EXIT_OK
 
 
 def cmd_attn(args) -> int:
     model, _ = load_checkpoint(args.ckpt)
+    mols = _input_molecules(args)
     rows = [["id", "query", "weights"]]
-    for mol in _input_molecules(args):
-        keys, weights = attention_export_rows(model, mol)
+    for mol, (keys, weights) in zip(mols, attention_export_rows(model, mols)):
         rows.append([mol.id, "keys", *keys])
         rows += [[mol.id, q, *(f"{x:.10g}" for x in row)] for q, row in enumerate(weights)]
     _write_or_print(_csv_text(rows), args.out)
@@ -309,7 +311,7 @@ def cmd_rotate_axis(args) -> int:
     model, _ = load_checkpoint(args.ckpt)
     base = data_mod.parse(args.file)
     conformers = data_mod.gen_axial_torsion(base, args.step)
-    vecs = [embed(model, conf) for conf in conformers]
+    vecs = embed_rows(model, conformers)
     ref = vecs[0]
     lines = ["angle_deg,cosine_to_first,product_sign"]
     for t, (conf, vec) in enumerate(zip(conformers, vecs)):

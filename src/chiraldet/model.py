@@ -461,13 +461,74 @@ def backward_batch(model: ChiralModel, state: BatchState, d_logits) -> ChiralMod
                        head=grads["head"])
 
 
+# molecules per cache-free forward of every forward-only caller.
+# Larger chunks were not clearly faster over 1-6-unit molecules (16 beat 8
+# in 33 of 48 alternating runs, its median 5% lower, inside 8's spread) and
+# page-faulted more on their larger arrays (about 7,000 minor faults per
+# 300-molecule evaluate at 16, against a few hundred at most at 8)
+EVAL_CHUNK = 8
+
+
+def _chunks(model: ChiralModel, mols, index=None):
+    """The one forward-only path: yields (positions, batch, outputs) per
+    chunk, positions being where the chunk's molecules sit in mols, in
+    input order; index[i] is where mols[i] sits in the caller's dataset
+    (i by default), which an error names for a molecule without an id.
+
+    Chunks of EVAL_CHUNK are cut from the molecules stably sorted by (unit
+    count, atom count), so a chunk pads little, and each runs as one
+    cache-free _run_stages with its molecules in input order. So with
+    several failing molecules, the first failing chunk in size order
+    raises, naming its first failing molecule in input order. A lone
+    molecule is a batch of one, with nothing padded."""
+    index = range(len(mols)) if index is None else index
+    order = sorted(range(len(mols)), key=lambda i: (len(mols[i].chiral_units), mols[i].n_atoms))
+    for start in range(0, len(mols), EVAL_CHUNK):
+        chunk = sorted(order[start : start + EVAL_CHUNK])
+        batch = prepare_batch([mols[i] for i in chunk], [index[i] for i in chunk])
+        yield chunk, batch, _run_stages(model, batch)
+
+
+def _head_rows(model: ChiralModel, mols, name: str, index=None) -> np.ndarray:
+    """The head stage's `name` array ("pooled" or "logits") over the
+    molecules (_chunks), one row per molecule in input order."""
+    rows = {}
+    for chunk, _, outputs in _chunks(model, mols, index):
+        rows.update(zip(chunk, outputs[-1][name]))
+    return np.array([rows[i] for i in range(len(mols))])
+
+
 def forward(model: ChiralModel, mol: Molecule) -> np.ndarray:
-    return _run_stages(model, prepare_batch([mol]))[-1]["logits"][0]
+    return _head_rows(model, [mol], "logits")[0]
 
 
 def embed(model: ChiralModel, mol: Molecule) -> np.ndarray:
     """Pooled pre-predictor representation."""
-    return _run_stages(model, prepare_batch([mol]))[-1]["pooled"][0]
+    return embed_rows(model, [mol])[0]
+
+
+def embed_rows(model: ChiralModel, mols) -> np.ndarray:
+    """(len(mols), h) pooled pre-predictor representations, in input order.
+    A row depends on its chunk neighbours only at round-off."""
+    return _head_rows(model, mols, "pooled")
+
+
+def attention_export_rows(model: ChiralModel, mols) -> list:
+    """Final-layer head-averaged attention rows of each molecule's chiral
+    queries, in input order.
+
+    Returns one (key_atom_indices, rows) per molecule, cut to its own
+    queries and keys: one row per chiral unit, key order matching the
+    index list.
+    """
+    out = {}
+    for chunk, batch, outputs in _chunks(model, mols):
+        attn = next(o["attn"] for o in reversed(outputs) if "attn" in o)
+        for b, i in enumerate(chunk):
+            queries, keys = batch.mask.queries[b, 1:], batch.mask.keys[b]
+            out[i] = (batch.key_atoms[b, keys].tolist(),
+                      head_averaged_rows(attn[b])[np.ix_(queries, keys)])
+    return [out[i] for i in range(len(mols))]
 
 
 def _onehot(label, n_classes: int) -> np.ndarray:
@@ -647,39 +708,13 @@ def dataset_to_pairs(dataset):
     return out
 
 
-# molecules per cache-free forward in evaluate and mirror_consistency.
-# Larger chunks were not clearly faster over 1-6-unit molecules (16 beat 8
-# in 33 of 48 alternating runs, its median 5% lower, inside 8's spread) and
-# page-faulted more on their larger arrays (about 7,000 minor faults per
-# 300-molecule evaluate at 16, against a few hundred at most at 8)
-EVAL_CHUNK = 8
-
-
-def _predict(model: ChiralModel, mols, index) -> np.ndarray:
-    """Predicted class per molecule, in input order; index[i] is where
-    mols[i] sits in the caller's dataset, which an error names for a
-    molecule without an id.
-
-    Chunks of EVAL_CHUNK are cut from the molecules stably sorted by (unit
-    count, atom count), so a chunk pads little, and each runs as one
-    cache-free forward with its molecules in input order. So with several
-    failing molecules, the first failing chunk in size order raises,
-    naming its first failing molecule in input order."""
-    order = sorted(range(len(mols)), key=lambda i: (len(mols[i].chiral_units), mols[i].n_atoms))
-    pred = np.empty(len(mols), dtype=np.intp)
-    for start in range(0, len(mols), EVAL_CHUNK):
-        chunk = sorted(order[start : start + EVAL_CHUNK])
-        batch = prepare_batch([mols[i] for i in chunk], [index[i] for i in chunk])
-        pred[chunk] = _run_stages(model, batch)[-1]["logits"].argmax(axis=1)
-    return pred
-
-
 def evaluate(model: ChiralModel, dataset) -> float:
     pairs = dataset_to_pairs(dataset)
     if not pairs:
         raise ValueError("empty evaluation set")
     mols, labels = zip(*pairs)
-    return int((_predict(model, mols, range(len(mols))) == labels).sum()) / len(pairs)
+    pred = _head_rows(model, mols, "logits").argmax(axis=1)
+    return int((pred == labels).sum()) / len(pairs)
 
 
 def check_feature_width(d_f: int, dataset):
@@ -792,13 +827,13 @@ def mirror_consistency(model: ChiralModel, dataset) -> tuple[float, float]:
     if not pairs:
         raise ValueError("empty evaluation set")
     mols, labels = zip(*pairs)
-    pred = _predict(model, mols, range(len(mols)))
+    pred = _head_rows(model, mols, "logits").argmax(axis=1)
     right = pred == labels
     correct = int(right.sum())
     if correct == 0:
         return 0.0, math.nan
     kept = np.flatnonzero(right)
-    pred_m = _predict(model, [mirror(mols[i]) for i in kept], kept)
+    pred_m = _head_rows(model, [mirror(mols[i]) for i in kept], "logits", kept).argmax(axis=1)
     flipped = int((pred_m == 1 - pred[right]).sum())
     return correct / len(pairs), flipped / correct
 
@@ -994,14 +1029,3 @@ def load_checkpoint(path):
         raise CheckpointShapeError(f"tensor {next(iter(tensors))} is not in the tensor table")
     return model, adam
 
-
-def attention_export_rows(model: ChiralModel, mol: Molecule):
-    """Final-layer head-averaged attention rows for each chiral query.
-
-    Returns (key_atom_indices, rows) with one row per chiral unit, key
-    order matching the index list.
-    """
-    batch = prepare_batch([mol])
-    attn = next(out["attn"] for out in reversed(_run_stages(model, batch)) if "attn" in out)
-    # a batch of one has no padding, so its final attention is (n_q, n_k, H)
-    return batch.key_atoms[0].tolist(), head_averaged_rows(attn[0])

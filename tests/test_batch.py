@@ -24,11 +24,12 @@ from chiraldet.model import (
     EVAL_CHUNK,
     AdamState,
     ModelConfig,
-    _predict,
+    _head_rows,
     adam_step,
     attention_export_rows,
     backward_batch,
     embed,
+    embed_rows,
     evaluate,
     forward,
     forward_batch,
@@ -559,20 +560,23 @@ def tiled():
 
 
 def test_predict_restores_input_order(tiled):
-    """_predict, evaluate and mirror_consistency give what one forward per
-    molecule gives, in input order, over a set whose chunks run in size
-    order; the mirror pass runs a subset under its dataset indices."""
+    """The chunk path's logits argmaxes, evaluate and mirror_consistency
+    give what one forward per molecule gives, in input order, over a set
+    whose chunks run in size order; the mirror pass runs a subset under
+    its dataset indices."""
     model = init_model(ModelConfig(**TINY, seed=0))
     alone = np.array([forward(model, m).argmax() for m in tiled])
     assert set(alone) == {0, 1}
-    assert np.array_equal(_predict(model, tiled, range(len(tiled))), alone)
+    predicted = _head_rows(model, tiled, "logits", range(len(tiled))).argmax(axis=1)
+    assert np.array_equal(predicted, alone)
     labels = np.arange(len(tiled)) % 2
     right = alone == labels
     assert 0 < right.sum() < len(tiled)
     assert evaluate(model, list(zip(tiled, labels))) == right.mean()
     kept = np.flatnonzero(right)
     mirrored = np.array([forward(model, mirror(tiled[i])).argmax() for i in kept])
-    assert np.array_equal(_predict(model, [mirror(tiled[i]) for i in kept], kept), mirrored)
+    predicted = _head_rows(model, [mirror(tiled[i]) for i in kept], "logits", kept)
+    assert np.array_equal(predicted.argmax(axis=1), mirrored)
     flip = (mirrored == 1 - alone[kept]).sum() / right.sum()
     assert mirror_consistency(model, list(zip(tiled, labels))) == (right.mean(), flip)
 
@@ -605,7 +609,7 @@ def test_forward_only_callers_match_forward_batch(mixed):
         state = forward_batch(model, prepare_batch([mol]))
         assert forward(model, mol).tobytes() == state.logits[0].tobytes()
         assert embed(model, mol).tobytes() == state.pooled[0].tobytes()
-        keys, rows = attention_export_rows(model, mol)
+        [(keys, rows)] = attention_export_rows(model, [mol])
         assert keys == state.batch.key_atoms[0].tolist()
         assert rows.tobytes() == head_averaged_rows(state.attn[-1][0]).tobytes()
 
@@ -627,7 +631,8 @@ def test_forward_only_callers_build_no_batch_state(mixed, monkeypatch):
     for mol in mols:
         forward(model, mol)
         embed(model, mol)
-        attention_export_rows(model, mol)
+    embed_rows(model, mols)
+    attention_export_rows(model, mols)
 
 
 def test_nonfinite_attention_logits_name_their_layer(mixed):

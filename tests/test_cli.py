@@ -1,4 +1,5 @@
 import csv
+import math
 import os
 import subprocess
 import sys
@@ -8,6 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import chiraldet.cli
 import chiraldet.gradcheck
 import chiraldet.model
 from checkpoint_edits import (
@@ -26,13 +28,22 @@ from chiraldet.data import (
     gen_axial,
     gen_rs,
     read_manifest,
+    tile_molecules,
     toy_axial_molecule,
     write,
     write_dataset,
 )
 from chiraldet.geometry import ChiralUnit, Configuration, Molecule, UnitKind, mirror
 from chiraldet.gradcheck import BLOCKS, TINY_CONFIG
-from chiraldet.model import AdamState, init_model, save_checkpoint
+from chiraldet.model import (
+    EVAL_CHUNK,
+    AdamState,
+    attention_export_rows,
+    embed,
+    init_model,
+    load_checkpoint,
+    save_checkpoint,
+)
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -275,15 +286,16 @@ class TestTrainEval:
         # correctly classified molecules
         ds = tmp_path / "ds"
         write_dataset(gen_rs(SyntheticSpec(count=8, seed=5)), ds)
-        predict, calls = chiraldet.model._predict, []
-        monkeypatch.setattr(chiraldet.model, "_predict",
-                            lambda *args: calls.append(args) or predict(*args))
+        chunks, calls = chiraldet.model._chunks, []
+        monkeypatch.setattr(chiraldet.model, "_chunks",
+                            lambda *args: calls.append(args) or chunks(*args))
         capsys.readouterr()
         assert main(["eval", "--ckpt", str(tiny_ckpt), "--data", str(ds), "--eval-split",
                      "all", "--mirror-check"]) == 0
         accuracy = capsys.readouterr().out.splitlines()[0]
         assert accuracy != "accuracy=0.0000 n=8"
         assert len(calls) == 2
+        assert len(calls[0][1]) == 8
 
     def test_nonfinite_split_rejected(self, tmp_path, capsys):
         """A fraction that is NaN or not a number at all gets the documented
@@ -438,6 +450,75 @@ class TestEmbedAttn:
         assert (proc.returncode, proc.stdout) == (3, "")
         assert proc.stderr == (f"numeric error: molecule {scaled.id}: layer 0: non-finite "
                                "attention logits, first non-finite stage output: encoder\n")
+
+
+def chunked_set(path):
+    """2 * EVAL_CHUNK + 1 molecules of 1-3 tiled centres and axes, sizes
+    interleaved so that size order is not input order, written as a
+    dataset at path; returns them as read back."""
+    units = [3, 1, 2, 1, 3, 2, 2, 1, 3, 1, 2, 3, 1, 2, 3, 1, 2]
+    assert len(units) == 2 * EVAL_CHUNK + 1
+    centres = [m for m, _ in gen_rs(SyntheticSpec(count=20, seed=81, spectator_range=(0, 3)))]
+    axes = [m for m, _ in gen_axial(20, seed=82)]
+    frags = [f for pair in zip(centres, axes) for f in pair]
+    ends = np.cumsum(units)
+    mols = [replace(tile_molecules(frags[end - n : end]), id=f"m{i:02d}")
+            for i, (n, end) in enumerate(zip(units, ends))]
+    write_dataset([(m, Configuration.R) for m in mols], path)
+    return [m for m, _ in read_manifest(path)]
+
+
+class TestChunkedInference:
+    """embed and attn run the molecules in size-sorted chunks of
+    EVAL_CHUNK, one forward each, and write each molecule's row in input
+    order, equal to its one-molecule call but for round-off."""
+
+    @pytest.fixture
+    def spied(self, tmp_path, tiny_ckpt, monkeypatch):
+        mols = chunked_set(tmp_path / "ds")
+        forwards, returned = [], {}
+        run_stages = chiraldet.model._run_stages
+        monkeypatch.setattr(chiraldet.model, "_run_stages",
+                            lambda *args: forwards.append(args) or run_stages(*args))
+        for name in ("embed_rows", "attention_export_rows"):
+            call = getattr(chiraldet.cli, name)
+            monkeypatch.setattr(chiraldet.cli, name, lambda *args, call=call, name=name:
+                                returned.setdefault(name, call(*args)))
+        return mols, forwards, returned
+
+    def run(self, cmd, tmp_path, tiny_ckpt, forwards):
+        out = tmp_path / f"{cmd}.csv"
+        assert main([cmd, "--ckpt", str(tiny_ckpt), str(tmp_path / "ds"),
+                     "--out", str(out)]) == 0
+        assert len(forwards) == math.ceil((2 * EVAL_CHUNK + 1) / EVAL_CHUNK) == 3
+        with out.open(newline="") as f:
+            return list(csv.reader(f))[1:]
+
+    def test_embed(self, tmp_path, tiny_ckpt, spied):
+        mols, forwards, returned = spied
+        rows = self.run("embed", tmp_path, tiny_ckpt, forwards)
+        vecs = returned["embed_rows"]
+        assert [row[0] for row in rows] == [m.id for m in mols]
+        assert [row[1:] for row in rows] == [[f"{x:.10g}" for x in v] for v in vecs]
+        model, _ = load_checkpoint(tiny_ckpt)
+        for mol, vec in zip(mols, vecs):
+            alone = embed(model, mol)
+            assert np.linalg.norm(vec - alone) <= 1e-13 * np.linalg.norm(alone), mol.id
+
+    def test_attn(self, tmp_path, tiny_ckpt, spied):
+        mols, forwards, returned = spied
+        rows = self.run("attn", tmp_path, tiny_ckpt, forwards)
+        exported = returned["attention_export_rows"]
+        assert [row[0] for row in rows if row[1] == "keys"] == [m.id for m in mols]
+        assert [row[2:] for row in rows if row[1] == "keys"] == [
+            [str(k) for k in keys] for keys, _ in exported]
+        model, _ = load_checkpoint(tiny_ckpt)
+        for mol, (keys, weights) in zip(mols, exported):
+            [(keys_alone, alone)] = attention_export_rows(model, [mol])
+            assert keys == keys_alone, mol.id
+            assert weights.shape == alone.shape == (len(mol.chiral_units), len(keys))
+            for got, want in zip(weights, alone):
+                assert np.linalg.norm(got - want) <= 1e-13 * np.linalg.norm(want), mol.id
 
 
 class TestRotateAxis:

@@ -97,7 +97,7 @@ class TestForward:
     def test_attention_export_rows(self, small_dataset):
         model = tiny_model(seed=3)
         mol = small_dataset[0][0]
-        keys, rows = attention_export_rows(model, mol)
+        [(keys, rows)] = attention_export_rows(model, [mol])
         assert rows.shape == (len(mol.chiral_units), len(keys))
         assert np.allclose(rows.sum(axis=1), 1.0, atol=1e-10)
 
