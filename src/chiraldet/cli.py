@@ -417,7 +417,7 @@ def main(argv=None) -> int:
     except NumericError as exc:
         print(f"numeric error: {exc}", file=sys.stderr)
         return EXIT_NUMERIC_ERROR
-    except (FileNotFoundError, ValueError, ChiralDetError) as exc:
+    except (OSError, ValueError, ChiralDetError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT_ERROR
 

@@ -76,6 +76,9 @@ def featurize(atomic_numbers) -> np.ndarray:
 
 
 def _parse_chiral_line(tokens, lineno, n_atoms, atomic_numbers):
+    if len(tokens) < 3:
+        raise MoleculeParseError("CHIRAL needs a unit kind and its centre atoms, got "
+                                 f"{len(tokens) - 1} fields", lineno)
     kind_tok = tokens[1].lower()
     if kind_tok not in ("center", "axis"):
         raise MoleculeParseError(f"unknown chiral unit kind {tokens[1]!r}", lineno)
@@ -508,7 +511,8 @@ def write_dataset(dataset, out_dir):
 
 
 def read_manifest(manifest_path):
-    """Load (Molecule, Configuration) pairs listed in a manifest file."""
+    """Load (Molecule, Configuration) pairs listed in a manifest file; a
+    label other than R or S raises MoleculeParseError naming its line."""
     manifest_path = Path(manifest_path)
     if manifest_path.is_dir():
         manifest_path = manifest_path / "manifest.tsv"
@@ -524,10 +528,10 @@ def read_manifest(manifest_path):
         if len(parts) != 3:
             raise MoleculeParseError("manifest lines are id<TAB>label<TAB>path", lineno)
         mol_id, label, rel = parts
-        try:
-            config = Configuration(label)
-        except ValueError:
-            raise MoleculeParseError(f"unknown label {label!r}", lineno) from None
+        # a degenerate molecule has no class to train or score
+        if label not in (Configuration.R.value, Configuration.S.value):
+            raise MoleculeParseError(f"label {label!r} is not R or S", lineno)
+        config = Configuration(label)
         mol = parse(base / rel)
         if mol.id != mol_id:
             mol = replace(mol, id=mol_id)

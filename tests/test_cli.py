@@ -142,6 +142,20 @@ class TestChirality:
     def test_missing_file_exit_2(self):
         assert main(["chirality", "nope.chimol"]) == 2
 
+    @pytest.mark.parametrize("line", ["CHIRAL", "CHIRAL center"])
+    def test_truncated_chiral_line_exit_2(self, tmp_path, capsys, line):
+        path = tmp_path / "short.chimol"
+        path.write_text(f"2\n\nC 0 0 0\nC 1 0 0\n{line}\n")
+        assert main(["chirality", str(path)]) == 2
+        assert capsys.readouterr().err == (f"error: line 5: CHIRAL needs a unit kind and its "
+                                           f"centre atoms, got {line.count(' ')} fields\n")
+
+    def test_directory_exit_2(self, tmp_path, capsys):
+        # an OSError other than a missing file is an input error too
+        assert main(["chirality", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "Is a directory" in err and str(tmp_path) in err
+
 
 class TestInvariance:
     def test_pass_on_chiral_molecule(self, canon_file, capsys):
@@ -309,6 +323,32 @@ class TestTrainEval:
             assert f"--split must be three fractions summing to 1, got '{split}'" in (
                 capsys.readouterr().err)
             assert not (tmp_path / "run" / "model.ckpt").exists()
+
+    def test_degenerate_label_exit_2(self, tmp_path, capsys):
+        # refused when the manifest is read, not at the first training step
+        ds = tmp_path / "ds"
+        main(["gen", "--task", "rs", "--count", "4", "--seed", "5", "--out", str(ds)])
+        manifest = ds / "manifest.tsv"
+        lines = manifest.read_text().splitlines()
+        lines[1] = lines[1].replace("\tS\t", "\tdegenerate\t")
+        manifest.write_text("\n".join(lines) + "\n")
+        capsys.readouterr()
+        assert main(["train", "--data", str(ds), "--out", str(tmp_path / "run"), "--config",
+                     "tiny", "--epochs", "1"]) == 2
+        assert capsys.readouterr().err == "error: line 2: label 'degenerate' is not R or S\n"
+        assert not (tmp_path / "run").exists()
+
+    def test_out_is_an_existing_file_exit_2(self, tmp_path, capsys):
+        ds = tmp_path / "ds"
+        main(["gen", "--task", "rs", "--count", "4", "--seed", "5", "--out", str(ds)])
+        out = tmp_path / "run"
+        out.write_text("kept\n")
+        capsys.readouterr()
+        assert main(["train", "--data", str(ds), "--out", str(out), "--config", "tiny",
+                     "--epochs", "1"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "File exists" in err and str(out) in err
+        assert out.read_text() == "kept\n"
 
     def test_eval_missing_checkpoint(self, tmp_path):
         ds = tmp_path / "ds"

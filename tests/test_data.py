@@ -67,6 +67,15 @@ class TestParse:
             parse(p)
         assert err.value.line == 5
 
+    @pytest.mark.parametrize("line", ["CHIRAL", "CHIRAL center"])
+    def test_truncated_chiral_line_reports_line(self, tmp_path, line):
+        p = tmp_path / "short.chimol"
+        p.write_text(f"2\n\nC 0 0 0\nC 1 0 0\n{line}\n")
+        with pytest.raises(MoleculeParseError, match="^line 5: CHIRAL needs a unit kind and "
+                                                     f"its centre atoms, got {line.count(' ')} "
+                                                     "fields$"):
+            parse(p)
+
     def test_priorities_reorder_related(self, tmp_path):
         p = tmp_path / "reorder.chimol"
         p.write_text(
@@ -337,3 +346,14 @@ class TestManifest:
         (d / "manifest.tsv").write_text("")
         with pytest.raises(MoleculeParseError):
             read_manifest(d)
+
+    @pytest.mark.parametrize("label", ["degenerate", "X", "r"])
+    def test_label_other_than_r_or_s_rejected(self, tmp_path, label):
+        """A degenerate molecule has no class, so a manifest may not label
+        one: train would fail on it only at its first step."""
+        manifest = write_dataset(gen_rs(SyntheticSpec(count=3, seed=2)), tmp_path / "ds")
+        lines = manifest.read_text().splitlines()
+        lines[1] = lines[1].replace("\tS\t", f"\t{label}\t")
+        manifest.write_text("\n".join(lines) + "\n")
+        with pytest.raises(MoleculeParseError, match=f"^line 2: label '{label}' is not R or S$"):
+            read_manifest(manifest)
