@@ -67,15 +67,6 @@ class TestParse:
             parse(p)
         assert err.value.line == 5
 
-    @pytest.mark.parametrize("line", ["CHIRAL", "CHIRAL center"])
-    def test_truncated_chiral_line_reports_line(self, tmp_path, line):
-        p = tmp_path / "short.chimol"
-        p.write_text(f"2\n\nC 0 0 0\nC 1 0 0\n{line}\n")
-        with pytest.raises(MoleculeParseError, match="^line 5: CHIRAL needs a unit kind and "
-                                                     f"its centre atoms, got {line.count(' ')} "
-                                                     "fields$"):
-            parse(p)
-
     def test_priorities_reorder_related(self, tmp_path):
         p = tmp_path / "reorder.chimol"
         p.write_text(
