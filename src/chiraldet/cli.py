@@ -130,8 +130,7 @@ def cmd_chirality(args) -> int:
 
 def cmd_invariance(args) -> int:
     if args.trials < 1:
-        print("--trials must be >= 1", file=sys.stderr)
-        return EXIT_INPUT_ERROR
+        raise ValueError(f"--trials must be >= 1, got {args.trials}")
     mol = data_mod.parse(args.file)
     products = unit_products(mol)
     live = [i for i, p in enumerate(products)
@@ -172,9 +171,7 @@ def cmd_invariance(args) -> int:
 
 
 def cmd_gradcheck(args) -> int:
-    model_cfg, _ = _load_config_arg(args.config or "tiny", args.seed)
-    reports = run_gradcheck(config=model_cfg, seed=args.seed, tol=args.tol,
-                            sabotage=args.sabotage)
+    reports = run_gradcheck(seed=args.seed, tol=args.tol, sabotage=args.sabotage)
     failed = [r for r in reports if not r.passed]
     for r in reports:
         if r.passed:
@@ -237,8 +234,7 @@ def cmd_train(args) -> int:
     check_feature_width(model_cfg.d_f, dataset)
     train_set, val_set, _ = _split_dataset(dataset, args.split)
     if not train_set:
-        print("empty training split", file=sys.stderr)
-        return EXIT_INPUT_ERROR
+        raise ValueError(f"--split {args.split} leaves no training molecule")
     out_dir = Path(args.out or "out")
     out_dir.mkdir(parents=True, exist_ok=True)
     model = init_model(model_cfg)
@@ -263,8 +259,7 @@ def cmd_eval(args) -> int:
     splits["all"] = dataset
     subset = splits[args.eval_split]
     if not subset:
-        print(f"split {args.eval_split!r} is empty", file=sys.stderr)
-        return EXIT_INPUT_ERROR
+        raise ValueError(f"split {args.eval_split!r} is empty")
     if args.mirror_check:
         acc, flip = mirror_consistency(model, subset)
     else:
@@ -332,35 +327,35 @@ def build_parser() -> argparse.ArgumentParser:
         prog="chiraldet",
         description="Chirality-aware molecular representations from determinant kernels",
     )
-    shared = argparse.ArgumentParser(add_help=False)
-    shared.add_argument("--seed", type=int, default=0, help="random seed")
-    shared.add_argument("--out", default=None, help="output path")
-    shared.add_argument("--config", default=None,
-                        help="config file of key=value lines, or 'tiny'")
-    shared.add_argument("--verbose", action="store_true", help="extra diagnostics on stderr")
+    # one parent parser per shared flag; a command takes as parents only the
+    # flags its cmd_* reads
+    seed, out, config, verbose = (argparse.ArgumentParser(add_help=False) for _ in range(4))
+    seed.add_argument("--seed", type=int, default=0, help="random seed")
+    out.add_argument("--out", default=None, help="output path")
+    config.add_argument("--config", default=None, help="config file of key=value lines, or 'tiny'")
+    verbose.add_argument("--verbose", action="store_true", help="extra diagnostics on stderr")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("chirality", parents=[shared],
-                       help="chirality products and R/S labels of a molecule file")
+    p = sub.add_parser("chirality", help="chirality products and R/S labels of a molecule file")
     p.add_argument("file")
     p.add_argument("--tol", type=float, default=1e-9)
     p.set_defaults(func=cmd_chirality)
 
-    p = sub.add_parser("invariance", parents=[shared],
+    p = sub.add_parser("invariance", parents=[seed],
                        help="audit rigid-motion invariance and reflection sign flips")
     p.add_argument("file")
     p.add_argument("--trials", type=int, default=1000)
     p.add_argument("--tol", type=float, default=1e-9)
     p.set_defaults(func=cmd_invariance)
 
-    p = sub.add_parser("gradcheck", parents=[shared],
+    p = sub.add_parser("gradcheck", parents=[seed, verbose],
                        help="audit every backward pass against finite differences")
     p.add_argument("--tol", type=float, default=1e-4)
     p.add_argument("--sabotage", default=None, metavar="BLOCK",
                    help="corrupt matching blocks' gradients (negative control)")
     p.set_defaults(func=cmd_gradcheck)
 
-    p = sub.add_parser("gen", parents=[shared], help="generate a synthetic dataset")
+    p = sub.add_parser("gen", parents=[seed, out], help="generate a synthetic dataset")
     p.add_argument("--task", choices=("rs", "axial"), default="rs")
     p.add_argument("--count", type=int, default=2000)
     p.add_argument("--min-product", type=float, default=0.5, dest="min_product")
@@ -368,14 +363,15 @@ def build_parser() -> argparse.ArgumentParser:
                    help="most spectator atoms per molecule (default: 3 for rs, 2 for axial)")
     p.set_defaults(func=cmd_gen)
 
-    p = sub.add_parser("train", parents=[shared], help="train a classifier on a dataset")
+    p = sub.add_parser("train", parents=[seed, out, config],
+                       help="train a classifier on a dataset")
     p.add_argument("--data", required=True, help="dataset directory or manifest path")
     p.add_argument("--split", default="0.8,0.1,0.1")
     p.add_argument("--epochs", type=int, default=None)
     p.add_argument("--lr", type=float, default=None)
     p.set_defaults(func=cmd_train)
 
-    p = sub.add_parser("eval", parents=[shared], help="evaluate a checkpoint on a split")
+    p = sub.add_parser("eval", help="evaluate a checkpoint on a split")
     p.add_argument("--ckpt", required=True)
     p.add_argument("--data", required=True)
     p.add_argument("--split", default="0.8,0.1,0.1")
@@ -384,20 +380,20 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--mirror-check", action="store_true", dest="mirror_check")
     p.set_defaults(func=cmd_eval)
 
-    p = sub.add_parser("embed", parents=[shared],
+    p = sub.add_parser("embed", parents=[out],
                        help="write pooled embeddings as comma-separated rows")
     p.add_argument("--ckpt", required=True)
     p.add_argument("inputs", nargs="+", help="molecule files or dataset directories")
     p.set_defaults(func=cmd_embed)
 
-    p = sub.add_parser("rotate-axis", parents=[shared],
+    p = sub.add_parser("rotate-axis", parents=[out],
                        help="torsion sweep: angle, embedding similarity, product sign")
     p.add_argument("file")
     p.add_argument("--ckpt", required=True)
     p.add_argument("--step", type=float, default=20.0)
     p.set_defaults(func=cmd_rotate_axis)
 
-    p = sub.add_parser("attn", parents=[shared],
+    p = sub.add_parser("attn", parents=[out],
                        help="export final-layer head-averaged attention rows")
     p.add_argument("--ckpt", required=True)
     p.add_argument("inputs", nargs="+")

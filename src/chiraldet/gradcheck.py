@@ -186,7 +186,7 @@ def _probe(arrays, run, backward, *weights):
     return arrays, flatten(backward(run(*(a for _, a in arrays))[-1], *weights)), losses
 
 
-def _check_kernel(rng, config: ModelConfig):
+def _check_kernel(rng):
     bank = init_kernel_bank(rng, 2, 4)
     bank.gamma[:] = rng.uniform(0.8, 1.2, 4)
     mc = _nonsingular_mc(rng, 2)  # fixed inputs, as a batch's chirality matrices are
@@ -194,7 +194,7 @@ def _check_kernel(rng, config: ModelConfig):
                   kernel_bwd, rng.standard_normal((2, 2)))
 
 
-def _check_reg_loss(rng, config: ModelConfig):
+def _check_reg_loss(rng):
     bank = KernelBank(w=rng.standard_normal((2, 4, 3)), gamma=np.ones(4))
 
     def losses(name, copies):
@@ -203,7 +203,7 @@ def _check_reg_loss(rng, config: ModelConfig):
     return [("w", bank.w)], regularization_grad(bank).ravel(), losses
 
 
-def _check_layer_norm(rng, config: ModelConfig):
+def _check_layer_norm(rng):
     x = rng.standard_normal((3, 8))
     gamma = rng.uniform(0.5, 1.5, 8)
     beta = rng.standard_normal(8)
@@ -222,7 +222,7 @@ def _pair_instance(rng):
     return pair_inputs(mask, 3, rng.uniform(-2, 2, (2, 2, 3)), rng.uniform(-2, 2, (2, 5, 3)))
 
 
-def _check_distance_bias(rng, config: ModelConfig):
+def _check_distance_bias(rng):
     params = init_distance_bias(rng, 4, 2)
     params.e1 += rng.normal(0, 0.3, params.e1.shape)
     params.sigma = rng.uniform(0.5, 1.5, 4)
@@ -232,7 +232,7 @@ def _check_distance_bias(rng, config: ModelConfig):
                   partial(pair_bias_bwd, params), rng.standard_normal((2, 3, 5, 2)))
 
 
-def _check_attention_layer(rng, config: ModelConfig):
+def _check_attention_layer(rng):
     """Padded 3-molecule input: a token plus one unit over 2 related keys
     and 1 non-chiral key, a token-only molecule over 2 non-chiral keys (so
     the first molecule has a pad key), and a token-only molecule without
@@ -256,7 +256,7 @@ def _check_attention_layer(rng, config: ModelConfig):
     return _probe(arrays, run, partial(layer_bwd, layer), w_out, w_bias)
 
 
-def _check_predictor(rng, config: ModelConfig):
+def _check_predictor(rng):
     mlp = init_mlp2(rng, 8, 8, 2)
     x = rng.standard_normal((3, 8))
     return _probe(_leaves(mlp) + [("x", x)],
@@ -293,32 +293,32 @@ def _model_points(model, mols, objective, reg_weight: float, names):
 # audited parameter names) of a model-level block; _check_model audits it.
 
 
-def _full_loss_instance(rng, config: ModelConfig):
+def _full_loss_instance(rng):
     """Classification loss plus the rank penalty over every parameter, on a
     padded batch: a one-unit gen_rs molecule and a two-unit molecule tiled
     from two more, so the first has pad queries and pad keys. Each
     molecule's features are U(0, 1) draws, not featurize()'s one-hot rows,
     whose all-zero columns would give every projector weight reading them
     a zero gradient and a zero central difference."""
-    model = init_model(config)
+    model = init_model(TINY_CONFIG)
     (mol_a, label_a), (mol_b, label_b), (mol_c, _) = gen_rs(
         SyntheticSpec(count=3, seed=int(rng.integers(1 << 16)), spectator_range=(1, 2))
     )
     mols, labels = zip(*dataset_to_pairs(
-        [(mol_a, label_a), (tile_molecules([mol_b, mol_c]), label_b)]
+        [(mol_a, label_a), (tile_molecules([mol_b, mol_c]), label_b)], TINY_CONFIG.n_classes
     ))
     mols = tuple(replace(m, features=rng.uniform(0.0, 1.0, m.features.shape)) for m in mols)
-    objective = classify_loss(labels, config.n_classes)
+    objective = classify_loss(labels, TINY_CONFIG.n_classes)
     return model, mols, objective, 0.1, {n for n, _ in named_parameters(model)}
 
 
-def _rank_loss_instance(rng, config: ModelConfig):
+def _rank_loss_instance(rng):
     """Margin-ranking loss of two enantiomer pairs under a 1-dim head, each
     pair ordered so that its score gap is positive. Only the head and the
     kernel gain are audited: the rest of the chain is the backward_batch
     that model.full_loss audits. The margin is the mean gap, so one pair
     is inside the hinge, and both must stay 1e-4 or more from its kink."""
-    model = init_model(replace(config, n_classes=1))
+    model = init_model(replace(TINY_CONFIG, n_classes=1))
     pairs = [(mol, mirror(mol)) for mol, _ in gen_rs(
         SyntheticSpec(count=2, seed=int(rng.integers(1 << 16)), spectator_range=(1, 2))
     )]
@@ -336,8 +336,8 @@ def _check_model(instance):
     """The check of a model-level block: _model_points against batch_step's
     gradients of the named parameters."""
 
-    def check(rng, config: ModelConfig):
-        model, mols, objective, reg_weight, names = instance(rng, config)
+    def check(rng):
+        model, mols, objective, reg_weight, names = instance(rng)
         arrays, losses = _model_points(model, mols, objective, reg_weight, names)
         _, _, grads = batch_step(model, prepare_batch(mols), objective, reg_weight)
         analytic = flatten(*(g for n, g in named_parameters(grads) if n in names))
@@ -365,11 +365,12 @@ def block_rng(name: str, seed: int) -> np.random.Generator:
     return np.random.default_rng(seed + zlib.crc32(name.encode()) % 1000)
 
 
-def run_gradcheck(config: ModelConfig = TINY_CONFIG, seed: int = 1, tol: float = 1e-4,
-                  sabotage: str | None = None, blocks=BLOCKS) -> list[BlockReport]:
+def run_gradcheck(seed: int = 1, tol: float = 1e-4, sabotage: str | None = None,
+                  blocks=BLOCKS) -> list[BlockReport]:
     """Run every block audit; `sabotage` corrupts matching blocks' analytic
     gradients (negative control for the audit itself). Each block draws
-    from its own generator, block_rng. A tol that is not finite and
+    from its own generator, block_rng; the model-level blocks audit
+    TINY_CONFIG's model whatever `seed`. A tol that is not finite and
     positive, or a sabotage prefix that matches none of `blocks`, raises
     ValueError before any block runs, as does a name of `blocks` that is
     not one of BLOCKS."""
@@ -384,7 +385,7 @@ def run_gradcheck(config: ModelConfig = TINY_CONFIG, seed: int = 1, tol: float =
     reports = []
     for name in blocks:
         began = time.perf_counter()
-        arrays, analytic, losses = _CHECKS[name](block_rng(name, seed), config)
+        arrays, analytic, losses = _CHECKS[name](block_rng(name, seed))
         numeric = _oracle(arrays, losses)
         if sabotage and name.startswith(sabotage):
             analytic = analytic * 1.02 + 0.01

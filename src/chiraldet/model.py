@@ -699,17 +699,23 @@ class EpochRecord:
         )
 
 
-def dataset_to_pairs(dataset):
-    """(Molecule, Configuration|int) -> (Molecule, class index)."""
+def dataset_to_pairs(dataset, n_classes: int):
+    """(Molecule, Configuration|int) items -> (Molecule, class index) pairs
+    for an n_classes head. A label that is neither R, S nor an integer in
+    0..n_classes - 1 raises ValueError naming its item's index."""
     out = []
-    for mol, label in dataset:
-        idx = CLASS_INDEX[label] if isinstance(label, Configuration) else int(label)
-        out.append((mol, idx))
+    for i, (mol, label) in enumerate(dataset):
+        idx = CLASS_INDEX.get(label, label)
+        if not (isinstance(idx, (int, np.integer)) and 0 <= idx < n_classes):
+            shown = label.value if isinstance(label, Configuration) else label
+            raise ValueError(f"item {i}: label {shown!r} names no class of the "
+                             f"{n_classes}-class head (R=0, S=1)")
+        out.append((mol, int(idx)))
     return out
 
 
 def evaluate(model: ChiralModel, dataset) -> float:
-    pairs = dataset_to_pairs(dataset)
+    pairs = dataset_to_pairs(dataset, model.config.n_classes)
     if not pairs:
         raise ValueError("empty evaluation set")
     mols, labels = zip(*pairs)
@@ -754,7 +760,7 @@ def train(model: ChiralModel, dataset, cfg: TrainConfig, val_dataset=None,
     cfg.validate()
     check_rank_penalty(model.config.rank_strategy, cfg.reg_weight)
     if margin is None:
-        data = dataset_to_pairs(dataset)
+        data = dataset_to_pairs(dataset, model.config.n_classes)
     else:
         ranking = rank_loss(margin)
         if val_dataset is not None:
@@ -823,7 +829,7 @@ def mirror_consistency(model: ChiralModel, dataset) -> tuple[float, float]:
     gets the opposite class). Without a correct prediction the fraction is
     0/0, returned as NaN; an empty dataset raises ValueError, as in
     evaluate."""
-    pairs = dataset_to_pairs(dataset)
+    pairs = dataset_to_pairs(dataset, model.config.n_classes)
     if not pairs:
         raise ValueError("empty evaluation set")
     mols, labels = zip(*pairs)

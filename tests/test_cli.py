@@ -1,6 +1,8 @@
 import csv
 import math
 import os
+import re
+import shlex
 import subprocess
 import sys
 from dataclasses import replace
@@ -21,7 +23,7 @@ from checkpoint_edits import (
     set_first_value,
     set_header,
 )
-from chiraldet.cli import main
+from chiraldet.cli import build_parser, main
 from chiraldet.data import (
     SyntheticSpec,
     featurize,
@@ -34,7 +36,7 @@ from chiraldet.data import (
     write_dataset,
 )
 from chiraldet.geometry import ChiralUnit, Configuration, Molecule, UnitKind, mirror
-from chiraldet.gradcheck import BLOCKS, TINY_CONFIG
+from chiraldet.gradcheck import BLOCKS, TINY_CONFIG, run_gradcheck
 from chiraldet.model import (
     EVAL_CHUNK,
     AdamState,
@@ -201,8 +203,9 @@ class TestInvariance:
         assert main(["invariance", str(canon_file), "--tol", "0.999", "--trials", "5"]) == 0
         assert capsys.readouterr().out.startswith("PASS trials=5")
 
-    def test_zero_trials_usage_error(self, canon_file):
+    def test_zero_trials_usage_error(self, canon_file, capsys):
         assert main(["invariance", str(canon_file), "--trials", "0"]) == 2
+        assert capsys.readouterr().err == "error: --trials must be >= 1, got 0\n"
 
 
 class TestGen:
@@ -417,6 +420,24 @@ class TestTrainEval:
         (ds / "manifest.tsv").write_text("")
         assert main(["eval", "--ckpt", str(tiny_ckpt), "--data", str(ds)]) == 2
 
+    def test_empty_split_exits_2(self, tmp_path, tiny_ckpt, capsys):
+        ds = tmp_path / "ds"
+        main(["gen", "--task", "rs", "--count", "4", "--seed", "5", "--out", str(ds)])
+        capsys.readouterr()
+        assert main(["eval", "--ckpt", str(tiny_ckpt), "--data", str(ds),
+                     "--split", "1,0,0"]) == 2
+        assert capsys.readouterr().err == "error: split 'test' is empty\n"
+
+    def test_empty_training_split_exits_2_before_out_is_made(self, tmp_path, capsys):
+        ds, run = tmp_path / "ds", tmp_path / "run"
+        main(["gen", "--task", "rs", "--count", "4", "--seed", "5", "--out", str(ds)])
+        capsys.readouterr()
+        assert main(["train", "--data", str(ds), "--config", "tiny", "--split", "0,0.5,0.5",
+                     "--out", str(run)]) == 2
+        assert capsys.readouterr().err == (
+            "error: --split 0,0.5,0.5 leaves no training molecule\n")
+        assert not run.exists()
+
 
 class TestEmbedAttn:
     def test_embed_mirror_pair_differs(self, tmp_path, tiny_ckpt, capsys):
@@ -599,14 +620,67 @@ def test_script_help_runs(script):
     assert "usage:" in proc.stdout
 
 
+# the flags several commands share, and the ones each command reads
+SHARED_FLAGS = ("--seed", "--out", "--config", "--verbose")
+COMMAND_FLAGS = {
+    "chirality": (),
+    "invariance": ("--seed",),
+    "gradcheck": ("--seed", "--verbose"),
+    "gen": ("--seed", "--out"),
+    "train": ("--seed", "--out", "--config"),
+    "eval": (),
+    "embed": ("--out",),
+    "rotate-axis": ("--out",),
+    "attn": ("--out",),
+}
+# a command line of each command that parses, and a value of each flag
+COMMAND_ARGV = {
+    "chirality": ["chirality", "m.chimol"],
+    "invariance": ["invariance", "m.chimol"],
+    "gradcheck": ["gradcheck"],
+    "gen": ["gen"],
+    "train": ["train", "--data", "ds"],
+    "eval": ["eval", "--ckpt", "m.ckpt", "--data", "ds"],
+    "embed": ["embed", "--ckpt", "m.ckpt", "m.chimol"],
+    "rotate-axis": ["rotate-axis", "m.chimol", "--ckpt", "m.ckpt"],
+    "attn": ["attn", "--ckpt", "m.ckpt", "m.chimol"],
+}
+FLAG_VALUES = {"--seed": ["3"], "--out": ["r.txt"], "--config": ["big.cfg"], "--verbose": []}
+DROPPED_FLAGS = [(cmd, flag) for cmd, kept in COMMAND_FLAGS.items()
+                 for flag in SHARED_FLAGS if flag not in kept]
+
+
 class TestCliContract:
-    @pytest.mark.parametrize("cmd", ["chirality", "invariance", "gradcheck", "gen",
-                                     "train", "eval", "embed", "rotate-axis", "attn"])
+    @pytest.mark.parametrize("cmd", list(COMMAND_FLAGS))
     def test_help_exits_zero(self, cmd, capsys):
+        """Each command's help lists exactly the shared flags it reads."""
         with pytest.raises(SystemExit) as exc:
             main([cmd, "--help"])
         assert exc.value.code == 0
-        assert "--seed" in capsys.readouterr().out
+        shown = set(re.findall(r"--[a-z-]+", capsys.readouterr().out)) & set(SHARED_FLAGS)
+        assert shown == set(COMMAND_FLAGS[cmd])
+
+    @pytest.mark.parametrize(("cmd", "flag"), DROPPED_FLAGS,
+                             ids=[f"{cmd}{flag}" for cmd, flag in DROPPED_FLAGS])
+    def test_shared_flag_a_command_does_not_read_exits_2(self, cmd, flag, capsys):
+        with pytest.raises(SystemExit) as exc:
+            build_parser().parse_args([*COMMAND_ARGV[cmd], flag, *FLAG_VALUES[flag]])
+        assert exc.value.code == 2
+        assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
+
+    def test_readme_cli_lines_parse(self):
+        """Every `chiraldet` line of README's CLI code block, without its
+        comment, parses, and the block shows every command."""
+        readme = (SRC.parent / "README.md").read_text()
+        block = readme.split("\n## CLI\n", 1)[1].split("```bash\n", 1)[1].split("```", 1)[0]
+        lines = [line.split("#", 1)[0] for line in block.splitlines()
+                 if line.startswith("chiraldet ")]
+        for line in lines:
+            try:
+                build_parser().parse_args(shlex.split(line)[1:])
+            except SystemExit:
+                pytest.fail(f"README's CLI line {line.strip()!r} does not parse")
+        assert {shlex.split(line)[1] for line in lines} == set(COMMAND_FLAGS)
 
     def test_unknown_flag_usage_code(self, canon_file, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -817,8 +891,8 @@ PASS numerics.layer_norm max_rel_error=2.003e-09
 PASS attention.distance_bias max_rel_error=3.631e-06
 PASS attention.layer max_rel_error=4.132e-07
 PASS model.predictor max_rel_error=2.599e-09
-PASS model.full_loss max_rel_error=2.073e-05
-PASS model.rank_loss max_rel_error=3.508e-08
+PASS model.full_loss max_rel_error=1.651e-05
+PASS model.rank_loss max_rel_error=5.551e-06
 """,
 }
 
@@ -857,6 +931,16 @@ class TestGradcheckCmd:
             line for line in GRADCHECK_STDOUT["1"].splitlines()
             if not line.startswith("PASS encoder.")
         ]
+
+    @pytest.mark.parametrize("seed", [0, 2])
+    def test_audits_the_points_of_run_gradcheck(self, seed, capsys):
+        """`gradcheck --seed N` prints the reports of run_gradcheck(seed=N):
+        TINY_CONFIG's model at block seed N."""
+        reports = run_gradcheck(seed=seed)
+        assert all(r.passed for r in reports)
+        assert main(["gradcheck", "--seed", str(seed)]) == 0
+        assert capsys.readouterr().out == "".join(
+            f"PASS {r.name} max_rel_error={r.max_rel_error:.3e}\n" for r in reports)
 
     def test_repeat_runs_identical(self, capsys):
         main(["gradcheck", "--seed", "2"])

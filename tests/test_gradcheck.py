@@ -48,7 +48,6 @@ from chiraldet.gradcheck import (
     _CHECKS,
     AUDIT_CHUNK,
     BLOCKS,
-    TINY_CONFIG,
     _entry,
     _full_loss_instance,
     _model_points,
@@ -119,7 +118,7 @@ def test_oracle_matches_finite_diff_grad_on_small_blocks(block):
     """Byte for byte against finite_diff_grad over the block's forward,
     unstacked, at every point alone, on the block's draws replayed: its
     chunks keep the bytes of one forward per point."""
-    arrays, analytic, losses = _CHECKS[block](block_rng(block, 1), TINY_CONFIG)
+    arrays, analytic, losses = _CHECKS[block](block_rng(block, 1))
     numeric = _oracle(arrays, losses)
     assert numeric.size == analytic.size == sum(live.size for _, live in arrays)
     replayed, loss = replayed_small_block(block)
@@ -143,9 +142,9 @@ def test_oracle_matches_finite_diff_grad_on_small_blocks(block):
 def test_oracle_writes_no_audited_array(block):
     """Every audited array set read-only: _oracle gives the bytes of a run
     on writable arrays, so no evaluation writes into a live array."""
-    arrays, _, losses = _CHECKS[block](block_rng(block, 1), TINY_CONFIG)
+    arrays, _, losses = _CHECKS[block](block_rng(block, 1))
     expect = _oracle(arrays, losses)
-    arrays, _, losses = _CHECKS[block](block_rng(block, 1), TINY_CONFIG)
+    arrays, _, losses = _CHECKS[block](block_rng(block, 1))
     for _, live in arrays:
         live.flags.writeable = False
     assert _oracle(arrays, losses).tobytes() == expect.tobytes()
@@ -155,8 +154,7 @@ def test_layer_oracle_matches_a_whole_layer_per_point():
     """Byte for byte against finite_diff_grad over the whole layer,
     attend_fwd then feed_forward_fwd, run at every point alone: the
     attention.layer block's chunks keep the bytes of one layer per point."""
-    arrays, analytic, losses = _CHECKS["attention.layer"](block_rng("attention.layer", 1),
-                                                          TINY_CONFIG)
+    arrays, analytic, losses = _CHECKS["attention.layer"](block_rng("attention.layer", 1))
     numeric = _oracle(arrays, losses)
     assert numeric.size == analytic.size == sum(live.size for _, live in arrays)
     # the block's draws, replayed for the weights of its loss
@@ -197,8 +195,7 @@ def test_nonfinite_small_block_evaluation_names_its_coordinate():
     """The 8th evaluation of the layer norm's gamma, the minus point of its
     coordinate 3, is NaN: the error names the coordinate, after every
     point ran, and gamma keeps its bytes."""
-    arrays, _, losses = _CHECKS["numerics.layer_norm"](block_rng("numerics.layer_norm", 1),
-                                                       TINY_CONFIG)
+    arrays, _, losses = _CHECKS["numerics.layer_norm"](block_rng("numerics.layer_norm", 1))
     gamma = dict(arrays)["gamma"]
     saved = gamma.copy()
     scored = []  # one entry per evaluation
@@ -218,7 +215,7 @@ def test_nonfinite_small_block_evaluation_names_its_coordinate():
 def audit_instance(block, seed=1):
     """(model, mols, objective, reg_weight, names) as run_gradcheck audits
     the block at `seed`."""
-    return INSTANCES[block](block_rng(block, seed), TINY_CONFIG)
+    return INSTANCES[block](block_rng(block, seed))
 
 
 @pytest.mark.parametrize("block", list(INSTANCES))
@@ -251,7 +248,7 @@ def test_audit_vector_does_not_depend_on_the_chunk(monkeypatch, block, chunk):
     """The block's numeric vector at seed 1 has the same bytes in chunks
     of 32, 64 (AUDIT_CHUNK) or 128 points as in chunks of 16: a copy's
     products keep the shapes of a lone forward whatever the chunk."""
-    arrays, _, losses = _CHECKS[block](block_rng(block, 1), TINY_CONFIG)
+    arrays, _, losses = _CHECKS[block](block_rng(block, 1))
     monkeypatch.setattr(chiraldet.gradcheck, "AUDIT_CHUNK", 16)
     expect = _oracle(arrays, losses)
     monkeypatch.setattr(chiraldet.gradcheck, "AUDIT_CHUNK", chunk)
@@ -368,8 +365,7 @@ def test_a_feed_forward_point_runs_no_attention(full_loss, monkeypatch, name):
     monkeypatch.setattr(chiraldet.attention, "attend_fwd", attend_fwd)
     model, mols, objective, reg_weight, _ = full_loss
     _, losses = _model_points(model, mols, objective, reg_weight, {name})
-    arrays, _, layer_losses = _CHECKS["attention.layer"](block_rng("attention.layer", 1),
-                                                         TINY_CONFIG)
+    arrays, _, layer_losses = _CHECKS["attention.layer"](block_rng("attention.layer", 1))
     leaf = name.rpartition(".")[2]
     stacked = leaf in ATTENTION_LEAVES
     # u is shaped as the h_c its layer reads and writes
@@ -457,7 +453,7 @@ def test_every_stage_gives_each_stacked_copy_its_own_bytes(block):
 def test_feed_forward_leaves_give_each_copy_the_bytes_of_that_copy_alone():
     """attention.layer's layer and u: every feed-forward leaf stacked into
     feed_forward_fwd; a run that raises leaves the original leaf."""
-    arrays, *_ = _CHECKS["attention.layer"](block_rng("attention.layer", 1), TINY_CONFIG)
+    arrays, *_ = _CHECKS["attention.layer"](block_rng("attention.layer", 1))
     live = dict(arrays)
     layer = LayerParams(**{n: live[n] for n in ATTENTION_LEAVES + FEED_FORWARD_LEAVES},
                         n_heads=2)
@@ -473,7 +469,7 @@ def test_feed_forward_leaves_give_each_copy_the_bytes_of_that_copy_alone():
 def attention_layer_instance():
     """attention.layer's layer, its four inputs and its mask, as
     run_gradcheck audits them at seed 1."""
-    arrays, *_ = _CHECKS["attention.layer"](block_rng("attention.layer", 1), TINY_CONFIG)
+    arrays, *_ = _CHECKS["attention.layer"](block_rng("attention.layer", 1))
     live = dict(arrays)
     layer = LayerParams(**{n: live[n] for n in ATTENTION_LEAVES + FEED_FORWARD_LEAVES},
                         n_heads=2)
@@ -547,7 +543,7 @@ def test_the_model_blocks_run_the_model_stage_loop(monkeypatch):
     the rank instance's scoring, and one call keeping caches per block,
     its analytic batch_step's forward_batch."""
     chunks = sum(math.ceil(2 * live.size / AUDIT_CHUNK) for block in INSTANCES
-                 for _, live in _CHECKS[block](block_rng(block, 1), TINY_CONFIG)[0])
+                 for _, live in _CHECKS[block](block_rng(block, 1))[0])
     calls = []  # whether each call keeps caches
 
     def counted(model, batch, caches=None):
@@ -569,7 +565,7 @@ def test_every_model_level_entry_carries_signal(seed):
     at every point, so its analytic gradient is 0 by construction."""
     exempt = {"model.rank_loss": "head.b2"}
     for block in INSTANCES:
-        arrays, analytic, losses = _CHECKS[block](block_rng(block, seed), TINY_CONFIG)
+        arrays, analytic, losses = _CHECKS[block](block_rng(block, seed))
         numeric = _oracle(arrays, losses)
         vacuous = [_entry(arrays, int(i))
                    for i in np.flatnonzero((analytic == 0.0) & (numeric == 0.0))]

@@ -390,6 +390,27 @@ class TestTraining:
         with pytest.raises(NumericError, match="^molecule at index 8: non-finite logits"):
             score(model, data)
 
+    @pytest.mark.parametrize("label", [Configuration.DEGENERATE, 2, 7, -1, 0.5, "S"],
+                             ids=["degenerate", "2", "7", "-1", "0.5", "str-S"])
+    @pytest.mark.parametrize("score", [
+        evaluate, mirror_consistency,
+        lambda model, data: train(model, data, TrainConfig(epochs=1)),
+    ], ids=["evaluate", "mirror_consistency", "train"])
+    def test_label_of_no_class_names_its_item(self, small_dataset, score, label):
+        """A label that is neither R nor S, nor a class index of the head,
+        is refused with its item's index, not scored wrong or looked up
+        into a KeyError."""
+        data = [small_dataset[0], (small_dataset[1][0], label)]
+        with pytest.raises(ValueError, match="^item 1: label .* names no class of the "
+                                             r"2-class head \(R=0, S=1\)$"):
+            score(tiny_model(), data)
+
+    def test_one_class_head_has_no_class_for_s(self, small_dataset):
+        s_item = next(item for item in small_dataset if item[1] is Configuration.S)
+        with pytest.raises(ValueError, match="^item 0: label 'S' names no class of the "
+                                             "1-class head"):
+            evaluate(tiny_model(n_classes=1), [s_item])
+
     def test_d_f_mismatch_rejected(self, small_dataset):
         with pytest.raises(ValueError, match="^d_f=10 does not match .* feature width 52$"):
             train(tiny_model(seed=2, d_f=10), small_dataset[:4], TrainConfig(epochs=1))
