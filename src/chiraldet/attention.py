@@ -19,7 +19,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import DegeneracyError, NumericError
-from .encoder import BatchMask, Mlp2, PairInputs, glorot, init_mlp2, mlp2_bwd, mlp2_fwd
+from .encoder import BatchMask, Mlp2, PairInputs, _padded, glorot, init_mlp2, mlp2_bwd, mlp2_fwd
 from .numerics import gaussian, layer_norm_rows, layer_norm_rows_backward
 
 N_PAIR_TYPES = 2  # 0: chiral-related, 1: non-chiral
@@ -85,10 +85,7 @@ def pair_bias_fwd(params: DistanceBiasParams, pairs: PairInputs):
         )
     x = params.e1[..., pairs.types, :] * pairs.dists[:, None] + params.e2[..., pairs.types, :]
     dens = gaussian(x, params.mu, params.sigma)
-    rows = dens @ params.w_p
-    p = np.zeros(rows.shape[:-2] + pairs.shape + rows.shape[-1:])
-    p[(..., *pairs.index, slice(None))] = rows
-    return p, (pairs, x, dens)
+    return _padded(dens @ params.w_p, pairs.index, pairs.shape), (pairs, x, dens)
 
 
 def pair_bias_bwd(params: DistanceBiasParams, cache, d_p) -> DistanceBiasParams:

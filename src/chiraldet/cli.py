@@ -11,7 +11,7 @@ import argparse
 import csv
 import io
 import sys
-from dataclasses import asdict, replace
+from dataclasses import replace
 from dataclasses import fields as dataclass_fields
 from pathlib import Path
 
@@ -187,18 +187,14 @@ def cmd_gradcheck(args) -> int:
     return EXIT_OK
 
 
-# most spectator atoms per generated molecule when --spectators is not given
-_DEFAULT_SPECTATORS = {"rs": 3, "axial": 2}
-
-
 def cmd_gen(args) -> int:
-    spectators = _DEFAULT_SPECTATORS[args.task] if args.spectators is None else args.spectators
-    spec = data_mod.SyntheticSpec(count=args.count, spectator_range=(0, spectators),
-                                  min_abs_product=args.min_product, seed=args.seed)
+    fields = dict(count=args.count, min_abs_product=args.min_product, seed=args.seed)
+    if args.spectators is not None:  # else the generator's own default
+        fields["spectator_range"] = (0, args.spectators)
     if args.task == "rs":
-        dataset = data_mod.gen_rs(spec)
+        dataset = data_mod.gen_rs(data_mod.SyntheticSpec(**fields))
     else:
-        dataset = data_mod.gen_axial(**asdict(spec))
+        dataset = data_mod.gen_axial(**fields)
     manifest = data_mod.write_dataset(dataset, args.out or f"dataset_{args.task}")
     print(f"wrote {len(dataset)} molecules to {manifest.parent} (manifest: {manifest})")
     return EXIT_OK
@@ -348,8 +344,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--tol", type=float, default=1e-9)
     p.set_defaults(func=cmd_invariance)
 
-    p = sub.add_parser("gradcheck", parents=[seed, verbose],
+    p = sub.add_parser("gradcheck", parents=[verbose],
                        help="audit every backward pass against finite differences")
+    # its own --seed: the block seed, 1 by default as for run_gradcheck()
+    p.add_argument("--seed", type=int, default=1, help="block seed of the audited points")
     p.add_argument("--tol", type=float, default=1e-4)
     p.add_argument("--sabotage", default=None, metavar="BLOCK",
                    help="corrupt matching blocks' gradients (negative control)")

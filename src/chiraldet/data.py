@@ -16,6 +16,7 @@ omitted (ties broken by atom index); explicit priorities must be distinct.
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import dataclass, replace
 from pathlib import Path
 
@@ -498,7 +499,20 @@ def gen_axial(count: int, seed: int = 0, spectator_range=(0, 2), min_abs_product
 # ---------------------------------------------------------------------------
 
 def write_dataset(dataset, out_dir):
-    """One file per molecule plus a manifest of id<TAB>label<TAB>path lines."""
+    """One file per molecule plus a manifest of id<TAB>label<TAB>path lines.
+
+    Each id names its file and its manifest line, so before anything is
+    written an id that repeats an earlier one, or holds a path separator,
+    a tab or a line break, raises AnnotationError naming its item.
+    """
+    seen = set()
+    for i, (mol, _) in enumerate(dataset):
+        if mol.id in seen:
+            raise AnnotationError(f"item {i}: id {mol.id!r} repeats an earlier item's")
+        if any(c in mol.id for c in ("\t", "/", os.sep)) or "".join(mol.id.splitlines()) != mol.id:
+            raise AnnotationError(f"item {i}: id {mol.id!r} holds a path separator, a tab "
+                                  "or a line break")
+        seen.add(mol.id)
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     manifest_lines = []

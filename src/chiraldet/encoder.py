@@ -145,6 +145,15 @@ def pair_inputs(mask: BatchMask, k_r: int, chiral_positions, key_positions) -> P
     )
 
 
+def _padded(rows, slots, shape) -> np.ndarray:
+    """Rows stacked over a batch, placed at `slots`, one index array per
+    axis of shape, in a zero array of shape + the row width. Leading axes
+    of rows, a (k, n, width) stack, are kept: (k, *shape, width)."""
+    out = np.zeros(rows.shape[:-2] + shape + rows.shape[-1:])
+    out[(..., *slots, slice(None))] = rows
+    return out
+
+
 @dataclass
 class MoleculeBatch:
     """Everything of a padded molecule batch that does not depend on the

@@ -12,12 +12,11 @@ import time
 import zlib
 from dataclasses import dataclass, replace
 from functools import partial
+from types import SimpleNamespace
 
 import numpy as np
 
 from .attention import (
-    DistanceBiasParams,
-    LayerParams,
     init_distance_bias,
     init_layer,
     layer_bwd,
@@ -29,7 +28,6 @@ from .data import SyntheticSpec, gen_rs, tile_molecules
 from .encoder import (
     BatchMask,
     KernelBank,
-    Mlp2,
     init_kernel_bank,
     init_mlp2,
     kernel_bwd,
@@ -97,21 +95,36 @@ def flatten(*items) -> np.ndarray:
 AUDIT_CHUNK = 64
 
 
-def _lifted(copies: np.ndarray) -> np.ndarray:
-    """A (k, *shape) stack of copies, a vector's as (k, 1, n) so that it
-    broadcasts over rows."""
-    return copies[:, None] if copies.ndim == 2 else copies
-
-
 def _stacked_call(holder, field, copies, run):
     """run() with `copies`, a (k, *shape) stack of holder.field, set in its
-    place (_lifted); the leaf is restored after, also when run raises."""
+    place, a vector's as (k, 1, n) so that it broadcasts over rows; the
+    leaf is restored after, also when run raises."""
     live = getattr(holder, field)
-    setattr(holder, field, _lifted(copies))
+    setattr(holder, field, copies[:, None] if copies.ndim == 2 else copies)
     try:
         return run()
     finally:
         setattr(holder, field, live)
+
+
+def _slots(*holders) -> list:
+    """(name, holder, field) of every array attribute of each holder, in
+    vars() order: a parameter dataclass, or a SimpleNamespace of a block's
+    plain inputs. A non-array attribute such as n_heads is skipped."""
+    return [(field, holder, field) for holder in holders
+            for field, a in vars(holder).items() if isinstance(a, np.ndarray)]
+
+
+def _moved(slots, loss):
+    """(arrays, losses) of _oracle over `slots`, (name, holder, field)
+    triples: losses(name, copies) is loss() with the copies stacked into
+    that slot (_stacked_call), the one way the audit moves an array."""
+    where = {name: (holder, field) for name, holder, field in slots}
+
+    def losses(name, copies):
+        return _stacked_call(*where[name], copies, loss)
+
+    return [(name, getattr(holder, field)) for name, holder, field in slots], losses
 
 
 def _oracle(arrays, losses) -> np.ndarray:
@@ -172,44 +185,36 @@ def _copy_sums(w, stacked) -> np.ndarray:
 # and the losses of a chunk of points.
 
 
-def _probe(arrays, run, backward, *weights):
+def _probe(slots, run, backward, *weights):
     """The check of a block whose loss is the sum of (w * out).sum() over
-    `weights` and the first outputs of run(*audited arrays), a forward
-    that returns its cache last; the analytic gradient is backward(cache,
-    *weights), flattened. A chunk is one run, the moved array's copies
-    (_lifted) in its place."""
-
-    def losses(name, copies):
-        outs = run(*(_lifted(copies) if n == name else a for n, a in arrays))
-        return sum(_copy_sums(w, out) for w, out in zip(weights, outs))
-
-    return arrays, flatten(backward(run(*(a for _, a in arrays))[-1], *weights)), losses
+    `weights` and the first outputs of run(), a forward that reads the
+    holders of `slots` and returns its cache last; the analytic gradient
+    is backward(cache, *weights), flattened. A chunk is one run, the moved
+    array's copies in its slot (_moved)."""
+    arrays, losses = _moved(
+        slots, lambda: sum(_copy_sums(w, out) for w, out in zip(weights, run())))
+    return arrays, flatten(backward(run()[-1], *weights)), losses
 
 
 def _check_kernel(rng):
     bank = init_kernel_bank(rng, 2, 4)
     bank.gamma[:] = rng.uniform(0.8, 1.2, 4)
     mc = _nonsingular_mc(rng, 2)  # fixed inputs, as a batch's chirality matrices are
-    return _probe(_leaves(bank), lambda w, gamma: kernel_fwd(KernelBank(w, gamma), mc),
-                  kernel_bwd, rng.standard_normal((2, 2)))
+    return _probe(_slots(bank), lambda: kernel_fwd(bank, mc), kernel_bwd,
+                  rng.standard_normal((2, 2)))
 
 
 def _check_reg_loss(rng):
     bank = KernelBank(w=rng.standard_normal((2, 4, 3)), gamma=np.ones(4))
-
-    def losses(name, copies):
-        return _stacked_call(bank, "w", copies, lambda: regularization_loss(bank))
-
-    return [("w", bank.w)], regularization_grad(bank).ravel(), losses
+    arrays, losses = _moved([("w", bank, "w")], lambda: regularization_loss(bank))
+    return arrays, regularization_grad(bank).ravel(), losses
 
 
 def _check_layer_norm(rng):
-    x = rng.standard_normal((3, 8))
-    gamma = rng.uniform(0.5, 1.5, 8)
-    beta = rng.standard_normal(8)
-    arrays = [("x", x), ("gamma", gamma), ("beta", beta)]
-    return _probe(arrays, layer_norm_rows,
-                  lambda cache, w: layer_norm_rows_backward(w, cache, gamma),
+    ln = SimpleNamespace(x=rng.standard_normal((3, 8)), gamma=rng.uniform(0.5, 1.5, 8),
+                         beta=rng.standard_normal(8))
+    return _probe(_slots(ln), lambda: layer_norm_rows(ln.x, ln.gamma, ln.beta),
+                  lambda cache, w: layer_norm_rows_backward(w, cache, ln.gamma),
                   rng.standard_normal((3, 8)))
 
 
@@ -227,8 +232,7 @@ def _check_distance_bias(rng):
     params.e1 += rng.normal(0, 0.3, params.e1.shape)
     params.sigma = rng.uniform(0.5, 1.5, 4)
     pairs = _pair_instance(rng)
-    return _probe(_leaves(params),
-                  lambda *leaves: pair_bias_fwd(DistanceBiasParams(*leaves), pairs),
+    return _probe(_slots(params), lambda: pair_bias_fwd(params, pairs),
                   partial(pair_bias_bwd, params), rng.standard_normal((2, 3, 5, 2)))
 
 
@@ -243,25 +247,21 @@ def _check_attention_layer(rng):
     layer_fwd; the analytic gradient is layer_bwd's."""
     layer = init_layer(rng, 8, 2)
     mask = BatchMask.of_counts([1, 0, 0], [2, 0, 0], [1, 2, 0])
-    inputs = [rng.standard_normal(s) for s in ((3, 2, 8), (3, 2, 8), (3, 2, 8), (3, 2, 4, 2))]
+    x = SimpleNamespace(h_c_in=rng.standard_normal((3, 2, 8)), h_r=rng.standard_normal((3, 2, 8)),
+                        h_n=rng.standard_normal((3, 2, 8)),
+                        bias_in=rng.standard_normal((3, 2, 4, 2)))
     w_out = rng.standard_normal((3, 2, 8))
     w_bias = rng.standard_normal((3, 2, 4, 2))
-    leaves = _leaves(layer)
-    arrays = leaves + list(zip(("h_c_in", "h_r", "h_n", "bias_in"), inputs))
-
-    def run(*live):
-        moved = LayerParams(**{n: a for (n, _), a in zip(leaves, live)}, n_heads=layer.n_heads)
-        return layer_fwd(moved, *live[len(leaves):], mask)
-
-    return _probe(arrays, run, partial(layer_bwd, layer), w_out, w_bias)
+    return _probe(_slots(layer, x),
+                  lambda: layer_fwd(layer, x.h_c_in, x.h_r, x.h_n, x.bias_in, mask),
+                  partial(layer_bwd, layer), w_out, w_bias)
 
 
 def _check_predictor(rng):
     mlp = init_mlp2(rng, 8, 8, 2)
-    x = rng.standard_normal((3, 8))
-    return _probe(_leaves(mlp) + [("x", x)],
-                  lambda w1, b1, w2, b2, x: mlp2_fwd(Mlp2(w1, b1, w2, b2), x),
-                  partial(mlp2_bwd, mlp), rng.standard_normal((3, 2)))
+    x = SimpleNamespace(x=rng.standard_normal((3, 8)))
+    return _probe(_slots(mlp, x), lambda: mlp2_fwd(mlp, x.x), partial(mlp2_bwd, mlp),
+                  rng.standard_normal((3, 2)))
 
 
 def _model_points(model, mols, objective, reg_weight: float, names):
@@ -278,15 +278,9 @@ def _model_points(model, mols, objective, reg_weight: float, names):
     names the stage, the molecule and the copy.
     """
     batch = prepare_batch(mols)
-    slots = {name: (holder, field) for name, holder, field in parameter_slots(model)}
-
-    def losses(name, copies):
-        return _stacked_call(*slots[name], copies, lambda: np.add(
-            objective(_run_stages(model, batch)[-1]["logits"])[0],
-            rank_penalty(model, reg_weight)))
-
-    arrays = [(name, live) for name, live in named_parameters(model) if name in names]
-    return arrays, losses
+    return _moved([slot for slot in parameter_slots(model) if slot[0] in names],
+                  lambda: np.add(objective(_run_stages(model, batch)[-1]["logits"])[0],
+                                 rank_penalty(model, reg_weight)))
 
 
 # Each *_loss_instance returns (model, mols, objective, reg_weight, the

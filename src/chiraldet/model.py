@@ -36,6 +36,7 @@ from .encoder import (
     Mlp2,
     MoleculeBatch,
     RankStrategy,
+    _padded,
     init_encoder,
     init_mlp2,
     kernel_bwd,
@@ -232,15 +233,6 @@ class Stage(NamedTuple):
     writes: tuple  # names of the arrays forward returns
     forward: Callable
     backward: Callable
-
-
-def _padded(rows, slots, shape) -> np.ndarray:
-    """Rows stacked over a batch, placed at their (molecule, slot) index
-    arrays in a zero array of shape + the row width. Leading axes of rows,
-    a (k, n, width) stack, are kept: (k, *shape, width)."""
-    out = np.zeros(rows.shape[:-2] + shape + rows.shape[-1:])
-    out[(..., *slots, slice(None))] = rows
-    return out
 
 
 def _kernel_readout(model, batch):

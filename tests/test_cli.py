@@ -668,6 +668,13 @@ class TestCliContract:
         assert exc.value.code == 2
         assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(("cmd", "seed"), [("invariance", 0), ("gen", 0), ("train", 0),
+                                               ("gradcheck", 1)])
+    def test_default_seed(self, cmd, seed):
+        """gradcheck's own --seed, the block seed, defaults to 1, as
+        run_gradcheck() does; the commands sharing --seed keep 0."""
+        assert build_parser().parse_args(COMMAND_ARGV[cmd]).seed == seed
+
     def test_readme_cli_lines_parse(self):
         """Every `chiraldet` line of README's CLI code block, without its
         comment, parses, and the block shows every command."""
@@ -931,6 +938,10 @@ class TestGradcheckCmd:
             line for line in GRADCHECK_STDOUT["1"].splitlines()
             if not line.startswith("PASS encoder.")
         ]
+
+    def test_bare_gradcheck_audits_block_seed_1(self, capsys):
+        assert main(["gradcheck"]) == 0
+        assert capsys.readouterr().out == GRADCHECK_STDOUT["1"]
 
     @pytest.mark.parametrize("seed", [0, 2])
     def test_audits_the_points_of_run_gradcheck(self, seed, capsys):

@@ -348,3 +348,27 @@ class TestManifest:
         manifest.write_text("\n".join(lines) + "\n")
         with pytest.raises(MoleculeParseError, match=f"^line 2: label '{label}' is not R or S$"):
             read_manifest(manifest)
+
+    def test_repeated_id_rejected_before_anything_is_written(self, tmp_path):
+        """Two items of one id would share one file, so the R item would
+        read back as the S molecule."""
+        (r_mol, r), (s_mol, s) = gen_rs(SyntheticSpec(count=2, seed=2))
+        assert (r, s) == (Configuration.R, Configuration.S)
+        dataset = [(r_mol, r), (replace(s_mol, id=r_mol.id), s)]
+        with pytest.raises(AnnotationError,
+                           match=f"^item 1: id '{r_mol.id}' repeats an earlier item's$"):
+            write_dataset(dataset, tmp_path / "ds")
+        assert not (tmp_path / "ds").exists()
+
+    @pytest.mark.parametrize("mol_id", ["../x", "a\tb", "a\nb", "a\rb"],
+                             ids=["separator", "tab", "newline", "carriage-return"])
+    def test_id_that_breaks_its_file_or_line_rejected(self, tmp_path, mol_id):
+        """An id with a path separator would write outside the dataset
+        directory, and one with a tab or a line break would write a manifest
+        line that read_manifest refuses."""
+        dataset = gen_rs(SyntheticSpec(count=3, seed=2))
+        dataset[2] = (replace(dataset[2][0], id=mol_id), dataset[2][1])
+        with pytest.raises(AnnotationError, match=r"^item 2: id .* holds a path separator, "
+                                                  r"a tab or a line break$"):
+            write_dataset(dataset, tmp_path / "ds")
+        assert list(tmp_path.iterdir()) == []

@@ -2,11 +2,10 @@
 bytes of finite_diff_grad over a plain forward per point, and no audited
 array is written. Every block scores a chunk of AUDIT_CHUNK points, a
 (k, *shape) stack of copies of the moved array, in one call of its
-forward; no block runs once per point. A small block, attention.layer
-among them, passes the copies to its forward in place of the array. In a
-model-level block the copies are stacked into the moved leaf, and the
-chunk is one pass of the model's stage loop, _run_stages, on the one
-audit batch. Every array the copies move keeps a leading axis of k copies,
+forward; no block runs once per point. Every block stacks the copies
+into the moved array's slot on its holder, _stacked_call, the one way the
+audit moves an array. In a model-level block the chunk is one pass of
+the model's stage loop, _run_stages, on the one audit batch. Every array the copies move keeps a leading axis of k copies,
 (k, B, ...), through every stage, and every other array its single
 shape, so the numeric vectors do not depend on the chunk."""
 
@@ -136,6 +135,23 @@ def test_oracle_matches_finite_diff_grad_on_small_blocks(block):
         finally:
             live[...] = theta0.reshape(live.shape)
     assert numeric.tobytes() == np.concatenate(expect).tobytes()
+
+
+@pytest.mark.parametrize("block", BLOCKS)
+def test_every_block_moves_its_arrays_through_stacked_call(monkeypatch, block):
+    """Each losses call makes one _stacked_call, on the holder whose field
+    is the moved live array: no block passes copies any other way."""
+    arrays, _, losses = _CHECKS[block](block_rng(block, 1))
+    moved = []
+
+    def recorded(holder, field, copies, run):
+        moved.append(getattr(holder, field))
+        return _stacked_call(holder, field, copies, run)
+
+    monkeypatch.setattr(chiraldet.gradcheck, "_stacked_call", recorded)
+    for name, live in arrays:
+        losses(name, np.stack([live] * 2))
+    assert [id(a) for a in moved] == [id(live) for _, live in arrays]
 
 
 @pytest.mark.parametrize("block", BLOCKS)
