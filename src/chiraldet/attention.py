@@ -54,7 +54,6 @@ class LayerParams:
     ln1_beta: np.ndarray
     ln2_gamma: np.ndarray
     ln2_beta: np.ndarray
-    n_heads: int
 
     @property
     def ff(self) -> Mlp2:
@@ -161,22 +160,14 @@ class AttendCache(NamedTuple):
     scale: float
 
 
-class FeedForwardCache(NamedTuple):
-    """What feed_forward_bwd needs of feed_forward_fwd, one row per
-    (molecule, query) pair; ff[0] is the feed-forward's input."""
-
-    ln1: tuple
-    ff: tuple
-    ln2: tuple
-
-
 def attend_fwd(layer: LayerParams, h_c_in, h_r, h_n, bias_in, mask: BatchMask):
     """The attention half of one cross-attention layer over a padded batch;
     returns (u, bias_out, attn, cache).
 
     h_c_in and u are (B, Q, h), h_r (B, Kr, h), h_n (B, Kn, h), and bias_in
-    and bias_out are (B, Q, Kr + Kn, H) pair biases. u = h_c_in + ctx woᵀ
-    is the residual that feed_forward_fwd turns into the layer's output.
+    and bias_out are (B, Q, Kr + Kn, H) pair biases, whose last axis sets
+    the head count H. u = h_c_in + ctx woᵀ is the residual that layer_fwd
+    turns into the layer's output.
     bias_out holds the pre-softmax logits (query-key term plus incoming
     bias), which is what the next layer consumes; pad keys are masked
     inside the softmax, not in these logits. attn is (B, Q, Kr + Kn, H) and
@@ -202,7 +193,7 @@ def attend_fwd(layer: LayerParams, h_c_in, h_r, h_n, bias_in, mask: BatchMask):
     copy order. Only the forward takes such copies.
     """
     n_batch, n_q, h = h_c_in.shape[-3:]
-    n_heads = layer.n_heads
+    n_heads = bias_in.shape[-1]
     if mask.first_keyless is not None:
         raise NumericError("chiral queries present but the key set is empty",
                            row=mask.first_keyless)
@@ -247,7 +238,7 @@ def attend_bwd(layer: LayerParams, cache: AttendCache, d_u, d_bias_out):
     c = cache
     n_batch, n_q, h = c.h_c_in.shape
     n_r = c.h_r.shape[1]
-    n_heads = layer.n_heads
+    n_heads = c.attn.shape[-1]
 
     d_u = d_u.reshape(-1, h)
     d_ctx = _heads((d_u @ layer.wo).reshape(n_batch, n_q, h), n_heads)
@@ -276,16 +267,30 @@ def attend_bwd(layer: LayerParams, cache: AttendCache, d_u, d_bias_out):
     return grads, d_h_c, d_h_r, d_h_n, d_logits
 
 
-def feed_forward_fwd(layer: LayerParams, u):
-    """The feed-forward half of one layer: ln1, the feed-forward with its
-    residual, then ln2, row by row over attend_fwd's u (B, Q, h); returns
-    (h_c_out, cache), h_c_out shaped as u. A layer norm's NumericError
-    comes back with the row of its molecule.
+class LayerCache(NamedTuple):
+    """What layer_bwd needs of layer_fwd: attend_fwd's cache, then those of
+    ln1, the feed-forward and ln2, one row per (molecule, query) pair;
+    ff[0] is the feed-forward's input."""
 
-    Its leaves (mlp2_fwd, layer_norm_rows) or u, (k, B, Q, h), may carry a
-    leading axis of k copies: h_c_out is then (k, B, Q, h), and each copy's
-    rows run as one (B * Q, h) block, so each copy is the bytes of a call
-    with that copy alone. Only the forward takes such copies."""
+    attend: AttendCache
+    ln1: tuple
+    ff: tuple
+    ln2: tuple
+
+
+def layer_fwd(layer: LayerParams, h_c_in, h_r, h_n, bias_in, mask: BatchMask):
+    """One cross-attention layer over a padded batch: attend_fwd, then ln1,
+    the feed-forward with its residual, and ln2, row by row over
+    attend_fwd's u; returns (h_c_out, bias_out, attn, cache), h_c_out
+    shaped as h_c_in. A layer norm's NumericError comes back with the row
+    of its molecule.
+
+    Its leaves and inputs may carry the leading axis of k copies that
+    attend_fwd takes, and so may the feed-forward's leaves (mlp2_fwd,
+    layer_norm_rows): h_c_out is then (k, B, Q, h), and each copy's rows
+    run as one (B * Q, h) block, so each copy is the bytes of a call with
+    that copy alone. Only the forward takes such copies."""
+    u, bias_out, attn, attend_cache = attend_fwd(layer, h_c_in, h_r, h_n, bias_in, mask)
     n_q, h = u.shape[-2:]
     try:
         u_ln, ln1_cache = layer_norm_rows(u.reshape(u.shape[:-3] + (-1, h)), layer.ln1_gamma,
@@ -294,56 +299,24 @@ def feed_forward_fwd(layer: LayerParams, u):
         out, ln2_cache = layer_norm_rows(u_ln + f, layer.ln2_gamma, layer.ln2_beta)
     except NumericError as exc:
         raise NumericError(str(exc), row=exc.row // n_q) from exc
-    cache = FeedForwardCache(ln1_cache, ff_cache, ln2_cache)
-    return out.reshape(out.shape[:-2] + u.shape[-3:]), cache
-
-
-def feed_forward_bwd(layer: LayerParams, cache: FeedForwardCache, d_out):
-    """Backward of feed_forward_fwd: ({field name: gradient} of the ff_*,
-    ln1_* and ln2_* leaves, d_u shaped as d_out)."""
-    d_v, d_ln2_gamma, d_ln2_beta = layer_norm_rows_backward(
-        d_out.reshape(-1, d_out.shape[-1]), cache.ln2, layer.ln2_gamma
-    )
-    d_ff, d_u_ln = mlp2_bwd(layer.ff, cache.ff, d_v)
-    d_u, d_ln1_gamma, d_ln1_beta = layer_norm_rows_backward(
-        d_v + d_u_ln, cache.ln1, layer.ln1_gamma
-    )
-    grads = {
-        "ff_w1": d_ff.w1,
-        "ff_b1": d_ff.b1,
-        "ff_w2": d_ff.w2,
-        "ff_b2": d_ff.b2,
-        "ln1_gamma": d_ln1_gamma,
-        "ln1_beta": d_ln1_beta,
-        "ln2_gamma": d_ln2_gamma,
-        "ln2_beta": d_ln2_beta,
-    }
-    return grads, d_u.reshape(d_out.shape)
-
-
-class LayerCache(NamedTuple):
-    """What layer_bwd needs of layer_fwd: the caches of its two halves."""
-
-    attend: AttendCache
-    feed_forward: FeedForwardCache
-
-
-def layer_fwd(layer: LayerParams, h_c_in, h_r, h_n, bias_in, mask: BatchMask):
-    """One cross-attention layer over a padded batch, attend_fwd and then
-    feed_forward_fwd on its residual u; returns (h_c_out, bias_out, attn,
-    cache), h_c_out shaped as h_c_in. Its leaves and inputs may carry the
-    leading axis of k copies that either half takes."""
-    u, bias_out, attn, attend_cache = attend_fwd(layer, h_c_in, h_r, h_n, bias_in, mask)
-    h_c_out, ff_cache = feed_forward_fwd(layer, u)
-    return h_c_out, bias_out, attn, LayerCache(attend_cache, ff_cache)
+    cache = LayerCache(attend_cache, ln1_cache, ff_cache, ln2_cache)
+    return out.reshape(out.shape[:-2] + u.shape[-3:]), bias_out, attn, cache
 
 
 def layer_bwd(layer: LayerParams, cache: LayerCache, d_h_c_out, d_bias_out):
     """Backward of layer_fwd, d_bias_out an array or the scalar 0.0: returns
     (LayerParams of gradients, d_h_c_in, d_h_r, d_h_n, d_bias_in)."""
-    ff_grads, d_u = feed_forward_bwd(layer, cache.feed_forward, d_h_c_out)
+    d_v, d_ln2_gamma, d_ln2_beta = layer_norm_rows_backward(
+        d_h_c_out.reshape(-1, d_h_c_out.shape[-1]), cache.ln2, layer.ln2_gamma
+    )
+    d_ff, d_u_ln = mlp2_bwd(layer.ff, cache.ff, d_v)
+    d_u, d_ln1_gamma, d_ln1_beta = layer_norm_rows_backward(
+        d_v + d_u_ln, cache.ln1, layer.ln1_gamma
+    )
     grads, *d_inputs = attend_bwd(layer, cache.attend, d_u, d_bias_out)
-    return LayerParams(**grads, **ff_grads, n_heads=layer.n_heads), *d_inputs
+    return LayerParams(**grads, ff_w1=d_ff.w1, ff_b1=d_ff.b1, ff_w2=d_ff.w2, ff_b2=d_ff.b2,
+                       ln1_gamma=d_ln1_gamma, ln1_beta=d_ln1_beta,
+                       ln2_gamma=d_ln2_gamma, ln2_beta=d_ln2_beta), *d_inputs
 
 
 def pool(h_c_final, query_mask) -> np.ndarray:
@@ -372,7 +345,7 @@ def init_distance_bias(rng, n_channels: int, n_heads: int) -> DistanceBiasParams
     )
 
 
-def init_layer(rng, h: int, n_heads: int) -> LayerParams:
+def init_layer(rng, h: int) -> LayerParams:
     projections = {name: glorot(rng, h, h) for name in ("wq", "wk_r", "wv_r", "wk_n", "wv_n", "wo")}
     ff = init_mlp2(rng, h, 4 * h, h)
     return LayerParams(
@@ -385,7 +358,6 @@ def init_layer(rng, h: int, n_heads: int) -> LayerParams:
         ln1_beta=np.zeros(h),
         ln2_gamma=np.ones(h),
         ln2_beta=np.zeros(h),
-        n_heads=n_heads,
     )
 
 

@@ -456,16 +456,7 @@ def gen_axial_torsion(base: Molecule, step_deg: float):
             coords[blade_idx] = _rotate_about_axis(
                 base.coords[blade_idx], a, direction, math.radians(t * step_deg)
             )
-        conformers.append(
-            Molecule(
-                coords=coords,
-                atomic_numbers=base.atomic_numbers,
-                features=base.features,
-                chiral_units=base.chiral_units,
-                id=f"{base.id}@{t * step_deg:g}",
-                blade=base.blade,
-            )
-        )
+        conformers.append(replace(base, coords=coords, id=f"{base.id}@{t * step_deg:g}"))
     return conformers
 
 

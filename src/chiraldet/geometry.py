@@ -185,10 +185,13 @@ def order_substituents(indices, priorities) -> tuple[int, int, int, int]:
     """Sort four substituent indices by ascending priority.
 
     Equal priorities are broken by ascending atom index; a fully duplicated
-    (priority, index) pair can only come from malformed input.
+    (priority, index) pair can only come from malformed input. A NaN or
+    infinite priority has no place in that order and raises AnnotationError.
     """
     if len(indices) != 4 or len(priorities) != 4:
         raise AnnotationError("expected exactly 4 substituents with 4 priorities")
+    if not np.isfinite(priorities).all():
+        raise AnnotationError(f"substituent priorities must be finite, got {list(priorities)}")
     keys = sorted(zip(priorities, indices))
     if len(set(keys)) != 4 or len(set(indices)) != 4:
         raise AnnotationError(f"substituent priorities are ambiguous after tie-breaking: {keys}")

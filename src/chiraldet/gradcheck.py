@@ -110,7 +110,8 @@ def _stacked_call(holder, field, copies, run):
 def _slots(*holders) -> list:
     """(name, holder, field) of every array attribute of each holder, in
     vars() order: a parameter dataclass, or a SimpleNamespace of a block's
-    plain inputs. A non-array attribute such as n_heads is skipped."""
+    plain inputs. A non-array attribute such as KernelBank's kept factors
+    is skipped."""
     return [(field, holder, field) for holder in holders
             for field, a in vars(holder).items() if isinstance(a, np.ndarray)]
 
@@ -245,7 +246,7 @@ def _check_attention_layer(rng):
 
     The loss is (w_out * h_c_out).sum() + (w_bias * bias_out).sum() of
     layer_fwd; the analytic gradient is layer_bwd's."""
-    layer = init_layer(rng, 8, 2)
+    layer = init_layer(rng, 8)
     mask = BatchMask.of_counts([1, 0, 0], [2, 0, 0], [1, 2, 0])
     x = SimpleNamespace(h_c_in=rng.standard_normal((3, 2, 8)), h_r=rng.standard_normal((3, 2, 8)),
                         h_n=rng.standard_normal((3, 2, 8)),

@@ -136,14 +136,15 @@ def init_model(config: ModelConfig) -> ChiralModel:
         config=config,
         encoder=encoder,
         distance_bias=init_distance_bias(rng, config.n_gkpt, config.n_heads),
-        layers=[init_layer(rng, config.h, config.n_heads) for _ in range(config.n_layers)],
+        layers=[init_layer(rng, config.h) for _ in range(config.n_layers)],
         head=init_mlp2(rng, config.h, config.h, config.n_classes),
     )
 
 
 def _leaves(params):
     """(field name, array) of every array field of a parameter dataclass,
-    in declaration order; a non-array field such as n_heads is skipped."""
+    in declaration order; a non-array field such as KernelBank's kept
+    factors is skipped."""
     return [(f.name, getattr(params, f.name)) for f in dataclass_fields(params)
             if isinstance(getattr(params, f.name), np.ndarray)]
 
@@ -915,12 +916,14 @@ def load_checkpoint(path):
     version, truncation, checksum, and shape failures; a version failure
     also covers a header field out of range, such as a negative step or
     count, a header line whose field is unknown and one repeating an
-    earlier line's field, naming both lines; a truncation failure a tensor
-    table that does not end at payload_bytes, and a shape failure a tensor
-    holding a non-finite value, a negative Adam second moment, a name the
-    payload holds twice and a name the tensor table lacks, none of which a
-    training run writes, and a bias.sigma entry at or below SIGMA_FLOOR,
-    which no forward can run."""
+    earlier line's field, naming both lines; a truncation failure a file
+    longer or shorter than its header, payload_bytes and checksum, such as
+    one with bytes after the checksum, and a tensor table that does not end
+    at payload_bytes; and a shape failure a tensor holding a non-finite
+    value, a negative Adam second moment, a name the payload holds twice
+    and a name the tensor table lacks, none of which a training run writes,
+    and a bias.sigma entry at or below SIGMA_FLOOR, which no forward can
+    run."""
     raw = Path(path).read_bytes()
     sep = raw.find(b"\n\n")
     if sep < 0:
@@ -955,12 +958,12 @@ def load_checkpoint(path):
     except (KeyError, ValueError) as exc:
         raise CheckpointVersionError(f"bad header field: {exc}") from None
     expected_len = sep + 2 + payload_bytes + 32
-    if len(raw) < expected_len:
+    if len(raw) != expected_len:
         raise CheckpointTruncatedError(
             f"file is {len(raw)} bytes, expected {expected_len}"
         )
     blob, digest = raw[: sep + 2 + payload_bytes], raw[sep + 2 + payload_bytes :]
-    if hashlib.sha256(blob).digest() != digest[:32]:
+    if hashlib.sha256(blob).digest() != digest:
         raise CheckpointChecksumError("checksum mismatch, checkpoint corrupted")
 
     tensors: dict[str, np.ndarray] = {}

@@ -12,8 +12,9 @@ from chiraldet.gradcheck import AUDIT_CHUNK, _stacked_call
 from chiraldet.model import _leaves, _onehot, forward_batch, forward_stages, rank_penalty
 from chiraldet.numerics import FD_STEP, central_difference, det3_batch
 
-# The LayerParams leaves that attend_fwd reads, then those that
-# feed_forward_fwd reads: together every array field, in declaration order
+# The LayerParams leaves that attend_fwd reads, then those of the
+# feed-forward that layer_fwd runs on its residual: together every field,
+# in declaration order
 ATTENTION_LEAVES = ("wq", "wk_r", "wv_r", "wk_n", "wv_n", "wo")
 FEED_FORWARD_LEAVES = ("ff_w1", "ff_b1", "ff_w2", "ff_b2",
                        "ln1_gamma", "ln1_beta", "ln2_gamma", "ln2_beta")

@@ -4,14 +4,12 @@ import pytest
 from chiraldet.attention import (
     SIGMA_FLOOR,
     DistanceBiasParams,
-    LayerParams,
-    attend_bwd,
     attend_fwd,
-    feed_forward_bwd,
-    feed_forward_fwd,
     head_averaged_rows,
     init_distance_bias,
     init_layer,
+    layer_bwd,
+    layer_fwd,
     pair_bias_bwd,
     pair_bias_fwd,
     pool,
@@ -191,7 +189,7 @@ def dense_attention_oracle(layer, h_c, h_r, h_n, bias):
     """Straight-line reimplementation with explicit loops, on one unpadded
     molecule: h_c (n_q, h), h_r and h_n (n, h), bias (n_q, n_k, H)."""
     n_q, h = h_c.shape
-    n_heads = layer.n_heads
+    n_heads = bias.shape[-1]
     d = h // n_heads
     keys = np.vstack([h_r @ layer.wk_r.T, h_n @ layer.wk_n.T])
     vals = np.vstack([h_r @ layer.wv_r.T, h_n @ layer.wv_n.T])
@@ -231,7 +229,7 @@ def dense_attention_oracle(layer, h_c, h_r, h_n, bias):
 class TestAttend:
     def test_single_key_weight_is_one(self):
         rng = np.random.default_rng(5)
-        layer = init_layer(rng, 8, 2)
+        layer = init_layer(rng, 8)
         h_c = rng.standard_normal((1, 2, 8))
         h_r = rng.standard_normal((1, 1, 8))
         h_n = np.zeros((1, 0, 8))
@@ -244,7 +242,7 @@ class TestAttend:
 
     def test_huge_bias_saturates(self):
         rng = np.random.default_rng(6)
-        layer = init_layer(rng, 8, 2)
+        layer = init_layer(rng, 8)
         h_c = rng.standard_normal((1, 2, 8))
         h_r = rng.standard_normal((1, 3, 8))
         h_n = rng.standard_normal((1, 2, 8))
@@ -255,13 +253,12 @@ class TestAttend:
 
     def test_matches_dense_oracle_seed43(self):
         rng = np.random.default_rng(43)
-        layer = init_layer(rng, 8, 2)
+        layer = init_layer(rng, 8)
         h_c = rng.standard_normal((1, 3, 8))  # token + 2 chiral
         h_r = rng.standard_normal((1, 3, 8))
         h_n = rng.standard_normal((1, 2, 8))
         bias = rng.standard_normal((1, 3, 5, 2))
-        u, bias_out, attn, _ = attend_fwd(layer, h_c, h_r, h_n, bias, full_mask(3, 5))
-        out, _ = feed_forward_fwd(layer, u)
+        out, bias_out, attn, _ = layer_fwd(layer, h_c, h_r, h_n, bias, full_mask(3, 5))
         assert np.allclose(attn.sum(axis=2), 1.0, atol=1e-12)
         ref_out, ref_logits, ref_attn = dense_attention_oracle(
             layer, h_c[0], h_r[0], h_n[0], bias[0]
@@ -272,7 +269,7 @@ class TestAttend:
 
     def test_bias_telescopes_over_two_layers(self):
         rng = np.random.default_rng(7)
-        layers = [init_layer(rng, 8, 2) for _ in range(2)]
+        layers = [init_layer(rng, 8) for _ in range(2)]
         h_c = rng.standard_normal((1, 2, 8))
         h_r = rng.standard_normal((1, 2, 8))
         h_n = rng.standard_normal((1, 1, 8))
@@ -280,41 +277,40 @@ class TestAttend:
         bias = p0.copy()
         h_cs = [h_c]
         for layer in layers:
-            u, bias, _, _ = attend_fwd(layer, h_cs[-1], h_r, h_n, bias, full_mask(2, 3))
-            h_cs.append(feed_forward_fwd(layer, u)[0])
+            h_c_out, bias, _, _ = layer_fwd(layer, h_cs[-1], h_r, h_n, bias, full_mask(2, 3))
+            h_cs.append(h_c_out)
         # unrolled recomputation of each layer's query-key term
         total = p0[0].copy()
         keys0 = np.vstack([h_r[0] @ layers[0].wk_r.T, h_n[0] @ layers[0].wk_n.T])
         keys1 = np.vstack([h_r[0] @ layers[1].wk_r.T, h_n[0] @ layers[1].wk_n.T])
         for layer, keys, hc in ((layers[0], keys0, h_cs[0]), (layers[1], keys1, h_cs[1])):
             q = hc[0] @ layer.wq.T
-            d = 8 // layer.n_heads
-            for a in range(layer.n_heads):
+            d = 8 // p0.shape[-1]
+            for a in range(p0.shape[-1]):
                 sl = slice(a * d, (a + 1) * d)
                 total[:, :, a] += q[:, sl] @ keys[:, sl].T / np.sqrt(d)
         assert np.allclose(bias[0], total, atol=1e-10)
 
     def test_key_permutation_equivariance(self):
         rng = np.random.default_rng(9)
-        layer = init_layer(rng, 8, 2)
+        layer = init_layer(rng, 8)
         h_c = rng.standard_normal((1, 3, 8))
         h_r = rng.standard_normal((1, 4, 8))
         h_n = rng.standard_normal((1, 3, 8))
         bias = rng.standard_normal((1, 3, 7, 2))
         mask = full_mask(3, 7)
-        out = feed_forward_fwd(layer, attend_fwd(layer, h_c, h_r, h_n, bias, mask)[0])[0]
+        out = layer_fwd(layer, h_c, h_r, h_n, bias, mask)[0]
         perm_r = np.random.default_rng(1).permutation(4)
         perm_n = np.random.default_rng(2).permutation(3)
         bias_p = bias.copy()
         bias_p[:, :, :4] = bias_p[:, :, :4][:, :, perm_r]
         bias_p[:, :, 4:] = bias_p[:, :, 4:][:, :, perm_n]
-        u_p = attend_fwd(layer, h_c, h_r[:, perm_r], h_n[:, perm_n], bias_p, mask)[0]
-        out_p = feed_forward_fwd(layer, u_p)[0]
+        out_p = layer_fwd(layer, h_c, h_r[:, perm_r], h_n[:, perm_n], bias_p, mask)[0]
         assert np.max(np.abs(out - out_p)) < 1e-10
 
     def test_empty_keys_with_chiral_queries_rejected(self):
         rng = np.random.default_rng(10)
-        layer = init_layer(rng, 8, 2)
+        layer = init_layer(rng, 8)
         with pytest.raises(NumericError):
             attend_fwd(layer, rng.standard_normal((1, 2, 8)), np.zeros((1, 0, 8)),
                        np.zeros((1, 0, 8)), np.zeros((1, 2, 0, 2)), full_mask(2, 0))
@@ -324,7 +320,7 @@ class TestAttend:
         mask still raises, and the same batch with a key for the second
         molecule runs."""
         rng = np.random.default_rng(12)
-        layer = init_layer(rng, 8, 2)
+        layer = init_layer(rng, 8)
         queries = np.ones((2, 2), bool)
         inputs = (rng.standard_normal((2, 2, 8)), rng.standard_normal((2, 1, 8)),
                   rng.standard_normal((2, 1, 8)), rng.standard_normal((2, 2, 2, 2)))
@@ -338,7 +334,7 @@ class TestAttend:
 
     def test_token_only_skips_attention(self):
         rng = np.random.default_rng(11)
-        layer = init_layer(rng, 8, 2)
+        layer = init_layer(rng, 8)
         h_c = rng.standard_normal((1, 1, 8))
         out, _, attn, _ = attend_fwd(layer, h_c, np.zeros((1, 0, 8)), np.zeros((1, 0, 8)),
                                      np.zeros((1, 1, 0, 2)), full_mask(1, 0))
@@ -347,7 +343,7 @@ class TestAttend:
 
     def test_gradients_match_fd(self):
         rng = np.random.default_rng(13)
-        layer = init_layer(rng, 8, 2)
+        layer = init_layer(rng, 8)
         h_c = rng.standard_normal((1, 2, 8))
         h_r = rng.standard_normal((1, 2, 8))
         h_n = rng.standard_normal((1, 1, 8))
@@ -360,16 +356,12 @@ class TestAttend:
 
         def f(theta):
             layer_at, *inputs_at = unflatten(theta, layer, *inputs)
-            u, bias_out, _, _ = attend_fwd(layer_at, *inputs_at, mask)
-            out, _ = feed_forward_fwd(layer_at, u)
+            out, bias_out, _, _ = layer_fwd(layer_at, *inputs_at, mask)
             return float((w_out * out).sum() + (w_bias * bias_out).sum())
 
-        # the whole layer: attend_fwd, then feed_forward_fwd on its u
+        # the whole layer: attend_fwd, then the feed-forward on its u
         numeric = finite_diff_grad(f, flatten(layer, *inputs))
-        u, _, _, cache = attend_fwd(layer, *inputs, mask)
-        ff_grads, d_u = feed_forward_bwd(layer, feed_forward_fwd(layer, u)[1], w_out)
-        grads, *d_inputs = attend_bwd(layer, cache, d_u, w_bias)
-        analytic = flatten(LayerParams(**grads, **ff_grads, n_heads=layer.n_heads), *d_inputs)
+        analytic = flatten(*layer_bwd(layer, layer_fwd(layer, *inputs, mask)[3], w_out, w_bias))
         assert compare_grads(analytic, numeric, tol=1e-5).passed
 
 

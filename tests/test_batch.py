@@ -11,9 +11,9 @@ from hypothesis import strategies as st
 import chiraldet.model
 from chiraldet.attention import (
     attend_fwd,
-    feed_forward_fwd,
     head_averaged_rows,
     init_layer,
+    layer_fwd,
 )
 from chiraldet.data import SyntheticSpec, featurize, gen_axial, gen_rs, tile_molecules
 from chiraldet.encoder import BatchMask, prepare_batch
@@ -230,19 +230,19 @@ def test_attention_masks_pad_keys(mixed):
 
 def test_keyless_row_keeps_its_input():
     rng = np.random.default_rng(7)
-    layer = init_layer(rng, 8, 2)
+    layer = init_layer(rng, 8)
     # molecule 0: a token and one unit over 3 keys; molecule 1: token only, no keys
     mask = BatchMask.of_counts([1, 0], [2, 0], [1, 0])
     h_c = rng.standard_normal((2, 2, 8))
     bias = rng.standard_normal((2, 2, 3, 2))
-    u, _, attn, cache = attend_fwd(layer, h_c, rng.standard_normal((2, 2, 8)),
-                                   rng.standard_normal((2, 1, 8)), bias, mask)
+    inputs = (h_c, rng.standard_normal((2, 2, 8)), rng.standard_normal((2, 1, 8)), bias, mask)
+    u, _, attn, cache = attend_fwd(layer, *inputs)
     assert np.all(attn[1] == 0.0)
     assert np.all(cache.ctx.reshape(2, 2, 8)[1] == 0.0)
     # u = h_c_in, so the first layer norm sees the input row itself
     assert np.array_equal(u[1], h_c[1])
     expect, _ = layer_norm_rows(h_c[1], layer.ln1_gamma, layer.ln1_beta)
-    u_ln = feed_forward_fwd(layer, u)[1].ff[0]  # the feed-forward's input
+    u_ln = layer_fwd(layer, *inputs)[3].ff[0]  # the feed-forward's input
     assert np.array_equal(u_ln.reshape(2, 2, 8)[1], expect)
 
 
@@ -688,7 +688,7 @@ def test_nonfinite_stage_is_the_named_molecules(mixed):
     batch = prepare_batch(mols)
     # the rows entering the last feed-forward (its stage's cache), per molecule
     last = parameter_stage(model, f"layers.{len(model.layers) - 1}.ff_w1")
-    rows = forward_batch(model, batch).caches[last].feed_forward.ff[0].reshape(2, -1, TINY["h"])
+    rows = forward_batch(model, batch).caches[last].ff[0].reshape(2, -1, TINY["h"])
     r1 = rows[1, 0]
     c = (np.max(rows[0] @ r1) + r1 @ r1) / 2
     assert np.max(rows[0] @ r1) < c < r1 @ r1

@@ -152,6 +152,17 @@ class TestChirality:
         assert capsys.readouterr().err == (f"error: line 5: CHIRAL needs a unit kind and its "
                                            f"centre atoms, got {line.count(' ')} fields\n")
 
+    @pytest.mark.parametrize("priorities", ["nan 1 2 3", "nan nan 1 2", "inf 1 2 3"])
+    def test_non_finite_priority_exit_2(self, tmp_path, capsys, priorities):
+        # each NaN is unequal to every priority, itself included, so the tie
+        # check passes it and sorted() would give an arbitrary order
+        path = tmp_path / "nan.chimol"
+        path.write_text("5\n\nC 0 0 0\nN 1 0 0\nO 0 1 0\nF 0 0 -0.5\nP 0 0 0.5\n"
+                        f"CHIRAL center 0 1 2 3 4 {priorities}\n")
+        assert main(["chirality", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: line 8: substituent priorities must be finite")
+
     def test_directory_exit_2(self, tmp_path, capsys):
         # an OSError other than a missing file is an input error too
         assert main(["chirality", str(tmp_path)]) == 2
@@ -366,6 +377,21 @@ class TestTrainEval:
         bad = tmp_path / "bad.ckpt"
         bad.write_bytes(bytes(raw))
         assert main(["eval", "--ckpt", str(bad), "--data", str(ds)]) == 2
+
+    @pytest.mark.parametrize("extra", [b"\0", None], ids=["one-byte", "second-checkpoint"])
+    def test_eval_checkpoint_with_bytes_after_its_checksum(self, tmp_path, tiny_ckpt, capsys,
+                                                           extra):
+        # the checksum covers header and payload alone, so the file's length
+        # must be theirs plus the digest's
+        ds = tmp_path / "ds"
+        main(["gen", "--task", "rs", "--count", "4", "--seed", "5", "--out", str(ds)])
+        raw = tiny_ckpt.read_bytes()
+        bad = tmp_path / "bad.ckpt"
+        bad.write_bytes(raw + (raw if extra is None else extra))
+        capsys.readouterr()
+        assert main(["eval", "--ckpt", str(bad), "--data", str(ds)]) == 2
+        assert (f"file is {bad.stat().st_size} bytes, expected {len(raw)}"
+                in capsys.readouterr().err)
 
     def test_eval_overflowing_logits_exit_3(self, tmp_path, tiny_ckpt, capsys):
         # finite weights whose product overflows: every logit row gets an inf,

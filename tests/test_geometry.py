@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -378,3 +380,8 @@ class TestOrderSubstituents:
     def test_duplicate_index_rejected(self):
         with pytest.raises(AnnotationError):
             order_substituents((1, 1, 2, 3), (1.0, 1.0, 2.0, 3.0))
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_priority_rejected(self, bad):
+        with pytest.raises(AnnotationError, match="priorities must be finite"):
+            order_substituents((1, 2, 3, 4), (bad, 1.0, 2.0, 3.0))

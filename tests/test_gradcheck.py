@@ -26,9 +26,9 @@ import chiraldet.numerics
 from chiraldet.attention import (
     LayerParams,
     attend_fwd,
-    feed_forward_fwd,
     init_distance_bias,
     init_layer,
+    layer_fwd,
     pair_bias_fwd,
 )
 from chiraldet.encoder import (
@@ -168,14 +168,14 @@ def test_oracle_writes_no_audited_array(block):
 
 def test_layer_oracle_matches_a_whole_layer_per_point():
     """Byte for byte against finite_diff_grad over the whole layer,
-    attend_fwd then feed_forward_fwd, run at every point alone: the
-    attention.layer block's chunks keep the bytes of one layer per point."""
+    layer_fwd, run at every point alone: the attention.layer block's
+    chunks keep the bytes of one layer per point."""
     arrays, analytic, losses = _CHECKS["attention.layer"](block_rng("attention.layer", 1))
     numeric = _oracle(arrays, losses)
     assert numeric.size == analytic.size == sum(live.size for _, live in arrays)
     # the block's draws, replayed for the weights of its loss
     rng = block_rng("attention.layer", 1)
-    replayed = init_layer(rng, 8, 2)
+    replayed = init_layer(rng, 8)
     inputs = [rng.standard_normal(s) for s in ((3, 2, 8), (3, 2, 8), (3, 2, 8), (3, 2, 4, 2))]
     w_out, w_bias = rng.standard_normal((3, 2, 8)), rng.standard_normal((3, 2, 4, 2))
     live = dict(arrays)
@@ -183,13 +183,12 @@ def test_layer_oracle_matches_a_whole_layer_per_point():
                for n, a in _leaves(replayed) + list(zip(("h_c_in", "h_r", "h_n", "bias_in"),
                                                         inputs)))
     # the block's live arrays, so moving one moves this layer too
-    layer = LayerParams(**{n: live[n] for n, _ in _leaves(replayed)}, n_heads=2)
+    layer = LayerParams(**{n: live[n] for n, _ in _leaves(replayed)})
     mask = BatchMask.of_counts([1, 0, 0], [2, 0, 0], [1, 2, 0])
 
     def whole_layer():
-        u, bias_out, _, _ = attend_fwd(layer, live["h_c_in"], live["h_r"], live["h_n"],
-                                       live["bias_in"], mask)
-        outs = (feed_forward_fwd(layer, u)[0], bias_out)
+        outs = layer_fwd(layer, live["h_c_in"], live["h_r"], live["h_n"], live["bias_in"],
+                         mask)[:2]
         return float(sum((w * out).sum() for w, out in zip((w_out, w_bias), outs)))
 
     expect = []
@@ -467,19 +466,15 @@ def test_every_stage_gives_each_stacked_copy_its_own_bytes(block):
 
 
 def test_feed_forward_leaves_give_each_copy_the_bytes_of_that_copy_alone():
-    """attention.layer's layer and u: every feed-forward leaf stacked into
-    feed_forward_fwd; a run that raises leaves the original leaf."""
-    arrays, *_ = _CHECKS["attention.layer"](block_rng("attention.layer", 1))
-    live = dict(arrays)
-    layer = LayerParams(**{n: live[n] for n in ATTENTION_LEAVES + FEED_FORWARD_LEAVES},
-                        n_heads=2)
-    mask = BatchMask.of_counts([1, 0, 0], [2, 0, 0], [1, 2, 0])
-    u = attend_fwd(layer, live["h_c_in"], live["h_r"], live["h_n"], live["bias_in"], mask)[0]
+    """attention.layer's layer and inputs: every feed-forward leaf stacked
+    into layer_fwd; a run that raises leaves the original leaf."""
+    layer, inputs, mask = attention_layer_instance()
     for leaf in FEED_FORWARD_LEAVES:
-        assert_copies_keep_their_bytes(layer, leaf, lambda: (feed_forward_fwd(layer, u)[0],))
+        assert_copies_keep_their_bytes(layer, leaf, lambda: (layer_fwd(layer, *inputs, mask)[0],))
+    live = layer.ff_b1
     with pytest.raises(ZeroDivisionError):
-        _stacked_call(layer, "ff_b1", np.stack([layer.ff_b1] * 2), lambda: 1 / 0)
-    assert layer.ff_b1 is live["ff_b1"]
+        _stacked_call(layer, "ff_b1", np.stack([live] * 2), lambda: 1 / 0)
+    assert layer.ff_b1 is live
 
 
 def attention_layer_instance():
@@ -487,8 +482,7 @@ def attention_layer_instance():
     run_gradcheck audits them at seed 1."""
     arrays, *_ = _CHECKS["attention.layer"](block_rng("attention.layer", 1))
     live = dict(arrays)
-    layer = LayerParams(**{n: live[n] for n in ATTENTION_LEAVES + FEED_FORWARD_LEAVES},
-                        n_heads=2)
+    layer = LayerParams(**{n: live[n] for n in ATTENTION_LEAVES + FEED_FORWARD_LEAVES})
     inputs = [live[n] for n in ("h_c_in", "h_r", "h_n", "bias_in")]
     return layer, inputs, BatchMask.of_counts([1, 0, 0], [2, 0, 0], [1, 2, 0])
 
@@ -605,10 +599,10 @@ def test_audit_call_counts(monkeypatch):
     attribute that reaches the function: every block scores a chunk of
     points in one call of its forward, so a fallback to a call per point
     shows. A model-level chunk runs every stage once, so attend_fwd and
-    feed_forward_fwd are called as often. regularization_loss runs once
+    layer_fwd are called as often. regularization_loss runs once
     per chunk of encoder.reg_loss and of model.full_loss, plus the penalty
     of its analytic batch_step."""
-    counts = dict.fromkeys(("kernel_fwd", "pair_bias_fwd", "attend_fwd", "feed_forward_fwd",
+    counts = dict.fromkeys(("kernel_fwd", "pair_bias_fwd", "attend_fwd", "layer_fwd",
                             "mlp2_fwd", "layer_norm_rows", "regularization_loss"), 0)
 
     def counted(fn, run):
@@ -625,7 +619,7 @@ def test_audit_call_counts(monkeypatch):
                 monkeypatch.setattr(module, fn, counted(fn, getattr(module, fn)))
     assert all(report.passed for report in run_gradcheck())
     assert counts == {"kernel_fwd": 146, "pair_bias_fwd": 149, "attend_fwd": 329,
-                      "feed_forward_fwd": 329, "mlp2_fwd": 908, "layer_norm_rows": 662,
+                      "layer_fwd": 329, "mlp2_fwd": 908, "layer_norm_rows": 662,
                       "regularization_loss": 136}
 
 
@@ -657,11 +651,15 @@ UNCAUGHT_AT_INIT = pytest.mark.xfail(raises=AssertionError, strict=True,
                  [('"wq": d_q.T @ c.h_c_in.reshape(-1, h),',
                    '"wq": (d_q.T @ c.h_c_in.reshape(-1, h)).T,')],
                  ("attention.layer", "model.full_loss"), id="attend_bwd-wq-transposed"),
-    pytest.param(chiraldet.attention, "feed_forward_bwd",
+    pytest.param(chiraldet.attention, "layer_bwd",
                  [("cache.ln2, layer.ln2_gamma", "cache.ln2, layer.ln1_gamma"),
                   ("cache.ln1, layer.ln1_gamma", "cache.ln1, layer.ln2_gamma")],
                  ("attention.layer", "model.full_loss"), marks=UNCAUGHT_AT_INIT,
-                 id="M1-feed_forward_bwd-layer-norm-gains-swapped"),
+                 id="M1-layer_bwd-layer-norm-gains-swapped"),
+    pytest.param(chiraldet.attention, "layer_bwd",
+                 [("d_v + d_u_ln, cache.ln1", "d_u_ln, cache.ln1")],
+                 ("attention.layer", "model.full_loss", "model.rank_loss"),
+                 id="layer_bwd-feed-forward-residual-dropped"),
     pytest.param(chiraldet.encoder, "mlp2_bwd",
                  [("x, z1, cdf = cache", "x = cache[0]\n    z1 = x @ mlp.w1.T\n"
                                          "    cdf = normal_cdf(z1)")],
@@ -672,9 +670,11 @@ def test_the_audit_fails_a_mutated_backward(monkeypatch, module, name, edits, fa
     """Mutation controls: a plausible bug in one backward, patched into
     every module that imported it, FAILs the named blocks at seed 1.
     pair_bias_bwd's is caught by attention.distance_bias alone, because
-    model.full_loss audits at init, where sigma is 1. M1 is exact while
-    the two layer-norm gains are equal and M2 while b1 is 0, as init sets
-    them, so no block catches either until the audit leaves init."""
+    model.full_loss audits at init, where sigma is 1. The feed-forward
+    residual's dropped gradient is wrong at any weights, so every block
+    that runs a layer catches it. M1 is exact while the two layer-norm
+    gains are equal and M2 while b1 is 0, as init sets them, so no block
+    catches either until the audit leaves init."""
     original, bad = getattr(module, name), mutant(module, name, *edits)
     for holder in (chiraldet.encoder, chiraldet.attention, chiraldet.model, chiraldet.gradcheck):
         if getattr(holder, name, None) is original:
