@@ -209,14 +209,14 @@ class BatchState:
 
 
 class Stage(NamedTuple):
-    """One forward_batch stage; its reads and writes are the only place an
-    array's name is spelled. `forward(model, batch, *read arrays)` returns
-    (*written arrays, cache); `backward(model, batch, cache, *gradients of
-    the written arrays)` returns ({group: gradient}, *gradients of the
-    read arrays). Both call what they run (kernel_fwd, mlp2_fwd, ...) by
-    module name, so a wrapper set on a module attribute sees every call.
-    A group is a named_parameters name (`encoder.token`) or prefix
-    (`layers.0`).
+    """One forward_batch stage, that of one part of the ChiralModel; its
+    reads and writes are the only place an array's name is spelled.
+    `forward(model, batch, *read arrays)` returns (*written arrays,
+    cache); `backward(model, batch, cache, *gradients of the written
+    arrays)` returns (its part's gradient, of the part's own type,
+    *gradients of the read arrays). Both call what they run (kernel_fwd,
+    mlp2_fwd, ...) by module name, so a wrapper set on a module attribute
+    sees every call.
 
     Every stage's forward also takes one leaf, (k, *shape) or (k, 1, n)
     for a vector, or read arrays, (k, B, ...), with a leading axis of k
@@ -229,62 +229,48 @@ class Stage(NamedTuple):
     with a leaf of copies."""
 
     name: str  # what a NumericError calls the stage and its outputs
-    groups: tuple  # the named_parameters groups that only this stage reads
+    group: str  # the named_parameters prefix of its part: `encoder`, `layers.0`
     reads: tuple  # names of the arrays forward takes: the latest of each
     writes: tuple  # names of the arrays forward returns
     forward: Callable
     backward: Callable
 
 
-def _kernel_readout(model, batch):
-    """Each unit's kernel channels, padded as the queries; the unit row of
-    a non-finite chirality matrix becomes its molecule's."""
+def _encoder(model, batch):
+    """The queries h_c, the global token row and then each unit's proj_c
+    row plus its kernel channels, and the related and non-chiral keys h_r
+    and h_n; the unit row of a non-finite chirality matrix becomes its
+    molecule's. The sum is a new array and the token row is selected, not
+    assigned, so that k copies of a kernel leaf, of the token, (k, 1, h),
+    or of a proj_c leaf all broadcast to (k, B, Q, h)."""
+    enc = model.encoder
     try:
-        dets, cache = kernel_fwd(model.encoder.kernels, batch.chirality)
+        dets, kernel_cache = kernel_fwd(enc.kernels, batch.chirality)
     except NumericError as exc:
         raise NumericError(str(exc), row=int(batch.unit_slots[0][exc.row])) from exc
-    return _padded(dets, batch.unit_slots, batch.mask.queries.shape), cache
-
-
-def _kernel_readout_bwd(model, batch, cache, d_h_k):
-    return {"encoder.kernel": kernel_bwd(cache, d_h_k[batch.unit_slots])},
-
-
-def _queries(model, batch, h_k):
-    """The global token row, then each unit's proj_c row plus its kernel
-    channels. The sum is a new array and the token row is selected, not
-    assigned, so that k copies of h_k, of the token, (k, 1, h), or of a
-    proj_c leaf all broadcast to (k, B, Q, h)."""
-    rows, cache = mlp2_fwd(model.encoder.proj_c, batch.unit_rows)
-    h_c = _padded(rows, batch.unit_slots, batch.mask.queries.shape) + h_k
+    rows, c_cache = mlp2_fwd(enc.proj_c, batch.unit_rows)
+    queries = batch.mask.queries.shape
+    h_c = _padded(rows, batch.unit_slots, queries) + _padded(dets, batch.unit_slots, queries)
     token_row = (np.arange(h_c.shape[-2]) == 0)[:, None]
-    return np.where(token_row, model.encoder.global_token[..., None, :], h_c), cache
+    h_c = np.where(token_row, enc.global_token[..., None, :], h_c)
+    rows, r_cache = mlp2_fwd(enc.proj_r, batch.related_rows)
+    h_r = _padded(rows, batch.related_slots, (len(batch.ids), batch.k_r))
+    rows, n_cache = mlp2_fwd(enc.proj_n, batch.nonchiral_rows)
+    h_n = _padded(rows, batch.nonchiral_slots, batch.mask.keys[:, batch.k_r:].shape)
+    return h_c, h_r, h_n, (kernel_cache, c_cache, r_cache, n_cache)
 
 
-def _queries_bwd(model, batch, cache, d_h_c):
-    # h_k's token and pad rows are zeros that the kernel never reads back
-    d_proj_c = mlp2_bwd(model.encoder.proj_c, cache, d_h_c[batch.unit_slots])[0]
-    return {"encoder.token": d_h_c[:, 0].sum(axis=0), "encoder.proj_c": d_proj_c}, d_h_c
-
-
-def _related_keys(model, batch):
-    rows, cache = mlp2_fwd(model.encoder.proj_r, batch.related_rows)
-    return _padded(rows, batch.related_slots, (len(batch.ids), batch.k_r)), cache
-
-
-def _related_keys_bwd(model, batch, cache, d_h_r):
-    return {"encoder.proj_r": mlp2_bwd(model.encoder.proj_r, cache,
-                                       d_h_r[batch.related_slots])[0]},
-
-
-def _nonchiral_keys(model, batch):
-    rows, cache = mlp2_fwd(model.encoder.proj_n, batch.nonchiral_rows)
-    return _padded(rows, batch.nonchiral_slots, batch.mask.keys[:, batch.k_r:].shape), cache
-
-
-def _nonchiral_keys_bwd(model, batch, cache, d_h_n):
-    return {"encoder.proj_n": mlp2_bwd(model.encoder.proj_n, cache,
-                                       d_h_n[batch.nonchiral_slots])[0]},
+def _encoder_bwd(model, batch, cache, d_h_c, d_h_r, d_h_n):
+    # h_c's token and pad rows hold no unit's kernel channels or proj_c row
+    enc = model.encoder
+    kernel_cache, c_cache, r_cache, n_cache = cache
+    d_units = d_h_c[batch.unit_slots]
+    return EncoderParams(
+        kernels=kernel_bwd(kernel_cache, d_units),
+        proj_c=mlp2_bwd(enc.proj_c, c_cache, d_units)[0],
+        proj_r=mlp2_bwd(enc.proj_r, r_cache, d_h_r[batch.related_slots])[0],
+        proj_n=mlp2_bwd(enc.proj_n, n_cache, d_h_n[batch.nonchiral_slots])[0],
+        global_token=d_h_c[:, 0].sum(axis=0)),
 
 
 def _pair_bias(model, batch):
@@ -292,7 +278,7 @@ def _pair_bias(model, batch):
 
 
 def _pair_bias_bwd(model, batch, cache, d_bias):
-    return {"bias": pair_bias_bwd(model.distance_bias, cache, d_bias)},
+    return pair_bias_bwd(model.distance_bias, cache, d_bias),
 
 
 def _layer(i, model, batch, h_c, h_r, h_n, bias):
@@ -301,8 +287,7 @@ def _layer(i, model, batch, h_c, h_r, h_n, bias):
 
 def _layer_bwd(i, model, batch, cache, d_h_c, d_bias, d_attn):
     # no stage reads attn, so its own gradient d_attn is 0.0
-    grads, *d_read = layer_bwd(model.layers[i], cache, d_h_c, d_bias)
-    return {f"layers.{i}": grads}, *d_read
+    return layer_bwd(model.layers[i], cache, d_h_c, d_bias)
 
 
 def _head(model, batch, h_c):
@@ -314,31 +299,26 @@ def _head(model, batch, h_c):
 def _head_bwd(model, batch, cache, d_pooled, d_logits):
     # no stage reads pooled, so its own gradient d_pooled is 0.0
     d_head, d_x = mlp2_bwd(model.head, cache, d_logits)
-    return {"head": d_head}, pool_bwd(d_x, batch.mask.queries)
+    return d_head, pool_bwd(d_x, batch.mask.queries)
 
 
 # built once per layer count, since every forward reads it
 @functools.cache
 def _stage_table(n_layers: int) -> tuple:
     return (
-        Stage("encoder", ("encoder.kernel",), (), ("h_k",), _kernel_readout,
-              _kernel_readout_bwd),
-        Stage("encoder", ("encoder.token", "encoder.proj_c"), ("h_k",), ("h_c",), _queries,
-              _queries_bwd),
-        Stage("encoder", ("encoder.proj_r",), (), ("h_r",), _related_keys, _related_keys_bwd),
-        Stage("encoder", ("encoder.proj_n",), (), ("h_n",), _nonchiral_keys,
-              _nonchiral_keys_bwd),
-        Stage("pair bias", ("bias",), (), ("bias",), _pair_bias, _pair_bias_bwd),
-        *(Stage(f"layer {i}", (f"layers.{i}",), ("h_c", "h_r", "h_n", "bias"),
+        Stage("encoder", "encoder", (), ("h_c", "h_r", "h_n"), _encoder, _encoder_bwd),
+        Stage("pair bias", "bias", (), ("bias",), _pair_bias, _pair_bias_bwd),
+        *(Stage(f"layer {i}", f"layers.{i}", ("h_c", "h_r", "h_n", "bias"),
                 ("h_c", "bias", "attn"), functools.partial(_layer, i),
                 functools.partial(_layer_bwd, i)) for i in range(n_layers)),
-        Stage("pooling and head", ("head",), ("h_c",), ("pooled", "logits"), _head, _head_bwd),
+        Stage("pooling and head", "head", ("h_c",), ("pooled", "logits"), _head, _head_bwd),
     )
 
 
 def forward_stages(model: ChiralModel) -> tuple:
-    """The Stage of each forward_batch stage, in run order. Their groups,
-    stage after stage, are the named_parameters groups in order."""
+    """The Stage of each forward_batch stage, in run order: one per part
+    of the ChiralModel, the encoder, the pair bias, each layer and the
+    head, so their groups are the named_parameters prefixes in order."""
     return _stage_table(len(model.layers))
 
 
@@ -422,23 +402,23 @@ def backward_batch(model: ChiralModel, state: BatchState, d_logits) -> ChiralMod
     sum the layers from the last down. Each cache is released once
     consumed, so a state backpropagated before raises ValueError. A
     stage's backward error comes back, of its class, with the stage's
-    name in front.
+    name in front. Each stage's backward gives its part's gradient, which
+    goes into the ChiralModel of gradients under the stage's group.
     """
     caches = state.caches
     if any(cache is None for cache in caches):
         raise ValueError("backward_batch needs every stage's cache: this state was consumed "
                          "by an earlier backward")
     d = {"logits": d_logits}  # gradient of each array, by name
-    grads = {}  # gradient of each named_parameters group
+    grads = {}  # gradient of each stage's part, by its group
     for t in reversed(range(len(caches))):
         stage = state.stages[t]
         try:
-            stage_grads, *d_read = stage.backward(model, state.batch, caches[t],
-                                                  *(d.pop(n, 0.0) for n in stage.writes))
+            grads[stage.group], *d_read = stage.backward(model, state.batch, caches[t],
+                                                         *(d.pop(n, 0.0) for n in stage.writes))
         except ChiralDetError as exc:
             raise _named(exc, stage.name) from exc
         caches[t] = None
-        grads.update(stage_grads)
         for name, g in zip(stage.reads, d_read, strict=True):
             if name in d:
                 d[name] += g
@@ -446,10 +426,7 @@ def backward_batch(model: ChiralModel, state: BatchState, d_logits) -> ChiralMod
                 # a new array, so later gradients add in place; a -0.0 of
                 # g becomes 0.0, as in a sum from zero
                 d[name] = 0.0 + g
-    encoder = EncoderParams(kernels=grads["encoder.kernel"], global_token=grads["encoder.token"],
-                            proj_c=grads["encoder.proj_c"], proj_r=grads["encoder.proj_r"],
-                            proj_n=grads["encoder.proj_n"])
-    return ChiralModel(config=model.config, encoder=encoder, distance_bias=grads["bias"],
+    return ChiralModel(config=model.config, encoder=grads["encoder"], distance_bias=grads["bias"],
                        layers=[grads[f"layers.{i}"] for i in range(len(model.layers))],
                        head=grads["head"])
 
@@ -473,7 +450,10 @@ def _chunks(model: ChiralModel, mols, index=None):
     cache-free _run_stages with its molecules in input order. So with
     several failing molecules, the first failing chunk in size order
     raises, naming its first failing molecule in input order. A lone
-    molecule is a batch of one, with nothing padded."""
+    molecule is a batch of one, with nothing padded. Molecules of another
+    feature width than the model's d_f raise check_feature_width's
+    ValueError before any chunk runs."""
+    check_feature_width(model.config.d_f, zip(mols))
     index = range(len(mols)) if index is None else index
     order = sorted(range(len(mols)), key=lambda i: (len(mols[i].chiral_units), mols[i].n_atoms))
     for start in range(0, len(mols), EVAL_CHUNK):
@@ -718,7 +698,8 @@ def evaluate(model: ChiralModel, dataset) -> float:
 
 def check_feature_width(d_f: int, dataset):
     """Raise a ValueError naming d_f unless every molecule of the dataset,
-    (Molecule, label) items or (hi, lo) pairs, has d_f features per atom."""
+    (Molecule, label) items, (hi, lo) pairs or (Molecule,) tuples, has d_f
+    features per atom."""
     widths = {m.features.shape[1] for item in dataset for m in item if isinstance(m, Molecule)}
     if widths - {d_f}:
         raise ValueError(f"d_f={d_f} does not match the dataset's feature "
@@ -761,7 +742,8 @@ def train(model: ChiralModel, dataset, cfg: TrainConfig, val_dataset=None,
         data = list(dataset)
     if not data:
         raise ValueError("empty training set")
-    check_feature_width(model.config.d_f, data)
+    # the validation set too, which evaluate reads only after an epoch's steps
+    check_feature_width(model.config.d_f, [*data, *(val_dataset or ())])
     rng = np.random.default_rng(model.config.seed + 0x5EED)
     n_batches = math.ceil(len(data) / cfg.batch_size)
     total_steps = cfg.epochs * n_batches
@@ -986,7 +968,8 @@ def load_checkpoint(path):
             tensors[name] = np.frombuffer(buf, dtype="<f8", count=size,
                                           offset=offset).reshape(shape)
             offset += 8 * size
-    except (struct.error, ValueError) as exc:
+    except (struct.error, ValueError, OverflowError) as exc:
+        # OverflowError: a size field of 2**63 or more, past np.frombuffer's count
         raise CheckpointTruncatedError(f"payload ended early: {exc}") from None
     if offset != payload_bytes:
         raise CheckpointTruncatedError(

@@ -27,14 +27,31 @@ def insert_header(after: bytes, line: bytes):
     return set_header(after, after + b"\n" + line)
 
 
+def _size_field(blob, name: bytes) -> int:
+    """Offset in blob of the named tensor's element count, which its
+    floats follow."""
+    at = blob.index(struct.pack("<I", len(name)) + name) + 4 + len(name)
+    (ndim,) = struct.unpack_from("<I", blob, at)
+    return at + 4 + 8 * ndim
+
+
 def set_first_value(name: bytes, value: float):
     """Edit that overwrites the first float of the named tensor."""
 
     def edit(blob):
-        at = blob.index(struct.pack("<I", len(name)) + name) + 4 + len(name)
-        (ndim,) = struct.unpack_from("<I", blob, at)
-        data = at + 4 + 8 * ndim + 8
+        data = _size_field(blob, name) + 8
         return blob[:data] + struct.pack("<d", value) + blob[data + 8 :]
+
+    return edit
+
+
+def set_size(name: bytes, size: int):
+    """Edit that overwrites the element count of the named tensor, an
+    unsigned 64-bit field."""
+
+    def edit(blob):
+        at = _size_field(blob, name)
+        return blob[:at] + struct.pack("<Q", size) + blob[at + 8 :]
 
     return edit
 

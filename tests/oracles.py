@@ -77,10 +77,10 @@ def batch_loss(model, batch, objective, reg_weight: float) -> float:
 
 
 def parameter_stage(model, name: str) -> int:
-    """The index in forward_stages of the one stage whose groups hold a
-    named parameter or its group."""
+    """The index in forward_stages of the one stage whose group is a
+    named parameter's prefix."""
     for t, stage in enumerate(forward_stages(model)):
-        if name in stage.groups or name.rpartition(".")[0] in stage.groups:
+        if name.startswith(stage.group + "."):
             return t
     raise ValueError(f"no forward stage reads {name!r}")
 

@@ -1,7 +1,9 @@
 """The padded batch path: one forward/backward over molecules of mixed size
 must give each molecule exactly what a batch of one gives it."""
 
+import re
 from dataclasses import fields, replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -24,6 +26,7 @@ from chiraldet.model import (
     EVAL_CHUNK,
     AdamState,
     ModelConfig,
+    Stage,
     _head_rows,
     adam_step,
     attention_export_rows,
@@ -292,50 +295,42 @@ PARAMETER_NAMES = [name for name, _ in named_parameters(init_model(ModelConfig(*
 
 
 def test_stages_own_the_parameter_groups_in_order():
-    """forward_stages lists the named_parameters groups in their order, one
-    stage for each, with the encoder's token and query projector in one
-    and each layer one stage named for it, owning layers.i: its
-    attention's leaves and then its feed-forward's; every parameter's
-    parameter_stage is its group's stage."""
+    """forward_stages has one stage per part of the ChiralModel, the
+    encoder, the pair bias, each layer and the head, whose groups are the
+    named_parameters prefixes in their order, each layer's stage named
+    for it and owning layers.i: its attention's leaves and then its
+    feed-forward's; every parameter's parameter_stage is its group's
+    stage. The encoder's one stage writes h_c, h_r and h_n."""
     model = init_model(ModelConfig(**TINY))
     stages = forward_stages(model)
-    assert [(stage.name, stage.groups) for stage in stages] == [
-        ("encoder", ("encoder.kernel",)),
-        ("encoder", ("encoder.token", "encoder.proj_c")),
-        ("encoder", ("encoder.proj_r",)),
-        ("encoder", ("encoder.proj_n",)),
-        ("pair bias", ("bias",)),
-        *((f"layer {i}", (f"layers.{i}",)) for i in range(2)),
-        ("pooling and head", ("head",)),
+    assert Stage._fields == ("name", "group", "reads", "writes", "forward", "backward")
+    assert [(stage.name, stage.group) for stage in stages] == [
+        ("encoder", "encoder"),
+        ("pair bias", "bias"),
+        *((f"layer {i}", f"layers.{i}") for i in range(2)),
+        ("pooling and head", "head"),
     ]
+    assert stages[0].writes == ("h_c", "h_r", "h_n")
     for i in range(2):
         assert [name for name in PARAMETER_NAMES if name.startswith(f"layers.{i}.")] == [
             f"layers.{i}.{leaf}" for leaf in ATTENTION_LEAVES + FEED_FORWARD_LEAVES]
-    stage_of = {group: s for s, stage in enumerate(stages) for group in stage.groups}
     seen = []
     for name in PARAMETER_NAMES:
-        group = next(g for g in stage_of if name == g or name.startswith(g + "."))
-        assert parameter_stage(model, name) == stage_of[group], name
-        if group not in seen:
-            seen.append(group)
-    assert seen == list(stage_of)
-    with pytest.raises(ValueError, match="no forward stage reads 'encoder'"):
-        parameter_stage(model, "encoder")
-
-
-def leaf_shapes(group, params):
-    """{parameter name: shape} of a group's array or parameter dataclass."""
-    if isinstance(params, np.ndarray):
-        return {group: params.shape}
-    return {f"{group}.{f.name}": getattr(params, f.name).shape for f in fields(params)
-            if isinstance(getattr(params, f.name), np.ndarray)}
+        t = parameter_stage(model, name)
+        assert name.startswith(stages[t].group + "."), name
+        if t not in seen:
+            seen.append(t)
+    assert seen == list(range(len(stages)))
+    with pytest.raises(ValueError, match="no forward stage reads 'layers.2.wq'"):
+        parameter_stage(model, "layers.2.wq")
 
 
 def test_each_stage_backward_mirrors_its_forward(mixed):
     """Run stage by stage over the mixed batch, each stage's forward
-    returns one array per name it writes, and its backward returns
-    gradients for exactly its own groups, shaped as their parameters, and
-    one per name it reads, shaped as that array. Every name a stage reads
+    returns one array per name it writes, and its backward returns its
+    part's gradient, of the part's own type, and one gradient per name it
+    reads, shaped as that array; the parts' gradients, put together as a
+    ChiralModel, are shaped as the parameters. Every name a stage reads
     was written by an earlier stage; the arrays no later stage reads are
     each layer's attn, the last layer's bias, pooled and logits. Each
     parameter belongs to one stage, its parameter_stage."""
@@ -343,6 +338,9 @@ def test_each_stage_backward_mirrors_its_forward(mixed):
     batch = prepare_batch(mixed[0])
     stages = forward_stages(model)
     shapes = {name: arr.shape for name, arr in named_parameters(model)}
+    parts = {"encoder": model.encoder, "bias": model.distance_bias, "head": model.head,
+             **{f"layers.{i}": layer for i, layer in enumerate(model.layers)}}
+    grads = {}  # each stage's part gradient, by its group
     rng = np.random.default_rng(5)
     arrays = {}
     unread, never_read = {}, []  # unread: name -> the stage that wrote it, until read
@@ -352,12 +350,9 @@ def test_each_stage_backward_mirrors_its_forward(mixed):
             unread.pop(name, None)
         *written, cache = stage.forward(model, batch, *(arrays[n] for n in stage.reads))
         assert len(written) == len(stage.writes), t
-        grads, *d_read = stage.backward(model, batch, cache,
-                                        *(rng.standard_normal(a.shape) for a in written))
-        assert tuple(grads) == stage.groups, t
-        for group, g in grads.items():
-            assert leaf_shapes(group, g) == {n: shape for n, shape in shapes.items()
-                                             if n == group or n.startswith(group + ".")}, group
+        grads[stage.group], *d_read = stage.backward(
+            model, batch, cache, *(rng.standard_normal(a.shape) for a in written))
+        assert type(grads[stage.group]) is type(parts[stage.group]), t
         assert [g.shape for g in d_read] == [arrays[n].shape for n in stage.reads], t
         never_read += [(unread[n], n) for n in stage.writes if n in unread]
         unread.update((n, t) for n in stage.writes)
@@ -368,10 +363,43 @@ def test_each_stage_backward_mirrors_its_forward(mixed):
     assert sorted(never_read) == sorted([(a, "attn") for a in attention]
                                         + [(attention[-1], "bias"), (head, "pooled"),
                                            (head, "logits")])
+    assembled = replace(model, encoder=grads["encoder"], distance_bias=grads["bias"],
+                        layers=[grads[f"layers.{i}"] for i in range(len(model.layers))],
+                        head=grads["head"])
+    assert {name: g.shape for name, g in named_parameters(assembled)} == shapes
+    assert sorted(grads) == sorted(parts)
     for name in shapes:
-        owners = [t for t, stage in enumerate(stages)
-                  if name in stage.groups or name.rpartition(".")[0] in stage.groups]
+        owners = [t for t, stage in enumerate(stages) if name.startswith(stage.group + ".")]
         assert owners == [parameter_stage(model, name)], name
+
+
+def readme_stage_table() -> list:
+    """(name, group, reads, writes) of each row of README's stage table,
+    its `layer i` row once per layer of TINY_CONFIG with i set; a cell
+    holding anything but backticked names fails."""
+    lines = (Path(__file__).resolve().parents[1] / "README.md").read_text().splitlines()
+    start = lines.index("  | stage | group | reads | writes |")
+    rows = []
+    for line in lines[start + 2:]:
+        if not line.startswith("  |"):
+            break
+        cells = line.strip().strip("|").split("|")
+        for cell in cells:
+            assert re.fullmatch(r"\s*(`[^`]+`(,\s*`[^`]+`)*)?\s*", cell), line
+        (name,), (group,), reads, writes = (tuple(re.findall("`([^`]+)`", c)) for c in cells)
+        if name == "layer i":
+            rows += [(f"layer {i}", group.replace(".i", f".{i}"), reads, writes)
+                     for i in range(TINY_CONFIG.n_layers)]
+        else:
+            rows.append((name, group, reads, writes))
+    return rows
+
+
+def test_readme_stage_table_is_the_stage_table():
+    """README's stage table lists each stage's name, group, reads and
+    writes as the stage table declares them, in run order."""
+    assert readme_stage_table() == [(stage.name, stage.group, stage.reads, stage.writes)
+                                    for stage in forward_stages(init_model(TINY_CONFIG))]
 
 
 @pytest.mark.parametrize("case", ["consumed"])
@@ -652,7 +680,7 @@ def test_nonfinite_attention_logits_name_their_layer(mixed):
 
 def test_overflowing_kernel_names_its_molecule_and_the_encoder():
     """Coordinates scaled by 1e150 are finite, but det(M) and MMᵀ overflow
-    in kernel_fwd, so the second molecule's h_k holds NaN. The first check
+    in kernel_fwd, so the second molecule's h_c holds NaN. The first check
     to fire is layer 0's on the attention logits; the error names that
     molecule and the encoder, its first non-finite stage output."""
     mols = [m for m, _ in gen_rs(SyntheticSpec(count=3, seed=0))]

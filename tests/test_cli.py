@@ -22,6 +22,7 @@ from checkpoint_edits import (
     set_first_beta,
     set_first_value,
     set_header,
+    set_size,
 )
 from chiraldet.cli import build_parser, main
 from chiraldet.data import (
@@ -890,10 +891,14 @@ class TestCliContract:
          (insert_header(b"step=0", b"seed=5"),
           "bad header field: 'seed' on line 12 repeats line 10"),
          (insert_header(b"step=0", b"bogus=1"),
-          "bad header field: unknown field 'bogus' on line 12")],
+          "bad header field: unknown field 'bogus' on line 12"),
+         # past the count np.frombuffer takes, an OverflowError
+         (set_size(b"head.b2", 2**63), "payload ended early"),
+         (set_size(b"head.b2", 2**64 - 1), "payload ended early")],
         ids=["d_p=3", "n_heads=0", "beta", "sigma=0", "sigma=1e-7", "adam.m", "adam.v",
              "nan-head", "nan-layer", "inf-adam.m", "negative-adam.v", "step=-1", "extra-tensor",
-             "repeated-tensor", "repeated-header-field", "unknown-header-field"],
+             "repeated-tensor", "repeated-header-field", "unknown-header-field", "size=2**63",
+             "size=2**64-1"],
     )
     def test_invalid_checkpoint_content_rejected(self, tmp_path, tiny_ckpt, capsys, edit,
                                                  message):

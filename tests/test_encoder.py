@@ -30,7 +30,6 @@ from chiraldet.gradcheck import AUDIT_CHUNK, flatten
 from chiraldet.model import (
     ModelConfig,
     forward_batch,
-    forward_stages,
     init_model,
 )
 from chiraldet.numerics import compare_grads, det3_batch
@@ -38,7 +37,6 @@ from oracles import (
     assert_copies_keep_their_bytes,
     finite_diff_grad,
     gram_sqrt_det,
-    parameter_stage,
     unflatten,
 )
 
@@ -275,41 +273,28 @@ def make_params(seed=0, h=8, d_p=4, d_f=52):
 
 # a model of make_params' widths, whose encoder Encoded replaces
 HOST = init_model(ModelConfig(h=8, d_p=4, n_layers=1, n_heads=2, n_gkpt=8))
-# the encoder's stages, the ones before the pair bias's
-ENCODER_STAGES = forward_stages(HOST)[:parameter_stage(HOST, "bias.w_p")]
 
 
 class Encoded:
-    """The encoder stages of forward_batch over a prepared batch, run on
-    `params` as a model's encoder: the h_c, h_r and h_n they leave, read
-    from the first stages of a full forward, and their backward from
+    """The encoder stage of forward_batch over a prepared batch, run on
+    `params` as a model's encoder: the h_c, h_r and h_n it writes, read
+    from the first stage of a full forward, and its backward from
     gradients of those three."""
 
     def __init__(self, params, batch):
         self.model = replace(HOST, encoder=params)
         self.state = forward_batch(self.model, batch)
-        encoded = {}
-        for out in self.state.outputs[:len(ENCODER_STAGES)]:
-            encoded.update(out)
-        self.h_c, self.h_r, self.h_n = (encoded[n] for n in ("h_c", "h_r", "h_n"))
+        assert self.state.stages[0].writes == ("h_c", "h_r", "h_n")
+        self.h_c, self.h_r, self.h_n = self.state.outputs[0].values()
 
     def backward(self, d_h_c, d_h_r, d_h_n) -> EncoderParams:
         """The encoder's parameter gradients from padded gradients of h_c,
-        h_r and h_n: the encoder stages' backwards in reverse, each given
-        the gradients of the arrays it wrote, as backward_batch runs them."""
-        d = {"h_c": d_h_c, "h_r": d_h_r, "h_n": d_h_n}
-        grads = {}
+        h_r and h_n: the encoder stage's backward, as backward_batch runs
+        it."""
         state = self.state
-        for stage, cache in reversed(list(zip(ENCODER_STAGES, state.caches))):
-            stage_grads, *d_read = stage.backward(self.model, state.batch, cache,
-                                                  *(d.pop(name) for name in stage.writes))
-            grads.update(stage_grads)
-            for name, g in zip(stage.reads, d_read, strict=True):
-                d[name] = d.get(name, 0.0) + g
-        assert d == {}, "an encoder stage read an array no encoder stage wrote"
-        return EncoderParams(kernels=grads["encoder.kernel"], proj_c=grads["encoder.proj_c"],
-                             proj_r=grads["encoder.proj_r"], proj_n=grads["encoder.proj_n"],
-                             global_token=grads["encoder.token"])
+        (grads,) = state.stages[0].backward(self.model, state.batch, state.caches[0],
+                                            d_h_c, d_h_r, d_h_n)
+        return grads
 
 
 class TestEncode:

@@ -253,8 +253,8 @@ def test_every_rerun_stage_gives_each_stacked_read_copy_its_own_bytes(block):
             assert_copies_keep_their_bytes(held, read, run)
             checked += 1
         latest.update(outputs)
-    # the queries' h_k, each layer's four reads, the head's h_c
-    assert checked == 1 + 4 * len(model.layers) + 1
+    # each layer's four reads, the head's h_c
+    assert checked == 4 * len(model.layers) + 1
 
 
 @pytest.mark.parametrize("chunk", [32, 64, 128])
@@ -404,10 +404,11 @@ def test_a_chunk_reruns_only_the_stages_its_point_reaches(full_loss, monkeypatch
     reach only the stages downstream of the moved one: those write their
     arrays with a leading axis of k copies, and every other stage writes
     its θ0 arrays at their single shape. So an encoder chunk runs the pair
-    bias once unstacked, a proj_r chunk every other projector too, and a
-    layers.1 chunk layer 0's stage. A feed-forward or layer-norm leaf
-    moves its layer's h_c alone, not the bias and attn that the
-    attention half computes before it."""
+    bias once unstacked, and a layers.1 chunk layer 0's stage. The
+    encoder stage stacks only the array its leaf reaches: h_c for a
+    kernel or proj_c leaf, h_r for proj_r and h_n for proj_n. A
+    feed-forward or layer-norm leaf moves its layer's h_c alone, not the
+    bias and attn that the attention half computes before it."""
     model, mols, objective, reg_weight, _ = full_loss
     stages = chiraldet.model.forward_stages(model)
     state = forward_batch(model, prepare_batch(mols))
@@ -433,10 +434,13 @@ def test_a_chunk_reruns_only_the_stages_its_point_reaches(full_loss, monkeypatch
     assert [t for t, _, _ in calls] == list(range(len(stages)))
     assert all(leaf_stacked for _, leaf_stacked, _ in calls)
     moved = parameter_stage(model, name)
-    # the kernel readout reaches the queries; every encoder stage and the
-    # pair bias reach both layers and the head; a layer stage what follows
-    reached = {0: {0, 1}}.get(moved, {moved}) | set(range(max(moved, 5), len(stages)))
+    # the encoder and the pair bias reach both layers and the head; a
+    # layer stage what follows
+    reached = {moved} | set(range(max(moved, 2), len(stages)))
     expect = {t: [True] * len(stages[t].writes) for t in reached}
+    if moved == 0:
+        moves = {"proj_r": "h_r", "proj_n": "h_n"}.get(name.split(".")[1], "h_c")
+        expect[0] = [written == moves for written in stages[0].writes]
     if name.rpartition(".")[2] in FEED_FORWARD_LEAVES:
         assert stages[moved].writes == ("h_c", "bias", "attn")
         expect[moved] = [True, False, False]
@@ -445,9 +449,9 @@ def test_a_chunk_reruns_only_the_stages_its_point_reaches(full_loss, monkeypatch
 
 @pytest.mark.parametrize("block", list(INSTANCES))
 def test_every_stage_gives_each_stacked_copy_its_own_bytes(block):
-    """Every leaf of every stage, matrices and vectors: the kernel readout,
-    the queries (proj_c and the token), proj_r, proj_n, the pair bias,
-    each layer, and the head, each run once on its θ0 reads."""
+    """Every leaf of every stage, matrices and vectors: the encoder (the
+    kernels, the token and the three projectors), the pair bias, each
+    layer, and the head, each run once on its θ0 reads."""
     model, mols, _, _, _ = audit_instance(block)
     batch = prepare_batch(mols)
     state = forward_batch(model, batch)
@@ -665,19 +669,29 @@ UNCAUGHT_AT_INIT = pytest.mark.xfail(raises=AssertionError, strict=True,
                                          "    cdf = normal_cdf(z1)")],
                  ("attention.layer", "model.predictor", "model.full_loss"),
                  marks=UNCAUGHT_AT_INIT, id="M2-mlp2_bwd-z1-without-b1"),
+    pytest.param(chiraldet.model, "_encoder_bwd",
+                 [("d_h_c[:, 0].sum(axis=0)", "d_h_c[:, 0].mean(axis=0)")],
+                 ("model.full_loss",), id="_encoder_bwd-token-gradient-averaged"),
 ])
 def test_the_audit_fails_a_mutated_backward(monkeypatch, module, name, edits, failing):
     """Mutation controls: a plausible bug in one backward, patched into
-    every module that imported it, FAILs the named blocks at seed 1.
-    pair_bias_bwd's is caught by attention.distance_bias alone, because
-    model.full_loss audits at init, where sigma is 1. The feed-forward
+    every module that imported it and into every stage of forward_stages
+    that holds it, FAILs the named blocks at seed 1. pair_bias_bwd's is
+    caught by attention.distance_bias alone, because model.full_loss
+    audits at init, where sigma is 1. The feed-forward
     residual's dropped gradient is wrong at any weights, so every block
     that runs a layer catches it. M1 is exact while the two layer-norm
     gains are equal and M2 while b1 is 0, as init sets them, so no block
-    catches either until the audit leaves init."""
+    catches either until the audit leaves init. The encoder's token
+    gradient averaged over the batch, not summed, is wrong for any batch
+    of more than one molecule."""
     original, bad = getattr(module, name), mutant(module, name, *edits)
     for holder in (chiraldet.encoder, chiraldet.attention, chiraldet.model, chiraldet.gradcheck):
         if getattr(holder, name, None) is original:
             monkeypatch.setattr(holder, name, bad)
+    stages = chiraldet.model.forward_stages
+    monkeypatch.setattr(chiraldet.model, "forward_stages", lambda model: tuple(
+        stage._replace(backward=bad) if stage.backward is original else stage
+        for stage in stages(model)))
     reports = run_gradcheck(seed=1, blocks=failing)
     assert [r.name for r in reports if not r.passed] == list(failing)

@@ -39,6 +39,7 @@ from chiraldet.model import (
     classify_loss,
     cosine_lr,
     embed,
+    embed_rows,
     evaluate,
     forward,
     init_model,
@@ -58,6 +59,11 @@ TINY = dict(h=8, d_p=4, n_layers=2, n_heads=2, n_gkpt=8)
 
 def tiny_model(seed=0, **overrides):
     return init_model(ModelConfig(**{**TINY, **overrides, "seed": seed}))
+
+
+def narrow(mol):
+    """mol with only its first 10 features per atom."""
+    return replace(mol, features=mol.features[:, :10])
 
 
 @pytest.fixture(scope="module")
@@ -416,10 +422,28 @@ class TestTraining:
             train(tiny_model(seed=2, d_f=10), small_dataset[:4], TrainConfig(epochs=1))
         # the second member of a ranking pair is checked too
         mol = small_dataset[0][0]
-        narrow = replace(mol, features=mol.features[:, :10])
         with pytest.raises(ValueError, match="^d_f=52 does not match .* feature width 10, 52$"):
-            train(tiny_model(seed=2, n_classes=1), [(mol, narrow)], TrainConfig(epochs=1),
+            train(tiny_model(seed=2, n_classes=1), [(mol, narrow(mol))], TrainConfig(epochs=1),
                   margin=0.5)
+
+    def test_narrow_validation_set_rejected_before_the_first_step(self, small_dataset):
+        """A validation set of another feature width is refused with the
+        d_f message before training changes any parameter, not by numpy
+        inside evaluate after the first epoch's steps."""
+        model = tiny_model(seed=2)
+        before = [a.tobytes() for _, a in named_parameters(model)]
+        val = [(narrow(mol), label) for mol, label in small_dataset[4:6]]
+        with pytest.raises(ValueError, match="^d_f=52 does not match .* feature width 10, 52$"):
+            train(model, small_dataset[:4], TrainConfig(epochs=1), val_dataset=val)
+        assert [a.tobytes() for _, a in named_parameters(model)] == before
+
+    @pytest.mark.parametrize("score", [
+        evaluate, lambda model, data: embed_rows(model, [mol for mol, _ in data]),
+    ], ids=["evaluate", "embed_rows"])
+    def test_forward_only_callers_reject_another_feature_width(self, small_dataset, score):
+        data = [small_dataset[0], (narrow(small_dataset[1][0]), small_dataset[1][1])]
+        with pytest.raises(ValueError, match="^d_f=52 does not match .* feature width 10, 52$"):
+            score(tiny_model(), data)
 
     @pytest.mark.parametrize(
         ("strategy", "reg_weight"),
