@@ -51,6 +51,7 @@ from .model import (
     init_model,
     named_parameters,
     parameter_slots,
+    parameter_stage,
     rank_loss,
     rank_penalty,
 )
@@ -91,7 +92,8 @@ def flatten(*items) -> np.ndarray:
 # evaluation points per chunk of _oracle. Copies keep a leading axis
 # through every stage, so each copy's products have the shapes of a lone
 # forward whatever the chunk: it sets speed and memory, not the audited
-# bytes
+# bytes. A model chunk resumes at the moved leaf's stage, so no stage
+# before it reruns per chunk, whatever the chunk's size
 AUDIT_CHUNK = 64
 
 
@@ -118,12 +120,13 @@ def _slots(*holders) -> list:
 
 def _moved(slots, loss):
     """(arrays, losses) of _oracle over `slots`, (name, holder, field)
-    triples: losses(name, copies) is loss() with the copies stacked into
-    that slot (_stacked_call), the one way the audit moves an array."""
+    triples: losses(name, copies) is loss(name) with the copies stacked
+    into that slot (_stacked_call), the one way the audit moves an
+    array."""
     where = {name: (holder, field) for name, holder, field in slots}
 
     def losses(name, copies):
-        return _stacked_call(*where[name], copies, loss)
+        return _stacked_call(*where[name], copies, partial(loss, name))
 
     return [(name, getattr(holder, field)) for name, holder, field in slots], losses
 
@@ -193,7 +196,7 @@ def _probe(slots, run, backward, *weights):
     is backward(cache, *weights), flattened. A chunk is one run, the moved
     array's copies in its slot (_moved)."""
     arrays, losses = _moved(
-        slots, lambda: sum(_copy_sums(w, out) for w, out in zip(weights, run())))
+        slots, lambda _: sum(_copy_sums(w, out) for w, out in zip(weights, run())))
     return arrays, flatten(backward(run()[-1], *weights)), losses
 
 
@@ -207,7 +210,7 @@ def _check_kernel(rng):
 
 def _check_reg_loss(rng):
     bank = KernelBank(w=rng.standard_normal((2, 4, 3)), gamma=np.ones(4))
-    arrays, losses = _moved([("w", bank, "w")], lambda: regularization_loss(bank))
+    arrays, losses = _moved([("w", bank, "w")], lambda _: regularization_loss(bank))
     return arrays, regularization_grad(bank).ravel(), losses
 
 
@@ -265,23 +268,32 @@ def _check_predictor(rng):
                   rng.standard_normal((3, 2)))
 
 
-def _model_points(model, mols, objective, reg_weight: float, names):
-    """(arrays, losses) of _oracle over the loss batch_step takes of
-    prepare_batch(mols), in the named live parameters, in named_parameters
+def _model_points(model, batch, objective, reg_weight: float, names):
+    """(arrays, losses) of _oracle over the loss batch_step takes of a
+    prepared batch, in the named live parameters, in named_parameters
     order.
 
+    One cache-free _run_stages pass at θ0 gives `base`, each stage's
+    outputs, set read-only so that an in-place write into one raises.
     losses stacks a chunk's k copies into the moved leaf (_stacked_call)
-    and runs _run_stages once on the one audit batch, so each array the
-    copies move holds them on a leading axis, (k, B, ...). One objective
-    call scores the k copies' logits and one rank_penalty call adds each
-    copy's penalty, as batch_step adds them: every numeric gradient is
-    byte-identical to a full forward per point. A stage's NumericError
-    names the stage, the molecule and the copy.
+    and resumes _run_stages at the leaf's parameter_stage t on base[:t]:
+    no stage before t reads the leaf, so their outputs are base's bytes,
+    and each array the copies move holds them on a leading axis,
+    (k, B, ...). One objective call scores the k copies' logits and one
+    rank_penalty call adds each copy's penalty, as batch_step adds them:
+    every numeric gradient is byte-identical to a full forward per point.
+    A stage's NumericError names the stage, the molecule and the copy.
     """
-    batch = prepare_batch(mols)
-    return _moved([slot for slot in parameter_slots(model) if slot[0] in names],
-                  lambda: np.add(objective(_run_stages(model, batch)[-1]["logits"])[0],
-                                 rank_penalty(model, reg_weight)))
+    base = _run_stages(model, batch)
+    for out in base:
+        for a in out.values():
+            a.flags.writeable = False
+
+    def loss(name):
+        logits = _run_stages(model, batch, done=base[:parameter_stage(model, name)])[-1]["logits"]
+        return np.add(objective(logits)[0], rank_penalty(model, reg_weight))
+
+    return _moved([slot for slot in parameter_slots(model) if slot[0] in names], loss)
 
 
 # Each *_loss_instance returns (model, mols, objective, reg_weight, the
@@ -333,8 +345,9 @@ def _check_model(instance):
 
     def check(rng):
         model, mols, objective, reg_weight, names = instance(rng)
-        arrays, losses = _model_points(model, mols, objective, reg_weight, names)
-        _, _, grads = batch_step(model, prepare_batch(mols), objective, reg_weight)
+        batch = prepare_batch(mols)
+        arrays, losses = _model_points(model, batch, objective, reg_weight, names)
+        _, _, grads = batch_step(model, batch, objective, reg_weight)
         analytic = flatten(*(g for n, g in named_parameters(grads) if n in names))
         return arrays, analytic, losses
 

@@ -8,6 +8,7 @@ from __future__ import annotations
 import functools
 import hashlib
 import math
+import re
 import struct
 from collections.abc import Callable
 from dataclasses import dataclass
@@ -225,8 +226,10 @@ class Stage(NamedTuple):
     layer_norm_rows, layer_fwd, a broadcast add): each array the copies
     move then holds the k copies' outputs on that leading axis, each copy
     the bytes of a forward with that copy alone, and every other array
-    keeps its single shape: a gradient audit chunk is one _run_stages pass
-    with a leaf of copies."""
+    keeps its single shape. A stage reads no parameter outside its group,
+    so a leaf of copies moves nothing upstream of its stage
+    (parameter_stage): a gradient audit chunk is one _run_stages pass
+    resumed at that stage, on the θ0 outputs of the stages before it."""
 
     name: str  # what a NumericError calls the stage and its outputs
     group: str  # the named_parameters prefix of its part: `encoder`, `layers.0`
@@ -322,6 +325,15 @@ def forward_stages(model: ChiralModel) -> tuple:
     return _stage_table(len(model.layers))
 
 
+def parameter_stage(model: ChiralModel, name: str) -> int:
+    """The index in forward_stages of the one stage whose group is a named
+    parameter's prefix, the only stage that reads the parameter."""
+    for t, stage in enumerate(forward_stages(model)):
+        if name.startswith(stage.group + "."):
+            return t
+    raise ValueError(f"no forward stage reads {name!r}")
+
+
 def _stage_error(model, batch, outputs, row, message: str) -> NumericError:
     """A NumericError with the message. When row is not None, the message
     comes after the molecule at that row, named by its id, or by its index
@@ -350,7 +362,8 @@ def _named(exc: ChiralDetError, where: str) -> ChiralDetError:
     return type(exc)(f"{where}: {exc}")
 
 
-def _run_stages(model: ChiralModel, batch: MoleculeBatch, caches: list | None = None) -> list:
+def _run_stages(model: ChiralModel, batch: MoleculeBatch, caches: list | None = None,
+                done=()) -> list:
     """The outputs of a forward over a prepared batch, per stage {name:
     array it wrote}: every stage of forward_stages in order on the latest
     array of each name it reads; parameter arithmetic only, so one batch
@@ -359,13 +372,21 @@ def _run_stages(model: ChiralModel, batch: MoleculeBatch, caches: list | None = 
     so a forward-only pass holds no backward cache past its stage. It is
     the one stage loop; the gradient audit runs it with a leaf of copies.
 
+    `done`, the outputs of the first t stages of an earlier pass over the
+    same batch (such as `base[:t]`), seeds the arrays the stages read:
+    only stages t on run, and the returned list starts with done's own
+    dicts. The caller knows that no parameter of those stages has moved
+    since, so the result holds the bytes of a full pass.
+
     A stage's NumericError comes back with the stage's name in front and,
     when it gives a row, named for that molecule (_stage_error), as do
-    non-finite logits for the first molecule holding one. A stage's
-    DegeneracyError comes back with the stage's name in front.
+    non-finite logits for the first molecule holding one; the walk for
+    the first non-finite stage output reads the outputs of `done` too. A
+    stage's DegeneracyError comes back with the stage's name in front.
     """
-    outputs, arrays = [], {}  # arrays: the latest array of each name
-    for stage in forward_stages(model):
+    outputs = list(done)
+    arrays = {n: a for out in outputs for n, a in out.items()}  # the latest of each name
+    for stage in forward_stages(model)[len(outputs):]:
         try:
             *written, cache = stage.forward(model, batch, *(arrays[n] for n in stage.reads))
         except NumericError as exc:
@@ -726,7 +747,9 @@ def train(model: ChiralModel, dataset, cfg: TrainConfig, val_dataset=None,
     seeds give identical loss curves. The cosine schedule spans this call's
     steps whatever `adam` holds, and Adam's bias correction counts on from
     `adam.step`. `log`, if given, gets each epoch's `EpochRecord.as_line()`.
-    Returns the list of per-epoch records. A step's ChiralDetError comes
+    Returns the list of per-epoch records. A val_dataset that is empty or
+    holds a label or feature width the model cannot score raises
+    ValueError before the first step. A step's ChiralDetError comes
     back, of its class, as `training step N failed: ...`. A last step
     that leaves a bias.sigma entry at or below SIGMA_FLOOR raises nothing
     here, but load_checkpoint refuses a checkpoint holding it.
@@ -742,7 +765,12 @@ def train(model: ChiralModel, dataset, cfg: TrainConfig, val_dataset=None,
         data = list(dataset)
     if not data:
         raise ValueError("empty training set")
-    # the validation set too, which evaluate reads only after an epoch's steps
+    # the validation set's labels, emptiness and width before the first
+    # step, not in evaluate after an epoch's steps
+    if val_dataset is not None:
+        val_dataset = dataset_to_pairs(val_dataset, model.config.n_classes)
+        if not val_dataset:
+            raise ValueError("empty validation set")
     check_feature_width(model.config.d_f, [*data, *(val_dataset or ())])
     rng = np.random.default_rng(model.config.seed + 0x5EED)
     n_batches = math.ceil(len(data) / cfg.batch_size)
@@ -878,6 +906,28 @@ def _tensor_table(model: ChiralModel, adam: AdamState | None):
     return tensors
 
 
+def _check_header_dimensions(config: ModelConfig, tensors: dict):
+    """Raise CheckpointShapeError, naming the tensor, unless each header
+    dimension is that of the parsed tensors that fix it, so that
+    init_model allocates nothing larger than the payload: h, d_p, d_f,
+    n_gkpt, n_heads and n_classes come from four tensors' shapes and
+    n_layers from the count of layers.*.wq tensors."""
+    expected = {"encoder.kernel.w": (config.h, config.d_p, 3),
+                "encoder.proj_c.w1": (config.h, config.d_f),
+                "bias.w_p": (config.n_gkpt, config.n_heads),
+                "head.w2": (config.n_classes, config.h)}
+    for name, shape in expected.items():
+        if name not in tensors:
+            raise CheckpointShapeError(f"missing tensor {name}")
+        if tensors[name].shape != shape:
+            raise CheckpointShapeError(
+                f"tensor {name} has shape {tensors[name].shape}, expected {shape}")
+    n_layers = sum(re.fullmatch(r"layers\.\d+\.wq", name) is not None for name in tensors)
+    if n_layers != config.n_layers:
+        raise CheckpointShapeError(f"the tensor table holds {n_layers} layers.*.wq tensors, "
+                                   f"expected n_layers={config.n_layers}")
+
+
 def save_checkpoint(model: ChiralModel, path, adam: AdamState | None = None):
     """Versioned container: text header, length-prefixed little-endian
     float64 tensors, trailing sha256 checksum. Round-trips bit-exactly."""
@@ -904,8 +954,9 @@ def load_checkpoint(path):
     at payload_bytes; and a shape failure a tensor holding a non-finite
     value, a negative Adam second moment, a name the payload holds twice
     and a name the tensor table lacks, none of which a training run writes,
-    and a bias.sigma entry at or below SIGMA_FLOOR, which no forward can
-    run."""
+    a bias.sigma entry at or below SIGMA_FLOOR, which no forward can run,
+    and a header dimension that the tensors' shapes contradict, checked
+    before the model is allocated."""
     raw = Path(path).read_bytes()
     sep = raw.find(b"\n\n")
     if sep < 0:
@@ -976,6 +1027,7 @@ def load_checkpoint(path):
             f"{n_tensors} tensors end at byte {offset} of a {payload_bytes}-byte payload"
         )
 
+    _check_header_dimensions(config, tensors)
     model = init_model(config)
     adam = None
     if any(n.startswith("adam.") for n in tensors):

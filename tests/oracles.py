@@ -9,7 +9,7 @@ from chiraldet.encoder import BatchMask, MoleculeBatch, pair_inputs
 from chiraldet.errors import AnnotationError, NumericError
 from chiraldet.geometry import UnitKind
 from chiraldet.gradcheck import AUDIT_CHUNK, _stacked_call
-from chiraldet.model import _leaves, _onehot, forward_batch, forward_stages, rank_penalty
+from chiraldet.model import _leaves, _onehot, forward_batch, rank_penalty
 from chiraldet.numerics import FD_STEP, central_difference, det3_batch
 
 # The LayerParams leaves that attend_fwd reads, then those of the
@@ -74,15 +74,6 @@ def batch_loss(model, batch, objective, reg_weight: float) -> float:
     """The loss of model.batch_step, forward only: every stage runs."""
     loss, _, _ = objective(forward_batch(model, batch).logits)
     return loss + rank_penalty(model, reg_weight)
-
-
-def parameter_stage(model, name: str) -> int:
-    """The index in forward_stages of the one stage whose group is a
-    named parameter's prefix."""
-    for t, stage in enumerate(forward_stages(model)):
-        if name.startswith(stage.group + "."):
-            return t
-    raise ValueError(f"no forward stage reads {name!r}")
 
 
 def loss_classify(logits, label):

@@ -28,6 +28,7 @@ from chiraldet.model import (
     ModelConfig,
     Stage,
     _head_rows,
+    _run_stages,
     adam_step,
     attention_export_rows,
     backward_batch,
@@ -40,6 +41,7 @@ from chiraldet.model import (
     init_model,
     mirror_consistency,
     named_parameters,
+    parameter_stage,
 )
 from chiraldet.numerics import layer_norm_rows
 from oracles import (
@@ -47,7 +49,6 @@ from oracles import (
     FEED_FORWARD_LEAVES,
     batch_reference,
     loss_classify,
-    parameter_stage,
 )
 
 TINY = dict(h=8, d_p=4, n_layers=2, n_heads=2, n_gkpt=8)
@@ -496,6 +497,32 @@ def test_a_parameter_reaches_one_stage_alone(staged, name):
         same = all(np.array_equal(a, b) for a, b
                    in zip(out.values(), prefix.outputs[s].values(), strict=True))
         assert same == (s != own), s
+
+
+@pytest.mark.parametrize("config", [TINY_CONFIG, ModelConfig()], ids=["tiny", "default"])
+def test_the_stage_loop_resumes_on_the_stages_done(mixed, monkeypatch, config):
+    """For every t, _run_stages with the first t stages' outputs of a full
+    pass as done runs only stages t on, in order, and returns the full
+    pass's outputs byte for byte, the done stages' as the same arrays."""
+    model = init_model(config)
+    batch = prepare_batch(mixed[0])
+    full = _run_stages(model, batch)
+    stages = forward_stages(model)
+    ran = []
+
+    def recorded(t, stage):
+        return stage._replace(forward=lambda *args: ran.append(t) or stage.forward(*args))
+
+    monkeypatch.setattr(chiraldet.model, "forward_stages",
+                        lambda model: tuple(recorded(t, st) for t, st in enumerate(stages)))
+    for t in range(len(stages) + 1):
+        ran.clear()
+        resumed = _run_stages(model, batch, done=full[:t])
+        assert ran == list(range(t, len(stages)))
+        assert all(a is b for out, done in zip(resumed[:t], full[:t], strict=True)
+                   for a, b in zip(out.values(), done.values(), strict=True))
+        assert [{n: a.tobytes() for n, a in out.items()} for out in resumed] == [
+            {n: a.tobytes() for n, a in out.items()} for out in full]
 
 
 @pytest.mark.parametrize(("name", "stage"), [("layers.1.ff_b2", "layer 1"),

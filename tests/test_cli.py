@@ -894,11 +894,16 @@ class TestCliContract:
           "bad header field: unknown field 'bogus' on line 12"),
          # past the count np.frombuffer takes, an OverflowError
          (set_size(b"head.b2", 2**63), "payload ended early"),
-         (set_size(b"head.b2", 2**64 - 1), "payload ended early")],
+         (set_size(b"head.b2", 2**64 - 1), "payload ended early"),
+         # header dimensions the tensor table contradicts, refused before allocation
+         (set_header(b"h=8", b"h=1000000"), "tensor encoder.kernel.w has shape (8, 4, 3)"),
+         (set_header(b"n_layers=2", b"n_layers=200000"), "holds 2 layers.*.wq tensors"),
+         (set_header(b"d_p=4", b"d_p=9999999999999999999"),
+          "tensor encoder.kernel.w has shape (8, 4, 3), expected (8, 9999999999999999999, 3)")],
         ids=["d_p=3", "n_heads=0", "beta", "sigma=0", "sigma=1e-7", "adam.m", "adam.v",
              "nan-head", "nan-layer", "inf-adam.m", "negative-adam.v", "step=-1", "extra-tensor",
              "repeated-tensor", "repeated-header-field", "unknown-header-field", "size=2**63",
-             "size=2**64-1"],
+             "size=2**64-1", "h=1000000", "n_layers=200000", "d_p=1e19"],
     )
     def test_invalid_checkpoint_content_rejected(self, tmp_path, tiny_ckpt, capsys, edit,
                                                  message):

@@ -5,9 +5,11 @@ array is written. Every block scores a chunk of AUDIT_CHUNK points, a
 forward; no block runs once per point. Every block stacks the copies
 into the moved array's slot on its holder, _stacked_call, the one way the
 audit moves an array. In a model-level block the chunk is one pass of
-the model's stage loop, _run_stages, on the one audit batch. Every array the copies move keeps a leading axis of k copies,
-(k, B, ...), through every stage, and every other array its single
-shape, so the numeric vectors do not depend on the chunk."""
+the model's stage loop, _run_stages, on the one audit batch, resumed at
+the moved leaf's stage on a θ0 pass's outputs before it. Every array the
+copies move keeps a leading axis of k copies, (k, B, ...), through every
+stage, and every other array its single shape, so the numeric vectors
+do not depend on the chunk."""
 
 import __future__
 import inspect
@@ -47,6 +49,7 @@ from chiraldet.gradcheck import (
     _CHECKS,
     AUDIT_CHUNK,
     BLOCKS,
+    TINY_CONFIG,
     _entry,
     _full_loss_instance,
     _model_points,
@@ -62,8 +65,10 @@ from chiraldet.model import (
     _leaves,
     _run_stages,
     forward_batch,
+    init_model,
     named_parameters,
     parameter_slots,
+    parameter_stage,
 )
 from oracles import (
     ATTENTION_LEAVES,
@@ -71,7 +76,6 @@ from oracles import (
     assert_copies_keep_their_bytes,
     batch_loss,
     finite_diff_grad,
-    parameter_stage,
 )
 
 INSTANCES = {"model.full_loss": _full_loss_instance, "model.rank_loss": _rank_loss_instance}
@@ -235,10 +239,11 @@ def audit_instance(block, seed=1):
 
 @pytest.mark.parametrize("block", list(INSTANCES))
 def test_every_rerun_stage_gives_each_stacked_read_copy_its_own_bytes(block):
-    """Every read of every stage, which a chunk reruns whatever array it
-    moves, given as k stacked copies, (k, B, ...), with the stage's other
-    reads at θ0, on the one audit batch, gives each copy the bytes of that
-    copy alone, for k = 1 ... AUDIT_CHUNK."""
+    """Every read of every stage, which a chunk reruns when it moves a
+    leaf of that stage or of an earlier one, given as k stacked copies,
+    (k, B, ...), with the stage's other reads at θ0, on the one audit
+    batch, gives each copy the bytes of that copy alone, for k = 1 ...
+    AUDIT_CHUNK."""
     model, mols, _, _, _ = audit_instance(block)
     batch = prepare_batch(mols)
     state = forward_batch(model, batch)
@@ -278,13 +283,13 @@ def test_chunked_oracle_matches_a_full_forward_per_point(block):
     from the first chunk into the second and those of the last chunk,
     short or not."""
     model, mols, objective, reg_weight, names = audit_instance(block)
-    arrays, losses = _model_points(model, mols, objective, reg_weight, names)
+    batch = prepare_batch(mols)
+    arrays, losses = _model_points(model, batch, objective, reg_weight, names)
     numeric = _oracle(arrays, losses)
     assert [name for name, _ in arrays] == [n for n, _ in named_parameters(model) if n in names]
     # head.b2 has 2 entries (1 under the ranking head), so its points make
     # one short chunk
     assert (2 * dict(arrays)["head.b2"].size) % AUDIT_CHUNK
-    batch = prepare_batch(mols)
     offset = 0
     for name, live in arrays:
         theta0 = live.flatten()
@@ -320,8 +325,8 @@ def test_stacked_prefix_resumes_to_the_bytes_of_each_point(full_loss, name):
     losses call on the one batch, give each point the loss of its
     own full forward, batch_loss."""
     model, mols, objective, reg_weight, _ = full_loss
-    _, losses = _model_points(model, mols, objective, reg_weight, {name})
     batch = prepare_batch(mols)
+    _, losses = _model_points(model, batch, objective, reg_weight, {name})
     live = dict(named_parameters(model))[name]
     saved = live.flat[0]
     points = saved + np.array([0.0, 0.25, -0.5])
@@ -354,7 +359,8 @@ def test_nonfinite_evaluation_names_its_coordinate(full_loss):
 
     saved = model.head.w1.copy()
     with pytest.raises(NumericError, match="^non-finite evaluation at coordinate 49$"):
-        _oracle(*_model_points(model, mols, nan_at_evaluation_100, reg_weight, {"head.w1"}))
+        _oracle(*_model_points(model, prepare_batch(mols), nan_at_evaluation_100, reg_weight,
+                               {"head.w1"}))
     assert len(scored) == 2 * saved.size
     assert np.array_equal(model.head.w1, saved)
 
@@ -379,7 +385,7 @@ def test_a_feed_forward_point_runs_no_attention(full_loss, monkeypatch, name):
 
     monkeypatch.setattr(chiraldet.attention, "attend_fwd", attend_fwd)
     model, mols, objective, reg_weight, _ = full_loss
-    _, losses = _model_points(model, mols, objective, reg_weight, {name})
+    _, losses = _model_points(model, prepare_batch(mols), objective, reg_weight, {name})
     arrays, _, layer_losses = _CHECKS["attention.layer"](block_rng("attention.layer", 1))
     leaf = name.rpartition(".")[2]
     stacked = leaf in ATTENTION_LEAVES
@@ -399,16 +405,18 @@ def test_a_feed_forward_point_runs_no_attention(full_loss, monkeypatch, name):
 @pytest.mark.parametrize("name", ["encoder.kernel.w", "encoder.proj_c.w1", "encoder.proj_r.b1",
                                   "encoder.proj_n.w2", "layers.1.wq", "layers.1.ln1_gamma"])
 def test_a_chunk_reruns_only_the_stages_its_point_reaches(full_loss, monkeypatch, name):
-    """One chunk of AUDIT_CHUNK points calls each stage's forward once, in
-    table order, and the moved stage sees the stacked leaf. The copies
-    reach only the stages downstream of the moved one: those write their
-    arrays with a leading axis of k copies, and every other stage writes
-    its θ0 arrays at their single shape. So an encoder chunk runs the pair
-    bias once unstacked, and a layers.1 chunk layer 0's stage. The
-    encoder stage stacks only the array its leaf reaches: h_c for a
-    kernel or proj_c leaf, h_r for proj_r and h_n for proj_n. A
-    feed-forward or layer-norm leaf moves its layer's h_c alone, not the
-    bias and attn that the attention half computes before it."""
+    """One chunk of AUDIT_CHUNK points calls the forward of the moved
+    leaf's stage and of each stage after it once, in table order, each
+    seeing the stacked leaf, and no stage before it: those outputs come
+    from the block's one θ0 pass. The copies reach only the stages
+    downstream of the moved one: those write their arrays with a leading
+    axis of k copies, and every other stage writes its θ0 arrays at their
+    single shape. So an encoder chunk runs the pair bias once unstacked,
+    and a layers.1 chunk does not run layer 0's stage. The encoder stage
+    stacks only the array its leaf reaches: h_c for a kernel or proj_c
+    leaf, h_r for proj_r and h_n for proj_n. A feed-forward or layer-norm
+    leaf moves its layer's h_c alone, not the bias and attn that the
+    attention half computes before it."""
     model, mols, objective, reg_weight, _ = full_loss
     stages = chiraldet.model.forward_stages(model)
     state = forward_batch(model, prepare_batch(mols))
@@ -427,13 +435,15 @@ def test_a_chunk_reruns_only_the_stages_its_point_reaches(full_loss, monkeypatch
 
     monkeypatch.setattr(chiraldet.model, "forward_stages",
                         lambda model: tuple(recorded(t, st) for t, st in enumerate(stages)))
-    arrays, losses = _model_points(model, mols, objective, reg_weight, {name})
+    arrays, losses = _model_points(model, prepare_batch(mols), objective, reg_weight, {name})
+    assert [t for t, _, _ in calls] == list(range(len(stages)))  # the θ0 pass
+    calls.clear()
     copies = np.stack([dict(arrays)[name]] * AUDIT_CHUNK)
     copies.reshape(AUDIT_CHUNK, -1)[:, 0] += np.arange(1, AUDIT_CHUNK + 1) * 1e-3
     losses(name, copies)
-    assert [t for t, _, _ in calls] == list(range(len(stages)))
-    assert all(leaf_stacked for _, leaf_stacked, _ in calls)
     moved = parameter_stage(model, name)
+    assert [t for t, _, _ in calls] == list(range(moved, len(stages)))
+    assert all(leaf_stacked for _, leaf_stacked, _ in calls)
     # the encoder and the pair bias reach both layers and the head; a
     # layer stage what follows
     reached = {moved} | set(range(max(moved, 2), len(stages)))
@@ -541,7 +551,7 @@ def test_a_nonfinite_copy_names_its_molecule_and_copy(full_loss, name, k, j):
     live = getattr(holder, field)
     copies = np.stack([live] * k)
     copies[j].flat[0] = np.inf
-    _, losses = _model_points(model, mols, objective, reg_weight, {name})
+    _, losses = _model_points(model, batch, objective, reg_weight, {name})
     for run in (lambda: _stacked_call(holder, field, copies, lambda: _run_stages(model, batch)),
                 lambda: losses(name, copies)):
         with np.errstate(invalid="ignore"), pytest.raises(NumericError) as err:
@@ -551,23 +561,77 @@ def test_a_nonfinite_copy_names_its_molecule_and_copy(full_loss, name, k, j):
     assert np.isfinite(live).all()
 
 
+def test_a_chunk_cannot_write_into_the_shared_theta0_outputs(full_loss, monkeypatch):
+    """The θ0 outputs that every chunk resumes on are read-only: a layer 1
+    stage that adds into its h_r read in place raises on a layers.1 chunk
+    instead of moving the h_r of every later chunk."""
+    model, mols, objective, reg_weight, _ = full_loss
+    stages = chiraldet.model.forward_stages(model)
+
+    def in_place(stage):
+        def forward(model, batch, h_c, h_r, h_n, bias):
+            h_r += 0.0
+            return stage.forward(model, batch, h_c, h_r, h_n, bias)
+
+        return stage._replace(forward=forward) if stage.name == "layer 1" else stage
+
+    _, losses = _model_points(model, prepare_batch(mols), objective, reg_weight, {"layers.1.wq"})
+    monkeypatch.setattr(chiraldet.model, "forward_stages",
+                        lambda model: tuple(in_place(stage) for stage in stages))
+    with pytest.raises(ValueError, match="read-only"):
+        losses("layers.1.wq", np.stack([model.layers[1].wq] * 2))
+
+
+@pytest.mark.parametrize("j", [0, 2])
+@pytest.mark.parametrize("name", ["layers.1.wv_r", "layers.1.ff_b2", "layers.1.ln2_beta"])
+def test_a_nan_copy_of_a_resumed_chunk_names_its_molecule_copy_and_stage(full_loss, name, j):
+    """Copy j of three stacked copies of a layers.1 leaf holds a NaN: the
+    audit's losses, which resume at layer 1 on the θ0 pass's outputs of
+    the stages before it, raise the NumericError of a full _run_stages
+    pass over the same copies, naming the first molecule of copy j, the
+    copy and layer 1 as the first non-finite stage output, after walking
+    the θ0 outputs too."""
+    model, mols, objective, reg_weight, _ = full_loss
+    batch = prepare_batch(mols)
+    holder, field = next((h, f) for n, h, f in parameter_slots(model) if n == name)
+    copies = np.stack([getattr(holder, field)] * 3)
+    copies[j].flat[0] = np.nan
+    _, losses = _model_points(model, batch, objective, reg_weight, {name})
+    expect = (f"molecule rs00000, copy {j}: non-finite logits, "
+              "first non-finite stage output: layer 1")
+    for run in (lambda: _stacked_call(holder, field, copies, lambda: _run_stages(model, batch)),
+                lambda: losses(name, copies)):
+        with np.errstate(invalid="ignore"), pytest.raises(NumericError) as err:
+            run()
+        assert str(err.value) == expect
+
+
 def test_the_model_blocks_run_the_model_stage_loop(monkeypatch):
     """The two model-level blocks run their forwards through
-    model._run_stages: one cache-free call per chunk of points and one for
-    the rank instance's scoring, and one call keeping caches per block,
-    its analytic batch_step's forward_batch."""
-    chunks = sum(math.ceil(2 * live.size / AUDIT_CHUNK) for block in INSTANCES
-                 for _, live in _CHECKS[block](block_rng(block, 1))[0])
-    calls = []  # whether each call keeps caches
+    model._run_stages: per block one cache-free θ0 pass and one call
+    keeping caches, its analytic batch_step's forward_batch, both of every
+    stage; one cache-free call per chunk of points, resumed with the θ0
+    pass's outputs of the stages before the moved leaf's as done; and one
+    full call for the rank instance's scoring."""
+    model = init_model(TINY_CONFIG)
+    resumed = sorted(parameter_stage(model, name)
+                     for block in INSTANCES
+                     for name, live in _CHECKS[block](block_rng(block, 1))[0]
+                     for _ in range(math.ceil(2 * live.size / AUDIT_CHUNK)))
+    calls = []  # (whether each call keeps caches, the number of stages done)
 
-    def counted(model, batch, caches=None):
-        calls.append(caches is not None)
-        return _run_stages(model, batch, caches)
+    def counted(model, batch, caches=None, done=()):
+        calls.append((caches is not None, len(done)))
+        return _run_stages(model, batch, caches, done)
 
     for module in (chiraldet.model, chiraldet.gradcheck):
         monkeypatch.setattr(module, "_run_stages", counted)
     assert all(report.passed for report in run_gradcheck(blocks=tuple(INSTANCES)))
-    assert (calls.count(False), calls.count(True)) == (chunks + 1, 2) == (141, 2)
+    assert calls.count((True, 0)) == 2
+    assert sorted(done for kept, done in calls if not kept) == sorted([0] * 3 + resumed)
+    # 140 chunks skip 215 of the 700 stage calls that full passes would make
+    assert (len(resumed), sum(resumed), len(chiraldet.model.forward_stages(model))) == (
+        140, 215, 5)
 
 
 @pytest.mark.parametrize("seed", [1, 2, 3, 7])
@@ -602,10 +666,11 @@ def test_audit_call_counts(monkeypatch):
     """One run_gradcheck() makes these calls, counted at every module
     attribute that reaches the function: every block scores a chunk of
     points in one call of its forward, so a fallback to a call per point
-    shows. A model-level chunk runs every stage once, so attend_fwd and
-    layer_fwd are called as often. regularization_loss runs once
-    per chunk of encoder.reg_loss and of model.full_loss, plus the penalty
-    of its analytic batch_step."""
+    shows. A model-level chunk runs each stage from the moved leaf's on
+    once, so a stage runs again only for the leaves of its own and earlier
+    stages; attend_fwd and layer_fwd are called as often.
+    regularization_loss runs once per chunk of encoder.reg_loss and of
+    model.full_loss, plus the penalty of its analytic batch_step."""
     counts = dict.fromkeys(("kernel_fwd", "pair_bias_fwd", "attend_fwd", "layer_fwd",
                             "mlp2_fwd", "layer_norm_rows", "regularization_loss"), 0)
 
@@ -622,8 +687,8 @@ def test_audit_call_counts(monkeypatch):
             if hasattr(module, fn):
                 monkeypatch.setattr(module, fn, counted(fn, getattr(module, fn)))
     assert all(report.passed for report in run_gradcheck())
-    assert counts == {"kernel_fwd": 146, "pair_bias_fwd": 149, "attend_fwd": 329,
-                      "layer_fwd": 329, "mlp2_fwd": 908, "layer_norm_rows": 662,
+    assert counts == {"kernel_fwd": 65, "pair_bias_fwd": 73, "attend_fwd": 279,
+                      "layer_fwd": 279, "mlp2_fwd": 617, "layer_norm_rows": 562,
                       "regularization_loss": 136}
 
 

@@ -4,6 +4,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+import chiraldet.model
 from checkpoint_edits import (
     append_tensor,
     insert_header,
@@ -437,6 +438,22 @@ class TestTraining:
             train(model, small_dataset[:4], TrainConfig(epochs=1), val_dataset=val)
         assert [a.tobytes() for _, a in named_parameters(model)] == before
 
+    @pytest.mark.parametrize(("val", "message"), [
+        (lambda data: [], "^empty validation set$"),
+        (lambda data: [data[4], (data[5][0], "X")],
+         r"^item 1: label 'X' names no class of the 2-class head \(R=0, S=1\)$"),
+    ], ids=["empty", "label-X"])
+    def test_unscorable_validation_set_rejected_before_the_first_step(self, small_dataset, val,
+                                                                      message):
+        """An empty validation set, or one with a label that names no class,
+        is refused before training changes any parameter, not by evaluate
+        after the first epoch's steps."""
+        model = tiny_model(seed=2)
+        before = [a.tobytes() for _, a in named_parameters(model)]
+        with pytest.raises(ValueError, match=message):
+            train(model, small_dataset[:4], TrainConfig(epochs=1), val_dataset=val(small_dataset))
+        assert [a.tobytes() for _, a in named_parameters(model)] == before
+
     @pytest.mark.parametrize("score", [
         evaluate, lambda model, data: embed_rows(model, [mol for mol, _ in data]),
     ], ids=["evaluate", "embed_rows"])
@@ -681,6 +698,38 @@ class TestCheckpoint:
         assert (n_model, len(tensors)) == (53, 159)
         resign(path, set_header(b"tensors=159", b"tensors=53"))
         with pytest.raises(CheckpointTruncatedError, match="^53 tensors end at byte "):
+            load_checkpoint(path)
+
+    @pytest.mark.parametrize(("old", "new", "message"), [
+        (b"h=8", b"h=1000000",
+         r"tensor encoder\.kernel\.w has shape \(8, 4, 3\), expected \(1000000, 4, 3\)"),
+        (b"n_layers=2", b"n_layers=200000",
+         r"the tensor table holds 2 layers\.\*\.wq tensors, expected n_layers=200000"),
+        (b"d_p=4", b"d_p=9999999999999999999",
+         r"tensor encoder\.kernel\.w has shape \(8, 4, 3\), "
+         r"expected \(8, 9999999999999999999, 3\)"),
+        (b"d_f=52", b"d_f=53",
+         r"tensor encoder\.proj_c\.w1 has shape \(8, 52\), expected \(8, 53\)"),
+        (b"n_gkpt=8", b"n_gkpt=9", r"tensor bias\.w_p has shape \(8, 2\), expected \(9, 2\)"),
+        (b"n_heads=2", b"n_heads=4", r"tensor bias\.w_p has shape \(8, 2\), expected \(8, 4\)"),
+        (b"n_classes=2", b"n_classes=3",
+         r"tensor head\.w2 has shape \(2, 8\), expected \(3, 8\)"),
+    ], ids=["h=1000000", "n_layers=200000", "d_p=1e19", "d_f", "n_gkpt", "n_heads", "n_classes"])
+    def test_header_dimension_checked_before_allocation(self, tmp_path, monkeypatch, old, new,
+                                                        message):
+        """A re-signed header dimension that the tensor table contradicts is
+        refused, naming the tensor, before init_model would allocate the
+        model at the header's size: a bare MemoryError for h=1000000, every
+        layer built for n_layers=200000, numpy's ValueError for d_p=1e19."""
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(init_model(TINY_CONFIG), path)
+        resign(path, set_header(old, new))
+
+        def no_model(config):
+            raise AssertionError("init_model ran before the header was checked")
+
+        monkeypatch.setattr(chiraldet.model, "init_model", no_model)
+        with pytest.raises(CheckpointShapeError, match=f"^{message}$"):
             load_checkpoint(path)
 
     def test_d_p_3_header_rejected(self, tmp_path):
