@@ -55,7 +55,6 @@ from .model import (
     forward_batch,
     init_model,
     load_checkpoint,
-    loss_margin_rank,
     mirror_consistency,
     save_checkpoint,
     train,

@@ -60,14 +60,6 @@ class KernelBank:
     def __getstate__(self):
         return {k: v for k, v in vars(self).items() if k != "_factors"}
 
-    @property
-    def n_kernels(self) -> int:
-        return self.w.shape[0]
-
-    @property
-    def d_p(self) -> int:
-        return self.w.shape[1]
-
 
 @dataclass
 class Mlp2:
@@ -262,7 +254,7 @@ def kernel_bwd(cache, d_out) -> KernelBank:
     d_s = (d_out * det_m[:, None] * inv_sigma3).sum(axis=0)  # (k,)
     d_w_eff = (d_s / s)[:, None, None] * (w_eff @ cofactor3_batch(gram))
     # through sigma: d loss / d C = -C sum_b coef M M^T
-    coef = d_out * out / (bank.d_p * sigma2)  # (B, k)
+    coef = d_out * out / (centered.shape[-2] * sigma2)  # (B, k)
     coef_mmt = (coef.T @ mmt.reshape(n_batch, 9)).reshape(k, 3, 3)
     # summed over columns by matmul for the reason given in _row_mean
     d_gamma = ((d_w_eff * centered) @ np.ones(3)).sum(axis=0)

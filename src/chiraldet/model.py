@@ -542,18 +542,6 @@ def _row_sums(x) -> np.ndarray:
     return np.ascontiguousarray(x).sum(axis=-1)
 
 
-def loss_margin_rank(score_hi, score_lo, margin: float):
-    """Sum of max(0, margin - (score_hi - score_lo)) over paired scores
-    along their last axis, a scalar being one pair, so each row of stacked
-    scores gets its own sum, as an array of their leading shape; returns
-    (loss, d_hi, d_lo)."""
-    if margin < 0:
-        raise ValueError("margin must be non-negative")
-    gap = margin - (np.asarray(score_hi, dtype=np.float64) - np.asarray(score_lo, dtype=np.float64))
-    active = (gap > 0).astype(np.float64)
-    return _row_sums(np.maximum(np.atleast_1d(gap), 0.0)), -active, active
-
-
 # An objective maps a batch's (B, n_classes) logits to (loss, d_logits,
 # n_correct), a float and an int. It also scores k stacked copies of the
 # batch, (k, B, n_classes) logits, in one call: loss and n_correct are then
@@ -584,9 +572,10 @@ def classify_loss(labels, n_classes: int):
 
 
 def rank_loss(margin: float):
-    """The mean margin-ranking objective of a batch holding the his and then
-    the los of its pairs, prepare_batch(his + los), scored by the single
-    output of a 1-dim head; n_correct counts the correctly ordered pairs."""
+    """The mean over pairs of the hinge max(0, margin - (hi - lo)), of a
+    batch holding the his and then the los of its pairs, prepare_batch(his
+    + los), scored by the single output of a 1-dim head; n_correct counts
+    the correctly ordered pairs."""
     if not 0.0 <= margin < math.inf:
         raise ValueError(f"margin must be finite and non-negative, got {margin}")
 
@@ -596,8 +585,10 @@ def rank_loss(margin: float):
                              f"got n_classes={logits.shape[-1]}")
         n = logits.shape[-2] // 2
         hi, lo = logits[..., :n, 0], logits[..., n:, 0]
-        total, d_hi, d_lo = loss_margin_rank(hi, lo, margin)
-        d_logits = np.concatenate([d_hi, d_lo], axis=-1)[..., None] * (1.0 / n)
+        gap = margin - (hi - lo)
+        active = (gap > 0).astype(np.float64)
+        total = _row_sums(np.maximum(gap, 0.0))
+        d_logits = np.concatenate([-active, active], axis=-1)[..., None] * (1.0 / n)
         return (total / n).tolist(), d_logits, (hi > lo).sum(axis=-1).tolist()
 
     return objective

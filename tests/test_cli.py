@@ -702,19 +702,38 @@ class TestCliContract:
         run_gradcheck() does; the commands sharing --seed keep 0."""
         assert build_parser().parse_args(COMMAND_ARGV[cmd]).seed == seed
 
-    def test_readme_cli_lines_parse(self):
+    # README's sizes, cut to a test's: each line must hold its text once
+    README_CLI_SMALL = {"--trials 1000": "--trials 5", "--count 2000": "--count 24",
+                        "--epochs 6": "--epochs 1", " ...": ""}
+
+    def test_readme_cli_lines_parse(self, tmp_path, monkeypatch, capsys):
         """Every `chiraldet` line of README's CLI code block, without its
-        comment, parses, and the block shows every command."""
+        comment, parses, the block shows every command, and the lines run
+        in order, in a directory holding README's mol.chimol (a gen_rs
+        molecule) and toy.chimol (the axial toy), at the small sizes of
+        README_CLI_SMALL. Each exits 0 but the negative control, whose
+        comment says it must FAIL, which exits 1."""
         readme = (SRC.parent / "README.md").read_text()
         block = readme.split("\n## CLI\n", 1)[1].split("```bash\n", 1)[1].split("```", 1)[0]
-        lines = [line.split("#", 1)[0] for line in block.splitlines()
+        lines = [line.partition("#")[::2] for line in block.splitlines()
                  if line.startswith("chiraldet ")]
-        for line in lines:
+        for line, _ in lines:
             try:
                 build_parser().parse_args(shlex.split(line)[1:])
             except SystemExit:
                 pytest.fail(f"README's CLI line {line.strip()!r} does not parse")
-        assert {shlex.split(line)[1] for line in lines} == set(COMMAND_FLAGS)
+        assert {shlex.split(line)[1] for line, _ in lines} == set(COMMAND_FLAGS)
+        monkeypatch.chdir(tmp_path)
+        write(gen_rs(SyntheticSpec(count=1, seed=0))[0][0], "mol.chimol")
+        write(toy_axial_molecule(), "toy.chimol")
+        found = dict.fromkeys(self.README_CLI_SMALL, 0)
+        for line, comment in lines:
+            for big, cut in self.README_CLI_SMALL.items():
+                found[big] += line.count(big)
+                line = line.replace(big, cut)
+            code = main(shlex.split(line)[1:])
+            assert code == (1 if "must FAIL" in comment else 0), (line, capsys.readouterr().err)
+        assert found == dict.fromkeys(self.README_CLI_SMALL, 1)
 
     def test_unknown_flag_usage_code(self, canon_file, capsys):
         with pytest.raises(SystemExit) as exc:

@@ -59,8 +59,8 @@ def nonsingular_mc(rng, n=1, floor=0.3):
 def reference_readout(bank, m):
     """The paper's definition, one slice at a time: det(R) of the reduced
     QR of the normalized slice, signed like det(M)."""
-    out = np.empty(bank.n_kernels)
-    for kk in range(bank.n_kernels):
+    out = np.empty(bank.w.shape[0])
+    for kk in range(bank.w.shape[0]):
         o = bank.w[kk] @ m
         centered = o - o.mean(axis=0)
         o = bank.gamma[:, None] * centered / np.sqrt((centered * centered).mean() + KERNEL_EPS)

@@ -45,7 +45,6 @@ from chiraldet.model import (
     forward,
     init_model,
     load_checkpoint,
-    loss_margin_rank,
     mirror_consistency,
     named_parameters,
     rank_loss,
@@ -133,18 +132,19 @@ class TestLosses:
         with pytest.raises(ValueError):
             loss_classify(np.zeros(2), 5)
 
+    # one (hi, lo) pair: the objective's loss is max(0, margin - (hi - lo))
     def test_margin_rank_satisfied(self):
-        loss, _, _ = loss_margin_rank(1.6, 0.1, 0.5)
+        loss, _, _ = rank_loss(0.5)(np.array([[1.6], [0.1]]))
         assert loss == 0.0
 
     def test_margin_rank_equal_scores(self):
-        loss, _, _ = loss_margin_rank(0.7, 0.7, 0.5)
+        loss, _, _ = rank_loss(0.5)(np.array([[0.7], [0.7]]))
         assert loss == 0.5
 
     def test_margin_rank_direct_formula(self):
-        loss, d_hi, d_lo = loss_margin_rank(0.2, 0.9, 0.3)
+        loss, d_logits, _ = rank_loss(0.3)(np.array([[0.2], [0.9]]))
         assert loss == 1.0
-        assert (d_hi, d_lo) == (-1.0, 1.0)
+        assert d_logits.tolist() == [[-1.0], [1.0]]
 
     @pytest.mark.parametrize("margin", [float("nan"), float("inf"), float("-inf"), -0.5])
     def test_rank_loss_rejects_bad_margin(self, margin):
