@@ -20,7 +20,9 @@ the numbers alone must reproduce byte for byte, into OUT_DIR:
   computed in this process;
 - `forward_hashes.out`: the sha256 of every array `forward_batch` writes
   over that batch at both configs, by stage index and array name, read
-  from `BatchState.outputs` alone.
+  from `BatchState.outputs` alone; then the same at the default config
+  with one head, over that batch and over one token-only molecule, whose
+  softmax is a single row.
 
 Each command runs in this process through `cli.main(argv)`, with OUT_DIR
 as the working directory and relative paths, so the outputs hold no trace
@@ -108,6 +110,7 @@ def audit_vectors() -> str:
 
 
 CONFIGS = (("tiny", TINY_CONFIG), ("default", ModelConfig()))
+ONE_HEAD = ModelConfig(n_heads=1)
 
 
 def overflow_set() -> list:
@@ -128,6 +131,12 @@ def mixed_batch() -> list:
                                      tile_molecules(centres[6:] + axes[2:])]
 
 
+def lone_batch() -> list:
+    """The last mixed_batch() molecule without its chiral units: at one
+    head, its attention is one softmax row over its 21 keys."""
+    return [replace(mixed_batch()[-1], chiral_units=())]
+
+
 def backward_hashes() -> str:
     """One line per config and parameter: the sha256 of its backward_batch
     gradient under the classification loss of mixed_batch()."""
@@ -145,11 +154,14 @@ def backward_hashes() -> str:
 
 def forward_hashes() -> str:
     """One line per config, stage and array it wrote: the sha256 of each
-    array forward_batch writes over mixed_batch()."""
-    batch = prepare_batch(mixed_batch())
+    array forward_batch writes over mixed_batch(), then over mixed_batch()
+    and lone_batch() at ONE_HEAD."""
+    mixed = mixed_batch()
+    runs = [(tag, config, mixed) for tag, config in CONFIGS]
+    runs += [("default-1head", ONE_HEAD, mixed), ("default-1head-lone", ONE_HEAD, lone_batch())]
     lines = []
-    for tag, config in CONFIGS:
-        for t, out in enumerate(forward_batch(init_model(config), batch).outputs):
+    for tag, config, mols in runs:
+        for t, out in enumerate(forward_batch(init_model(config), prepare_batch(mols)).outputs):
             lines += [f"{tag} {t} {name} {sha256(arr)}\n" for name, arr in out.items()]
     return "".join(lines)
 

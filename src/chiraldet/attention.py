@@ -145,6 +145,30 @@ def _key_rows(related, nonchiral):
     return np.concatenate([related, nonchiral], axis=-2)
 
 
+def _softmax(logits, keys):
+    """Softmax over the valid keys of (..., B, H, Q, K) logits, keys the
+    (B, K) mask of valid keys; returns attn in (..., B, Q, K, H) memory,
+    exactly 0 on pad keys and on a row with no valid key. It runs key-major;
+    attend_fwd gives the layout and the order of the key sums."""
+    n_batch, n_keys = keys.shape
+    rows = logits.shape[:-1]
+    km = logits.reshape(math.prod(rows), n_keys).T.copy().reshape((n_keys,) + rows)
+    km += np.where(keys.T, 0.0, -np.inf).reshape((n_keys,) + (1,) * (len(rows) - 3)
+                                                 + (n_batch, 1, 1))
+    row_max = np.maximum.reduce(km, axis=0, initial=-np.inf)
+    row_max[row_max == -np.inf] = 0.0  # a key-less row: its entries stay exp(-inf) = 0
+    km -= row_max
+    np.exp(km, out=km)
+    # slice after slice over the keys; a lone row would be summed pairwise
+    total = (np.add.reduce(km, axis=0, keepdims=True) if row_max.size > 1
+             else np.add.accumulate(km, axis=0)[-1:])
+    # a row with a valid key sums to >= 1 (its maximum contributes exp(0)),
+    # so the floor only turns the 0/0 of a key-less row into 0
+    np.maximum(total, 1.0, out=total)
+    km /= total
+    return np.ascontiguousarray(km.transpose(*range(1, km.ndim - 2), km.ndim - 1, 0, km.ndim - 2))
+
+
 class AttendCache(NamedTuple):
     """What attend_bwd needs of attend_fwd; ctx holds one row per
     (molecule, query) pair."""
@@ -176,11 +200,17 @@ def attend_fwd(layer: LayerParams, h_c_in, h_r, h_n, bias_in, mask: BatchMask):
     a non-finite logit, is a NumericError whose row is the first molecule
     holding one.
 
-    The logits and the softmax run in (B, H, Q, K) memory, each row's
-    keys contiguous, and bias_out is a view of them in the (B, Q, K, H)
-    shape; the key sums keep the order of a sum along a strided key axis,
-    and attn is written in (B, Q, K, H) memory, so every output keeps the
-    bytes of the query-major softmax.
+    The logits are computed in (B, H, Q, K) memory, and bias_out is a view
+    of them in the (B, Q, K, H) shape. The softmax runs on one key-major
+    copy of them, (K, B, H, Q), so its max, exp, key sum and division are
+    each one vectorised pass over the rows, the keys being the outer axis;
+    attn is written from it in (B, Q, K, H) memory, so ctx's product takes
+    the same path. Each row's key sum adds its keys one after another, as
+    the query-major softmax's running sum does. numpy sums an outer axis
+    that way only while the other axes hold two or more entries: a lone
+    row (one molecule, one head, one query, no copies) it would sum
+    pairwise, so a lone row takes a running sum. Every output thus keeps
+    the bytes of the query-major softmax.
 
     One of the weights (wq, wk_*, wv_*, wo), (k, h, h), or one of the four
     inputs, (k, B, ...), may carry a leading axis of k copies. The
@@ -207,18 +237,8 @@ def attend_fwd(layer: LayerParams, h_c_in, h_r, h_n, bias_in, mask: BatchMask):
     if not np.isfinite(logits).all():
         bad = ~np.isfinite(logits).all(axis=(-3, -2, -1)).ravel()
         raise NumericError("non-finite attention logits", row=int(np.flatnonzero(bad)[0]))
-    valid = mask.keys[:, None, None, :]
-    row_max = np.where(valid, logits, -np.inf).max(axis=-1, keepdims=True, initial=-np.inf)
-    expd = np.exp(np.where(valid, logits - row_max, -np.inf))
-    # a row with a valid key sums to >= 1 (its maximum contributes exp(0)),
-    # so the floor only turns the 0/0 of a key-less row into 0. The running
-    # sum (cumsum's ufunc, without its wrapper) adds the keys one after
-    # another, as a sum along a strided key axis does, not pairwise
-    total = np.maximum(np.add.accumulate(expd, axis=-1)[..., -1:], 1.0)
-    to_last = _HEADS_LAST[logits.ndim]
-    logits = logits.transpose(to_last)
-    # attn in (..., B, Q, K, H) memory, so ctx's product takes the same path
-    attn = np.divide(expd.transpose(to_last), total.transpose(to_last), order="C")
+    attn = _softmax(logits, mask.keys)
+    logits = logits.transpose(_HEADS_LAST[logits.ndim])
     ctx = _rows(attn.transpose(_HEADS_FIRST[attn.ndim]) @ vh)
     u = h_c_in.reshape(h_c_in.shape[:-3] + (-1, h)) + ctx @ layer.wo.swapaxes(-1, -2)
     cache = AttendCache(h_c_in, h_r, h_n, qh, kh, vh, attn, ctx, scale)

@@ -8,6 +8,7 @@ the harness can prove the audit actually detects wrong gradients.
 
 from __future__ import annotations
 
+import numbers
 import time
 import zlib
 from dataclasses import dataclass, replace
@@ -379,14 +380,17 @@ def run_gradcheck(seed: int = 1, tol: float = 1e-4, sabotage: str | None = None,
     gradients (negative control for the audit itself). Each block draws
     from its own generator, block_rng; the model-level blocks audit
     TINY_CONFIG's model whatever `seed`. A tol that is not finite and
-    positive, or a sabotage prefix that matches none of `blocks`, raises
-    ValueError before any block runs, as does a name of `blocks` that is
-    not one of BLOCKS."""
+    positive, a seed that is not a non-negative integer, or a sabotage
+    prefix that matches none of `blocks`, raises ValueError before any
+    block runs, as does a name of `blocks` that is not one of BLOCKS."""
     unknown = [name for name in blocks if name not in _CHECKS]
     if unknown:
         raise ValueError(f"no audit block {unknown[0]!r}; blocks: {', '.join(BLOCKS)}")
     if not 0.0 < tol < np.inf:
         raise ValueError(f"tolerance must be finite and positive, got {tol}")
+    # block_rng offsets the seed, so a negative one would audit shifted points
+    if not (isinstance(seed, numbers.Integral) and seed >= 0):
+        raise ValueError(f"seed must be a non-negative integer, got {seed}")
     if sabotage is not None and not (sabotage and any(n.startswith(sabotage) for n in blocks)):
         raise ValueError(f"sabotage prefix {sabotage!r} matches no audit block; "
                          f"blocks: {', '.join(blocks)}")

@@ -8,6 +8,7 @@ from __future__ import annotations
 import functools
 import hashlib
 import math
+import numbers
 import re
 import struct
 from collections.abc import Callable
@@ -64,6 +65,15 @@ LABEL_CLASSES = (Configuration.R, Configuration.S)
 CLASS_INDEX = {c: i for i, c in enumerate(LABEL_CLASSES)}
 
 
+def _check_counts(config) -> None:
+    """Each field of a config declared int must hold an integer: a float
+    count would fail later, inside numpy or range(), naming no field."""
+    for f in dataclass_fields(config):
+        value = getattr(config, f.name)
+        if f.type == "int" and not isinstance(value, numbers.Integral):
+            raise ValueError(f"{f.name} must be an integer, got {value!r}")
+
+
 @dataclass
 class ModelConfig:
     h: int = 64
@@ -77,6 +87,7 @@ class ModelConfig:
     seed: int = 0
 
     def validate(self):
+        _check_counts(self)
         for name in ("h", "n_heads", "n_gkpt", "n_classes", "d_f"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
@@ -102,6 +113,7 @@ class TrainConfig:
     min_lr_factor: float = 0.1
 
     def validate(self):
+        _check_counts(self)
         for f in dataclass_fields(self):
             value = getattr(self, f.name)
             if isinstance(value, float) and not math.isfinite(value):

@@ -46,6 +46,17 @@ def layer_norm_rows_reference(x, gamma, beta, eps=1e-5):
     return xhat * gamma + beta, xhat, inv
 
 
+def softmax_reference(logits, keys):
+    """attention._softmax computed query-major: the masked max, the exp and
+    a running sum along the key axis of (..., B, H, Q, K) logits, then one
+    transposed divide into attn's (..., B, Q, K, H) C memory."""
+    valid = keys[:, None, None, :]
+    row_max = np.where(valid, logits, -np.inf).max(axis=-1, keepdims=True, initial=-np.inf)
+    expd = np.exp(np.where(valid, logits - row_max, -np.inf))
+    total = np.maximum(np.add.accumulate(expd, axis=-1)[..., -1:], 1.0)
+    return np.divide(np.moveaxis(expd, -3, -1), np.moveaxis(total, -3, -1), order="C")
+
+
 def finite_diff_grad(f, theta, h=FD_STEP):
     """Central-difference gradient of a scalar function of a flat vector,
     one point at a time: the per-point reference of gradcheck._oracle.

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from chiraldet import attention
 from chiraldet.attention import (
     SIGMA_FLOOR,
     DistanceBiasParams,
@@ -25,6 +26,7 @@ from oracles import (
     assert_copies_keep_their_bytes,
     finite_diff_grad,
     partition_reference,
+    softmax_reference,
     unflatten,
 )
 
@@ -363,6 +365,51 @@ class TestAttend:
         numeric = finite_diff_grad(f, flatten(layer, *inputs))
         analytic = flatten(*layer_bwd(layer, layer_fwd(layer, *inputs, mask)[3], w_out, w_bias))
         assert compare_grads(analytic, numeric, tol=1e-5).passed
+
+
+class TestSoftmaxBytes:
+    """attend_fwd's u, bias_out and attn keep the bytes they have with the
+    query-major softmax_reference in place of the key-major softmax."""
+
+    @staticmethod
+    def assert_reference_bytes(monkeypatch, layer, inputs, mask, where):
+        got = attend_fwd(layer, *inputs, mask)[:3]
+        with monkeypatch.context() as m:
+            m.setattr(attention, "_softmax", softmax_reference)
+            want = attend_fwd(layer, *inputs, mask)[:3]
+        for name, g, w in zip(("u", "bias_out", "attn"), got, want):
+            assert g.shape == w.shape and g.tobytes() == w.tobytes(), f"{where}: {name} differs"
+
+    @pytest.mark.parametrize("n_heads", [1, 2])
+    def test_padded_batch_and_copies(self, monkeypatch, n_heads):
+        """Pad keys of both types and a key-less token row, alone and with
+        3 copies of each input and of wq, wk_r and wv_n."""
+        rng = np.random.default_rng(50 + n_heads)
+        layer = init_layer(rng, 8)
+        # molecule 0 pads a non-chiral key, 1 two related keys, 2 has no key
+        mask = BatchMask.of_counts([2, 1, 0], [3, 1, 0], [2, 3, 0])
+        inputs = [rng.standard_normal(shape)
+                  for shape in ((3, 3, 8), (3, 3, 8), (3, 3, 8), (3, 3, 6, n_heads))]
+        self.assert_reference_bytes(monkeypatch, layer, inputs, mask, "alone")
+        for i, name in enumerate(("h_c_in", "h_r", "h_n", "bias_in")):
+            stacked = inputs[i] + 1e-3 * rng.standard_normal((3, *inputs[i].shape))
+            self.assert_reference_bytes(monkeypatch, layer,
+                                        inputs[:i] + [stacked] + inputs[i + 1:], mask, name)
+        for name in ("wq", "wk_r", "wv_n"):
+            with monkeypatch.context() as m:
+                m.setattr(layer, name, getattr(layer, name) + 1e-3 * rng.standard_normal((3, 8, 8)))
+                self.assert_reference_bytes(monkeypatch, layer, inputs, mask, name)
+
+    def test_lone_rows(self, monkeypatch):
+        """One token-only molecule at one head, no copies: its softmax is a
+        single row, which numpy would sum pairwise, over 8 to 63 keys."""
+        for n_keys in range(8, 64):
+            rng = np.random.default_rng(n_keys)
+            layer = init_layer(rng, 8)
+            inputs = (rng.standard_normal((1, 1, 8)), np.zeros((1, 0, 8)),
+                      rng.standard_normal((1, n_keys, 8)), rng.standard_normal((1, 1, n_keys, 1)))
+            self.assert_reference_bytes(monkeypatch, layer, inputs,
+                                        BatchMask.of_counts([0], [0], [n_keys]), f"{n_keys} keys")
 
 
 class TestPool:

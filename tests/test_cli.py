@@ -1031,8 +1031,12 @@ class TestGradcheckCmd:
         ("--sabotage", "encodr", "sabotage prefix 'encodr' matches no audit block; blocks: "
                                  + ", ".join(BLOCKS)),
         ("--sabotage", "", "sabotage prefix '' matches no audit block"),
+        # -5 plus each block's offset still seeds a generator; -999 plus the
+        # first block's does not
+        ("--seed", "-5", "seed must be a non-negative integer, got -5"),
+        ("--seed", "-999", "seed must be a non-negative integer, got -999"),
     ], ids=["tol-negative", "tol-nan", "tol-inf", "tol-zero", "sabotage-typo",
-            "sabotage-empty"])
+            "sabotage-empty", "seed-minus-5", "seed-minus-999"])
     def test_bad_tol_or_sabotage_exit_2_before_any_block(self, capsys, monkeypatch, flag, value,
                                                           message):
         def no_block(name, seed):

@@ -206,6 +206,19 @@ class TestConfig:
         with pytest.raises(ValueError, match=f"^{field} must be >= 1, got {value}$"):
             ModelConfig(**{**TINY, field: value}).validate()
 
+    @pytest.mark.parametrize("field", ["h", "d_p", "n_layers", "n_heads", "n_gkpt", "d_f",
+                                       "n_classes", "seed"])
+    def test_count_not_an_integer_rejected(self, field):
+        with pytest.raises(ValueError, match=rf"^{field} must be an integer, got 2\.5$"):
+            init_model(ModelConfig(**{**TINY, field: 2.5}))
+        with pytest.raises(ValueError, match=rf"^{field} must be an integer, got 4\.0$"):
+            ModelConfig(**{**TINY, field: 4.0}).validate()
+
+    @pytest.mark.parametrize("field", ["epochs", "batch_size"])
+    def test_train_count_not_an_integer_rejected(self, small_dataset, field):
+        with pytest.raises(ValueError, match=rf"^{field} must be an integer, got 2\.5$"):
+            train(tiny_model(seed=2), small_dataset[:4], TrainConfig(**{field: 2.5}))
+
     @pytest.mark.parametrize(
         ("field", "value"),
         [("batch_size", 0), ("batch_size", -3), ("min_lr_factor", -0.5),
