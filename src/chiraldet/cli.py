@@ -57,9 +57,8 @@ _TRAIN_KEYS = {f.name for f in dataclass_fields(TrainConfig)}
 
 def read_config_file(path) -> dict:
     """key=value lines mirroring ModelConfig/TrainConfig field names, each
-    value parsed as its field's type (a TrainConfig field's, as its
-    default's); a line that does not parse, or that sets a key an earlier
-    line set, raises MoleculeParseError."""
+    value parsed by its field's annotation; a line that does not parse, or
+    that sets a key an earlier line set, raises MoleculeParseError."""
     values, set_at = {}, {}
     for lineno, line in enumerate(Path(path).read_text().splitlines(), start=1):
         line = line.strip()
@@ -74,28 +73,24 @@ def read_config_file(path) -> dict:
             raise MoleculeParseError(f"config key {key!r} repeats line {set_at[key]}", lineno)
         set_at[key] = lineno
         try:
-            values[key] = (parse_config_value(key, val) if key in _MODEL_KEYS
-                           else type(getattr(TrainConfig(), key))(val))
+            values[key] = parse_config_value(ModelConfig if key in _MODEL_KEYS else TrainConfig,
+                                             key, val)
         except ValueError:
             raise MoleculeParseError(f"config key {key!r} cannot take the value {val!r}",
                                      lineno) from None
     return values
 
 
-def build_configs(values: dict, seed: int) -> tuple[ModelConfig, TrainConfig]:
-    model_cfg = ModelConfig(seed=seed)
-    train_cfg = TrainConfig()
-    for key, val in values.items():
-        setattr(model_cfg if key in _MODEL_KEYS else train_cfg, key, val)
-    return model_cfg.validate(), train_cfg.validate()
-
-
-def _load_config_arg(arg, seed: int):
-    if arg is None:
-        return build_configs({}, seed)
-    if arg == "tiny":
-        return replace(TINY_CONFIG, seed=seed).validate(), TrainConfig()
-    return build_configs(read_config_file(arg), seed)
+def _load_config_arg(arg, seed: int, epochs, lr) -> tuple[ModelConfig, TrainConfig]:
+    """The configs of a --config value (None, 'tiny' or a file), the seed and
+    each of epochs and lr that is not None overriding the file; each config
+    is checked once, when built, the model's first."""
+    values = {} if arg in (None, "tiny") else read_config_file(arg)
+    values.update((key, val) for key, val in (("epochs", epochs), ("lr", lr)) if val is not None)
+    model_cfg = replace(TINY_CONFIG if arg == "tiny" else ModelConfig(), seed=seed,
+                        **{key: val for key, val in values.items() if key in _MODEL_KEYS})
+    return model_cfg, TrainConfig(**{key: val for key, val in values.items()
+                                     if key in _TRAIN_KEYS})
 
 
 def _write_or_print(text: str, out):
@@ -131,6 +126,8 @@ def cmd_chirality(args) -> int:
 def cmd_invariance(args) -> int:
     if args.trials < 1:
         raise ValueError(f"--trials must be >= 1, got {args.trials}")
+    if args.seed < 0:
+        raise ValueError(f"--seed must be >= 0, got {args.seed}")
     mol = data_mod.parse(args.file)
     products = unit_products(mol)
     live = [i for i, p in enumerate(products)
@@ -140,7 +137,7 @@ def cmd_invariance(args) -> int:
             print(f"warning: unit {i} is Degenerate (P={p:.3e}), sign check skipped",
                   file=sys.stderr)
     if not live:
-        print("all units degenerate; nothing to check")
+        print(f"{'all units degenerate' if products else 'no chiral units'}; nothing to check")
         return EXIT_OK
     max_drift = 0.0
     flips = 0
@@ -220,12 +217,7 @@ def _split_dataset(dataset, split: str):
 
 def cmd_train(args) -> int:
     dataset = data_mod.read_manifest(args.data)
-    model_cfg, train_cfg = _load_config_arg(args.config, args.seed)
-    if args.epochs is not None:
-        train_cfg.epochs = args.epochs
-    if args.lr is not None:
-        train_cfg.lr = args.lr
-    train_cfg.validate()
+    model_cfg, train_cfg = _load_config_arg(args.config, args.seed, args.epochs, args.lr)
     check_rank_penalty(model_cfg.rank_strategy, train_cfg.reg_weight)
     check_feature_width(model_cfg.d_f, dataset)
     train_set, val_set, _ = _split_dataset(dataset, args.split)

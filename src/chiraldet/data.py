@@ -280,7 +280,7 @@ class SyntheticSpec:
     min_abs_product: float = 0.5
     seed: int = 0
 
-    def validate(self):
+    def __post_init__(self):
         if self.count < 1:
             raise ValueError("count must be >= 1")
         # a NaN floor rejects no draw and an infinite one every draw
@@ -290,7 +290,6 @@ class SyntheticSpec:
             raise ValueError(f"spectator_range must be 0 <= lo <= hi, got {self.spectator_range}")
         if self.seed < 0:
             raise ValueError(f"seed must be >= 0, got {self.seed}")
-        return self
 
 
 def _place_spectators(rng, occupied, n_spec):
@@ -322,7 +321,6 @@ def _generate(spec: SyntheticSpec, id_prefix: str, draw, random_pose: bool, blad
     Labels alternate R, S, ... and are realized by mirroring, which keeps
     even counts exactly balanced.
     """
-    spec.validate()
     dataset = []
     for t in range(spec.count):
         rng = np.random.default_rng(spec.seed + t)

@@ -65,17 +65,34 @@ LABEL_CLASSES = (Configuration.R, Configuration.S)
 CLASS_INDEX = {c: i for i, c in enumerate(LABEL_CLASSES)}
 
 
-def _check_counts(config) -> None:
-    """Each field of a config declared int must hold an integer: a float
-    count would fail later, inside numpy or range(), naming no field."""
+# The one type authority of config fields, by annotation: the parser of a
+# field's text, the values a built config's field may hold, and their noun
+_FIELD_TYPES = {"int": (int, numbers.Integral, "an integer"),
+                "float": (float, numbers.Real, "a real number"),
+                "RankStrategy": (RankStrategy, RankStrategy, "a RankStrategy")}
+
+
+def _check_types(config) -> None:
+    """Each field of a config must hold a value of its annotation's type and
+    no bool: a float count would fail later, inside numpy or range(), and a
+    rank_strategy string would skip the QR retraction, naming no field."""
     for f in dataclass_fields(config):
         value = getattr(config, f.name)
-        if f.type == "int" and not isinstance(value, numbers.Integral):
-            raise ValueError(f"{f.name} must be an integer, got {value!r}")
+        _, kind, noun = _FIELD_TYPES[f.type]
+        if isinstance(value, bool) or not isinstance(value, kind):
+            raise ValueError(f"{f.name} must be {noun}, got {value!r}")
 
 
-@dataclass
+def parse_config_value(cls, name: str, text: str):
+    """Field `name` of config class `cls` from its key=value text, parsed by
+    the field's annotation; text that does not parse raises ValueError."""
+    return _FIELD_TYPES[next(f.type for f in dataclass_fields(cls) if f.name == name)][0](text)
+
+
+@dataclass(frozen=True)
 class ModelConfig:
+    """Checked when built, as TrainConfig is: a bad field raises ValueError."""
+
     h: int = 64
     d_p: int = 32
     n_layers: int = 4
@@ -86,8 +103,8 @@ class ModelConfig:
     n_classes: int = 2
     seed: int = 0
 
-    def validate(self):
-        _check_counts(self)
+    def __post_init__(self):
+        _check_types(self)
         for name in ("h", "n_heads", "n_gkpt", "n_classes", "d_f"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
@@ -101,10 +118,9 @@ class ModelConfig:
             # centring along d_p costs one rank: a d_p = 3 slice has det G = 0,
             # so every kernel channel is 0 and the model is chirality-blind
             raise ValueError(f"projection dimension d_p must be >= 4, got {self.d_p}")
-        return self
 
 
-@dataclass
+@dataclass(frozen=True)
 class TrainConfig:
     lr: float = 5e-4
     epochs: int = 10
@@ -112,8 +128,8 @@ class TrainConfig:
     reg_weight: float = 0.0
     min_lr_factor: float = 0.1
 
-    def validate(self):
-        _check_counts(self)
+    def __post_init__(self):
+        _check_types(self)
         for f in dataclass_fields(self):
             value = getattr(self, f.name)
             if isinstance(value, float) and not math.isfinite(value):
@@ -127,7 +143,6 @@ class TrainConfig:
         if not 0.0 <= self.min_lr_factor <= 1.0:
             # a negative floor turns the end of the cosine schedule into ascent
             raise ValueError(f"min_lr_factor must be in [0, 1], got {self.min_lr_factor}")
-        return self
 
 
 @dataclass
@@ -140,7 +155,6 @@ class ChiralModel:
 
 
 def init_model(config: ModelConfig) -> ChiralModel:
-    config.validate()
     rng = np.random.default_rng(config.seed)
     encoder = init_encoder(rng, config.d_f, config.h, config.d_p)
     if config.rank_strategy is RankStrategy.QR_RETRACTION:
@@ -496,12 +510,13 @@ def _chunks(model: ChiralModel, mols, index=None):
 
 
 def _head_rows(model: ChiralModel, mols, name: str, index=None) -> np.ndarray:
-    """The head stage's `name` array ("pooled" or "logits") over the
-    molecules (_chunks), one row per molecule in input order."""
+    """The head stage's `name` array, (len(mols), h) "pooled" or (len(mols),
+    n_classes) "logits", over the molecules (_chunks) in input order."""
     rows = {}
     for chunk, _, outputs in _chunks(model, mols, index):
         rows.update(zip(chunk, outputs[-1][name]))
-    return np.array([rows[i] for i in range(len(mols))])
+    width = model.config.h if name == "pooled" else model.config.n_classes
+    return np.array([rows[i] for i in range(len(mols))]).reshape(len(mols), width)
 
 
 def forward(model: ChiralModel, mol: Molecule) -> np.ndarray:
@@ -757,7 +772,6 @@ def train(model: ChiralModel, dataset, cfg: TrainConfig, val_dataset=None,
     that leaves a bias.sigma entry at or below SIGMA_FLOOR raises nothing
     here, but load_checkpoint refuses a checkpoint holding it.
     """
-    cfg.validate()
     check_rank_penalty(model.config.rank_strategy, cfg.reg_weight)
     if margin is None:
         data = dataset_to_pairs(dataset, model.config.n_classes)
@@ -862,12 +876,6 @@ CHECKPOINT_VERSION = 1
 _V1_KERNEL_SHIFT = "encoder.kernel.beta"
 
 
-def parse_config_value(name: str, text: str):
-    """A ModelConfig field from its key=value text form: rank_strategy is a
-    RankStrategy value, every other field an int."""
-    return RankStrategy(text) if name == "rank_strategy" else int(text)
-
-
 def _config_lines(config: ModelConfig) -> list[str]:
     lines = []
     for f in dataclass_fields(ModelConfig):
@@ -877,7 +885,7 @@ def _config_lines(config: ModelConfig) -> list[str]:
 
 
 def _config_from_header(header: dict[str, str]) -> ModelConfig:
-    return ModelConfig(**{f.name: parse_config_value(f.name, header[f.name])
+    return ModelConfig(**{f.name: parse_config_value(ModelConfig, f.name, header[f.name])
                           for f in dataclass_fields(ModelConfig)})
 
 
@@ -990,7 +998,7 @@ def load_checkpoint(path):
                              ("step", step)):
             if value < 0:
                 raise ValueError(f"{field} must be >= 0, got {value}")
-        config = _config_from_header(fields).validate()
+        config = _config_from_header(fields)
     except (KeyError, ValueError) as exc:
         raise CheckpointVersionError(f"bad header field: {exc}") from None
     expected_len = sep + 2 + payload_bytes + 32

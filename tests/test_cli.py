@@ -219,6 +219,17 @@ class TestInvariance:
         assert main(["invariance", str(canon_file), "--trials", "0"]) == 2
         assert capsys.readouterr().err == "error: --trials must be >= 1, got 0\n"
 
+    def test_negative_seed_rejected_before_the_file_is_read(self, tmp_path, capsys):
+        # the file does not exist, so only a check made first names --seed
+        assert main(["invariance", str(tmp_path / "none.chimol"), "--seed", "-1"]) == 2
+        assert capsys.readouterr().err == "error: --seed must be >= 0, got -1\n"
+
+    def test_no_chiral_units_nothing_to_check(self, tmp_path, capsys):
+        path = tmp_path / "achiral.chimol"
+        write(replace(canonical_molecule(), chiral_units=()), path)
+        assert main(["invariance", str(path), "--trials", "5"]) == 0
+        assert capsys.readouterr().out == "no chiral units; nothing to check\n"
+
 
 class TestGen:
     def test_writes_dataset_and_manifest(self, tmp_path, capsys):
@@ -799,6 +810,18 @@ class TestCliContract:
         assert main(["train", "--data", str(ds), "--config", str(cfg), "--epochs", "1",
                      "--out", str(tmp_path / "r")]) == 0
         assert (tmp_path / "r" / "model.ckpt").exists()
+
+    def test_flags_override_the_file_before_the_one_check(self, tmp_path):
+        """Only the final config is checked: the file's epochs=0 and lr=-1
+        are overridden by --epochs and --lr before it is built."""
+        cfg = tmp_path / "cfg"
+        cfg.write_text("epochs=0\nlr=-1\nh=8\nd_p=4\nn_layers=1\nn_gkpt=8\n")
+        ds = tmp_path / "ds"
+        main(["gen", "--task", "rs", "--count", "4", "--seed", "1", "--out", str(ds)])
+        assert main(["train", "--data", str(ds), "--config", str(cfg), "--epochs", "2",
+                     "--lr", "1e-3", "--out", str(tmp_path / "r")]) == 0
+        lines = (tmp_path / "r" / "metrics.log").read_text().splitlines()
+        assert [line.split()[0] for line in lines] == ["epoch=0", "epoch=1"]
 
     def test_d_p_3_config_rejected(self, tmp_path, capsys):
         cfg = tmp_path / "cfg"

@@ -1,5 +1,5 @@
 import math
-from dataclasses import replace
+from dataclasses import FrozenInstanceError, fields, replace
 
 import numpy as np
 import pytest
@@ -47,6 +47,7 @@ from chiraldet.model import (
     load_checkpoint,
     mirror_consistency,
     named_parameters,
+    parse_config_value,
     rank_loss,
     adam_step,
     save_checkpoint,
@@ -106,6 +107,11 @@ class TestForward:
         [(keys, rows)] = attention_export_rows(model, [mol])
         assert rows.shape == (len(mol.chiral_units), len(keys))
         assert np.allclose(rows.sum(axis=1), 1.0, atol=1e-10)
+
+    def test_no_molecule_keeps_the_row_width(self):
+        model = tiny_model(seed=3)
+        assert embed_rows(model, []).shape == (0, TINY["h"])
+        assert chiraldet.model._head_rows(model, [], "logits").shape == (0, 2)
 
 
 class TestLosses:
@@ -195,16 +201,16 @@ class TestConfig:
     def test_d_p_below_4_rejected(self, d_p):
         # centring along d_p leaves a d_p = 3 slice at rank <= 2
         with pytest.raises(ValueError, match="d_p must be >= 4"):
-            ModelConfig(**{**TINY, "d_p": d_p}).validate()
+            ModelConfig(**{**TINY, "d_p": d_p})
 
     def test_d_p_4_accepted(self):
-        ModelConfig(**TINY).validate()
+        ModelConfig(**TINY)
 
     @pytest.mark.parametrize("field", ["h", "n_heads", "n_gkpt", "n_classes"])
     @pytest.mark.parametrize("value", [0, -2])
     def test_size_below_1_rejected(self, field, value):
         with pytest.raises(ValueError, match=f"^{field} must be >= 1, got {value}$"):
-            ModelConfig(**{**TINY, field: value}).validate()
+            ModelConfig(**{**TINY, field: value})
 
     @pytest.mark.parametrize("field", ["h", "d_p", "n_layers", "n_heads", "n_gkpt", "d_f",
                                        "n_classes", "seed"])
@@ -212,7 +218,7 @@ class TestConfig:
         with pytest.raises(ValueError, match=rf"^{field} must be an integer, got 2\.5$"):
             init_model(ModelConfig(**{**TINY, field: 2.5}))
         with pytest.raises(ValueError, match=rf"^{field} must be an integer, got 4\.0$"):
-            ModelConfig(**{**TINY, field: 4.0}).validate()
+            ModelConfig(**{**TINY, field: 4.0})
 
     @pytest.mark.parametrize("field", ["epochs", "batch_size"])
     def test_train_count_not_an_integer_rejected(self, small_dataset, field):
@@ -233,11 +239,41 @@ class TestConfig:
     @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
     def test_non_finite_float_rejected(self, field, value):
         with pytest.raises(ValueError, match=f"^{field} must be finite, got {value}$"):
-            TrainConfig(**{field: value}).validate()
+            TrainConfig(**{field: value})
 
     @pytest.mark.parametrize("factor", [0.0, 1.0])
     def test_min_lr_factor_bounds_accepted(self, factor):
-        TrainConfig(min_lr_factor=factor).validate()
+        TrainConfig(min_lr_factor=factor)
+
+    @pytest.mark.parametrize("cls", [ModelConfig, TrainConfig])
+    def test_every_annotation_has_a_parser(self, cls):
+        assert {f.type for f in fields(cls)} <= set(chiraldet.model._FIELD_TYPES)
+
+    @pytest.mark.parametrize("cls", [ModelConfig, TrainConfig])
+    def test_default_text_parses_back(self, cls):
+        """Each default's key=value text, as a config file or checkpoint
+        header spells it, parses back to the default."""
+        for f in fields(cls):
+            text = getattr(f.default, "value", f.default)
+            assert parse_config_value(cls, f.name, str(text)) == f.default, f.name
+
+    @pytest.mark.parametrize("cls", [ModelConfig, TrainConfig])
+    def test_fields_cannot_be_reassigned(self, cls):
+        config = cls()
+        for f in fields(cls):
+            with pytest.raises(FrozenInstanceError):
+                setattr(config, f.name, f.default)
+
+    @pytest.mark.parametrize(("cls", "field", "value", "noun"), [
+        (ModelConfig, "rank_strategy", "qr_retraction", "a RankStrategy"),
+        (TrainConfig, "lr", "0.1", "a real number"),
+        (ModelConfig, "h", True, "an integer"),
+    ], ids=["rank_strategy-text", "lr-text", "h-bool"])
+    def test_value_of_another_type_rejected_when_built(self, cls, field, value, noun):
+        """A rank_strategy string would skip the QR retraction that the
+        enum asks for, and a bool would pass as an int."""
+        with pytest.raises(ValueError, match=f"^{field} must be {noun}, got {value!r}$"):
+            cls(**{field: value})
 
 
 class TestSchedule:

@@ -5,6 +5,7 @@ here, as a stale import would."""
 import importlib
 import pkgutil
 import re
+from dataclasses import fields, is_dataclass
 from pathlib import Path
 
 import chiraldet
@@ -18,14 +19,17 @@ MODULES = {m.name: importlib.import_module(f"chiraldet.{m.name}")
 # v1 tensor names (encoder.kernel.beta included) and the checkpoint file
 NOT_ATTRIBUTES = {*BLOCKS, *(n for n, _ in _tensor_table(init_model(TINY_CONFIG), None)),
                   "model.ckpt"}
+CLASSES = {name: obj for name, obj in vars(chiraldet).items() if isinstance(obj, type)}
 DOTTED = re.compile(r"(?<![\w.])([A-Za-z_]\w*(?:\.[A-Za-z_]\w*)+)")
 SNAKE_CALL = re.compile(r"(?<![\w.])(_?[a-z][a-z0-9]*(?:_[a-z0-9]+)+)\(")
 
 
 def _resolves(holder, path) -> bool:
-    for part in path:
+    for i, part in enumerate(path):
         if not hasattr(holder, part):
-            return False
+            # a dataclass field without a default is no class attribute
+            return (i == len(path) - 1 and is_dataclass(holder)
+                    and part in {f.name for f in fields(holder)})
         holder = getattr(holder, part)
     return True
 
@@ -33,16 +37,18 @@ def _resolves(holder, path) -> bool:
 def stale_names(text: str) -> list:
     """The names of text's backticked spans, fenced blocks aside, that
     should resolve and do not: a dotted name whose first part is a package
-    module and that is neither an attribute path from it nor one of
-    NOT_ATTRIBUTES, and a snake_case call that is no attribute of the
-    package or of one of its modules."""
+    module or a class the package exports and that is neither an attribute
+    or dataclass field path from it nor one of NOT_ATTRIBUTES, and a
+    snake_case call that is no attribute of the package or of one of its
+    modules."""
     spans = re.findall(r"`([^`]+)`", re.sub(r"```.*?```", "", text, flags=re.S))
     stale = []
     for span in spans:
         for name in DOTTED.findall(span):
             first, *path = name.split(".")
-            if (first in MODULES and name not in NOT_ATTRIBUTES
-                    and not _resolves(MODULES[first], path)):
+            holder = MODULES.get(first, CLASSES.get(first))
+            if (holder is not None and name not in NOT_ATTRIBUTES
+                    and not _resolves(holder, path)):
                 stale.append(name)
         for name in SNAKE_CALL.findall(span):
             if not any(hasattr(m, name) for m in (chiraldet, *MODULES.values())):
@@ -55,11 +61,14 @@ def test_readme_names_resolve():
 
 
 def test_a_stale_name_is_found():
-    """The check itself: a removed function, dotted or called, shows; an
-    audit block, a v1 tensor name, a non-module prefix and fenced code do
-    not."""
+    """The check itself: a removed function, dotted or called, and a
+    removed method of an exported class show; an audit block, a v1 tensor
+    name, a non-module prefix, a class attribute, a dataclass field
+    without a default and fenced code do not."""
     text = ("`model.forward_full` and `forward_full(model)`, `model.full_loss`, "
             "`encoder.kernel.beta`, `run/model.ckpt`, `x.mean`, `sqrt(det G)`,\n"
-            "`encoder._bank_factors`, `prepare_batch(mols)`\n"
+            "`encoder._bank_factors`, `prepare_batch(mols)`, `ModelConfig.validate`,\n"
+            "`RankStrategy.QR_RETRACTION`, `SyntheticSpec.count`, `SyntheticSpec.count.x`\n"
             "```\nmodel.gone\n```\n")
-    assert stale_names(text) == ["model.forward_full", "forward_full"]
+    assert stale_names(text) == ["model.forward_full", "forward_full", "ModelConfig.validate",
+                                 "SyntheticSpec.count.x"]
