@@ -11,6 +11,7 @@ import math
 import numbers
 import re
 import struct
+import sys
 from collections.abc import Callable
 from dataclasses import dataclass
 from dataclasses import fields as dataclass_fields
@@ -73,14 +74,17 @@ _FIELD_TYPES = {"int": (int, numbers.Integral, "an integer"),
 
 
 def _check_types(config) -> None:
-    """Each field of a config must hold a value of its annotation's type and
-    no bool: a float count would fail later, inside numpy or range(), and a
-    rank_strategy string would skip the QR retraction, naming no field."""
+    """Each field of a config must hold a value of its annotation's type, no
+    bool, and a float field one finite as a float64: else a float count
+    fails inside numpy or range(), a huge int inside float(), naming no
+    field, and a rank_strategy string skips the QR retraction."""
     for f in dataclass_fields(config):
         value = getattr(config, f.name)
         _, kind, noun = _FIELD_TYPES[f.type]
         if isinstance(value, bool) or not isinstance(value, kind):
             raise ValueError(f"{f.name} must be {noun}, got {value!r}")
+        if f.type == "float" and not abs(value) <= sys.float_info.max:
+            raise ValueError(f"{f.name} must be finite, got {value}")
 
 
 def parse_config_value(cls, name: str, text: str):
@@ -130,10 +134,6 @@ class TrainConfig:
 
     def __post_init__(self):
         _check_types(self)
-        for f in dataclass_fields(self):
-            value = getattr(self, f.name)
-            if isinstance(value, float) and not math.isfinite(value):
-                raise ValueError(f"{f.name} must be finite, got {value}")
         if self.lr <= 0 or self.epochs < 1:
             raise ValueError("lr must be positive and epochs >= 1")
         if self.batch_size < 1:

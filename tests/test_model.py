@@ -236,8 +236,11 @@ class TestConfig:
             train(model, small_dataset[:4], TrainConfig(epochs=1, **{field: value}))
 
     @pytest.mark.parametrize("field", ["lr", "reg_weight", "min_lr_factor"])
-    @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf"),
+                                       pytest.param(10**400, id="int-1e400")])
     def test_non_finite_float_rejected(self, field, value):
+        """An int beyond float range is no finite float: train() would fail
+        converting it, naming no field."""
         with pytest.raises(ValueError, match=f"^{field} must be finite, got {value}$"):
             TrainConfig(**{field: value})
 
