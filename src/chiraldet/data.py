@@ -16,6 +16,7 @@ omitted (ties broken by atom index); explicit priorities must be distinct.
 from __future__ import annotations
 
 import math
+import numbers
 import os
 from dataclasses import dataclass, replace
 from pathlib import Path
@@ -23,6 +24,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import AnnotationError, GenerationError, MoleculeParseError
+from .fieldtypes import check_types
 from .geometry import (
     ChiralUnit,
     Configuration,
@@ -281,11 +283,15 @@ class SyntheticSpec:
     seed: int = 0
 
     def __post_init__(self):
+        # a NaN floor rejects no draw and an infinite one every draw; this
+        # bound is checked before the types, whose rule refuses both too, so
+        # that its message names the bound
+        if (isinstance(self.min_abs_product, numbers.Real)
+                and not 0 < self.min_abs_product < math.inf):
+            raise ValueError(f"min_abs_product must be > 0 and finite, got {self.min_abs_product}")
+        check_types(self)
         if self.count < 1:
             raise ValueError("count must be >= 1")
-        # a NaN floor rejects no draw and an infinite one every draw
-        if not 0 < self.min_abs_product < math.inf:
-            raise ValueError(f"min_abs_product must be > 0 and finite, got {self.min_abs_product}")
         if not 0 <= self.spectator_range[0] <= self.spectator_range[1]:
             raise ValueError(f"spectator_range must be 0 <= lo <= hi, got {self.spectator_range}")
         if self.seed < 0:

@@ -7,11 +7,11 @@ from __future__ import annotations
 
 import functools
 import hashlib
+import itertools
 import math
-import numbers
+import os
 import re
 import struct
-import sys
 from collections.abc import Callable
 from dataclasses import dataclass
 from dataclasses import fields as dataclass_fields
@@ -60,31 +60,11 @@ from .errors import (
     DegeneracyError,
     NumericError,
 )
+from .fieldtypes import _FIELD_TYPES, check_types
 from .geometry import Configuration, Molecule, mirror
 
 LABEL_CLASSES = (Configuration.R, Configuration.S)
 CLASS_INDEX = {c: i for i, c in enumerate(LABEL_CLASSES)}
-
-
-# The one type authority of config fields, by annotation: the parser of a
-# field's text, the values a built config's field may hold, and their noun
-_FIELD_TYPES = {"int": (int, numbers.Integral, "an integer"),
-                "float": (float, numbers.Real, "a real number"),
-                "RankStrategy": (RankStrategy, RankStrategy, "a RankStrategy")}
-
-
-def _check_types(config) -> None:
-    """Each field of a config must hold a value of its annotation's type, no
-    bool, and a float field one finite as a float64: else a float count
-    fails inside numpy or range(), a huge int inside float(), naming no
-    field, and a rank_strategy string skips the QR retraction."""
-    for f in dataclass_fields(config):
-        value = getattr(config, f.name)
-        _, kind, noun = _FIELD_TYPES[f.type]
-        if isinstance(value, bool) or not isinstance(value, kind):
-            raise ValueError(f"{f.name} must be {noun}, got {value!r}")
-        if f.type == "float" and not abs(value) <= sys.float_info.max:
-            raise ValueError(f"{f.name} must be finite, got {value}")
 
 
 def parse_config_value(cls, name: str, text: str):
@@ -108,7 +88,7 @@ class ModelConfig:
     seed: int = 0
 
     def __post_init__(self):
-        _check_types(self)
+        check_types(self)
         for name in ("h", "n_heads", "n_gkpt", "n_classes", "d_f"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
@@ -133,7 +113,7 @@ class TrainConfig:
     min_lr_factor: float = 0.1
 
     def __post_init__(self):
-        _check_types(self)
+        check_types(self)
         if self.lr <= 0 or self.epochs < 1:
             raise ValueError("lr must be positive and epochs >= 1")
         if self.batch_size < 1:
@@ -889,13 +869,12 @@ def _config_from_header(header: dict[str, str]) -> ModelConfig:
                           for f in dataclass_fields(ModelConfig)})
 
 
-def _pack_tensor(name: str, arr: np.ndarray) -> bytes:
-    data = np.ascontiguousarray(arr, dtype="<f8").tobytes()
+def _tensor_head(name: str, arr: np.ndarray) -> bytes:
+    """The head of a tensor's record: its name, shape and element count,
+    which the tensor's little-endian float64 values follow."""
     name_b = name.encode()
-    head = struct.pack("<I", len(name_b)) + name_b
-    head += struct.pack("<I", arr.ndim) + struct.pack(f"<{arr.ndim}q", *arr.shape)
-    head += struct.pack("<Q", arr.size)
-    return head + data
+    return (struct.pack("<I", len(name_b)) + name_b
+            + struct.pack(f"<I{arr.ndim}qQ", arr.ndim, *arr.shape, arr.size))
 
 
 def _v1_tensors(named):
@@ -941,17 +920,40 @@ def _check_header_dimensions(config: ModelConfig, tensors: dict):
 
 def save_checkpoint(model: ChiralModel, path, adam: AdamState | None = None):
     """Versioned container: text header, length-prefixed little-endian
-    float64 tensors, trailing sha256 checksum. Round-trips bit-exactly."""
-    tensors = _tensor_table(model, adam)
-    payload = b"".join(_pack_tensor(n, a) for n, a in tensors)
+    float64 tensors, trailing sha256 checksum. Round-trips bit-exactly.
+
+    The header's payload_bytes comes from the tensors' shapes, so the file
+    streams out: the header, then each record's head and the tensor's own
+    memory, each buffer written and fed to one sha256 as it goes, then the
+    digest. The file is written beside `path` and renamed over it only once
+    complete; on any exception the partial file is deleted, so `path` keeps
+    what it held."""
+    records = [(_tensor_head(n, a), np.ascontiguousarray(a, dtype="<f8"))
+               for n, a in _tensor_table(model, adam)]
     header_lines = [f"{CHECKPOINT_MAGIC} v{CHECKPOINT_VERSION}"]
     header_lines += _config_lines(model.config)
     header_lines.append(f"step={adam.step if adam else 0}")
-    header_lines.append(f"tensors={len(tensors)}")
-    header_lines.append(f"payload_bytes={len(payload)}")
+    header_lines.append(f"tensors={len(records)}")
+    header_lines.append(f"payload_bytes={sum(len(h) + a.nbytes for h, a in records)}")
     header = ("\n".join(header_lines) + "\n\n").encode()
-    blob = header + payload
-    Path(path).write_bytes(blob + hashlib.sha256(blob).digest())
+    path = Path(path)
+    # a fresh random name, so that a partial file a killed process left
+    # cannot block this save; open's "x" mode creates it without
+    # overwriting anything and, unlike mkstemp's 0600, with the permissions
+    # a plain write gives
+    partial = path.with_name(f".{path.name}.{os.urandom(8).hex()}.partial")
+    f = open(partial, "xb")
+    try:
+        with f:
+            digest = hashlib.sha256()
+            for buf in itertools.chain([header], *records):
+                f.write(buf)
+                digest.update(buf)
+            f.write(digest.digest())
+        os.replace(partial, path)
+    except BaseException:
+        partial.unlink(missing_ok=True)
+        raise
 
 
 def load_checkpoint(path):
@@ -967,7 +969,11 @@ def load_checkpoint(path):
     and a name the tensor table lacks, none of which a training run writes,
     a bias.sigma entry at or below SIGMA_FLOOR, which no forward can run,
     and a header dimension that the tensors' shapes contradict, checked
-    before the model is allocated."""
+    before the model is allocated.
+
+    The file's bytes are the one copy of the payload the load holds: the
+    checksum is taken over a memoryview of them, and each tensor stays a
+    view of them until it is copied into the model."""
     raw = Path(path).read_bytes()
     sep = raw.find(b"\n\n")
     if sep < 0:
@@ -1006,8 +1012,7 @@ def load_checkpoint(path):
         raise CheckpointTruncatedError(
             f"file is {len(raw)} bytes, expected {expected_len}"
         )
-    blob, digest = raw[: sep + 2 + payload_bytes], raw[sep + 2 + payload_bytes :]
-    if hashlib.sha256(blob).digest() != digest:
+    if hashlib.sha256(memoryview(raw)[: sep + 2 + payload_bytes]).digest() != raw[-32:]:
         raise CheckpointChecksumError("checksum mismatch, checkpoint corrupted")
 
     tensors: dict[str, np.ndarray] = {}

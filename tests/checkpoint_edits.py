@@ -7,7 +7,7 @@ import struct
 
 import numpy as np
 
-from chiraldet.model import _pack_tensor
+from chiraldet.model import _tensor_head
 
 
 def resign(path, edit):
@@ -71,7 +71,8 @@ def append_tensor(name: bytes, values):
     """Edit that appends a tensor after the last one, packed as the writer
     packs one, and raises the header's tensors and payload_bytes counts to
     match."""
-    packed = _pack_tensor(name.decode(), np.asarray(values, dtype=np.float64))
+    arr = np.asarray(values, dtype="<f8")
+    packed = _tensor_head(name.decode(), arr) + arr.tobytes()
 
     def edit(blob):
         header = blob[: blob.index(b"\n\n")].splitlines()

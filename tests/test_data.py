@@ -1,4 +1,5 @@
 import math
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -321,6 +322,20 @@ class TestGenAxial:
     def test_invalid_arguments_rejected(self, kwargs):
         with pytest.raises(ValueError):
             gen_axial(**{"count": 4, **kwargs})
+
+    @pytest.mark.parametrize("generate", [lambda kw: gen_rs(SyntheticSpec(**kw)),
+                                          lambda kw: gen_axial(**kw)], ids=["rs", "axial"])
+    @pytest.mark.parametrize(("field", "value", "noun"), [
+        ("count", 2.5, "an integer"), ("count", True, "an integer"), ("seed", 1.5, "an integer"),
+        ("min_abs_product", "0.5", "a real number"),
+        ("spectator_range", (0.5, 2.5), "a pair of integers")],
+        ids=["count-float", "count-bool", "seed-float", "product-str", "spectators-float"])
+    def test_field_of_wrong_type_rejected(self, generate, field, value, noun):
+        # else a float count or seed fails inside range() or numpy, a text
+        # floor at its first comparison, naming no field, and a bool count
+        # or float spectator range generates without a word
+        with pytest.raises(ValueError, match=f"^{field} must be {noun}, got {re.escape(repr(value))}$"):
+            generate({"count": 4, field: value})
 
     def test_round_trip_through_files(self, tmp_path):
         dataset = gen_axial(3, seed=1)

@@ -1,4 +1,7 @@
+import errno
+import io
 import math
+import tracemalloc
 from dataclasses import FrozenInstanceError, fields, replace
 
 import numpy as np
@@ -614,6 +617,50 @@ class TestCheckpoint:
         loaded, adam2 = load_checkpoint(first)
         save_checkpoint(loaded, second, adam2)
         assert first.read_bytes() == second.read_bytes()
+
+    def test_round_trip_holds_the_payload_at_most_once(self, tmp_path):
+        """A save streams each tensor from the model's memory, and a load
+        hashes and reads the file's bytes in place: with Adam state at the
+        default config, the save allocates under 1 MB, and the load no more
+        than the file, the model and both moments, plus 1 MB."""
+        model = init_model(ModelConfig())
+        adam = AdamState.for_model(model)
+        path = tmp_path / "model.ckpt"
+        tracemalloc.start()
+        try:
+            save_checkpoint(model, path, adam)
+            _, save_peak = tracemalloc.get_traced_memory()
+            tracemalloc.reset_peak()
+            before_load, _ = tracemalloc.get_traced_memory()
+            _, loaded_adam = load_checkpoint(path)
+            _, load_peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        model_bytes = sum(a.nbytes for _, a in named_parameters(model))
+        assert loaded_adam is not None
+        assert save_peak < 2**20
+        assert load_peak - before_load <= path.stat().st_size + 3 * model_bytes + 2**20
+
+    def test_failed_save_keeps_the_old_checkpoint(self, tmp_path, monkeypatch):
+        """A save that fails partway, here a disk filling up after its first
+        kilobyte, leaves the earlier file at the path byte for byte, and no
+        partial file beside it."""
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(tiny_model(seed=21), path)
+        before = path.read_bytes()
+
+        class FullDisk(io.FileIO):
+            def write(self, buf):
+                if self.tell() > 1024:
+                    raise OSError(errno.ENOSPC, "No space left on device")
+                return super().write(buf)
+
+        monkeypatch.setattr(chiraldet.model, "open", FullDisk, raising=False)
+        model = tiny_model(seed=22)
+        with pytest.raises(OSError, match="No space left on device"):
+            save_checkpoint(model, path, AdamState.for_model(model))
+        assert path.read_bytes() == before
+        assert list(tmp_path.iterdir()) == [path]
 
     @pytest.mark.parametrize("moment", ["m", "v"])
     def test_missing_moment_rejected(self, tmp_path, moment):
